@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Seed-sweep demonstration.
 
-Runs one configuration file across several seeds in parallel (the
-SBMM_THREADS environment variable caps the worker count) and prints the
+Runs one configuration file across several seeds (the SBMM_THREADS
+environment variable sets the worker count, default 1) and prints the
 final recorded optimality-gap composite for each seed.  One diagnostics
 CSV per seed is written to the output directory.
 
@@ -10,8 +10,10 @@ Usage: python3 scripts/sweep_demo.py configs/omf_iid.cfg --seeds 0 1 2 3
 """
 
 import argparse
+import sys
 
 from sbmm import parse_config, run_sweep
+from sbmm.bench import ConfigError
 
 
 def main() -> int:
@@ -21,8 +23,11 @@ def main() -> int:
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args()
 
-    cfg = parse_config(args.config)
-    results = run_sweep(cfg, args.seeds, out_dir=args.out_dir)
+    try:
+        results = run_sweep(parse_config(args.config), args.seeds, out_dir=args.out_dir)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"{'seed':>6} {'final n':>8} {'min composite gap':>18}")
     for seed in args.seeds:
         last = results[seed].records[-1]

@@ -24,6 +24,7 @@ import numpy as np
 from .factorize import (
     CpdlState,
     OmfState,
+    code_loss,
     cpdl_loss,
     cpdl_step,
     factor_loss,
@@ -192,10 +193,6 @@ class _Minima:
         return out
 
 
-def _per_state_losses(emissions, loss_fn):
-    return [loss_fn(e) for e in emissions]
-
-
 # ---------------------------------------------------------------------------
 # OMF runner (plain and row-subsampled)
 
@@ -239,10 +236,8 @@ def run_omf_diagnostics(
     if keep_trajectory:
         result.trajectory.append(st.W.copy())
     R_bound = factor_loss_lipschitz_bound(source.emissions, dict_box, code_set, r)
+    emissions = np.stack(source.emissions)
     pending = None
-
-    def loss_at(X, W):
-        return factor_loss(X, W, lam, code_set, tol=solver_tol)
 
     for i in range(1, n_iters + 1):
         x, y = next_sample(source)
@@ -254,7 +249,7 @@ def run_omf_diagnostics(
                            C_prev=st.C, radius=radius, tol=solver_tol)
         else:
             rows = np.asarray(row_sampler(rng), dtype=int)
-            if rows.size == 0:
+            while rows.size == 0:
                 rows = np.asarray(row_sampler(rng), dtype=int)
             res = subsampled_omf_step(x, W_prev, st.A, st.B, w_n, lam, dict_box,
                                       code_set, rows, C_prev=st.C, radius=radius,
@@ -286,26 +281,27 @@ def run_omf_diagnostics(
                                             st.W.ravel(), dict_box)
             result.c1_stat_max = max(result.c1_stat_max, stat_now)
 
+        checkpoint = i % diag_interval == 0 or i == n_iters
+        if pending is not None or checkpoint:
+            l_new = _step_loss(x, W_prev, res.H, lam)
         if pending is not None:
             lhs = g_new - pending["gbar_val"]
-            l_new, _, _ = loss_at(x, W_prev)
             rhs = (w_n * (l_new - pending["fbar"])
                    + pending["w_prev"] ** 2 * st.eps_sum)
             result.prop_margins.append((i, lhs - rhs, 1.0 + abs(rhs)))
             pending = None
 
-        if i % diag_interval == 0 or i == n_iters:
-            per_state = _per_state_losses(source.emissions,
-                                          lambda e: loss_at(e, st.W))
-            fbar = sum(w_hat[s] * per_state[s][0] for s in range(S))
-            fbar_grad = sum(w_hat[s] * per_state[s][1] for s in range(S))
-            f_exp = sum(pi[s] * per_state[s][0] for s in range(S))
-            f_grad = sum(pi[s] * per_state[s][1] for s in range(S))
+        if checkpoint:
+            values, grads, _ = factor_loss(emissions, st.W, lam, code_set,
+                                           tol=solver_tol)
+            fbar = sum(w_hat[s] * values[s] for s in range(S))
+            fbar_grad = sum(w_hat[s] * grads[s] for s in range(S))
+            f_exp = sum(pi[s] * values[s] for s in range(S))
+            f_grad = sum(pi[s] * grads[s] for s in range(S))
             gbar_val = g_new
             gbar_grad = gbar.grad(st.W)
-            l_obs, _, _ = loss_at(x, W_prev)
             rec = _build_record(
-                n=i, w_n=w_n, cum_w=cum_w, loss_new=l_obs, fbar=fbar,
+                n=i, w_n=w_n, cum_w=cum_w, loss_new=l_new, fbar=fbar,
                 f_exp=f_exp, gbar_val=gbar_val,
                 gbar_grad=gbar_grad.ravel(), fbar_grad=fbar_grad.ravel(),
                 f_grad=f_grad.ravel(), theta=st.W.ravel(), box=dict_box,
@@ -315,6 +311,12 @@ def run_omf_diagnostics(
             pending = {"gbar_val": gbar_val, "fbar": fbar, "w_prev": w_n}
     result.final = st
     return result
+
+
+def _step_loss(x, D_prev, H, lam) -> float:
+    """The new sample's loss at the previous dictionary (flat, (p, r)),
+    from the code the step has just solved there."""
+    return float(code_loss(x.reshape(1, D_prev.shape[0], -1), D_prev, H[None], lam)[0][0])
 
 
 def _build_record(n, w_n, cum_w, loss_new, fbar, f_exp, gbar_val, gbar_grad,
@@ -374,6 +376,7 @@ def run_cpdl_diagnostics(
     eps_bar = 0.0
     minima = _Minima()
     result = RunResult(records=[], prop_margins=[])
+    emissions = np.stack(source.emissions)
     pending = None
     if keep_trajectory:
         result.trajectory.append([Ui.copy() for Ui in st.U])
@@ -392,9 +395,6 @@ def run_cpdl_diagnostics(
                     gamma = gamma * grams[k]
             out.append(2.0 * (U[i] @ gamma - _contract_except(B, U, i)))
         return out
-
-    def loss_at(X, U):
-        return cpdl_loss(X, U, lam, code_set, tol=solver_tol)
 
     for i in range(1, n_iters + 1):
         x, y = next_sample(source)
@@ -422,30 +422,31 @@ def run_cpdl_diagnostics(
             result.step_bound_violations += 1
         step = math.sqrt(sum(mv * mv for mv in moves))
 
+        checkpoint = i % diag_interval == 0 or i == n_iters
+        if pending is not None or checkpoint:
+            l_new = _step_loss(x, out_product(U_prev).reshape(-1, r), res.H, lam)
         if pending is not None:
             lhs = g_new - pending["gbar_val"]
-            l_new, _, _ = loss_at(x, U_prev)
             rhs = (w_n * (l_new - pending["fbar"])
                    + pending["w_prev"] ** 2 * st.eps_sum)
             result.prop_margins.append((i, lhs - rhs, 1.0 + abs(rhs)))
             pending = None
 
-        if i % diag_interval == 0 or i == n_iters:
-            per_state = _per_state_losses(source.emissions,
-                                          lambda e: loss_at(e, st.U))
-            fbar = sum(w_hat[s] * per_state[s][0] for s in range(S))
-            f_exp = sum(pi[s] * per_state[s][0] for s in range(S))
-            fbar_grads = [sum(w_hat[s] * per_state[s][1][k] for s in range(S))
+        if checkpoint:
+            values, grads, _ = cpdl_loss(emissions, st.U, lam, code_set,
+                                         tol=solver_tol)
+            fbar = sum(w_hat[s] * values[s] for s in range(S))
+            f_exp = sum(pi[s] * values[s] for s in range(S))
+            fbar_grads = [sum(w_hat[s] * grads[k][s] for s in range(S))
                           for k in range(m)]
-            f_grads = [sum(pi[s] * per_state[s][1][k] for s in range(S))
+            f_grads = [sum(pi[s] * grads[k][s] for s in range(S))
                        for k in range(m)]
             g_grads = surrogate_grads(st.U, st.A, st.B)
             stat_surr = _stacked_stationarity(g_grads, st.U, factor_boxes)
             stat_emp = _stacked_stationarity(fbar_grads, st.U, factor_boxes)
             stat_exp = _stacked_stationarity(f_grads, st.U, factor_boxes)
-            l_obs, _, _ = loss_at(x, U_prev)
             rec = _build_record(
-                n=i, w_n=w_n, cum_w=cum_w, loss_new=l_obs, fbar=fbar,
+                n=i, w_n=w_n, cum_w=cum_w, loss_new=l_new, fbar=fbar,
                 f_exp=f_exp, gbar_val=g_new,
                 gbar_grad=np.concatenate([g.ravel() for g in g_grads]),
                 fbar_grad=np.concatenate([g.ravel() for g in fbar_grads]),
@@ -590,8 +591,10 @@ class RunConfig:
 
 def parse_config(path) -> RunConfig:
     """Parse a line-oriented key=value UTF-8 file with '#' comments.
-    Unknown keys, malformed lines and missing required keys are errors."""
+    Unknown keys, malformed lines, missing required keys and out-of-range
+    values are errors."""
     values = dict(_DEFAULTS)
+    line_of = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -616,9 +619,18 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(
                     f"{path}:{lineno}: cannot parse {val!r} as {typ.__name__} for {key}"
                 ) from None
+            line_of[key] = lineno
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
+    for key, bad, need in (
+            ("engine.n_iters", values["engine.n_iters"] < 1, "must be >= 1"),
+            ("engine.diag_interval", values["engine.diag_interval"] < 1, "must be >= 1"),
+            ("app.row_sample", values["app.kind"] == "omf_sub" and values["app.row_sample"] <= 0,
+             "must be > 0 when app.kind = omf_sub")):
+        if bad:
+            where = f"{path}:{line_of[key]}" if key in line_of else str(path)
+            raise ConfigError(f"{where}: {key} = {values[key]} {need}")
     cfg = RunConfig(values=values, path=str(path))
     _build_schedule(cfg)  # validates schedule parameters early
     return cfg
@@ -716,30 +728,33 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
 
 
 def run_sweep(cfg: RunConfig, seeds, out_dir=".") -> dict:
-    """Execute one configuration across several seeds in parallel.
+    """Execute one configuration across several seeds.
 
     Runs share nothing: each builds its own source and state from the config.
-    The SBMM_THREADS environment variable caps the worker count (default: one
-    worker per seed, up to the machine's CPU count).  Returns a dict mapping
-    seed to its RunResult; each run's CSV lands in out_dir as
-    <label>_seed<seed>.csv.
+    The SBMM_THREADS environment variable sets the number of worker threads
+    (default 1).  A step is many small numpy calls that hold the interpreter
+    lock, so more threads mostly wait for it.  Returns a dict mapping seed to
+    its RunResult; each run's CSV lands in out_dir as <label>_seed<seed>.csv.
     """
     import concurrent.futures
     import os
 
+    cap = os.environ.get("SBMM_THREADS", "").strip()
+    try:
+        workers = int(cap) if cap else 1
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"SBMM_THREADS must be an integer >= 1, got {cap!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cap = os.environ.get("SBMM_THREADS", "")
-    max_workers = int(cap) if cap else min(len(seeds), os.cpu_count() or 1)
-    if max_workers < 1:
-        raise ConfigError("SBMM_THREADS must be >= 1")
     label = cfg["label"]
 
     def one(seed):
         return seed, run_experiment(
             cfg, seed=seed, out_path=str(out_dir / f"{label}_seed{seed}.csv"))
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as ex:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
         return dict(ex.map(one, seeds))
 
 

@@ -304,36 +304,77 @@ class CpdlState:
 # loss helpers
 
 
+def code_loss(X: np.ndarray, D: np.ndarray, H: np.ndarray, lam: float):
+    """Per-sample values ||X_s - D H_s||_F^2 + lam ||H_s||_1 at the given codes,
+    and the residuals X - D H, for a stack X (S, p, b) of flattened samples
+    with codes H (S, r, b) against the flat dictionary D (p, r)."""
+    R = X - D @ H
+    return (R * R).sum(axis=(1, 2)) + lam * np.abs(H).sum(axis=(1, 2)), R
+
+
+def _stacked_codes(X: np.ndarray, D: np.ndarray, lam: float, code_set: BoxSet,
+                   tol: float) -> np.ndarray:
+    """Optimal codes (S, r, b) of a stack X (S, p, b) against D (p, r).
+
+    Every code column shares the Hessian D'D, so the whole stack is one
+    solve_code_lasso call; a per-entry code box (dim r*b) is tiled over the
+    stack.
+    """
+    S, p, b = X.shape
+    r = D.shape[1]
+    if S > 1 and code_set.dim == r * b:
+        code_set = BoxSet(np.tile(code_set.lower.reshape(r, b), S).ravel(),
+                          np.tile(code_set.upper.reshape(r, b), S).ravel())
+    H, _ = solve_code_lasso(X.transpose(1, 0, 2).reshape(p, S * b), D, lam,
+                            code_set, tol=tol)
+    return H.T.reshape(S, b, r).transpose(0, 2, 1)
+
+
 def factor_loss(X: np.ndarray, W: np.ndarray, lam: float, code_set: BoxSet,
-                tol: float = 1e-8, H0: np.ndarray | None = None):
+                tol: float = 1e-8):
     """Matrix factorization loss min_H ||X - W H||_F^2 + lam ||H||_1 over the
-    code box, returning (value, gradient in W by the optimal-code envelope
-    rule, H)."""
+    code box, its gradient in W by the optimal-code envelope rule, and H.
+
+    One (q, d) sample gives (value, gradient (q, r), H (r, d)); a stack
+    (S, q, d) gives values (S,), gradients (S, q, r) and codes (S, r, d),
+    all from one code solve.
+    """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
-    H, _ = solve_code_lasso(X, W, lam, code_set, tol=tol, H0=H0)
-    R = X - W @ H
-    value = float(np.sum(R * R)) + lam * float(np.abs(H).sum())
-    grad = -2.0 * R @ H.T
-    return value, grad, H
+    one = X.ndim == 2
+    Xs = X[None] if one else X
+    H = _stacked_codes(Xs, W, lam, code_set, tol)
+    values, R = code_loss(Xs, W, H, lam)
+    grads = -2.0 * R @ H.transpose(0, 2, 1)
+    return (float(values[0]), grads[0], H[0]) if one else (values, grads, H)
 
 
 def cpdl_loss(X: np.ndarray, U: list[np.ndarray], lam: float, code_set: BoxSet,
               tol: float = 1e-8):
-    """CP reconstruction loss with optimal code; returns (value, per-factor
-    gradient list, H)."""
+    """CP reconstruction loss with optimal code.
+
+    One (I_1, ..., I_m, b) sample gives (value, per-factor gradient list, H
+    (r, b)); a stack (S, I_1, ..., I_m, b) gives values (S,), per-factor
+    gradients of shape (S, I_k, r) and codes (S, r, b), all from one code
+    solve.
+    """
     X = np.asarray(X, dtype=float)
     r = U[0].shape[1]
-    b = X.shape[-1]
-    D = out_product(U)
-    D_mat = D.reshape(-1, r)
-    X_mat = X.reshape(-1, b)
-    H, _ = solve_code_lasso(X_mat, D_mat, lam, code_set, tol=tol)
-    R = X - (D_mat @ H).reshape(X.shape)
-    value = float(np.sum(R * R)) + lam * float(np.abs(H).sum())
-    T = (R.reshape(-1, b) @ H.T).reshape(X.shape[:-1] + (r,))
-    grads = [-2.0 * _contract_except(T, U, i) for i in range(len(U))]
-    return value, grads, H
+    one = X.ndim == len(U) + 1
+    Xs = X[None] if one else X
+    S, b = Xs.shape[0], Xs.shape[-1]
+    X_mat = Xs.reshape(S, -1, b)
+    D_mat = out_product(U).reshape(-1, r)
+    H = _stacked_codes(X_mat, D_mat, lam, code_set, tol)
+    values, R = code_loss(X_mat, D_mat, H, lam)
+    T = (R @ H.transpose(0, 2, 1)).reshape(Xs.shape[:-1] + (r,))
+    # one contraction per sample: a stacked einsum may sum in another order,
+    # and a sample's gradient would then depend on the stack it came in
+    grads = [np.stack([-2.0 * _contract_except(Ts, U, i) for Ts in T])
+             for i in range(len(U))]
+    if one:
+        return float(values[0]), [g[0] for g in grads], H[0]
+    return values, grads, H
 
 
 def factor_loss_lipschitz_bound(emissions: list, dict_box: BoxSet,

@@ -65,7 +65,7 @@ def _w0(seed):
 
 
 def test_criterion_01_surrogate_algebra_oracle():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     sched = WeightSchedule.polylog(0.5, 1.5)
     dict_box, code_set = _boxes()
@@ -95,7 +95,7 @@ def test_criterion_01_surrogate_algebra_oracle():
         W = rng.random(size=(Q, R))
         a, b = g_rec.value(W), g_dir.value(W)
         worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
     assert elapsed < 10.0
     print(f"\n[criterion 1] PASS surrogate algebra: max rel err {worst:.2e} "
@@ -207,16 +207,16 @@ def _envelope_run(source):
 
 @pytest.fixture(scope="module")
 def envelope_iid():
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = _envelope_run(_iid_source(7))
-    return res, time.time() - t0
+    return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def envelope_markov():
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = _envelope_run(_markov_source(7))
-    return res, time.time() - t0
+    return res, time.perf_counter() - t0
 
 
 def _envelope_products(res, column):
@@ -269,7 +269,7 @@ def test_criterion_11_markov_vs_iid_envelope(envelope_iid, envelope_markov):
 
 
 def test_criterion_06_empirical_mixing():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(6)
     S, N = 5, 100_000
     M = rng.random(size=(S, S)) + 0.05
@@ -289,7 +289,7 @@ def test_criterion_06_empirical_mixing():
                 freq = np.bincount(states, minlength=S) / N
                 tv = 0.5 * float(np.abs(freq - pi).sum())
                 worst_by_t[t] = max(worst_by_t.get(t, 0.0), tv)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     for t, tv in worst_by_t.items():
         assert tv <= lam ** t + pad, (t, tv, lam ** t + pad)
     assert elapsed < 60.0

@@ -369,6 +369,27 @@ def test_parse_config_type_error(tmp_path):
         parse_config(p)
 
 
+@pytest.mark.parametrize("extra, key", [
+    ("engine.diag_interval = 0\n", "engine.diag_interval"),
+    ("engine.n_iters = 0\n", "engine.n_iters"),
+    ("app.kind = omf_sub\napp.row_sample = 0\n", "app.row_sample"),
+], ids=["diag_interval", "n_iters", "row_sample"])
+def test_parse_config_range_checks(tmp_path, capsys, extra, key):
+    p = write_cfg(tmp_path, extra=extra)
+    line = 10 + extra.count("\n") - 1
+    with pytest.raises(ConfigError, match=rf"{p}:{line}: {key} = "):
+        parse_config(p)
+    assert cli_main(["run", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert f"{p}:{line}: {key} = " in err and "Traceback" not in err
+
+
+def test_parse_config_omf_sub_needs_row_sample(tmp_path):
+    p = write_cfg(tmp_path, extra="app.kind = omf_sub\n")
+    with pytest.raises(ConfigError, match=r"app.row_sample = 0.0 must be > 0"):
+        parse_config(p)
+
+
 # ---------------------------------------------------------------------------
 # experiment driver and CLI
 
@@ -398,6 +419,23 @@ def test_run_experiment_subsampled_and_cpdl(tmp_path):
     p2 = write_cfg(tmp_path, name="c.cfg", extra="app.kind = cpdl\n")
     res2 = run_experiment(parse_config(p2), out_path=str(tmp_path / "c.csv"))
     assert res2.records
+
+
+def test_run_experiment_fractional_row_sample(tmp_path):
+    # p = 0.3 of q = 3 rows draws an empty subset with probability 0.343;
+    # empty draws are redrawn until one is not
+    p = write_cfg(tmp_path, extra="app.kind = omf_sub\napp.row_sample = 0.3\n"
+                                  "engine.n_iters = 200\n")
+    res = run_experiment(parse_config(p), out_path=str(tmp_path / "s.csv"))
+    assert res.records[-1].n == 200
+
+
+@pytest.mark.parametrize("threads", ["two", "0", "-1", "1.5"])
+def test_run_sweep_rejects_bad_thread_count(tmp_path, monkeypatch, threads):
+    cfg = parse_config(write_cfg(tmp_path))
+    monkeypatch.setenv("SBMM_THREADS", threads)
+    with pytest.raises(ConfigError, match="SBMM_THREADS"):
+        run_sweep(cfg, [1], out_dir=tmp_path)
 
 
 def test_run_sweep_parallel_deterministic(tmp_path, monkeypatch):

@@ -431,3 +431,117 @@ def test_omf_state_initial_seeds_proximal_average():
         W = rng.normal(size=(3, 2))
         assert g.value(W) == pytest.approx(
             0.5 * rho0 * float(np.sum((W - W0) ** 2)), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# stacked losses: one code solve for a stack of samples
+
+
+def _code_boxes(r, b, rng):
+    # dim r (shared by every column) and dim r*b (one bound per code entry)
+    return [BoxSet.uniform(r, 0.0, 1.0),
+            BoxSet(np.zeros(r * b), rng.uniform(0.5, 2.0, size=r * b))]
+
+
+@pytest.mark.parametrize("r", [2, 5])  # KKT enumeration / active set
+@pytest.mark.parametrize("S", [1, 4])
+def test_factor_loss_stack_equals_per_sample(r, S):
+    rng = np.random.default_rng(40 + r + S)
+    q, d = 6, 3
+    X = rng.uniform(0.0, 1.0, size=(S, q, d))
+    W = rng.uniform(0.0, 1.0, size=(q, r))
+    for code_set in _code_boxes(r, d, rng):
+        values, grads, H = factor_loss(X, W, 0.05, code_set, tol=1e-12)
+        assert values.shape == (S,) and grads.shape == (S, q, r) and H.shape == (S, r, d)
+        for s in range(S):
+            v, g, h = factor_loss(X[s], W, 0.05, code_set, tol=1e-12)
+            assert isinstance(v, float)
+            assert values[s] == pytest.approx(v, rel=1e-12)
+            np.testing.assert_allclose(grads[s], g, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(H[s], h, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [2, 5])
+@pytest.mark.parametrize("S", [1, 3])
+def test_cpdl_loss_stack_equals_per_sample(r, S):
+    rng = np.random.default_rng(50 + r + S)
+    dims, b = (3, 2), 2
+    X = rng.uniform(0.0, 1.0, size=(S,) + dims + (b,))
+    U = [rng.uniform(0.0, 1.0, size=(I, r)) for I in dims]
+    for code_set in _code_boxes(r, b, rng):
+        values, grads, H = cpdl_loss(X, U, 0.05, code_set, tol=1e-12)
+        assert values.shape == (S,) and H.shape == (S, r, b)
+        assert [g.shape for g in grads] == [(S, I, r) for I in dims]
+        for s in range(S):
+            v, gs, h = cpdl_loss(X[s], U, 0.05, code_set, tol=1e-12)
+            assert values[s] == pytest.approx(v, rel=1e-12)
+            for g_stack, g in zip(grads, gs):
+                np.testing.assert_allclose(g_stack[s], g, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(H[s], h, rtol=1e-10, atol=1e-12)
+
+
+def _counting_solves(monkeypatch):
+    """Record each solve_code_lasso call as 'diag' (inside the runners'
+    factor_loss/cpdl_loss) or 'step'."""
+    import sbmm.bench as bench
+    import sbmm.factorize as fz
+
+    calls, inside = [], []
+    solve = fz.solve_code_lasso
+
+    def counted_solve(*args, **kwargs):
+        calls.append("diag" if inside else "step")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fz, "solve_code_lasso", counted_solve)
+    for name in ("factor_loss", "cpdl_loss"):
+        def wrapped(*args, _loss=getattr(bench, name), **kwargs):
+            inside.append(1)
+            try:
+                return _loss(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(bench, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["omf", "omf_sub", "cpdl"])
+def test_runner_solves_one_code_problem_per_step_and_checkpoint(monkeypatch, kind):
+    from sbmm.bench import run_cpdl_diagnostics, run_omf_diagnostics
+    from sbmm.schedule import WeightSchedule
+    from sbmm.stream import MarkovSource, next_sample
+
+    rng = np.random.default_rng(60)
+    S, r, lam, n_iters = 4, 2, 0.05, 25
+    shape = (3, 2) if kind != "cpdl" else (2, 2, 3)
+    P = rng.uniform(0.2, 1.0, size=(S, S))
+    src = MarkovSource(P=P / P.sum(axis=1, keepdims=True),
+                       emissions=list(rng.uniform(0.0, 1.0, size=(S,) + shape)), seed=3)
+    replay = src.clone(seed=3)
+    code_set = BoxSet.uniform(r, 0.0, 1.0)
+    sched = WeightSchedule.polylog(0.5, 1.5)
+    calls = _counting_solves(monkeypatch)
+    if kind == "cpdl":
+        U0 = [rng.uniform(0.0, 1.0, size=(I, r)) for I in shape[:-1]]
+        res = run_cpdl_diagnostics(
+            src, sched, U0, lam, [BoxSet.uniform(I * r, 0.0, 1.0) for I in shape[:-1]],
+            code_set, n_iters=n_iters, diag_interval=10, keep_trajectory=True)
+        loss = lambda x, theta: cpdl_loss(x, theta, lam, code_set)[0]
+    else:
+        sampler = (lambda g: g.choice(3, size=2, replace=False)) if kind == "omf_sub" else None
+        res = run_omf_diagnostics(
+            src, sched, rng.uniform(0.0, 1.0, size=(3, r)), lam,
+            BoxSet.uniform(3 * r, 0.0, 1.0), code_set, n_iters=n_iters,
+            diag_interval=10, row_sampler=sampler, keep_trajectory=True)
+        loss = lambda x, theta: factor_loss(x, theta, lam, code_set)[0]
+    # checkpoints at n = 10, 20, 25: one stacked diagnostics solve each, and
+    # no solve for loss_new or the one-step margins that follow them
+    assert calls.count("step") == n_iters
+    assert calls.count("diag") == 3
+    assert [m[0] for m in res.prop_margins] == [11, 21]
+    # loss_new reuses the step's code: it equals a fresh solve at the
+    # previous iterate
+    samples = [next_sample(replay)[0] for _ in range(n_iters)]
+    for rec in res.records:
+        fresh = loss(samples[rec.n - 1], res.trajectory[rec.n - 1])
+        assert rec.loss_new == pytest.approx(fresh, rel=1e-12)
