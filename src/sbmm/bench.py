@@ -34,7 +34,7 @@ from .factorize import (
     subsampled_omf_step,
     _contract_except,
 )
-from .geometry import BoxSet, stationarity_measure
+from .geometry import BoxSet, stationarity_measure, tangent_cone_project
 from .quadform import FactorQuad
 from .schedule import WeightSchedule, validate_schedule
 from .stream import MarkovSource, make_iid, mixing_rate, next_sample, stationary_distribution, tv_decay
@@ -463,8 +463,6 @@ def run_cpdl_diagnostics(
 def _stacked_stationarity(grads: list, U: list, boxes: list) -> float:
     total = 0.0
     for g, Ui, box in zip(grads, U, boxes):
-        from .geometry import tangent_cone_project
-
         proj = tangent_cone_project(-np.asarray(g, float).ravel(), Ui.ravel(), box)
         total += float(proj @ proj)
     return math.sqrt(total)
@@ -512,11 +510,7 @@ _SCHEMA = {
     "constraint.lower": float,
     "constraint.upper": float,
     "constraint.nonneg": bool,
-    "blocks.partition": str,
-    "blocks.selection": str,
-    "blocks.m": int,
     "solver.tol": float,
-    "solver.max_iters": int,
     "stream.kind": str,
     "stream.transition": str,
     "stream.emissions": str,
@@ -525,13 +519,11 @@ _SCHEMA = {
     "engine.c_prime": float,
     "engine.n_iters": int,
     "engine.theta0": str,
-    "engine.eps_cap": float,
     "engine.diag_interval": int,
     "engine.seed": int,
     "app.kind": str,
     "app.rank": int,
     "app.lambda": float,
-    "app.minibatch": int,
     "app.row_sample": float,
     "app.tensor_shape": str,
     "output": str,
@@ -546,22 +538,16 @@ _DEFAULTS = {
     "constraint.lower": -1.0,
     "constraint.upper": 1.0,
     "constraint.nonneg": False,
-    "blocks.partition": "full",
-    "blocks.selection": "cyclic",
-    "blocks.m": 0,
     "solver.tol": 1e-8,
-    "solver.max_iters": 100_000,
     "stream.kind": "iid",
     "stream.seed": 0,
     "engine.mode": "c2",
     "engine.c_prime": 1.0,
     "engine.theta0": "random",
-    "engine.eps_cap": math.inf,
     "engine.diag_interval": 10,
     "engine.seed": 0,
     "app.kind": "omf",
     "app.lambda": 0.0,
-    "app.minibatch": 1,
     "app.row_sample": 0.0,
     "output": "run.csv",
     "label": "run",
@@ -623,14 +609,22 @@ def parse_config(path) -> RunConfig:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
+    where = lambda key: f"{path}:{line_of[key]}" if key in line_of else str(path)
+    try:
+        shape = [int(v) for v in values["app.tensor_shape"].split(",")]
+    except ValueError:
+        raise ConfigError(f"{where('app.tensor_shape')}: app.tensor_shape = "
+                          f"{values['app.tensor_shape']} must be comma-separated integers") from None
+    sub, row_sample = values["app.kind"] == "omf_sub", values["app.row_sample"]
     for key, bad, need in (
             ("engine.n_iters", values["engine.n_iters"] < 1, "must be >= 1"),
             ("engine.diag_interval", values["engine.diag_interval"] < 1, "must be >= 1"),
-            ("app.row_sample", values["app.kind"] == "omf_sub" and values["app.row_sample"] <= 0,
-             "must be > 0 when app.kind = omf_sub")):
+            ("app.row_sample", sub and row_sample <= 0, "must be > 0 when app.kind = omf_sub"),
+            ("app.row_sample", sub and row_sample >= 1 and not (row_sample.is_integer()
+                                                                  and row_sample <= shape[0]),
+             f"must be a fraction < 1 or a whole number of rows <= {shape[0]} (app.tensor_shape)")):
         if bad:
-            where = f"{path}:{line_of[key]}" if key in line_of else str(path)
-            raise ConfigError(f"{where}: {key} = {values[key]} {need}")
+            raise ConfigError(f"{where(key)}: {key} = {values[key]} {need}")
     cfg = RunConfig(values=values, path=str(path))
     _build_schedule(cfg)  # validates schedule parameters early
     return cfg
@@ -793,7 +787,7 @@ def _cmd_mixing_report(args) -> int:
     print("stationary distribution:")
     print("  " + " ".join(format(p, ".10g") for p in pi))
     print(f"mixing rate: {lam:.10g}")
-    tv = tv_decay(source, horizon=min(50, 200))
+    tv = tv_decay(source, horizon=50)
     print(" m   worst-start TV    bound lambda^m")
     for m_, d in enumerate(tv[:20], start=1):
         print(f"{m_:3d}   {d: .6e}    {lam ** m_: .6e}")

@@ -6,9 +6,12 @@ factors over per-entry bounds, and boxes admit an exact tangent-cone
 projection.  The trust-region step of the outer loop needs Euclidean
 projection onto box-intersect-ball.  Dualizing the ball with a multiplier mu
 leaves a box problem with a closed-form solution for every mu, and the
-distance to the ball center falls as mu grows, so a safeguarded Newton
-search on mu (``ball_multiplier_search``) finds the exact projection; the
-block subsolver reuses the same search for its trust-region slices.
+distance to the ball center falls as mu grows.  On a fixed set of entries
+at their bounds that distance is an explicit rational function of mu, the
+secular equation of a trust-region step, so ``ball_multiplier_search``
+jumps to its root, kept inside a bisection bracket, and finds the exact
+projection; the block subsolver reuses the same search for its
+trust-region slices.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
 BOUNDARY_TOL = 1e-9
 BALL_RTOL = 1e-12
 BALL_MAX_ITERS = 200
+_EPS = float(np.finfo(float).eps)
 
 
 class GeometryError(RuntimeError):
@@ -95,34 +99,74 @@ def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
     return np.clip(x, box.lower, box.upper)
 
 
+def _secular_root(model, radius: float, lo: float, hi: float) -> float:
+    """The root in (lo, hi) of const + sum_j a_j / (w_j + nu)^2 = radius^2,
+    for model = (const, a, w) with a, w >= 0, or nan if there is none.
+
+    The left side falls as nu grows.  Newton steps on its inverse square
+    root minus 1/radius, which is concave and increasing in nu (Moré &
+    Sorensen, 1983), approach the root from the left without overshoot;
+    bisection steps guard against rounding.
+    """
+    const, a, w = model
+    keep = a > 0.0
+    a, w = a[keep], w[keep]
+    target = radius * radius
+    if a.size == 0 or const + float(np.sum(a / (w + hi) ** 2)) >= target:
+        return math.nan
+    if lo + float(w.min()) > 0.0:  # else lo is a pole, where the model is infinite
+        if const + float(np.sum(a / (w + lo) ** 2)) <= target:
+            return math.nan
+        nu = lo
+    else:
+        nu = 0.5 * (lo + hi)
+    for _ in range(BALL_MAX_ITERS):
+        s = a / (w + nu) ** 2
+        dist2 = const + float(s.sum())
+        if dist2 > target:
+            lo = nu
+        else:
+            hi = nu
+        slope = float(np.sum(s / (w + nu)))  # -1/2 times that of dist2
+        step = dist2 * (math.sqrt(dist2) / radius - 1.0) / slope if slope > 0.0 else math.inf
+        if abs(step) <= 4.0 * _EPS * nu or hi - lo <= 4.0 * _EPS * hi:
+            break
+        nu += step
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
+    return nu
+
+
 def ball_multiplier_search(solve, center: np.ndarray, radius: float,
                            mu_hi: float) -> np.ndarray:
     """Minimizer over box-intersect-ball(center, radius) of a convex problem
     whose ball constraint has been dualized.
 
-    solve(mu) returns (x, dsq): the box-constrained minimizer x(mu) of the
-    problem plus mu * ||x - center||^2, and the derivative in mu of
-    ||x(mu) - center||^2 on x(mu)'s active set.  That distance falls as mu
-    grows, and mu_hi must be large enough that ||x(mu_hi) - center|| <=
-    radius.  If x(0) lies in the ball it is the answer.  Otherwise the
-    complementary multiplier solves ||x(mu) - center|| = radius; Newton steps
-    on 1/||x(mu) - center|| - 1/radius (nearly linear in mu) are kept inside
-    a bisection bracket.  The result is scaled onto the ball, which keeps it
+    solve(mu) returns (x, model): the box-constrained minimizer x(mu) of the
+    problem plus mu * ||x - center||^2, and a function that returns the
+    distance model (const, a, w) of x(mu)'s working set, on which
+    ||x(nu) - center||^2 = const + sum_j a_j / (w_j + nu)^2 (the secular
+    equation of a trust-region step).  That distance falls as mu grows, and
+    mu_hi must be large enough that ||x(mu_hi) - center|| <= radius.  If
+    x(0) lies in the ball it is the answer.  Otherwise the complementary
+    multiplier solves ||x(mu) - center|| = radius: each step jumps to the
+    root of the last model when it lies inside the bisection bracket, and
+    bisects otherwise, so a search whose working set does not change ends
+    after two solves.  The result is scaled onto the ball, which keeps it
     in the box because center is.
     """
-    x, dsq = solve(0.0)
+    x, model = solve(0.0)
     nrm = float(np.linalg.norm(x - center))
     if nrm <= radius:
         return x
     if radius <= BALL_RTOL * (1.0 + float(np.linalg.norm(center))):
         return center.copy()  # radius numerically zero
-    lo, hi, mu = 0.0, mu_hi, 0.0
+    lo, hi = 0.0, mu_hi
     for _ in range(BALL_MAX_ITERS):
-        mu_new = math.nan
-        if nrm > 0.0 and dsq < 0.0:
-            mu_new = mu + 2.0 * nrm ** 3 * (1.0 / nrm - 1.0 / radius) / dsq
-        mu = mu_new if lo < mu_new < hi else 0.5 * (lo + hi)
-        x, dsq = solve(mu)
+        mu = _secular_root(model(), radius, lo, hi)
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+        x, model = solve(mu)
         nrm = float(np.linalg.norm(x - center))
         if abs(nrm - radius) <= BALL_RTOL * radius:
             break
@@ -147,8 +191,9 @@ def project_box_ball(
 
     Requires center inside the box, so the intersection is nonempty.  For a
     ball multiplier mu the box-constrained minimizer of ||y - x||^2 +
-    mu ||y - center||^2 is clip((x + mu center) / (1 + mu)); the multiplier
-    is found by ball_multiplier_search.
+    mu ||y - center||^2 is y(mu) = clip((x + mu center) / (1 + mu)).  Where
+    y(mu) is strictly inside the box, y(nu) - center = (x - center) / (1 + nu),
+    which gives ball_multiplier_search its distance model with every w = 1.
     """
     x = np.asarray(x, dtype=float)
     center = np.asarray(center, dtype=float)
@@ -164,8 +209,13 @@ def project_box_ball(
     def solve(mu):
         z = (x + mu * center) / (1.0 + mu)
         y = np.clip(z, box.lower, box.upper)
-        u = (y - center)[(z > box.lower) & (z < box.upper)]
-        return y, -2.0 * float(u @ u) / (1.0 + mu)
+        free = (z > box.lower) & (z < box.upper)
+
+        def model():
+            u = (y - center)[~free]
+            a = (x - center)[free] ** 2
+            return float(u @ u), a, np.ones(a.size)
+        return y, model
 
     # ||y(mu) - center|| <= ||x - center|| / (1 + mu)
     mu_hi = float(np.linalg.norm(x - center)) / radius

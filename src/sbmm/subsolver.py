@@ -12,8 +12,11 @@ keeps the best feasible candidate, which is exact; otherwise it runs a
 primal active-set method (Newton steps on the free entries, bounds joining
 the working set when a step hits them, one fixed entry released per row
 while its certified gap says it can still improve) that stops once the
-certified gap is within tolerance.  A trust-region ball is dualized with
-one multiplier shared by every row (``geometry.ball_multiplier_search``).
+certified gap is within tolerance; it starts from the clipped least-squares
+minimizer unless given a start.  A trust-region ball is dualized with one
+multiplier shared by every row (``geometry.ball_multiplier_search``): each
+box solve starts from the previous multiplier's solution and hands the
+search the exact distance model of its working set.
 
 Both solvers certify what they return: the code solver reports a
 convexity-based objective gap bound, rounding allowance included, that
@@ -145,21 +148,29 @@ def _enumerate(G, C, lo, up, lam, patterns):
     return x[pick, rows], free[pick, 0]
 
 
-def _newton_direction(G, free, rhs):
-    """Per row, the least-norm solution p of G_FF p_F = rhs_F on the free
-    entries F, where rhs vanishes off F.  Where rhs_F has a part in the null
-    space of G_FF, that part is returned instead, flagged in the second
-    output: with rhs = -grad/2 it is a descent direction of zero curvature."""
-    n, k = rhs.shape
+def _free_eigh(G, free):
+    """Per row, an eigendecomposition (w, V) of G_FF on the free entries F,
+    extended to all k entries by the Hessian scale on the diagonal of the
+    fixed ones, and that scale."""
+    k = G.shape[0]
     scale = float(np.abs(G).max()) or 1.0
     M = G * (free[:, :, None] & free[:, None, :])
     diag = np.arange(k)
     M[:, diag, diag] += np.where(free, 0.0, scale)  # fixed entries decouple
     w, V = np.linalg.eigh(M)
+    return w, V, scale
+
+
+def _newton_direction(G, free, rhs):
+    """Per row, the least-norm solution p of G_FF p_F = rhs_F on the free
+    entries F, where rhs vanishes off F.  Where rhs_F has a part in the null
+    space of G_FF, that part is returned instead, flagged in the second
+    output: with rhs = -grad/2 it is a descent direction of zero curvature."""
+    w, V, scale = _free_eigh(G, free)
     coef = np.einsum("nkj,nk->nj", V, rhs)
     null = w <= _NULL_RTOL * scale
     if not null.any():
-        return np.einsum("nkj,nj->nk", V, coef / w), np.zeros(n, dtype=bool)
+        return np.einsum("nkj,nj->nk", V, coef / w), np.zeros(rhs.shape[0], dtype=bool)
     null_part = np.where(null, coef, 0.0)
     null_dir = np.sum(null_part * null_part, axis=1) > _NULL_RTOL * np.sum(coef * coef, axis=1)
     step = np.where(null, 0.0, coef / np.where(null, 1.0, w))
@@ -231,9 +242,12 @@ def _active_set(G, C, lo, up, lam, X, tol, max_iters):
 
 
 def _minimize(G, C, lo, up, lam, X0, tol, max_iters):
-    """Minimizer of the solve_box_qp objective (X0 in the box) and its free
-    mask: exact by pattern enumeration while the patterns are few, else the
-    active-set method from X0, which stops once the certified gap is <= tol."""
+    """Minimizer of the solve_box_qp objective and its free mask: exact by
+    pattern enumeration while the patterns are few, else the active-set
+    method, which stops once the certified gap is <= tol.  X0 (in the box,
+    or None) starts the active-set method, by default from the clipped
+    least-squares minimizer of the smooth part, and breaks ties when G is
+    singular, by default towards the clipped zero."""
     n, k = C.shape
     states = (_LO, _UP, _FREE)
     if lam > 0:
@@ -241,6 +255,8 @@ def _minimize(G, C, lo, up, lam, X0, tol, max_iters):
         states = ((_LO, _UP) + ((_POS,) if positive else ()) + ((_NEG,) if negative else ())
                   + ((_ZERO,) if positive and negative and np.any((lo < 0) & (up > 0)) else ()))
     if len(states) ** k > _ENUM_PATTERNS:
+        if X0 is None:
+            X0 = np.clip(C @ np.linalg.pinv(G, hermitian=True), lo, up)
         X, fixed = _active_set(G, C, lo, up, lam, X0, tol, max_iters)
         return X, ~fixed
     patterns = _patterns(k, states)
@@ -250,6 +266,7 @@ def _minimize(G, C, lo, up, lam, X0, tol, max_iters):
         # singular G: adding delta ||x - X0||^2 makes the minimizer unique and
         # picks the one nearest X0 up to O(delta)
         delta = _NULL_RTOL * (float(np.abs(G).max()) or 1.0)
+        X0 = np.clip(0.0, lo, up) if X0 is None else X0
         return _enumerate(G + delta * np.eye(k), C + delta * X0, lo, up, lam, patterns)
 
 
@@ -258,20 +275,23 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8,
     """Minimize sum_i x_i'G x_i - 2 c_i'x_i + lam ||x_i||_1 over lo <= X <= up.
 
     One problem per row of C (shape (n, k)), all against the same symmetric
-    PSD (k, k) matrix G; lo and up broadcast to (n, k).  X0 (clipped into
-    the box; default the clipped zero) starts the active-set method and
-    breaks ties when G is singular.  Returns (X, gap) where gap is the
-    certified bound on the total objective suboptimality.  Few KKT patterns
-    are enumerated, which is exact; otherwise the active-set method runs
-    until gap <= tol.  If the gap still exceeds tol (rounding in an
-    ill-conditioned system), the active-set method polishes X until gap <=
-    tol or no fixed entry can improve.
+    PSD (k, k) matrix G; lo and up broadcast to (n, k).  X0, clipped into
+    the box, starts the active-set method and breaks ties when G is
+    singular.  Without it the active-set method starts from the clipped
+    least-squares minimizer C G^+ of the smooth part, and ties break towards
+    the clipped zero.  Returns (X, gap) where gap is the certified bound on
+    the total objective suboptimality.  Few KKT patterns are enumerated,
+    which is exact; otherwise the active-set method runs until gap <= tol.
+    If the gap still exceeds tol (rounding in an ill-conditioned system),
+    the active-set method polishes X until gap <= tol or no fixed entry can
+    improve.
     """
     G = np.asarray(G, dtype=float)
     C = np.asarray(C, dtype=float)
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    X0 = np.clip(np.zeros(C.shape) if X0 is None else np.asarray(X0, dtype=float), lo, up)
+    if X0 is not None:
+        X0 = np.clip(np.asarray(X0, dtype=float), lo, up)
     X, _ = _minimize(G, C, lo, up, lam, X0, tol, max_iters)
     gap = _certified_gap(G, C, X, lam, lo, up)
     if gap > tol:
@@ -283,25 +303,33 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8,
 def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters):
     """Minimizer of the solve_box_qp objective over the box intersected with
     the ball ||X - center||_F <= radius (center in the box), each box solve
-    done by _minimize.
+    done by _minimize from the previous one's X.
 
     Dualizing the ball adds mu ||X - center||^2, which keeps the shared
-    Hessian form with G + mu I and rows c_i + mu center_i.
+    Hessian form with G + mu I and rows c_i + mu center_i.  On the working
+    set of X(mu), (G_FF + nu I)(X(nu) - center)_F is the same for every nu,
+    so with G_FF = V diag(w) V' the distance is the rational function
+    ||X(nu) - center||^2 = ||(X - center)_fixed||^2
+    + sum_j ((w_j + mu) (V'(X - center)_F)_j)^2 / (w_j + nu)^2,
+    the model handed to ball_multiplier_search.
     """
-    X0 = np.clip(X0, lo, up)
+    X = np.clip(X0, lo, up)
     if math.isinf(radius):
-        return _minimize(G, C, lo, up, lam, X0, tol, max_iters)[0]
+        return _minimize(G, C, lo, up, lam, X, tol, max_iters)[0]
     eye = np.eye(G.shape[0])
 
     def solve(mu):
-        G_mu = G + mu * eye
-        X, free = _minimize(G_mu, C + mu * center, lo, up, lam, X0, tol, max_iters)
+        nonlocal X
+        X, free = _minimize(G + mu * eye, C + mu * center, lo, up, lam, X, tol, max_iters)
         u = X - center
-        if mu == 0.0 and float(np.sum(u * u)) <= radius * radius:
-            return X, 0.0
-        # on a fixed working set, (G_FF + mu I) du_F/dmu = -u_F
-        du, _ = _newton_direction(G_mu, free, np.where(free, -u, 0.0))
-        return X, 2.0 * float(np.sum(u * du))
+
+        def model():
+            w, V, _ = _free_eigh(G, free)
+            w = np.maximum(w, 0.0)  # G is PSD
+            coef = np.einsum("nkj,nk->nj", V, np.where(free, u, 0.0))
+            fixed_u = u[~free]
+            return float(fixed_u @ fixed_u), (((w + mu) * coef) ** 2).ravel(), w.ravel()
+        return X, model
 
     # strong convexity of the dualized problem: ||X(mu) - center|| <= ||xi|| / mu
     # for any subgradient xi of the objective at center
@@ -336,7 +364,8 @@ def solve_code_lasso(
 
     Each column of H is a box QP with Hessian G = W'W and linear term W'x, so
     all columns go to one exact solve_box_qp call (H0, clipped into the box,
-    is its starting point).  Returns (H, gap) where gap, checked once at the
+    is its starting point; by default the clipped least-squares code
+    W^+ X).  Returns (H, gap) where gap, checked once at the
     end, bounds the objective suboptimality: by convexity, obj(H) - min obj
     <= sup over the box of <grad_smooth(H), H - H'> + lam(||H||_1 - ||H'||_1),
     a separable piecewise-linear problem maximized at interval endpoints or

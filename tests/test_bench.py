@@ -373,7 +373,8 @@ def test_parse_config_type_error(tmp_path):
     ("engine.diag_interval = 0\n", "engine.diag_interval"),
     ("engine.n_iters = 0\n", "engine.n_iters"),
     ("app.kind = omf_sub\napp.row_sample = 0\n", "app.row_sample"),
-], ids=["diag_interval", "n_iters", "row_sample"])
+    ("app.kind = omf_sub\napp.row_sample = 5\n", "app.row_sample"),
+], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q"])
 def test_parse_config_range_checks(tmp_path, capsys, extra, key):
     p = write_cfg(tmp_path, extra=extra)
     line = 10 + extra.count("\n") - 1
@@ -382,6 +383,16 @@ def test_parse_config_range_checks(tmp_path, capsys, extra, key):
     assert cli_main(["run", str(p)]) == 1
     err = capsys.readouterr().err
     assert f"{p}:{line}: {key} = " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    "blocks.partition = full\n", "blocks.selection = cyclic\n", "blocks.m = 7\n",
+    "solver.max_iters = 3\n", "engine.eps_cap = -1\n", "app.minibatch = 99\n",
+])
+def test_parse_config_rejects_keys_nothing_reads(tmp_path, extra):
+    p = write_cfg(tmp_path, extra=extra)
+    with pytest.raises(ConfigError, match=rf"{p}:10: unknown key"):
+        parse_config(p)
 
 
 def test_parse_config_omf_sub_needs_row_sample(tmp_path):

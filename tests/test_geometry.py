@@ -173,6 +173,52 @@ def test_box_ball_against_grid_random_instances():
         assert np.linalg.norm(x - got) <= np.linalg.norm(x - oracle) + 5e-3
 
 
+def box_ball_bisection(x, box, c, radius):
+    """Projection onto box intersect ball by plain bisection on the ball
+    multiplier mu of the closed form clip((x + mu c) / (1 + mu))."""
+    y = lambda mu: np.clip((x + mu * c) / (1.0 + mu), box.lower, box.upper)
+    dist = lambda mu: float(np.linalg.norm(y(mu) - c))
+    if dist(0.0) <= radius:
+        return y(0.0)
+    a, b = 0.0, 1.0
+    while dist(b) > radius:
+        b *= 2.0
+    while a < 0.5 * (a + b) < b:
+        mid = 0.5 * (a + b)
+        if dist(mid) > radius:
+            a = mid
+        else:
+            b = mid
+    return y(b)
+
+
+def _box_ball_cases():
+    yield np.array([1.0, 1.0]), BoxSet.uniform(2, 0.0, 1.0), np.zeros(2), 0.5
+    yield np.array([0.6, 0.4]), BoxSet.uniform(2, 0.0, 1.0), np.array([0.5, 0.5]), 0.5
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        lo = rng.uniform(-1, 0, size=2)
+        up = lo + rng.uniform(0.5, 1.5, size=2)
+        c = rng.uniform(lo, up)
+        radius = float(rng.uniform(0.1, 1.0))
+        yield rng.uniform(-3, 3, size=2), BoxSet(lo, up), c, radius
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        p = int(rng.integers(1, 7))
+        lo = rng.uniform(-2, 0, size=p)
+        up = lo + rng.uniform(0.2, 2.0, size=p)
+        c = rng.uniform(lo, up)
+        yield rng.uniform(-4, 4, size=p), BoxSet(lo, up), c, float(rng.uniform(0.01, 1.5))
+
+
+def test_box_ball_matches_bisection_reference():
+    # the multiplier search lands on the exact projection, to rounding
+    for x, box, c, radius in _box_ball_cases():
+        got = project_box_ball(x, box, c, radius)
+        np.testing.assert_allclose(got, box_ball_bisection(x, box, c, radius),
+                                   rtol=0.0, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # restricted_block_set
 

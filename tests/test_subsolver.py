@@ -354,6 +354,126 @@ def test_block_quadratic_zero_radius_returns_start():
     np.testing.assert_allclose(theta, start, atol=1e-12)
 
 
+def _ball_bisection_reference(G, C, lo, up, lam, center, radius):
+    """Box-intersect-ball minimizer by plain bisection on the ball
+    multiplier, each box solve exact.  Returns it with the working set
+    (entries at a bound or, with lam > 0, at zero) of the unconstrained
+    box solve at mu = 0 and of the returned point."""
+    eye = np.eye(G.shape[0])
+    solve = lambda mu: solve_box_qp(G + mu * eye, C + mu * center, lo, up, lam, tol=0.0)[0]
+    dist = lambda X: float(np.linalg.norm(X - center))
+    fixed = lambda X: (X == lo) | (X == up) | ((X == 0.0) & (lam > 0))
+    X0 = solve(0.0)
+    if dist(X0) <= radius:
+        return X0, fixed(X0), fixed(X0)
+    a, b = 0.0, 1.0
+    while dist(solve(b)) > radius:
+        b *= 2.0
+    while a < 0.5 * (a + b) < b:
+        mid = 0.5 * (a + b)
+        if dist(solve(mid)) > radius:
+            a = mid
+        else:
+            b = mid
+    X = solve(b)
+    return X, fixed(X0), fixed(X)
+
+
+def _ball_block_instance(rng, k, lam):
+    n = int(rng.integers(1, 4))
+    M = rng.normal(size=(k, k))
+    G = M @ M.T + 0.05 * np.eye(k)
+    C = rng.normal(size=(n, k)) * 2.0
+    lo = rng.uniform(-1.5, 0.0, size=(n, k))
+    up = lo + rng.uniform(0.5, 2.5, size=(n, k))
+    center = rng.uniform(lo, up)
+    radius = float(rng.uniform(0.05, 1.0))
+    return G, C, lo, up, lam, center, radius
+
+
+def _check_ball_block(seed, k, with_l1):
+    """Solve one random box-intersect-ball block problem and compare it with
+    the bisection reference; returns whether the working set at mu = 0
+    differs from the final one."""
+    from sbmm.subsolver import MAX_ITERS, _box_qp_ball
+
+    rng = np.random.default_rng(seed)
+    lam = float(rng.uniform(0.1, 1.0)) if with_l1 else 0.0
+    G, C, lo, up, lam, center, radius = _ball_block_instance(rng, k, lam)
+    obj = lambda X: float(np.sum(X * (X @ G - 2.0 * C)) + lam * np.abs(X).sum())
+    X = _box_qp_ball(G, C, lo, up, lam, center, center, radius, 1e-12, MAX_ITERS)
+    X_ref, fixed_0, fixed_ref = _ball_bisection_reference(G, C, lo, up, lam, center, radius)
+    assert float(np.linalg.norm(X - center)) <= radius * (1.0 + 1e-12)
+    assert (X >= lo).all() and (X <= up).all()
+    assert abs(obj(X) - obj(X_ref)) <= 1e-10 * max(1.0, abs(obj(X_ref)))
+    return not np.array_equal(fixed_0, fixed_ref)
+
+
+@pytest.mark.parametrize("k", [2, 5], ids=["enumerated", "active_set"])
+@pytest.mark.parametrize("with_l1", [False, True], ids=["lam0", "lam"])
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_ball_search_matches_bisection(k, with_l1, seed):
+    # k = 2 is solved by pattern enumeration, k = 5 by the active-set method
+    _check_ball_block(seed, k, with_l1)
+
+
+@pytest.mark.parametrize("k", [2, 5], ids=["enumerated", "active_set"])
+@pytest.mark.parametrize("with_l1", [False, True], ids=["lam0", "lam"])
+def test_ball_search_matches_bisection_across_working_sets(k, with_l1):
+    # instances where the entries at a bound (or zero) at mu = 0 are not
+    # those at the final multiplier, so the first distance model is wrong
+    changed = [_check_ball_block(seed, k, with_l1) for seed in range(8)]
+    assert sum(changed) >= 2
+
+
+def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
+    # the box never binds, so every multiplier shares the all-free working
+    # set, and the root of the first distance model is the answer
+    import sbmm.geometry as geometry
+    import sbmm.subsolver as subsolver
+    from sbmm.geometry import ball_multiplier_search, project_box_ball
+
+    calls = []
+
+    def counting(solve, center, *args):
+        def counted(mu):
+            x, model = solve(mu)
+            calls.append((mu, float(np.sum((x - center) ** 2)), model))
+            return x, model
+        return ball_multiplier_search(counted, center, *args)
+
+    def check_models():
+        # on the shared working set each model gives the distance at every mu
+        for _, _, model in calls:
+            const, a, w = model()
+            for nu, dist2, _ in calls:
+                assert abs(const + float(np.sum(a / (w + nu) ** 2)) - dist2) <= 1e-12 * dist2
+
+    monkeypatch.setattr(subsolver, "ball_multiplier_search", counting)
+    monkeypatch.setattr(geometry, "ball_multiplier_search", counting)
+    rng = np.random.default_rng(3)
+    for k in (2, 5):  # enumerated and active-set box solves
+        M = rng.normal(size=(k, k))
+        G = M @ M.T + 0.5 * np.eye(k)
+        C = rng.normal(size=(3, k))
+        center = np.zeros((3, k))
+        radius = 0.1 * float(np.linalg.norm(np.linalg.solve(G, C.T)))
+        calls.clear()
+        X = subsolver._box_qp_ball(G, C, -100.0, 100.0, 0.0, center, center, radius,
+                                   1e-12, subsolver.MAX_ITERS)
+        mus = [mu for mu, _, _ in calls]
+        assert len(mus) == 2 and mus[0] == 0.0 < mus[1]
+        assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
+        check_models()
+    calls.clear()
+    y = project_box_ball(np.array([3.0, -1.0, 2.0]), BoxSet.uniform(3, -10.0, 10.0),
+                         np.array([0.5, 0.5, 0.0]), 0.25)
+    assert len(calls) == 2
+    assert abs(float(np.linalg.norm(y - [0.5, 0.5, 0.0])) - 0.25) <= 1e-15
+    check_models()
+
+
 @given(st.integers(0, 10_000), st.sampled_from([1e-6, 1e-8, 1e-10]))
 @settings(max_examples=60, deadline=None)
 def test_code_lasso_certificate_against_brute_force(seed, tol):
@@ -470,7 +590,7 @@ def test_box_qp_active_set_stops_at_loose_tol():
     G = np.eye(6)
     obj = lambda X: float(np.sum(X * (X @ G - 2.0 * c)))
     X_star = np.clip(c, 0.0, 1.0)
-    X, gap = solve_box_qp(G, c, 0.0, 1.0, tol=0.05)
+    X, gap = solve_box_qp(G, c, 0.0, 1.0, X0=np.zeros((1, 6)), tol=0.05)
     assert 0.026 <= gap <= 0.05
     np.testing.assert_array_equal(X, [[1.0, 0.5, 0.0, 0.0, 0.0, 0.0]])
     assert 0.0 < obj(X) - obj(X_star) <= gap
@@ -484,11 +604,23 @@ def test_code_lasso_loose_tol_returns_early():
     # KKT patterns to enumerate, so the loose tolerance ends the solve early
     x = np.array([[1.0], [0.5], [0.01], [0.001], [-0.3], [0.002]])
     box = BoxSet.uniform(6, 0.0, 1.0)
-    H, gap = solve_code_lasso(x, np.eye(6), 0.0, box, tol=0.05)
+    H, gap = solve_code_lasso(x, np.eye(6), 0.0, box, tol=0.05, H0=np.zeros((6, 1)))
     assert 0.026 <= gap <= 0.05
     H_star = np.clip(x, 0.0, 1.0)
     sub = lasso_objective(x, np.eye(6), H, 0.0) - lasso_objective(x, np.eye(6), H_star, 0.0)
     assert 0.0 < sub <= gap
+
+
+def test_box_qp_default_start_is_clipped_least_squares():
+    # without X0 the active-set method starts from clip(c G^+), which for
+    # G = I is the minimizer itself: even tol = 0.05 returns it exactly
+    c = np.array([[1.0, 0.5, 0.01, 0.001, -0.3, 0.002]])
+    X, gap = solve_box_qp(np.eye(6), c, 0.0, 1.0, tol=0.05)
+    np.testing.assert_array_equal(X, np.clip(c, 0.0, 1.0))
+    assert gap <= 1e-12
+    H, gap = solve_code_lasso(c.T, np.eye(6), 0.0, BoxSet.uniform(6, 0.0, 1.0), tol=0.05)
+    np.testing.assert_array_equal(H, np.clip(c.T, 0.0, 1.0))
+    assert gap <= 1e-12
 
 
 def _exact_gap(G, C, X, lam, lo, up):
