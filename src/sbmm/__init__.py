@@ -33,8 +33,6 @@ from .quadform import (
     make_dc_surrogate,
     make_factor_surrogate,
     average_surrogate,
-    eval_surrogate,
-    grad_surrogate,
     check_majorization,
 )
 from .subsolver import soft_threshold, solve_box_qp, solve_code_lasso, solve_block_quadratic
@@ -57,11 +55,9 @@ from .engine import (
 )
 from .factorize import (
     out_product,
-    mode_product,
     unfold,
     fold,
     omf_step,
-    subsampled_omf_step,
     cpdl_step,
     OmfState,
     CpdlState,

@@ -1,4 +1,13 @@
-"""Diagnostics, experiment runners, config parsing, CSV emission, and CLI.
+"""Diagnostics, the experiment runner, config parsing, CSV emission, and CLI.
+
+One loop (``_run``) drives every application: sample from the stream, take
+one step, audit it, and record diagnostics at the checkpoints.
+``run_omf_diagnostics`` (matrix factorization, plain or with
+``omf_step(rows=...)`` row subsampling) and ``run_cpdl_diagnostics``
+(CP-dictionary learning) each build a small adapter (``_App``) that supplies
+the step, the averaged surrogate's value and gradient, the stacked
+per-sample loss, the stationarity measure and the step norm, then call the
+loop.
 
 The diagnostics compare three objects along a run: the averaged surrogate
 gbar_n, the weighted empirical loss fbar_n, and the exact expected loss f
@@ -12,12 +21,14 @@ exact, not Monte Carlo, which keeps the rate envelopes noise-free.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,10 +42,10 @@ from .factorize import (
     factor_loss_lipschitz_bound,
     omf_step,
     out_product,
-    subsampled_omf_step,
+    subsampled_omf_step,  # not called here: the benchmark's layer tracer wraps this name
     _contract_except,
 )
-from .geometry import BoxSet, stationarity_measure, tangent_cone_project
+from .geometry import BOUNDARY_TOL, BoxSet, stationarity_measure, tangent_cone_project
 from .quadform import FactorQuad
 from .schedule import WeightSchedule, validate_schedule
 from .stream import MarkovSource, make_iid, mixing_rate, next_sample, stationary_distribution, tv_decay
@@ -176,25 +187,25 @@ def iteration_complexity_estimate(records, eps: float, target: str = "surr"):
 
 
 # ---------------------------------------------------------------------------
-# running minima helper
+# the runner: one SBMM loop over a per-application adapter
 
 
-class _Minima:
-    def __init__(self):
-        self.vals = {}
+@dataclass
+class _App:
+    """One application as the shared loop sees it.  Each function keeps its
+    application's own float operations, so each app's diagnostics are the
+    ones written for it."""
 
-    def update(self, **kwargs):
-        out = {}
-        for k, v in kwargs.items():
-            cur = self.vals.get(k, math.inf)
-            cur = min(cur, v)
-            self.vals[k] = cur
-            out[k] = cur
-        return out
-
-
-# ---------------------------------------------------------------------------
-# OMF runner (plain and row-subsampled)
+    state: object            # OmfState or CpdlState; step moves its iterate
+    lam: float
+    step: Callable           # (x, w_n, radius) -> step result (A, B, C, H, eps)
+    iterate: Callable        # () -> W, or the list U of loading matrices
+    surrogate: Callable      # prev -> value(theta), grads(theta) as a block list
+    losses: Callable         # (X, theta) -> values (S,), per-block gradient stacks
+    dictionary: Callable     # theta -> the flat (p, r) dictionary
+    move: Callable           # (prev, theta) -> step norm, largest block move
+    stationarity: Callable   # (block gradients, theta) -> stationarity measure
+    lipschitz_bound: Callable = None  # () -> the C1 audit's gradient bound
 
 
 def run_omf_diagnostics(
@@ -216,138 +227,45 @@ def run_omf_diagnostics(
 ) -> RunResult:
     """Drive online matrix factorization with full diagnostics and invariant
     audits.  row_sampler, when given, is a callable rng -> row index array and
-    switches the dictionary update to the row-subsampled variant."""
+    restricts each dictionary update to the rows it draws."""
     mode = mode.lower()
     if mode not in ("c1", "c2"):
         raise ValueError("mode must be c1 or c2")
     if mode == "c1" and rho0 <= 0:
         raise ValueError("mode c1 requires rho0 > 0")
-    W0 = np.asarray(W0, dtype=float)
-    q, r = W0.shape
     rng = rng or np.random.default_rng(0)
     st = OmfState.initial(W0, rho0)
-    pi = stationary_distribution(source)
-    S = source.S
-    w_hat = np.zeros(S)
-    cum_w = 0.0
-    eps_bar = 0.0
-    minima = _Minima()
-    result = RunResult(records=[], prop_margins=[])
-    if keep_trajectory:
-        result.trajectory.append(st.W.copy())
-    R_bound = factor_loss_lipschitz_bound(source.emissions, dict_box, code_set, r)
-    emissions = np.stack(source.emissions)
-    pending = None
 
-    for i in range(1, n_iters + 1):
-        x, y = next_sample(source)
-        w_n = schedule.weight_at(i)
-        radius = math.inf if mode == "c1" else c_prime * w_n
-        W_prev = st.W
-        if row_sampler is None:
-            res = omf_step(x, W_prev, st.A, st.B, w_n, lam, dict_box, code_set,
-                           C_prev=st.C, radius=radius, tol=solver_tol)
-        else:
+    def step(x, w_n, radius):
+        rows = None
+        if row_sampler is not None:
             rows = np.asarray(row_sampler(rng), dtype=int)
             while rows.size == 0:
                 rows = np.asarray(row_sampler(rng), dtype=int)
-            res = subsampled_omf_step(x, W_prev, st.A, st.B, w_n, lam, dict_box,
-                                      code_set, rows, C_prev=st.C, radius=radius,
-                                      tol=solver_tol)
-        st.W, st.A, st.B, st.C = res.W, res.A, res.B, res.C
-        st.eps_sum += res.eps
-        st.n = i
-        eps_bar = (1.0 - w_n) * eps_bar + w_n * res.eps
-        w_hat *= 1.0 - w_n
-        w_hat[y] += w_n
-        cum_w += w_n
-        if keep_trajectory:
-            result.trajectory.append(st.W.copy())
+        res = omf_step(x, st.W, st.A, st.B, w_n, lam, dict_box, code_set,
+                       C_prev=st.C, radius=radius, tol=solver_tol, rows=rows)
+        st.W = res.W
+        return res
 
-        gbar = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=W_prev, L=1.0, rho=0.0)
-        g_prev = gbar.value(W_prev)
-        g_new = gbar.value(st.W)
-        scale = 1.0 + abs(g_prev)
-        if g_new > g_prev + 1e-9 * scale:
-            result.monotonicity_violations += 1
-        step = float(np.linalg.norm(st.W - W_prev))
-        if mode == "c2" and step > c_prime * w_n + 1e-9:
-            result.step_bound_violations += 1
-        if mode == "c1":
-            rho_n = 2.0 * max(float(np.linalg.eigvalsh(st.A)[0]), 0.0)
-            if 0.5 * rho_n * step * step > w_n * R_bound * step + 1e-7 * scale:
-                result.c1_bound_violations += 1
-            stat_now = stationarity_measure(gbar.grad(st.W).ravel(),
-                                            st.W.ravel(), dict_box)
-            result.c1_stat_max = max(result.c1_stat_max, stat_now)
+    def surrogate(prev):
+        gbar = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=prev, L=1.0, rho=0.0)
+        return gbar.value, lambda W: [gbar.grad(W)]
 
-        checkpoint = i % diag_interval == 0 or i == n_iters
-        if pending is not None or checkpoint:
-            l_new = _step_loss(x, W_prev, res.H, lam)
-        if pending is not None:
-            lhs = g_new - pending["gbar_val"]
-            rhs = (w_n * (l_new - pending["fbar"])
-                   + pending["w_prev"] ** 2 * st.eps_sum)
-            result.prop_margins.append((i, lhs - rhs, 1.0 + abs(rhs)))
-            pending = None
+    def losses(X, W):
+        values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol)
+        return values, [grads]
 
-        if checkpoint:
-            values, grads, _ = factor_loss(emissions, st.W, lam, code_set,
-                                           tol=solver_tol)
-            fbar = sum(w_hat[s] * values[s] for s in range(S))
-            fbar_grad = sum(w_hat[s] * grads[s] for s in range(S))
-            f_exp = sum(pi[s] * values[s] for s in range(S))
-            f_grad = sum(pi[s] * grads[s] for s in range(S))
-            gbar_val = g_new
-            gbar_grad = gbar.grad(st.W)
-            rec = _build_record(
-                n=i, w_n=w_n, cum_w=cum_w, loss_new=l_new, fbar=fbar,
-                f_exp=f_exp, gbar_val=gbar_val,
-                gbar_grad=gbar_grad.ravel(), fbar_grad=fbar_grad.ravel(),
-                f_grad=f_grad.ravel(), theta=st.W.ravel(), box=dict_box,
-                step_norm=step, eps_bar=eps_bar, minima=minima,
-            )
-            result.records.append(rec)
-            pending = {"gbar_val": gbar_val, "fbar": fbar, "w_prev": w_n}
-    result.final = st
-    return result
+    def move(prev, W):
+        step = float(np.linalg.norm(W - prev))
+        return step, step
 
-
-def _step_loss(x, D_prev, H, lam) -> float:
-    """The new sample's loss at the previous dictionary (flat, (p, r)),
-    from the code the step has just solved there."""
-    return float(code_loss(x.reshape(1, D_prev.shape[0], -1), D_prev, H[None], lam)[0][0])
-
-
-def _build_record(n, w_n, cum_w, loss_new, fbar, f_exp, gbar_val, gbar_grad,
-                  fbar_grad, f_grad, theta, box, step_norm, eps_bar, minima,
-                  stat_override=None) -> DiagnosticsRecord:
-    gap_emp = abs(gbar_val - fbar)
-    gap_exp = abs(gbar_val - f_exp)
-    ggap_emp = float(np.linalg.norm(gbar_grad - fbar_grad))
-    ggap_exp = float(np.linalg.norm(gbar_grad - f_grad))
-    if stat_override is not None:
-        stat_surr, stat_emp, stat_exp = stat_override
-    else:
-        stat_surr = stationarity_measure(gbar_grad, theta, box)
-        stat_emp = stationarity_measure(fbar_grad, theta, box)
-        stat_exp = stationarity_measure(f_grad, theta, box)
-    comp_emp = gap_emp + ggap_emp ** 2
-    comp_exp = gap_exp + ggap_exp ** 2
-    mins = minima.update(min_comp_emp=comp_emp, min_comp_exp=comp_exp,
-                         min_stat_surr=stat_surr, min_stat_emp=stat_emp,
-                         min_stat_exp=stat_exp)
-    return DiagnosticsRecord(
-        n=n, w_n=w_n, cum_weight=cum_w, loss_new=loss_new, fbar=fbar,
-        f_exp=f_exp, gbar_val=gbar_val, gap_emp=gap_emp, gap_exp=gap_exp,
-        ggap_emp=ggap_emp, ggap_exp=ggap_exp, stat_surr=stat_surr,
-        stat_emp=stat_emp, stat_exp=stat_exp, step_norm=step_norm,
-        eps_bar=eps_bar, comp_emp=comp_emp, comp_exp=comp_exp, **mins,
-    )
-
-
-# ---------------------------------------------------------------------------
-# CPDL runner
+    app = _App(
+        state=st, lam=lam, step=step, iterate=lambda: st.W, surrogate=surrogate,
+        losses=losses, dictionary=lambda W: W, move=move,
+        stationarity=lambda grads, W: stationarity_measure(grads[0].ravel(), W.ravel(), dict_box),
+        lipschitz_bound=lambda: factor_loss_lipschitz_bound(source.emissions, dict_box,
+                                                            code_set, st.W.shape[1]))
+    return _run(app, source, schedule, mode, c_prime, n_iters, diag_interval, keep_trajectory)
 
 
 def run_cpdl_diagnostics(
@@ -367,42 +285,80 @@ def run_cpdl_diagnostics(
     """Online CP-dictionary learning with diagnostics and invariant audits.
     The per-factor trust region has radius c_prime * w_n each step."""
     st = CpdlState.initial(U0, rho0)
-    m = len(st.U)
-    r = st.U[0].shape[1]
+    dictionary = lambda U: out_product(U).reshape(-1, U[0].shape[1])
+
+    def step(x, w_n, radius):
+        res = cpdl_step(x, st.U, st.A, st.B, w_n, lam, factor_boxes, code_set,
+                        C_prev=st.C, radius=radius, tol=solver_tol)
+        st.U = res.U
+        return res
+
+    def surrogate(prev):
+        A, B, C = st.A, st.B, st.C
+
+        def value(U):
+            D = dictionary(U)
+            return float(np.sum((D @ A) * D)) - 2.0 * float(np.sum(out_product(U) * B)) + C
+
+        def grads(U):
+            grams = [Ui.T @ Ui for Ui in U]
+            out = []
+            for i in range(len(U)):
+                gamma = A.copy()
+                for k in range(len(U)):
+                    if k != i:
+                        gamma = gamma * grams[k]
+                out.append(2.0 * (U[i] @ gamma - _contract_except(B, U, i)))
+            return out
+        return value, grads
+
+    def losses(X, U):
+        values, grads, _ = cpdl_loss(X, U, lam, code_set, tol=solver_tol)
+        return values, grads
+
+    def move(prev, U):
+        moves = [float(np.linalg.norm(Ui - Pi)) for Ui, Pi in zip(U, prev)]
+        return math.sqrt(sum(mv * mv for mv in moves)), max(moves)
+
+    def stationarity(grads, U):
+        total = 0.0
+        for g, Ui, box in zip(grads, U, factor_boxes):
+            proj = tangent_cone_project(-np.asarray(g, float).ravel(), Ui.ravel(), box)
+            total += float(proj @ proj)
+        return math.sqrt(total)
+
+    app = _App(state=st, lam=lam, step=step, iterate=lambda: st.U, surrogate=surrogate,
+               losses=losses, dictionary=dictionary, move=move, stationarity=stationarity)
+    return _run(app, source, schedule, "c2", c_prime, n_iters, diag_interval, keep_trajectory)
+
+
+def _run(app: _App, source: MarkovSource, schedule: WeightSchedule, mode: str,
+         c_prime: float, n_iters: int, diag_interval: int,
+         keep_trajectory: bool) -> RunResult:
+    """Drive n_iters SBMM steps with invariant audits on every step and full
+    diagnostics at every diag_interval-th step and the last one."""
+    st = app.state
     pi = stationary_distribution(source)
     S = source.S
     w_hat = np.zeros(S)
     cum_w = 0.0
     eps_bar = 0.0
-    minima = _Minima()
+    mins = {}
     result = RunResult(records=[], prop_margins=[])
-    emissions = np.stack(source.emissions)
-    pending = None
     if keep_trajectory:
-        result.trajectory.append([Ui.copy() for Ui in st.U])
-
-    def surrogate_value(U, A, B, C):
-        D = out_product(U).reshape(-1, r)
-        return float(np.sum((D @ A) * D)) - 2.0 * float(np.sum(out_product(U) * B)) + C
-
-    def surrogate_grads(U, A, B):
-        grams = [Ui.T @ Ui for Ui in U]
-        out = []
-        for i in range(m):
-            gamma = A.copy()
-            for k in range(m):
-                if k != i:
-                    gamma = gamma * grams[k]
-            out.append(2.0 * (U[i] @ gamma - _contract_except(B, U, i)))
-        return out
+        result.trajectory.append(copy.deepcopy(app.iterate()))
+    R_bound = app.lipschitz_bound() if mode == "c1" else None
+    emissions = np.stack(source.emissions)
+    pending = None   # (gbar value, fbar, w_n) at the last checkpoint
 
     for i in range(1, n_iters + 1):
         x, y = next_sample(source)
         w_n = schedule.weight_at(i)
-        U_prev = [Ui.copy() for Ui in st.U]
-        res = cpdl_step(x, st.U, st.A, st.B, w_n, lam, factor_boxes, code_set,
-                        C_prev=st.C, radius=c_prime * w_n, tol=solver_tol)
-        st.U, st.A, st.B, st.C = res.U, res.A, res.B, res.C
+        radius = math.inf if mode == "c1" else c_prime * w_n
+        prev = app.iterate()
+        res = app.step(x, w_n, radius)
+        theta = app.iterate()
+        st.A, st.B, st.C = res.A, res.B, res.C
         st.eps_sum += res.eps
         st.n = i
         eps_bar = (1.0 - w_n) * eps_bar + w_n * res.eps
@@ -410,62 +366,65 @@ def run_cpdl_diagnostics(
         w_hat[y] += w_n
         cum_w += w_n
         if keep_trajectory:
-            result.trajectory.append([Ui.copy() for Ui in st.U])
+            result.trajectory.append(copy.deepcopy(theta))
 
-        g_prev = surrogate_value(U_prev, st.A, st.B, st.C)
-        g_new = surrogate_value(st.U, st.A, st.B, st.C)
+        value, grads = app.surrogate(prev)
+        g_prev = value(prev)
+        g_new = value(theta)
         scale = 1.0 + abs(g_prev)
         if g_new > g_prev + 1e-9 * scale:
             result.monotonicity_violations += 1
-        moves = [float(np.linalg.norm(st.U[k] - U_prev[k])) for k in range(m)]
-        if max(moves) > c_prime * w_n + 1e-9:
+        step, largest = app.move(prev, theta)
+        if mode == "c2" and largest > c_prime * w_n + 1e-9:
             result.step_bound_violations += 1
-        step = math.sqrt(sum(mv * mv for mv in moves))
+        if mode == "c1":
+            rho_n = 2.0 * max(float(np.linalg.eigvalsh(st.A)[0]), 0.0)
+            if 0.5 * rho_n * step * step > w_n * R_bound * step + 1e-7 * scale:
+                result.c1_bound_violations += 1
+            result.c1_stat_max = max(result.c1_stat_max,
+                                     app.stationarity(grads(theta), theta))
 
         checkpoint = i % diag_interval == 0 or i == n_iters
         if pending is not None or checkpoint:
-            l_new = _step_loss(x, out_product(U_prev).reshape(-1, r), res.H, lam)
+            # the new sample's loss at the previous iterate, from the code
+            # the step has just solved there
+            D_prev = app.dictionary(prev)
+            l_new = float(code_loss(x.reshape(1, D_prev.shape[0], -1), D_prev,
+                                    res.H[None], app.lam)[0][0])
         if pending is not None:
-            lhs = g_new - pending["gbar_val"]
-            rhs = (w_n * (l_new - pending["fbar"])
-                   + pending["w_prev"] ** 2 * st.eps_sum)
+            gbar_val, fbar, w_prev = pending
+            lhs = g_new - gbar_val
+            rhs = w_n * (l_new - fbar) + w_prev ** 2 * st.eps_sum
             result.prop_margins.append((i, lhs - rhs, 1.0 + abs(rhs)))
             pending = None
 
         if checkpoint:
-            values, grads, _ = cpdl_loss(emissions, st.U, lam, code_set,
-                                         tol=solver_tol)
+            values, loss_grads = app.losses(emissions, theta)
             fbar = sum(w_hat[s] * values[s] for s in range(S))
             f_exp = sum(pi[s] * values[s] for s in range(S))
-            fbar_grads = [sum(w_hat[s] * grads[k][s] for s in range(S))
-                          for k in range(m)]
-            f_grads = [sum(pi[s] * grads[k][s] for s in range(S))
-                       for k in range(m)]
-            g_grads = surrogate_grads(st.U, st.A, st.B)
-            stat_surr = _stacked_stationarity(g_grads, st.U, factor_boxes)
-            stat_emp = _stacked_stationarity(fbar_grads, st.U, factor_boxes)
-            stat_exp = _stacked_stationarity(f_grads, st.U, factor_boxes)
-            rec = _build_record(
-                n=i, w_n=w_n, cum_w=cum_w, loss_new=l_new, fbar=fbar,
-                f_exp=f_exp, gbar_val=g_new,
-                gbar_grad=np.concatenate([g.ravel() for g in g_grads]),
-                fbar_grad=np.concatenate([g.ravel() for g in fbar_grads]),
-                f_grad=np.concatenate([g.ravel() for g in f_grads]),
-                theta=None, box=None, step_norm=step, eps_bar=eps_bar,
-                minima=minima, stat_override=(stat_surr, stat_emp, stat_exp),
-            )
-            result.records.append(rec)
-            pending = {"gbar_val": g_new, "fbar": fbar, "w_prev": w_n}
+            blocks = (grads(theta),
+                      [sum(w_hat[s] * G[s] for s in range(S)) for G in loss_grads],
+                      [sum(pi[s] * G[s] for s in range(S)) for G in loss_grads])
+            g_surr, g_emp, g_exp = (np.concatenate([g.ravel() for g in b]) for b in blocks)
+            stat_surr, stat_emp, stat_exp = (app.stationarity(b, theta) for b in blocks)
+            gap_emp, gap_exp = abs(g_new - fbar), abs(g_new - f_exp)
+            ggap_emp = float(np.linalg.norm(g_surr - g_emp))
+            ggap_exp = float(np.linalg.norm(g_surr - g_exp))
+            comp_emp = gap_emp + ggap_emp ** 2
+            comp_exp = gap_exp + ggap_exp ** 2
+            for k, v in (("min_comp_emp", comp_emp), ("min_comp_exp", comp_exp),
+                         ("min_stat_surr", stat_surr), ("min_stat_emp", stat_emp),
+                         ("min_stat_exp", stat_exp)):
+                mins[k] = min(mins.get(k, math.inf), v)
+            result.records.append(DiagnosticsRecord(
+                n=i, w_n=w_n, cum_weight=cum_w, loss_new=l_new, fbar=fbar,
+                f_exp=f_exp, gbar_val=g_new, gap_emp=gap_emp, gap_exp=gap_exp,
+                ggap_emp=ggap_emp, ggap_exp=ggap_exp, stat_surr=stat_surr,
+                stat_emp=stat_emp, stat_exp=stat_exp, step_norm=step,
+                eps_bar=eps_bar, comp_emp=comp_emp, comp_exp=comp_exp, **mins))
+            pending = (g_new, fbar, w_n)
     result.final = st
     return result
-
-
-def _stacked_stationarity(grads: list, U: list, boxes: list) -> float:
-    total = 0.0
-    for g, Ui, box in zip(grads, U, boxes):
-        proj = tangent_cone_project(-np.asarray(g, float).ravel(), Ui.ravel(), box)
-        total += float(proj @ proj)
-    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -563,16 +522,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated key=value configuration plus its source path."""
+    """Validated key=value configuration plus its source path and the line
+    each key was set on."""
 
     values: dict
     path: str = ""
+    lines: dict = field(default_factory=dict)
 
     def __getitem__(self, key):
         return self.values[key]
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+    def where(self, key) -> str:
+        """'path:line' of the key, or the path for a default."""
+        return f"{self.path}:{self.lines[key]}" if key in self.lines else self.path
 
 
 def parse_config(path) -> RunConfig:
@@ -609,25 +571,58 @@ def parse_config(path) -> RunConfig:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
-    where = lambda key: f"{path}:{line_of[key]}" if key in line_of else str(path)
+    cfg = RunConfig(values=values, path=str(path), lines=line_of)
     try:
         shape = [int(v) for v in values["app.tensor_shape"].split(",")]
     except ValueError:
-        raise ConfigError(f"{where('app.tensor_shape')}: app.tensor_shape = "
+        raise ConfigError(f"{cfg.where('app.tensor_shape')}: app.tensor_shape = "
                           f"{values['app.tensor_shape']} must be comma-separated integers") from None
-    sub, row_sample = values["app.kind"] == "omf_sub", values["app.row_sample"]
+    kind, mode = values["app.kind"], values["engine.mode"]
+    sub, row_sample = kind == "omf_sub", values["app.row_sample"]
     for key, bad, need in (
             ("engine.n_iters", values["engine.n_iters"] < 1, "must be >= 1"),
             ("engine.diag_interval", values["engine.diag_interval"] < 1, "must be >= 1"),
+            ("app.kind", kind not in ("omf", "omf_sub", "cpdl"), "must be omf, omf_sub or cpdl"),
+            ("engine.mode", mode not in ("c1", "c2"), "must be c1 or c2"),
+            # keys the chosen app does not read
+            ("engine.mode", kind == "cpdl" and mode == "c1", "is not available: app.kind = cpdl "
+                                                             "runs in mode c2 only"),
+            ("engine.theta0", kind == "cpdl" and "engine.theta0" in line_of,
+             "is not read: app.kind = cpdl starts from a random point"),
+            ("app.row_sample", not sub and "app.row_sample" in line_of,
+             f"is not read: app.kind = {kind} updates every row"),
             ("app.row_sample", sub and row_sample <= 0, "must be > 0 when app.kind = omf_sub"),
             ("app.row_sample", sub and row_sample >= 1 and not (row_sample.is_integer()
                                                                   and row_sample <= shape[0]),
              f"must be a fraction < 1 or a whole number of rows <= {shape[0]} (app.tensor_shape)")):
         if bad:
-            raise ConfigError(f"{where(key)}: {key} = {values[key]} {need}")
-    cfg = RunConfig(values=values, path=str(path))
+            raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]} {need}")
+    if kind != "cpdl" and values["engine.theta0"] != "random":
+        _load_start(cfg, (shape[0], values["app.rank"]))
     _build_schedule(cfg)  # validates schedule parameters early
     return cfg
+
+
+def _bounds(cfg: RunConfig) -> tuple[float, float]:
+    lo, up = cfg["constraint.lower"], cfg["constraint.upper"]
+    return (0.0 if cfg["constraint.nonneg"] else lo), up
+
+
+def _load_start(cfg: RunConfig, shape: tuple) -> np.ndarray:
+    """The OMF start dictionary named by engine.theta0: a CSV file holding a
+    matrix of the given (q, r) shape inside the constraint box."""
+    path, where = cfg["engine.theta0"], cfg.where("engine.theta0")
+    try:
+        W0 = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: engine.theta0 = {path} is not a CSV matrix ({exc})") from None
+    lo, up = _bounds(cfg)
+    if W0.shape != shape:
+        raise ConfigError(f"{where}: engine.theta0 = {path} is {W0.shape[0]}x{W0.shape[1]}, need "
+                          f"{shape[0]}x{shape[1]} (app.tensor_shape rows x app.rank)")
+    if (W0 < lo - BOUNDARY_TOL).any() or (W0 > up + BOUNDARY_TOL).any():
+        raise ConfigError(f"{where}: engine.theta0 = {path} leaves the box [{lo}, {up}]")
+    return W0
 
 
 def _build_schedule(cfg: RunConfig) -> WeightSchedule:
@@ -677,9 +672,7 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
     rng = np.random.default_rng(seed)
     shape = tuple(int(s) for s in cfg["app.tensor_shape"].split(","))
     r = cfg["app.rank"]
-    lo, up = cfg["constraint.lower"], cfg["constraint.upper"]
-    if cfg["constraint.nonneg"]:
-        lo = 0.0
+    lo, up = _bounds(cfg)
     kind = cfg["app.kind"]
     tol = cfg["solver.tol"]
     common = dict(
@@ -694,7 +687,7 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
         if cfg["engine.theta0"] == "random":
             W0 = rng.uniform(lo, up, size=(q, r))
         else:
-            W0 = np.loadtxt(cfg["engine.theta0"], delimiter=",", ndmin=2)
+            W0 = _load_start(cfg, (q, r))
         sampler = None
         if kind == "omf_sub":
             p_or_k = cfg["app.row_sample"]
@@ -843,6 +836,3 @@ def cli_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(cli_main())

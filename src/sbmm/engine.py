@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .factorize import OmfState
 from .geometry import BoxSet, BlockSpec, restricted_block_set, select_blocks
 from .quadform import (
     AveragedSurrogate,
@@ -107,25 +108,18 @@ class SbmmState:
     mode: str
     recipe: SurrogateRecipe
     rho0: float
-    eps_cap: float
     rng: np.random.Generator
     eps_sum: float = 0.0
-    sample_log: list = field(default_factory=list)
     state_log: list = field(default_factory=list)
-    last_H: Optional[np.ndarray] = None
 
 
-def _initial_average(recipe: SurrogateRecipe, theta0: np.ndarray, rho0: float,
-                     box: BoxSet) -> AveragedSurrogate:
+def _initial_average(recipe: SurrogateRecipe, theta0: np.ndarray,
+                     rho0: float) -> AveragedSurrogate:
     """gbar_0(theta) = (rho0/2) ||theta - theta0||^2 in the matching form."""
     if recipe.kind == "factor":
-        q, d = recipe.shape
-        r = recipe.rank
-        W0 = theta0.reshape(q, r)
-        A0 = 0.5 * rho0 * np.eye(r)
-        B0 = 0.5 * rho0 * W0.T
-        C0 = 0.5 * rho0 * float(np.sum(W0 * W0))
-        core = FactorQuad(A=A0, B=B0, C=C0, anchor=W0, L=rho0, rho=rho0, eps=0.0)
+        W0 = theta0.reshape(recipe.shape[0], recipe.rank)
+        st = OmfState.initial(W0, rho0)
+        core = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=W0, L=rho0, rho=rho0, eps=0.0)
     else:
         # a prox recipe's per-sample surrogates all carry the same symbolic
         # l1 penalty; the initial average carries it too so every convex
@@ -152,7 +146,6 @@ def init_state(
     c_prime: float = 1.0,
     theta0: np.ndarray | str = "random",
     rho0: float = 0.0,
-    eps_cap: float = math.inf,
     seed: int = 0,
 ) -> SbmmState:
     mode = mode.lower()
@@ -173,11 +166,11 @@ def init_state(
     else:
         if not (c_prime > 0) or math.isinf(c_prime):
             raise EngineError("mode c2 requires finite c_prime > 0")
-    gbar0 = _initial_average(recipe, theta0, rho0, box)
+    gbar0 = _initial_average(recipe, theta0, rho0)
     return SbmmState(
         n=0, theta=theta0.copy(), theta_prev=theta0.copy(), gbar=gbar0,
         schedule=schedule, blocks=blocks, box=box, c_prime=c_prime, mode=mode,
-        recipe=recipe, rho0=rho0, eps_cap=eps_cap, rng=rng,
+        recipe=recipe, rho0=rho0, rng=rng,
     )
 
 
@@ -189,33 +182,26 @@ def eps_bar_update(eps_bar_prev: float, eps_n: float, w_n: float) -> float:
 
 
 def _build_surrogate(recipe: SurrogateRecipe, x, theta_prev: np.ndarray):
-    """Returns (surrogate, eps, H or None) anchored at theta_prev."""
+    """Returns (surrogate, eps) anchored at theta_prev."""
     if recipe.kind == "lipschitz":
-        return (
-            make_lipschitz_surrogate(
-                recipe.loss(x, theta_prev), recipe.loss_grad(x, theta_prev),
-                theta_prev, recipe.L),
-            0.0, None,
-        )
+        return make_lipschitz_surrogate(
+            recipe.loss(x, theta_prev), recipe.loss_grad(x, theta_prev),
+            theta_prev, recipe.L), 0.0
     if recipe.kind == "prox":
-        return (
-            make_prox_surrogate(
-                recipe.loss(x, theta_prev), recipe.loss_grad(x, theta_prev),
-                recipe.lam, theta_prev, recipe.L),
-            0.0, None,
-        )
+        return make_prox_surrogate(
+            recipe.loss(x, theta_prev), recipe.loss_grad(x, theta_prev),
+            recipe.lam, theta_prev, recipe.L), 0.0
     if recipe.kind == "dc":
         curv, lin, const = recipe.convex_part(x)
-        g = make_dc_surrogate(curv, lin, const,
-                              recipe.concave_value(x, theta_prev),
-                              recipe.concave_grad(x, theta_prev), theta_prev)
-        return g, 0.0, None
+        return make_dc_surrogate(curv, lin, const,
+                                 recipe.concave_value(x, theta_prev),
+                                 recipe.concave_grad(x, theta_prev), theta_prev), 0.0
     # factor
     q, d = recipe.shape
     W_prev = theta_prev.reshape(q, recipe.rank)
-    H, g = make_factor_surrogate(np.asarray(x, float).reshape(q, d), W_prev,
+    _, g = make_factor_surrogate(np.asarray(x, float).reshape(q, d), W_prev,
                                  recipe.lam, recipe.code_set, tol=recipe.solver_tol)
-    return g, g.eps, H
+    return g, g.eps
 
 
 def block_minimize(state: SbmmState, g_next: AveragedSurrogate, w_n: float) -> np.ndarray:
@@ -237,19 +223,13 @@ def sbmm_step(state: SbmmState, x_n) -> SbmmState:
     """One full SBMM step on the incoming sample; mutates and returns state."""
     n = state.n + 1
     w_n = state.schedule.weight_at(n)
-    g_n, eps_n, H = _build_surrogate(state.recipe, x_n, state.theta)
-    if eps_n > state.eps_cap:
-        raise EngineError(
-            f"produced surrogate tolerance {eps_n:.3e} exceeds eps_cap at step {n}"
-        )
+    g_n, eps_n = _build_surrogate(state.recipe, x_n, state.theta)
     gbar = average_surrogate(state.gbar, g_n, w_n)
     state.gbar = gbar
     state.theta_prev = state.theta
     state.theta = block_minimize(state, gbar, w_n)
     state.n = n
     state.eps_sum += eps_n
-    state.sample_log.append(x_n)
-    state.last_H = H
     return state
 
 

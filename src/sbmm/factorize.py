@@ -1,9 +1,9 @@
 """Online matrix and tensor factorization built on the averaged-surrogate
 machinery.
 
-Three concrete algorithms: online matrix factorization (OMF), OMF with
-dictionary-row subsampling, and online CP-dictionary learning (CPDL).  All
-three keep the same sufficient statistics
+Two concrete algorithms: online matrix factorization (OMF), whose
+dictionary update may be restricted to a subset of rows, and online
+CP-dictionary learning (CPDL).  Both keep the same sufficient statistics
 
     A_n = (1 - w_n) A_{n-1} + w_n H_n H_n^T
     B_n = (1 - w_n) B_{n-1} + w_n (contraction of X_n against H_n)
@@ -29,11 +29,9 @@ from .subsolver import solve_code_lasso, solve_block_quadratic
 
 __all__ = [
     "out_product",
-    "mode_product",
     "unfold",
     "fold",
     "omf_step",
-    "subsampled_omf_step",
     "cpdl_step",
     "OmfState",
     "CpdlState",
@@ -54,14 +52,6 @@ def out_product(U: list[np.ndarray]) -> np.ndarray:
     for Uk in U[1:]:
         D = D[..., None, :] * np.asarray(Uk, dtype=float)
     return D
-
-
-def mode_product(D: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Contract the trailing (rank) axis of D against the rows of H:
-    output(..., s) = sum_j D(..., j) H(j, s)."""
-    if D.shape[-1] != H.shape[0]:
-        raise ValueError("rank axes do not match")
-    return D @ H
 
 
 def unfold(T: np.ndarray, mode: int) -> np.ndarray:
@@ -113,18 +103,6 @@ class OmfStepResult:
     eps: float
 
 
-def _dictionary_update(A, B_rq, C, W_prev, box: BoxSet, radius: float,
-                       J_flat: np.ndarray, tol: float) -> np.ndarray:
-    """Solve the quadratic dictionary problem on the given flat coordinate
-    block inside box-and-ball(W_prev, radius)."""
-    q, r = W_prev.shape
-    quad = FactorQuad.from_stats(A, B_rq, C, W_prev)
-    w_flat = W_prev.ravel()
-    feas = restricted_block_set(box, w_flat, J_flat, radius)
-    out = solve_block_quadratic(quad, feas, w_flat, tol=tol)
-    return out.reshape(q, r)
-
-
 def omf_step(
     X: np.ndarray,
     W_prev: np.ndarray,
@@ -137,50 +115,40 @@ def omf_step(
     C_prev: float = 0.0,
     radius: float = math.inf,
     tol: float = 1e-8,
+    rows: np.ndarray | None = None,
 ) -> OmfStepResult:
     """One online matrix factorization step: code solve at the previous
     dictionary, statistics update, then the dictionary quadratic solve
-    (within the trust region when a finite radius is given)."""
+    (within the trust region when a finite radius is given).  Given rows,
+    the dictionary update is frozen outside them."""
     X = np.asarray(X, dtype=float)
     W_prev = np.asarray(W_prev, dtype=float)
     q, r = W_prev.shape
+    if rows is None:
+        J_flat = np.arange(q * r)
+    else:
+        rows = np.asarray(rows, dtype=int)
+        if rows.size == 0:
+            raise ValueError("empty row subset")
+        J_flat = (rows[:, None] * r + np.arange(r)[None, :]).ravel()
     H, gap = solve_code_lasso(X, W_prev, lam, code_set, tol=tol)
     A = (1.0 - w_n) * A_prev + w_n * (H @ H.T)
     B = (1.0 - w_n) * B_prev + w_n * (X @ H.T).T
     C = (1.0 - w_n) * C_prev + w_n * (float(np.sum(X * X)) + lam * float(np.abs(H).sum()))
-    W = _dictionary_update(A, B, C, W_prev, dict_box, radius,
-                           np.arange(q * r), tol)
+    # the dictionary problem on the coordinates J_flat, inside box-and-ball
+    w_flat = W_prev.ravel()
+    feas = restricted_block_set(dict_box, w_flat, J_flat, radius)
+    W = solve_block_quadratic(FactorQuad.from_stats(A, B, C, W_prev), feas, w_flat,
+                              tol=tol).reshape(q, r)
     return OmfStepResult(H=H, A=A, B=B, C=C, W=W, eps=gap)
 
 
-def subsampled_omf_step(
-    X: np.ndarray,
-    W_prev: np.ndarray,
-    A_prev: np.ndarray,
-    B_prev: np.ndarray,
-    w_n: float,
-    lam: float,
-    dict_box: BoxSet,
-    code_set: BoxSet,
-    rows: np.ndarray,
-    C_prev: float = 0.0,
-    radius: float = math.inf,
-    tol: float = 1e-8,
-) -> OmfStepResult:
-    """omf_step with the dictionary update frozen outside the given rows."""
-    X = np.asarray(X, dtype=float)
-    W_prev = np.asarray(W_prev, dtype=float)
-    q, r = W_prev.shape
-    rows = np.asarray(rows, dtype=int)
-    if rows.size == 0:
-        raise ValueError("empty row subset")
-    H, gap = solve_code_lasso(X, W_prev, lam, code_set, tol=tol)
-    A = (1.0 - w_n) * A_prev + w_n * (H @ H.T)
-    B = (1.0 - w_n) * B_prev + w_n * (X @ H.T).T
-    C = (1.0 - w_n) * C_prev + w_n * (float(np.sum(X * X)) + lam * float(np.abs(H).sum()))
-    J_flat = (rows[:, None] * r + np.arange(r)[None, :]).ravel()
-    W = _dictionary_update(A, B, C, W_prev, dict_box, radius, J_flat, tol)
-    return OmfStepResult(H=H, A=A, B=B, C=C, W=W, eps=gap)
+def subsampled_omf_step(X, W_prev, A_prev, B_prev, w_n, lam, dict_box, code_set,
+                        rows, **kwargs) -> OmfStepResult:
+    """omf_step with the dictionary update frozen outside the given rows;
+    kept because the benchmark's layer tracer (perfbench/layers.py) wraps
+    this name."""
+    return omf_step(X, W_prev, A_prev, B_prev, w_n, lam, dict_box, code_set, rows=rows, **kwargs)
 
 
 @dataclass

@@ -76,10 +76,6 @@ class BoxSet:
     def dim(self) -> int:
         return self.lower.size
 
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
     def contains(self, x: np.ndarray, tol: float = BOUNDARY_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())

@@ -36,8 +36,6 @@ __all__ = [
     "make_dc_surrogate",
     "make_factor_surrogate",
     "average_surrogate",
-    "eval_surrogate",
-    "grad_surrogate",
     "check_majorization",
 ]
 
@@ -216,16 +214,6 @@ class AveragedSurrogate:
     @property
     def dim(self) -> int:
         return self.core.dim
-
-
-def eval_surrogate(g, theta) -> float:
-    """Value of a surrogate (any representation) at theta."""
-    return g.value(theta)
-
-
-def grad_surrogate(g, theta) -> np.ndarray:
-    """Closed-form gradient at theta (matrix-shaped for FactorQuad input)."""
-    return g.grad(theta)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from sbmm.factorize import (
     CpdlState,
     OmfState,
     cpdl_step,
-    mode_product,
     omf_step,
     out_product,
 )
@@ -396,7 +395,7 @@ def test_criterion_09_tensor_correctness():
             D_loop[idx + (j,)] = v
     assert np.abs(D_fast - D_loop).max() <= 1e-10
     H = rng.normal(size=(2, 5))
-    P_fast = mode_product(D_fast, H)
+    P_fast = D_fast @ H
     P_loop = np.zeros(P_fast.shape)
     for idx in np.ndindex(*D_fast.shape[:-1]):
         for s in range(5):

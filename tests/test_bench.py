@@ -16,6 +16,7 @@ from sbmm.bench import (
     parse_config,
     read_csv,
     run_experiment,
+    run_cpdl_diagnostics,
     run_omf_diagnostics,
     run_sweep,
     sample_loss,
@@ -284,6 +285,63 @@ def test_runner_minima_non_increasing():
             assert getattr(rec, col) >= 0.0
 
 
+@pytest.mark.parametrize("kind, mode", [("omf", "c2"), ("omf", "c1"), ("cpdl", "c2")])
+def test_runner_audits_count_a_faulty_step(monkeypatch, kind, mode):
+    # the last step returns a faulty iterate: the step reversed, which goes
+    # uphill on the averaged surrogate, or a jump of 1 in every entry, which
+    # leaves the C2 radius or breaks the C1 inequality; the audit that
+    # watches for the fault counts it exactly once.  The [-5, 5] box keeps
+    # both faulty iterates feasible, and the C1 runs' weight of 1e-3 keeps
+    # the C1 bound w_n * R_bound below the jump.
+    import sbmm.bench as bench
+
+    rng = np.random.default_rng(61)
+    n_iters, r, lam = 20, 2, 0.05
+    shape = (3, 2) if kind == "omf" else (2, 2, 3)
+    P = rng.uniform(0.2, 1.0, size=(2, 2))
+    emissions = list(rng.uniform(0.0, 1.0, size=(2,) + shape))
+    W0 = [rng.uniform(0.0, 1.0, size=(I, r)) for I in shape[:-1]]
+    code_set = BoxSet.uniform(r, 0.0, 1.0)
+    schedule = WeightSchedule.constant(1e-3) if mode == "c1" else WeightSchedule.polylog(0.5, 1.5)
+    step_name = "omf_step" if kind == "omf" else "cpdl_step"
+
+    def run():
+        src = MarkovSource(P=P / P.sum(axis=1, keepdims=True), emissions=emissions, seed=4)
+        if kind == "omf":
+            return run_omf_diagnostics(
+                src, schedule, W0[0], lam, BoxSet.uniform(3 * r, -5.0, 5.0), code_set,
+                mode=mode, rho0=1.0, n_iters=n_iters, diag_interval=5)
+        return run_cpdl_diagnostics(
+            src, schedule, W0, lam, [BoxSet.uniform(I * r, -5.0, 5.0) for I in shape[:-1]],
+            code_set, n_iters=n_iters, diag_interval=5)
+
+    def faulty(fault):
+        real = getattr(bench, step_name)
+
+        def step(x, prev, *args, **kwargs):
+            res = real(x, prev, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == n_iters:
+                if kind == "omf":
+                    res.W = fault(prev, res.W)
+                else:
+                    res.U = [fault(Pk, Uk) for Pk, Uk in zip(prev, res.U)]
+            return res
+        calls = []
+        return step
+
+    counters = ("monotonicity_violations", "step_bound_violations", "c1_bound_violations")
+    clean = run()
+    assert [getattr(clean, c) for c in counters] == [0, 0, 0]
+    jump_counter = "c1_bound_violations" if mode == "c1" else "step_bound_violations"
+    for fault, counter in ((lambda Pk, Xk: 2.0 * Pk - Xk, "monotonicity_violations"),
+                           (lambda Pk, Xk: Pk + 1.0, jump_counter)):
+        with monkeypatch.context() as m:
+            m.setattr(bench, step_name, faulty(fault))
+            res = run()
+        assert getattr(res, counter) == 1, (fault, counter)
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -374,9 +432,24 @@ def test_parse_config_type_error(tmp_path):
     ("engine.n_iters = 0\n", "engine.n_iters"),
     ("app.kind = omf_sub\napp.row_sample = 0\n", "app.row_sample"),
     ("app.kind = omf_sub\napp.row_sample = 5\n", "app.row_sample"),
-], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q"])
+    ("app.kind = nmf\n", "app.kind"),
+    ("engine.mode = c3\n", "engine.mode"),
+    # keys the chosen app does not read
+    ("app.kind = cpdl\nengine.mode = c1\n", "engine.mode"),
+    ("app.kind = cpdl\nengine.theta0 = /nonexistent.csv\n", "engine.theta0"),
+    ("app.row_sample = 2\n", "app.row_sample"),
+    # an OMF start must be a readable (q, r) matrix inside the box
+    ("engine.theta0 = {tmp}/missing.csv\n", "engine.theta0"),
+    ("engine.theta0 = {tmp}/theta_3x3.csv\n", "engine.theta0"),
+    ("engine.theta0 = {tmp}/theta_outside.csv\n", "engine.theta0"),
+], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q", "app_kind",
+        "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
+        "theta0_shape", "theta0_outside_box"])
 def test_parse_config_range_checks(tmp_path, capsys, extra, key):
-    p = write_cfg(tmp_path, extra=extra)
+    np.savetxt(tmp_path / "theta_3x3.csv", np.full((3, 3), 0.5), delimiter=",")
+    np.savetxt(tmp_path / "theta_outside.csv", [[0.5, 0.5], [0.5, 1.5], [0.5, 0.5]],
+               delimiter=",")
+    p = write_cfg(tmp_path, extra=extra.format(tmp=tmp_path))
     line = 10 + extra.count("\n") - 1
     with pytest.raises(ConfigError, match=rf"{p}:{line}: {key} = "):
         parse_config(p)
@@ -439,6 +512,28 @@ def test_run_experiment_fractional_row_sample(tmp_path):
                                   "engine.n_iters = 200\n")
     res = run_experiment(parse_config(p), out_path=str(tmp_path / "s.csv"))
     assert res.records[-1].n == 200
+
+
+def test_run_experiment_reads_theta0(tmp_path):
+    # a plain OMF run from a start file draws nothing from the engine seed
+    np.savetxt(tmp_path / "theta.csv", np.full((3, 2), 0.5), delimiter=",")
+    p = write_cfg(tmp_path, extra=f"engine.theta0 = {tmp_path / 'theta.csv'}\n")
+    q = write_cfg(tmp_path, name="random.cfg")
+    outs = [tmp_path / f"{name}.csv" for name in ("a", "b", "c")]
+    for cfg, seed, out in ((p, 1, outs[0]), (p, 2, outs[1]), (q, 1, outs[2])):
+        assert cli_main(["run", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+
+
+def test_module_entry_point(tmp_path):
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "sbmm", "validate", str(write_cfg(tmp_path))],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.rstrip().endswith("ok")
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("threads", ["two", "0", "-1", "1.5"])

@@ -182,20 +182,6 @@ def test_block_minimize_separable_reaches_joint_minimum():
     np.testing.assert_allclose(st.theta, np.clip(x, -2.0, 2.0), atol=1e-6)
 
 
-def test_eps_cap_enforced():
-    code_set = BoxSet.uniform(2, 0.0, 1.0)
-    recipe = SurrogateRecipe(kind="factor", lam=0.1, code_set=code_set,
-                             shape=(3, 2), rank=2, solver_tol=1e-1)
-    box = BoxSet.nonneg(6, upper=1.0)
-    st = init_state(recipe, box, BlockSpec.single(6), WeightSchedule.balanced(),
-                    mode="c2", c_prime=1.0, theta0=np.full(6, 0.5),
-                    eps_cap=0.0)
-    rng = np.random.default_rng(5)
-    with pytest.raises(EngineError):
-        for _ in range(20):
-            sbmm_step(st, rng.random(size=(3, 2)) + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # run loop
 

@@ -11,10 +11,8 @@ from sbmm.factorize import (
     factor_loss,
     factor_loss_lipschitz_bound,
     fold,
-    mode_product,
     omf_step,
     out_product,
-    subsampled_omf_step,
     unfold,
 )
 from sbmm.geometry import BoxSet
@@ -84,13 +82,7 @@ def test_mode_product_matches_loop_oracle():
     rng = np.random.default_rng(2)
     D = rng.normal(size=(3, 4, 2))
     H = rng.normal(size=(2, 5))
-    np.testing.assert_allclose(mode_product(D, H), mode_product_oracle(D, H),
-                               atol=1e-12)
-
-
-def test_mode_product_shape_error():
-    with pytest.raises(ValueError):
-        mode_product(np.zeros((3, 2)), np.zeros((5, 4)))
+    np.testing.assert_allclose(D @ H, mode_product_oracle(D, H), atol=1e-12)
 
 
 def test_unfold_matches_loop_oracle():
@@ -116,14 +108,14 @@ def test_unfold_fold_invalid_mode():
 
 
 def test_reconstruction_identity():
-    # mode_product(out_product(U), H) equals the sum of rank-1 terms
+    # out_product(U) @ H equals the sum of rank-1 terms
     rng = np.random.default_rng(5)
     U = [rng.normal(size=(3, 2)), rng.normal(size=(4, 2))]
     H = rng.normal(size=(2, 6))
     direct = np.zeros((3, 4, 6))
     for j in range(2):
         direct += (np.outer(U[0][:, j], U[1][:, j])[..., None] * H[j][None, None, :])
-    np.testing.assert_allclose(mode_product(out_product(U), H), direct, atol=1e-10)
+    np.testing.assert_allclose(out_product(U) @ H, direct, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +204,8 @@ def test_subsampled_full_rows_equals_plain():
     B = np.zeros((r, q))
     X = rng.random(size=(q, d))
     full = omf_step(X, W, A, B, 1.0, 0.1, dict_box, code_set, tol=1e-10)
-    sub = subsampled_omf_step(X, W, A, B, 1.0, 0.1, dict_box, code_set,
-                              rows=np.arange(q), tol=1e-10)
+    sub = omf_step(X, W, A, B, 1.0, 0.1, dict_box, code_set, tol=1e-10,
+                   rows=np.arange(q))
     np.testing.assert_array_equal(full.W, sub.W)
     np.testing.assert_array_equal(full.A, sub.A)
 
@@ -226,8 +218,8 @@ def test_subsampled_freezes_unselected_rows():
     W = rng.random(size=(q, r))
     X = rng.random(size=(q, d))
     rows = np.array([1, 3])
-    res = subsampled_omf_step(X, W, np.zeros((r, r)), np.zeros((r, q)),
-                              1.0, 0.1, dict_box, code_set, rows=rows, tol=1e-9)
+    res = omf_step(X, W, np.zeros((r, r)), np.zeros((r, q)),
+                   1.0, 0.1, dict_box, code_set, tol=1e-9, rows=rows)
     frozen = np.setdiff1d(np.arange(q), rows)
     np.testing.assert_array_equal(res.W[frozen], W[frozen])
     # and the selected rows actually moved
@@ -236,10 +228,10 @@ def test_subsampled_freezes_unselected_rows():
 
 def test_subsampled_rejects_empty_rows():
     with pytest.raises(ValueError):
-        subsampled_omf_step(np.ones((2, 2)), np.ones((2, 1)) * 0.5,
-                            np.zeros((1, 1)), np.zeros((1, 2)), 1.0, 0.0,
-                            BoxSet.nonneg(2, 1.0), BoxSet.nonneg(1, 5.0),
-                            rows=np.array([], dtype=int))
+        omf_step(np.ones((2, 2)), np.ones((2, 1)) * 0.5,
+                 np.zeros((1, 1)), np.zeros((1, 2)), 1.0, 0.0,
+                 BoxSet.nonneg(2, 1.0), BoxSet.nonneg(1, 5.0),
+                 rows=np.array([], dtype=int))
 
 
 def test_subsampled_row_frequency_uniform():

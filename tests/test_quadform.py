@@ -11,8 +11,6 @@ from sbmm.quadform import (
     QuadSurrogate,
     average_surrogate,
     check_majorization,
-    eval_surrogate,
-    grad_surrogate,
     make_dc_surrogate,
     make_factor_surrogate,
     make_lipschitz_surrogate,
@@ -384,13 +382,6 @@ def test_block_strong_convexity_preserved():
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def test_eval_and_grad_dispatch():
-    g = make_lipschitz_surrogate(2.0, np.ones(2), np.zeros(2), 1.0)
-    theta = np.array([1.0, -1.0])
-    assert eval_surrogate(g, theta) == g.value(theta)
-    np.testing.assert_array_equal(grad_surrogate(g, theta), g.grad(theta))
 
 
 def test_check_majorization_reports_violation():
