@@ -7,7 +7,9 @@ one step, audit it, and record diagnostics at the checkpoints.
 (CP-dictionary learning) each build a small adapter (``_App``) that supplies
 the step, the averaged surrogate's value and gradient, the stacked
 per-sample loss, the stationarity measure and the step norm, then call the
-loop.
+loop.  The OMF audits read what the step computed: the surrogate it built
+and minimized, the block solve's certificate (that surrogate's value at
+the previous dictionary) and, in mode C1, its strong convexity.
 
 The diagnostics compare three objects along a run: the averaged surrogate
 gbar_n, the weighted empirical loss fbar_n, and the exact expected loss f
@@ -46,7 +48,6 @@ from .factorize import (
     _contract_except,
 )
 from .geometry import BOUNDARY_TOL, BoxSet, stationarity_measure, tangent_cone_project
-from .quadform import FactorQuad
 from .schedule import WeightSchedule, validate_schedule
 from .stream import MarkovSource, make_iid, mixing_rate, next_sample, stationary_distribution, tv_decay
 
@@ -200,12 +201,14 @@ class _App:
     lam: float
     step: Callable           # (x, w_n, radius) -> step result (A, B, C, H, eps)
     iterate: Callable        # () -> W, or the list U of loading matrices
-    surrogate: Callable      # prev -> value(theta), grads(theta) as a block list
+    surrogate: Callable      # (prev, step result) -> the averaged surrogate's value
+                             # at prev, value(theta), grads(theta) as a block list
     losses: Callable         # (X, theta) -> values (S,), per-block gradient stacks
     dictionary: Callable     # theta -> the flat (p, r) dictionary
     move: Callable           # (prev, theta) -> step norm, largest block move
     stationarity: Callable   # (block gradients, theta) -> stationarity measure
     lipschitz_bound: Callable = None  # () -> the C1 audit's gradient bound
+    rho: Callable = None     # step result -> the C1 audit's strong convexity
 
 
 def run_omf_diagnostics(
@@ -244,12 +247,15 @@ def run_omf_diagnostics(
                 rows = np.asarray(row_sampler(rng), dtype=int)
         res = omf_step(x, st.W, st.A, st.B, w_n, lam, dict_box, code_set,
                        C_prev=st.C, radius=radius, tol=solver_tol, rows=rows)
+        # the audits read res.quad, so it must hold the statistics the run carries on
+        if not (res.quad.A is res.A and res.quad.B is res.B and res.quad.C == res.C):
+            raise RuntimeError("omf_step's surrogate does not hold the step's statistics")
         st.W = res.W
         return res
 
-    def surrogate(prev):
-        gbar = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=prev, L=1.0, rho=0.0)
-        return gbar.value, lambda W: [gbar.grad(W)]
+    def surrogate(prev, res):
+        # the quadratic the step minimized, and its certificate: its value at prev
+        return res.g_prev, res.quad.value, lambda W: [res.quad.grad(W)]
 
     def losses(X, W):
         values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol)
@@ -264,7 +270,8 @@ def run_omf_diagnostics(
         losses=losses, dictionary=lambda W: W, move=move,
         stationarity=lambda grads, W: stationarity_measure(grads[0].ravel(), W.ravel(), dict_box),
         lipschitz_bound=lambda: factor_loss_lipschitz_bound(source.emissions, dict_box,
-                                                            code_set, st.W.shape[1]))
+                                                            code_set, st.W.shape[1]),
+        rho=lambda res: res.quad.rho)
     return _run(app, source, schedule, mode, c_prime, n_iters, diag_interval, keep_trajectory)
 
 
@@ -293,12 +300,12 @@ def run_cpdl_diagnostics(
         st.U = res.U
         return res
 
-    def surrogate(prev):
+    def surrogate(prev, res):
         A, B, C = st.A, st.B, st.C
 
         def value(U):
             D = dictionary(U)
-            return float(np.sum((D @ A) * D)) - 2.0 * float(np.sum(out_product(U) * B)) + C
+            return float(((D @ A) * D).sum()) - 2.0 * float((out_product(U) * B).sum()) + C
 
         def grads(U):
             grams = [Ui.T @ Ui for Ui in U]
@@ -310,7 +317,8 @@ def run_cpdl_diagnostics(
                         gamma = gamma * grams[k]
                 out.append(2.0 * (U[i] @ gamma - _contract_except(B, U, i)))
             return out
-        return value, grads
+        # the block solves' certificates sum in another order than value(prev)
+        return value(prev), value, grads
 
     def losses(X, U):
         values, grads, _ = cpdl_loss(X, U, lam, code_set, tol=solver_tol)
@@ -368,8 +376,7 @@ def _run(app: _App, source: MarkovSource, schedule: WeightSchedule, mode: str,
         if keep_trajectory:
             result.trajectory.append(copy.deepcopy(theta))
 
-        value, grads = app.surrogate(prev)
-        g_prev = value(prev)
+        g_prev, value, grads = app.surrogate(prev, res)
         g_new = value(theta)
         scale = 1.0 + abs(g_prev)
         if g_new > g_prev + 1e-9 * scale:
@@ -378,7 +385,7 @@ def _run(app: _App, source: MarkovSource, schedule: WeightSchedule, mode: str,
         if mode == "c2" and largest > c_prime * w_n + 1e-9:
             result.step_bound_violations += 1
         if mode == "c1":
-            rho_n = 2.0 * max(float(np.linalg.eigvalsh(st.A)[0]), 0.0)
+            rho_n = app.rho(res)
             if 0.5 * rho_n * step * step > w_n * R_bound * step + 1e-7 * scale:
                 result.c1_bound_violations += 1
             result.c1_stat_max = max(result.c1_stat_max,
@@ -522,12 +529,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated key=value configuration plus its source path and the line
-    each key was set on."""
+    """Validated key=value configuration plus its source path, the line
+    each key was set on and the parsed app.tensor_shape."""
 
     values: dict
     path: str = ""
     lines: dict = field(default_factory=dict)
+    tensor_shape: tuple = ()
 
     def __getitem__(self, key):
         return self.values[key]
@@ -573,16 +581,34 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
     cfg = RunConfig(values=values, path=str(path), lines=line_of)
     try:
-        shape = [int(v) for v in values["app.tensor_shape"].split(",")]
+        shape = tuple(int(v) for v in values["app.tensor_shape"].split(","))
     except ValueError:
         raise ConfigError(f"{cfg.where('app.tensor_shape')}: app.tensor_shape = "
                           f"{values['app.tensor_shape']} must be comma-separated integers") from None
+    cfg.tensor_shape = shape
     kind, mode = values["app.kind"], values["engine.mode"]
     sub, row_sample = kind == "omf_sub", values["app.row_sample"]
+    lo, up = _bounds(cfg)
+    # an empty box is the fault of whichever bound was set last
+    bound_key = max(("constraint.upper",
+                     "constraint.nonneg" if values["constraint.nonneg"] else "constraint.lower"),
+                    key=lambda k: line_of.get(k, 0))
     for key, bad, need in (
             ("engine.n_iters", values["engine.n_iters"] < 1, "must be >= 1"),
             ("engine.diag_interval", values["engine.diag_interval"] < 1, "must be >= 1"),
+            ("app.rank", values["app.rank"] < 1, "must be >= 1"),
             ("app.kind", kind not in ("omf", "omf_sub", "cpdl"), "must be omf, omf_sub or cpdl"),
+            ("app.tensor_shape", min(shape) < 1, "must be sizes >= 1"),
+            ("app.tensor_shape", kind != "cpdl" and len(shape) != 2,
+             f"must be rows,columns for app.kind = {kind}"),
+            ("app.tensor_shape", kind == "cpdl" and len(shape) < 2,
+             "must be I_1,...,I_m,batch for app.kind = cpdl"),
+            (bound_key, not lo < up, f"leaves an empty box: need lower {lo} < upper {up}"),
+            ("stream.kind", values["stream.kind"] not in ("iid", "markov"), "must be iid or markov"),
+            ("schedule.kind", values["schedule.kind"] not in _SCHEDULE_PARAMS,
+             "must be balanced, polylog, constant or custom"),
+            ("schedule.kind", values["schedule.kind"] == "custom" and "schedule.values" not in values,
+             "needs schedule.values"),
             ("engine.mode", mode not in ("c1", "c2"), "must be c1 or c2"),
             # keys the chosen app does not read
             ("engine.mode", kind == "cpdl" and mode == "c1", "is not available: app.kind = cpdl "
@@ -599,7 +625,13 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]} {need}")
     if kind != "cpdl" and values["engine.theta0"] != "random":
         _load_start(cfg, (shape[0], values["app.rank"]))
-    _build_schedule(cfg)  # validates schedule parameters early
+    try:
+        _build_schedule(cfg)
+    except ValueError as exc:
+        # a bad schedule parameter: of those the kind reads, the one set last
+        key = max(_SCHEDULE_PARAMS[values["schedule.kind"]] or ("schedule.kind",),
+                  key=lambda k: line_of.get(k, 0))
+        raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]}: {exc}") from None
     return cfg
 
 
@@ -625,18 +657,19 @@ def _load_start(cfg: RunConfig, shape: tuple) -> np.ndarray:
     return W0
 
 
+_SCHEDULE_PARAMS = {"balanced": (), "polylog": ("schedule.beta", "schedule.delta"),
+                    "constant": ("schedule.alpha",), "custom": ("schedule.values",)}
+
+
 def _build_schedule(cfg: RunConfig) -> WeightSchedule:
     kind = cfg["schedule.kind"]
-    if kind == "balanced":
-        return WeightSchedule.balanced()
     if kind == "polylog":
         return WeightSchedule.polylog(cfg["schedule.beta"], cfg["schedule.delta"])
     if kind == "constant":
         return WeightSchedule.constant(cfg["schedule.alpha"])
     if kind == "custom":
-        vals = [float(v) for v in cfg["schedule.values"].split(",")]
-        return WeightSchedule.custom(vals)
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+        return WeightSchedule.custom([float(v) for v in cfg["schedule.values"].split(",")])
+    return WeightSchedule.balanced()
 
 
 def _parse_matrix(text_or_path: str) -> np.ndarray:
@@ -650,15 +683,16 @@ def _parse_matrix(text_or_path: str) -> np.ndarray:
 
 
 def _build_source(cfg: RunConfig) -> MarkovSource:
-    shape = tuple(int(s) for s in cfg["app.tensor_shape"].split(","))
+    shape = cfg.tensor_shape
     bank = np.loadtxt(cfg["stream.emissions"], delimiter=",", ndmin=2)
+    if bank.shape[1] != math.prod(shape):
+        raise ConfigError(f"{cfg.where('app.tensor_shape')}: app.tensor_shape = "
+                          f"{cfg['app.tensor_shape']} needs {math.prod(shape)} entries per "
+                          f"emission, {cfg['stream.emissions']} has {bank.shape[1]}")
     emissions = [row.reshape(shape) for row in bank]
     trans = _parse_matrix(cfg["stream.transition"])
     if cfg["stream.kind"] == "iid":
-        weights = trans.ravel()
-        return make_iid(weights, emissions, seed=cfg["stream.seed"])
-    if cfg["stream.kind"] != "markov":
-        raise ConfigError(f"unknown stream kind {cfg['stream.kind']!r}")
+        return make_iid(trans.ravel(), emissions, seed=cfg["stream.seed"])
     return MarkovSource(P=trans, emissions=emissions, seed=cfg["stream.seed"])
 
 
@@ -670,7 +704,7 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
     source = _build_source(cfg)
     seed = cfg["engine.seed"] if seed is None else seed
     rng = np.random.default_rng(seed)
-    shape = tuple(int(s) for s in cfg["app.tensor_shape"].split(","))
+    shape = cfg.tensor_shape
     r = cfg["app.rank"]
     lo, up = _bounds(cfg)
     kind = cfg["app.kind"]
@@ -700,16 +734,14 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
             source, schedule, W0, dict_box=dict_box, code_set=code_set,
             mode=cfg["engine.mode"], rho0=(1.0 if cfg["engine.mode"] == "c1" else 0.0),
             row_sampler=sampler, rng=rng, **common)
-    elif kind == "cpdl":
-        dims, b = shape[:-1], shape[-1]
+    else:  # cpdl
+        dims = shape[:-1]
         factor_boxes = [BoxSet.uniform(I * r, lo, up) for I in dims]
         code_set = BoxSet.uniform(r, lo, up)
         U0 = [rng.uniform(lo, up, size=(I, r)) for I in dims]
         result = run_cpdl_diagnostics(
             source, schedule, U0, factor_boxes=factor_boxes, code_set=code_set,
             **common)
-    else:
-        raise ConfigError(f"unknown app kind {kind!r}")
     emit_csv(result.records, out_path or cfg["output"])
     return result
 

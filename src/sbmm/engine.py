@@ -215,7 +215,7 @@ def block_minimize(state: SbmmState, g_next: AveragedSurrogate, w_n: float) -> n
     theta = state.theta.copy()
     for J in order:
         feas = restricted_block_set(state.box, theta, J, radius)
-        theta = solve_block_quadratic(g_next, feas, theta, tol=state.recipe.solver_tol)
+        theta, _ = solve_block_quadratic(g_next, feas, theta, tol=state.recipe.solver_tol)
     return theta
 
 

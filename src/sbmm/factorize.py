@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,12 +95,18 @@ def _contract_except(T: np.ndarray, U: list[np.ndarray], i: int) -> np.ndarray:
 
 @dataclass
 class OmfStepResult:
+    """The step's code, statistics, dictionary and certified code gap, with
+    the averaged surrogate it minimized (anchored at W_prev) and its value
+    g_prev at W_prev, the block solve's descent certificate."""
+
     H: np.ndarray
     A: np.ndarray
     B: np.ndarray
     C: float
     W: np.ndarray
     eps: float
+    quad: FactorQuad
+    g_prev: float
 
 
 def omf_step(
@@ -134,13 +140,14 @@ def omf_step(
     H, gap = solve_code_lasso(X, W_prev, lam, code_set, tol=tol)
     A = (1.0 - w_n) * A_prev + w_n * (H @ H.T)
     B = (1.0 - w_n) * B_prev + w_n * (X @ H.T).T
-    C = (1.0 - w_n) * C_prev + w_n * (float(np.sum(X * X)) + lam * float(np.abs(H).sum()))
+    C = (1.0 - w_n) * C_prev + w_n * (float((X * X).sum()) + lam * float(np.abs(H).sum()))
     # the dictionary problem on the coordinates J_flat, inside box-and-ball
     w_flat = W_prev.ravel()
     feas = restricted_block_set(dict_box, w_flat, J_flat, radius)
-    W = solve_block_quadratic(FactorQuad.from_stats(A, B, C, W_prev), feas, w_flat,
-                              tol=tol).reshape(q, r)
-    return OmfStepResult(H=H, A=A, B=B, C=C, W=W, eps=gap)
+    quad = FactorQuad.from_stats(A, B, C, W_prev)
+    w, g_prev = solve_block_quadratic(quad, feas, w_flat, tol=tol)
+    return OmfStepResult(H=H, A=A, B=B, C=C, W=w.reshape(q, r), eps=gap, quad=quad,
+                         g_prev=g_prev)
 
 
 def subsampled_omf_step(X, W_prev, A_prev, B_prev, w_n, lam, dict_box, code_set,
@@ -221,7 +228,7 @@ def cpdl_step(
     A = (1.0 - w_n) * A_prev + w_n * (H @ H.T)
     B_upd = (X_mat @ H.T).reshape(X.shape[:-1] + (r,))
     B = (1.0 - w_n) * B_prev + w_n * B_upd
-    C = (1.0 - w_n) * C_prev + w_n * (float(np.sum(X * X)) + lam * float(np.abs(H).sum()))
+    C = (1.0 - w_n) * C_prev + w_n * (float((X * X).sum()) + lam * float(np.abs(H).sum()))
 
     U = [np.asarray(Ui, dtype=float).copy() for Ui in U_prev]
     grams = [Ui.T @ Ui for Ui in U]
@@ -233,7 +240,8 @@ def cpdl_step(
         u_flat = U[i].ravel()
         feas = restricted_block_set(factor_boxes[i], u_flat,
                                     np.arange(u_flat.size), radius)
-        U[i] = solve_block_quadratic(quad, feas, u_flat, tol=tol).reshape(U[i].shape)
+        u, _ = solve_block_quadratic(quad, feas, u_flat, tol=tol)
+        U[i] = u.reshape(U[i].shape)
         grams[i] = U[i].T @ U[i]
     return CpdlStepResult(H=H, A=A, B=B, C=C, U=U, eps=gap)
 

@@ -17,8 +17,9 @@ trust-region slices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -134,7 +135,7 @@ def _secular_root(model, radius: float, lo: float, hi: float) -> float:
 
 
 def ball_multiplier_search(solve, center: np.ndarray, radius: float,
-                           mu_hi: float) -> np.ndarray:
+                           mu_hi: Callable[[], float]) -> np.ndarray:
     """Minimizer over box-intersect-ball(center, radius) of a convex problem
     whose ball constraint has been dualized.
 
@@ -143,7 +144,8 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
     distance model (const, a, w) of x(mu)'s working set, on which
     ||x(nu) - center||^2 = const + sum_j a_j / (w_j + nu)^2 (the secular
     equation of a trust-region step).  That distance falls as mu grows, and
-    mu_hi must be large enough that ||x(mu_hi) - center|| <= radius.  If
+    mu_hi() must return a multiplier large enough that ||x(mu_hi()) -
+    center|| <= radius; it is called only when x(0) leaves the ball.  If
     x(0) lies in the ball it is the answer.  Otherwise the complementary
     multiplier solves ||x(mu) - center|| = radius: each step jumps to the
     root of the last model when it lies inside the bisection bracket, and
@@ -157,7 +159,7 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
         return x
     if radius <= BALL_RTOL * (1.0 + float(np.linalg.norm(center))):
         return center.copy()  # radius numerically zero
-    lo, hi = 0.0, mu_hi
+    lo, hi = 0.0, mu_hi()
     for _ in range(BALL_MAX_ITERS):
         mu = _secular_root(model(), radius, lo, hi)
         if not lo < mu < hi:
@@ -214,8 +216,8 @@ def project_box_ball(
         return y, model
 
     # ||y(mu) - center|| <= ||x - center|| / (1 + mu)
-    mu_hi = float(np.linalg.norm(x - center)) / radius
-    return ball_multiplier_search(solve, center, radius, mu_hi)
+    return ball_multiplier_search(solve, center, radius,
+                                  lambda: float(np.linalg.norm(x - center)) / radius)
 
 
 @dataclass(frozen=True)
@@ -293,14 +295,17 @@ class BlockFeasibleSet:
     theta_prev: np.ndarray
     J: np.ndarray
     radius: float
-    sub_box: BoxSet = field(init=False)
 
     def __post_init__(self):
         theta_prev = np.asarray(self.theta_prev, dtype=float)
         object.__setattr__(self, "theta_prev", theta_prev)
         if not self.box.contains(theta_prev):
             raise GeometryError("theta_prev must be feasible")
-        object.__setattr__(self, "sub_box", self.box.restrict(self.J))
+
+    @cached_property
+    def sub_box(self) -> BoxSet:
+        """The box slice on J, built on first use."""
+        return self.box.restrict(self.J)
 
     @property
     def center_sub(self) -> np.ndarray:

@@ -20,7 +20,7 @@ factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -176,7 +176,7 @@ class FactorQuad:
     def value(self, W: np.ndarray) -> float:
         W = self._as_matrix(W)
         WA = W @ self.A
-        return float(np.sum(WA * W)) - 2.0 * float(np.sum(W * self.B.T)) + self.C
+        return float((WA * W).sum()) - 2.0 * float((W * self.B.T).sum()) + self.C
 
     def grad(self, W: np.ndarray) -> np.ndarray:
         W = self._as_matrix(W)

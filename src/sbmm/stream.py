@@ -6,6 +6,13 @@ sample.  Keeping the state space finite makes the stationary distribution
 and the mixing rate exactly computable, which the diagnostics rely on for
 noise-free expected-loss evaluation.  The i.i.d. case is the special source
 whose rows all equal the sampling distribution (mixing rate zero).
+
+Each source builds its per-state cumulative distributions once, the way
+numpy's ``Generator.choice`` builds one per call (``cumsum``, then a divide
+by the last entry), and ``next_sample`` draws the next state with
+``searchsorted(rng.random(), side="right")`` on the current state's row.
+That is the same state from the same rng stream as ``rng.choice(S, p=row)``,
+without rebuilding and revalidating the row on every draw.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ class MarkovSource:
 
     The chain must be irreducible and aperiodic (some power of P is entrywise
     positive); deterministic periodic chains are rejected unless the
-    test-only ``allow_periodic`` flag is set.
+    test-only ``allow_periodic`` flag is set.  The sampler's CDFs are built
+    from P here, so P must not change afterwards.
     """
 
     P: np.ndarray
@@ -52,6 +60,7 @@ class MarkovSource:
     seed: int = 0
     allow_periodic: bool = False
     rng: np.random.Generator = field(init=False, repr=False)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
@@ -77,6 +86,9 @@ class MarkovSource:
                 "(no power of P up to S^2 is entrywise positive)"
             )
         self.rng = np.random.default_rng(self.seed)
+        # row s is the CDF rng.choice(S, p=P[s]) builds for itself
+        cdf = P.cumsum(axis=1)
+        self.cdf = cdf / cdf[:, -1:]
 
     @property
     def S(self) -> int:
@@ -147,8 +159,7 @@ def mixing_rate(src: MarkovSource, horizon: int = _MIXING_HORIZON) -> float:
 def next_sample(src: MarkovSource, rng: np.random.Generator | None = None):
     """Advance the chain one step; returns (emission of new state, new state)."""
     r = src.rng if rng is None else rng
-    row = src.P[src.state]
-    new_state = int(r.choice(src.S, p=row))
+    new_state = int(src.cdf[src.state].searchsorted(r.random(), side="right"))
     src.state = new_state
     return src.emissions[new_state], new_state
 

@@ -18,10 +18,11 @@ multiplier shared by every row (``geometry.ball_multiplier_search``): each
 box solve starts from the previous multiplier's solution and hands the
 search the exact distance model of its working set.
 
-Both solvers certify what they return: the code solver reports a
-convexity-based objective gap bound, rounding allowance included, that
-downstream surrogates use as their approximation tolerance, and the block
-solver checks that the objective did not rise above its starting value.
+Both solvers certify what they return, and return the certificate with
+the solution: the code solver its convexity-based objective gap bound,
+rounding allowance included, that downstream surrogates use as their
+approximation tolerance, and the block solver its descent certificate, the
+objective at its start, which it checks the result does not rise above.
 """
 
 from __future__ import annotations
@@ -251,9 +252,10 @@ def _minimize(G, C, lo, up, lam, X0, tol, max_iters):
     n, k = C.shape
     states = (_LO, _UP, _FREE)
     if lam > 0:
-        positive, negative = float(np.max(up)) > 0.0, float(np.min(lo)) < 0.0
+        lo_a, up_a = np.asarray(lo), np.asarray(up)
+        positive, negative = bool(up_a.max() > 0.0), bool(lo_a.min() < 0.0)
         states = ((_LO, _UP) + ((_POS,) if positive else ()) + ((_NEG,) if negative else ())
-                  + ((_ZERO,) if positive and negative and np.any((lo < 0) & (up > 0)) else ()))
+                  + ((_ZERO,) if positive and negative and ((lo_a < 0) & (up_a > 0)).any() else ()))
     if len(states) ** k > _ENUM_PATTERNS:
         if X0 is None:
             X0 = np.clip(C @ np.linalg.pinv(G, hermitian=True), lo, up)
@@ -331,11 +333,12 @@ def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters):
             return float(fixed_u @ fixed_u), (((w + mu) * coef) ** 2).ravel(), w.ravel()
         return X, model
 
-    # strong convexity of the dualized problem: ||X(mu) - center|| <= ||xi|| / mu
-    # for any subgradient xi of the objective at center
-    xi = 2.0 * (center @ G - C) + lam * np.sign(center)
-    return ball_multiplier_search(solve, center, radius,
-                                  float(np.linalg.norm(xi)) / radius)
+    def mu_hi():
+        # strong convexity of the dualized problem: ||X(mu) - center|| <= ||xi|| / mu
+        # for any subgradient xi of the objective at center
+        xi = 2.0 * (center @ G - C) + lam * np.sign(center)
+        return float(np.linalg.norm(xi)) / radius
+    return ball_multiplier_search(solve, center, radius, mu_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +410,7 @@ def _block_rows(core, J: np.ndarray, theta_prev: np.ndarray):
         r = core.r
         if J.size % r == 0:
             idx = J.reshape(-1, r)
-            if (idx[:, 0] % r == 0).all() and np.array_equal(idx, idx[:, :1] + np.arange(r)):
+            if (idx[:, 0] % r == 0).all() and (idx == idx[:, :1] + np.arange(r)).all():
                 return core.A, core.B.T[idx[:, 0] // r], 0.0, idx
         Q = 2.0 * np.kron(np.eye(core.q), core.A)
         b, lam = -2.0 * core.B.T.ravel(), 0.0
@@ -425,15 +428,17 @@ def solve_block_quadratic(
     theta_init: np.ndarray,
     tol: float = 1e-8,
     max_iters: int = MAX_ITERS,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Minimize a blockwise-convex quadratic over one block's feasible slice.
 
     Coordinates outside feas.J stay at feas.theta_prev.  The slice problem
     goes to the solve_box_qp machinery from theta_init, with the
     trust-region ball dualized when the radius is finite: slices with few
     KKT patterns are solved exactly, larger ones by the active-set method
-    stopped once its certified objective gap is <= tol.  The objective never
-    rises above its value at theta_init; a rise raises SubsolverError.
+    stopped once its certified objective gap is <= tol.  Returns (theta,
+    value) where value, the descent certificate, is the objective at the
+    start (theta_init on J, theta_prev elsewhere).  The objective at theta
+    never rises above it; a rise raises SubsolverError.
     """
     core = _core(g)
     theta_init = np.asarray(theta_init, dtype=float).ravel()
@@ -451,4 +456,4 @@ def solve_block_quadratic(
     obj = core.value(start)
     if core.value(theta) > obj + 1e-9 * (1.0 + abs(obj)):
         raise SubsolverError("block solve increased the objective")
-    return theta
+    return theta, obj

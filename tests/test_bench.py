@@ -342,6 +342,98 @@ def test_runner_audits_count_a_faulty_step(monkeypatch, kind, mode):
         assert getattr(res, counter) == 1, (fault, counter)
 
 
+def test_omf_runner_refuses_a_surrogate_of_other_statistics(monkeypatch):
+    # the OMF audits read the surrogate the step returns; one built on the
+    # previous statistics instead of the updated ones is refused, not audited
+    import dataclasses
+
+    import sbmm.bench as bench
+    from sbmm.quadform import FactorQuad
+
+    rng = np.random.default_rng(62)
+    P = rng.uniform(0.2, 1.0, size=(2, 2))
+    src = MarkovSource(P=P / P.sum(axis=1, keepdims=True),
+                       emissions=list(rng.uniform(0.0, 1.0, size=(2, 3, 2))), seed=4)
+    real = bench.omf_step
+
+    def step(x, W_prev, A_prev, B_prev, *args, **kwargs):
+        res = real(x, W_prev, A_prev, B_prev, *args, **kwargs)
+        return dataclasses.replace(
+            res, quad=FactorQuad.from_stats(A_prev, B_prev, kwargs["C_prev"], W_prev))
+    monkeypatch.setattr(bench, "omf_step", step)
+    with pytest.raises(RuntimeError, match="statistics"):
+        run_omf_diagnostics(src, WeightSchedule.polylog(0.5, 1.5),
+                            rng.uniform(0.0, 1.0, size=(3, 2)), 0.05,
+                            BoxSet.uniform(6, 0.0, 1.0), BoxSet.uniform(2, 0.0, 1.0),
+                            n_iters=3, diag_interval=1)
+
+
+@pytest.mark.parametrize("mode", ["c2", "c1"])
+def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
+    # the audits read the surrogate the step built and minimized: one
+    # FactorQuad, and one eigvalsh, per step; the block solve's certificate
+    # is that surrogate's value at the previous dictionary; and a ball search
+    # bounds its multiplier only when the unconstrained solve leaves the ball
+    import sbmm.bench as bench
+    import sbmm.subsolver as subsolver
+    from sbmm.quadform import FactorQuad
+
+    counts = {"quad": 0, "eig": 0, "steps": 0, "searches": 0, "binding": 0, "bound": 0}
+    real_init, real_eig = FactorQuad.__post_init__, np.linalg.eigvalsh
+    real_step, real_search = bench.omf_step, subsolver.ball_multiplier_search
+
+    def init(self):
+        counts["quad"] += 1
+        real_init(self)
+
+    def eig(*args, **kwargs):
+        counts["eig"] += 1
+        return real_eig(*args, **kwargs)
+
+    def step(x, W_prev, *args, **kwargs):
+        res = real_step(x, W_prev, *args, **kwargs)
+        counts["steps"] += 1
+        assert res.g_prev == res.quad.value(W_prev)
+        return res
+
+    def search(solve, center, radius, mu_hi):
+        first = []
+
+        def recorded(mu):
+            x, model = solve(mu)
+            if not first:
+                first.append(float(np.linalg.norm(x - center)) > radius)
+            return x, model
+
+        def bound():
+            counts["bound"] += 1
+            return mu_hi()
+        out = real_search(recorded, center, radius, bound)
+        counts["searches"] += 1
+        counts["binding"] += first[0]
+        return out
+
+    monkeypatch.setattr(FactorQuad, "__post_init__", init)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eig)
+    monkeypatch.setattr(bench, "omf_step", step)
+    monkeypatch.setattr(subsolver, "ball_multiplier_search", search)
+    rng = np.random.default_rng(5)
+    P = rng.uniform(0.2, 1.0, size=(2, 2))
+    src = MarkovSource(P=P / P.sum(axis=1, keepdims=True),
+                       emissions=list(rng.uniform(0.0, 1.0, size=(2, 3, 2))), seed=2)
+    n_iters = 60  # with c_prime = 0.3 the ball binds on some of the C2 steps
+    run_omf_diagnostics(src, WeightSchedule.polylog(0.5, 1.5), rng.uniform(0.0, 1.0, (3, 2)),
+                        0.05, BoxSet.uniform(6, 0.0, 1.0), BoxSet.uniform(2, 0.0, 1.0),
+                        mode=mode, c_prime=0.3, rho0=1.0, n_iters=n_iters, diag_interval=10)
+    assert counts["steps"] == counts["quad"] == counts["eig"] == n_iters
+    if mode == "c1":  # no trust region, so no ball search
+        assert counts["searches"] == counts["bound"] == 0
+    else:
+        assert counts["searches"] == n_iters
+        assert 0 < counts["binding"] < n_iters
+        assert counts["bound"] == counts["binding"]
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -442,9 +534,23 @@ def test_parse_config_type_error(tmp_path):
     ("engine.theta0 = {tmp}/missing.csv\n", "engine.theta0"),
     ("engine.theta0 = {tmp}/theta_3x3.csv\n", "engine.theta0"),
     ("engine.theta0 = {tmp}/theta_outside.csv\n", "engine.theta0"),
+    # what used to stop the run without a line
+    ("app.tensor_shape = 3,2,1\n", "app.tensor_shape"),
+    ("app.tensor_shape = 3,0\n", "app.tensor_shape"),
+    ("app.kind = cpdl\napp.tensor_shape = 6\n", "app.tensor_shape"),
+    ("app.rank = 0\n", "app.rank"),
+    ("constraint.nonneg = false\nconstraint.lower = 2.0\n", "constraint.lower"),
+    ("constraint.upper = -0.5\n", "constraint.upper"),
+    ("stream.kind = markvo\n", "stream.kind"),
+    ("schedule.kind = polylgo\n", "schedule.kind"),
+    ("schedule.kind = custom\n", "schedule.kind"),
+    ("schedule.kind = custom\nschedule.values = 0.5,x\n", "schedule.values"),
+    ("schedule.kind = constant\nschedule.alpha = 2\n", "schedule.alpha"),
 ], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q", "app_kind",
         "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
-        "theta0_shape", "theta0_outside_box"])
+        "theta0_shape", "theta0_outside_box", "tensor_shape_arity", "tensor_shape_zero",
+        "cpdl_tensor_shape", "rank", "empty_box", "nonneg_empty_box", "stream_kind",
+        "schedule_kind", "schedule_values_missing", "schedule_values", "schedule_alpha"])
 def test_parse_config_range_checks(tmp_path, capsys, extra, key):
     np.savetxt(tmp_path / "theta_3x3.csv", np.full((3, 3), 0.5), delimiter=",")
     np.savetxt(tmp_path / "theta_outside.csv", [[0.5, 0.5], [0.5, 1.5], [0.5, 0.5]],
@@ -456,6 +562,15 @@ def test_parse_config_range_checks(tmp_path, capsys, extra, key):
     assert cli_main(["run", str(p)]) == 1
     err = capsys.readouterr().err
     assert f"{p}:{line}: {key} = " in err and "Traceback" not in err
+
+
+def test_cli_run_emission_shape_mismatch(tmp_path, capsys):
+    # the emission bank is read when the run starts; a row of the wrong size
+    # names the app.tensor_shape line
+    p = write_cfg(tmp_path, extra="app.tensor_shape = 3,3\n")
+    assert cli_main(["run", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert f"{p}:10: app.tensor_shape = 3,3 needs 9 entries" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("extra", [

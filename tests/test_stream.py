@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbmm.stream import (
     MarkovSource,
@@ -176,6 +177,66 @@ def test_external_rng_overrides_owned():
     a = [next_sample(two_state(seed=0, state=0), rng=r1)[1] for _ in range(20)]
     b = [next_sample(two_state(seed=123, state=0), rng=r2)[1] for _ in range(20)]
     assert a == b
+
+
+def _choice_states(P, state, rng, n):
+    """The states rng.choice draws along the chain, as next_sample did with it."""
+    out = []
+    for _ in range(n):
+        state = int(rng.choice(P.shape[0], p=P[state]))
+        out.append(state)
+    return out
+
+
+class _FixedDraws(np.random.Generator):
+    """A Generator whose random() returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self.values = list(values)
+
+    def random(self, *args, **kwargs):
+        return self.values.pop(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), S=st.integers(2, 16),
+       zero_frac=st.sampled_from([0.0, 0.3, 0.7]), iid=st.booleans())
+def test_next_sample_matches_rng_choice(seed, S, zero_frac, iid):
+    # next_sample's CDF draw gives the states rng.choice(S, p=P[state]) gives
+    # on an rng with the same seed, for the owned rng and for rng=; a numpy
+    # whose choice draws differently fails here
+    gen = np.random.default_rng(seed)
+    emissions = [np.full(1, float(s)) for s in range(S)]
+
+    def row(size):
+        w = gen.dirichlet(np.ones(size))
+        w[gen.random(size) < zero_frac] = 0.0
+        w[gen.integers(size)] += 0.5  # every row keeps a positive entry
+        return w / w.sum()
+
+    state = int(gen.integers(S))
+    if iid:
+        src = make_iid(row(S), emissions, seed=seed, state=state)
+    else:
+        src = MarkovSource(P=np.stack([row(S) for _ in range(S)]), emissions=emissions,
+                           seed=seed, state=state, allow_periodic=True)
+    P = src.P.copy()
+    want = _choice_states(P, state, np.random.default_rng(seed), 300)
+    assert [next_sample(src)[1] for _ in range(300)] == want
+    other = seed + 1
+    want = _choice_states(P, src.state, np.random.default_rng(other), 300)
+    r = np.random.default_rng(other)
+    assert [next_sample(src, rng=r)[1] for _ in range(300)] == want
+    # draws at each CDF point and one ulp below it: there, a CDF one ulp
+    # away from the one choice builds picks another state
+    for s in range(S):
+        us = [u for c in src.cdf[s] for u in (np.nextafter(c, 0.0), c) if u < 1.0]
+        got = []
+        for u in us:
+            src.state = s
+            got.append(next_sample(src, rng=_FixedDraws([u]))[1])
+        assert got == [int(_FixedDraws([u]).choice(S, p=P[s])) for u in us]
 
 
 def test_iid_frequencies_three_sigma():

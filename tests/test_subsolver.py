@@ -196,7 +196,7 @@ def test_block_quadratic_interior_analytic():
     g = _quad(2.0, b)
     feas = restricted_block_set(BoxSet.uniform(2, -10.0, 10.0),
                                 np.zeros(2), np.array([0, 1]), math.inf)
-    theta = solve_block_quadratic(g, feas, np.zeros(2), tol=1e-10)
+    theta, _ = solve_block_quadratic(g, feas, np.zeros(2), tol=1e-10)
     np.testing.assert_allclose(theta, -b / 2.0, atol=1e-8)
 
 
@@ -212,7 +212,7 @@ def test_block_quadratic_matches_grid_box_only():
         box = BoxSet(lower=lo, upper=up)
         start = np.clip(rng.normal(size=2), lo, up)
         feas = restricted_block_set(box, start, np.array([0, 1]), math.inf)
-        theta = solve_block_quadratic(g, feas, start, tol=1e-10)
+        theta, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
         p_star, v_star = grid_min_quad_2d(g, box)
         assert g.value(theta) <= v_star + 1e-8
         # location agreement up to the grid pitch (box width / 1000)
@@ -231,7 +231,7 @@ def test_block_quadratic_matches_grid_with_ball():
         start = np.clip(rng.normal(size=2), -2.0, 2.0)
         radius = float(rng.uniform(0.2, 1.0))
         feas = restricted_block_set(box, start, np.array([0, 1]), radius)
-        theta = solve_block_quadratic(g, feas, start, tol=1e-10)
+        theta, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
         assert np.linalg.norm(theta - start) <= radius + 1e-8
         _, v_star = grid_min_quad_2d(g, box, center=start, radius=radius)
         assert g.value(theta) <= v_star + 1e-6
@@ -247,7 +247,7 @@ def test_block_quadratic_l1_prox_matches_grid():
         start = np.clip(rng.normal(size=2), -1.5, 1.5)
         radius = float(rng.uniform(0.3, 2.0))
         feas = restricted_block_set(box, start, np.array([0, 1]), radius)
-        theta = solve_block_quadratic(g, feas, start, tol=1e-10)
+        theta, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
         assert np.linalg.norm(theta - start) <= radius + 1e-8
         _, v_star = grid_min_quad_2d(g, box, n=801, center=start,
                                      radius=radius)
@@ -263,7 +263,8 @@ def test_block_quadratic_freezes_complement():
     prev = np.clip(rng.normal(size=4), -5.0, 5.0)
     J = np.array([1, 3])
     feas = restricted_block_set(box, prev, J, math.inf)
-    theta = solve_block_quadratic(g, feas, prev, tol=1e-10)
+    theta, g_start = solve_block_quadratic(g, feas, prev, tol=1e-10)
+    assert g_start == g.value(prev)
     np.testing.assert_array_equal(theta[[0, 2]], prev[[0, 2]])
     # the free coordinates reach the unconstrained optimum of the slice
     np.testing.assert_allclose(theta[J], -b[J] / 2.0, atol=1e-8)
@@ -279,7 +280,9 @@ def test_block_quadratic_monotone_descent():
         start = np.clip(rng.normal(size=3), -1.0, 1.0)
         feas = restricted_block_set(box, start, np.arange(3),
                                     float(rng.uniform(0.1, 2.0)))
-        theta = solve_block_quadratic(g, feas, start, tol=1e-8)
+        theta, g_start = solve_block_quadratic(g, feas, start, tol=1e-8)
+        # the returned descent certificate is the objective at the start
+        assert g_start == g.value(start)
         assert g.value(theta) <= g.value(start) + 1e-12
 
 
@@ -293,7 +296,7 @@ def test_block_quadratic_second_order_growth():
     box = BoxSet.uniform(2, -1.0, 1.0)
     start = np.zeros(2)
     feas = restricted_block_set(box, start, np.array([0, 1]), math.inf)
-    theta_hat = solve_block_quadratic(g, feas, start, tol=1e-12)
+    theta_hat, _ = solve_block_quadratic(g, feas, start, tol=1e-12)
     scale = 1.0 + abs(g.value(theta_hat))
     for _ in range(50):
         theta = np.clip(rng.normal(size=2), -1.0, 1.0)
@@ -312,7 +315,7 @@ def test_block_quadratic_stationarity_at_solution():
         start = np.clip(rng.normal(size=3), -0.5, 0.5)
         feas = restricted_block_set(box, start, np.arange(3), math.inf)
         tol = 1e-8
-        theta = solve_block_quadratic(g, feas, start, tol=tol)
+        theta, _ = solve_block_quadratic(g, feas, start, tol=tol)
         assert stationarity_measure(g.smooth_grad(theta), theta, box) <= tol
 
 
@@ -326,7 +329,7 @@ def test_block_quadratic_factor_form():
     g = FactorQuad(A=A, B=B, C=0.0, anchor=W0, L=1.0, rho=0.0)
     box = BoxSet.nonneg(q * r, upper=1.0)
     feas = restricted_block_set(box, W0.ravel(), np.arange(q * r), math.inf)
-    theta = solve_block_quadratic(g, feas, W0.ravel(), tol=1e-10)
+    theta, _ = solve_block_quadratic(g, feas, W0.ravel(), tol=1e-10)
     W = theta.reshape(q, r)
     # KKT over the box: gradient nonneg where pinned low, nonpos where pinned
     # high, ~zero in the interior
@@ -350,7 +353,7 @@ def test_block_quadratic_zero_radius_returns_start():
     start = np.array([0.5, 0.5])
     feas = restricted_block_set(BoxSet.uniform(2, 0.0, 1.0), start,
                                 np.array([0, 1]), 1e-30)
-    theta = solve_block_quadratic(g, feas, start, tol=1e-8)
+    theta, _ = solve_block_quadratic(g, feas, start, tol=1e-8)
     np.testing.assert_allclose(theta, start, atol=1e-12)
 
 
