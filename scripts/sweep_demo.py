@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Seed-sweep demonstration.
 
-Runs one configuration file across several seeds (the SBMM_THREADS
-environment variable sets the worker count, default 1) and prints the
-final recorded optimality-gap composite for each seed.  One diagnostics
+Runs one configuration file across several seeds, one after another, and
+prints the final recorded optimality-gap composite for each seed.  One diagnostics
 CSV per seed is written to the output directory.
 
 Usage: python3 scripts/sweep_demo.py configs/omf_iid.cfg --seeds 0 1 2 3

@@ -27,11 +27,9 @@ from .geometry import (
 from .quadform import (
     QuadSurrogate,
     FactorQuad,
-    AveragedSurrogate,
     make_lipschitz_surrogate,
     make_prox_surrogate,
     make_dc_surrogate,
-    make_factor_surrogate,
     average_surrogate,
     check_majorization,
 )

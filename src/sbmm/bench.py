@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from .engine import eps_bar_update
 from .factorize import (
     CpdlState,
     OmfState,
@@ -49,7 +50,8 @@ from .factorize import (
 )
 from .geometry import BOUNDARY_TOL, BoxSet, stationarity_measure, tangent_cone_project
 from .schedule import WeightSchedule, validate_schedule
-from .stream import MarkovSource, make_iid, mixing_rate, next_sample, stationary_distribution, tv_decay
+from .stream import (MarkovSource, StreamError, make_iid, mixing_rate, next_sample,
+                     stationary_distribution, tv_decay)
 
 __all__ = [
     "DiagnosticsRecord",
@@ -116,62 +118,32 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# per-sample losses by recipe
+# loss oracles
 
 
-def sample_loss(recipe, x, theta):
-    """(value, gradient) of the per-sample loss ell(x, theta) for an engine
-    recipe, penalties included; factorization losses use the optimal-code
-    envelope gradient."""
-    theta = np.asarray(theta, dtype=float)
-    if recipe.kind == "lipschitz":
-        return float(recipe.loss(x, theta)), np.asarray(recipe.loss_grad(x, theta), float)
-    if recipe.kind == "prox":
-        v = float(recipe.loss(x, theta)) + recipe.lam * float(np.abs(theta).sum())
-        g = np.asarray(recipe.loss_grad(x, theta), float) + recipe.lam * np.sign(theta)
-        return v, g
-    if recipe.kind == "dc":
-        curv, lin, const = recipe.convex_part(x)
-        lin = np.asarray(lin, float)
-        if isinstance(curv, np.ndarray):
-            qv = 0.5 * float(theta @ (curv @ theta))
-            qg = curv @ theta
-        else:
-            qv = 0.5 * float(curv) * float(theta @ theta)
-            qg = float(curv) * theta
-        v = qv + float(lin @ theta) + const + float(recipe.concave_value(x, theta))
-        g = qg + lin + np.asarray(recipe.concave_grad(x, theta), float)
-        return v, g
-    # factor
-    q, d = recipe.shape
-    W = theta.reshape(q, recipe.rank)
-    v, g, _ = factor_loss(np.asarray(x, float).reshape(q, d), W, recipe.lam,
-                          recipe.code_set, tol=recipe.solver_tol)
-    return v, g.ravel()
-
-
-def eval_empirical(theta, sample_log, schedule, n, recipe):
+def eval_empirical(theta, sample_log, schedule, n, loss):
     """Closed-form weighted empirical loss and gradient at theta:
-    sum_k w^n_k * ell(x_k, theta)."""
+    sum_k w^n_k * ell(x_k, theta), with loss(x, theta) -> (value, gradient)."""
     if len(sample_log) < n:
         raise ValueError("sample log shorter than n")
     value = 0.0
     grad = None
     for k in range(1, n + 1):
         wk = schedule.cumulative_weight(k, n)
-        v, g = sample_loss(recipe, sample_log[k - 1], theta)
+        v, g = loss(sample_log[k - 1], theta)
         value += wk * v
         grad = wk * g if grad is None else grad + wk * g
     return value, grad
 
 
-def eval_expected(theta, source: MarkovSource, recipe):
-    """Exact expected loss and gradient under the stationary distribution."""
+def eval_expected(theta, source: MarkovSource, loss):
+    """Exact expected loss and gradient under the stationary distribution,
+    with loss(x, theta) -> (value, gradient)."""
     pi = stationary_distribution(source)
     value = 0.0
     grad = None
     for y in range(source.S):
-        v, g = sample_loss(recipe, source.emissions[y], theta)
+        v, g = loss(source.emissions[y], theta)
         value += pi[y] * v
         grad = pi[y] * g if grad is None else grad + pi[y] * g
     return value, grad
@@ -369,7 +341,7 @@ def _run(app: _App, source: MarkovSource, schedule: WeightSchedule, mode: str,
         st.A, st.B, st.C = res.A, res.B, res.C
         st.eps_sum += res.eps
         st.n = i
-        eps_bar = (1.0 - w_n) * eps_bar + w_n * res.eps
+        eps_bar = eps_bar_update(eps_bar, res.eps, w_n)
         w_hat *= 1.0 - w_n
         w_hat[y] += w_n
         cum_w += w_n
@@ -519,6 +491,18 @@ _DEFAULTS = {
     "label": "run",
 }
 
+_SCHEDULE_PARAMS = {"balanced": (), "polylog": ("schedule.beta", "schedule.delta"),
+                    "constant": ("schedule.alpha",), "custom": ("schedule.values",)}
+
+# keys the run reads only while another key has one of the given values:
+# key -> (that key, its values); setting one where it is not read is an error
+_READ_WHEN = {
+    "engine.theta0": ("app.kind", ("omf", "omf_sub")),
+    "app.row_sample": ("app.kind", ("omf_sub",)),
+    "constraint.lower": ("constraint.nonneg", (False,)),
+    **{key: ("schedule.kind", (kind,)) for kind, keys in _SCHEDULE_PARAMS.items() for key in keys},
+}
+
 _REQUIRED = ["engine.n_iters", "app.rank", "app.tensor_shape",
              "stream.transition", "stream.emissions"]
 
@@ -604,25 +588,35 @@ def parse_config(path) -> RunConfig:
             ("app.tensor_shape", kind == "cpdl" and len(shape) < 2,
              "must be I_1,...,I_m,batch for app.kind = cpdl"),
             (bound_key, not lo < up, f"leaves an empty box: need lower {lo} < upper {up}"),
+            ("constraint.lower", not math.isfinite(values["constraint.lower"]), "must be finite"),
+            ("constraint.upper", not math.isfinite(values["constraint.upper"]), "must be finite"),
             ("stream.kind", values["stream.kind"] not in ("iid", "markov"), "must be iid or markov"),
             ("schedule.kind", values["schedule.kind"] not in _SCHEDULE_PARAMS,
              "must be balanced, polylog, constant or custom"),
             ("schedule.kind", values["schedule.kind"] == "custom" and "schedule.values" not in values,
              "needs schedule.values"),
             ("engine.mode", mode not in ("c1", "c2"), "must be c1 or c2"),
-            # keys the chosen app does not read
             ("engine.mode", kind == "cpdl" and mode == "c1", "is not available: app.kind = cpdl "
                                                              "runs in mode c2 only"),
-            ("engine.theta0", kind == "cpdl" and "engine.theta0" in line_of,
-             "is not read: app.kind = cpdl starts from a random point"),
-            ("app.row_sample", not sub and "app.row_sample" in line_of,
-             f"is not read: app.kind = {kind} updates every row"),
-            ("app.row_sample", sub and row_sample <= 0, "must be > 0 when app.kind = omf_sub"),
+            # each range is tested as `not (inside)`, so that NaN, which fails
+            # every comparison, is rejected
+            ("engine.c_prime", not 0 < values["engine.c_prime"] < math.inf,
+             "must be a finite number > 0"),
+            ("app.lambda", not 0 <= values["app.lambda"] < math.inf, "must be a finite number >= 0"),
+            ("solver.tol", not 0 < values["solver.tol"] < math.inf, "must be a finite number > 0"),
+            ("stream.seed", values["stream.seed"] < 0, "must be >= 0"),
+            ("engine.seed", values["engine.seed"] < 0, "must be >= 0"),
+            ("app.row_sample", sub and not row_sample > 0, "must be > 0 when app.kind = omf_sub"),
             ("app.row_sample", sub and row_sample >= 1 and not (row_sample.is_integer()
                                                                   and row_sample <= shape[0]),
              f"must be a fraction < 1 or a whole number of rows <= {shape[0]} (app.tensor_shape)")):
         if bad:
             raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]} {need}")
+    for key, (dep, read_with) in _READ_WHEN.items():
+        if key in line_of and values[dep] not in read_with:
+            setting = str(values[dep]).lower()  # a bool as the file spells it
+            raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]} is not read when "
+                              f"{dep} = {setting}")
     if kind != "cpdl" and values["engine.theta0"] != "random":
         _load_start(cfg, (shape[0], values["app.rank"]))
     try:
@@ -657,10 +651,6 @@ def _load_start(cfg: RunConfig, shape: tuple) -> np.ndarray:
     return W0
 
 
-_SCHEDULE_PARAMS = {"balanced": (), "polylog": ("schedule.beta", "schedule.delta"),
-                    "constant": ("schedule.alpha",), "custom": ("schedule.values",)}
-
-
 def _build_schedule(cfg: RunConfig) -> WeightSchedule:
     kind = cfg["schedule.kind"]
     if kind == "polylog":
@@ -683,17 +673,32 @@ def _parse_matrix(text_or_path: str) -> np.ndarray:
 
 
 def _build_source(cfg: RunConfig) -> MarkovSource:
+    """The data source the config names; a bad emission bank names the
+    stream.emissions line, a bad transition (or a stream the two do not make
+    up) the stream.transition line."""
     shape = cfg.tensor_shape
-    bank = np.loadtxt(cfg["stream.emissions"], delimiter=",", ndmin=2)
+    path = cfg["stream.emissions"]
+    try:
+        bank = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{cfg.where('stream.emissions')}: stream.emissions = {path} "
+                          f"is not a CSV matrix ({exc})") from None
+    if not np.isfinite(bank).all():
+        raise ConfigError(f"{cfg.where('stream.emissions')}: stream.emissions = {path} "
+                          f"has entries that are not finite numbers")
     if bank.shape[1] != math.prod(shape):
         raise ConfigError(f"{cfg.where('app.tensor_shape')}: app.tensor_shape = "
                           f"{cfg['app.tensor_shape']} needs {math.prod(shape)} entries per "
-                          f"emission, {cfg['stream.emissions']} has {bank.shape[1]}")
+                          f"emission, {path} has {bank.shape[1]}")
     emissions = [row.reshape(shape) for row in bank]
-    trans = _parse_matrix(cfg["stream.transition"])
-    if cfg["stream.kind"] == "iid":
-        return make_iid(trans.ravel(), emissions, seed=cfg["stream.seed"])
-    return MarkovSource(P=trans, emissions=emissions, seed=cfg["stream.seed"])
+    try:
+        trans = _parse_matrix(cfg["stream.transition"])
+        if cfg["stream.kind"] == "iid":
+            return make_iid(trans.ravel(), emissions, seed=cfg["stream.seed"])
+        return MarkovSource(P=trans, emissions=emissions, seed=cfg["stream.seed"])
+    except (OSError, ValueError, StreamError) as exc:
+        raise ConfigError(f"{cfg.where('stream.transition')}: stream.transition = "
+                          f"{cfg['stream.transition']}: {exc}") from None
 
 
 def run_experiment(cfg: RunConfig, seed: int | None = None,
@@ -747,34 +752,17 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
 
 
 def run_sweep(cfg: RunConfig, seeds, out_dir=".") -> dict:
-    """Execute one configuration across several seeds.
+    """Execute one configuration across several seeds, one after another.
 
     Runs share nothing: each builds its own source and state from the config.
-    The SBMM_THREADS environment variable sets the number of worker threads
-    (default 1).  A step is many small numpy calls that hold the interpreter
-    lock, so more threads mostly wait for it.  Returns a dict mapping seed to
-    its RunResult; each run's CSV lands in out_dir as <label>_seed<seed>.csv.
+    Returns a dict mapping seed to its RunResult; each run's CSV lands in
+    out_dir as <label>_seed<seed>.csv.
     """
-    import concurrent.futures
-    import os
-
-    cap = os.environ.get("SBMM_THREADS", "").strip()
-    try:
-        workers = int(cap) if cap else 1
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"SBMM_THREADS must be an integer >= 1, got {cap!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     label = cfg["label"]
-
-    def one(seed):
-        return seed, run_experiment(
-            cfg, seed=seed, out_path=str(out_dir / f"{label}_seed{seed}.csv"))
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        return dict(ex.map(one, seeds))
+    return {seed: run_experiment(cfg, seed=seed, out_path=str(out_dir / f"{label}_seed{seed}.csv"))
+            for seed in seeds}
 
 
 # ---------------------------------------------------------------------------

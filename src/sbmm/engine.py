@@ -5,7 +5,14 @@ current iterate, fold it into the running average, then take one pass of
 block minimization where every block solve is confined to a ball of radius
 c'*w_n/m around the previous iterate (no radius in the strongly convex
 mode).  The loop never re-solves history; everything it needs is carried by
-the averaged quadratic state.
+the averaged quadratic state, an explicit ``QuadSurrogate``.
+
+A ``SurrogateRecipe`` turns a sample into that quadratic: a Lipschitz
+majorizer of a smooth loss, the same with a symbolic l1 penalty (a proximal
+step), or a difference of convex functions with the concave part
+linearized.  Each is exact at the anchor, so the averaged tolerance stays
+zero.  Matrix and tensor factorization are SBMM instances with their own
+steps over sufficient statistics (``factorize.omf_step``, ``cpdl_step``).
 
 Two modes:
   C1  strongly convex averaged surrogates, no trust region (c' infinite);
@@ -20,15 +27,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .factorize import OmfState
 from .geometry import BoxSet, BlockSpec, restricted_block_set, select_blocks
 from .quadform import (
-    AveragedSurrogate,
-    FactorQuad,
     QuadSurrogate,
     average_surrogate,
     make_dc_surrogate,
-    make_factor_surrogate,
     make_lipschitz_surrogate,
     make_prox_surrogate,
 )
@@ -60,8 +63,6 @@ class SurrogateRecipe:
         the smooth part only; the penalty is carried symbolically).
     kind "dc": needs convex_part(x) -> (curvature, linear, constant) and
         concave_value/concave_grad(x, theta) for the linearized part.
-    kind "factor": the matrix factorization loss; needs lam, code_set and the
-        sample shape (q, d); theta is a flattened (q, r) dictionary.
     """
 
     kind: str
@@ -72,13 +73,10 @@ class SurrogateRecipe:
     convex_part: Optional[Callable] = None
     concave_value: Optional[Callable] = None
     concave_grad: Optional[Callable] = None
-    code_set: Optional[BoxSet] = None
-    shape: tuple = ()
-    rank: int = 0
     solver_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("lipschitz", "prox", "dc", "factor"):
+        if self.kind not in ("lipschitz", "prox", "dc"):
             raise ValueError(f"unknown recipe kind {self.kind!r}")
         if self.kind in ("lipschitz", "prox"):
             if self.L <= 0 or self.loss is None or self.loss_grad is None:
@@ -88,9 +86,6 @@ class SurrogateRecipe:
         if self.kind == "dc" and (self.convex_part is None or self.concave_value is None
                                   or self.concave_grad is None):
             raise ValueError("dc recipe needs convex_part, concave_value, concave_grad")
-        if self.kind == "factor":
-            if self.code_set is None or self.rank < 1 or len(self.shape) != 2:
-                raise ValueError("factor recipe needs code_set, rank and (q, d) shape")
 
 
 @dataclass
@@ -100,41 +95,32 @@ class SbmmState:
     n: int
     theta: np.ndarray
     theta_prev: np.ndarray
-    gbar: AveragedSurrogate
+    gbar: QuadSurrogate
     schedule: object
     blocks: BlockSpec
     box: BoxSet
     c_prime: float
-    mode: str
     recipe: SurrogateRecipe
-    rho0: float
     rng: np.random.Generator
-    eps_sum: float = 0.0
     state_log: list = field(default_factory=list)
 
 
 def _initial_average(recipe: SurrogateRecipe, theta0: np.ndarray,
-                     rho0: float) -> AveragedSurrogate:
-    """gbar_0(theta) = (rho0/2) ||theta - theta0||^2 in the matching form."""
-    if recipe.kind == "factor":
-        W0 = theta0.reshape(recipe.shape[0], recipe.rank)
-        st = OmfState.initial(W0, rho0)
-        core = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=W0, L=rho0, rho=rho0, eps=0.0)
-    else:
-        # a prox recipe's per-sample surrogates all carry the same symbolic
-        # l1 penalty; the initial average carries it too so every convex
-        # combination stays exactly representable
-        core = QuadSurrogate(
-            curvature=float(rho0),
-            linear=-rho0 * theta0,
-            constant=0.5 * rho0 * float(theta0 @ theta0),
-            anchor=theta0,
-            L=rho0,
-            rho=rho0,
-            eps=0.0,
-            l1_lambda=recipe.lam if recipe.kind == "prox" else 0.0,
-        )
-    return AveragedSurrogate(core=core, eps_bar=0.0)
+                     rho0: float) -> QuadSurrogate:
+    """gbar_0(theta) = (rho0/2) ||theta - theta0||^2."""
+    # a prox recipe's per-sample surrogates all carry the same symbolic l1
+    # penalty; the initial average carries it too so every convex
+    # combination stays exactly representable
+    return QuadSurrogate(
+        curvature=float(rho0),
+        linear=-rho0 * theta0,
+        constant=0.5 * rho0 * float(theta0 @ theta0),
+        anchor=theta0,
+        L=rho0,
+        rho=rho0,
+        eps=0.0,
+        l1_lambda=recipe.lam if recipe.kind == "prox" else 0.0,
+    )
 
 
 def init_state(
@@ -169,8 +155,8 @@ def init_state(
     gbar0 = _initial_average(recipe, theta0, rho0)
     return SbmmState(
         n=0, theta=theta0.copy(), theta_prev=theta0.copy(), gbar=gbar0,
-        schedule=schedule, blocks=blocks, box=box, c_prime=c_prime, mode=mode,
-        recipe=recipe, rho0=rho0, rng=rng,
+        schedule=schedule, blocks=blocks, box=box, c_prime=c_prime,
+        recipe=recipe, rng=rng,
     )
 
 
@@ -181,30 +167,22 @@ def eps_bar_update(eps_bar_prev: float, eps_n: float, w_n: float) -> float:
     return (1.0 - w_n) * eps_bar_prev + w_n * eps_n
 
 
-def _build_surrogate(recipe: SurrogateRecipe, x, theta_prev: np.ndarray):
-    """Returns (surrogate, eps) anchored at theta_prev."""
+def _build_surrogate(recipe: SurrogateRecipe, x, theta_prev: np.ndarray) -> QuadSurrogate:
+    """The sample's exact surrogate anchored at theta_prev."""
     if recipe.kind == "lipschitz":
         return make_lipschitz_surrogate(
             recipe.loss(x, theta_prev), recipe.loss_grad(x, theta_prev),
-            theta_prev, recipe.L), 0.0
+            theta_prev, recipe.L)
     if recipe.kind == "prox":
         return make_prox_surrogate(
             recipe.loss(x, theta_prev), recipe.loss_grad(x, theta_prev),
-            recipe.lam, theta_prev, recipe.L), 0.0
-    if recipe.kind == "dc":
-        curv, lin, const = recipe.convex_part(x)
-        return make_dc_surrogate(curv, lin, const,
-                                 recipe.concave_value(x, theta_prev),
-                                 recipe.concave_grad(x, theta_prev), theta_prev), 0.0
-    # factor
-    q, d = recipe.shape
-    W_prev = theta_prev.reshape(q, recipe.rank)
-    _, g = make_factor_surrogate(np.asarray(x, float).reshape(q, d), W_prev,
-                                 recipe.lam, recipe.code_set, tol=recipe.solver_tol)
-    return g, g.eps
+            recipe.lam, theta_prev, recipe.L)
+    curv, lin, const = recipe.convex_part(x)
+    return make_dc_surrogate(curv, lin, const, recipe.concave_value(x, theta_prev),
+                             recipe.concave_grad(x, theta_prev), theta_prev)
 
 
-def block_minimize(state: SbmmState, g_next: AveragedSurrogate, w_n: float) -> np.ndarray:
+def block_minimize(state: SbmmState, g_next: QuadSurrogate, w_n: float) -> np.ndarray:
     """One pass of block minimization: m sub-solves, each within radius
     c'*w_n/m of the running point (no radius in mode C1)."""
     order = select_blocks(state.blocks, state.rng)
@@ -223,13 +201,12 @@ def sbmm_step(state: SbmmState, x_n) -> SbmmState:
     """One full SBMM step on the incoming sample; mutates and returns state."""
     n = state.n + 1
     w_n = state.schedule.weight_at(n)
-    g_n, eps_n = _build_surrogate(state.recipe, x_n, state.theta)
+    g_n = _build_surrogate(state.recipe, x_n, state.theta)
     gbar = average_surrogate(state.gbar, g_n, w_n)
     state.gbar = gbar
     state.theta_prev = state.theta
     state.theta = block_minimize(state, gbar, w_n)
     state.n = n
-    state.eps_sum += eps_n
     return state
 
 

@@ -10,12 +10,15 @@ constant), which both makes block minimization exact and bounds the state the
 convergence theory tracks.
 
 Two representations are used.  ``QuadSurrogate`` stores an explicit quadratic
-over a flat vector.  ``FactorQuad`` stores the sufficient-statistics form
+over a flat vector; the factories (Lipschitz, proximal, difference of convex)
+build it and ``average_surrogate`` folds it into the running average.
+``FactorQuad`` stores the sufficient-statistics form
 
     g(W) = tr(W A W^T) - 2 tr(W B) + C,      W of shape (q, r),
 
 which is the natural shape for dictionary updates in matrix and tensor
-factorization.
+factorization; there the average is the statistics recursion of the step
+(``factorize.omf_step``), and ``FactorQuad.from_stats`` wraps its result.
 """
 
 from __future__ import annotations
@@ -25,16 +28,12 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .geometry import BoxSet
-
 __all__ = [
     "QuadSurrogate",
     "FactorQuad",
-    "AveragedSurrogate",
     "make_lipschitz_surrogate",
     "make_prox_surrogate",
     "make_dc_surrogate",
-    "make_factor_surrogate",
     "average_surrogate",
     "check_majorization",
 ]
@@ -191,31 +190,6 @@ class FactorQuad:
         return W
 
 
-Surrogate = Union[QuadSurrogate, FactorQuad]
-
-
-@dataclass(frozen=True)
-class AveragedSurrogate:
-    """Running average of surrogates together with its tolerance average.
-
-    eps_bar follows eps_bar_n = (1 - w_n) eps_bar_{n-1} + w_n eps_n starting
-    from zero, mirroring the surrogate recursion exactly.
-    """
-
-    core: Surrogate
-    eps_bar: float = 0.0
-
-    def value(self, theta: np.ndarray) -> float:
-        return self.core.value(theta)
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.core.grad(theta)
-
-    @property
-    def dim(self) -> int:
-        return self.core.dim
-
-
 # ---------------------------------------------------------------------------
 # factories
 
@@ -291,79 +265,31 @@ def make_dc_surrogate(
                          anchor=theta_star, L=max(L_err, 1e-12), rho=max(rho, 0.0))
 
 
-def make_factor_surrogate(
-    X: np.ndarray,
-    W_prev: np.ndarray,
-    lam: float,
-    code_set: BoxSet,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, FactorQuad]:
-    """Variational surrogate for the factorization loss at W_prev.
-
-    Solves the code problem H = argmin ||X - W_prev H||_F^2 + lam ||H||_1
-    over the code box and freezes H, giving the quadratic-in-W surrogate
-
-        g(W) = ||X - W H||_F^2 + lam ||H||_1
-             = tr(W (H H^T) W^T) - 2 tr(W (H X^T)) + tr(X X^T) + lam ||H||_1.
-
-    The constant keeps the penalty term so g is tight at W_prev up to the
-    code solver's certified gap, which becomes this surrogate's eps.
-    """
-    from .subsolver import solve_code_lasso
-
-    X = np.asarray(X, dtype=float)
-    W_prev = np.asarray(W_prev, dtype=float)
-    H, gap = solve_code_lasso(X, W_prev, lam, code_set, tol=tol)
-    A = H @ H.T
-    A = 0.5 * (A + A.T)
-    B = (X @ H.T).T  # H X^T, computed through the same product the tensor path uses
-    C = float(np.sum(X * X)) + lam * float(np.abs(H).sum())
-    return H, FactorQuad.from_stats(A, B, C, W_prev, eps=float(gap))
-
-
 # ---------------------------------------------------------------------------
 # averaging
 
 
-def average_surrogate(prev: AveragedSurrogate, g_n: Surrogate, w_n: float) -> AveragedSurrogate:
+def average_surrogate(prev: QuadSurrogate, g_n: QuadSurrogate, w_n: float) -> QuadSurrogate:
     """gbar_n = (1 - w_n) gbar_{n-1} + w_n g_n, all components convex-combined."""
     if not (0.0 < w_n <= 1.0):
         raise ValueError("w_n must be in (0, 1]")
     a, b = 1.0 - w_n, w_n
-    core = prev.core
-    if isinstance(core, FactorQuad) and isinstance(g_n, FactorQuad):
-        new = FactorQuad(
-            A=a * core.A + b * g_n.A,
-            B=a * core.B + b * g_n.B,
-            C=a * core.C + b * g_n.C,
-            anchor=g_n.anchor,
-            L=a * core.L + b * g_n.L,
-            rho=a * core.rho + b * g_n.rho,
-            eps=g_n.eps,
-        )
-    elif isinstance(core, QuadSurrogate) and isinstance(g_n, QuadSurrogate):
-        if (core.l1_lambda > 0 or g_n.l1_lambda > 0) and not np.isclose(
-            core.l1_lambda, g_n.l1_lambda
-        ):
-            raise ValueError("cannot average surrogates with different l1 penalties")
-        if isinstance(core.curvature, np.ndarray) or isinstance(g_n.curvature, np.ndarray):
-            curv = a * core.curvature_matrix() + b * g_n.curvature_matrix()
-        else:
-            curv = a * float(core.curvature) + b * float(g_n.curvature)
-        new = QuadSurrogate(
-            curvature=curv,
-            linear=a * core.linear + b * g_n.linear,
-            constant=a * core.constant + b * g_n.constant,
-            anchor=g_n.anchor,
-            L=a * core.L + b * g_n.L,
-            rho=a * core.rho + b * g_n.rho,
-            eps=g_n.eps,
-            l1_lambda=g_n.l1_lambda,
-        )
+    if (prev.l1_lambda > 0 or g_n.l1_lambda > 0) and not np.isclose(prev.l1_lambda, g_n.l1_lambda):
+        raise ValueError("cannot average surrogates with different l1 penalties")
+    if isinstance(prev.curvature, np.ndarray) or isinstance(g_n.curvature, np.ndarray):
+        curv = a * prev.curvature_matrix() + b * g_n.curvature_matrix()
     else:
-        raise TypeError("representation mismatch: cannot average factor and explicit forms")
-    eps_bar = a * prev.eps_bar + b * g_n.eps
-    return AveragedSurrogate(core=new, eps_bar=eps_bar)
+        curv = a * float(prev.curvature) + b * float(g_n.curvature)
+    return QuadSurrogate(
+        curvature=curv,
+        linear=a * prev.linear + b * g_n.linear,
+        constant=a * prev.constant + b * g_n.constant,
+        anchor=g_n.anchor,
+        L=a * prev.L + b * g_n.L,
+        rho=a * prev.rho + b * g_n.rho,
+        eps=g_n.eps,
+        l1_lambda=g_n.l1_lambda,
+    )
 
 
 def check_majorization(

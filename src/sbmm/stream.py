@@ -68,8 +68,8 @@ class MarkovSource:
         S = P.shape[0]
         if P.ndim != 2 or P.shape != (S, S):
             raise StreamError("P must be square")
-        if (P < 0).any():
-            raise StreamError("P entries must be nonnegative")
+        if not np.isfinite(P).all() or (P < 0).any():
+            raise StreamError("P entries must be finite and nonnegative")
         if np.max(np.abs(P.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
             raise StreamError("rows of P must sum to 1")
         if len(self.emissions) != S:
@@ -167,7 +167,8 @@ def next_sample(src: MarkovSource, rng: np.random.Generator | None = None):
 def make_iid(weights: np.ndarray, emissions: list, seed: int = 0, state: int = 0) -> MarkovSource:
     """Source drawing each sample independently from ``weights``."""
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or (weights < 0).any() or abs(weights.sum() - 1.0) > _ROW_SUM_TOL:
+    if (weights.ndim != 1 or not np.isfinite(weights).all() or (weights < 0).any()
+            or abs(weights.sum() - 1.0) > _ROW_SUM_TOL):
         raise StreamError("weights must be a probability vector")
     S = weights.size
     P = np.tile(weights, (S, 1))

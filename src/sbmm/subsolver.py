@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import BlockFeasibleSet, BoxSet, ball_multiplier_search
-from .quadform import AveragedSurrogate, FactorQuad
+from .quadform import FactorQuad
 
 __all__ = [
     "soft_threshold",
@@ -394,11 +394,7 @@ def solve_code_lasso(
 # block quadratic solver
 
 
-def _core(g):
-    return g.core if isinstance(g, AveragedSurrogate) else g
-
-
-def _block_rows(core, J: np.ndarray, theta_prev: np.ndarray):
+def _block_rows(g, J: np.ndarray, theta_prev: np.ndarray):
     """The block problem in solve_box_qp form: (G, C, lam, idx) where row i
     of the block is theta[idx[i]].
 
@@ -406,16 +402,16 @@ def _block_rows(core, J: np.ndarray, theta_prev: np.ndarray):
     dictionary row with G = A.  Any other block is a single row whose
     linear term absorbs the coupling to the frozen coordinates.
     """
-    if isinstance(core, FactorQuad):
-        r = core.r
+    if isinstance(g, FactorQuad):
+        r = g.r
         if J.size % r == 0:
             idx = J.reshape(-1, r)
             if (idx[:, 0] % r == 0).all() and (idx == idx[:, :1] + np.arange(r)).all():
-                return core.A, core.B.T[idx[:, 0] // r], 0.0, idx
-        Q = 2.0 * np.kron(np.eye(core.q), core.A)
-        b, lam = -2.0 * core.B.T.ravel(), 0.0
+                return g.A, g.B.T[idx[:, 0] // r], 0.0, idx
+        Q = 2.0 * np.kron(np.eye(g.q), g.A)
+        b, lam = -2.0 * g.B.T.ravel(), 0.0
     else:
-        Q, b, lam = core.curvature_matrix(), core.linear, core.l1_lambda
+        Q, b, lam = g.curvature_matrix(), g.linear, g.l1_lambda
     rest = np.ones(theta_prev.size, dtype=bool)
     rest[J] = False
     lin = b[J] + Q[np.ix_(J, rest)] @ theta_prev[rest]
@@ -440,20 +436,19 @@ def solve_block_quadratic(
     start (theta_init on J, theta_prev elsewhere).  The objective at theta
     never rises above it; a rise raises SubsolverError.
     """
-    core = _core(g)
     theta_init = np.asarray(theta_init, dtype=float).ravel()
     J = feas.J
     # the slice's own center is feasible by construction
     if not (np.array_equal(theta_init, feas.theta_prev) or feas.contains(theta_init)):
         raise SubsolverError("theta_init must be feasible for the block slice")
-    G, C, lam, idx = _block_rows(core, J, feas.theta_prev)
+    G, C, lam, idx = _block_rows(g, J, feas.theta_prev)
     start = feas.theta_prev.copy()
     start[J] = theta_init[J]
     X = _box_qp_ball(G, C, feas.box.lower[idx], feas.box.upper[idx], lam,
                      start[idx], feas.theta_prev[idx], feas.radius, tol, max_iters)
     theta = feas.theta_prev.copy()
     theta[idx] = X
-    obj = core.value(start)
-    if core.value(theta) > obj + 1e-9 * (1.0 + abs(obj)):
+    obj = g.value(start)
+    if g.value(theta) > obj + 1e-9 * (1.0 + abs(obj)):
         raise SubsolverError("block solve increased the objective")
     return theta, obj

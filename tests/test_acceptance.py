@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from sbmm.bench import eval_empirical, eval_expected, run_omf_diagnostics, run_cpdl_diagnostics
-from sbmm.engine import SurrogateRecipe
 from sbmm.factorize import (
     CpdlState,
     OmfState,
     cpdl_step,
+    factor_loss,
     omf_step,
     out_product,
 )
@@ -440,8 +440,11 @@ def test_criterion_10_gradient_audits():
                               diag_interval=n_run, solver_tol=1e-10)
     from sbmm.stream import next_sample
     samples = [next_sample(replay)[0] for _ in range(n_run)]
-    recipe = SurrogateRecipe(kind="factor", lam=LAM, code_set=code_set,
-                             shape=(Q, D), rank=R, solver_tol=1e-10)
+
+    def loss(X, theta):
+        v, g, _ = factor_loss(X, theta.reshape(Q, R), LAM, code_set, tol=1e-10)
+        return v, g.ravel()
+
     st = res.final
     gbar = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=st.W, L=1.0, rho=0.0)
     h = 1e-5
@@ -467,11 +470,11 @@ def test_criterion_10_gradient_audits():
         targets = [
             ("surrogate", lambda t: gbar.value(t), lambda t: gbar.grad(t).ravel()),
             ("empirical",
-             lambda t: eval_empirical(t, samples, sched, n_run, recipe)[0],
-             lambda t: eval_empirical(t, samples, sched, n_run, recipe)[1]),
+             lambda t: eval_empirical(t, samples, sched, n_run, loss)[0],
+             lambda t: eval_empirical(t, samples, sched, n_run, loss)[1]),
             ("expected",
-             lambda t: eval_expected(t, src, recipe)[0],
-             lambda t: eval_expected(t, src, recipe)[1]),
+             lambda t: eval_expected(t, src, loss)[0],
+             lambda t: eval_expected(t, src, loss)[1]),
         ]
         for name, fval, fgrad in targets:
             g = np.asarray(fgrad(theta), float).ravel()

@@ -19,19 +19,25 @@ from sbmm.bench import (
     run_cpdl_diagnostics,
     run_omf_diagnostics,
     run_sweep,
-    sample_loss,
 )
-from sbmm.engine import SurrogateRecipe
+from sbmm.factorize import factor_loss
 from sbmm.geometry import BoxSet
 from sbmm.schedule import WeightSchedule
 from sbmm.stream import MarkovSource, make_iid
 
 
-def sq_recipe():
-    return SurrogateRecipe(
-        kind="lipschitz", L=1.0,
-        loss=lambda x, t: 0.5 * float(np.sum((t - x) ** 2)),
-        loss_grad=lambda x, t: (t - x))
+def sq_loss(x, t):
+    """(value, gradient) of 0.5 ||t - x||^2."""
+    return 0.5 * float(np.sum((t - x) ** 2)), t - x
+
+
+def factor_loss_flat(lam, code_set, shape, tol):
+    """(value, gradient) of the optimal-code factorization loss at a flat
+    (q, r) dictionary."""
+    def loss(X, theta):
+        v, g, _ = factor_loss(X, theta.reshape(shape), lam, code_set, tol=tol)
+        return v, g.ravel()
+    return loss
 
 
 def make_record(n, stat=0.1, **kw):
@@ -46,17 +52,15 @@ def make_record(n, stat=0.1, **kw):
 
 
 def test_empirical_single_term():
-    recipe = sq_recipe()
     x = np.array([1.0, 2.0])
     theta = np.array([0.0, 0.0])
-    v, g = eval_empirical(theta, [x], WeightSchedule.balanced(), 1, recipe)
-    ve, ge = sample_loss(recipe, x, theta)
+    v, g = eval_empirical(theta, [x], WeightSchedule.balanced(), 1, sq_loss)
+    ve, ge = sq_loss(x, theta)
     assert v == ve
     np.testing.assert_array_equal(g, ge)
 
 
 def test_empirical_closed_form_equals_recursion():
-    recipe = sq_recipe()
     rng = np.random.default_rng(0)
     samples = [rng.normal(size=3) for _ in range(40)]
     sched = WeightSchedule.polylog(0.5, 1.5)
@@ -65,34 +69,32 @@ def test_empirical_closed_form_equals_recursion():
     fbar = 0.0
     for n in range(1, 41):
         w = sched.weight_at(n)
-        fbar = (1 - w) * fbar + w * sample_loss(recipe, samples[n - 1], theta)[0]
-    v, _ = eval_empirical(theta, samples, sched, 40, recipe)
+        fbar = (1 - w) * fbar + w * sq_loss(samples[n - 1], theta)[0]
+    v, _ = eval_empirical(theta, samples, sched, 40, sq_loss)
     assert v == pytest.approx(fbar, abs=1e-10)
 
 
 def test_empirical_balanced_is_arithmetic_mean():
-    recipe = sq_recipe()
     rng = np.random.default_rng(1)
     samples = [rng.normal(size=2) for _ in range(25)]
     theta = rng.normal(size=2)
-    v, _ = eval_empirical(theta, samples, WeightSchedule.balanced(), 25, recipe)
-    mean = np.mean([sample_loss(recipe, x, theta)[0] for x in samples])
+    v, _ = eval_empirical(theta, samples, WeightSchedule.balanced(), 25, sq_loss)
+    mean = np.mean([sq_loss(x, theta)[0] for x in samples])
     assert v == pytest.approx(mean, abs=1e-12)
 
 
 def test_empirical_gradient_fd():
-    recipe = sq_recipe()
     rng = np.random.default_rng(2)
     samples = [rng.normal(size=3) for _ in range(10)]
     sched = WeightSchedule.balanced()
     theta = rng.normal(size=3)
-    _, g = eval_empirical(theta, samples, sched, 10, recipe)
+    _, g = eval_empirical(theta, samples, sched, 10, sq_loss)
     h = 1e-5
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        vp, _ = eval_empirical(theta + e, samples, sched, 10, recipe)
-        vm, _ = eval_empirical(theta - e, samples, sched, 10, recipe)
+        vp, _ = eval_empirical(theta + e, samples, sched, 10, sq_loss)
+        vm, _ = eval_empirical(theta - e, samples, sched, 10, sq_loss)
         assert g[i] == pytest.approx((vp - vm) / (2 * h), rel=1e-4, abs=1e-8)
 
 
@@ -102,8 +104,7 @@ def test_empirical_factor_gradient_fd():
     q, r, d = 3, 2, 2
     rng = np.random.default_rng(3)
     code_set = BoxSet.uniform(r, -5.0, 5.0)
-    recipe = SurrogateRecipe(kind="factor", lam=0.0, code_set=code_set,
-                             shape=(q, d), rank=r, solver_tol=1e-12)
+    loss = factor_loss_flat(0.0, code_set, (q, r), 1e-12)
     samples = [rng.random(size=(q, d)) for _ in range(4)]
     theta = (rng.random(size=(q, r)) + 0.5).ravel()
     from sbmm.subsolver import solve_code_lasso
@@ -114,30 +115,29 @@ def test_empirical_factor_gradient_fd():
                                  H0=np.full((r, d), 2.0))
         if np.abs(H1 - H2).max() > 1e-6:
             pytest.skip("degenerate code solution")
-    _, g = eval_empirical(theta, samples, WeightSchedule.balanced(), 4, recipe)
+    _, g = eval_empirical(theta, samples, WeightSchedule.balanced(), 4, loss)
     h = 1e-5
     for i in range(theta.size):
         e = np.zeros(theta.size)
         e[i] = h
-        vp, _ = eval_empirical(theta + e, samples, WeightSchedule.balanced(), 4, recipe)
-        vm, _ = eval_empirical(theta - e, samples, WeightSchedule.balanced(), 4, recipe)
+        vp, _ = eval_empirical(theta + e, samples, WeightSchedule.balanced(), 4, loss)
+        vm, _ = eval_empirical(theta - e, samples, WeightSchedule.balanced(), 4, loss)
         fd = (vp - vm) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 def test_empirical_short_log_error():
     with pytest.raises(ValueError):
-        eval_empirical(np.zeros(2), [], WeightSchedule.balanced(), 1, sq_recipe())
+        eval_empirical(np.zeros(2), [], WeightSchedule.balanced(), 1, sq_loss)
 
 
 def test_empirical_lln_smoke():
     # i.i.d. + balanced weights: the empirical loss at a fixed theta drifts
     # toward the expected loss as n grows (9 of 10 seeds)
-    recipe = sq_recipe()
     theta = np.array([0.2, -0.1])
     emissions = [np.array([1.0, 0.0]), np.array([-1.0, 0.5])]
     weights = np.array([0.6, 0.4])
-    f_exp = sum(w * sample_loss(recipe, e, theta)[0]
+    f_exp = sum(w * sq_loss(e, theta)[0]
                 for w, e in zip(weights, emissions))
     wins = 0
     for seed in range(10):
@@ -147,7 +147,7 @@ def test_empirical_lln_smoke():
         run_mean = 0.0
         for n in range(1, 10_001):
             x, _ = next_sample(src)
-            run_mean += (sample_loss(recipe, x, theta)[0] - run_mean) / n
+            run_mean += (sq_loss(x, theta)[0] - run_mean) / n
             if n in (100, 10_000):
                 vals.append(abs(run_mean - f_exp))
         if vals[1] < vals[0]:
@@ -160,38 +160,35 @@ def test_empirical_lln_smoke():
 
 
 def test_expected_single_state():
-    recipe = sq_recipe()
     src = make_iid(np.array([1.0]), [np.array([0.3, 0.7])])
     theta = np.array([1.0, -1.0])
-    v, g = eval_expected(theta, src, recipe)
-    ve, ge = sample_loss(recipe, src.emissions[0], theta)
+    v, g = eval_expected(theta, src, sq_loss)
+    ve, ge = sq_loss(src.emissions[0], theta)
     assert v == pytest.approx(ve, abs=1e-12)
     np.testing.assert_allclose(g, ge, atol=1e-12)
 
 
 def test_expected_two_thirds_one_third():
-    recipe = sq_recipe()
     P = np.array([[0.9, 0.1], [0.2, 0.8]])  # pi = (2/3, 1/3)
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     src = MarkovSource(P=P, emissions=[e1, e2])
     theta = np.array([0.5, 0.5])
-    v, _ = eval_expected(theta, src, recipe)
-    expect = (2 / 3) * sample_loss(recipe, e1, theta)[0] \
-        + (1 / 3) * sample_loss(recipe, e2, theta)[0]
+    v, _ = eval_expected(theta, src, sq_loss)
+    expect = (2 / 3) * sq_loss(e1, theta)[0] \
+        + (1 / 3) * sq_loss(e2, theta)[0]
     assert v == pytest.approx(expect, abs=1e-10)
 
 
 def test_expected_gradient_fd():
-    recipe = sq_recipe()
     src = make_iid(np.array([0.5, 0.5]), [np.ones(2), -np.ones(2)])
     theta = np.array([0.3, -0.6])
-    _, g = eval_expected(theta, src, recipe)
+    _, g = eval_expected(theta, src, sq_loss)
     h = 1e-5
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
-        vp, _ = eval_expected(theta + e, src, recipe)
-        vm, _ = eval_expected(theta - e, src, recipe)
+        vp, _ = eval_expected(theta + e, src, sq_loss)
+        vm, _ = eval_expected(theta - e, src, sq_loss)
         assert g[i] == pytest.approx((vp - vm) / (2 * h), rel=1e-4, abs=1e-8)
 
 
@@ -255,11 +252,10 @@ def test_grouped_empirical_matches_closed_form():
                                  diag_interval=n_iters, solver_tol=1e-10)
     from sbmm.stream import next_sample
     states = [next_sample(replay)[1] for _ in range(n_iters)]
-    recipe = SurrogateRecipe(kind="factor", lam=lam, code_set=code_set,
-                             shape=(q, d), rank=r, solver_tol=1e-10)
+    loss = factor_loss_flat(lam, code_set, (q, r), 1e-10)
     samples = [emissions[s] for s in states]
     W_final = result.final.W
-    v, _ = eval_empirical(W_final.ravel(), samples, sched, n_iters, recipe)
+    v, _ = eval_empirical(W_final.ravel(), samples, sched, n_iters, loss)
     rec = result.records[-1]
     assert rec.n == n_iters
     assert rec.fbar == pytest.approx(v, rel=1e-8, abs=1e-10)
@@ -546,11 +542,33 @@ def test_parse_config_type_error(tmp_path):
     ("schedule.kind = custom\n", "schedule.kind"),
     ("schedule.kind = custom\nschedule.values = 0.5,x\n", "schedule.values"),
     ("schedule.kind = constant\nschedule.alpha = 2\n", "schedule.alpha"),
+    # keys the run does not read with the other keys' values
+    ("constraint.lower = 0.5\n", "constraint.lower"),
+    ("schedule.kind = polylog\nschedule.alpha = 0.3\n", "schedule.alpha"),
+    ("schedule.kind = constant\nschedule.beta = 0.5\n", "schedule.beta"),
+    ("schedule.delta = 1.5\n", "schedule.delta"),
+    ("schedule.values = 0.5,x\n", "schedule.values"),
+    # values that used to run, or stop the run, with no line
+    ("engine.c_prime = -1\n", "engine.c_prime"),
+    ("engine.c_prime = nan\n", "engine.c_prime"),
+    ("engine.c_prime = inf\n", "engine.c_prime"),
+    ("app.lambda = -1\n", "app.lambda"),
+    ("app.lambda = nan\n", "app.lambda"),
+    ("solver.tol = -1\n", "solver.tol"),
+    ("solver.tol = nan\n", "solver.tol"),
+    ("stream.seed = -3\n", "stream.seed"),
+    ("engine.seed = -1\n", "engine.seed"),
+    ("app.kind = omf_sub\napp.row_sample = nan\n", "app.row_sample"),
+    ("constraint.nonneg = false\nconstraint.lower = -inf\n", "constraint.lower"),
 ], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q", "app_kind",
         "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
         "theta0_shape", "theta0_outside_box", "tensor_shape_arity", "tensor_shape_zero",
         "cpdl_tensor_shape", "rank", "empty_box", "nonneg_empty_box", "stream_kind",
-        "schedule_kind", "schedule_values_missing", "schedule_values", "schedule_alpha"])
+        "schedule_kind", "schedule_values_missing", "schedule_values", "schedule_alpha",
+        "nonneg_lower", "polylog_alpha", "constant_beta", "balanced_delta", "balanced_values",
+        "c_prime_negative", "c_prime_nan", "c_prime_inf", "lambda_negative", "lambda_nan",
+        "tol_negative", "tol_nan", "stream_seed", "engine_seed", "row_sample_nan",
+        "lower_infinite"])
 def test_parse_config_range_checks(tmp_path, capsys, extra, key):
     np.savetxt(tmp_path / "theta_3x3.csv", np.full((3, 3), 0.5), delimiter=",")
     np.savetxt(tmp_path / "theta_outside.csv", [[0.5, 0.5], [0.5, 1.5], [0.5, 0.5]],
@@ -571,6 +589,30 @@ def test_cli_run_emission_shape_mismatch(tmp_path, capsys):
     assert cli_main(["run", str(p)]) == 1
     err = capsys.readouterr().err
     assert f"{p}:10: app.tensor_shape = 3,3 needs 9 entries" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["run", "validate"])
+@pytest.mark.parametrize("extra, key, says", [
+    ("stream.transition = 0.3 0.3 0.4\n", "stream.transition", "need one emission per state"),
+    ("stream.kind = markov\nstream.transition = {tmp}/p_3x2.csv\n", "stream.transition",
+     "P must be square"),
+    ("stream.kind = markov\nstream.transition = {tmp}/p_nan.csv\n", "stream.transition",
+     "must be finite"),
+    ("stream.transition = nan 1\n", "stream.transition", "must be a probability vector"),
+    ("stream.transition = 0.5 x\n", "stream.transition", "could not convert"),
+    ("stream.emissions = {tmp}/e_nan.csv\n", "stream.emissions", "not finite"),
+    ("stream.emissions = {tmp}/missing.csv\n", "stream.emissions", "not a CSV matrix"),
+], ids=["iid_weights_vs_emissions", "transition_not_square", "transition_nan", "weights_nan",
+        "weights_unreadable", "emissions_nan", "emissions_missing"])
+def test_cli_stream_inputs_name_their_line(tmp_path, capsys, cmd, extra, key, says):
+    np.savetxt(tmp_path / "p_3x2.csv", np.full((3, 2), 0.5), delimiter=",")
+    np.savetxt(tmp_path / "p_nan.csv", [[np.nan, 1.0], [0.5, 0.5]], delimiter=",")
+    np.savetxt(tmp_path / "e_nan.csv", [[0.5] * 6, [0.5] * 5 + [np.nan]], delimiter=",")
+    p = write_cfg(tmp_path, extra=extra.format(tmp=tmp_path))
+    line = 10 + extra.count("\n") - 1
+    assert cli_main([cmd, str(p)]) == 1
+    err = capsys.readouterr().err
+    assert f"{p}:{line}: {key} = " in err and says in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("extra", [
@@ -651,26 +693,14 @@ def test_module_entry_point(tmp_path):
     assert proc.stderr == ""
 
 
-@pytest.mark.parametrize("threads", ["two", "0", "-1", "1.5"])
-def test_run_sweep_rejects_bad_thread_count(tmp_path, monkeypatch, threads):
+def test_run_sweep_matches_run_experiment(tmp_path):
     cfg = parse_config(write_cfg(tmp_path))
-    monkeypatch.setenv("SBMM_THREADS", threads)
-    with pytest.raises(ConfigError, match="SBMM_THREADS"):
-        run_sweep(cfg, [1], out_dir=tmp_path)
-
-
-def test_run_sweep_parallel_deterministic(tmp_path, monkeypatch):
-    cfg = parse_config(write_cfg(tmp_path))
-    d1, d2 = tmp_path / "s1", tmp_path / "s2"
-    d1.mkdir(), d2.mkdir()
-    monkeypatch.setenv("SBMM_THREADS", "2")
-    run_sweep(cfg, [1, 2, 3], out_dir=d1)
-    monkeypatch.setenv("SBMM_THREADS", "1")
-    run_sweep(cfg, [1, 2, 3], out_dir=d2)
+    results = run_sweep(cfg, [1, 2, 3], out_dir=tmp_path / "sweep")
+    assert list(results) == [1, 2, 3]
     for s in (1, 2, 3):
-        fa = d1 / f"run_seed{s}.csv"
-        fb = d2 / f"run_seed{s}.csv"
-        assert fa.read_bytes() == fb.read_bytes()
+        one = tmp_path / f"one_seed{s}.csv"
+        run_experiment(cfg, seed=s, out_path=str(one))
+        assert (tmp_path / "sweep" / f"run_seed{s}.csv").read_bytes() == one.read_bytes()
 
 
 def test_cli_validate_ok(tmp_path, capsys):

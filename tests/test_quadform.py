@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sbmm.factorize import omf_step
 from sbmm.geometry import BoxSet
 from sbmm.quadform import (
-    AveragedSurrogate,
     FactorQuad,
     QuadSurrogate,
     average_surrogate,
     check_majorization,
     make_dc_surrogate,
-    make_factor_surrogate,
     make_lipschitz_surrogate,
     make_prox_surrogate,
 )
@@ -245,6 +244,16 @@ def _factor_loss_oracle(X, W, lam, code_set):
     return float(np.sum((X - W @ H) ** 2)) + lam * float(np.abs(H).sum())
 
 
+def _sample_surrogate(X, W, lam, code_set, tol=1e-8):
+    """The per-sample surrogate at W: with w_n = 1 and zero statistics,
+    omf_step's quadratic is exactly it.  Returns the step's code, that
+    quadratic and the certified code gap."""
+    q, r = W.shape
+    res = omf_step(X, W, np.zeros((r, r)), np.zeros((r, q)), 1.0, lam,
+                   BoxSet.uniform(q * r, -10.0, 10.0), code_set, tol=tol)
+    return res.H, res.quad, res.eps
+
+
 def test_factor_surrogate_tight_at_anchor():
     rng = np.random.default_rng(6)
     q, r, d = 5, 3, 4
@@ -252,11 +261,11 @@ def test_factor_surrogate_tight_at_anchor():
     W = rng.random(size=(q, r))
     code_set = BoxSet.uniform(r, 0.0, 2.0)
     lam = 0.1
-    H, g = make_factor_surrogate(X, W, lam, code_set, tol=1e-10)
+    H, g, eps = _sample_surrogate(X, W, lam, code_set, tol=1e-10)
     loss = float(np.sum((X - W @ H) ** 2)) + lam * float(np.abs(H).sum())
     assert g.value(W) == pytest.approx(loss, rel=1e-10)
     # tight up to the certified code gap
-    assert g.value(W) - _factor_loss_oracle(X, W, lam, code_set) <= g.eps + 1e-9
+    assert g.value(W) - _factor_loss_oracle(X, W, lam, code_set) <= eps + 1e-9
 
 
 def test_factor_surrogate_majorizes_loss():
@@ -266,7 +275,7 @@ def test_factor_surrogate_majorizes_loss():
     W0 = rng.random(size=(q, r))
     code_set = BoxSet.uniform(r, 0.0, 3.0)
     lam = 0.05
-    _, g = make_factor_surrogate(X, W0, lam, code_set, tol=1e-10)
+    _, g, _ = _sample_surrogate(X, W0, lam, code_set, tol=1e-10)
     for _ in range(20):
         W = rng.random(size=(q, r))
         assert g.value(W) >= _factor_loss_oracle(X, W, lam, code_set) - 1e-9
@@ -277,7 +286,7 @@ def test_factor_surrogate_curvature_constants():
     X = rng.random(size=(3, 5))
     W = rng.random(size=(3, 2))
     code_set = BoxSet.uniform(2, 0.0, 1.0)
-    H, g = make_factor_surrogate(X, W, 0.0, code_set)
+    H, g, _ = _sample_surrogate(X, W, 0.0, code_set)
     ev = np.linalg.eigvalsh(H @ H.T)
     assert g.L == pytest.approx(2.0 * max(ev[-1], 1e-12))
     assert g.rho == pytest.approx(2.0 * max(ev[0], 0.0))
@@ -293,7 +302,7 @@ def test_average_values_are_convex_combinations():
     g1 = make_lipschitz_surrogate(1.0, rng.normal(size=n), rng.normal(size=n), 2.0)
     g2 = make_lipschitz_surrogate(-0.5, rng.normal(size=n), rng.normal(size=n), 5.0)
     w = 0.3
-    avg = average_surrogate(AveragedSurrogate(core=g1), g2, w)
+    avg = average_surrogate(g1, g2, w)
     for _ in range(10):
         theta = rng.normal(size=n)
         expect = (1 - w) * g1.value(theta) + w * g2.value(theta)
@@ -303,67 +312,19 @@ def test_average_values_are_convex_combinations():
             rtol=1e-12, atol=1e-12)
 
 
-def test_average_factor_form_exact():
-    rng = np.random.default_rng(10)
-    r, q = 2, 4
-
-    def rand_fq(eps):
-        M = rng.normal(size=(r, r))
-        return FactorQuad(A=M @ M.T, B=rng.normal(size=(r, q)),
-                          C=float(rng.normal()), anchor=rng.normal(size=(q, r)),
-                          L=float(rng.uniform(1, 3)), rho=float(rng.uniform(0, 1)),
-                          eps=eps)
-
-    g1, g2 = rand_fq(0.02), rand_fq(0.05)
-    w = 0.4
-    avg = average_surrogate(AveragedSurrogate(core=g1, eps_bar=0.01), g2, w)
-    W = rng.normal(size=(q, r))
-    assert avg.value(W) == pytest.approx(
-        (1 - w) * g1.value(W) + w * g2.value(W), rel=1e-12)
-    assert avg.eps_bar == pytest.approx((1 - w) * 0.01 + w * 0.05, rel=1e-12)
-    # averaging PSD curvature blocks stays PSD
-    assert np.linalg.eigvalsh(avg.core.A)[0] >= -1e-12
-
-
-def test_average_eps_bar_recursion_chain():
-    rng = np.random.default_rng(11)
-    g = make_lipschitz_surrogate(0.0, np.zeros(2), np.zeros(2), 1.0)
-    avg = AveragedSurrogate(core=g, eps_bar=0.0)
-    eps_bar_ref = 0.0
-    for n in range(1, 15):
-        eps_n = float(rng.uniform(0, 0.1))
-        w_n = 1.0 / n
-        g_n = QuadSurrogate(curvature=1.0, linear=rng.normal(size=2),
-                            constant=0.0, anchor=np.zeros(2), L=1.0, rho=1.0,
-                            eps=eps_n)
-        avg = average_surrogate(avg, g_n, w_n)
-        eps_bar_ref = (1 - w_n) * eps_bar_ref + w_n * eps_n
-        assert avg.eps_bar == pytest.approx(eps_bar_ref, rel=1e-12)
-    # the averaged tolerance never exceeds the running sum of tolerances
-    assert avg.eps_bar <= eps_bar_ref + 1e-15
-
-
 def test_average_l1_mismatch_rejected():
     a = make_prox_surrogate(0.0, np.zeros(2), 0.1, np.zeros(2), 1.0)
     b = make_prox_surrogate(0.0, np.zeros(2), 0.2, np.zeros(2), 1.0)
     with pytest.raises(ValueError):
-        average_surrogate(AveragedSurrogate(core=a), b, 0.5)
-
-
-def test_average_representation_mismatch_rejected():
-    quad = make_lipschitz_surrogate(0.0, np.zeros(4), np.zeros(4), 1.0)
-    fq = FactorQuad(A=np.eye(2), B=np.zeros((2, 2)), C=0.0,
-                    anchor=np.zeros((2, 2)), L=2.0, rho=2.0)
-    with pytest.raises(TypeError):
-        average_surrogate(AveragedSurrogate(core=quad), fq, 0.5)
+        average_surrogate(a, b, 0.5)
 
 
 def test_average_weight_domain():
     g = make_lipschitz_surrogate(0.0, np.zeros(1), np.zeros(1), 1.0)
     with pytest.raises(ValueError):
-        average_surrogate(AveragedSurrogate(core=g), g, 0.0)
+        average_surrogate(g, g, 0.0)
     with pytest.raises(ValueError):
-        average_surrogate(AveragedSurrogate(core=g), g, 1.5)
+        average_surrogate(g, g, 1.5)
 
 
 def test_block_strong_convexity_preserved():

@@ -29,6 +29,10 @@ def test_rejects_bad_rows():
     with pytest.raises(StreamError):
         MarkovSource(P=np.array([[1.5, -0.5], [0.2, 0.8]]),
                      emissions=[np.zeros(1), np.zeros(1)])
+    # NaN passes every sign and row-sum comparison
+    with pytest.raises(StreamError, match="finite"):
+        MarkovSource(P=np.array([[np.nan, 1.0], [0.2, 0.8]]),
+                     emissions=[np.zeros(1), np.zeros(1)])
 
 
 def test_rejects_shape_mismatches():
@@ -272,3 +276,5 @@ def test_make_iid_rejects_bad_weights():
         make_iid(np.array([0.5, 0.6]), [np.zeros(1), np.zeros(1)])
     with pytest.raises(StreamError):
         make_iid(np.array([-0.1, 1.1]), [np.zeros(1), np.zeros(1)])
+    with pytest.raises(StreamError):
+        make_iid(np.array([np.nan, 1.0]), [np.zeros(1), np.zeros(1)])

@@ -340,6 +340,36 @@ def test_block_quadratic_factor_form():
     assert np.all(G[W >= 1.0 - 1e-7] <= 1e-6)
 
 
+@pytest.mark.parametrize("radius", [math.inf, 0.05])
+def test_block_quadratic_factor_column_matches_explicit_form(radius):
+    # a block that is one dictionary column is not made of whole rows: the
+    # FactorQuad is solved in its explicit form, 0.5 vec(W)' Q vec(W) + b'vec(W)
+    # + C with Q = 2 kron(I_q, A) and b = -2 vec(B'), and so is the same problem
+    # stated as a QuadSurrogate
+    rng = np.random.default_rng(12)
+    r, q = 3, 4
+    M = rng.normal(size=(r, r))
+    A = M @ M.T + 0.1 * np.eye(r)
+    B = rng.normal(size=(r, q))
+    W0 = rng.uniform(0.2, 0.8, size=(q, r))
+    fq = FactorQuad(A=A, B=B, C=0.7, anchor=W0, L=1.0, rho=0.0)
+    quad = QuadSurrogate(curvature=2.0 * np.kron(np.eye(q), A), linear=-2.0 * B.T.ravel(),
+                         constant=0.7, anchor=W0.ravel(), L=1.0, rho=0.0)
+    box = BoxSet.nonneg(q * r, upper=1.0)
+    J = np.arange(q) * r + 1
+    feas = restricted_block_set(box, W0.ravel(), J, radius)
+    theta_f, value_f = solve_block_quadratic(fq, feas, W0.ravel(), tol=1e-12)
+    theta_q, value_q = solve_block_quadratic(quad, feas, W0.ravel(), tol=1e-12)
+    np.testing.assert_allclose(theta_f, theta_q, rtol=0.0, atol=1e-12)
+    assert value_f == fq.value(W0)
+    assert value_q == pytest.approx(value_f, rel=1e-12)
+    assert fq.value(theta_f) == pytest.approx(quad.value(theta_q), rel=1e-12)
+    rest = np.setdiff1d(np.arange(q * r), J)
+    np.testing.assert_array_equal(theta_f[rest], W0.ravel()[rest])
+    assert not np.allclose(theta_f[J], W0.ravel()[J])
+    assert np.linalg.norm(theta_f - W0.ravel()) <= radius + 1e-9
+
+
 def test_block_quadratic_rejects_infeasible_start():
     g = _quad(1.0, np.zeros(2))
     feas = restricted_block_set(BoxSet.uniform(2, 0.0, 1.0),
