@@ -9,7 +9,10 @@ the step, the averaged surrogate's value and gradient, the stacked
 per-sample loss, the stationarity measure and the step norm, then call the
 loop.  The OMF audits read what the step computed: the surrogate it built
 and minimized, the block solve's certificate (that surrogate's value at
-the previous dictionary) and, in mode C1, its strong convexity.
+the previous dictionary) and, in mode C1, its strong convexity.  The loop
+runs a stack of K members in lockstep: each samples from its own source
+and keeps its own audits and records, while an OMF stack takes one batched
+step (``run_sweep``).  A single run is the stack of one.
 
 The diagnostics compare three objects along a run: the averaged surrogate
 gbar_n, the weighted empirical loss fbar_n, and the exact expected loss f
@@ -165,26 +168,39 @@ def iteration_complexity_estimate(records, eps: float, target: str = "surr"):
 
 @dataclass
 class _App:
-    """One application as the shared loop sees it.  Each function keeps its
-    application's own float operations, so each app's diagnostics are the
-    ones written for it."""
+    """One application as the shared loop sees it: a stack of K runs in
+    lockstep (OMF), or a single run (CPDL, and any run given alone).  Stack
+    quantities carry a leading member axis; member(a, j) takes member j's
+    part of one.  Each function keeps its application's own float
+    operations, so each app's diagnostics are the ones written for it."""
 
     state: object            # OmfState or CpdlState; step moves its iterate
     lam: float
-    step: Callable           # (x, w_n, radius) -> step result (A, B, C, H, eps)
+    step: Callable           # (samples, w_n, radius) -> step result (A, B, C, H, eps)
     iterate: Callable        # () -> W, or the list U of loading matrices
+    member: Callable         # (stack quantity, j) -> member j's part
+    floats: Callable         # one number per member -> a list of K floats
+    final: Callable          # j -> member j's final state
     surrogate: Callable      # (prev, step result) -> the averaged surrogate's value
-                             # at prev, value(theta), grads(theta) as a block list
-    losses: Callable         # (X, theta) -> values (S,), per-block gradient stacks
-    dictionary: Callable     # theta -> the flat (p, r) dictionary
+                             # at prev, value(theta), grads(theta) as block lists
+    losses: Callable         # (X, member theta) -> values (S,), per-block gradient stacks
+    dictionary: Callable     # member theta -> the flat (p, r) dictionary
     move: Callable           # (prev, theta) -> step norm, largest block move
     stationarity: Callable   # (block gradients, theta) -> stationarity measure
-    lipschitz_bound: Callable = None  # () -> the C1 audit's gradient bound
+    lipschitz_bound: Callable = None  # () -> the C1 audit's gradient bounds
     rho: Callable = None     # step result -> the C1 audit's strong convexity
 
 
+def _norms(D: np.ndarray):
+    """np.linalg.norm of one member's (q, r) array, or of each member's of a
+    stack (K, q, r): the square root of the same dot product norm takes."""
+    if D.ndim == 2:
+        return float(np.linalg.norm(D))
+    return np.array([math.sqrt(d.dot(d)) for d in D.reshape(len(D), -1)])
+
+
 def run_omf_diagnostics(
-    source: MarkovSource,
+    source,
     schedule: WeightSchedule,
     W0: np.ndarray,
     lam: float,
@@ -197,54 +213,93 @@ def run_omf_diagnostics(
     diag_interval: int = 10,
     solver_tol: float = 1e-8,
     row_sampler=None,
-    rng: np.random.Generator | None = None,
+    rng=None,
     keep_trajectory: bool = False,
-) -> RunResult:
+):
     """Drive online matrix factorization with full diagnostics and invariant
     audits.  row_sampler, when given, is a callable rng -> row index array and
-    restricts each dictionary update to the rows it draws."""
+    restricts each dictionary update to the rows it draws.
+
+    One run takes a MarkovSource, W0 (q, r) and one rng, and returns its
+    RunResult: a stack of one, whose arrays carry no member axis.  A stack
+    of K runs in lockstep takes a list of K sources, W0 (K, q, r) and a list
+    of K rngs (each member samples, and draws its rows, from its own) and
+    returns the list of K RunResults, each equal to the one its run alone
+    gives; the members share everything else.
+    """
     mode = mode.lower()
     if mode not in ("c1", "c2"):
         raise ValueError("mode must be c1 or c2")
     if mode == "c1" and rho0 <= 0:
         raise ValueError("mode c1 requires rho0 > 0")
-    rng = rng or np.random.default_rng(0)
+    one = isinstance(source, MarkovSource)
+    sources = [source] if one else list(source)
+    K = len(sources)
+    W0 = np.asarray(W0, dtype=float)
+    if one:
+        rng = [rng or np.random.default_rng(0)]
+    rngs = [np.random.default_rng(0) for _ in sources] if rng is None else list(rng)
+    if (not one and len(W0) != K) or len(rngs) != K:
+        raise ValueError("a stack needs one W0 and one rng per source")
     st = OmfState.initial(W0, rho0)
 
-    def step(x, w_n, radius):
+    def draw_rows(g):
+        rows = np.asarray(row_sampler(g), dtype=int)
+        while rows.size == 0:
+            rows = np.asarray(row_sampler(g), dtype=int)
+        return rows
+
+    def step(xs, w_n, radius):
         rows = None
         if row_sampler is not None:
-            rows = np.asarray(row_sampler(rng), dtype=int)
-            while rows.size == 0:
-                rows = np.asarray(row_sampler(rng), dtype=int)
-        res = omf_step(x, st.W, st.A, st.B, w_n, lam, dict_box, code_set,
-                       C_prev=st.C, radius=radius, tol=solver_tol, rows=rows)
+            rows = draw_rows(rngs[0]) if one else [draw_rows(g) for g in rngs]
+        res = omf_step(xs[0] if one else np.stack(xs), st.W, st.A, st.B, w_n, lam, dict_box,
+                       code_set, C_prev=st.C, radius=radius, tol=solver_tol, rows=rows)
         # the audits read res.quad, so it must hold the statistics the run carries on
-        if not (res.quad.A is res.A and res.quad.B is res.B and res.quad.C == res.C):
+        if not (res.quad.A is res.A and res.quad.B is res.B and res.quad.C is res.C):
             raise RuntimeError("omf_step's surrogate does not hold the step's statistics")
         st.W = res.W
         return res
 
     def surrogate(prev, res):
-        # the quadratic the step minimized, and its certificate: its value at prev
-        return res.g_prev, res.quad.value, lambda W: [res.quad.grad(W)]
+        # the quadratic the step minimized, and its certificate: its value at
+        # prev; a member's gradient is a list of one block, (1, q, r)
+        return res.g_prev, res.quad.value, lambda W: res.quad.grad(W)[..., None, :, :]
 
     def losses(X, W):
         values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol)
         return values, [grads]
 
     def move(prev, W):
-        step = float(np.linalg.norm(W - prev))
+        step = _norms(W - prev)
         return step, step
 
+    def stationarity(grads, W):
+        # one member's gradient blocks and W (q, r), or the stack's: one each
+        if W.ndim == 2:
+            return stationarity_measure(grads[0].ravel(), W.ravel(), dict_box)
+        proj = tangent_cone_project(-grads.reshape(K, -1), W.reshape(K, -1), dict_box)
+        return _norms(proj.reshape(W.shape))
+
+    def final(j):
+        if one:
+            return st
+        return OmfState(W=st.W[j], A=st.A[j], B=st.B[j], C=float(st.C[j]),
+                        eps_sum=float(st.eps_sum[j]), n=st.n)
+
+    r = W0.shape[-1]
     app = _App(
-        state=st, lam=lam, step=step, iterate=lambda: st.W, surrogate=surrogate,
-        losses=losses, dictionary=lambda W: W, move=move,
-        stationarity=lambda grads, W: stationarity_measure(grads[0].ravel(), W.ravel(), dict_box),
-        lipschitz_bound=lambda: factor_loss_lipschitz_bound(source.emissions, dict_box,
-                                                            code_set, st.W.shape[1]),
+        state=st, lam=lam, step=step, iterate=lambda: st.W,
+        member=(lambda a, j: a) if one else (lambda a, j: a[j]),
+        floats=(lambda a: [a]) if one else (lambda a: a.tolist()),
+        final=final, surrogate=surrogate, losses=losses, dictionary=lambda W: W, move=move,
+        stationarity=stationarity,
+        lipschitz_bound=lambda: [factor_loss_lipschitz_bound(src.emissions, dict_box,
+                                                             code_set, r) for src in sources],
         rho=lambda res: res.quad.rho)
-    return _run(app, source, schedule, mode, c_prime, n_iters, diag_interval, keep_trajectory)
+    results = _run(app, sources, schedule, mode, c_prime, n_iters, diag_interval,
+                   keep_trajectory)
+    return results[0] if one else results
 
 
 def run_cpdl_diagnostics(
@@ -262,12 +317,14 @@ def run_cpdl_diagnostics(
     keep_trajectory: bool = False,
 ) -> RunResult:
     """Online CP-dictionary learning with diagnostics and invariant audits.
-    The per-factor trust region has radius c_prime * w_n each step."""
+    The per-factor trust region has radius c_prime * w_n each step.  A run
+    is never stacked: its per-sample gradients contract one sample at a
+    time (see cpdl_loss)."""
     st = CpdlState.initial(U0, rho0)
     dictionary = lambda U: out_product(U).reshape(-1, U[0].shape[1])
 
-    def step(x, w_n, radius):
-        res = cpdl_step(x, st.U, st.A, st.B, w_n, lam, factor_boxes, code_set,
+    def step(xs, w_n, radius):
+        res = cpdl_step(xs[0], st.U, st.A, st.B, w_n, lam, factor_boxes, code_set,
                         C_prev=st.C, radius=radius, tol=solver_tol)
         st.U = res.U
         return res
@@ -307,86 +364,111 @@ def run_cpdl_diagnostics(
             total += float(proj @ proj)
         return math.sqrt(total)
 
-    app = _App(state=st, lam=lam, step=step, iterate=lambda: st.U, surrogate=surrogate,
-               losses=losses, dictionary=dictionary, move=move, stationarity=stationarity)
-    return _run(app, source, schedule, "c2", c_prime, n_iters, diag_interval, keep_trajectory)
+    app = _App(state=st, lam=lam, step=step, iterate=lambda: st.U, member=lambda a, j: a,
+               floats=lambda a: [a],
+               final=lambda j: st, surrogate=surrogate, losses=losses, dictionary=dictionary,
+               move=move, stationarity=stationarity)
+    return _run(app, [source], schedule, "c2", c_prime, n_iters, diag_interval,
+                keep_trajectory)[0]
 
 
-def _run(app: _App, source: MarkovSource, schedule: WeightSchedule, mode: str,
+def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
          c_prime: float, n_iters: int, diag_interval: int,
-         keep_trajectory: bool) -> RunResult:
-    """Drive n_iters SBMM steps with invariant audits on every step and full
-    diagnostics at every diag_interval-th step and the last one."""
+         keep_trajectory: bool) -> list:
+    """Drive n_iters SBMM steps of each member (one per source) with
+    invariant audits on every step and full diagnostics at every
+    diag_interval-th step and the last one; one RunResult per member.
+    Every tally, margin and record is the member's own."""
     st = app.state
-    pi = stationary_distribution(source)
-    S = source.S
-    w_hat = np.zeros(S)
+    K = len(sources)
+    S = sources[0].S
+    if any(src.S != S for src in sources):
+        raise ValueError("a stack's sources must have the same number of states")
+    pis = [stationary_distribution(src) for src in sources]
+    w_hat = np.zeros((K, S))
     cum_w = 0.0
-    eps_bar = 0.0
-    mins = {}
-    result = RunResult(records=[], prop_margins=[])
+    eps_bar = [0.0] * K
+    mins = [{} for _ in sources]
+    results = [RunResult(records=[], prop_margins=[]) for _ in sources]
     if keep_trajectory:
-        result.trajectory.append(copy.deepcopy(app.iterate()))
+        for j, result in enumerate(results):
+            result.trajectory.append(copy.deepcopy(app.member(app.iterate(), j)))
     R_bound = app.lipschitz_bound() if mode == "c1" else None
-    emissions = np.stack(source.emissions)
-    pending = None   # (gbar value, fbar, w_n) at the last checkpoint
+    emissions = [np.stack(src.emissions) for src in sources]
+    pending = None   # per member: (gbar value, fbar, w_n) at the last checkpoint
 
     for i in range(1, n_iters + 1):
-        x, y = next_sample(source)
+        xs, ys = [], []
+        for src in sources:
+            x, y = next_sample(src)
+            xs.append(x)
+            ys.append(y)
         w_n = schedule.weight_at(i)
         radius = math.inf if mode == "c1" else c_prime * w_n
         prev = app.iterate()
-        res = app.step(x, w_n, radius)
+        res = app.step(xs, w_n, radius)
         theta = app.iterate()
         st.A, st.B, st.C = res.A, res.B, res.C
         st.eps_sum += res.eps
         st.n = i
-        eps_bar = eps_bar_update(eps_bar, res.eps, w_n)
+        # the audits' scalars, one per member, as the floats a single run has
+        eps = app.floats(res.eps)
+        eps_bar = [eps_bar_update(e, e_n, w_n) for e, e_n in zip(eps_bar, eps)]
         w_hat *= 1.0 - w_n
-        w_hat[y] += w_n
+        for j, y in enumerate(ys):
+            w_hat[j, y] += w_n
         cum_w += w_n
         if keep_trajectory:
-            result.trajectory.append(copy.deepcopy(theta))
+            for j, result in enumerate(results):
+                result.trajectory.append(copy.deepcopy(app.member(theta, j)))
 
         g_prev, value, grads = app.surrogate(prev, res)
-        g_new = value(theta)
-        scale = 1.0 + abs(g_prev)
-        if g_new > g_prev + 1e-9 * scale:
-            result.monotonicity_violations += 1
-        step, largest = app.move(prev, theta)
-        if mode == "c2" and largest > c_prime * w_n + 1e-9:
-            result.step_bound_violations += 1
+        g_prev, g_new = app.floats(g_prev), app.floats(value(theta))
+        step, largest = (app.floats(v) for v in app.move(prev, theta))
         if mode == "c1":
-            rho_n = app.rho(res)
-            if 0.5 * rho_n * step * step > w_n * R_bound * step + 1e-7 * scale:
-                result.c1_bound_violations += 1
-            result.c1_stat_max = max(result.c1_stat_max,
-                                     app.stationarity(grads(theta), theta))
+            rho = app.floats(app.rho(res))
+            stat = app.floats(app.stationarity(grads(theta), theta))
+        for j, result in enumerate(results):
+            scale = 1.0 + abs(g_prev[j])
+            if g_new[j] > g_prev[j] + 1e-9 * scale:
+                result.monotonicity_violations += 1
+            if mode == "c2" and largest[j] > c_prime * w_n + 1e-9:
+                result.step_bound_violations += 1
+            if mode == "c1":
+                if 0.5 * rho[j] * step[j] * step[j] > w_n * R_bound[j] * step[j] + 1e-7 * scale:
+                    result.c1_bound_violations += 1
+                result.c1_stat_max = max(result.c1_stat_max, stat[j])
 
         checkpoint = i % diag_interval == 0 or i == n_iters
-        if pending is not None or checkpoint:
+        if pending is None and not checkpoint:
+            continue
+        surr_grads = grads(theta) if checkpoint else None
+        last = pending
+        pending = [] if checkpoint else None
+        for j, result in enumerate(results):
+            g_new_j = g_new[j]
             # the new sample's loss at the previous iterate, from the code
             # the step has just solved there
-            D_prev = app.dictionary(prev)
-            l_new = float(code_loss(x.reshape(1, D_prev.shape[0], -1), D_prev,
-                                    res.H[None], app.lam)[0][0])
-        if pending is not None:
-            gbar_val, fbar, w_prev = pending
-            lhs = g_new - gbar_val
-            rhs = w_n * (l_new - fbar) + w_prev ** 2 * st.eps_sum
-            result.prop_margins.append((i, lhs - rhs, 1.0 + abs(rhs)))
-            pending = None
-
-        if checkpoint:
-            values, loss_grads = app.losses(emissions, theta)
-            fbar = sum(w_hat[s] * values[s] for s in range(S))
-            f_exp = sum(pi[s] * values[s] for s in range(S))
-            blocks = (grads(theta),
-                      [sum(w_hat[s] * G[s] for s in range(S)) for G in loss_grads],
-                      [sum(pi[s] * G[s] for s in range(S)) for G in loss_grads])
+            D_prev = app.dictionary(app.member(prev, j))
+            l_new = float(code_loss(xs[j].reshape(1, D_prev.shape[0], -1), D_prev,
+                                    app.member(res.H, j)[None], app.lam)[0][0])
+            if last is not None:
+                gbar_val, fbar, w_prev = last[j]
+                lhs = g_new_j - gbar_val
+                rhs = w_n * (l_new - fbar) + w_prev ** 2 * app.member(st.eps_sum, j)
+                result.prop_margins.append((i, lhs - rhs, 1.0 + abs(rhs)))
+            if not checkpoint:
+                continue
+            theta_j = app.member(theta, j)
+            values, loss_grads = app.losses(emissions[j], theta_j)
+            fbar = sum(w_hat[j, s] * values[s] for s in range(S))
+            f_exp = sum(pis[j][s] * values[s] for s in range(S))
+            blocks = (app.member(surr_grads, j),
+                      [sum(w_hat[j, s] * G[s] for s in range(S)) for G in loss_grads],
+                      [sum(pis[j][s] * G[s] for s in range(S)) for G in loss_grads])
             g_surr, g_emp, g_exp = (np.concatenate([g.ravel() for g in b]) for b in blocks)
-            stat_surr, stat_emp, stat_exp = (app.stationarity(b, theta) for b in blocks)
-            gap_emp, gap_exp = abs(g_new - fbar), abs(g_new - f_exp)
+            stat_surr, stat_emp, stat_exp = (app.stationarity(b, theta_j) for b in blocks)
+            gap_emp, gap_exp = abs(g_new_j - fbar), abs(g_new_j - f_exp)
             ggap_emp = float(np.linalg.norm(g_surr - g_emp))
             ggap_exp = float(np.linalg.norm(g_surr - g_exp))
             comp_emp = gap_emp + ggap_emp ** 2
@@ -394,16 +476,17 @@ def _run(app: _App, source: MarkovSource, schedule: WeightSchedule, mode: str,
             for k, v in (("min_comp_emp", comp_emp), ("min_comp_exp", comp_exp),
                          ("min_stat_surr", stat_surr), ("min_stat_emp", stat_emp),
                          ("min_stat_exp", stat_exp)):
-                mins[k] = min(mins.get(k, math.inf), v)
+                mins[j][k] = min(mins[j].get(k, math.inf), v)
             result.records.append(DiagnosticsRecord(
                 n=i, w_n=w_n, cum_weight=cum_w, loss_new=l_new, fbar=fbar,
-                f_exp=f_exp, gbar_val=g_new, gap_emp=gap_emp, gap_exp=gap_exp,
+                f_exp=f_exp, gbar_val=g_new_j, gap_emp=gap_emp, gap_exp=gap_exp,
                 ggap_emp=ggap_emp, ggap_exp=ggap_exp, stat_surr=stat_surr,
-                stat_emp=stat_emp, stat_exp=stat_exp, step_norm=step,
-                eps_bar=eps_bar, comp_emp=comp_emp, comp_exp=comp_exp, **mins))
-            pending = (g_new, fbar, w_n)
-    result.final = st
-    return result
+                stat_emp=stat_emp, stat_exp=stat_exp, step_norm=step[j],
+                eps_bar=eps_bar[j], comp_emp=comp_emp, comp_exp=comp_exp, **mins[j]))
+            pending.append((g_new_j, fbar, w_n))
+    for j, result in enumerate(results):
+        result.final = app.final(j)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +787,27 @@ def _build_source(cfg: RunConfig) -> MarkovSource:
 def run_experiment(cfg: RunConfig, seed: int | None = None,
                    out_path: str | None = None) -> RunResult:
     """Build every component from the config and execute the run, writing
-    the diagnostics CSV."""
+    the diagnostics CSV: a stack of one."""
+    return _run_stack(cfg, [seed], [out_path or cfg["output"]])[0]
+
+
+def _check_seeds(seeds) -> None:
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"seed {seed} is negative: a run's seed must be >= 0")
+
+
+def _run_stack(cfg: RunConfig, seeds: list, out_paths: list) -> list:
+    """Runs of the config at the given engine seeds (None: engine.seed), as
+    one OMF stack in lockstep, or a single CPDL run; each member builds its
+    own source, rng and start from the config and writes its own CSV."""
+    seeds = [cfg["engine.seed"] if seed is None else seed for seed in seeds]
+    _check_seeds(seeds)
     schedule = _build_schedule(cfg)
     source = _build_source(cfg)
-    seed = cfg["engine.seed"] if seed is None else seed
-    rng = np.random.default_rng(seed)
+    # every member's source starts from the same fresh state and draws alone
+    sources = [source] + [copy.deepcopy(source) for _ in seeds[1:]]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     shape = cfg.tensor_shape
     r = cfg["app.rank"]
     lo, up = _bounds(cfg)
@@ -724,9 +823,9 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
         dict_box = BoxSet.uniform(q * r, lo, up)
         code_set = BoxSet.uniform(r, lo, up)
         if cfg["engine.theta0"] == "random":
-            W0 = rng.uniform(lo, up, size=(q, r))
+            W0 = [rng.uniform(lo, up, size=(q, r)) for rng in rngs]
         else:
-            W0 = _load_start(cfg, (q, r))
+            W0 = [_load_start(cfg, (q, r))] * len(seeds)
         sampler = None
         if kind == "omf_sub":
             p_or_k = cfg["app.row_sample"]
@@ -735,34 +834,51 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
                 sampler = lambda g: g.choice(q, size=k, replace=False)
             else:
                 sampler = lambda g: np.flatnonzero(g.random(q) < p_or_k)
-        result = run_omf_diagnostics(
-            source, schedule, W0, dict_box=dict_box, code_set=code_set,
-            mode=cfg["engine.mode"], rho0=(1.0 if cfg["engine.mode"] == "c1" else 0.0),
-            row_sampler=sampler, rng=rng, **common)
-    else:  # cpdl
+        # one run is a stack of one, whose arrays carry no member axis
+        one = len(seeds) == 1
+        results = run_omf_diagnostics(
+            source if one else sources, schedule, W0[0] if one else np.stack(W0),
+            dict_box=dict_box, code_set=code_set, mode=cfg["engine.mode"],
+            rho0=(1.0 if cfg["engine.mode"] == "c1" else 0.0), row_sampler=sampler,
+            rng=rngs[0] if one else rngs, **common)
+        if one:
+            results = [results]
+    else:  # cpdl: one run, never a stack
+        (rng,) = rngs
         dims = shape[:-1]
         factor_boxes = [BoxSet.uniform(I * r, lo, up) for I in dims]
         code_set = BoxSet.uniform(r, lo, up)
         U0 = [rng.uniform(lo, up, size=(I, r)) for I in dims]
-        result = run_cpdl_diagnostics(
+        results = [run_cpdl_diagnostics(
             source, schedule, U0, factor_boxes=factor_boxes, code_set=code_set,
-            **common)
-    emit_csv(result.records, out_path or cfg["output"])
-    return result
+            **common)]
+    for result, path in zip(results, out_paths):
+        emit_csv(result.records, path)
+    return results
 
 
 def run_sweep(cfg: RunConfig, seeds, out_dir=".") -> dict:
-    """Execute one configuration across several seeds, one after another.
+    """Execute one configuration across several seeds.
 
-    Runs share nothing: each builds its own source and state from the config.
-    Returns a dict mapping seed to its RunResult; each run's CSV lands in
-    out_dir as <label>_seed<seed>.csv.
+    An OMF config (omf, omf_sub) runs all its seeds as one stack of K
+    members in lockstep: each member keeps its own source, rng, row draws,
+    audits, records and CSV, while the code solve, statistics update,
+    eigvalsh and dictionary solve are batched calls over the stack (shape
+    (K, ...)).  A CPDL config runs its seeds one after another.  Either way
+    each run's CSV is the one run_experiment writes at that seed.  Returns
+    a dict mapping seed to its RunResult; each run's CSV lands in out_dir
+    as <label>_seed<seed>.csv.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     label = cfg["label"]
-    return {seed: run_experiment(cfg, seed=seed, out_path=str(out_dir / f"{label}_seed{seed}.csv"))
-            for seed in seeds}
+    seeds = list(seeds)
+    _check_seeds(seeds)  # before any run starts
+    paths = [str(out_dir / f"{label}_seed{seed}.csv") for seed in seeds]
+    if cfg["app.kind"] == "cpdl" or not seeds:
+        return {seed: run_experiment(cfg, seed=seed, out_path=path)
+                for seed, path in zip(seeds, paths)}
+    return dict(zip(seeds, _run_stack(cfg, seeds, paths)))
 
 
 # ---------------------------------------------------------------------------

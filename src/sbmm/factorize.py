@@ -97,7 +97,9 @@ def _contract_except(T: np.ndarray, U: list[np.ndarray], i: int) -> np.ndarray:
 class OmfStepResult:
     """The step's code, statistics, dictionary and certified code gap, with
     the averaged surrogate it minimized (anchored at W_prev) and its value
-    g_prev at W_prev, the block solve's descent certificate."""
+    g_prev at W_prev, the block solve's descent certificate.  A stacked
+    step's fields carry the member axis: H (K, r, d), A (K, r, r), B (K, r,
+    q), C, eps and g_prev (K,), W (K, q, r) and a stacked quad."""
 
     H: np.ndarray
     A: np.ndarray
@@ -126,27 +128,61 @@ def omf_step(
     """One online matrix factorization step: code solve at the previous
     dictionary, statistics update, then the dictionary quadratic solve
     (within the trust region when a finite radius is given).  Given rows,
-    the dictionary update is frozen outside them."""
+    the dictionary update is frozen outside them.
+
+    One sample X (q, d) with W_prev (q, r), A_prev (r, r), B_prev (r, q) and
+    a float C_prev takes one step.  A stack of K members, X (K, q, d), W_prev
+    (K, q, r), A_prev (K, r, r), B_prev (K, r, q) and C_prev (K,), takes
+    the K steps in lockstep: one batched code solve, statistics update and
+    eigvalsh, and one batched dictionary solve per row count, where rows
+    holds one row array per member.  Each member's result is the one its
+    own step gives.  The same lines serve both: the member axis, when there
+    is one, leads every array.
+    """
     X = np.asarray(X, dtype=float)
     W_prev = np.asarray(W_prev, dtype=float)
-    q, r = W_prev.shape
-    if rows is None:
-        J_flat = np.arange(q * r)
-    else:
-        rows = np.asarray(rows, dtype=int)
-        if rows.size == 0:
-            raise ValueError("empty row subset")
-        J_flat = (rows[:, None] * r + np.arange(r)[None, :]).ravel()
+    q, r = W_prev.shape[-2:]
     H, gap = solve_code_lasso(X, W_prev, lam, code_set, tol=tol)
-    A = (1.0 - w_n) * A_prev + w_n * (H @ H.T)
-    B = (1.0 - w_n) * B_prev + w_n * (X @ H.T).T
-    C = (1.0 - w_n) * C_prev + w_n * (float((X * X).sum()) + lam * float(np.abs(H).sum()))
-    # the dictionary problem on the coordinates J_flat, inside box-and-ball
-    w_flat = W_prev.ravel()
-    feas = restricted_block_set(dict_box, w_flat, J_flat, radius)
+    Ht = H.swapaxes(-1, -2)
+    A = (1.0 - w_n) * A_prev + w_n * (H @ Ht)
+    B = (1.0 - w_n) * B_prev + w_n * (X @ Ht).swapaxes(-1, -2)
+    if X.ndim == 2:
+        C = (1.0 - w_n) * C_prev + w_n * (float((X * X).sum()) + lam * float(np.abs(H).sum()))
+    else:
+        C = (1.0 - w_n) * C_prev + w_n * ((X * X).sum(axis=(1, 2)) + lam * np.abs(H).sum(axis=(1, 2)))
     quad = FactorQuad.from_stats(A, B, C, W_prev)
-    w, g_prev = solve_block_quadratic(quad, feas, w_flat, tol=tol)
-    return OmfStepResult(H=H, A=A, B=B, C=C, W=w.reshape(q, r), eps=gap, quad=quad,
+    # the dictionary problem on the coordinates of the step's rows, inside
+    # box-and-ball; a stack solves one batch per row count
+    w_flat = W_prev.reshape(W_prev.shape[:-2] + (q * r,))
+    if rows is None or X.ndim == 2:
+        if rows is None:
+            J = np.arange(q * r)
+        else:
+            rows = np.asarray(rows, dtype=int)
+            if rows.size == 0:
+                raise ValueError("empty row subset")
+            J = (rows[:, None] * r + np.arange(r)[None, :]).ravel()
+        w, g_prev = solve_block_quadratic(quad, restricted_block_set(dict_box, w_flat, J, radius),
+                                          w_flat, tol=tol)
+    else:
+        rows = [np.asarray(rj, dtype=int) for rj in rows]
+        sizes = [rj.size for rj in rows]
+        if min(sizes) == 0:
+            raise ValueError("empty row subset")
+
+        def solve(sub, sub_w, sub_rows):
+            J = np.stack(sub_rows)[:, :, None] * r + np.arange(r)
+            feas = restricted_block_set(dict_box, sub_w, J.reshape(len(sub_rows), -1), radius)
+            return solve_block_quadratic(sub, feas, sub_w, tol=tol)
+        if len(set(sizes)) == 1:
+            w, g_prev = solve(quad, w_flat, rows)
+        else:
+            w, g_prev = np.empty_like(w_flat), np.empty(len(rows))
+            for size in sorted(set(sizes)):
+                group = [j for j, n in enumerate(sizes) if n == size]
+                w[group], g_prev[group] = solve(quad.members(group), w_flat[group],
+                                                [rows[j] for j in group])
+    return OmfStepResult(H=H, A=A, B=B, C=C, W=w.reshape(W_prev.shape), eps=gap, quad=quad,
                          g_prev=g_prev)
 
 
@@ -160,7 +196,8 @@ def subsampled_omf_step(X, W_prev, A_prev, B_prev, w_n, lam, dict_box, code_set,
 
 @dataclass
 class OmfState:
-    """Driver state for a plain or subsampled OMF run."""
+    """Driver state for a plain or subsampled OMF run, or for a stack of
+    runs (every field with a leading member axis)."""
 
     W: np.ndarray
     A: np.ndarray
@@ -171,10 +208,16 @@ class OmfState:
 
     @classmethod
     def initial(cls, W0: np.ndarray, rho0: float = 0.0) -> "OmfState":
+        """From W0 (q, r), or a stack's start dictionaries (K, q, r)."""
         W0 = np.asarray(W0, dtype=float)
-        r = W0.shape[1]
+        r = W0.shape[-1]
         # rho0 > 0 seeds the average with (rho0/2)||W - W0||^2, the strongly
         # convex warm start the no-trust-region mode needs
+        if W0.ndim == 3:
+            K = len(W0)
+            return cls(W=W0.copy(), A=np.repeat((0.5 * rho0 * np.eye(r))[None], K, axis=0),
+                       B=0.5 * rho0 * W0.swapaxes(1, 2),
+                       C=0.5 * rho0 * (W0 * W0).sum(axis=(1, 2)), eps_sum=np.zeros(K))
         A0 = 0.5 * rho0 * np.eye(r)
         B0 = 0.5 * rho0 * W0.T
         C0 = 0.5 * rho0 * float(np.sum(W0 * W0))

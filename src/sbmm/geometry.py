@@ -289,6 +289,11 @@ class BlockFeasibleSet:
     Coordinates outside J are frozen at theta_prev; the J-subvector ranges
     over the box slice intersected with a ball of the given radius around
     theta_prev's J-subvector.  radius = inf means no trust region.
+
+    A stack of K members has theta_prev of shape (K, p) and J shared (m,) or
+    one block per member (K, m); each member has its own ball of the shared
+    radius.  The stacked block solve reads it directly; member(j) gives one
+    member's set for everything else.
     """
 
     box: BoxSet
@@ -311,8 +316,15 @@ class BlockFeasibleSet:
     def center_sub(self) -> np.ndarray:
         return self.theta_prev[self.J]
 
+    def member(self, j: int) -> "BlockFeasibleSet":
+        """Member j's feasible set, of a stack."""
+        return BlockFeasibleSet(self.box, self.theta_prev[j],
+                                self.J[j] if self.J.ndim == 2 else self.J, self.radius)
+
     def contains(self, theta: np.ndarray, tol: float = BOUNDARY_TOL) -> bool:
         theta = np.asarray(theta, dtype=float)
+        if self.theta_prev.ndim == 2:
+            return all(self.member(j).contains(theta[j], tol) for j in range(len(theta)))
         mask = np.ones(theta.size, dtype=bool)
         mask[self.J] = False
         if np.max(np.abs(theta[mask] - self.theta_prev[mask]), initial=0.0) > tol:

@@ -42,8 +42,10 @@ _PSD_TOL = 1e-8
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
-    """np.allclose(M, M.T, atol=1e-10) without its per-call overhead."""
-    return bool((np.abs(M - M.T) <= 1e-10 + 1e-5 * np.abs(M.T)).all())
+    """np.allclose(M, M.T, atol=1e-10) without its per-call overhead; a
+    stack (K, r, r) is symmetric when each member is."""
+    Mt = M.swapaxes(-1, -2)
+    return bool((np.abs(M - Mt) <= 1e-10 + 1e-5 * np.abs(Mt)).all())
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,11 @@ class FactorQuad:
 
     eval(W) = tr(W A W^T) - 2 tr(W B) + C.  The anchor is the matrix at which
     the underlying surrogate is tight (up to eps).
+
+    A stack of K such quadratics has a leading member axis on every field:
+    A (K, r, r), B (K, r, q), C, L and rho (K,), anchor (K, q, r).  Its value
+    at W (K, q, r) is one float per member, each computed as the member's
+    own value would be.
     """
 
     A: np.ndarray
@@ -139,31 +146,43 @@ class FactorQuad:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "anchor", anchor)
-        r = A.shape[0]
-        if A.shape != (r, r):
+        r = A.shape[-1]
+        lead = A.shape[:-2]
+        if A.shape != lead + (r, r):
             raise ValueError("A must be square")
         if not _is_symmetric(A):
             raise ValueError("A must be symmetric")
-        if B.shape[0] != r:
+        if B.shape[:-1] != lead + (r,):
             raise ValueError("B row count must match A")
-        if anchor.shape != (B.shape[1], r):
+        if anchor.shape != lead + (B.shape[-1], r):
             raise ValueError("anchor must be (q, r)")
 
     @classmethod
     def from_stats(cls, A, B, C, anchor, eps: float = 0.0) -> "FactorQuad":
         """Build from sufficient statistics, with L and rho from one
-        eigendecomposition of A (the Hessian in W is 2 A on every row)."""
+        eigendecomposition of A (the Hessian in W is 2 A on every row); a
+        stack's eigenvalues come from one batched call."""
         ev = np.linalg.eigvalsh(A)
+        if ev.ndim == 2:
+            ev = ev.tolist()
+            return cls(A=A, B=B, C=C, anchor=anchor, eps=eps,
+                       L=np.array([2.0 * max(e[-1], 1e-12) for e in ev]),
+                       rho=np.array([2.0 * max(e[0], 0.0) for e in ev]))
         return cls(A=A, B=B, C=C, anchor=anchor, L=2.0 * max(float(ev[-1]), 1e-12),
                    rho=2.0 * max(float(ev[0]), 0.0), eps=eps)
 
+    def members(self, idx) -> "FactorQuad":
+        """The members idx (a list of indices) of a stack, as a stack."""
+        return FactorQuad(A=self.A[idx], B=self.B[idx], C=self.C[idx], anchor=self.anchor[idx],
+                          L=self.L[idx], rho=self.rho[idx], eps=self.eps)
+
     @property
     def r(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
     @property
     def q(self) -> int:
-        return self.B.shape[1]
+        return self.B.shape[-1]
 
     @property
     def dim(self) -> int:
@@ -172,21 +191,25 @@ class FactorQuad:
     def min_eig(self) -> float:
         return float(np.linalg.eigvalsh(self.A)[0])
 
-    def value(self, W: np.ndarray) -> float:
+    def value(self, W: np.ndarray):
         W = self._as_matrix(W)
         WA = W @ self.A
-        return float((WA * W).sum()) - 2.0 * float((W * self.B.T).sum()) + self.C
+        if W.ndim == 2:
+            return float((WA * W).sum()) - 2.0 * float((W * self.B.T).sum()) + self.C
+        return ((WA * W).sum(axis=(1, 2)) - 2.0 * (W * self.B.swapaxes(1, 2)).sum(axis=(1, 2))
+                + self.C)
 
     def grad(self, W: np.ndarray) -> np.ndarray:
         W = self._as_matrix(W)
-        return 2.0 * (W @ self.A - self.B.T)
+        return 2.0 * (W @ self.A - self.B.swapaxes(-1, -2))
 
     def _as_matrix(self, W: np.ndarray) -> np.ndarray:
         W = np.asarray(W, dtype=float)
-        if W.ndim == 1:
-            return W.reshape(self.q, self.r)
-        if W.shape != (self.q, self.r):
-            raise ValueError(f"expected shape {(self.q, self.r)}, got {W.shape}")
+        lead = self.A.shape[:-2]
+        if W.ndim == len(lead) + 1:
+            return W.reshape(lead + (self.q, self.r))
+        if W.shape != lead + (self.q, self.r):
+            raise ValueError(f"expected shape {lead + (self.q, self.r)}, got {W.shape}")
         return W
 
 

@@ -18,6 +18,13 @@ multiplier shared by every row (``geometry.ball_multiplier_search``): each
 box solve starts from the previous multiplier's solution and hands the
 search the exact distance model of its working set.
 
+A stack of K families (K runs in lockstep, each with its own Hessian) is
+one batch wherever the work is the same for every member: the pattern
+enumeration, the certified gaps and the box solve at multiplier zero.  The
+active-set method, a binding ball's multiplier search and the polishing of
+a gap run member by member.  Every member's numbers are computed slice by
+slice, so they are the bytes its own family's solve gives.
+
 Both solvers certify what they return, and return the certificate with
 the solution: the code solver its convexity-based objective gap bound,
 rounding allowance included, that downstream surrogates use as their
@@ -90,19 +97,33 @@ def _entry_gaps(grad, X, lam, lo, up):
     return grad * (X - np.where(grad < 0.0, up, lo))
 
 
-def _certified_gap(G, C, X, lam, lo, up) -> float:
-    """Bound on the total objective suboptimality of X: the sum of the entry
-    gaps plus an allowance for the rounding in computing them.  A gradient
-    entry is off by at most about (k + 1) ulps of |2XG| + |2C|; that error,
-    a wrong pick of the attaining endpoint it may cause, and the few
-    roundings of the term itself each cost at most a few ulps of (|gradient|
-    + lam) times the width up - lo (the reach).  Summing n terms adds at most
-    n ulps of the sum of their sizes."""
+def _certified_gap(G, C, X, lam, lo, up):
+    """Bound on the total objective suboptimality of X: the sum of the
+    entry gaps plus an allowance for the rounding in computing them.  A
+    gradient entry is off by at most about (k + 1) ulps of |2XG| + |2C|;
+    that error, a wrong pick of the attaining endpoint it may cause, and the
+    few roundings of the term itself each cost at most a few ulps of
+    (|gradient| + lam) times the width up - lo (the reach).  Summing n terms
+    adds at most n ulps of the sum of their sizes.  One family (G of shape
+    (k, k), C and X of shape (n, k)) gives a float; a stack (G of shape (K,
+    k, k), C and X of shape (K, n, k)) one per member, each summed over that
+    member's entries alone, as its own family would be."""
     gaps = _entry_gaps(2.0 * (X @ G - C), X, lam, lo, up)
     reach = (2.0 * (np.abs(X) @ np.abs(G) + np.abs(C)) + lam) * (up - lo)
-    slack = _EPS * (2 * (G.shape[0] + 4) * float(reach.sum())
-                    + gaps.size * float(np.abs(gaps).sum()))
-    return max(0.0, float(gaps.sum())) + slack
+    weight = 2 * (G.shape[-1] + 4)
+    if G.ndim == 2:
+        slack = _EPS * (weight * float(reach.sum()) + gaps.size * float(np.abs(gaps).sum()))
+        return max(0.0, float(gaps.sum())) + slack
+    size = gaps.size // len(gaps)
+    sums = zip(gaps.sum(axis=(1, 2)).tolist(), reach.sum(axis=(1, 2)).tolist(),
+               np.abs(gaps).sum(axis=(1, 2)).tolist())
+    return np.array([max(0.0, total) + _EPS * (weight * r + size * a) for total, r, a in sums])
+
+
+def _member(a, j):
+    """Member j's part of bounds that are per member (shape (K, n, k)), or
+    the bounds themselves when the stack shares them."""
+    return a[j] if getattr(a, "ndim", 0) == 3 else a
 
 
 @lru_cache(maxsize=64)
@@ -130,9 +151,16 @@ def _enumerate(G, C, lo, up, lam, patterns):
     G_FF x_F = c_F - G_FX x_X - lam s_F / 2.  The minimizer's own pattern
     reproduces it, so the best candidate that lies in the box (free entries
     on their sign's side of zero) is the minimizer.  Returns it with its
-    free mask.
+    free mask.  A stack (G of shape (K, k, k), C of shape (K, n, k)) is one
+    batch with a member axis in front of the pattern axis; each member's
+    candidates are its own family's, slice by slice.
     """
     at_lo, at_up, free, sgn, pair, fixed_eye = patterns
+    stack = G.ndim == 3
+    if stack:
+        G, C = G[:, None], C[:, None]
+        if getattr(lo, "ndim", 0) == 3:
+            lo, up = lo[:, None], up[:, None]
     V = np.where(at_lo, lo, np.where(at_up, up, 0.0))  # zero on free entries
     rhs = C - V @ G
     if lam > 0:
@@ -140,12 +168,14 @@ def _enumerate(G, C, lo, up, lam, patterns):
     # the free systems' inverses are symmetric, so rhs @ inv solves them
     x = np.where(free, rhs @ np.linalg.inv(G * pair + fixed_eye), V)
     ok = (x >= lo) & (x <= up)
-    obj = (x * (x @ G - 2.0 * C)).sum(axis=2)
+    obj = (x * (x @ G - 2.0 * C)).sum(axis=-1)
     if lam > 0:
         ok &= x * sgn >= 0.0
-        obj += lam * np.abs(x).sum(axis=2)
-    pick = np.where(ok.all(axis=2), obj, np.inf).argmin(axis=0)
-    rows = np.arange(C.shape[0])
+        obj += lam * np.abs(x).sum(axis=-1)
+    pick = np.where(ok.all(axis=-1), obj, np.inf).argmin(axis=-2)
+    rows = np.arange(C.shape[-2])
+    if stack:
+        return x[np.arange(len(C))[:, None], pick, rows], free[pick, 0]
     return x[pick, rows], free[pick, 0]
 
 
@@ -180,8 +210,10 @@ def _newton_direction(G, free, rhs):
 
 
 def _active_set(G, C, lo, up, lam, X, tol, max_iters):
-    """Primal active-set method from a point X of the box.  Works for any
-    PSD G.  Returns its last iterate and working set (True where fixed): the
+    """Primal active-set method from a point X of the box, for one member
+    (G of shape (k, k), C and X of shape (n, k)).  Works for any PSD G.
+    Returns its last iterate, working set (True where fixed) and the
+    certified gap it stopped on (None if it stopped without one): the
     minimizer, or the first point where every row sits at its working-set
     minimizer and the certified gap is <= tol."""
     n, k = C.shape
@@ -199,8 +231,10 @@ def _active_set(G, C, lo, up, lam, X, tol, max_iters):
     rows = np.arange(n)
     at_min = fixed.all(axis=1)  # rows sitting at their working-set minimizer
     for _ in range(max_iters):
-        if tol > 0.0 and at_min.all() and _certified_gap(G, C, X, lam, lo, up) <= tol:
-            return X, fixed
+        if tol > 0.0 and at_min.all():
+            gap = _certified_gap(G, C, X, lam, lo, up)
+            if gap <= tol:
+                return X, fixed, gap
         grad = 2.0 * (X @ G - C)
         # a row at its working-set minimizer releases the fixed entry with
         # the largest gap, if that entry can still improve
@@ -210,7 +244,7 @@ def _active_set(G, C, lo, up, lam, X, tol, max_iters):
         release[rows, j] = at_min & (cand[rows, j] > 0.0)
         moving = ~at_min | release.any(axis=1)
         if not moving.any():
-            return X, fixed
+            return X, fixed, None
         fixed = fixed & ~release
         free = ~fixed & moving[:, None]
         if kink:
@@ -242,51 +276,88 @@ def _active_set(G, C, lo, up, lam, X, tol, max_iters):
     raise SubsolverError("box QP active-set iteration cap exceeded")
 
 
+def _states(lam, lo, up) -> tuple:
+    """The entry states a KKT pattern can give an entry of the box [lo, up]."""
+    if lam <= 0:
+        return (_LO, _UP, _FREE)
+    lo_a, up_a = np.asarray(lo), np.asarray(up)
+    positive, negative = bool(up_a.max() > 0.0), bool(lo_a.min() < 0.0)
+    return ((_LO, _UP) + ((_POS,) if positive else ()) + ((_NEG,) if negative else ())
+            + ((_ZERO,) if positive and negative and ((lo_a < 0) & (up_a > 0)).any() else ()))
+
+
 def _minimize(G, C, lo, up, lam, X0, tol, max_iters):
-    """Minimizer of the solve_box_qp objective and its free mask: exact by
-    pattern enumeration while the patterns are few, else the active-set
-    method, which stops once the certified gap is <= tol.  X0 (in the box,
-    or None) starts the active-set method, by default from the clipped
-    least-squares minimizer of the smooth part, and breaks ties when G is
-    singular, by default towards the clipped zero."""
-    n, k = C.shape
-    states = (_LO, _UP, _FREE)
-    if lam > 0:
-        lo_a, up_a = np.asarray(lo), np.asarray(up)
-        positive, negative = bool(up_a.max() > 0.0), bool(lo_a.min() < 0.0)
-        states = ((_LO, _UP) + ((_POS,) if positive else ()) + ((_NEG,) if negative else ())
-                  + ((_ZERO,) if positive and negative and ((lo_a < 0) & (up_a > 0)).any() else ()))
+    """Minimizer of the solve_box_qp objective, its free mask, and the
+    certified gap the active-set method stopped on (None if it has none):
+    exact by pattern enumeration while the patterns are few, else the
+    active-set method, which stops once the certified gap is <= tol.  X0
+    (in the box, or None) starts the active-set method, by default from the
+    clipped least-squares minimizer of the smooth part, and breaks ties when
+    G is singular, by default towards the clipped zero.
+
+    A stack (G of shape (K, k, k), C of shape (K, n, k)) enumerates in one
+    batch and runs the active-set method member by member; its gaps are an
+    array, nan for a member without one."""
+    k = C.shape[-1]
+    if G.ndim == 3:
+        return _minimize_stack(G, C, lo, up, lam, X0, tol, max_iters)
+    states = _states(lam, lo, up)
     if len(states) ** k > _ENUM_PATTERNS:
         if X0 is None:
             X0 = np.clip(C @ np.linalg.pinv(G, hermitian=True), lo, up)
-        X, fixed = _active_set(G, C, lo, up, lam, X0, tol, max_iters)
-        return X, ~fixed
+        X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, max_iters)
+        return X, ~fixed, gap
     patterns = _patterns(k, states)
     try:
-        return _enumerate(G, C, lo, up, lam, patterns)
+        return _enumerate(G, C, lo, up, lam, patterns) + (None,)
     except np.linalg.LinAlgError:
         # singular G: adding delta ||x - X0||^2 makes the minimizer unique and
         # picks the one nearest X0 up to O(delta)
         delta = _NULL_RTOL * (float(np.abs(G).max()) or 1.0)
         X0 = np.clip(0.0, lo, up) if X0 is None else X0
-        return _enumerate(G + delta * np.eye(k), C + delta * X0, lo, up, lam, patterns)
+        return _enumerate(G + delta * np.eye(k), C + delta * X0, lo, up, lam, patterns) + (None,)
+
+
+def _minimize_stack(G, C, lo, up, lam, X0, tol, max_iters):
+    """_minimize of a stack: one enumeration batch when every member has
+    the same few KKT patterns, else each member alone."""
+    K, k = len(C), C.shape[-1]
+    if getattr(lo, "ndim", 0) == 3 and lam > 0:
+        states = {_states(lam, lo[j], up[j]) for j in range(K)}
+        states = states.pop() if len(states) == 1 else None
+    else:
+        states = _states(lam, lo, up)
+    if states is not None and len(states) ** k <= _ENUM_PATTERNS:
+        try:
+            return _enumerate(G, C, lo, up, lam, _patterns(k, states)) + (None,)
+        except np.linalg.LinAlgError:
+            pass  # a singular member: each member alone, so only its own solve changes
+    parts = [_minimize(G[j], C[j], _member(lo, j), _member(up, j), lam,
+                       None if X0 is None else X0[j], tol, max_iters) for j in range(K)]
+    gap = np.array([np.nan if p[2] is None else p[2] for p in parts])
+    return (np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts]),
+            None if np.isnan(gap).all() else gap)
 
 
 def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8,
-                 max_iters: int = MAX_ITERS) -> tuple[np.ndarray, float]:
+                 max_iters: int = MAX_ITERS):
     """Minimize sum_i x_i'G x_i - 2 c_i'x_i + lam ||x_i||_1 over lo <= X <= up.
 
     One problem per row of C (shape (n, k)), all against the same symmetric
-    PSD (k, k) matrix G; lo and up broadcast to (n, k).  X0, clipped into
-    the box, starts the active-set method and breaks ties when G is
-    singular.  Without it the active-set method starts from the clipped
-    least-squares minimizer C G^+ of the smooth part, and ties break towards
-    the clipped zero.  Returns (X, gap) where gap is the certified bound on
-    the total objective suboptimality.  Few KKT patterns are enumerated,
+    PSD (k, k) matrix G; lo and up broadcast to (n, k).  A stack of K such
+    families, G of shape (K, k, k) and C of shape (K, n, k), is solved in
+    one batch; lo and up then broadcast to (n, k), shared by the stack, or
+    have shape (K, n, k), one box per member.  X0, clipped into the box,
+    starts the active-set method and breaks ties when G is singular.
+    Without it the active-set method starts from the clipped least-squares
+    minimizer C G^+ of the smooth part, and ties break towards the clipped
+    zero.  Returns (X, gap) where gap is the certified bound on the total
+    objective suboptimality: a float, or for a stack one per member (K,),
+    each from that member's rows alone.  Few KKT patterns are enumerated,
     which is exact; otherwise the active-set method runs until gap <= tol.
-    If the gap still exceeds tol (rounding in an ill-conditioned system),
-    the active-set method polishes X until gap <= tol or no fixed entry can
-    improve.
+    If a gap still exceeds tol (rounding in an ill-conditioned system), the
+    active-set method polishes X (of a stack, that member's) until gap <=
+    tol or no fixed entry can improve.
     """
     G = np.asarray(G, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -294,15 +365,32 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8,
         raise ValueError("lam must be >= 0")
     if X0 is not None:
         X0 = np.clip(np.asarray(X0, dtype=float), lo, up)
-    X, _ = _minimize(G, C, lo, up, lam, X0, tol, max_iters)
-    gap = _certified_gap(G, C, X, lam, lo, up)
-    if gap > tol:
-        X, _ = _active_set(G, C, lo, up, lam, X, tol, max_iters)
+    X, _, gap = _minimize(G, C, lo, up, lam, X0, tol, max_iters)
+    if G.ndim == 2:
+        return _polish(G, C, lo, up, lam, X, gap, tol, max_iters)
+    if gap is None:
         gap = _certified_gap(G, C, X, lam, lo, up)
+    for j, g in enumerate(gap.tolist()):
+        if not g <= tol:  # above tol, or nan: not known yet
+            X[j], gap[j] = _polish(G[j], C[j], _member(lo, j), _member(up, j), lam, X[j],
+                                   None if math.isnan(g) else g, tol, max_iters)
     return X, gap
 
 
-def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters):
+def _polish(G, C, lo, up, lam, X, gap, tol, max_iters):
+    """(X, its certified gap) of one family, X polished by the active-set
+    method while its gap (computed here when None) exceeds tol; the
+    active-set method hands back the gap it stopped on."""
+    if gap is None:
+        gap = _certified_gap(G, C, X, lam, lo, up)
+    if gap > tol:
+        X, _, gap = _active_set(G, C, lo, up, lam, X, tol, max_iters)
+        if gap is None:
+            gap = _certified_gap(G, C, X, lam, lo, up)
+    return X, gap
+
+
+def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters, first=None):
     """Minimizer of the solve_box_qp objective over the box intersected with
     the ball ||X - center||_F <= radius (center in the box), each box solve
     done by _minimize from the previous one's X.
@@ -313,16 +401,27 @@ def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters):
     so with G_FF = V diag(w) V' the distance is the rational function
     ||X(nu) - center||^2 = ||(X - center)_fixed||^2
     + sum_j ((w_j + mu) (V'(X - center)_F)_j)^2 / (w_j + nu)^2,
-    the model handed to ball_multiplier_search.
+    the model handed to ball_multiplier_search.  first, when given, is the
+    solve at mu = 0 as (X, free mask).  A stack (G of shape (K, k, k); C, X0
+    and center of shape (K, n, k)) solves at mu = 0 in one batch; each
+    member then has its own ball and its own search.
     """
-    X = np.clip(X0, lo, up)
+    X = np.clip(X0, lo, up) if first is None else first[0]
     if math.isinf(radius):
         return _minimize(G, C, lo, up, lam, X, tol, max_iters)[0]
-    eye = np.eye(G.shape[0])
+    eye = np.eye(G.shape[-1])
+    if G.ndim == 3:
+        X, free, _ = _minimize(G + 0.0 * eye, C + 0.0 * center, lo, up, lam, X, tol, max_iters)
+        return np.stack([_box_qp_ball(G[j], C[j], _member(lo, j), _member(up, j), lam, X[j],
+                                      center[j], radius, tol, max_iters, (X[j], free[j]))
+                         for j in range(len(C))])
 
     def solve(mu):
-        nonlocal X
-        X, free = _minimize(G + mu * eye, C + mu * center, lo, up, lam, X, tol, max_iters)
+        nonlocal X, first
+        if first is not None:  # mu = 0, solved already
+            (X, free), first = first, None
+        else:
+            X, free, _ = _minimize(G + mu * eye, C + mu * center, lo, up, lam, X, tol, max_iters)
         u = X - center
 
         def model():
@@ -362,7 +461,7 @@ def solve_code_lasso(
     tol: float = 1e-8,
     max_iters: int = MAX_ITERS,
     H0: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
+):
     """Minimize ||X - W H||_F^2 + lam ||H||_1 over the code box.
 
     Each column of H is a box QP with Hessian G = W'W and linear term W'x, so
@@ -374,20 +473,25 @@ def solve_code_lasso(
     a separable piecewise-linear problem maximized at interval endpoints or
     zero, plus an allowance for rounding.  The gap is <= tol, or the solver
     has stalled at the exact minimizer and reports what rounding leaves.
+
+    One sample X (q, d) against W (q, r) gives H (r, d) and a float gap; a
+    stack of K samples X (K, q, d), each against its own W (K, q, r), gives
+    H (K, r, d) and one gap per member (K,), all from one batched solve.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    q, d = X.shape
-    r = W.shape[1]
-    if W.shape[0] != q:
+    q, d = X.shape[-2:]
+    r = W.shape[-1]
+    if W.shape[-2] != q:
         raise ValueError("W rows must match X rows")
     lo, up = _code_bounds(code_set, r, d)
-    H_T, gap = solve_box_qp(W.T @ W, (W.T @ X).T, lo.T, up.T, lam,
-                            None if H0 is None else np.asarray(H0, dtype=float).T,
+    Wt = W.swapaxes(-1, -2)
+    H_T, gap = solve_box_qp(Wt @ W, (Wt @ X).swapaxes(-1, -2), lo.T, up.T, lam,
+                            None if H0 is None else np.asarray(H0, dtype=float).swapaxes(-1, -2),
                             tol=tol, max_iters=max_iters)
-    return H_T.T, gap
+    return H_T.swapaxes(-1, -2), gap
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +504,22 @@ def _block_rows(g, J: np.ndarray, theta_prev: np.ndarray):
 
     A FactorQuad block made of whole dictionary rows keeps one row per
     dictionary row with G = A.  Any other block is a single row whose
-    linear term absorbs the coupling to the frozen coordinates.
+    linear term absorbs the coupling to the frozen coordinates.  A stacked
+    FactorQuad (A of shape (K, r, r)) must be whole rows, J either shared
+    (m,) or one row set per member (K, m); it gives G (K, r, r), C (K, m/r,
+    r) and idx (m/r, r) or (K, m/r, r).
     """
     if isinstance(g, FactorQuad):
         r = g.r
-        if J.size % r == 0:
-            idx = J.reshape(-1, r)
-            if (idx[:, 0] % r == 0).all() and (idx == idx[:, :1] + np.arange(r)).all():
-                return g.A, g.B.T[idx[:, 0] // r], 0.0, idx
+        if J.shape[-1] % r == 0:
+            idx = J.reshape(J.shape[:-1] + (-1, r))
+            if (idx[..., 0] % r == 0).all() and (idx == idx[..., :1] + np.arange(r)).all():
+                Bt, rows = g.B.swapaxes(-1, -2), idx[..., 0] // r
+                if rows.ndim == 2:  # one row set per member
+                    return g.A, Bt[np.arange(len(rows))[:, None], rows], 0.0, idx
+                return g.A, Bt[..., rows, :], 0.0, idx
+        if g.A.ndim == 3:
+            raise ValueError("a stacked block must be whole dictionary rows")
         Q = 2.0 * np.kron(np.eye(g.q), g.A)
         b, lam = -2.0 * g.B.T.ravel(), 0.0
     else:
@@ -424,7 +536,7 @@ def solve_block_quadratic(
     theta_init: np.ndarray,
     tol: float = 1e-8,
     max_iters: int = MAX_ITERS,
-) -> tuple[np.ndarray, float]:
+):
     """Minimize a blockwise-convex quadratic over one block's feasible slice.
 
     Coordinates outside feas.J stay at feas.theta_prev.  The slice problem
@@ -435,20 +547,37 @@ def solve_block_quadratic(
     value) where value, the descent certificate, is the objective at the
     start (theta_init on J, theta_prev elsewhere).  The objective at theta
     never rises above it; a rise raises SubsolverError.
+
+    A stack of K members is a stacked FactorQuad g with a feasible set whose
+    theta_prev has shape (K, p) (theta_init too): the blocks must be whole
+    dictionary rows, every member has its own ball of the shared radius,
+    theta has shape (K, p) and value (K,), and each member's certificate is
+    checked on its own.
     """
-    theta_init = np.asarray(theta_init, dtype=float).ravel()
-    J = feas.J
-    # the slice's own center is feasible by construction
-    if not (np.array_equal(theta_init, feas.theta_prev) or feas.contains(theta_init)):
-        raise SubsolverError("theta_init must be feasible for the block slice")
-    G, C, lam, idx = _block_rows(g, J, feas.theta_prev)
-    start = feas.theta_prev.copy()
-    start[J] = theta_init[J]
-    X = _box_qp_ball(G, C, feas.box.lower[idx], feas.box.upper[idx], lam,
-                     start[idx], feas.theta_prev[idx], feas.radius, tol, max_iters)
-    theta = feas.theta_prev.copy()
-    theta[idx] = X
+    prev = feas.theta_prev
+    if theta_init is not prev:
+        theta_init = np.asarray(theta_init, dtype=float).reshape(prev.shape)
+        # the slice's own center is feasible by construction
+        if not (np.array_equal(theta_init, prev) or feas.contains(theta_init)):
+            raise SubsolverError("theta_init must be feasible for the block slice")
+    G, C, lam, idx = _block_rows(g, feas.J, prev)
+    one = prev.ndim == 1
+    if one:
+        at = idx
+    else:
+        at = (slice(None), idx) if idx.ndim == 2 else (np.arange(len(prev))[:, None, None], idx)
+    start = prev.copy()
+    if theta_init is not prev:
+        start[at] = theta_init[at]
+    theta = prev.copy()
+    theta[at] = _box_qp_ball(G, C, feas.box.lower[idx], feas.box.upper[idx], lam, start[at],
+                             prev[at], feas.radius, tol, max_iters)
     obj = g.value(start)
-    if g.value(theta) > obj + 1e-9 * (1.0 + abs(obj)):
-        raise SubsolverError("block solve increased the objective")
+    if one:
+        if g.value(theta) > obj + 1e-9 * (1.0 + abs(obj)):
+            raise SubsolverError("block solve increased the objective")
+        return theta, obj
+    for j, (new, old) in enumerate(zip(g.value(theta).tolist(), obj.tolist())):
+        if new > old + 1e-9 * (1.0 + abs(old)):
+            raise SubsolverError(f"block solve increased the objective of stack member {j}")
     return theta, obj

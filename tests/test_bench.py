@@ -1,8 +1,12 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbmm.bench import (
     CSV_FIELDS,
@@ -336,6 +340,42 @@ def test_runner_audits_count_a_faulty_step(monkeypatch, kind, mode):
             m.setattr(bench, step_name, faulty(fault))
             res = run()
         assert getattr(res, counter) == 1, (fault, counter)
+    if kind == "cpdl":  # CPDL runs are never stacked
+        return
+
+    # a stack of three OMF runs: a faulty step of member 1 is tallied on
+    # member 1 alone, and the other members' runs do not change
+    def run_stack():
+        srcs = [MarkovSource(P=P / P.sum(axis=1, keepdims=True), emissions=emissions, seed=s)
+                for s in (4, 5, 6)]
+        return run_omf_diagnostics(
+            srcs, schedule, np.stack([W0[0]] * 3), lam, BoxSet.uniform(3 * r, -5.0, 5.0),
+            code_set, mode=mode, rho0=1.0, n_iters=n_iters, diag_interval=5,
+            rng=[np.random.default_rng(s) for s in range(3)])
+
+    def faulty_member(fault):
+        real = bench.omf_step
+
+        def step(x, prev, *args, **kwargs):
+            res = real(x, prev, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == n_iters:
+                res.W[1] = fault(prev[1], res.W[1])
+            return res
+        calls = []
+        return step
+
+    clean = run_stack()
+    assert [[getattr(res, c) for c in counters] for res in clean] == [[0, 0, 0]] * 3
+    for fault, counter in ((lambda Pk, Xk: 2.0 * Pk - Xk, "monotonicity_violations"),
+                           (lambda Pk, Xk: Pk + 1.0, jump_counter)):
+        with monkeypatch.context() as m:
+            m.setattr(bench, "omf_step", faulty_member(fault))
+            stack = run_stack()
+        assert [getattr(res, counter) for res in stack] == [0, 1, 0], (fault, counter)
+        for j in (0, 2):
+            assert stack[j].records == clean[j].records
+            assert [getattr(stack[j], c) for c in counters] == [0, 0, 0]
 
 
 def test_omf_runner_refuses_a_surrogate_of_other_statistics(monkeypatch):
@@ -693,6 +733,46 @@ def test_module_entry_point(tmp_path):
     assert proc.stderr == ""
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def shipped_cfg(tmp_path, name, extra=""):
+    """A shipped config with absolute input paths and a 120-step run."""
+    text = (ROOT / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
+    p = tmp_path / f"{name}.cfg"
+    p.write_text(text.replace("configs/", f"{ROOT / 'configs'}/")
+                 + "\nengine.n_iters = 120\nengine.diag_interval = 20\n" + extra,
+                 encoding="utf-8")
+    return parse_config(p)
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("omf_markov", ""), ("omf_markov", "engine.mode = c1\n"), ("omf_iid", ""),
+    ("omf_iid", "engine.c_prime = 0.02\n"), ("omf_sub", ""), ("omf_sub", "engine.mode = c1\n"),
+    ("omf_sub", "app.row_sample = 0.5\n")],
+    ids=["markov", "markov_c1", "iid", "iid_ball_binds", "sub", "sub_c1", "sub_fraction"])
+def test_run_sweep_stack_matches_run_experiment(tmp_path, name, extra):
+    # run_sweep runs an OMF config's seeds as one stack in lockstep; each
+    # member's CSV, tallies and final dictionary are those run_experiment
+    # gives at its seed, whatever the stack's size and order
+    cfg = shipped_cfg(tmp_path, name, extra)
+    label, alone = cfg["label"], {}
+    for seeds in ([4], [0, 1, 2], [5, 4, 3, 2, 1, 0]):
+        out = tmp_path / f"k{len(seeds)}"
+        results = run_sweep(cfg, seeds, out_dir=out)
+        assert list(results) == seeds
+        for s in seeds:
+            one = tmp_path / f"one_seed{s}.csv"
+            if s not in alone:
+                alone[s] = run_experiment(cfg, seed=s, out_path=str(one))
+            assert (out / f"{label}_seed{s}.csv").read_bytes() == one.read_bytes(), (seeds, s)
+            res, ref = results[s], alone[s]
+            assert res.prop_margins == ref.prop_margins and res.c1_stat_max == ref.c1_stat_max
+            for c in ("monotonicity_violations", "step_bound_violations", "c1_bound_violations"):
+                assert getattr(res, c) == getattr(ref, c)
+            assert res.final.W.tobytes() == ref.final.W.tobytes()
+
+
 def test_run_sweep_matches_run_experiment(tmp_path):
     cfg = parse_config(write_cfg(tmp_path))
     results = run_sweep(cfg, [1, 2, 3], out_dir=tmp_path / "sweep")
@@ -701,6 +781,110 @@ def test_run_sweep_matches_run_experiment(tmp_path):
         one = tmp_path / f"one_seed{s}.csv"
         run_experiment(cfg, seed=s, out_path=str(one))
         assert (tmp_path / "sweep" / f"run_seed{s}.csv").read_bytes() == one.read_bytes()
+
+
+def test_cli_run_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli_main(["run", str(write_cfg(tmp_path)), "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "seed -1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def run_sweep_demo(tmp_path, *seeds):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_demo.py"),
+                           str(write_cfg(tmp_path)), "--seeds", *seeds,
+                           "--out-dir", str(tmp_path / "sweep")],
+                          capture_output=True, text=True, env=env)
+
+
+def test_sweep_demo_rejects_a_negative_seed(tmp_path):
+    proc = run_sweep_demo(tmp_path, "0", "-1")
+    assert proc.returncode == 1
+    assert "seed -1" in proc.stderr and "Traceback" not in proc.stderr
+    assert not list((tmp_path / "sweep").glob("*.csv"))  # no run starts
+
+
+def test_sweep_demo_prints_its_throughput(tmp_path):
+    proc = run_sweep_demo(tmp_path, "0", "1", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert [line.split()[0] for line in lines[1:4]] == ["0", "1", "2"]
+    assert lines[-1].startswith("wall us per seed-step: ")
+    assert float(lines[-1].rsplit(" ", 1)[-1]) > 0.0
+
+
+def _fuzz_values(d):
+    """Candidate values, good and bad, for every config key; d holds the
+    input files."""
+    return {
+        "schedule.kind": ["balanced", "polylog", "constant", "custom", "cosine"],
+        "schedule.beta": ["0.5", "1", "-1", "nan", "2", "x"],
+        "schedule.delta": ["1.5", "0.5", "inf", "-3"],
+        "schedule.alpha": ["0.1", "0", "1", "1.5", "nan"],
+        "schedule.values": ["0.5,0.25", "1", "", "a,b", "0.5,-1", "2"],
+        "constraint.lower": ["-1", "0", "0.5", "1", "nan", "-inf"],
+        "constraint.upper": ["1", "0", "-1", "inf", "2"],
+        "constraint.nonneg": ["true", "false", "maybe"],
+        "solver.tol": ["1e-8", "0", "-1", "nan", "0.5"],
+        "stream.kind": ["iid", "markov", "hmm"],
+        "stream.transition": [str(d / "trans.csv"), "0.5 0.5", "0.9 0.1; 0.2 0.8", "1 0; 0 1",
+                              "0.5 nan", str(d / "missing.csv"), "0.7 0.2"],
+        "stream.emissions": [str(d / "emis.csv"), str(d / "emis7.csv"), str(d / "missing.csv"),
+                             str(d / "text.csv")],
+        "stream.seed": ["0", "3", "-2", "x"],
+        "engine.mode": ["c1", "c2", "C1", "c3"],
+        "engine.c_prime": ["1", "0.01", "0", "-1", "inf"],
+        "engine.n_iters": ["1", "5", "20", "0", "-3", "2.5"],
+        "engine.theta0": ["random", str(d / "w0.csv"), str(d / "emis.csv"), str(d / "missing.csv")],
+        "engine.diag_interval": ["1", "3", "50", "0"],
+        "engine.seed": ["0", "7", "-1"],
+        "app.kind": ["omf", "omf_sub", "cpdl", "svd"],
+        "app.rank": ["1", "2", "3", "0", "-1"],
+        "app.lambda": ["0", "0.05", "1", "-1", "nan"],
+        "app.row_sample": ["0", "0.5", "1", "2", "3", "4", "nan", "1.5", "1e-9"],
+        "app.tensor_shape": ["3,2", "2,3", "6", "2,1,3", "1,1", "0,2", "a", "3,2,1,1"],
+        "output": [str(d / "out.csv")],
+        "label": ["run", "sweep"],
+    }
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_cli_run_fuzzed_config_exits_cleanly(data):
+    # sbmm run on a config whose keys take values from a list of good and
+    # bad ones (engine.n_iters <= 20) exits 0 or 1 and never raises past
+    # cli_main, so no traceback is printed
+    import contextlib
+    import io
+    import tempfile
+
+    from sbmm.bench import _SCHEMA
+
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        rng = np.random.default_rng(0)
+        np.savetxt(d / "trans.csv", [[0.5, 0.5]], delimiter=",")
+        np.savetxt(d / "emis.csv", rng.random(size=(2, 6)), delimiter=",")
+        np.savetxt(d / "emis7.csv", rng.random(size=(2, 7)), delimiter=",")
+        np.savetxt(d / "w0.csv", rng.random(size=(3, 2)), delimiter=",")
+        (d / "text.csv").write_text("a,b\n", encoding="utf-8")
+        values = _fuzz_values(d)
+        assert set(values) == set(_SCHEMA)
+        lines = {"engine.n_iters": "5", "app.rank": "2", "app.tensor_shape": "3,2",
+                 "stream.transition": str(d / "trans.csv"),
+                 "stream.emissions": str(d / "emis.csv"), "output": str(d / "out.csv")}
+        for key in data.draw(st.lists(st.sampled_from(sorted(values)), max_size=8, unique=True)):
+            lines[key] = data.draw(st.sampled_from(values[key]), label=key)
+        cfg = d / "fuzz.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["run", str(cfg), "--out", str(d / "run.csv")])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (d / "run.csv").exists()
 
 
 def test_cli_validate_ok(tmp_path, capsys):

@@ -582,7 +582,7 @@ def test_box_qp_paths_agree(seed):
     X, gap = solve_box_qp(G, C, lo, up, lam)
     assert gap <= 1e-10
     assert _box_qp_kkt(G, C, X, lam, lo, up) <= 1e-9
-    X_as, _ = _active_set(G, C, lo, up, lam, rng.uniform(lo, up), 0.0, MAX_ITERS)
+    X_as, _, _ = _active_set(G, C, lo, up, lam, rng.uniform(lo, up), 0.0, MAX_ITERS)
     np.testing.assert_allclose(X_as, X, atol=1e-8)
 
 
@@ -723,3 +723,140 @@ def test_certified_gap_bounds_suboptimality_away_from_minimizer(seed):
     for _ in range(5):
         X = rng.uniform(lo, up)
         assert obj(X) - obj(X_star) <= _certified_gap(G, C, X, lam, lo, up) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacks of families
+
+
+def _family(rng, k, n, singular=False):
+    M = rng.normal(size=(k, max(k - 1, 1) if singular else k + 1))
+    return M @ M.T + (0.0 if singular else 0.05) * np.eye(k), rng.normal(size=(n, k))
+
+
+@pytest.mark.parametrize("k", [2, 5], ids=["enumerated", "active_set"])
+@pytest.mark.parametrize("lam", [0.0, 0.3], ids=["lam0", "lam"])
+@pytest.mark.parametrize("bounds", ["shared", "per_member"])
+def test_box_qp_stack_matches_each_family(k, lam, bounds):
+    # a stack of families is solved in one batch, yet each member's X and
+    # certified gap are the bytes its own family's solve gives, whatever
+    # the stack's size and order; one member has a singular Hessian
+    rng = np.random.default_rng(17 + k)
+    K, n = 6, 3
+    fams = [_family(rng, k, n, singular=(j == 2)) for j in range(K)]
+    G = np.stack([f[0] for f in fams])
+    C = np.stack([f[1] for f in fams])
+    if bounds == "shared":
+        lo, up = np.full((n, k), -0.5), np.full((n, k), 0.7)
+        member = lambda a, j: a
+    else:
+        lo = rng.uniform(-1.0, 0.0, size=(K, n, k))
+        up = lo + rng.uniform(0.3, 1.5, size=(K, n, k))
+        member = lambda a, j: a[j]
+    alone = [solve_box_qp(G[j], C[j], member(lo, j), member(up, j), lam) for j in range(K)]
+    for order in (list(range(K)), [4, 1, 5], [3]):
+        o = np.array(order)
+        X, gap = solve_box_qp(G[o], C[o], lo if bounds == "shared" else lo[o],
+                              up if bounds == "shared" else up[o], lam)
+        assert gap.shape == (len(order),)
+        for i, j in enumerate(order):
+            assert X[i].tobytes() == alone[j][0].tobytes()
+            assert gap[i] == alone[j][1]
+
+
+@pytest.mark.parametrize("k", [2, 5], ids=["enumerated", "active_set"])
+def test_box_qp_ball_stack_matches_each_family(k):
+    # each member of a stack has its own ball; members whose ball binds
+    # search alone, and every member's X is the bytes of its own solve
+    from sbmm.subsolver import MAX_ITERS, _box_qp_ball
+
+    rng = np.random.default_rng(23 + k)
+    K, n = 5, 2
+    fams = [_family(rng, k, n) for _ in range(K)]
+    G = np.stack([f[0] for f in fams])
+    C = np.stack([f[1] for f in fams])
+    center = rng.uniform(-0.2, 0.2, size=(K, n, k))
+    lo, up = -1.0, 1.0
+    for radius in (0.05, 0.5, 50.0):
+        X = _box_qp_ball(G, C, lo, up, 0.0, center, center, radius, 1e-12, MAX_ITERS)
+        for j in range(K):
+            one = _box_qp_ball(G[j], C[j], lo, up, 0.0, center[j], center[j], radius, 1e-12,
+                               MAX_ITERS)
+            assert X[j].tobytes() == one.tobytes()
+
+
+def test_code_lasso_stack_matches_each_sample():
+    rng = np.random.default_rng(31)
+    X = rng.uniform(0.0, 1.0, size=(4, 8, 6))
+    W = rng.uniform(0.0, 1.0, size=(4, 8, 5))
+    code_set = BoxSet.uniform(5, 0.0, 1.0)
+    H, gap = solve_code_lasso(X, W, 0.05, code_set)
+    for j in range(4):
+        H_j, gap_j = solve_code_lasso(X[j], W[j], 0.05, code_set)
+        assert H[j].tobytes() == np.ascontiguousarray(H_j).tobytes() and gap[j] == gap_j
+
+
+def test_active_set_code_solve_computes_its_gap_once(monkeypatch):
+    # the active-set method stops on a certified gap and hands it back:
+    # solve_box_qp does not compute it again at the same point, and the
+    # gap it returns is that float
+    import sbmm.subsolver as subsolver
+
+    real_gap, real_active = subsolver._certified_gap, subsolver._active_set
+    points, runs = [], []
+
+    def gap(G, C, X, lam, lo, up):
+        points.append(X.copy())
+        return real_gap(G, C, X, lam, lo, up)
+
+    def active(*args):
+        runs.append(1)
+        return real_active(*args)
+    monkeypatch.setattr(subsolver, "_certified_gap", gap)
+    monkeypatch.setattr(subsolver, "_active_set", active)
+    rng = np.random.default_rng(41)
+    code_set = BoxSet.uniform(5, 0.0, 1.0)
+    for _ in range(25):
+        X = rng.uniform(0.0, 1.0, size=(8, 6))
+        W = rng.uniform(0.0, 1.0, size=(8, 5))
+        points.clear()
+        runs.clear()
+        # rank 5 with an l1 term and codes >= 0: 3^5 KKT patterns, too many
+        # to enumerate, so the active-set method solves it
+        H, g = solve_code_lasso(X, W, 0.05, code_set, tol=1e-8)
+        assert runs == [1]
+        at_result = [P for P in points if np.array_equal(P, H.T)]
+        assert len(at_result) == 1  # one gap at the returned codes
+        assert all(not np.array_equal(a, b) for a, b in zip(points, points[1:]))
+        assert g == real_gap(W.T @ W, (W.T @ X).T, H.T, 0.05, np.zeros((1, 5)), np.ones((1, 5)))
+
+
+def test_block_quadratic_stack_matches_each_member():
+    # a stacked FactorQuad with one row set per member: each member's theta
+    # and certificate are those of its own solve, from a start other than
+    # theta_prev too, and that start is checked member by member
+    rng = np.random.default_rng(53)
+    K, q, r = 3, 4, 2
+    H = rng.uniform(0.0, 1.0, size=(K, r, 5))
+    A = H @ H.swapaxes(1, 2)
+    B = rng.uniform(0.0, 1.0, size=(K, r, q))
+    C = rng.uniform(1.0, 2.0, size=K)
+    W = rng.uniform(0.2, 0.8, size=(K, q, r))
+    quad = FactorQuad.from_stats(A, B, C, W)
+    box = BoxSet.uniform(q * r, 0.0, 1.0)
+    rows = np.array([[0, 2], [3, 1], [1, 2]])
+    J = (rows[:, :, None] * r + np.arange(r)).reshape(K, -1)
+    w = W.reshape(K, -1)
+    start = w.copy()
+    start[0, J[0, 0]] += 0.01
+    for radius in (0.05, math.inf):
+        theta, value = solve_block_quadratic(quad, restricted_block_set(box, w, J, radius), start)
+        for j in range(K):
+            one = FactorQuad.from_stats(A[j], B[j], float(C[j]), W[j])
+            theta_j, value_j = solve_block_quadratic(
+                one, restricted_block_set(box, w[j], J[j], radius), start[j])
+            assert theta[j].tobytes() == theta_j.tobytes() and value[j] == value_j
+    outside = w.copy()
+    outside[1, J[1, 0]] += 0.5  # leaves member 1's ball
+    with pytest.raises(SubsolverError, match="feasible"):
+        solve_block_quadratic(quad, restricted_block_set(box, w, J, 0.05), outside)
