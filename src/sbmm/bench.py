@@ -863,11 +863,11 @@ def run_sweep(cfg: RunConfig, seeds, out_dir=".") -> dict:
     An OMF config (omf, omf_sub) runs all its seeds as one stack of K
     members in lockstep: each member keeps its own source, rng, row draws,
     audits, records and CSV, while the code solve, statistics update,
-    eigvalsh and dictionary solve are batched calls over the stack (shape
-    (K, ...)).  A CPDL config runs its seeds one after another.  Either way
-    each run's CSV is the one run_experiment writes at that seed.  Returns
-    a dict mapping seed to its RunResult; each run's CSV lands in out_dir
-    as <label>_seed<seed>.csv.
+    dictionary solve and C1 audit's eigvalsh are batched calls over the
+    stack (shape (K, ...)).  A CPDL config runs its seeds one after another.
+    Either way each run's CSV is the one run_experiment writes at that seed.
+    Returns a dict mapping seed to its RunResult; each run's CSV lands in
+    out_dir as <label>_seed<seed>.csv.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

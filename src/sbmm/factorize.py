@@ -133,8 +133,8 @@ def omf_step(
     One sample X (q, d) with W_prev (q, r), A_prev (r, r), B_prev (r, q) and
     a float C_prev takes one step.  A stack of K members, X (K, q, d), W_prev
     (K, q, r), A_prev (K, r, r), B_prev (K, r, q) and C_prev (K,), takes
-    the K steps in lockstep: one batched code solve, statistics update and
-    eigvalsh, and one batched dictionary solve per row count, where rows
+    the K steps in lockstep: one batched code solve and statistics update,
+    and one batched dictionary solve per row count, where rows
     holds one row array per member.  Each member's result is the one its
     own step gives.  The same lines serve both: the member axis, when there
     is one, leads every array.
@@ -150,7 +150,7 @@ def omf_step(
         C = (1.0 - w_n) * C_prev + w_n * (float((X * X).sum()) + lam * float(np.abs(H).sum()))
     else:
         C = (1.0 - w_n) * C_prev + w_n * ((X * X).sum(axis=(1, 2)) + lam * np.abs(H).sum(axis=(1, 2)))
-    quad = FactorQuad.from_stats(A, B, C, W_prev)
+    quad = FactorQuad(A, B, C, W_prev)
     # the dictionary problem on the coordinates of the step's rows, inside
     # box-and-ball; a stack solves one batch per row count
     w_flat = W_prev.reshape(W_prev.shape[:-2] + (q * r,))
@@ -278,7 +278,7 @@ def cpdl_step(
     for i in range(m):
         gamma = A * _hadamard_except(grams, i, r)
         lin = _contract_except(B, U, i)
-        quad = FactorQuad.from_stats(0.5 * (gamma + gamma.T) if m > 1 else gamma,
+        quad = FactorQuad(0.5 * (gamma + gamma.T) if m > 1 else gamma,
                                      lin.T, 0.0, U[i])
         u_flat = U[i].ravel()
         feas = restricted_block_set(factor_boxes[i], u_flat,

@@ -18,12 +18,13 @@ build it and ``average_surrogate`` folds it into the running average.
 
 which is the natural shape for dictionary updates in matrix and tensor
 factorization; there the average is the statistics recursion of the step
-(``factorize.omf_step``), and ``FactorQuad.from_stats`` wraps its result.
+(``factorize.omf_step``), and a ``FactorQuad`` wraps its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -126,17 +127,15 @@ class FactorQuad:
     the underlying surrogate is tight (up to eps).
 
     A stack of K such quadratics has a leading member axis on every field:
-    A (K, r, r), B (K, r, q), C, L and rho (K,), anchor (K, q, r).  Its value
-    at W (K, q, r) is one float per member, each computed as the member's
-    own value would be.
+    A (K, r, r), B (K, r, q), C (K,), anchor (K, q, r), and so rho (K,).
+    Its value at W (K, q, r) is one float per member, each computed as the
+    member's own value would be.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: float
     anchor: np.ndarray
-    L: float
-    rho: float
     eps: float = 0.0
 
     def __post_init__(self):
@@ -157,24 +156,20 @@ class FactorQuad:
         if anchor.shape != lead + (B.shape[-1], r):
             raise ValueError("anchor must be (q, r)")
 
-    @classmethod
-    def from_stats(cls, A, B, C, anchor, eps: float = 0.0) -> "FactorQuad":
-        """Build from sufficient statistics, with L and rho from one
-        eigendecomposition of A (the Hessian in W is 2 A on every row); a
-        stack's eigenvalues come from one batched call."""
-        ev = np.linalg.eigvalsh(A)
+    @cached_property
+    def rho(self):
+        """The strong convexity 2 lambda_min(A), floored at 0 (the Hessian in
+        W is 2 A on every row), computed on first read; a stack's come from
+        one batched eigvalsh."""
+        ev = np.linalg.eigvalsh(self.A)
         if ev.ndim == 2:
-            ev = ev.tolist()
-            return cls(A=A, B=B, C=C, anchor=anchor, eps=eps,
-                       L=np.array([2.0 * max(e[-1], 1e-12) for e in ev]),
-                       rho=np.array([2.0 * max(e[0], 0.0) for e in ev]))
-        return cls(A=A, B=B, C=C, anchor=anchor, L=2.0 * max(float(ev[-1]), 1e-12),
-                   rho=2.0 * max(float(ev[0]), 0.0), eps=eps)
+            return np.array([2.0 * max(e[0], 0.0) for e in ev.tolist()])
+        return 2.0 * max(float(ev[0]), 0.0)
 
     def members(self, idx) -> "FactorQuad":
         """The members idx (a list of indices) of a stack, as a stack."""
         return FactorQuad(A=self.A[idx], B=self.B[idx], C=self.C[idx], anchor=self.anchor[idx],
-                          L=self.L[idx], rho=self.rho[idx], eps=self.eps)
+                          eps=self.eps)
 
     @property
     def r(self) -> int:
@@ -187,9 +182,6 @@ class FactorQuad:
     @property
     def dim(self) -> int:
         return self.q * self.r
-
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.A)[0])
 
     def value(self, W: np.ndarray):
         W = self._as_matrix(W)

@@ -13,10 +13,21 @@ primal active-set method (Newton steps on the free entries, bounds joining
 the working set when a step hits them, one fixed entry released per row
 while its certified gap says it can still improve) that stops once the
 certified gap is within tolerance; it starts from the clipped least-squares
-minimizer unless given a start.  A trust-region ball is dualized with one
-multiplier shared by every row (``geometry.ball_multiplier_search``): each
-box solve starts from the previous multiplier's solution and hands the
-search the exact distance model of its working set.
+minimizer unless given a start.  The Newton steps of all rows are one
+batched LU solve when one batched Cholesky factorization shows every row's
+free system positive definite (every pivot above _NULL_RTOL times the
+Hessian scale), and the least-squares start is one solve under the same
+test; a singular system (an all-zero code coordinate makes a dictionary
+Hessian singular) falls back to an eigendecomposition, which gives the
+least-norm step or a direction of zero curvature.  A trust-region ball is
+dualized with one multiplier shared by every row
+(``geometry.ball_multiplier_search``): each box solve hands the search the
+exact distance model of its working set, and the next solve starts where
+that model puts the working set's minimizer at the new multiplier, taken
+as the minimizer of every row, so a working set that holds costs one
+certified gap and no Newton step; a prediction outside the box (or, with
+an l1 term, off its sign region) falls back to the previous multiplier's
+solution.
 
 A stack of K families (K runs in lockstep, each with its own Hessian) is
 one batch wherever the work is the same for every member: the pattern
@@ -58,9 +69,11 @@ _RELEASE_RTOL = 1e-12
 # eigenvalues below this fraction of the Hessian scale count as zero
 _NULL_RTOL = 1e-12
 # enumerate KKT patterns while there are at most this many.  Timed per call
-# (numpy 2.4, one core, 1 to 30 rows), enumeration takes under 0.7x the
-# active-set time at up to 3^4 = 81 and 5^3 = 125 patterns, the two are about
-# even at 3^5 = 243, and enumeration is slower from 5^4 = 625 on
+# against the active-set method from its default start (numpy 2.4, one core,
+# 1, 6 and 30 rows, median of 4 random problems), enumeration takes 0.4-0.5x
+# its time at 3^3 = 27 patterns, 0.6-1.2x at 3^4 = 81 and 5^3 = 125, 1.2-3.8x
+# at 3^5 = 243, and 2.3-9x from 5^4 = 625 on.  Below 200 it is exact, never
+# more than 1.2x slower, and solves a rank-2 or rank-3 family in one batch
 _ENUM_PATTERNS = 200
 _EPS = float(np.finfo(float).eps)
 # entry states of a KKT pattern
@@ -179,25 +192,39 @@ def _enumerate(G, C, lo, up, lam, patterns):
     return x[pick, rows], free[pick, 0]
 
 
-def _free_eigh(G, free):
-    """Per row, an eigendecomposition (w, V) of G_FF on the free entries F,
-    extended to all k entries by the Hessian scale on the diagonal of the
-    fixed ones, and that scale."""
-    k = G.shape[0]
-    scale = float(np.abs(G).max()) or 1.0
-    M = G * (free[:, :, None] & free[:, None, :])
-    diag = np.arange(k)
-    M[:, diag, diag] += np.where(free, 0.0, scale)  # fixed entries decouple
-    w, V = np.linalg.eigh(M)
-    return w, V, scale
+def _scale(G) -> float:
+    """The Hessian scale: G's largest entry in absolute value, or 1 if G is 0."""
+    return float(np.abs(G).max()) or 1.0
 
 
-def _newton_direction(G, free, rhs):
+def _free_system(G, free, scale):
+    """Per row, G_FF on the free entries F, extended to all k entries by
+    scale on the diagonal of the fixed ones, which decouples them."""
+    return np.where(free[:, :, None] & free[:, None, :], G, scale * np.eye(G.shape[0]))
+
+
+def _positive_definite(M, scale) -> bool:
+    """Whether one batched Cholesky factorization of M (a matrix or a stack)
+    finds every pivot above _NULL_RTOL * scale, so that an LU solve needs no
+    null-space handling."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.diagonal(L, axis1=-2, axis2=-1).min() ** 2 > _NULL_RTOL * scale)
+
+
+def _newton_direction(G, free, rhs, scale):
     """Per row, the least-norm solution p of G_FF p_F = rhs_F on the free
     entries F, where rhs vanishes off F.  Where rhs_F has a part in the null
     space of G_FF, that part is returned instead, flagged in the second
-    output: with rhs = -grad/2 it is a descent direction of zero curvature."""
-    w, V, scale = _free_eigh(G, free)
+    output: with rhs = -grad/2 it is a descent direction of zero curvature.
+    Every row's system is one batched LU solve when _positive_definite says
+    so; otherwise an eigendecomposition finds the null spaces."""
+    M = _free_system(G, free, scale)
+    if _positive_definite(M, scale):
+        return np.linalg.solve(M, rhs[:, :, None])[:, :, 0], np.zeros(len(rhs), dtype=bool)
+    w, V = np.linalg.eigh(M)
     coef = np.einsum("nkj,nk->nj", V, rhs)
     null = w <= _NULL_RTOL * scale
     if not null.any():
@@ -209,13 +236,16 @@ def _newton_direction(G, free, rhs):
     return np.einsum("nkj,nj->nk", V, step), null_dir
 
 
-def _active_set(G, C, lo, up, lam, X, tol, max_iters):
+def _active_set(G, C, lo, up, lam, X, tol, max_iters, predicted=False):
     """Primal active-set method from a point X of the box, for one member
     (G of shape (k, k), C and X of shape (n, k)).  Works for any PSD G.
     Returns its last iterate, working set (True where fixed) and the
     certified gap it stopped on (None if it stopped without one): the
     minimizer, or the first point where every row sits at its working-set
-    minimizer and the certified gap is <= tol."""
+    minimizer and the certified gap is <= tol.  predicted says that X is
+    every row's working-set minimizer (the ball search's prediction), as if
+    each row had just taken a full Newton step, so the method opens with
+    the certified gap."""
     n, k = C.shape
     kink = lam > 0  # the l1 term bends the objective at zero
     fixed = (X == lo) | (X == up)
@@ -226,29 +256,33 @@ def _active_set(G, C, lo, up, lam, X, tol, max_iters):
         sgn = np.sign(X)
         lo_pos, up_neg = np.maximum(lo, 0.0), np.minimum(up, 0.0)
     bound = max(float(np.abs(lo).max()), float(np.abs(up).max()))
-    g_scale = 2.0 * (k * float(np.abs(G).max()) * bound + float(np.abs(C).max())) + lam
+    scale = _scale(G)
+    g_scale = 2.0 * (k * scale * bound + float(np.abs(C).max())) + lam
     floor = _RELEASE_RTOL * g_scale * (up - lo)
     rows = np.arange(n)
-    at_min = fixed.all(axis=1)  # rows sitting at their working-set minimizer
+    # rows sitting at their working-set minimizer
+    at_min = np.ones(n, dtype=bool) if predicted else fixed.all(axis=1)
     for _ in range(max_iters):
         if tol > 0.0 and at_min.all():
             gap = _certified_gap(G, C, X, lam, lo, up)
             if gap <= tol:
                 return X, fixed, gap
         grad = 2.0 * (X @ G - C)
-        # a row at its working-set minimizer releases the fixed entry with
-        # the largest gap, if that entry can still improve
-        cand = np.where(fixed, _entry_gaps(grad, X, lam, lo, up) - floor, 0.0)
-        j = cand.argmax(axis=1)
-        release = np.zeros((n, k), dtype=bool)
-        release[rows, j] = at_min & (cand[rows, j] > 0.0)
-        moving = ~at_min | release.any(axis=1)
-        if not moving.any():
-            return X, fixed, None
-        fixed = fixed & ~release
+        moving, release = ~at_min, None
+        if at_min.any():
+            # a row at its working-set minimizer releases the fixed entry
+            # with the largest gap, if that entry can still improve
+            cand = np.where(fixed, _entry_gaps(grad, X, lam, lo, up) - floor, 0.0)
+            j = cand.argmax(axis=1)
+            release = np.zeros((n, k), dtype=bool)
+            release[rows, j] = at_min & (cand[rows, j] > 0.0)
+            moving |= release.any(axis=1)
+            if not moving.any():
+                return X, fixed, None
+            fixed = fixed & ~release
         free = ~fixed & moving[:, None]
         if kink:
-            if release.any():
+            if release is not None and release.any():
                 # a released entry at zero heads for the point that attains its
                 # gap (see _entry_gaps); elsewhere it keeps the sign it has
                 target = np.where(grad < -lam, up, np.where(grad > lam, lo, zero))
@@ -259,18 +293,17 @@ def _active_set(G, C, lo, up, lam, X, tol, max_iters):
         else:
             a, b = lo, up
             gf = np.where(free, grad, 0.0)
-        p, null_dir = _newton_direction(G, free, -0.5 * gf)
+        p, null_dir = _newton_direction(G, free, -0.5 * gf, scale)
         # t = 1 reaches the working-set minimizer unless a bound (or zero)
         # blocks first; a zero-curvature direction runs until it is blocked
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_hit = np.where(p > 0, (b - X) / p, np.where(p < 0, (a - X) / p, np.inf))
-        t_hit = np.where(free, t_hit, np.inf)
+        end = np.where(p > 0, b, a)
+        t_hit = np.divide(end - X, p, out=np.full((n, k), np.inf), where=free & (p != 0.0))
         t_block = t_hit.min(axis=1)
         blocked = t_block <= np.where(null_dir, np.inf, 1.0)
         t = np.where(blocked, t_block, 1.0)
-        X = np.where(free, np.clip(X + t[:, None] * p, a, b), X)
+        X = np.where(free, np.minimum(np.maximum(X + t[:, None] * p, a), b), X)
         hit = free & blocked[:, None] & (t_hit <= t_block[:, None])
-        X = np.where(hit, np.where(p > 0, b, a), X)
+        X = np.where(hit, end, X)
         fixed = fixed | hit
         at_min = np.where(moving, ~blocked, at_min)
     raise SubsolverError("box QP active-set iteration cap exceeded")
@@ -286,14 +319,23 @@ def _states(lam, lo, up) -> tuple:
             + ((_ZERO,) if positive and negative and ((lo_a < 0) & (up_a > 0)).any() else ()))
 
 
-def _minimize(G, C, lo, up, lam, X0, tol, max_iters):
+def _least_squares(G, C):
+    """C G^+, the least-squares minimizer of each row's smooth part: one
+    solve when _positive_definite says G is, else by the pseudo-inverse."""
+    if _positive_definite(G, _scale(G)):
+        return np.linalg.solve(G, C.T).T
+    return C @ np.linalg.pinv(G, hermitian=True)
+
+
+def _minimize(G, C, lo, up, lam, X0, tol, max_iters, predicted=False):
     """Minimizer of the solve_box_qp objective, its free mask, and the
     certified gap the active-set method stopped on (None if it has none):
     exact by pattern enumeration while the patterns are few, else the
     active-set method, which stops once the certified gap is <= tol.  X0
     (in the box, or None) starts the active-set method, by default from the
     clipped least-squares minimizer of the smooth part, and breaks ties when
-    G is singular, by default towards the clipped zero.
+    G is singular, by default towards the clipped zero; predicted is passed
+    to the active-set method.
 
     A stack (G of shape (K, k, k), C of shape (K, n, k)) enumerates in one
     batch and runs the active-set method member by member; its gaps are an
@@ -304,8 +346,8 @@ def _minimize(G, C, lo, up, lam, X0, tol, max_iters):
     states = _states(lam, lo, up)
     if len(states) ** k > _ENUM_PATTERNS:
         if X0 is None:
-            X0 = np.clip(C @ np.linalg.pinv(G, hermitian=True), lo, up)
-        X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, max_iters)
+            X0 = np.clip(_least_squares(G, C), lo, up)
+        X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, max_iters, predicted)
         return X, ~fixed, gap
     patterns = _patterns(k, states)
     try:
@@ -313,7 +355,7 @@ def _minimize(G, C, lo, up, lam, X0, tol, max_iters):
     except np.linalg.LinAlgError:
         # singular G: adding delta ||x - X0||^2 makes the minimizer unique and
         # picks the one nearest X0 up to O(delta)
-        delta = _NULL_RTOL * (float(np.abs(G).max()) or 1.0)
+        delta = _NULL_RTOL * _scale(G)
         X0 = np.clip(0.0, lo, up) if X0 is None else X0
         return _enumerate(G + delta * np.eye(k), C + delta * X0, lo, up, lam, patterns) + (None,)
 
@@ -401,10 +443,15 @@ def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters, first=No
     so with G_FF = V diag(w) V' the distance is the rational function
     ||X(nu) - center||^2 = ||(X - center)_fixed||^2
     + sum_j ((w_j + mu) (V'(X - center)_F)_j)^2 / (w_j + nu)^2,
-    the model handed to ball_multiplier_search.  first, when given, is the
-    solve at mu = 0 as (X, free mask).  A stack (G of shape (K, k, k); C, X0
-    and center of shape (K, n, k)) solves at mu = 0 in one batch; each
-    member then has its own ball and its own search.
+    the model handed to ball_multiplier_search.  A solve after a model
+    starts where the model puts the working set's minimizer at the new
+    multiplier nu, (X(nu) - center)_F = V diag((w + mu) / (w + nu)) V'(X -
+    center)_F, marked as every row's minimizer, if that point lies in the
+    box (and, with an l1 term, keeps the free entries' signs); else it
+    starts from X.  (The pattern enumeration ignores the start.)  first,
+    when given, is the solve at mu = 0 as (X, free mask).  A stack (G of
+    shape (K, k, k); C, X0 and center of shape (K, n, k)) solves at mu = 0
+    in one batch; each member then has its own ball and its own search.
     """
     X = np.clip(X0, lo, up) if first is None else first[0]
     if math.isinf(radius):
@@ -416,18 +463,34 @@ def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters, first=No
                                       center[j], radius, tol, max_iters, (X[j], free[j]))
                          for j in range(len(C))])
 
+    scale = _scale(G)
+    last = None  # the last model's (mu, free mask, w, V, coefficients)
+
     def solve(mu):
         nonlocal X, first
         if first is not None:  # mu = 0, solved already
             (X, free), first = first, None
         else:
-            X, free, _ = _minimize(G + mu * eye, C + mu * center, lo, up, lam, X, tol, max_iters)
+            start, predicted = X, False
+            if last is not None:
+                mu0, free0, w, V, coef = last
+                moved = np.einsum("nkj,nj->nk", V, coef * ((w + mu0) / (w + mu)))
+                Xp = np.where(free0, center + moved, X)
+                inside = (Xp >= lo) & (Xp <= up)
+                if lam > 0:
+                    inside &= Xp * X >= 0.0
+                if inside.all():
+                    start, predicted = Xp, True
+            X, free, _ = _minimize(G + mu * eye, C + mu * center, lo, up, lam, start, tol,
+                                   max_iters, predicted)
         u = X - center
 
         def model():
-            w, V, _ = _free_eigh(G, free)
+            nonlocal last
+            w, V = np.linalg.eigh(_free_system(G, free, scale))
             w = np.maximum(w, 0.0)  # G is PSD
             coef = np.einsum("nkj,nk->nj", V, np.where(free, u, 0.0))
+            last = (mu, free, w, V, coef)
             fixed_u = u[~free]
             return float(fixed_u @ fixed_u), (((w + mu) * coef) ** 2).ravel(), w.ravel()
         return X, model

@@ -87,8 +87,8 @@ def test_criterion_01_surrogate_algebra_oracle():
         A_d += wk * (H @ H.T)
         B_d += wk * (X @ H.T).T
         C_d += wk * (float(np.sum(X * X)) + LAM * float(np.abs(H).sum()))
-    g_rec = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=st.W, L=1.0, rho=0.0)
-    g_dir = FactorQuad(A=A_d, B=B_d, C=C_d, anchor=st.W, L=1.0, rho=0.0)
+    g_rec = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=st.W)
+    g_dir = FactorQuad(A=A_d, B=B_d, C=C_d, anchor=st.W)
     worst = 0.0
     for _ in range(50):
         W = rng.random(size=(Q, R))
@@ -449,7 +449,7 @@ def test_criterion_10_gradient_audits():
         return v, g.ravel()
 
     st = res.final
-    gbar = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=st.W, L=1.0, rho=0.0)
+    gbar = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=st.W)
     h = 1e-5
     audited = skipped = 0
     worst = 0.0

@@ -395,7 +395,7 @@ def test_omf_runner_refuses_a_surrogate_of_other_statistics(monkeypatch):
     def step(x, W_prev, A_prev, B_prev, *args, **kwargs):
         res = real(x, W_prev, A_prev, B_prev, *args, **kwargs)
         return dataclasses.replace(
-            res, quad=FactorQuad.from_stats(A_prev, B_prev, kwargs["C_prev"], W_prev))
+            res, quad=FactorQuad(A_prev, B_prev, kwargs["C_prev"], W_prev))
     monkeypatch.setattr(bench, "omf_step", step)
     with pytest.raises(RuntimeError, match="statistics"):
         run_omf_diagnostics(src, WeightSchedule.polylog(0.5, 1.5),
@@ -407,7 +407,8 @@ def test_omf_runner_refuses_a_surrogate_of_other_statistics(monkeypatch):
 @pytest.mark.parametrize("mode", ["c2", "c1"])
 def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     # the audits read the surrogate the step built and minimized: one
-    # FactorQuad, and one eigvalsh, per step; the block solve's certificate
+    # FactorQuad per step, and one eigvalsh for C1's audit (a C2 run reads no
+    # eigenvalue); the block solve's certificate
     # is that surrogate's value at the previous dictionary; and a ball search
     # bounds its multiplier only when the unconstrained solve leaves the ball
     import sbmm.bench as bench
@@ -461,7 +462,8 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     run_omf_diagnostics(src, WeightSchedule.polylog(0.5, 1.5), rng.uniform(0.0, 1.0, (3, 2)),
                         0.05, BoxSet.uniform(6, 0.0, 1.0), BoxSet.uniform(2, 0.0, 1.0),
                         mode=mode, c_prime=0.3, rho0=1.0, n_iters=n_iters, diag_interval=10)
-    assert counts["steps"] == counts["quad"] == counts["eig"] == n_iters
+    assert counts["steps"] == counts["quad"] == n_iters
+    assert counts["eig"] == (n_iters if mode == "c1" else 0)
     if mode == "c1":  # no trust region, so no ball search
         assert counts["searches"] == counts["bound"] == 0
     else:

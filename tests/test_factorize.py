@@ -418,7 +418,7 @@ def test_omf_state_initial_seeds_proximal_average():
     rho0 = 1.4
     st = OmfState.initial(W0, rho0=rho0)
     from sbmm.quadform import FactorQuad
-    g = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=W0, L=rho0, rho=rho0)
+    g = FactorQuad(A=st.A, B=st.B, C=st.C, anchor=W0)
     for _ in range(10):
         W = rng.normal(size=(3, 2))
         assert g.value(W) == pytest.approx(

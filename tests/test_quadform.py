@@ -102,7 +102,7 @@ def test_factor_value_matches_loop_oracle():
     A = A @ A.T
     B = rng.normal(size=(r, q))
     C = 2.5
-    g = FactorQuad(A=A, B=B, C=C, anchor=np.zeros((q, r)), L=1.0, rho=0.0)
+    g = FactorQuad(A=A, B=B, C=C, anchor=np.zeros((q, r)))
     for _ in range(5):
         W = rng.normal(size=(q, r))
         assert g.value(W) == pytest.approx(factor_value_oracle(A, B, C, W), rel=1e-12)
@@ -114,7 +114,7 @@ def test_factor_grad_matches_fd():
     A = rng.normal(size=(r, r))
     A = A @ A.T
     B = rng.normal(size=(r, q))
-    g = FactorQuad(A=A, B=B, C=0.0, anchor=np.zeros((q, r)), L=1.0, rho=0.0)
+    g = FactorQuad(A=A, B=B, C=0.0, anchor=np.zeros((q, r)))
     W = rng.normal(size=(q, r))
     got = g.grad(W).ravel()
     want = fd_grad(lambda v: g.value(v.reshape(q, r)), W.ravel())
@@ -125,29 +125,35 @@ def test_factor_flat_input_equivalent():
     rng = np.random.default_rng(3)
     A = np.eye(2)
     B = rng.normal(size=(2, 3))
-    g = FactorQuad(A=A, B=B, C=1.0, anchor=np.zeros((3, 2)), L=2.0, rho=2.0)
+    g = FactorQuad(A=A, B=B, C=1.0, anchor=np.zeros((3, 2)))
     W = rng.normal(size=(3, 2))
     assert g.value(W.ravel()) == g.value(W)
     np.testing.assert_array_equal(g.grad(W.ravel()), g.grad(W))
 
 
 def test_factor_min_eig():
+    # rho = 2 lambda_min(A), computed on first read; a stack's come from one
+    # batched eigvalsh and its members keep theirs
     A = np.diag([3.0, 0.5])
-    g = FactorQuad(A=A, B=np.zeros((2, 2)), C=0.0, anchor=np.zeros((2, 2)),
-                   L=6.0, rho=1.0)
-    assert g.min_eig() == pytest.approx(0.5)
+    g = FactorQuad(A=A, B=np.zeros((2, 2)), C=0.0, anchor=np.zeros((2, 2)))
+    assert "rho" not in vars(g)
+    assert g.rho == pytest.approx(1.0)
+    stack = FactorQuad(A=np.stack([A, np.diag([0.2, 4.0]), np.zeros((2, 2))]),
+                       B=np.zeros((3, 2, 2)), C=np.zeros(3), anchor=np.zeros((3, 2, 2)))
+    np.testing.assert_allclose(stack.rho, [1.0, 0.4, 0.0])
+    np.testing.assert_allclose(stack.members([2, 0]).rho, [0.0, 1.0])
 
 
 def test_factor_validation_errors():
     with pytest.raises(ValueError):
         FactorQuad(A=np.array([[1.0, 2.0], [0.0, 1.0]]), B=np.zeros((2, 2)),
-                   C=0.0, anchor=np.zeros((2, 2)), L=1.0, rho=0.0)
+                   C=0.0, anchor=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         FactorQuad(A=np.eye(2), B=np.zeros((3, 2)), C=0.0,
-                   anchor=np.zeros((2, 2)), L=1.0, rho=0.0)
+                   anchor=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         FactorQuad(A=np.eye(2), B=np.zeros((2, 4)), C=0.0,
-                   anchor=np.zeros((3, 2)), L=1.0, rho=0.0)
+                   anchor=np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +294,6 @@ def test_factor_surrogate_curvature_constants():
     code_set = BoxSet.uniform(2, 0.0, 1.0)
     H, g, _ = _sample_surrogate(X, W, 0.0, code_set)
     ev = np.linalg.eigvalsh(H @ H.T)
-    assert g.L == pytest.approx(2.0 * max(ev[-1], 1e-12))
     assert g.rho == pytest.approx(2.0 * max(ev[0], 0.0))
 
 

@@ -326,7 +326,7 @@ def test_block_quadratic_factor_form():
     A = M @ M.T + 0.1 * np.eye(r)
     B = rng.normal(size=(r, q))
     W0 = np.clip(rng.normal(size=(q, r)), 0.0, 1.0)
-    g = FactorQuad(A=A, B=B, C=0.0, anchor=W0, L=1.0, rho=0.0)
+    g = FactorQuad(A=A, B=B, C=0.0, anchor=W0)
     box = BoxSet.nonneg(q * r, upper=1.0)
     feas = restricted_block_set(box, W0.ravel(), np.arange(q * r), math.inf)
     theta, _ = solve_block_quadratic(g, feas, W0.ravel(), tol=1e-10)
@@ -352,7 +352,7 @@ def test_block_quadratic_factor_column_matches_explicit_form(radius):
     A = M @ M.T + 0.1 * np.eye(r)
     B = rng.normal(size=(r, q))
     W0 = rng.uniform(0.2, 0.8, size=(q, r))
-    fq = FactorQuad(A=A, B=B, C=0.7, anchor=W0, L=1.0, rho=0.0)
+    fq = FactorQuad(A=A, B=B, C=0.7, anchor=W0)
     quad = QuadSurrogate(curvature=2.0 * np.kron(np.eye(q), A), linear=-2.0 * B.T.ravel(),
                          constant=0.7, anchor=W0.ravel(), L=1.0, rho=0.0)
     box = BoxSet.nonneg(q * r, upper=1.0)
@@ -842,7 +842,7 @@ def test_block_quadratic_stack_matches_each_member():
     B = rng.uniform(0.0, 1.0, size=(K, r, q))
     C = rng.uniform(1.0, 2.0, size=K)
     W = rng.uniform(0.2, 0.8, size=(K, q, r))
-    quad = FactorQuad.from_stats(A, B, C, W)
+    quad = FactorQuad(A, B, C, W)
     box = BoxSet.uniform(q * r, 0.0, 1.0)
     rows = np.array([[0, 2], [3, 1], [1, 2]])
     J = (rows[:, :, None] * r + np.arange(r)).reshape(K, -1)
@@ -852,7 +852,7 @@ def test_block_quadratic_stack_matches_each_member():
     for radius in (0.05, math.inf):
         theta, value = solve_block_quadratic(quad, restricted_block_set(box, w, J, radius), start)
         for j in range(K):
-            one = FactorQuad.from_stats(A[j], B[j], float(C[j]), W[j])
+            one = FactorQuad(A[j], B[j], float(C[j]), W[j])
             theta_j, value_j = solve_block_quadratic(
                 one, restricted_block_set(box, w[j], J[j], radius), start[j])
             assert theta[j].tobytes() == theta_j.tobytes() and value[j] == value_j
@@ -860,3 +860,192 @@ def test_block_quadratic_stack_matches_each_member():
     outside[1, J[1, 0]] += 0.5  # leaves member 1's ball
     with pytest.raises(SubsolverError, match="feasible"):
         solve_block_quadratic(quad, restricted_block_set(box, w, J, 0.05), outside)
+
+
+# ---------------------------------------------------------------------------
+# Newton steps: batched LU solve, eigendecomposition for singular systems
+
+
+def _dictionary_hessian(rng, r, scale_row=None):
+    """A = H H' / d for codes H (r, d) in [0, 1], with code coordinate
+    scale_row (if given) multiplied by the factor in the pair."""
+    H = rng.uniform(0.0, 1.0, size=(r, 12))
+    if scale_row is not None:
+        row, factor = scale_row
+        H[row] *= factor
+    return H @ H.T / 12
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_newton_direction_lu_matches_eigh(monkeypatch):
+    # on positive definite masked systems the batched LU solve gives the
+    # eigendecomposition's direction, without an eigendecomposition
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(61)
+    cases = []
+    for _ in range(30):
+        k = int(rng.integers(2, 8))
+        n = int(rng.integers(1, 10))
+        G = _dictionary_hessian(rng, k) + 0.01 * np.eye(k)
+        free = rng.random((n, k)) < 0.7
+        rhs = np.where(free, rng.normal(size=(n, k)), 0.0)
+        cases.append((G, free, rhs, subsolver._scale(G)))
+    counts = _count_calls(monkeypatch, np.linalg, ["eigh", "solve"])
+    lu = [subsolver._newton_direction(*case) for case in cases]
+    assert counts == {"eigh": 0, "solve": len(cases)}
+    monkeypatch.setattr(subsolver, "_positive_definite", lambda M, scale: False)
+    for case, (p, null_dir) in zip(cases, lu):
+        p_eigh, null_eigh = subsolver._newton_direction(*case)
+        assert not null_dir.any() and not null_eigh.any()
+        assert np.linalg.norm(p - p_eigh) <= 1e-12 * np.linalg.norm(p_eigh)
+        assert (p[~case[1]] == 0.0).all()
+    assert counts["eigh"] == len(cases)
+
+
+@pytest.mark.parametrize("factor", [0.0, 1e-7], ids=["singular", "nearly_singular"])
+def test_newton_direction_singular_hessian_takes_eigh_path(monkeypatch, factor):
+    # an all-zero code coordinate makes the dictionary Hessian singular, a
+    # tiny one nearly so (smallest eigenvalue below _NULL_RTOL times the
+    # scale); the Cholesky test sends the system to the eigendecomposition,
+    # whose null direction the step follows.  solve_box_qp still certifies
+    # its gap on both
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(62)
+    r, n = 5, 8
+    A = _dictionary_hessian(rng, r, scale_row=(2, factor))
+    scale = subsolver._scale(A)
+    w, V = np.linalg.eigh(A)
+    assert w[0] <= subsolver._NULL_RTOL * scale < w[1]
+    free = np.ones((n, r), dtype=bool)
+    free[1, 2] = False  # this row's system leaves out the null coordinate
+    rhs = rng.normal(size=(n, r))
+    rhs[1, 2] = 0.0
+    assert not subsolver._positive_definite(subsolver._free_system(A, free, scale), scale)
+    counts = _count_calls(monkeypatch, np.linalg, ["eigh", "solve"])
+    p, null_dir = subsolver._newton_direction(A, free, rhs, scale)
+    assert counts == {"eigh": 1, "solve": 0}
+    np.testing.assert_array_equal(null_dir, np.arange(n) != 1)
+    # the null direction is rhs's part along the null eigenvector
+    null_part = np.outer(rhs @ V[:, 0], V[:, 0])
+    np.testing.assert_allclose(p[null_dir], null_part[null_dir], atol=1e-12)
+    # the row without the null coordinate takes its Newton step
+    F = free[1]
+    np.testing.assert_allclose(p[1, F], np.linalg.solve(A[np.ix_(F, F)], rhs[1, F]), rtol=1e-10)
+    B = rng.uniform(0.0, 1.0, size=(n, r))
+    for lam in (0.0, 0.05):
+        X, gap = solve_box_qp(A, B, 0.0, 1.0, lam, tol=1e-10)
+        assert gap <= 1e-10
+        assert _box_qp_kkt(A, B, X, lam, np.zeros((n, r)), np.ones((n, r))) <= 1e-9
+
+
+def test_least_squares_start_solves_or_falls_back_to_pinv(monkeypatch):
+    # the active-set method's default start C G^+ is one solve when G passes
+    # the Cholesky test, and the pseudo-inverse when G is singular
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(63)
+    C = rng.normal(size=(4, 5))
+    counts = _count_calls(monkeypatch, np.linalg, ["solve", "pinv"])
+    G = _dictionary_hessian(rng, 5)
+    X = subsolver._least_squares(G, C)
+    assert counts == {"solve": 1, "pinv": 0}
+    np.testing.assert_allclose(X, C @ np.linalg.pinv(G, hermitian=True), rtol=1e-10)
+    G = _dictionary_hessian(rng, 5, scale_row=(4, 0.0))
+    X = subsolver._least_squares(G, C)
+    assert counts == {"solve": 1, "pinv": 2}
+    np.testing.assert_array_equal(X, C @ np.linalg.pinv(G, hermitian=True))
+
+
+# ---------------------------------------------------------------------------
+# the ball search's predicted start
+
+
+def _record_ball_solves(monkeypatch):
+    """Per box solve of each ball search: its multiplier, the Newton
+    directions and certified gaps it computed, and whether its active-set
+    run started from the prediction."""
+    import sbmm.subsolver as subsolver
+
+    counts = _count_calls(monkeypatch, subsolver, ["_newton_direction", "_certified_gap"])
+    solves, predicted = [], []
+    real_active, real_search = subsolver._active_set, subsolver.ball_multiplier_search
+
+    def active(*args):
+        predicted.append(len(args) > 8 and args[8])
+        return real_active(*args)
+
+    def search(solve, center, radius, mu_hi):
+        def recorded(mu):
+            before = dict(counts)
+            predicted.clear()
+            x, model = solve(mu)
+            solves.append((mu, counts["_newton_direction"] - before["_newton_direction"],
+                           counts["_certified_gap"] - before["_certified_gap"],
+                           bool(predicted and predicted[0])))
+            return x, model
+        return real_search(recorded, center, radius, mu_hi)
+    monkeypatch.setattr(subsolver, "_active_set", active)
+    monkeypatch.setattr(subsolver, "ball_multiplier_search", search)
+    return solves
+
+
+@pytest.mark.parametrize("box", ["wide", "dictionary"])
+def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
+    # rank-5 blocks (3^5 KKT patterns: the active-set path) whose ball binds
+    # and whose working set holds from mu = 0 to the root: the solve at the
+    # root starts at the point the distance model predicts, makes no Newton
+    # step and one certified gap, and the search ends after two solves
+    import sbmm.subsolver as subsolver
+
+    solves = _record_ball_solves(monkeypatch)
+    rng = np.random.default_rng(64)
+    if box == "wide":
+        M = rng.normal(size=(5, 5))
+        G, C = M @ M.T + 0.5 * np.eye(5), rng.normal(size=(3, 5))
+        lo, up, center = -100.0, 100.0, np.zeros((3, 5))
+        radius = 0.1 * float(np.linalg.norm(np.linalg.solve(G, C.T)))
+    else:
+        G = _dictionary_hessian(rng, 5)
+        C = rng.uniform(0.0, 1.0, size=(8, 12)) @ rng.uniform(0.0, 1.0, size=(12, 5)) / 12
+        lo, up, center = 0.0, 1.0, rng.uniform(0.1, 0.9, size=(8, 5))
+        X0 = subsolver._minimize(G, C, lo, up, 0.0, center, 1e-8, subsolver.MAX_ITERS)[0]
+        radius = 0.999 * float(np.linalg.norm(X0 - center))
+    X = subsolver._box_qp_ball(G, C, lo, up, 0.0, center, center, radius, 1e-8,
+                               subsolver.MAX_ITERS)
+    (mu0, _, _, _), (mu1, newton, gaps, predicted) = solves
+    assert mu0 == 0.0 < mu1
+    assert predicted and newton == 0 and gaps == 1
+    assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
+    # the result is the box-and-ball minimizer: it matches the bisection
+    # reference, and the working set of mu = 0 held
+    X_ref, fixed_0, fixed_ref = _ball_bisection_reference(
+        G, C, np.broadcast_to(lo, C.shape), np.broadcast_to(up, C.shape), 0.0, center, radius)
+    np.testing.assert_array_equal(fixed_0, fixed_ref)
+    obj = lambda Y: float(np.sum(Y * (Y @ G - 2.0 * C)))
+    assert abs(obj(X) - obj(X_ref)) <= 1e-10 * max(1.0, abs(obj(X_ref)))
+
+
+@pytest.mark.parametrize("with_l1", [False, True], ids=["lam0", "lam"])
+def test_ball_search_prediction_outside_box_falls_back(monkeypatch, with_l1):
+    # where the working set changes the prediction can leave the box (or the
+    # sign region): those solves start from the last solution instead, and
+    # every search still matches the bisection reference (with l1, seeds 12
+    # to 15 are wrong if a prediction that crosses zero is taken)
+    solves = _record_ball_solves(monkeypatch)
+    for seed in range(16):
+        _check_ball_block(seed, 5, with_l1)
+    later = [predicted for mu, _, _, predicted in solves if mu > 0.0]
+    assert any(later) and not all(later)
