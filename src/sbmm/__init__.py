@@ -1,8 +1,9 @@
 """Stochastic block majorization-minimization toolkit.
 
-Weight schedules, box/block geometry, quadratic surrogate algebra, convex
-subsolvers, finite-state Markov data streams, the SBMM outer loop, online
-matrix/tensor factorization applications, and diagnostics with a CLI.
+Weight schedules, box/block geometry, quadratic surrogates, convex
+subsolvers, finite-state Markov data streams, the online matrix/tensor
+factorization steps, and the SBMM runner (``bench``: one loop that steps,
+audits and records diagnostics for every application) with a CLI.
 """
 
 from .schedule import (
@@ -10,29 +11,17 @@ from .schedule import (
     ScheduleReport,
     weight_at,
     cumulative_weight,
-    tail_weight_sum,
     validate_schedule,
 )
 from .geometry import (
     BoxSet,
-    BlockSpec,
     BlockFeasibleSet,
     project_box,
-    project_box_ball,
     restricted_block_set,
     tangent_cone_project,
     stationarity_measure,
-    select_blocks,
 )
-from .quadform import (
-    QuadSurrogate,
-    FactorQuad,
-    make_lipschitz_surrogate,
-    make_prox_surrogate,
-    make_dc_surrogate,
-    average_surrogate,
-    check_majorization,
-)
+from .quadform import QuadSurrogate, FactorQuad
 from .subsolver import soft_threshold, solve_box_qp, solve_code_lasso, solve_block_quadratic
 from .stream import (
     MarkovSource,
@@ -41,15 +30,6 @@ from .stream import (
     tv_decay,
     next_sample,
     make_iid,
-)
-from .engine import (
-    SurrogateRecipe,
-    SbmmState,
-    init_state,
-    block_minimize,
-    sbmm_step,
-    run,
-    eps_bar_update,
 )
 from .factorize import (
     out_product,
@@ -66,7 +46,7 @@ from .bench import (
     RunResult,
     eval_empirical,
     eval_expected,
-    iteration_complexity_estimate,
+    eps_bar_update,
     emit_csv,
     parse_config,
     run_experiment,

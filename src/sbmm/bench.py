@@ -37,7 +37,6 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import eps_bar_update
 from .factorize import (
     CpdlState,
     OmfState,
@@ -62,7 +61,7 @@ __all__ = [
     "RunResult",
     "eval_empirical",
     "eval_expected",
-    "iteration_complexity_estimate",
+    "eps_bar_update",
     "emit_csv",
     "read_csv",
     "parse_config",
@@ -152,14 +151,11 @@ def eval_expected(theta, source: MarkovSource, loss):
     return value, grad
 
 
-def iteration_complexity_estimate(records, eps: float, target: str = "surr"):
-    """Smallest recorded n whose squared stationarity measure is <= eps for
-    the chosen target; 'not reached' when none qualifies."""
-    key = {"surr": "stat_surr", "emp": "stat_emp", "exp": "stat_exp"}[target]
-    for rec in records:
-        if getattr(rec, key) ** 2 <= eps:
-            return rec.n
-    return "not reached"
+def eps_bar_update(eps_bar_prev: float, eps_n: float, w_n: float) -> float:
+    """(1 - w_n) * eps_bar_prev + w_n * eps_n (both inputs nonnegative)."""
+    if eps_bar_prev < 0 or eps_n < 0:
+        raise ValueError("tolerances must be >= 0")
+    return (1.0 - w_n) * eps_bar_prev + w_n * eps_n
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +508,16 @@ def read_csv(path):
     """Read an emitted diagnostics CSV back into column arrays."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row] for row in reader if row]
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty: no header row")
+        rows = [row for row in reader if row]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: every row must have {len(header)} cells, as the header does")
+    try:
+        data = np.array([[float(c) for c in row] for row in rows]).reshape(len(rows), len(header))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
@@ -925,9 +928,10 @@ def _cmd_mixing_report(args) -> int:
 
 def _cmd_rate_check(args) -> int:
     cols = read_csv(args.csv)
-    if args.column not in cols:
-        print(f"error: column {args.column!r} not in {args.csv}", file=sys.stderr)
-        return 1
+    for name in (args.column, "cum_weight"):
+        if name not in cols:
+            print(f"error: column {name!r} not in {args.csv}", file=sys.stderr)
+            return 1
     y = cols[args.column]
     x = cols["cum_weight"]
     mask = (y > 0) & (x > 0)

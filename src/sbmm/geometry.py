@@ -1,17 +1,18 @@
-"""Box constraint sets, coordinate blocks, projections, and stationarity.
+"""Box constraint sets, block feasible sets, the ball search, and stationarity.
 
 The constraint family is restricted to boxes (including the nonnegativity
 shorthand): every application in this package optimizes matrices or loading
 factors over per-entry bounds, and boxes admit an exact tangent-cone
-projection.  The trust-region step of the outer loop needs Euclidean
-projection onto box-intersect-ball.  Dualizing the ball with a multiplier mu
-leaves a box problem with a closed-form solution for every mu, and the
-distance to the ball center falls as mu grows.  On a fixed set of entries
-at their bounds that distance is an explicit rational function of mu, the
-secular equation of a trust-region step, so ``ball_multiplier_search``
-jumps to its root, kept inside a bisection bracket, and finds the exact
-projection; the block subsolver reuses the same search for its
-trust-region slices.
+projection.  Every block solve minimizes a convex quadratic over
+box-intersect-ball, the ball being the trust region of radius c'*w_n
+around the previous iterate.  Dualizing the ball with a multiplier mu
+leaves a box problem for every mu, and the distance to the ball center
+falls as mu grows.  On a fixed set of entries at their bounds that
+distance is an explicit rational function of mu, the secular equation of
+a trust-region step, so ``ball_multiplier_search`` jumps to its root, kept
+inside a bisection bracket; the block subsolver
+(``subsolver._box_qp_ball``) supplies the box solves and their distance
+models.
 """
 
 from __future__ import annotations
@@ -19,20 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "BoxSet",
-    "BlockSpec",
     "BlockFeasibleSet",
     "project_box",
-    "project_box_ball",
     "restricted_block_set",
     "tangent_cone_project",
     "stationarity_measure",
-    "select_blocks",
 ]
 
 BOUNDARY_TOL = 1e-9
@@ -179,109 +177,6 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
     return center + (x - center) * (radius / nrm)
 
 
-def project_box_ball(
-    x: np.ndarray,
-    box: BoxSet,
-    center: np.ndarray,
-    radius: float,
-) -> np.ndarray:
-    """Euclidean projection onto box intersect ball(center, radius).
-
-    Requires center inside the box, so the intersection is nonempty.  For a
-    ball multiplier mu the box-constrained minimizer of ||y - x||^2 +
-    mu ||y - center||^2 is y(mu) = clip((x + mu center) / (1 + mu)).  Where
-    y(mu) is strictly inside the box, y(nu) - center = (x - center) / (1 + nu),
-    which gives ball_multiplier_search its distance model with every w = 1.
-    """
-    x = np.asarray(x, dtype=float)
-    center = np.asarray(center, dtype=float)
-    if radius < 0:
-        raise GeometryError("radius must be >= 0")
-    if not box.contains(center):
-        raise GeometryError("ball center must lie inside the box")
-    if radius == 0.0:
-        return center.copy()
-    if math.isinf(radius):
-        return project_box(x, box)
-
-    def solve(mu):
-        z = (x + mu * center) / (1.0 + mu)
-        y = np.clip(z, box.lower, box.upper)
-        free = (z > box.lower) & (z < box.upper)
-
-        def model():
-            u = (y - center)[~free]
-            a = (x - center)[free] ** 2
-            return float(u @ u), a, np.ones(a.size)
-        return y, model
-
-    # ||y(mu) - center|| <= ||x - center|| / (1 + mu)
-    return ball_multiplier_search(solve, center, radius,
-                                  lambda: float(np.linalg.norm(x - center)) / radius)
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Coordinate blocks with m sub-iterations per outer step.
-
-    Blocks must cover every coordinate, and every coordinate must appear in
-    the same number of blocks so cyclic and uniform-random selection both
-    touch coordinates with iteration-independent, uniform frequency.
-    """
-
-    blocks: tuple[np.ndarray, ...]
-    m: int
-    selection: str = "cyclic"
-    p: int = 0
-
-    def __post_init__(self):
-        blocks = tuple(np.asarray(sorted(set(int(i) for i in b)), dtype=int) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks:
-            raise ValueError("need at least one block")
-        if self.selection not in ("cyclic", "uniform_random"):
-            raise ValueError(f"unknown selection {self.selection!r}")
-        covered = np.concatenate(blocks)
-        p = self.p or int(covered.max()) + 1
-        object.__setattr__(self, "p", p)
-        counts = np.zeros(p, dtype=int)
-        for b in blocks:
-            if (b < 0).any() or (b >= p).any():
-                raise ValueError("block index out of range")
-            counts[b] += 1
-        if (counts == 0).any():
-            raise ValueError("blocks must cover every coordinate")
-        if not (counts == counts[0]).all():
-            raise ValueError(
-                "every coordinate must appear in the same number of blocks "
-                "(uniform coverage requirement)"
-            )
-        if self.selection == "cyclic" and self.m != len(blocks):
-            raise ValueError("cyclic selection requires m == number of blocks")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-
-    @classmethod
-    def single(cls, p: int) -> "BlockSpec":
-        return cls(blocks=(np.arange(p),), m=1, p=p)
-
-    @classmethod
-    def partition(cls, pieces: Sequence[Iterable[int]], selection: str = "cyclic",
-                  m: int | None = None) -> "BlockSpec":
-        blocks = tuple(np.asarray(list(b), dtype=int) for b in pieces)
-        if m is None:
-            m = len(blocks)
-        return cls(blocks=blocks, m=m, selection=selection)
-
-
-def select_blocks(spec: BlockSpec, rng: np.random.Generator) -> list[np.ndarray]:
-    """Ordered list of the m blocks used in one outer step."""
-    if spec.selection == "cyclic":
-        return list(spec.blocks)
-    idx = rng.integers(0, len(spec.blocks), size=spec.m)
-    return [spec.blocks[i] for i in idx]
-
-
 @dataclass(frozen=True)
 class BlockFeasibleSet:
     """Feasible set of one block sub-step.
@@ -335,17 +230,6 @@ class BlockFeasibleSet:
         if math.isinf(self.radius):
             return True
         return float(np.linalg.norm(sub - self.center_sub)) <= self.radius + tol
-
-    def project_sub(self, z: np.ndarray) -> np.ndarray:
-        """Project a candidate J-subvector onto the feasible slice."""
-        if math.isinf(self.radius):
-            return project_box(z, self.sub_box)
-        return project_box_ball(z, self.sub_box, self.center_sub, self.radius)
-
-    def embed(self, sub: np.ndarray) -> np.ndarray:
-        theta = self.theta_prev.copy()
-        theta[self.J] = sub
-        return theta
 
 
 def restricted_block_set(

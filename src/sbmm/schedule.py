@@ -22,7 +22,6 @@ __all__ = [
     "weight_at",
     "cumulative_weight",
     "validate_schedule",
-    "tail_weight_sum",
 ]
 
 # switch to log-space products above this horizon to avoid underflow
@@ -89,9 +88,6 @@ class WeightSchedule:
     def cumulative_weight(self, k: int, n: int) -> float:
         return cumulative_weight(self, k, n)
 
-    def tail_weight_sum(self, T: int, n: int) -> float:
-        return tail_weight_sum(self, T, n)
-
     def validate(self, horizon: int | None = None) -> "ScheduleReport":
         return validate_schedule(self, horizon=horizon)
 
@@ -150,32 +146,6 @@ def cumulative_weight(s: WeightSchedule, k: int, n: int) -> float:
             return 0.0
         log_prod += math.log(one_minus)
     return wk * math.exp(log_prod)
-
-
-def tail_weight_sum(s: WeightSchedule, T: int, n: int) -> float:
-    """Return sum_{i=1}^{T} w^n_i exactly (running product, one pass)."""
-    if not (1 <= T <= n):
-        raise ValueError(f"need 1 <= T <= n, got T={T}, n={n}")
-    # shared suffix product prod_{i=T+1}^{n}(1 - w_i), then walk k = T..1
-    log_suffix = 0.0
-    suffix_zero = False
-    for i in range(T + 1, n + 1):
-        one_minus = 1.0 - weight_at(s, i)
-        if one_minus <= 0.0:
-            suffix_zero = True
-            break
-        log_suffix += math.log(one_minus)
-    if suffix_zero:
-        return 0.0
-    total = 0.0
-    log_inner = 0.0  # prod_{i=k+1}^{T}(1 - w_i), built from k = T downward
-    for k in range(T, 0, -1):
-        total += weight_at(s, k) * math.exp(log_inner + log_suffix)
-        one_minus = 1.0 - weight_at(s, k)
-        if one_minus <= 0.0:
-            break  # w_k = 1 kills every earlier term
-        log_inner += math.log(one_minus)
-    return total
 
 
 def validate_schedule(s: WeightSchedule, horizon: int | None = None) -> ScheduleReport:

@@ -360,8 +360,7 @@ def test_criterion_08_subsolver_correctness():
         M = rng.normal(size=(2, 2))
         Qm = M @ M.T + 0.2 * np.eye(2)
         b = rng.normal(size=2)
-        g = QuadSurrogate(curvature=Qm, linear=b, constant=0.0,
-                          anchor=np.zeros(2), L=1.0, rho=0.0)
+        g = QuadSurrogate(curvature=Qm, linear=b, constant=0.0)
         lo = rng.uniform(-2.0, -0.5, size=2)
         up = rng.uniform(0.5, 2.0, size=2)
         box = BoxSet(lower=lo, upper=up)

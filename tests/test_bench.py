@@ -16,7 +16,6 @@ from sbmm.bench import (
     emit_csv,
     eval_empirical,
     eval_expected,
-    iteration_complexity_estimate,
     parse_config,
     read_csv,
     run_experiment,
@@ -194,42 +193,6 @@ def test_expected_gradient_fd():
         vp, _ = eval_expected(theta + e, src, sq_loss)
         vm, _ = eval_expected(theta - e, src, sq_loss)
         assert g[i] == pytest.approx((vp - vm) / (2 * h), rel=1e-4, abs=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# iteration complexity
-
-
-def test_complexity_infinite_eps_is_first_record():
-    recs = [make_record(n) for n in (10, 20, 30)]
-    assert iteration_complexity_estimate(recs, math.inf) == 10
-
-
-def test_complexity_not_reached():
-    recs = [make_record(n, stat=1.0) for n in (10, 20)]
-    assert iteration_complexity_estimate(recs, 1e-6) == "not reached"
-
-
-def test_complexity_first_crossing():
-    recs = [make_record(10, stat=1.0), make_record(20, stat=0.5),
-            make_record(30, stat=0.1), make_record(40, stat=0.01)]
-    # squared measure <= eps
-    assert iteration_complexity_estimate(recs, 0.25) == 20
-    assert iteration_complexity_estimate(recs, 0.0101) == 30
-
-
-def test_complexity_monotone_in_eps():
-    rng = np.random.default_rng(4)
-    stats = np.sort(rng.random(20))[::-1]
-    recs = [make_record(10 * (i + 1), stat=s) for i, s in enumerate(stats)]
-    prev = None
-    for eps in [1e-3, 1e-2, 1e-1, 0.5, 1.0, math.inf]:
-        got = iteration_complexity_estimate(recs, eps)
-        if got == "not reached":
-            continue
-        if prev is not None:
-            assert got <= prev
-        prev = got
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +780,18 @@ def test_sweep_demo_prints_its_throughput(tmp_path):
     assert float(lines[-1].rsplit(" ", 1)[-1]) > 0.0
 
 
+def test_envelope_demo_prints_its_checkpoints():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "envelope_demo.py"),
+                           "--steps", "200"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0].startswith("chain mixing rate: ")
+    assert [line.split()[0] for line in lines[2:]] == ["100", "200"]
+    for line in lines[2:]:
+        assert all(math.isfinite(float(v)) for v in line.split()[1:])
+
+
 def _fuzz_values(d):
     """Candidate values, good and bad, for every config key; d holds the
     input files."""
@@ -931,3 +906,15 @@ def test_cli_errors_exit_one(tmp_path, capsys):
     p = tmp_path / "x.csv"
     emit_csv(recs, p)
     assert cli_main(["rate-check", str(p), "--column", "nope"]) == 1
+
+
+@pytest.mark.parametrize("text", ["", "n,min_comp_emp\n1,0.5\n2,0.25\n",
+                                  "n,cum_weight,min_comp_emp\n1,0.5\n2,1.0\n",
+                                  "n,cum_weight,min_comp_emp\n1,0.5,x\n"],
+                         ids=["empty", "no_cum_weight", "short_rows", "text_cell"])
+def test_cli_rate_check_malformed_csv_exits_one(tmp_path, capsys, text):
+    p = tmp_path / "bad.csv"
+    p.write_text(text, encoding="utf-8")
+    assert cli_main(["rate-check", str(p), "--column", "min_comp_emp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(p) in err and "Traceback" not in err

@@ -6,16 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from sbmm.geometry import (
     BOUNDARY_TOL,
-    BlockSpec,
     BoxSet,
     GeometryError,
     project_box,
-    project_box_ball,
     restricted_block_set,
-    select_blocks,
     stationarity_measure,
     tangent_cone_project,
 )
+from sbmm.quadform import QuadSurrogate
+from sbmm.subsolver import MAX_ITERS, _box_qp_ball, solve_block_quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +101,22 @@ def test_project_box_matches_grid_oracle():
 
 
 # ---------------------------------------------------------------------------
-# project_box_ball
+# projection onto box intersect ball, by the block subsolver's ball search
+
+
+def box_ball_projection(x, box, center, radius):
+    """Euclidean projection of x onto box intersect ball(center, radius),
+    center in the box, as the block solve computes it: one row per entry
+    with G = I, whose objective sum_i y_i^2 - 2 x_i y_i is ||y - x||^2 up to
+    a constant."""
+    return _box_qp_ball(np.eye(1), x[:, None], box.lower[:, None], box.upper[:, None], 0.0,
+                        center[:, None], center[:, None], radius, 1e-12, MAX_ITERS)[:, 0]
 
 
 def test_ball_radius_zero_gives_center():
     box = BoxSet.uniform(2, 0.0, 1.0)
     c = np.array([0.4, 0.6])
-    out = project_box_ball(np.array([5.0, -5.0]), box, c, 0.0)
+    out = box_ball_projection(np.array([5.0, -5.0]), box, c, 0.0)
     assert np.array_equal(out, c)
 
 
@@ -116,13 +124,14 @@ def test_ball_identity_when_feasible():
     box = BoxSet.uniform(2, 0.0, 1.0)
     c = np.array([0.5, 0.5])
     x = np.array([0.6, 0.4])
-    assert np.allclose(project_box_ball(x, box, c, 0.5), x)
+    assert np.allclose(box_ball_projection(x, box, c, 0.5), x)
 
 
 def test_ball_center_outside_box_rejected():
+    # the ball of a block solve is centered at theta_prev, which must be feasible
     box = BoxSet.uniform(2, 0.0, 1.0)
     with pytest.raises(GeometryError):
-        project_box_ball(np.zeros(2), box, np.array([2.0, 0.0]), 0.5)
+        restricted_block_set(box, np.array([2.0, 0.0]), np.array([0, 1]), 0.5)
 
 
 def test_box_ball_2d_arc_grid_oracle():
@@ -131,7 +140,7 @@ def test_box_ball_2d_arc_grid_oracle():
     box = BoxSet.uniform(2, 0.0, 1.0)
     c = np.zeros(2)
     x = np.array([1.0, 1.0])
-    got = project_box_ball(x, box, c, 0.5)
+    got = box_ball_projection(x, box, c, 0.5)
     pts = box_grid(box, 1001)
     feas = pts[np.linalg.norm(pts, axis=1) <= 0.5]
     oracle = grid_nearest(x, feas)
@@ -150,7 +159,7 @@ def test_box_ball_output_feasible(seed):
     c = rng.uniform(lo, up)
     radius = float(rng.uniform(0.01, 1.5))
     x = rng.uniform(-4, 4, size=p)
-    out = project_box_ball(x, box, c, radius)
+    out = box_ball_projection(x, box, c, radius)
     assert box.contains(out, tol=1e-9)
     assert np.linalg.norm(out - c) <= radius + 1e-9
 
@@ -164,7 +173,7 @@ def test_box_ball_against_grid_random_instances():
         c = rng.uniform(lo, up)
         radius = float(rng.uniform(0.1, 1.0))
         x = rng.uniform(-3, 3, size=2)
-        got = project_box_ball(x, box, c, radius)
+        got = box_ball_projection(x, box, c, radius)
         pts = box_grid(box, 751)
         feas = pts[np.linalg.norm(pts - c[None, :], axis=1) <= radius]
         if feas.size == 0:
@@ -214,7 +223,7 @@ def _box_ball_cases():
 def test_box_ball_matches_bisection_reference():
     # the multiplier search lands on the exact projection, to rounding
     for x, box, c, radius in _box_ball_cases():
-        got = project_box_ball(x, box, c, radius)
+        got = box_ball_projection(x, box, c, radius)
         np.testing.assert_allclose(got, box_ball_bisection(x, box, c, radius),
                                    rtol=0.0, atol=1e-14)
 
@@ -261,15 +270,17 @@ def test_restricted_set_matches_direct_inequalities():
 
 
 def test_project_sub_feasible():
+    # the block solve of 0.5 ||theta||^2 - z'theta projects z's J-subvector
+    # onto the feasible slice
     rng = np.random.default_rng(6)
     box = BoxSet.uniform(6, -1.0, 1.0)
     theta = box.sample(rng)
     J = np.array([1, 2, 4])
     feas = restricted_block_set(box, theta, J, 0.25)
     for _ in range(50):
-        z = rng.uniform(-3, 3, size=3)
-        sub = feas.project_sub(z)
-        assert feas.contains(feas.embed(sub))
+        z = rng.uniform(-3, 3, size=6)
+        out, _ = solve_block_quadratic(QuadSurrogate(1.0, -z, 0.0), feas, theta)
+        assert feas.contains(out)
 
 
 # ---------------------------------------------------------------------------
@@ -361,58 +372,3 @@ def test_stationarity_matches_local_chord_oracle_3d():
         got = stationarity_measure(grad, theta, box)
         oracle = local_chord_oracle(grad, theta, box, seed=i)
         assert got == pytest.approx(oracle, abs=1e-2)
-
-
-# ---------------------------------------------------------------------------
-# blocks
-
-
-def test_blockspec_cyclic_roundtrip():
-    spec = BlockSpec.partition([[0, 1], [2]])
-    rng = np.random.default_rng(0)
-    order = select_blocks(spec, rng)
-    assert [list(b) for b in order] == [[0, 1], [2]]
-    # repeated calls identical
-    assert [list(b) for b in select_blocks(spec, rng)] == [[0, 1], [2]]
-
-
-def test_blockspec_coverage_required():
-    with pytest.raises(ValueError):
-        BlockSpec(blocks=(np.array([0, 1]),), m=1, p=3)
-
-
-def test_blockspec_uniform_coverage_required():
-    with pytest.raises(ValueError):
-        BlockSpec.partition([[0, 1], [1, 2]])  # coordinate 1 appears twice
-
-
-def test_blockspec_cyclic_m_must_match():
-    with pytest.raises(ValueError):
-        BlockSpec.partition([[0], [1]], m=3)
-
-
-def test_single_block_repeat():
-    spec = BlockSpec(blocks=(np.arange(4),), m=3, selection="uniform_random", p=4)
-    rng = np.random.default_rng(1)
-    order = select_blocks(spec, rng)
-    assert len(order) == 3
-    assert all(np.array_equal(b, np.arange(4)) for b in order)
-
-
-def test_uniform_random_frequencies():
-    spec = BlockSpec.partition([[0, 1], [2, 3]], selection="uniform_random", m=1)
-    rng = np.random.default_rng(2)
-    count = 0
-    n = 10_000
-    for _ in range(n):
-        (b,) = select_blocks(spec, rng)
-        count += b[0] == 0
-    assert abs(count / n - 0.5) < 0.02
-
-
-def test_cyclic_touches_every_coordinate_once():
-    spec = BlockSpec.partition([[0, 2], [1], [3, 4]])
-    seen = np.zeros(5, dtype=int)
-    for b in select_blocks(spec, np.random.default_rng(0)):
-        seen[b] += 1
-    assert np.all(seen == 1)

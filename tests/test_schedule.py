@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from sbmm.schedule import (
     WeightSchedule,
     cumulative_weight,
-    tail_weight_sum,
     validate_schedule,
     weight_at,
 )
@@ -23,10 +22,6 @@ def cumulative_weight_oracle(s, k, n):
     for i in range(k + 1, n + 1):
         prod *= 1.0 - weight_at(s, i)
     return weight_at(s, k) * prod
-
-
-def tail_sum_oracle(s, T, n):
-    return sum(cumulative_weight_oracle(s, k, n) for k in range(1, T + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -149,54 +144,6 @@ def test_monotone_in_k_past_onset():
         for n in (50, 200, 500):
             vals = [cumulative_weight(s, k, n) for k in range(max(onset, 1), n + 1)]
             assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-# ---------------------------------------------------------------------------
-# tail_weight_sum
-
-
-def test_tail_sum_balanced():
-    assert tail_weight_sum(WeightSchedule.balanced(), 3, 10) == pytest.approx(0.3)
-
-
-def test_tail_sum_constant_hand_value():
-    # alpha (1 - alpha)^3 with alpha = 1/2 is 1/16
-    assert tail_weight_sum(WeightSchedule.constant(0.5), 1, 4) == pytest.approx(0.0625)
-
-
-def test_tail_sum_argument_error():
-    with pytest.raises(ValueError):
-        tail_weight_sum(WeightSchedule.balanced(), 11, 10)
-
-
-@given(st.integers(1, 40), st.integers(0, 80))
-@settings(max_examples=50, deadline=None)
-def test_tail_sum_matches_oracle(T, extra):
-    n = T + extra
-    s = WeightSchedule.polylog(0.5, 1.5)
-    assert tail_weight_sum(s, T, n) == pytest.approx(
-        tail_sum_oracle(s, T, n), rel=1e-11, abs=1e-300)
-
-
-def test_tail_sum_closed_form_bound():
-    # with w_n >= c n^{-gamma}, gamma in (0,1): sum_{i<=T} w^n_i
-    # <= T exp(-c n^{1-gamma} + c (T+1)^{1-gamma}) for a c depending only on
-    # the schedule over the horizon
-    s = WeightSchedule.polylog(0.5, 1.5)
-    gamma = 0.5
-    n = 200
-    c = min(weight_at(s, i) * i ** gamma for i in range(1, n + 1))
-    for T in (1, 5, 20, 100):
-        bound = T * math.exp(-c * n ** (1 - gamma) + c * (T + 1) ** (1 - gamma))
-        assert tail_weight_sum(s, T, n) <= bound + 1e-15
-
-
-def test_tail_sum_balanced_bound_gamma_one():
-    # gamma = 1 regime: sum_{i<=T} w^n_i <= T * n^{-c} with c = inf w_n n
-    s = WeightSchedule.balanced()
-    n = 500
-    for T in (1, 10, 100):
-        assert tail_weight_sum(s, T, n) <= T / n + 1e-15
 
 
 # ---------------------------------------------------------------------------

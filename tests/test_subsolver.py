@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbmm.geometry import BoxSet, restricted_block_set, stationarity_measure
-from sbmm.quadform import FactorQuad, QuadSurrogate, make_prox_surrogate
+from sbmm.quadform import FactorQuad, QuadSurrogate
 from sbmm.subsolver import (
     SubsolverError,
     soft_threshold,
@@ -183,10 +183,8 @@ def test_code_lasso_full_entry_box():
 # solve_block_quadratic
 
 
-def _quad(curv, linear, rho=0.0, l1=0.0):
-    linear = np.asarray(linear, dtype=float)
-    return QuadSurrogate(curvature=curv, linear=linear, constant=0.0,
-                         anchor=np.zeros(linear.size), L=1.0, rho=rho,
+def _quad(curv, linear, l1=0.0):
+    return QuadSurrogate(curvature=curv, linear=np.asarray(linear, dtype=float), constant=0.0,
                          l1_lambda=l1)
 
 
@@ -292,7 +290,7 @@ def test_block_quadratic_second_order_growth():
     rng = np.random.default_rng(9)
     rho = 0.8
     Q = np.array([[2.0, 0.3], [0.3, 1.0]])  # min eig > rho
-    g = _quad(Q, rng.normal(size=2), rho=rho)
+    g = _quad(Q, rng.normal(size=2))
     box = BoxSet.uniform(2, -1.0, 1.0)
     start = np.zeros(2)
     feas = restricted_block_set(box, start, np.array([0, 1]), math.inf)
@@ -354,7 +352,7 @@ def test_block_quadratic_factor_column_matches_explicit_form(radius):
     W0 = rng.uniform(0.2, 0.8, size=(q, r))
     fq = FactorQuad(A=A, B=B, C=0.7, anchor=W0)
     quad = QuadSurrogate(curvature=2.0 * np.kron(np.eye(q), A), linear=-2.0 * B.T.ravel(),
-                         constant=0.7, anchor=W0.ravel(), L=1.0, rho=0.0)
+                         constant=0.7)
     box = BoxSet.nonneg(q * r, upper=1.0)
     J = np.arange(q) * r + 1
     feas = restricted_block_set(box, W0.ravel(), J, radius)
@@ -465,7 +463,7 @@ def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
     # set, and the root of the first distance model is the answer
     import sbmm.geometry as geometry
     import sbmm.subsolver as subsolver
-    from sbmm.geometry import ball_multiplier_search, project_box_ball
+    from sbmm.geometry import ball_multiplier_search
 
     calls = []
 
@@ -500,8 +498,11 @@ def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
         assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
         check_models()
     calls.clear()
-    y = project_box_ball(np.array([3.0, -1.0, 2.0]), BoxSet.uniform(3, -10.0, 10.0),
-                         np.array([0.5, 0.5, 0.0]), 0.25)
+    # projection onto box intersect ball: one row per entry with G = I
+    x, c = np.array([3.0, -1.0, 2.0]), np.array([0.5, 0.5, 0.0])
+    y = subsolver._box_qp_ball(np.eye(1), x[:, None], np.full((3, 1), -10.0),
+                               np.full((3, 1), 10.0), 0.0, c[:, None], c[:, None], 0.25, 1e-12,
+                               subsolver.MAX_ITERS)[:, 0]
     assert len(calls) == 2
     assert abs(float(np.linalg.norm(y - [0.5, 0.5, 0.0])) - 0.25) <= 1e-15
     check_models()
