@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Byte-identity of the diagnostics CSVs of two checkouts.
+
+Runs, in each checkout and with that checkout's own ``src`` (and its
+``perfbench/run.py`` for the rank-5 inputs), the same set of runs, and
+writes their CSVs under ``<checkout>/.csv_identity/out``:
+
+- the four shipped configs (``configs/*.cfg``) at seeds 0-2;
+- ``omf_markov`` and ``omf_sub`` with ``engine.mode = c1``, at seeds 0-2;
+- a 4-seed ``run_sweep`` of ``configs/omf_markov.cfg``;
+- three rank-5 runs on ``write_rank5``'s inputs, at seeds 0-2.
+
+It then prints one line per CSV, ``identical`` or ``differs`` (``missing``
+when only one checkout wrote it), and exits 1 on any difference.
+``--steps N`` caps every run's ``engine.n_iters`` at N, for a quick check.
+
+Usage:
+    python3 scripts/csv_identity.py PARENT_DIR CHANGE_DIR [--steps N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+SHIPPED = ("omf_iid", "omf_markov", "omf_sub", "cpdl")
+C1 = ("omf_markov", "omf_sub")
+SEEDS = (0, 1, 2)
+SWEEP_SEEDS = (0, 1, 2, 3)
+WORK = ".csv_identity"
+
+
+def write_set(out: Path, steps: int | None) -> None:
+    """Every run of the set, with the sbmm on the path, from the current
+    directory (a checkout's root); CSVs go to out/out, configs and inputs
+    to out/inputs."""
+    import sbmm
+    from sbmm import parse_config, run_experiment, run_sweep
+
+    root = Path.cwd().resolve()
+    if root / "src" not in Path(sbmm.__file__).resolve().parents:
+        raise SystemExit(f"sbmm was imported from {sbmm.__file__}, not from {root / 'src'}")
+    inputs, csvs = out / "inputs", out / "out"
+    inputs.mkdir(parents=True)
+    csvs.mkdir()
+
+    def config(src: Path, name: str, extra: str = "") -> object:
+        # later keys override earlier ones
+        if steps is not None:
+            extra += f"engine.n_iters = {steps}\n"
+        path = inputs / f"{name}.cfg"
+        path.write_text(src.read_text(encoding="utf-8") + "\n" + extra, encoding="utf-8")
+        return parse_config(path)
+
+    for name in SHIPPED:
+        cfg = config(root / "configs" / f"{name}.cfg", name)
+        for seed in SEEDS:
+            run_experiment(cfg, seed=seed, out_path=str(csvs / f"{name}_seed{seed}.csv"))
+    for name in C1:
+        cfg = config(root / "configs" / f"{name}.cfg", f"{name}_c1", "engine.mode = c1\n")
+        for seed in SEEDS:
+            run_experiment(cfg, seed=seed, out_path=str(csvs / f"{name}_c1_seed{seed}.csv"))
+    run_sweep(config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep"), SWEEP_SEEDS,
+              out_dir=csvs / "sweep")
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for seed in SEEDS:
+        rank5 = inputs / f"rank5_seed{seed}"
+        rank5.mkdir()
+        cfg = config(bench.write_rank5(seed, rank5), f"omf_rank5_seed{seed}")
+        run_experiment(cfg, seed=seed, out_path=str(csvs / f"omf_rank5_seed{seed}.csv"))
+
+
+def run_checkout(checkout: Path, steps: int | None) -> Path:
+    """write_set in a fresh interpreter that imports the checkout's sbmm;
+    returns the directory of its CSVs."""
+    out = checkout / WORK
+    shutil.rmtree(out, ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--write", str(out)]
+    if steps is not None:
+        cmd += ["--steps", str(steps)]
+    subprocess.run(cmd, cwd=checkout, env=env, check=True)
+    return out / "out"
+
+
+def compare(parent: Path, change: Path) -> list[tuple[str, str]]:
+    """(relative path, identical / differs / missing) for every CSV of
+    either directory, in name order."""
+    names = sorted({str(p.relative_to(d)) for d in (parent, change) for p in d.rglob("*.csv")})
+    verdicts = []
+    for name in names:
+        a, b = parent / name, change / name
+        if not (a.exists() and b.exists()):
+            verdicts.append((name, "missing"))
+        else:
+            verdicts.append((name, "identical" if a.read_bytes() == b.read_bytes() else "differs"))
+    return verdicts
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("dirs", nargs="*", metavar="DIR", help="PARENT_DIR CHANGE_DIR")
+    ap.add_argument("--steps", type=int, default=None, help="cap on every run's engine.n_iters")
+    ap.add_argument("--write", metavar="OUT", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.steps is not None and args.steps < 1:
+        ap.error("--steps must be >= 1")
+    if args.write:
+        write_set(Path(args.write), args.steps)
+        return 0
+    if len(args.dirs) != 2:
+        ap.error("expected PARENT_DIR CHANGE_DIR")
+    parent, change = (run_checkout(Path(d).resolve(), args.steps) for d in args.dirs)
+    verdicts = compare(parent, change)
+    for name, verdict in verdicts:
+        print(f"{name}: {verdict}")
+    bad = sum(verdict != "identical" for _, verdict in verdicts)
+    print(f"{len(verdicts) - bad} of {len(verdicts)} identical")
+    return 1 if bad or not verdicts else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

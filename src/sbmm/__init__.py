@@ -16,8 +16,8 @@ from .schedule import (
 from .geometry import (
     BoxSet,
     BlockFeasibleSet,
-    project_box,
     restricted_block_set,
+    row_block_set,
     tangent_cone_project,
     stationarity_measure,
 )

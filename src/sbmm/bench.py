@@ -177,8 +177,8 @@ class _App:
     member: Callable         # (stack quantity, j) -> member j's part
     floats: Callable         # one number per member -> a list of K floats
     final: Callable          # j -> member j's final state
-    surrogate: Callable      # (prev, step result) -> the averaged surrogate's value
-                             # at prev, value(theta), grads(theta) as block lists
+    surrogate: Callable      # (prev, step result) -> the averaged surrogate's values
+                             # at prev and at the new iterate, grads(theta) as block lists
     losses: Callable         # (X, member theta) -> values (S,), per-block gradient stacks
     dictionary: Callable     # member theta -> the flat (p, r) dictionary
     move: Callable           # (prev, theta) -> step norm, largest block move
@@ -191,7 +191,8 @@ def _norms(D: np.ndarray):
     """np.linalg.norm of one member's (q, r) array, or of each member's of a
     stack (K, q, r): the square root of the same dot product norm takes."""
     if D.ndim == 2:
-        return float(np.linalg.norm(D))
+        d = D.ravel()
+        return math.sqrt(d.dot(d))
     return np.array([math.sqrt(d.dot(d)) for d in D.reshape(len(D), -1)])
 
 
@@ -258,9 +259,11 @@ def run_omf_diagnostics(
         return res
 
     def surrogate(prev, res):
-        # the quadratic the step minimized, and its certificate: its value at
-        # prev; a member's gradient is a list of one block, (1, q, r)
-        return res.g_prev, res.quad.value, lambda W: res.quad.grad(W)[..., None, :, :]
+        # the quadratic the step minimized, its certificate (its value at
+        # prev) and its value at the iterate the run carries, the step's own
+        # unless that is not the step's result; a member's gradient is a list
+        # of one block, (1, q, r)
+        return res.g_prev, res.value_at(res.W), lambda W: res.quad.grad(W)[..., None, :, :]
 
     def losses(X, W):
         values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol)
@@ -328,9 +331,12 @@ def run_cpdl_diagnostics(
     def surrogate(prev, res):
         A, B, C = st.A, st.B, st.C
 
-        def value(U):
-            D = dictionary(U)
-            return float(((D @ A) * D).sum()) - 2.0 * float((out_product(U) * B).sum()) + C
+        # the values at prev and at res.U, one stacked evaluation of the pair
+        # of dictionaries; each member's sums are those of its own evaluation
+        T = np.array((out_product(prev), out_product(res.U)))
+        D = T.reshape(2, -1, A.shape[0])
+        values = (((D @ A) * D).sum(axis=(1, 2)) - 2.0 * (T * B).sum(axis=tuple(range(1, T.ndim)))
+                  + C).tolist()
 
         def grads(U):
             grams = [Ui.T @ Ui for Ui in U]
@@ -342,15 +348,15 @@ def run_cpdl_diagnostics(
                         gamma = gamma * grams[k]
                 out.append(2.0 * (U[i] @ gamma - _contract_except(B, U, i)))
             return out
-        # the block solves' certificates sum in another order than value(prev)
-        return value(prev), value, grads
+        # the block solves' certificates sum in another order than these
+        return values[0], values[1], grads
 
     def losses(X, U):
         values, grads, _ = cpdl_loss(X, U, lam, code_set, tol=solver_tol)
         return values, grads
 
     def move(prev, U):
-        moves = [float(np.linalg.norm(Ui - Pi)) for Ui, Pi in zip(U, prev)]
+        moves = [_norms(Ui - Pi) for Ui, Pi in zip(U, prev)]
         return math.sqrt(sum(mv * mv for mv in moves)), max(moves)
 
     def stationarity(grads, U):
@@ -418,8 +424,8 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
             for j, result in enumerate(results):
                 result.trajectory.append(copy.deepcopy(app.member(theta, j)))
 
-        g_prev, value, grads = app.surrogate(prev, res)
-        g_prev, g_new = app.floats(g_prev), app.floats(value(theta))
+        g_prev, g_new, grads = app.surrogate(prev, res)
+        g_prev, g_new = app.floats(g_prev), app.floats(g_new)
         step, largest = (app.floats(v) for v in app.move(prev, theta))
         if mode == "c1":
             rho = app.floats(app.rho(res))

@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BoxSet, restricted_block_set
+from .geometry import BoxSet, row_block_set
 from .quadform import FactorQuad
 from .subsolver import solve_code_lasso, solve_block_quadratic
 
@@ -77,16 +78,15 @@ def _contract_except(T: np.ndarray, U: list[np.ndarray], i: int) -> np.ndarray:
     m = len(U)
     if m == 1:
         return T
+    return np.einsum(_contraction(m, i), T, *(U[k] for k in range(m) if k != i))
+
+
+@lru_cache(maxsize=None)
+def _contraction(m: int, i: int) -> str:
+    """_contract_except's einsum subscripts for m modes, keeping mode i."""
     letters = string.ascii_lowercase
-    t_sub = letters[:m] + "j"
-    operands = [T]
-    subs = [t_sub]
-    for k in range(m):
-        if k == i:
-            continue
-        operands.append(U[k])
-        subs.append(letters[k] + "j")
-    return np.einsum(",".join(subs) + "->" + letters[i] + "j", *operands)
+    others = ",".join(letters[k] + "j" for k in range(m) if k != i)
+    return f"{letters[:m]}j,{others}->{letters[i]}j"
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +96,11 @@ def _contract_except(T: np.ndarray, U: list[np.ndarray], i: int) -> np.ndarray:
 @dataclass
 class OmfStepResult:
     """The step's code, statistics, dictionary and certified code gap, with
-    the averaged surrogate it minimized (anchored at W_prev) and its value
-    g_prev at W_prev, the block solve's descent certificate.  A stacked
-    step's fields carry the member axis: H (K, r, d), A (K, r, r), B (K, r,
-    q), C, eps and g_prev (K,), W (K, q, r) and a stacked quad."""
+    the averaged surrogate it minimized (anchored at W_prev), its value
+    g_prev at W_prev, the block solve's descent certificate, and its value
+    g_new at W.  A stacked step's fields carry the member axis: H (K, r, d),
+    A (K, r, r), B (K, r, q), C, eps, g_prev and g_new (K,), W (K, q, r) and
+    a stacked quad."""
 
     H: np.ndarray
     A: np.ndarray
@@ -109,6 +110,15 @@ class OmfStepResult:
     eps: float
     quad: FactorQuad
     g_prev: float
+    g_new: float
+
+    def __post_init__(self):
+        self._valued = self.W.tobytes()  # the W that g_new is the value at
+
+    def value_at(self, W: np.ndarray):
+        """The surrogate's value at W: g_new when W holds the bytes of the
+        step's own result, else evaluated here."""
+        return self.g_new if W.tobytes() == self._valued else self.quad.value(W)
 
 
 def omf_step(
@@ -151,39 +161,35 @@ def omf_step(
     else:
         C = (1.0 - w_n) * C_prev + w_n * ((X * X).sum(axis=(1, 2)) + lam * np.abs(H).sum(axis=(1, 2)))
     quad = FactorQuad(A, B, C, W_prev)
-    # the dictionary problem on the coordinates of the step's rows, inside
-    # box-and-ball; a stack solves one batch per row count
-    w_flat = W_prev.reshape(W_prev.shape[:-2] + (q * r,))
+    # the dictionary problem on the step's rows, inside box-and-ball; a
+    # stack solves one batch per row count
     if rows is None or X.ndim == 2:
-        if rows is None:
-            J = np.arange(q * r)
-        else:
+        if rows is not None:
             rows = np.asarray(rows, dtype=int)
             if rows.size == 0:
                 raise ValueError("empty row subset")
-            J = (rows[:, None] * r + np.arange(r)[None, :]).ravel()
-        w, g_prev = solve_block_quadratic(quad, restricted_block_set(dict_box, w_flat, J, radius),
-                                          w_flat, tol=tol)
+        feas = row_block_set(dict_box, W_prev, rows, radius)
+        w, g_prev, g_new = solve_block_quadratic(quad, feas, feas.theta_prev, tol=tol)
     else:
         rows = [np.asarray(rj, dtype=int) for rj in rows]
         sizes = [rj.size for rj in rows]
         if min(sizes) == 0:
             raise ValueError("empty row subset")
 
-        def solve(sub, sub_w, sub_rows):
-            J = np.stack(sub_rows)[:, :, None] * r + np.arange(r)
-            feas = restricted_block_set(dict_box, sub_w, J.reshape(len(sub_rows), -1), radius)
-            return solve_block_quadratic(sub, feas, sub_w, tol=tol)
+        def solve(sub, sub_W, sub_rows):
+            feas = row_block_set(dict_box, sub_W, np.stack(sub_rows), radius)
+            return solve_block_quadratic(sub, feas, feas.theta_prev, tol=tol)
         if len(set(sizes)) == 1:
-            w, g_prev = solve(quad, w_flat, rows)
+            w, g_prev, g_new = solve(quad, W_prev, rows)
         else:
-            w, g_prev = np.empty_like(w_flat), np.empty(len(rows))
+            w = np.empty((len(rows), q * r))
+            g_prev, g_new = np.empty(len(rows)), np.empty(len(rows))
             for size in sorted(set(sizes)):
                 group = [j for j, n in enumerate(sizes) if n == size]
-                w[group], g_prev[group] = solve(quad.members(group), w_flat[group],
-                                                [rows[j] for j in group])
+                w[group], g_prev[group], g_new[group] = solve(
+                    quad.members(group), W_prev[group], [rows[j] for j in group])
     return OmfStepResult(H=H, A=A, B=B, C=C, W=w.reshape(W_prev.shape), eps=gap, quad=quad,
-                         g_prev=g_prev)
+                         g_prev=g_prev, g_new=g_new)
 
 
 def subsampled_omf_step(X, W_prev, A_prev, B_prev, w_n, lam, dict_box, code_set,
@@ -273,27 +279,28 @@ def cpdl_step(
     B = (1.0 - w_n) * B_prev + w_n * B_upd
     C = (1.0 - w_n) * C_prev + w_n * (float((X * X).sum()) + lam * float(np.abs(H).sum()))
 
-    U = [np.asarray(Ui, dtype=float).copy() for Ui in U_prev]
+    U = [np.asarray(Ui, dtype=float) for Ui in U_prev]  # each is replaced, never written
     grams = [Ui.T @ Ui for Ui in U]
     for i in range(m):
-        gamma = A * _hadamard_except(grams, i, r)
+        others = _hadamard_except(grams, i)
+        gamma = A if others is None else A * others
         lin = _contract_except(B, U, i)
-        quad = FactorQuad(0.5 * (gamma + gamma.T) if m > 1 else gamma,
-                                     lin.T, 0.0, U[i])
-        u_flat = U[i].ravel()
-        feas = restricted_block_set(factor_boxes[i], u_flat,
-                                    np.arange(u_flat.size), radius)
-        u, _ = solve_block_quadratic(quad, feas, u_flat, tol=tol)
+        quad = FactorQuad(0.5 * (gamma + gamma.T) if m > 1 else gamma, lin.T, 0.0, U[i])
+        feas = row_block_set(factor_boxes[i], U[i], None, radius)
+        u, _, _ = solve_block_quadratic(quad, feas, feas.theta_prev, tol=tol)
         U[i] = u.reshape(U[i].shape)
-        grams[i] = U[i].T @ U[i]
+        if i < m - 1:  # the last mode's Gram is not read again
+            grams[i] = U[i].T @ U[i]
     return CpdlStepResult(H=H, A=A, B=B, C=C, U=U, eps=gap)
 
 
-def _hadamard_except(grams: list[np.ndarray], i: int, r: int) -> np.ndarray:
-    out = np.ones((r, r))
+def _hadamard_except(grams: list[np.ndarray], i: int):
+    """The entrywise product, in mode order, of every Gram matrix but the
+    i-th; None when there is no other."""
+    out = None
     for k, G in enumerate(grams):
         if k != i:
-            out = out * G
+            out = G if out is None else out * G
     return out
 
 

@@ -27,8 +27,8 @@ import numpy as np
 __all__ = [
     "BoxSet",
     "BlockFeasibleSet",
-    "project_box",
     "restricted_block_set",
+    "row_block_set",
     "tangent_cone_project",
     "stationarity_measure",
 ]
@@ -75,23 +75,21 @@ class BoxSet:
     def dim(self) -> int:
         return self.lower.size
 
+    @cached_property
+    def _loose(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bounds shifted out by BOUNDARY_TOL, the default tolerance."""
+        return self.lower - BOUNDARY_TOL, self.upper + BOUNDARY_TOL
+
     def contains(self, x: np.ndarray, tol: float = BOUNDARY_TOL) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())
+        lo, up = self._loose if tol == BOUNDARY_TOL else (self.lower - tol, self.upper + tol)
+        return bool(((x >= lo) & (x <= up)).all())
 
     def restrict(self, J: np.ndarray) -> "BoxSet":
         return BoxSet(self.lower[J], self.upper[J])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
-
-
-def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
-    """Coordinatewise clamp onto the box."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != box.lower.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs box {box.lower.shape}")
-    return np.clip(x, box.lower, box.upper)
 
 
 def _secular_root(model, radius: float, lo: float, hi: float) -> float:
@@ -132,6 +130,13 @@ def _secular_root(model, radius: float, lo: float, hi: float) -> float:
     return nu
 
 
+def _distance(x: np.ndarray, center: np.ndarray) -> float:
+    """||x - center||_F, the float np.linalg.norm gives (the square root of
+    the same dot product) without its per-call overhead."""
+    u = (x - center).ravel()
+    return math.sqrt(u.dot(u))
+
+
 def ball_multiplier_search(solve, center: np.ndarray, radius: float,
                            mu_hi: Callable[[], float]) -> np.ndarray:
     """Minimizer over box-intersect-ball(center, radius) of a convex problem
@@ -152,7 +157,7 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
     in the box because center is.
     """
     x, model = solve(0.0)
-    nrm = float(np.linalg.norm(x - center))
+    nrm = _distance(x, center)
     if nrm <= radius:
         return x
     if radius <= BALL_RTOL * (1.0 + float(np.linalg.norm(center))):
@@ -163,7 +168,7 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
         if not lo < mu < hi:
             mu = 0.5 * (lo + hi)
         x, model = solve(mu)
-        nrm = float(np.linalg.norm(x - center))
+        nrm = _distance(x, center)
         if abs(nrm - radius) <= BALL_RTOL * radius:
             break
         if nrm > radius:
@@ -189,12 +194,18 @@ class BlockFeasibleSet:
     one block per member (K, m); each member has its own ball of the shared
     radius.  The stacked block solve reads it directly; member(j) gives one
     member's set for everything else.
+
+    A block that row_block_set builds from whole rows of a (q, width)
+    matrix keeps them: width, and the rows ((m,) shared or (K, m) per
+    member; None for all q rows), from which J was made.
     """
 
     box: BoxSet
     theta_prev: np.ndarray
     J: np.ndarray
     radius: float
+    width: int = 0
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         theta_prev = np.asarray(self.theta_prev, dtype=float)
@@ -213,8 +224,9 @@ class BlockFeasibleSet:
 
     def member(self, j: int) -> "BlockFeasibleSet":
         """Member j's feasible set, of a stack."""
-        return BlockFeasibleSet(self.box, self.theta_prev[j],
-                                self.J[j] if self.J.ndim == 2 else self.J, self.radius)
+        per = lambda a: a[j] if a is not None and a.ndim == 2 else a
+        return BlockFeasibleSet(self.box, self.theta_prev[j], per(self.J), self.radius,
+                                self.width, per(self.rows))
 
     def contains(self, theta: np.ndarray, tol: float = BOUNDARY_TOL) -> bool:
         theta = np.asarray(theta, dtype=float)
@@ -237,6 +249,20 @@ def restricted_block_set(
 ) -> BlockFeasibleSet:
     return BlockFeasibleSet(box=box, theta_prev=theta_prev, J=np.asarray(J, dtype=int),
                             radius=float(radius))
+
+
+def row_block_set(box: BoxSet, W_prev: np.ndarray, rows, radius: float) -> BlockFeasibleSet:
+    """The block of whole rows of the matrix W_prev (q, r), or of each
+    member's of a stack (K, q, r): rows (m,) shared, (K, m) one set per
+    member, or None for every row.  theta_prev is W_prev flattened."""
+    q, r = W_prev.shape[-2:]
+    if rows is None:
+        J = np.arange(q * r)
+    else:
+        rows = np.asarray(rows, dtype=int)
+        J = (rows[..., None] * r + np.arange(r)).reshape(rows.shape[:-1] + (-1,))
+    return BlockFeasibleSet(box, W_prev.reshape(W_prev.shape[:-2] + (q * r,)), J, float(radius),
+                            r, rows)
 
 
 def tangent_cone_project(g: np.ndarray, theta: np.ndarray, box: BoxSet,

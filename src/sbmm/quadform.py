@@ -33,8 +33,11 @@ __all__ = ["QuadSurrogate", "FactorQuad"]
 
 def _is_symmetric(M: np.ndarray) -> bool:
     """np.allclose(M, M.T, atol=1e-10) without its per-call overhead; a
-    stack (K, r, r) is symmetric when each member is."""
+    stack (K, r, r) is symmetric when each member is.  An M equal to its
+    transpose, as the statistics updates make it, passes at once."""
     Mt = M.swapaxes(-1, -2)
+    if (M == Mt).all():
+        return True
     return bool((np.abs(M - Mt) <= 1e-10 + 1e-5 * np.abs(Mt)).all())
 
 
@@ -112,7 +115,9 @@ class FactorQuad:
     A stack of K such quadratics has a leading member axis on every field:
     A (K, r, r), B (K, r, q), C (K,), anchor (K, q, r), and so rho (K,).
     Its value at W (K, q, r) is one float per member, each computed as the
-    member's own value would be.
+    member's own value would be.  W may carry further leading axes (a pair
+    of points, say): value then gives one value per point, each the one
+    its own call gives.
     """
 
     A: np.ndarray
@@ -171,8 +176,8 @@ class FactorQuad:
         WA = W @ self.A
         if W.ndim == 2:
             return float((WA * W).sum()) - 2.0 * float((W * self.B.T).sum()) + self.C
-        return ((WA * W).sum(axis=(1, 2)) - 2.0 * (W * self.B.swapaxes(1, 2)).sum(axis=(1, 2))
-                + self.C)
+        return ((WA * W).sum(axis=(-2, -1))
+                - 2.0 * (W * self.B.swapaxes(-1, -2)).sum(axis=(-2, -1)) + self.C)
 
     def grad(self, W: np.ndarray) -> np.ndarray:
         W = self._as_matrix(W)
@@ -181,8 +186,9 @@ class FactorQuad:
     def _as_matrix(self, W: np.ndarray) -> np.ndarray:
         W = np.asarray(W, dtype=float)
         lead = self.A.shape[:-2]
+        shape = lead + (self.q, self.r)
         if W.ndim == len(lead) + 1:
-            return W.reshape(lead + (self.q, self.r))
-        if W.shape != lead + (self.q, self.r):
-            raise ValueError(f"expected shape {lead + (self.q, self.r)}, got {W.shape}")
+            return W.reshape(shape)
+        if W.ndim < len(shape) or W.shape[W.ndim - len(shape):] != shape:
+            raise ValueError(f"expected shape {shape}, got {W.shape}")
         return W

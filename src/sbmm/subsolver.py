@@ -39,8 +39,18 @@ slice, so they are the bytes its own family's solve gives.
 Both solvers certify what they return, and return the certificate with
 the solution: the code solver its convexity-based objective gap bound,
 rounding allowance included, that downstream surrogates use as their
-approximation tolerance, and the block solver its descent certificate, the
-objective at its start, which it checks the result does not rise above.
+approximation tolerance (from an enumeration, it reuses the enumeration's
+own rows of X @ G), and the block solver its descent certificate, the
+objective at its start and at its result, which it checks does not rise;
+for a FactorQuad both values come from one evaluation of the (2, q, r)
+pair.
+
+A block solve reaches the box QP machinery in one of two ways.  A block
+that ``geometry.row_block_set`` built from whole dictionary rows of a
+FactorQuad goes as those rows: G = A, one family row per dictionary row,
+the box and the ball's center the rows' slices (reshaped views when the
+block is the whole matrix).  Any other block is one row of the explicit
+quadratic, its linear term absorbing the frozen coordinates.
 """
 
 from __future__ import annotations
@@ -110,7 +120,7 @@ def _entry_gaps(grad, X, lam, lo, up):
     return grad * (X - np.where(grad < 0.0, up, lo))
 
 
-def _certified_gap(G, C, X, lam, lo, up):
+def _certified_gap(G, C, X, lam, lo, up, XG=None):
     """Bound on the total objective suboptimality of X: the sum of the
     entry gaps plus an allowance for the rounding in computing them.  A
     gradient entry is off by at most about (k + 1) ulps of |2XG| + |2C|;
@@ -120,8 +130,9 @@ def _certified_gap(G, C, X, lam, lo, up):
     adds at most n ulps of the sum of their sizes.  One family (G of shape
     (k, k), C and X of shape (n, k)) gives a float; a stack (G of shape (K,
     k, k), C and X of shape (K, n, k)) one per member, each summed over that
-    member's entries alone, as its own family would be."""
-    gaps = _entry_gaps(2.0 * (X @ G - C), X, lam, lo, up)
+    member's entries alone, as its own family would be.  XG, when given, is
+    X @ G as the pattern enumeration computed it."""
+    gaps = _entry_gaps(2.0 * ((X @ G if XG is None else XG) - C), X, lam, lo, up)
     reach = (2.0 * (np.abs(X) @ np.abs(G) + np.abs(C)) + lam) * (up - lo)
     weight = 2 * (G.shape[-1] + 4)
     if G.ndim == 2:
@@ -164,7 +175,8 @@ def _enumerate(G, C, lo, up, lam, patterns):
     G_FF x_F = c_F - G_FX x_X - lam s_F / 2.  The minimizer's own pattern
     reproduces it, so the best candidate that lies in the box (free entries
     on their sign's side of zero) is the minimizer.  Returns it with its
-    free mask.  A stack (G of shape (K, k, k), C of shape (K, n, k)) is one
+    free mask and its rows of the candidates' x @ G, which the certified
+    gap reuses.  A stack (G of shape (K, k, k), C of shape (K, n, k)) is one
     batch with a member axis in front of the pattern axis; each member's
     candidates are its own family's, slice by slice.
     """
@@ -181,15 +193,15 @@ def _enumerate(G, C, lo, up, lam, patterns):
     # the free systems' inverses are symmetric, so rhs @ inv solves them
     x = np.where(free, rhs @ np.linalg.inv(G * pair + fixed_eye), V)
     ok = (x >= lo) & (x <= up)
-    obj = (x * (x @ G - 2.0 * C)).sum(axis=-1)
+    xG = x @ G
+    obj = (x * (xG - 2.0 * C)).sum(axis=-1)
     if lam > 0:
         ok &= x * sgn >= 0.0
         obj += lam * np.abs(x).sum(axis=-1)
     pick = np.where(ok.all(axis=-1), obj, np.inf).argmin(axis=-2)
     rows = np.arange(C.shape[-2])
-    if stack:
-        return x[np.arange(len(C))[:, None], pick, rows], free[pick, 0]
-    return x[pick, rows], free[pick, 0]
+    at = (np.arange(len(C))[:, None], pick, rows) if stack else (pick, rows)
+    return x[at], free[pick, 0], xG[at]
 
 
 def _scale(G) -> float:
@@ -310,10 +322,20 @@ def _active_set(G, C, lo, up, lam, X, tol, max_iters, predicted=False):
 
 
 def _states(lam, lo, up) -> tuple:
-    """The entry states a KKT pattern can give an entry of the box [lo, up]."""
+    """The entry states a KKT pattern can give an entry of the box [lo, up]:
+    with an l1 term they follow the box's signs, derived once per box."""
     if lam <= 0:
         return (_LO, _UP, _FREE)
-    lo_a, up_a = np.asarray(lo), np.asarray(up)
+    lo_a, up_a = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
+    return _sign_states(lo_a.shape, lo_a.tobytes(), up_a.shape, up_a.tobytes())
+
+
+@lru_cache(maxsize=64)
+def _sign_states(lo_shape, lo_bytes, up_shape, up_bytes) -> tuple:
+    """_states with an l1 term, of the box whose bounds have these shapes
+    and bytes."""
+    lo_a = np.frombuffer(lo_bytes).reshape(lo_shape)
+    up_a = np.frombuffer(up_bytes).reshape(up_shape)
     positive, negative = bool(up_a.max() > 0.0), bool(lo_a.min() < 0.0)
     return ((_LO, _UP) + ((_POS,) if positive else ()) + ((_NEG,) if negative else ())
             + ((_ZERO,) if positive and negative and ((lo_a < 0) & (up_a > 0)).any() else ()))
@@ -328,14 +350,15 @@ def _least_squares(G, C):
 
 
 def _minimize(G, C, lo, up, lam, X0, tol, max_iters, predicted=False):
-    """Minimizer of the solve_box_qp objective, its free mask, and the
-    certified gap the active-set method stopped on (None if it has none):
-    exact by pattern enumeration while the patterns are few, else the
-    active-set method, which stops once the certified gap is <= tol.  X0
-    (in the box, or None) starts the active-set method, by default from the
-    clipped least-squares minimizer of the smooth part, and breaks ties when
-    G is singular, by default towards the clipped zero; predicted is passed
-    to the active-set method.
+    """Minimizer of the solve_box_qp objective, its free mask, the certified
+    gap the active-set method stopped on (None if it has none) and the
+    enumeration's X @ G (None if it did not enumerate G itself): exact by
+    pattern enumeration while the patterns are few, else the active-set
+    method, which stops once the certified gap is <= tol.  X0 (or None),
+    clipped into the box where it is used, starts the active-set method, by
+    default from the clipped least-squares minimizer of the smooth part, and
+    breaks ties when G is singular, by default towards the clipped zero;
+    predicted is passed to the active-set method.
 
     A stack (G of shape (K, k, k), C of shape (K, n, k)) enumerates in one
     batch and runs the active-set method member by member; its gaps are an
@@ -345,19 +368,20 @@ def _minimize(G, C, lo, up, lam, X0, tol, max_iters, predicted=False):
         return _minimize_stack(G, C, lo, up, lam, X0, tol, max_iters)
     states = _states(lam, lo, up)
     if len(states) ** k > _ENUM_PATTERNS:
-        if X0 is None:
-            X0 = np.clip(_least_squares(G, C), lo, up)
+        X0 = np.clip(_least_squares(G, C) if X0 is None else X0, lo, up)
         X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, max_iters, predicted)
-        return X, ~fixed, gap
+        return X, ~fixed, gap, None
     patterns = _patterns(k, states)
     try:
-        return _enumerate(G, C, lo, up, lam, patterns) + (None,)
+        X, free, XG = _enumerate(G, C, lo, up, lam, patterns)
+        return X, free, None, XG
     except np.linalg.LinAlgError:
         # singular G: adding delta ||x - X0||^2 makes the minimizer unique and
         # picks the one nearest X0 up to O(delta)
         delta = _NULL_RTOL * _scale(G)
-        X0 = np.clip(0.0, lo, up) if X0 is None else X0
-        return _enumerate(G + delta * np.eye(k), C + delta * X0, lo, up, lam, patterns) + (None,)
+        X0 = np.clip(0.0 if X0 is None else X0, lo, up)
+        X, free, _ = _enumerate(G + delta * np.eye(k), C + delta * X0, lo, up, lam, patterns)
+        return X, free, None, None
 
 
 def _minimize_stack(G, C, lo, up, lam, X0, tol, max_iters):
@@ -371,14 +395,15 @@ def _minimize_stack(G, C, lo, up, lam, X0, tol, max_iters):
         states = _states(lam, lo, up)
     if states is not None and len(states) ** k <= _ENUM_PATTERNS:
         try:
-            return _enumerate(G, C, lo, up, lam, _patterns(k, states)) + (None,)
+            X, free, XG = _enumerate(G, C, lo, up, lam, _patterns(k, states))
+            return X, free, None, XG
         except np.linalg.LinAlgError:
             pass  # a singular member: each member alone, so only its own solve changes
     parts = [_minimize(G[j], C[j], _member(lo, j), _member(up, j), lam,
                        None if X0 is None else X0[j], tol, max_iters) for j in range(K)]
     gap = np.array([np.nan if p[2] is None else p[2] for p in parts])
     return (np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts]),
-            None if np.isnan(gap).all() else gap)
+            None if np.isnan(gap).all() else gap, None)
 
 
 def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8,
@@ -406,12 +431,12 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8,
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if X0 is not None:
-        X0 = np.clip(np.asarray(X0, dtype=float), lo, up)
-    X, _, gap = _minimize(G, C, lo, up, lam, X0, tol, max_iters)
+        X0 = np.asarray(X0, dtype=float)
+    X, _, gap, XG = _minimize(G, C, lo, up, lam, X0, tol, max_iters)
     if G.ndim == 2:
-        return _polish(G, C, lo, up, lam, X, gap, tol, max_iters)
+        return _polish(G, C, lo, up, lam, X, gap, tol, max_iters, XG)
     if gap is None:
-        gap = _certified_gap(G, C, X, lam, lo, up)
+        gap = _certified_gap(G, C, X, lam, lo, up, XG)
     for j, g in enumerate(gap.tolist()):
         if not g <= tol:  # above tol, or nan: not known yet
             X[j], gap[j] = _polish(G[j], C[j], _member(lo, j), _member(up, j), lam, X[j],
@@ -419,12 +444,13 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8,
     return X, gap
 
 
-def _polish(G, C, lo, up, lam, X, gap, tol, max_iters):
+def _polish(G, C, lo, up, lam, X, gap, tol, max_iters, XG=None):
     """(X, its certified gap) of one family, X polished by the active-set
-    method while its gap (computed here when None) exceeds tol; the
-    active-set method hands back the gap it stopped on."""
+    method while its gap (computed here when None, from XG = X @ G when
+    given) exceeds tol; the active-set method hands back the gap it stopped
+    on."""
     if gap is None:
-        gap = _certified_gap(G, C, X, lam, lo, up)
+        gap = _certified_gap(G, C, X, lam, lo, up, XG)
     if gap > tol:
         X, _, gap = _active_set(G, C, lo, up, lam, X, tol, max_iters)
         if gap is None:
@@ -453,23 +479,24 @@ def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters, first=No
     shape (K, k, k); C, X0 and center of shape (K, n, k)) solves at mu = 0
     in one batch; each member then has its own ball and its own search.
     """
-    X = np.clip(X0, lo, up) if first is None else first[0]
+    X = X0 if first is None else first[0]
     if math.isinf(radius):
         return _minimize(G, C, lo, up, lam, X, tol, max_iters)[0]
-    eye = np.eye(G.shape[-1])
     if G.ndim == 3:
-        X, free, _ = _minimize(G + 0.0 * eye, C + 0.0 * center, lo, up, lam, X, tol, max_iters)
+        X, free = _minimize(G, C, lo, up, lam, X, tol, max_iters)[:2]
         return np.stack([_box_qp_ball(G[j], C[j], _member(lo, j), _member(up, j), lam, X[j],
                                       center[j], radius, tol, max_iters, (X[j], free[j]))
                          for j in range(len(C))])
 
-    scale = _scale(G)
     last = None  # the last model's (mu, free mask, w, V, coefficients)
+    eye = scale = None  # built with the first model: only a binding ball needs them
 
     def solve(mu):
         nonlocal X, first
         if first is not None:  # mu = 0, solved already
             (X, free), first = first, None
+        elif mu == 0.0:
+            X, free = _minimize(G, C, lo, up, lam, X, tol, max_iters)[:2]
         else:
             start, predicted = X, False
             if last is not None:
@@ -481,12 +508,14 @@ def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters, first=No
                     inside &= Xp * X >= 0.0
                 if inside.all():
                     start, predicted = Xp, True
-            X, free, _ = _minimize(G + mu * eye, C + mu * center, lo, up, lam, start, tol,
-                                   max_iters, predicted)
+            X, free = _minimize(G + mu * eye, C + mu * center, lo, up, lam, start, tol,
+                                max_iters, predicted)[:2]
         u = X - center
 
         def model():
-            nonlocal last
+            nonlocal last, eye, scale
+            if eye is None:
+                eye, scale = np.eye(G.shape[-1]), _scale(G)
             w, V = np.linalg.eigh(_free_system(G, free, scale))
             w = np.maximum(w, 0.0)  # G is PSD
             coef = np.einsum("nkj,nk->nj", V, np.where(free, u, 0.0))
@@ -561,36 +590,51 @@ def solve_code_lasso(
 # block quadratic solver
 
 
-def _block_rows(g, J: np.ndarray, theta_prev: np.ndarray):
-    """The block problem in solve_box_qp form: (G, C, lam, idx) where row i
-    of the block is theta[idx[i]].
+def _row_solve(g, feas: BlockFeasibleSet, theta_init, tol, max_iters):
+    """The solve of a block of whole rows of a FactorQuad (feas.width ==
+    g.r), where each dictionary row of the block is one row of the
+    solve_box_qp family with G = A and c_i the row's column of B, and the
+    box and the ball's center are the rows' slices; the whole matrix takes
+    reshaped views, no gathers.  Returns (start, theta) as (q, r) matrices
+    (with the member axis of a stack): theta_init on the block and
+    theta_prev elsewhere, and the result."""
+    q, r = g.q, g.r
+    if feas.width != r:
+        raise ValueError(f"a block of rows of width {feas.width} for a quadratic of width {r}")
+    prev = feas.theta_prev.reshape(feas.theta_prev.shape[:-1] + (q, r))
+    start = prev if theta_init is feas.theta_prev else theta_init.reshape(prev.shape)
+    lo, up = feas.box.lower.reshape(q, r), feas.box.upper.reshape(q, r)
+    C, rows = g.B.swapaxes(-1, -2), feas.rows
+    if rows is None:
+        return start, _box_qp_ball(g.A, C, lo, up, 0.0, start, prev, feas.radius, tol, max_iters)
+    at = (np.arange(len(prev))[:, None], rows) if rows.ndim == 2 else (Ellipsis, rows, slice(None))
+    theta = prev.copy()
+    theta[at] = _box_qp_ball(g.A, C[at], lo[rows], up[rows], 0.0, start[at], prev[at],
+                             feas.radius, tol, max_iters)
+    if start is prev:
+        return prev, theta
+    full = prev.copy()
+    full[at] = start[at]
+    return full, theta
 
-    A FactorQuad block made of whole dictionary rows keeps one row per
-    dictionary row with G = A.  Any other block is a single row whose
-    linear term absorbs the coupling to the frozen coordinates.  A stacked
-    FactorQuad (A of shape (K, r, r)) must be whole rows, J either shared
-    (m,) or one row set per member (K, m); it gives G (K, r, r), C (K, m/r,
-    r) and idx (m/r, r) or (K, m/r, r).
-    """
+
+def _coordinate_block(g, feas: BlockFeasibleSet):
+    """Any other block in solve_box_qp form, as a single row: (G, C, lam),
+    the linear term absorbing the coupling to the frozen coordinates.  A
+    FactorQuad takes its explicit form, with Q = 2 kron(I_q, A) and b = -2
+    vec(B')."""
     if isinstance(g, FactorQuad):
-        r = g.r
-        if J.shape[-1] % r == 0:
-            idx = J.reshape(J.shape[:-1] + (-1, r))
-            if (idx[..., 0] % r == 0).all() and (idx == idx[..., :1] + np.arange(r)).all():
-                Bt, rows = g.B.swapaxes(-1, -2), idx[..., 0] // r
-                if rows.ndim == 2:  # one row set per member
-                    return g.A, Bt[np.arange(len(rows))[:, None], rows], 0.0, idx
-                return g.A, Bt[..., rows, :], 0.0, idx
         if g.A.ndim == 3:
             raise ValueError("a stacked block must be whole dictionary rows")
         Q = 2.0 * np.kron(np.eye(g.q), g.A)
         b, lam = -2.0 * g.B.T.ravel(), 0.0
     else:
         Q, b, lam = g.curvature_matrix(), g.linear, g.l1_lambda
-    rest = np.ones(theta_prev.size, dtype=bool)
+    J, prev = feas.J, feas.theta_prev
+    rest = np.ones(prev.size, dtype=bool)
     rest[J] = False
-    lin = b[J] + Q[np.ix_(J, rest)] @ theta_prev[rest]
-    return 0.5 * Q[np.ix_(J, J)], -0.5 * lin[None, :], lam, J[None, :]
+    lin = b[J] + Q[np.ix_(J, rest)] @ prev[rest]
+    return 0.5 * Q[np.ix_(J, J)], -0.5 * lin[None, :], lam
 
 
 def solve_block_quadratic(
@@ -606,16 +650,18 @@ def solve_block_quadratic(
     goes to the solve_box_qp machinery from theta_init, with the
     trust-region ball dualized when the radius is finite: slices with few
     KKT patterns are solved exactly, larger ones by the active-set method
-    stopped once its certified objective gap is <= tol.  Returns (theta,
-    value) where value, the descent certificate, is the objective at the
-    start (theta_init on J, theta_prev elsewhere).  The objective at theta
-    never rises above it; a rise raises SubsolverError.
+    stopped once its certified objective gap is <= tol.  A FactorQuad block
+    that row_block_set built from whole dictionary rows is solved as those
+    rows, one per row of the family; any other block as one row.  Returns
+    (theta, value, new) where value, the descent certificate, is the
+    objective at the start (theta_init on J, theta_prev elsewhere) and new
+    the objective at theta, of a FactorQuad both from one evaluation of the
+    pair.  new never rises above value; a rise raises SubsolverError.
 
-    A stack of K members is a stacked FactorQuad g with a feasible set whose
-    theta_prev has shape (K, p) (theta_init too): the blocks must be whole
-    dictionary rows, every member has its own ball of the shared radius,
-    theta has shape (K, p) and value (K,), and each member's certificate is
-    checked on its own.
+    A stack of K members is a stacked FactorQuad g with a row block whose
+    theta_prev has shape (K, p) (theta_init too): every member has its own
+    ball of the shared radius, theta has shape (K, p), value and new (K,),
+    and each member's certificate is checked on its own.
     """
     prev = feas.theta_prev
     if theta_init is not prev:
@@ -623,24 +669,26 @@ def solve_block_quadratic(
         # the slice's own center is feasible by construction
         if not (np.array_equal(theta_init, prev) or feas.contains(theta_init)):
             raise SubsolverError("theta_init must be feasible for the block slice")
-    G, C, lam, idx = _block_rows(g, feas.J, prev)
-    one = prev.ndim == 1
-    if one:
-        at = idx
+    if isinstance(g, FactorQuad) and feas.width:
+        start, theta = _row_solve(g, feas, theta_init, tol, max_iters)
+        obj, new = g.value(np.array((start, theta)))
+        theta = theta.reshape(prev.shape)
     else:
-        at = (slice(None), idx) if idx.ndim == 2 else (np.arange(len(prev))[:, None, None], idx)
-    start = prev.copy()
-    if theta_init is not prev:
-        start[at] = theta_init[at]
-    theta = prev.copy()
-    theta[at] = _box_qp_ball(G, C, feas.box.lower[idx], feas.box.upper[idx], lam, start[at],
-                             prev[at], feas.radius, tol, max_iters)
-    obj = g.value(start)
-    if one:
-        if g.value(theta) > obj + 1e-9 * (1.0 + abs(obj)):
+        G, C, lam = _coordinate_block(g, feas)
+        idx = feas.J[None, :]
+        start = prev.copy()
+        if theta_init is not prev:
+            start[idx] = theta_init[idx]
+        theta = prev.copy()
+        theta[idx] = _box_qp_ball(G, C, feas.box.lower[idx], feas.box.upper[idx], lam,
+                                  start[idx], prev[idx], feas.radius, tol, max_iters)
+        obj, new = g.value(start), g.value(theta)
+    if prev.ndim == 1:
+        obj, new = float(obj), float(new)
+        if new > obj + 1e-9 * (1.0 + abs(obj)):
             raise SubsolverError("block solve increased the objective")
-        return theta, obj
-    for j, (new, old) in enumerate(zip(g.value(theta).tolist(), obj.tolist())):
-        if new > old + 1e-9 * (1.0 + abs(old)):
+        return theta, obj, new
+    for j, (n, o) in enumerate(zip(new.tolist(), obj.tolist())):
+        if n > o + 1e-9 * (1.0 + abs(o)):
             raise SubsolverError(f"block solve increased the objective of stack member {j}")
-    return theta, obj
+    return theta, obj, new

@@ -366,7 +366,7 @@ def test_criterion_08_subsolver_correctness():
         box = BoxSet(lower=lo, upper=up)
         start = np.clip(rng.normal(size=2), lo, up)
         feas = restricted_block_set(box, start, np.array([0, 1]), math.inf)
-        theta, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
+        theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
         xs = np.linspace(lo[0], up[0], 1001)
         ys = np.linspace(lo[1], up[1], 1001)
         XX, YY = np.meshgrid(xs, ys, indexing="ij")

@@ -394,6 +394,7 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
         res = real_step(x, W_prev, *args, **kwargs)
         counts["steps"] += 1
         assert res.g_prev == res.quad.value(W_prev)
+        assert res.g_new == res.quad.value(res.W) == res.value_at(res.W)
         return res
 
     def search(solve, center, radius, mu_hi):

@@ -1,0 +1,38 @@
+"""scripts/csv_identity.py: the byte-identity set of two checkouts, on short runs."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "csv_identity.py"
+
+
+def _checkout(path: Path) -> Path:
+    """The parts of this checkout the set runs: src, configs and perfbench."""
+    for part in ("src", "configs", "perfbench"):
+        shutil.copytree(ROOT / part, path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench_work"))
+    return path
+
+
+def test_csv_identity_names_each_file(tmp_path):
+    # two copies of this checkout, the second with one OMF emission changed:
+    # every OMF CSV differs, the CPDL and rank-5 ones (other inputs) are
+    # identical, and the script exits 1
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    emissions = change / "configs" / "emissions_omf.csv"
+    lines = emissions.read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[-1].replace("0", "1", 1)
+    emissions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = subprocess.run([sys.executable, str(SCRIPT), str(parent), str(change), "--steps", "12"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 1, out.stderr
+    verdicts = dict(line.rsplit(": ", 1) for line in out.stdout.splitlines()[:-1])
+    assert len(verdicts) == 25
+    assert out.stdout.splitlines()[-1] == "6 of 25 identical"
+    for name, verdict in verdicts.items():
+        same = name.startswith(("cpdl", "omf_rank5"))
+        assert verdict == ("identical" if same else "differs"), name
+    assert (parent / ".csv_identity" / "out" / "sweep" / "omf_markov_seed3.csv").exists()

@@ -39,7 +39,7 @@ def omf_run(n_iters=30, mode="c2", c_prime=1.0, rho0=0.0, schedule=None, W0=None
 def box_step(g, theta0, lower, upper, radius=math.inf):
     """One block solve of g over the whole box-and-ball slice around theta0."""
     box = BoxSet.uniform(theta0.size, lower, upper)
-    theta, _ = solve_block_quadratic(
+    theta, _, _ = solve_block_quadratic(
         g, restricted_block_set(box, theta0, np.arange(theta0.size), radius), theta0, tol=1e-12)
     return theta
 
@@ -202,8 +202,8 @@ def test_block_minimize_separable_reaches_joint_minimum():
     g = QuadSurrogate(curvature=1.0, linear=-x, constant=0.0)
     box = BoxSet.uniform(4, -2.0, 2.0)
     for J in ([0, 2], [1, 3]):
-        theta, _ = solve_block_quadratic(g, restricted_block_set(box, theta, J, math.inf), theta,
-                                         tol=1e-12)
+        theta, _, _ = solve_block_quadratic(g, restricted_block_set(box, theta, J, math.inf),
+                                            theta, tol=1e-12)
     np.testing.assert_allclose(theta, np.clip(x, -2.0, 2.0), atol=1e-6)
 
 

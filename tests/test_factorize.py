@@ -537,3 +537,22 @@ def test_runner_solves_one_code_problem_per_step_and_checkpoint(monkeypatch, kin
     for rec in res.records:
         fresh = loss(samples[rec.n - 1], res.trajectory[rec.n - 1])
         assert rec.loss_new == pytest.approx(fresh, rel=1e-12)
+
+
+def test_step_result_values_only_its_own_result():
+    # an OMF step hands on the block solve's value at its result; the value
+    # at any other iterate, also one written over the result, is evaluated
+    rng = np.random.default_rng(90)
+    q, r, d = 3, 2, 4
+    for lead in ((), (3,)):
+        W = rng.uniform(0.2, 0.8, size=lead + (q, r))
+        res = omf_step(rng.uniform(0.0, 1.0, size=lead + (q, d)), W,
+                       np.broadcast_to(np.eye(r), lead + (r, r)), np.zeros(lead + (r, q)), 0.3,
+                       0.05, BoxSet.uniform(q * r, 0.0, 1.0), BoxSet.uniform(r, 0.0, 1.0),
+                       C_prev=np.zeros(lead) if lead else 0.0, radius=0.1)
+        assert np.asarray(res.g_new).tobytes() == np.asarray(res.quad.value(res.W)).tobytes()
+        assert res.value_at(res.W) is res.g_new
+        assert np.array_equal(res.value_at(W), res.quad.value(W))
+        res.W[..., 0, 0] = 1.0
+        assert np.array_equal(res.value_at(res.W), res.quad.value(res.W))
+        assert not np.array_equal(res.value_at(res.W), res.g_new)

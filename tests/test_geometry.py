@@ -8,7 +8,6 @@ from sbmm.geometry import (
     BOUNDARY_TOL,
     BoxSet,
     GeometryError,
-    project_box,
     restricted_block_set,
     stationarity_measure,
     tangent_cone_project,
@@ -67,37 +66,6 @@ def test_box_contains_and_sample():
 def test_nonneg_shorthand():
     box = BoxSet.nonneg(2, upper=3.0)
     assert np.all(box.lower == 0.0) and np.all(box.upper == 3.0)
-
-
-# ---------------------------------------------------------------------------
-# project_box
-
-
-def test_project_box_identity_inside():
-    box = BoxSet.uniform(2, 0.0, 1.0)
-    x = np.array([0.3, 0.8])
-    assert np.array_equal(project_box(x, box), x)
-
-
-def test_project_box_clamp():
-    box = BoxSet.uniform(2, 0.0, 1.0)
-    assert np.array_equal(project_box(np.array([2.0, -1.0]), box), [1.0, 0.0])
-
-
-def test_project_box_dim_mismatch():
-    with pytest.raises(ValueError):
-        project_box(np.array([1.0]), BoxSet.uniform(2, 0.0, 1.0))
-
-
-def test_project_box_matches_grid_oracle():
-    rng = np.random.default_rng(1)
-    box = BoxSet(np.array([-1.0, 0.5]), np.array([0.5, 2.0]))
-    pts = box_grid(box, 301)
-    for _ in range(20):
-        x = rng.uniform(-3, 3, size=2)
-        got = project_box(x, box)
-        oracle = grid_nearest(x, pts)
-        assert np.linalg.norm(got - oracle) <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +247,7 @@ def test_project_sub_feasible():
     feas = restricted_block_set(box, theta, J, 0.25)
     for _ in range(50):
         z = rng.uniform(-3, 3, size=6)
-        out, _ = solve_block_quadratic(QuadSurrogate(1.0, -z, 0.0), feas, theta)
+        out, _, _ = solve_block_quadratic(QuadSurrogate(1.0, -z, 0.0), feas, theta)
         assert feas.contains(out)
 
 

@@ -200,14 +200,24 @@ def test_factor_surrogate_curvature_constants():
 
 
 def test_block_strong_convexity_preserved():
-    # averaging keeps the curvature lower bound: min-eig of the average is at
-    # least the convex combination of the blocks' min-eigs
+    # omf_step averages A_n = (1 - w_n) A_{n-1} + w_n H_n H_n' with H_n H_n'
+    # PSD, so the surrogate's strong convexity rho = 2 lambda_min(A) never
+    # falls below (1 - w_n) times the last step's, for one run and for each
+    # member of a stack of 3; d < r leaves H H' singular, so the bound is tight
     rng = np.random.default_rng(12)
-    for _ in range(10):
-        M1 = rng.normal(size=(3, 3))
-        M2 = rng.normal(size=(3, 3))
-        A1, A2 = M1 @ M1.T, M2 @ M2.T
-        w = float(rng.uniform(0.05, 0.95))
-        mixed = (1 - w) * A1 + w * A2
-        lo = (1 - w) * np.linalg.eigvalsh(A1)[0] + w * np.linalg.eigvalsh(A2)[0]
-        assert np.linalg.eigvalsh(mixed)[0] >= lo - 1e-10
+    q, r, d = 4, 3, 2
+    box = BoxSet.uniform(q * r, 0.0, 1.0)
+    code_set = BoxSet.uniform(r, 0.0, 1.0)
+    for lead in ((), (3,)):
+        W = rng.uniform(0.2, 0.8, size=lead + (q, r))
+        A = np.broadcast_to(np.eye(r), lead + (r, r)).copy()
+        B = np.zeros(lead + (r, q))
+        C = np.zeros(lead) if lead else 0.0
+        rho_prev = np.full(lead, 2.0)
+        for n in range(1, 41):
+            w_n = (n + 1) ** -0.6
+            X = rng.uniform(0.0, 1.0, size=lead + (q, d))
+            res = omf_step(X, W, A, B, w_n, 0.05, box, code_set, C_prev=C, radius=w_n)
+            rho = np.asarray(res.quad.rho)
+            assert np.all(rho >= (1.0 - w_n) * rho_prev - 1e-12), (lead, n)
+            W, A, B, C, rho_prev = res.W, res.A, res.B, res.C, rho

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbmm.geometry import BoxSet, restricted_block_set, stationarity_measure
+from sbmm.geometry import BoxSet, restricted_block_set, row_block_set, stationarity_measure
 from sbmm.quadform import FactorQuad, QuadSurrogate
 from sbmm.subsolver import (
     SubsolverError,
@@ -194,7 +194,7 @@ def test_block_quadratic_interior_analytic():
     g = _quad(2.0, b)
     feas = restricted_block_set(BoxSet.uniform(2, -10.0, 10.0),
                                 np.zeros(2), np.array([0, 1]), math.inf)
-    theta, _ = solve_block_quadratic(g, feas, np.zeros(2), tol=1e-10)
+    theta, _, _ = solve_block_quadratic(g, feas, np.zeros(2), tol=1e-10)
     np.testing.assert_allclose(theta, -b / 2.0, atol=1e-8)
 
 
@@ -210,7 +210,7 @@ def test_block_quadratic_matches_grid_box_only():
         box = BoxSet(lower=lo, upper=up)
         start = np.clip(rng.normal(size=2), lo, up)
         feas = restricted_block_set(box, start, np.array([0, 1]), math.inf)
-        theta, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
+        theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
         p_star, v_star = grid_min_quad_2d(g, box)
         assert g.value(theta) <= v_star + 1e-8
         # location agreement up to the grid pitch (box width / 1000)
@@ -229,7 +229,7 @@ def test_block_quadratic_matches_grid_with_ball():
         start = np.clip(rng.normal(size=2), -2.0, 2.0)
         radius = float(rng.uniform(0.2, 1.0))
         feas = restricted_block_set(box, start, np.array([0, 1]), radius)
-        theta, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
+        theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
         assert np.linalg.norm(theta - start) <= radius + 1e-8
         _, v_star = grid_min_quad_2d(g, box, center=start, radius=radius)
         assert g.value(theta) <= v_star + 1e-6
@@ -245,7 +245,7 @@ def test_block_quadratic_l1_prox_matches_grid():
         start = np.clip(rng.normal(size=2), -1.5, 1.5)
         radius = float(rng.uniform(0.3, 2.0))
         feas = restricted_block_set(box, start, np.array([0, 1]), radius)
-        theta, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
+        theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
         assert np.linalg.norm(theta - start) <= radius + 1e-8
         _, v_star = grid_min_quad_2d(g, box, n=801, center=start,
                                      radius=radius)
@@ -261,7 +261,7 @@ def test_block_quadratic_freezes_complement():
     prev = np.clip(rng.normal(size=4), -5.0, 5.0)
     J = np.array([1, 3])
     feas = restricted_block_set(box, prev, J, math.inf)
-    theta, g_start = solve_block_quadratic(g, feas, prev, tol=1e-10)
+    theta, g_start, _ = solve_block_quadratic(g, feas, prev, tol=1e-10)
     assert g_start == g.value(prev)
     np.testing.assert_array_equal(theta[[0, 2]], prev[[0, 2]])
     # the free coordinates reach the unconstrained optimum of the slice
@@ -278,7 +278,7 @@ def test_block_quadratic_monotone_descent():
         start = np.clip(rng.normal(size=3), -1.0, 1.0)
         feas = restricted_block_set(box, start, np.arange(3),
                                     float(rng.uniform(0.1, 2.0)))
-        theta, g_start = solve_block_quadratic(g, feas, start, tol=1e-8)
+        theta, g_start, _ = solve_block_quadratic(g, feas, start, tol=1e-8)
         # the returned descent certificate is the objective at the start
         assert g_start == g.value(start)
         assert g.value(theta) <= g.value(start) + 1e-12
@@ -294,7 +294,7 @@ def test_block_quadratic_second_order_growth():
     box = BoxSet.uniform(2, -1.0, 1.0)
     start = np.zeros(2)
     feas = restricted_block_set(box, start, np.array([0, 1]), math.inf)
-    theta_hat, _ = solve_block_quadratic(g, feas, start, tol=1e-12)
+    theta_hat, _, _ = solve_block_quadratic(g, feas, start, tol=1e-12)
     scale = 1.0 + abs(g.value(theta_hat))
     for _ in range(50):
         theta = np.clip(rng.normal(size=2), -1.0, 1.0)
@@ -313,7 +313,7 @@ def test_block_quadratic_stationarity_at_solution():
         start = np.clip(rng.normal(size=3), -0.5, 0.5)
         feas = restricted_block_set(box, start, np.arange(3), math.inf)
         tol = 1e-8
-        theta, _ = solve_block_quadratic(g, feas, start, tol=tol)
+        theta, _, _ = solve_block_quadratic(g, feas, start, tol=tol)
         assert stationarity_measure(g.smooth_grad(theta), theta, box) <= tol
 
 
@@ -327,7 +327,7 @@ def test_block_quadratic_factor_form():
     g = FactorQuad(A=A, B=B, C=0.0, anchor=W0)
     box = BoxSet.nonneg(q * r, upper=1.0)
     feas = restricted_block_set(box, W0.ravel(), np.arange(q * r), math.inf)
-    theta, _ = solve_block_quadratic(g, feas, W0.ravel(), tol=1e-10)
+    theta, _, _ = solve_block_quadratic(g, feas, W0.ravel(), tol=1e-10)
     W = theta.reshape(q, r)
     # KKT over the box: gradient nonneg where pinned low, nonpos where pinned
     # high, ~zero in the interior
@@ -356,8 +356,8 @@ def test_block_quadratic_factor_column_matches_explicit_form(radius):
     box = BoxSet.nonneg(q * r, upper=1.0)
     J = np.arange(q) * r + 1
     feas = restricted_block_set(box, W0.ravel(), J, radius)
-    theta_f, value_f = solve_block_quadratic(fq, feas, W0.ravel(), tol=1e-12)
-    theta_q, value_q = solve_block_quadratic(quad, feas, W0.ravel(), tol=1e-12)
+    theta_f, value_f, _ = solve_block_quadratic(fq, feas, W0.ravel(), tol=1e-12)
+    theta_q, value_q, _ = solve_block_quadratic(quad, feas, W0.ravel(), tol=1e-12)
     np.testing.assert_allclose(theta_f, theta_q, rtol=0.0, atol=1e-12)
     assert value_f == fq.value(W0)
     assert value_q == pytest.approx(value_f, rel=1e-12)
@@ -381,7 +381,7 @@ def test_block_quadratic_zero_radius_returns_start():
     start = np.array([0.5, 0.5])
     feas = restricted_block_set(BoxSet.uniform(2, 0.0, 1.0), start,
                                 np.array([0, 1]), 1e-30)
-    theta, _ = solve_block_quadratic(g, feas, start, tol=1e-8)
+    theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-8)
     np.testing.assert_allclose(theta, start, atol=1e-12)
 
 
@@ -851,16 +851,19 @@ def test_block_quadratic_stack_matches_each_member():
     start = w.copy()
     start[0, J[0, 0]] += 0.01
     for radius in (0.05, math.inf):
-        theta, value = solve_block_quadratic(quad, restricted_block_set(box, w, J, radius), start)
+        theta, value, new = solve_block_quadratic(quad, row_block_set(box, W, rows, radius), start)
         for j in range(K):
             one = FactorQuad(A[j], B[j], float(C[j]), W[j])
-            theta_j, value_j = solve_block_quadratic(
-                one, restricted_block_set(box, w[j], J[j], radius), start[j])
-            assert theta[j].tobytes() == theta_j.tobytes() and value[j] == value_j
+            theta_j, value_j, new_j = solve_block_quadratic(
+                one, row_block_set(box, W[j], rows[j], radius), start[j])
+            assert theta[j].tobytes() == theta_j.tobytes()
+            assert value[j] == value_j and new[j] == new_j
     outside = w.copy()
     outside[1, J[1, 0]] += 0.5  # leaves member 1's ball
     with pytest.raises(SubsolverError, match="feasible"):
-        solve_block_quadratic(quad, restricted_block_set(box, w, J, 0.05), outside)
+        solve_block_quadratic(quad, row_block_set(box, W, rows, 0.05), outside)
+    with pytest.raises(ValueError, match="whole dictionary rows"):
+        solve_block_quadratic(quad, restricted_block_set(box, w, J, 0.05), w)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,3 +1053,162 @@ def test_ball_search_prediction_outside_box_falls_back(monkeypatch, with_l1):
         _check_ball_block(seed, 5, with_l1)
     later = [predicted for mu, _, _, predicted in solves if mu > 0.0]
     assert any(later) and not all(later)
+
+
+# ---------------------------------------------------------------------------
+# row blocks, the certificate pair, and what the enumeration hands on
+
+
+def _factor_quads(rng, K, q, r):
+    """A FactorQuad (K None) or a stack of K, with A = H H' from a few
+    nonnegative codes, as the statistics make it."""
+    lead = () if K is None else (K,)
+    H = rng.uniform(0.0, 1.0, size=lead + (r, r + 1))
+    B = rng.uniform(0.0, 1.0, size=lead + (r, q))
+    C = float(rng.uniform(1.0, 2.0)) if K is None else rng.uniform(1.0, 2.0, size=K)
+    W = rng.uniform(0.2, 0.8, size=lead + (q, r))
+    return FactorQuad(H @ H.swapaxes(-1, -2), B, C, W)
+
+
+@pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
+def test_certificate_pair_is_two_single_values(K):
+    # one evaluation of a (2, q, r) pair, or (2, K, q, r) for a stack, gives
+    # the bytes of two value calls, and a stack's those of each member's own
+    rng = np.random.default_rng(70)
+    for trial in range(300):
+        q, r = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        g = _factor_quads(rng, K, q, r)
+        P = rng.uniform(-1.0, 1.0, size=(2,) + g.anchor.shape)
+        pair = g.value(P)
+        for i in range(2):
+            assert np.asarray(pair[i]).tobytes() == np.asarray(g.value(P[i])).tobytes()
+        if K is not None:
+            for j in range(K):
+                one = FactorQuad(g.A[j], g.B[j], float(g.C[j]), g.anchor[j])
+                assert [float(pair[0][j]), float(pair[1][j])] == [one.value(P[0, j]),
+                                                                  one.value(P[1, j])]
+
+
+@pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
+@pytest.mark.parametrize("radius", [0.05, math.inf])
+def test_block_solve_returns_both_values_of_the_certificate(K, radius):
+    # the block solve's (value, new) are the objective at its start and at
+    # its result, as value calls give them, and new does not rise above value
+    rng = np.random.default_rng(71)
+    box = BoxSet.uniform(4 * 3, 0.0, 1.0)
+    for rows in (None, np.array([2, 0])):
+        g = _factor_quads(rng, K, 4, 3)
+        feas = row_block_set(box, g.anchor, rows, radius)
+        start = feas.theta_prev.copy()
+        start[..., feas.J[0]] += 0.001  # a start other than theta_prev
+        theta, value, new = solve_block_quadratic(g, feas, start)
+        full = feas.theta_prev.copy()
+        full[..., feas.J] = start[..., feas.J]
+        assert np.asarray(value).tobytes() == np.asarray(g.value(full)).tobytes()
+        assert np.asarray(new).tobytes() == np.asarray(g.value(theta)).tobytes()
+        assert np.all(np.asarray(new) <= np.asarray(value))
+
+
+@pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_enumeration_product_gives_the_certified_gap(k, lam, K):
+    # the enumeration's rows of x @ G are X @ G, byte for byte, so the gap
+    # solve_box_qp certifies from them is the one computed from X; the box
+    # straddles zero in some entries, so that l1 patterns hold zeros
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(72 + k)
+    lead = () if K is None else (K,)
+    lo = np.array([[-0.5, 0.0, -1.0][:k]])
+    up = np.array([[1.0, 2.0, 0.5][:k]])
+    if lam > 0:
+        assert subsolver._ZERO in subsolver._states(lam, lo, up)
+    for trial in range(200):
+        M = rng.normal(size=lead + (k, k + 1))
+        G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(k)
+        C = rng.normal(size=lead + (4, k))
+        X, _, gap, XG = subsolver._minimize(G, C, lo, up, lam, None, 1e-8, subsolver.MAX_ITERS)
+        assert gap is None and XG is not None
+        assert XG.tobytes() == (X @ G).tobytes()
+        want = subsolver._certified_gap(G, C, X, lam, lo, up)
+        got = subsolver._certified_gap(G, C, X, lam, lo, up, XG)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        X_qp, gap_qp = solve_box_qp(G, C, lo, up, lam)
+        if np.all(np.asarray(want) <= 1e-8):  # no polish: X and its gap are the enumeration's
+            assert X_qp.tobytes() == X.tobytes()
+            assert np.asarray(gap_qp).tobytes() == np.asarray(want).tobytes()
+
+
+def test_sign_states_are_derived_per_box():
+    # with an l1 term the KKT states follow the box's signs, derived once per
+    # box: two boxes that differ only in their last entry keep their own
+    import sbmm.subsolver as subsolver
+
+    def fresh(lo, up):
+        positive, negative = bool(np.max(up) > 0.0), bool(np.min(lo) < 0.0)
+        straddle = bool(np.any((np.asarray(lo) < 0.0) & (np.asarray(up) > 0.0)))
+        return ((subsolver._LO, subsolver._UP) + ((subsolver._POS,) if positive else ())
+                + ((subsolver._NEG,) if negative else ())
+                + ((subsolver._ZERO,) if positive and negative and straddle else ()))
+    lo = np.array([[0.0, 0.0, -1.0]])
+    boxes = [(lo, np.array([[1.0, 1.0, 1.0]])), (lo, np.array([[1.0, 1.0, -0.5]])),
+             (np.array([[0.0, 0.0, 0.5]]), np.array([[1.0, 1.0, 1.0]]))]
+    for _ in range(2):  # and again, once they are known
+        seen = [subsolver._states(0.05, lo_b, up_b) for lo_b, up_b in boxes]
+        assert seen == [fresh(lo_b, up_b) for lo_b, up_b in boxes]
+        assert len(set(seen)) == 3
+    assert subsolver._states(0.0, *boxes[0]) == (subsolver._LO, subsolver._UP, subsolver._FREE)
+
+
+@pytest.mark.parametrize("radius", [0.05, math.inf])
+def test_row_block_matches_the_same_block_as_coordinates(radius):
+    # a block of whole rows is solved as rows; the same block given as a
+    # permuted J takes the explicit kron form; both agree and both keep the
+    # no-rise certificate
+    rng = np.random.default_rng(73)
+    q, r = 5, 3
+    box = BoxSet.uniform(q * r, 0.0, 1.0)
+    for trial in range(20):
+        g = _factor_quads(rng, None, q, r)
+        rows = np.array([3, 0, 4])
+        by_rows = row_block_set(box, g.anchor, rows, radius)
+        J = rng.permutation(by_rows.J)
+        by_coords = restricted_block_set(box, by_rows.theta_prev, J, radius)
+        theta_r, value_r, new_r = solve_block_quadratic(g, by_rows, by_rows.theta_prev)
+        theta_c, value_c, new_c = solve_block_quadratic(g, by_coords, by_rows.theta_prev)
+        np.testing.assert_allclose(theta_r, theta_c, rtol=0.0, atol=1e-12)
+        assert value_r == value_c
+        assert new_r <= value_r and new_c <= value_c
+        assert abs(new_r - new_c) <= 1e-12 * (1.0 + abs(new_r))
+
+
+def test_checks_still_fail_loudly(monkeypatch):
+    # a block solve whose objective rises, an A asymmetric by 1e-3 and a
+    # ball center outside the box each raise
+    import sbmm.subsolver as subsolver
+    from sbmm.geometry import GeometryError
+
+    rng = np.random.default_rng(74)
+    box = BoxSet.uniform(4 * 2, 0.0, 1.0)
+    for K in (None, 3):
+        g = _factor_quads(rng, K, 4, 2)
+        feas = row_block_set(box, g.anchor, None, math.inf)
+        # the worst corner of the box: the objective rises from the start
+        worst = lambda *args: np.where(g.grad(g.anchor) > 0.0, 1.0, 0.0)
+        monkeypatch.setattr(subsolver, "_box_qp_ball", worst)
+        with pytest.raises(SubsolverError, match="increased the objective"):
+            solve_block_quadratic(g, feas, feas.theta_prev)
+        monkeypatch.undo()
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    A[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        FactorQuad(A, np.zeros((2, 3)), 0.0, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="symmetric"):
+        FactorQuad(np.stack([A.T, A]), np.zeros((2, 2, 3)), np.zeros(2), np.zeros((2, 3, 2)))
+    W = rng.uniform(0.2, 0.8, size=(4, 2))
+    W[1, 0] = 1.5
+    with pytest.raises(GeometryError):
+        row_block_set(box, W, None, 0.1)
+    with pytest.raises(GeometryError):
+        row_block_set(box, np.stack([W - 0.5, W]), np.array([0]), 0.1)
