@@ -8,6 +8,9 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
 - the four shipped configs (``configs/*.cfg``) at seeds 0-2;
 - ``omf_markov`` and ``omf_sub`` with ``engine.mode = c1``, at seeds 0-2;
 - a 4-seed ``run_sweep`` of ``configs/omf_markov.cfg``;
+- a 4-seed ``run_sweep`` of ``configs/omf_sub.cfg`` with ``app.row_sample =
+  0.5``, whose members draw different row counts, so that the stacked step
+  solves one group of members per row count;
 - three rank-5 runs on ``write_rank5``'s inputs, at seeds 0-2.
 
 It then prints one line per CSV, ``identical`` or ``differs`` (``missing``
@@ -67,6 +70,8 @@ def write_set(out: Path, steps: int | None) -> None:
             run_experiment(cfg, seed=seed, out_path=str(csvs / f"{name}_c1_seed{seed}.csv"))
     run_sweep(config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep"), SWEEP_SEEDS,
               out_dir=csvs / "sweep")
+    run_sweep(config(root / "configs" / "omf_sub.cfg", "omf_sub_sweep", "app.row_sample = 0.5\n"),
+              SWEEP_SEEDS, out_dir=csvs / "sweep")
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)

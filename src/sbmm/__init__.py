@@ -15,13 +15,10 @@ from .schedule import (
 )
 from .geometry import (
     BoxSet,
-    BlockFeasibleSet,
-    restricted_block_set,
-    row_block_set,
     tangent_cone_project,
     stationarity_measure,
 )
-from .quadform import QuadSurrogate, FactorQuad
+from .quadform import FactorQuad
 from .subsolver import soft_threshold, solve_box_qp, solve_code_lasso, solve_block_quadratic
 from .stream import (
     MarkovSource,

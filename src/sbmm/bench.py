@@ -712,7 +712,10 @@ def parse_config(path) -> RunConfig:
     if kind != "cpdl" and values["engine.theta0"] != "random":
         _load_start(cfg, (shape[0], values["app.rank"]))
     try:
-        _build_schedule(cfg)
+        schedule = _build_schedule(cfg)
+        n_values, n_iters = len(schedule.custom_values), values["engine.n_iters"]
+        if schedule.kind == "custom" and n_values < n_iters:
+            raise ValueError(f"has {n_values} values, fewer than engine.n_iters = {n_iters}")
     except ValueError as exc:
         # a bad schedule parameter: of those the kind reads, the one set last
         key = max(_SCHEDULE_PARAMS[values["schedule.kind"]] or ("schedule.kind",),

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BoxSet, row_block_set
+from .geometry import BoxSet
 from .quadform import FactorQuad
 from .subsolver import solve_code_lasso, solve_block_quadratic
 
@@ -151,7 +151,6 @@ def omf_step(
     """
     X = np.asarray(X, dtype=float)
     W_prev = np.asarray(W_prev, dtype=float)
-    q, r = W_prev.shape[-2:]
     H, gap = solve_code_lasso(X, W_prev, lam, code_set, tol=tol)
     Ht = H.swapaxes(-1, -2)
     A = (1.0 - w_n) * A_prev + w_n * (H @ Ht)
@@ -168,28 +167,25 @@ def omf_step(
             rows = np.asarray(rows, dtype=int)
             if rows.size == 0:
                 raise ValueError("empty row subset")
-        feas = row_block_set(dict_box, W_prev, rows, radius)
-        w, g_prev, g_new = solve_block_quadratic(quad, feas, feas.theta_prev, tol=tol)
+        W, g_prev, g_new = solve_block_quadratic(quad, dict_box, radius, rows, tol=tol)
     else:
         rows = [np.asarray(rj, dtype=int) for rj in rows]
         sizes = [rj.size for rj in rows]
         if min(sizes) == 0:
             raise ValueError("empty row subset")
-
-        def solve(sub, sub_W, sub_rows):
-            feas = row_block_set(dict_box, sub_W, np.stack(sub_rows), radius)
-            return solve_block_quadratic(sub, feas, feas.theta_prev, tol=tol)
         if len(set(sizes)) == 1:
-            w, g_prev, g_new = solve(quad, W_prev, rows)
+            W, g_prev, g_new = solve_block_quadratic(quad, dict_box, radius, np.stack(rows),
+                                                     tol=tol)
         else:
-            w = np.empty((len(rows), q * r))
+            W = np.empty(W_prev.shape)
             g_prev, g_new = np.empty(len(rows)), np.empty(len(rows))
             for size in sorted(set(sizes)):
                 group = [j for j, n in enumerate(sizes) if n == size]
-                w[group], g_prev[group], g_new[group] = solve(
-                    quad.members(group), W_prev[group], [rows[j] for j in group])
-    return OmfStepResult(H=H, A=A, B=B, C=C, W=w.reshape(W_prev.shape), eps=gap, quad=quad,
-                         g_prev=g_prev, g_new=g_new)
+                W[group], g_prev[group], g_new[group] = solve_block_quadratic(
+                    quad.members(group), dict_box, radius, np.stack([rows[j] for j in group]),
+                    tol=tol)
+    return OmfStepResult(H=H, A=A, B=B, C=C, W=W, eps=gap, quad=quad, g_prev=g_prev,
+                         g_new=g_new)
 
 
 def subsampled_omf_step(X, W_prev, A_prev, B_prev, w_n, lam, dict_box, code_set,
@@ -286,9 +282,7 @@ def cpdl_step(
         gamma = A if others is None else A * others
         lin = _contract_except(B, U, i)
         quad = FactorQuad(0.5 * (gamma + gamma.T) if m > 1 else gamma, lin.T, 0.0, U[i])
-        feas = row_block_set(factor_boxes[i], U[i], None, radius)
-        u, _, _ = solve_block_quadratic(quad, feas, feas.theta_prev, tol=tol)
-        U[i] = u.reshape(U[i].shape)
+        U[i] = solve_block_quadratic(quad, factor_boxes[i], radius, tol=tol)[0]
         if i < m - 1:  # the last mode's Gram is not read again
             grams[i] = U[i].T @ U[i]
     return CpdlStepResult(H=H, A=A, B=B, C=C, U=U, eps=gap)

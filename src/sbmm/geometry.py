@@ -1,4 +1,4 @@
-"""Box constraint sets, block feasible sets, the ball search, and stationarity.
+"""Box constraint sets, the ball search, and stationarity.
 
 The constraint family is restricted to boxes (including the nonnegativity
 shorthand): every application in this package optimizes matrices or loading
@@ -26,9 +26,6 @@ import numpy as np
 
 __all__ = [
     "BoxSet",
-    "BlockFeasibleSet",
-    "restricted_block_set",
-    "row_block_set",
     "tangent_cone_project",
     "stationarity_measure",
 ]
@@ -84,12 +81,6 @@ class BoxSet:
         x = np.asarray(x, dtype=float)
         lo, up = self._loose if tol == BOUNDARY_TOL else (self.lower - tol, self.upper + tol)
         return bool(((x >= lo) & (x <= up)).all())
-
-    def restrict(self, J: np.ndarray) -> "BoxSet":
-        return BoxSet(self.lower[J], self.upper[J])
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
 
 
 def _secular_root(model, radius: float, lo: float, hi: float) -> float:
@@ -180,89 +171,6 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
     if nrm <= radius:
         return x
     return center + (x - center) * (radius / nrm)
-
-
-@dataclass(frozen=True)
-class BlockFeasibleSet:
-    """Feasible set of one block sub-step.
-
-    Coordinates outside J are frozen at theta_prev; the J-subvector ranges
-    over the box slice intersected with a ball of the given radius around
-    theta_prev's J-subvector.  radius = inf means no trust region.
-
-    A stack of K members has theta_prev of shape (K, p) and J shared (m,) or
-    one block per member (K, m); each member has its own ball of the shared
-    radius.  The stacked block solve reads it directly; member(j) gives one
-    member's set for everything else.
-
-    A block that row_block_set builds from whole rows of a (q, width)
-    matrix keeps them: width, and the rows ((m,) shared or (K, m) per
-    member; None for all q rows), from which J was made.
-    """
-
-    box: BoxSet
-    theta_prev: np.ndarray
-    J: np.ndarray
-    radius: float
-    width: int = 0
-    rows: np.ndarray | None = None
-
-    def __post_init__(self):
-        theta_prev = np.asarray(self.theta_prev, dtype=float)
-        object.__setattr__(self, "theta_prev", theta_prev)
-        if not self.box.contains(theta_prev):
-            raise GeometryError("theta_prev must be feasible")
-
-    @cached_property
-    def sub_box(self) -> BoxSet:
-        """The box slice on J, built on first use."""
-        return self.box.restrict(self.J)
-
-    @property
-    def center_sub(self) -> np.ndarray:
-        return self.theta_prev[self.J]
-
-    def member(self, j: int) -> "BlockFeasibleSet":
-        """Member j's feasible set, of a stack."""
-        per = lambda a: a[j] if a is not None and a.ndim == 2 else a
-        return BlockFeasibleSet(self.box, self.theta_prev[j], per(self.J), self.radius,
-                                self.width, per(self.rows))
-
-    def contains(self, theta: np.ndarray, tol: float = BOUNDARY_TOL) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        if self.theta_prev.ndim == 2:
-            return all(self.member(j).contains(theta[j], tol) for j in range(len(theta)))
-        mask = np.ones(theta.size, dtype=bool)
-        mask[self.J] = False
-        if np.max(np.abs(theta[mask] - self.theta_prev[mask]), initial=0.0) > tol:
-            return False
-        sub = theta[self.J]
-        if not self.sub_box.contains(sub, tol):
-            return False
-        if math.isinf(self.radius):
-            return True
-        return float(np.linalg.norm(sub - self.center_sub)) <= self.radius + tol
-
-
-def restricted_block_set(
-    box: BoxSet, theta_prev: np.ndarray, J: np.ndarray, radius: float
-) -> BlockFeasibleSet:
-    return BlockFeasibleSet(box=box, theta_prev=theta_prev, J=np.asarray(J, dtype=int),
-                            radius=float(radius))
-
-
-def row_block_set(box: BoxSet, W_prev: np.ndarray, rows, radius: float) -> BlockFeasibleSet:
-    """The block of whole rows of the matrix W_prev (q, r), or of each
-    member's of a stack (K, q, r): rows (m,) shared, (K, m) one set per
-    member, or None for every row.  theta_prev is W_prev flattened."""
-    q, r = W_prev.shape[-2:]
-    if rows is None:
-        J = np.arange(q * r)
-    else:
-        rows = np.asarray(rows, dtype=int)
-        J = (rows[..., None] * r + np.arange(r)).reshape(rows.shape[:-1] + (-1,))
-    return BlockFeasibleSet(box, W_prev.reshape(W_prev.shape[:-2] + (q * r,)), J, float(radius),
-                            r, rows)
 
 
 def tangent_cone_project(g: np.ndarray, theta: np.ndarray, box: BoxSet,

@@ -1,7 +1,7 @@
 """Closed-form quadratic surrogates.
 
-Every surrogate in scope is quadratic in the parameter, optionally carrying a
-symbolic l1 penalty tag.  That keeps the running average
+Every surrogate in scope is quadratic in the parameter.  That keeps the
+running average
 
     gbar_n = (1 - w_n) gbar_{n-1} + w_n g_n
 
@@ -9,26 +9,24 @@ exactly representable by a small parameter state (curvature, linear term,
 constant), which both makes block minimization exact and bounds the state the
 convergence theory tracks.
 
-Two representations are used.  ``QuadSurrogate`` stores an explicit quadratic
-over a flat vector, which the block solver takes as it is.  ``FactorQuad``
-stores the sufficient-statistics form
+``FactorQuad`` stores the sufficient-statistics form
 
     g(W) = tr(W A W^T) - 2 tr(W B) + C,      W of shape (q, r),
 
 which is the natural shape for dictionary updates in matrix and tensor
 factorization; there the average is the statistics recursion of the step
-(``factorize.omf_step``), and a ``FactorQuad`` wraps its result.
+(``factorize.omf_step``), and a ``FactorQuad`` wraps its result.  Every
+block solve minimizes whole rows of one (``subsolver.solve_block_quadratic``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
-__all__ = ["QuadSurrogate", "FactorQuad"]
+__all__ = ["FactorQuad"]
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
@@ -42,75 +40,13 @@ def _is_symmetric(M: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class QuadSurrogate:
-    """Explicit quadratic g(theta) = 0.5 theta' Q theta + b' theta + c.
-
-    curvature is either a full symmetric matrix or a scalar, the scalar
-    meaning Q = curvature * I.  An optional l1 tag adds l1_lambda*||theta||_1
-    symbolically; block minimization handles it by soft thresholding.
-    """
-
-    curvature: Union[np.ndarray, float]
-    linear: np.ndarray
-    constant: float
-    l1_lambda: float = 0.0
-
-    def __post_init__(self):
-        linear = np.asarray(self.linear, dtype=float)
-        object.__setattr__(self, "linear", linear)
-        if isinstance(self.curvature, np.ndarray):
-            Q = np.asarray(self.curvature, dtype=float)
-            if Q.shape != (linear.size, linear.size):
-                raise ValueError("curvature shape mismatch")
-            if not _is_symmetric(Q):
-                raise ValueError("curvature must be symmetric")
-            object.__setattr__(self, "curvature", Q)
-        if self.l1_lambda < 0:
-            raise ValueError("l1_lambda must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.linear.size
-
-    def curvature_matrix(self) -> np.ndarray:
-        if isinstance(self.curvature, np.ndarray):
-            return self.curvature
-        return float(self.curvature) * np.eye(self.dim)
-
-    def smooth_value(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        if isinstance(self.curvature, np.ndarray):
-            quad = 0.5 * float(theta @ (self.curvature @ theta))
-        else:
-            quad = 0.5 * float(self.curvature) * float(theta @ theta)
-        return quad + float(self.linear @ theta) + self.constant
-
-    def value(self, theta: np.ndarray) -> float:
-        v = self.smooth_value(theta)
-        if self.l1_lambda > 0:
-            v += self.l1_lambda * float(np.abs(theta).sum())
-        return v
-
-    def smooth_grad(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if isinstance(self.curvature, np.ndarray):
-            return self.curvature @ theta + self.linear
-        return float(self.curvature) * theta + self.linear
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        """Gradient, with subgradient convention sign(0) = 0 for the l1 tag."""
-        g = self.smooth_grad(theta)
-        if self.l1_lambda > 0:
-            g = g + self.l1_lambda * np.sign(theta)
-        return g
-
-
-@dataclass(frozen=True)
 class FactorQuad:
     """Sufficient-statistics quadratic over a (q, r) matrix variable.
 
     eval(W) = tr(W A W^T) - 2 tr(W B) + C.  The anchor is the matrix at which
-    the underlying surrogate is tight (up to eps).
+    the underlying surrogate is tight (up to the code solve's gap); a block
+    solve freezes the rows outside its block there and centres its ball on
+    it.
 
     A stack of K such quadratics has a leading member axis on every field:
     A (K, r, r), B (K, r, q), C (K,), anchor (K, q, r), and so rho (K,).
@@ -124,7 +60,6 @@ class FactorQuad:
     B: np.ndarray
     C: float
     anchor: np.ndarray
-    eps: float = 0.0
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -156,8 +91,7 @@ class FactorQuad:
 
     def members(self, idx) -> "FactorQuad":
         """The members idx (a list of indices) of a stack, as a stack."""
-        return FactorQuad(A=self.A[idx], B=self.B[idx], C=self.C[idx], anchor=self.anchor[idx],
-                          eps=self.eps)
+        return FactorQuad(A=self.A[idx], B=self.B[idx], C=self.C[idx], anchor=self.anchor[idx])
 
     @property
     def r(self) -> int:
@@ -166,10 +100,6 @@ class FactorQuad:
     @property
     def q(self) -> int:
         return self.B.shape[-1]
-
-    @property
-    def dim(self) -> int:
-        return self.q * self.r
 
     def value(self, W: np.ndarray):
         W = self._as_matrix(W)

@@ -25,9 +25,8 @@ dualized with one multiplier shared by every row
 exact distance model of its working set, and the next solve starts where
 that model puts the working set's minimizer at the new multiplier, taken
 as the minimizer of every row, so a working set that holds costs one
-certified gap and no Newton step; a prediction outside the box (or, with
-an l1 term, off its sign region) falls back to the previous multiplier's
-solution.
+certified gap and no Newton step; a prediction outside the box falls
+back to the previous multiplier's solution.
 
 A stack of K families (K runs in lockstep, each with its own Hessian) is
 one batch wherever the work is the same for every member: the pattern
@@ -41,16 +40,14 @@ the solution: the code solver its convexity-based objective gap bound,
 rounding allowance included, that downstream surrogates use as their
 approximation tolerance (from an enumeration, it reuses the enumeration's
 own rows of X @ G), and the block solver its descent certificate, the
-objective at its start and at its result, which it checks does not rise;
-for a FactorQuad both values come from one evaluation of the (2, q, r)
-pair.
+objective at its start (the quadratic's anchor) and at its result, which
+it checks does not rise; both values come from one evaluation of the
+(2, q, r) pair.
 
-A block solve reaches the box QP machinery in one of two ways.  A block
-that ``geometry.row_block_set`` built from whole dictionary rows of a
-FactorQuad goes as those rows: G = A, one family row per dictionary row,
-the box and the ball's center the rows' slices (reshaped views when the
-block is the whole matrix).  Any other block is one row of the explicit
-quadratic, its linear term absorbing the frozen coordinates.
+Every block solve is whole rows of a FactorQuad, and reaches the box QP
+machinery as those rows: G = A, one family row per dictionary row, the
+box and the ball's center the rows' slices of the box and of the
+quadratic's anchor (reshaped views when the block is the whole matrix).
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BlockFeasibleSet, BoxSet, ball_multiplier_search
+from .geometry import BoxSet, GeometryError, ball_multiplier_search
 from .quadform import FactorQuad
 
 __all__ = [
@@ -458,10 +455,11 @@ def _polish(G, C, lo, up, lam, X, gap, tol, max_iters, XG=None):
     return X, gap
 
 
-def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters, first=None):
-    """Minimizer of the solve_box_qp objective over the box intersected with
-    the ball ||X - center||_F <= radius (center in the box), each box solve
-    done by _minimize from the previous one's X.
+def _box_qp_ball(G, C, lo, up, center, radius, tol, max_iters, first=None):
+    """Minimizer of the solve_box_qp objective without an l1 term over the
+    box intersected with the ball ||X - center||_F <= radius (center in the
+    box), each box solve done by _minimize from the previous one's X, the
+    first from center.
 
     Dualizing the ball adds mu ||X - center||^2, which keeps the shared
     Hessian form with G + mu I and rows c_i + mu center_i.  On the working
@@ -473,19 +471,19 @@ def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters, first=No
     starts where the model puts the working set's minimizer at the new
     multiplier nu, (X(nu) - center)_F = V diag((w + mu) / (w + nu)) V'(X -
     center)_F, marked as every row's minimizer, if that point lies in the
-    box (and, with an l1 term, keeps the free entries' signs); else it
-    starts from X.  (The pattern enumeration ignores the start.)  first,
-    when given, is the solve at mu = 0 as (X, free mask).  A stack (G of
-    shape (K, k, k); C, X0 and center of shape (K, n, k)) solves at mu = 0
-    in one batch; each member then has its own ball and its own search.
+    box; else it starts from X.  (The pattern enumeration ignores the
+    start.)  first, when given, is the solve at mu = 0 as (X, free mask).  A
+    stack (G of shape (K, k, k); C and center of shape (K, n, k)) solves at
+    mu = 0 in one batch; each member then has its own ball and its own
+    search.
     """
-    X = X0 if first is None else first[0]
+    X = center if first is None else first[0]
     if math.isinf(radius):
-        return _minimize(G, C, lo, up, lam, X, tol, max_iters)[0]
+        return _minimize(G, C, lo, up, 0.0, X, tol, max_iters)[0]
     if G.ndim == 3:
-        X, free = _minimize(G, C, lo, up, lam, X, tol, max_iters)[:2]
-        return np.stack([_box_qp_ball(G[j], C[j], _member(lo, j), _member(up, j), lam, X[j],
-                                      center[j], radius, tol, max_iters, (X[j], free[j]))
+        X, free = _minimize(G, C, lo, up, 0.0, X, tol, max_iters)[:2]
+        return np.stack([_box_qp_ball(G[j], C[j], _member(lo, j), _member(up, j), center[j],
+                                      radius, tol, max_iters, (X[j], free[j]))
                          for j in range(len(C))])
 
     last = None  # the last model's (mu, free mask, w, V, coefficients)
@@ -496,19 +494,16 @@ def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters, first=No
         if first is not None:  # mu = 0, solved already
             (X, free), first = first, None
         elif mu == 0.0:
-            X, free = _minimize(G, C, lo, up, lam, X, tol, max_iters)[:2]
+            X, free = _minimize(G, C, lo, up, 0.0, X, tol, max_iters)[:2]
         else:
             start, predicted = X, False
             if last is not None:
                 mu0, free0, w, V, coef = last
                 moved = np.einsum("nkj,nj->nk", V, coef * ((w + mu0) / (w + mu)))
                 Xp = np.where(free0, center + moved, X)
-                inside = (Xp >= lo) & (Xp <= up)
-                if lam > 0:
-                    inside &= Xp * X >= 0.0
-                if inside.all():
+                if ((Xp >= lo) & (Xp <= up)).all():
                     start, predicted = Xp, True
-            X, free = _minimize(G + mu * eye, C + mu * center, lo, up, lam, start, tol,
+            X, free = _minimize(G + mu * eye, C + mu * center, lo, up, 0.0, start, tol,
                                 max_iters, predicted)[:2]
         u = X - center
 
@@ -526,8 +521,8 @@ def _box_qp_ball(G, C, lo, up, lam, X0, center, radius, tol, max_iters, first=No
 
     def mu_hi():
         # strong convexity of the dualized problem: ||X(mu) - center|| <= ||xi|| / mu
-        # for any subgradient xi of the objective at center
-        xi = 2.0 * (center @ G - C) + lam * np.sign(center)
+        # for the gradient xi of the objective at center
+        xi = 2.0 * (center @ G - C)
         return float(np.linalg.norm(xi)) / radius
     return ball_multiplier_search(solve, center, radius, mu_hi)
 
@@ -590,105 +585,56 @@ def solve_code_lasso(
 # block quadratic solver
 
 
-def _row_solve(g, feas: BlockFeasibleSet, theta_init, tol, max_iters):
-    """The solve of a block of whole rows of a FactorQuad (feas.width ==
-    g.r), where each dictionary row of the block is one row of the
-    solve_box_qp family with G = A and c_i the row's column of B, and the
-    box and the ball's center are the rows' slices; the whole matrix takes
-    reshaped views, no gathers.  Returns (start, theta) as (q, r) matrices
-    (with the member axis of a stack): theta_init on the block and
-    theta_prev elsewhere, and the result."""
-    q, r = g.q, g.r
-    if feas.width != r:
-        raise ValueError(f"a block of rows of width {feas.width} for a quadratic of width {r}")
-    prev = feas.theta_prev.reshape(feas.theta_prev.shape[:-1] + (q, r))
-    start = prev if theta_init is feas.theta_prev else theta_init.reshape(prev.shape)
-    lo, up = feas.box.lower.reshape(q, r), feas.box.upper.reshape(q, r)
-    C, rows = g.B.swapaxes(-1, -2), feas.rows
-    if rows is None:
-        return start, _box_qp_ball(g.A, C, lo, up, 0.0, start, prev, feas.radius, tol, max_iters)
-    at = (np.arange(len(prev))[:, None], rows) if rows.ndim == 2 else (Ellipsis, rows, slice(None))
-    theta = prev.copy()
-    theta[at] = _box_qp_ball(g.A, C[at], lo[rows], up[rows], 0.0, start[at], prev[at],
-                             feas.radius, tol, max_iters)
-    if start is prev:
-        return prev, theta
-    full = prev.copy()
-    full[at] = start[at]
-    return full, theta
-
-
-def _coordinate_block(g, feas: BlockFeasibleSet):
-    """Any other block in solve_box_qp form, as a single row: (G, C, lam),
-    the linear term absorbing the coupling to the frozen coordinates.  A
-    FactorQuad takes its explicit form, with Q = 2 kron(I_q, A) and b = -2
-    vec(B')."""
-    if isinstance(g, FactorQuad):
-        if g.A.ndim == 3:
-            raise ValueError("a stacked block must be whole dictionary rows")
-        Q = 2.0 * np.kron(np.eye(g.q), g.A)
-        b, lam = -2.0 * g.B.T.ravel(), 0.0
-    else:
-        Q, b, lam = g.curvature_matrix(), g.linear, g.l1_lambda
-    J, prev = feas.J, feas.theta_prev
-    rest = np.ones(prev.size, dtype=bool)
-    rest[J] = False
-    lin = b[J] + Q[np.ix_(J, rest)] @ prev[rest]
-    return 0.5 * Q[np.ix_(J, J)], -0.5 * lin[None, :], lam
-
-
 def solve_block_quadratic(
-    g,
-    feas: BlockFeasibleSet,
-    theta_init: np.ndarray,
+    g: FactorQuad,
+    box: BoxSet,
+    radius: float,
+    rows=None,
     tol: float = 1e-8,
     max_iters: int = MAX_ITERS,
 ):
-    """Minimize a blockwise-convex quadratic over one block's feasible slice.
+    """Minimize the FactorQuad g over whole rows of its matrix variable.
 
-    Coordinates outside feas.J stay at feas.theta_prev.  The slice problem
-    goes to the solve_box_qp machinery from theta_init, with the
-    trust-region ball dualized when the radius is finite: slices with few
-    KKT patterns are solved exactly, larger ones by the active-set method
-    stopped once its certified objective gap is <= tol.  A FactorQuad block
-    that row_block_set built from whole dictionary rows is solved as those
-    rows, one per row of the family; any other block as one row.  Returns
-    (theta, value, new) where value, the descent certificate, is the
-    objective at the start (theta_init on J, theta_prev elsewhere) and new
-    the objective at theta, of a FactorQuad both from one evaluation of the
-    pair.  new never rises above value; a rise raises SubsolverError.
+    The rows outside the block stay at g.anchor; the block's rows range over
+    their slice of box (of dim q*r, the matrix flattened row by row)
+    intersected with the ball of the given radius around their slice of the
+    anchor (radius = inf means no trust region).  Each dictionary row of the
+    block is one row of the solve_box_qp family with G = A and c_i the row's
+    column of B, with the trust-region ball dualized when the radius is
+    finite: few KKT patterns are solved exactly, more by the active-set
+    method stopped once its certified objective gap is <= tol.  rows is None
+    (every row) or an index array (m,).  Returns (W, value, new): W of the
+    anchor's shape, and the descent certificate, the objective at the anchor
+    and at W, both from one evaluation of the pair.  new never rises above
+    value; a rise raises SubsolverError.  An anchor outside the box raises
+    GeometryError.
 
-    A stack of K members is a stacked FactorQuad g with a row block whose
-    theta_prev has shape (K, p) (theta_init too): every member has its own
-    ball of the shared radius, theta has shape (K, p), value and new (K,),
-    and each member's certificate is checked on its own.
+    A stack of K members is a stacked FactorQuad, anchor (K, q, r), with rows
+    (m,) shared or (K, m) one set per member: every member has its own ball
+    of the shared radius, W has shape (K, q, r), value and new (K,), and each
+    member's certificate is checked on its own.
     """
-    prev = feas.theta_prev
-    if theta_init is not prev:
-        theta_init = np.asarray(theta_init, dtype=float).reshape(prev.shape)
-        # the slice's own center is feasible by construction
-        if not (np.array_equal(theta_init, prev) or feas.contains(theta_init)):
-            raise SubsolverError("theta_init must be feasible for the block slice")
-    if isinstance(g, FactorQuad) and feas.width:
-        start, theta = _row_solve(g, feas, theta_init, tol, max_iters)
-        obj, new = g.value(np.array((start, theta)))
-        theta = theta.reshape(prev.shape)
+    prev = g.anchor
+    q, r = g.q, g.r
+    if not box.contains(prev.reshape(prev.shape[:-2] + (q * r,))):
+        raise GeometryError("the anchor must lie in the box")
+    lo, up = box.lower.reshape(q, r), box.upper.reshape(q, r)
+    C = g.B.swapaxes(-1, -2)
+    if rows is None:
+        W = _box_qp_ball(g.A, C, lo, up, prev, radius, tol, max_iters)
     else:
-        G, C, lam = _coordinate_block(g, feas)
-        idx = feas.J[None, :]
-        start = prev.copy()
-        if theta_init is not prev:
-            start[idx] = theta_init[idx]
-        theta = prev.copy()
-        theta[idx] = _box_qp_ball(G, C, feas.box.lower[idx], feas.box.upper[idx], lam,
-                                  start[idx], prev[idx], feas.radius, tol, max_iters)
-        obj, new = g.value(start), g.value(theta)
-    if prev.ndim == 1:
+        rows = np.asarray(rows, dtype=int)
+        at = ((np.arange(len(prev))[:, None], rows) if rows.ndim == 2
+              else (Ellipsis, rows, slice(None)))
+        W = prev.copy()
+        W[at] = _box_qp_ball(g.A, C[at], lo[rows], up[rows], prev[at], radius, tol, max_iters)
+    obj, new = g.value(np.array((prev, W)))
+    if prev.ndim == 2:
         obj, new = float(obj), float(new)
         if new > obj + 1e-9 * (1.0 + abs(obj)):
             raise SubsolverError("block solve increased the objective")
-        return theta, obj, new
+        return W, obj, new
     for j, (n, o) in enumerate(zip(new.tolist(), obj.tolist())):
         if n > o + 1e-9 * (1.0 + abs(o)):
             raise SubsolverError(f"block solve increased the objective of stack member {j}")
-    return theta, obj, new
+    return W, obj, new

@@ -20,12 +20,11 @@ from sbmm.factorize import (
     omf_step,
     out_product,
 )
-from sbmm.geometry import BoxSet, restricted_block_set, stationarity_measure
+from sbmm.geometry import BoxSet, stationarity_measure
 from sbmm.quadform import FactorQuad
 from sbmm.schedule import WeightSchedule
 from sbmm.stream import MarkovSource, make_iid, mixing_rate, stationary_distribution
 from sbmm.subsolver import soft_threshold, solve_block_quadratic, solve_code_lasso
-from sbmm.quadform import QuadSurrogate
 
 
 Q, R, D = 3, 2, 2
@@ -313,7 +312,7 @@ def test_criterion_07_stationarity_grid_oracle():
         lo = rng.uniform(-2.0, -0.2, size=2)
         up = rng.uniform(0.2, 2.0, size=2)
         box = BoxSet(lower=lo, upper=up)
-        theta = box.sample(rng)
+        theta = rng.uniform(lo, up)
         grad = rng.normal(size=2) * 2.0
         got = stationarity_measure(grad, theta, box)
         xs = np.linspace(lo[0], up[0], n_grid)
@@ -354,19 +353,19 @@ def test_criterion_08_subsolver_correctness():
         obj = (X[0, 0] - W[0, 0] * H[0, 0]) ** 2 + lam * abs(H[0, 0])
         worst_lasso = max(worst_lasso, abs(obj - float(vals.min())))
     assert worst_lasso <= 1e-4
-    # block quadratic vs 2-D grid, objective gap <= 1e-3
+    # block quadratic 0.5 t'Qm t + b't vs 2-D grid, objective gap <= 1e-3;
+    # the block is the one row of the FactorQuad A = Qm/2, B = -b/2
     worst_qp = 0.0
     for _ in range(50):
         M = rng.normal(size=(2, 2))
         Qm = M @ M.T + 0.2 * np.eye(2)
         b = rng.normal(size=2)
-        g = QuadSurrogate(curvature=Qm, linear=b, constant=0.0)
         lo = rng.uniform(-2.0, -0.5, size=2)
         up = rng.uniform(0.5, 2.0, size=2)
         box = BoxSet(lower=lo, upper=up)
         start = np.clip(rng.normal(size=2), lo, up)
-        feas = restricted_block_set(box, start, np.array([0, 1]), math.inf)
-        theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
+        g = FactorQuad(A=Qm / 2, B=-b[:, None] / 2, C=0.0, anchor=start[None])
+        theta, _, _ = solve_block_quadratic(g, box, math.inf, tol=1e-10)
         xs = np.linspace(lo[0], up[0], 1001)
         ys = np.linspace(lo[1], up[1], 1001)
         XX, YY = np.meshgrid(xs, ys, indexing="ij")

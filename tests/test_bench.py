@@ -547,6 +547,7 @@ def test_parse_config_type_error(tmp_path):
     ("schedule.kind = polylgo\n", "schedule.kind"),
     ("schedule.kind = custom\n", "schedule.kind"),
     ("schedule.kind = custom\nschedule.values = 0.5,x\n", "schedule.values"),
+    ("schedule.kind = custom\nschedule.values = 0.5,0.5,0.5\n", "schedule.values"),
     ("schedule.kind = constant\nschedule.alpha = 2\n", "schedule.alpha"),
     # keys the run does not read with the other keys' values
     ("constraint.lower = 0.5\n", "constraint.lower"),
@@ -570,7 +571,8 @@ def test_parse_config_type_error(tmp_path):
         "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
         "theta0_shape", "theta0_outside_box", "tensor_shape_arity", "tensor_shape_zero",
         "cpdl_tensor_shape", "rank", "empty_box", "nonneg_empty_box", "stream_kind",
-        "schedule_kind", "schedule_values_missing", "schedule_values", "schedule_alpha",
+        "schedule_kind", "schedule_values_missing", "schedule_values", "schedule_values_short",
+        "schedule_alpha",
         "nonneg_lower", "polylog_alpha", "constant_beta", "balanced_delta", "balanced_values",
         "c_prime_negative", "c_prime_nan", "c_prime_inf", "lambda_negative", "lambda_nan",
         "tol_negative", "tol_nan", "stream_seed", "engine_seed", "row_sample_nan",

@@ -10,11 +10,11 @@ import pytest
 import sbmm.bench as bench
 from sbmm.bench import ConfigError, eps_bar_update, parse_config, run_experiment, run_omf_diagnostics
 from sbmm.factorize import OmfState
-from sbmm.geometry import BoxSet, restricted_block_set
-from sbmm.quadform import FactorQuad, QuadSurrogate
+from sbmm.geometry import BoxSet
+from sbmm.quadform import FactorQuad
 from sbmm.schedule import WeightSchedule
 from sbmm.stream import MarkovSource, make_iid
-from sbmm.subsolver import soft_threshold, solve_block_quadratic
+from sbmm.subsolver import solve_block_quadratic
 
 Q, R, D = 3, 2, 2
 DICT_BOX = BoxSet.uniform(Q * R, 0.0, 1.0)
@@ -36,18 +36,24 @@ def omf_run(n_iters=30, mode="c2", c_prime=1.0, rho0=0.0, schedule=None, W0=None
                                rho0=rho0, n_iters=n_iters, rng=np.random.default_rng(seed), **kw)
 
 
-def box_step(g, theta0, lower, upper, radius=math.inf):
-    """One block solve of g over the whole box-and-ball slice around theta0."""
-    box = BoxSet.uniform(theta0.size, lower, upper)
-    theta, _, _ = solve_block_quadratic(
-        g, restricted_block_set(box, theta0, np.arange(theta0.size), radius), theta0, tol=1e-12)
-    return theta
+def box_step(g, lower, upper, radius=math.inf):
+    """One block solve of the one-row FactorQuad g over the box-and-ball
+    around its anchor; returns the row."""
+    box = BoxSet.uniform(g.anchor.size, lower, upper)
+    return solve_block_quadratic(g, box, radius, tol=1e-12)[0][0]
 
 
-def lipschitz_surrogate(theta0, grad, L, lam=0.0):
-    """f(theta0) + grad'(t - theta0) + (L/2)||t - theta0||^2 (+ lam||t||_1),
-    up to its constant."""
-    return QuadSurrogate(curvature=L, linear=grad - L * theta0, constant=0.0, l1_lambda=lam)
+def vector_quadratic(theta0, curvature, linear):
+    """(curvature/2)||t||^2 + linear't over vectors t, as the one-row
+    FactorQuad A = (curvature/2) I, B = -linear/2, anchored at theta0."""
+    return FactorQuad(A=0.5 * curvature * np.eye(theta0.size), B=-0.5 * linear[:, None], C=0.0,
+                      anchor=theta0[None])
+
+
+def lipschitz_surrogate(theta0, grad, L):
+    """f(theta0) + grad'(t - theta0) + (L/2)||t - theta0||^2, up to its
+    constant."""
+    return vector_quadratic(theta0, L, grad - L * theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +171,8 @@ def test_first_step_is_projected_gradient():
     x = np.array([4.0, 4.0])
     L = 2.0
     grad = theta0 - x
-    theta = box_step(lipschitz_surrogate(theta0, grad, L), theta0, -2.0, 2.0)
+    theta = box_step(lipschitz_surrogate(theta0, grad, L), -2.0, 2.0)
     expect = np.clip(theta0 - grad / L, -2.0, 2.0)
-    np.testing.assert_allclose(theta, expect, atol=1e-6)
-
-
-def test_first_step_prox_soft_threshold():
-    theta0 = np.array([1.0, -0.2])
-    x = np.array([0.0, 0.0])
-    L, lam = 1.0, 0.5
-    grad = theta0 - x
-    theta = box_step(lipschitz_surrogate(theta0, grad, L, lam), theta0, -2.0, 2.0)
-    expect = np.clip(soft_threshold(theta0 - grad / L, lam / L), -2.0, 2.0)
     np.testing.assert_allclose(theta, expect, atol=1e-6)
 
 
@@ -185,8 +181,8 @@ def test_dc_first_step_matches_grid():
     # keeps the convex part and linearizes the concave one,
     # t^2 - 4 theta0^3 t + const, solved inside the ball of radius c' w_1 = 50
     theta0 = np.array([0.6])
-    g = QuadSurrogate(curvature=2.0, linear=np.array([-4.0 * theta0[0] ** 3]), constant=0.0)
-    theta = box_step(g, theta0, -1.0, 1.0, radius=50.0)
+    g = vector_quadratic(theta0, 2.0, np.array([-4.0 * theta0[0] ** 3]))
+    theta = box_step(g, -1.0, 1.0, radius=50.0)
     # grid minimum over the box
     ts = np.linspace(-1.0, 1.0, 200_001)
     vals = ts ** 2 - 4.0 * theta0[0] ** 3 * ts
@@ -195,16 +191,16 @@ def test_dc_first_step_matches_grid():
 
 
 def test_block_minimize_separable_reaches_joint_minimum():
-    # separable quadratic 0.5||theta - x||^2: one pass over the blocks
-    # {0, 2} and {1, 3} equals the full minimization
-    theta = np.array([1.0, -1.0, 0.5, 0.0])
+    # separable quadratic 0.5||theta - x||^2 over the rows of a 4 x 1
+    # matrix: one pass over the row blocks {0, 2} and {1, 3}, each anchored
+    # where the last left theta, equals the full minimization
+    theta = np.array([[1.0], [-1.0], [0.5], [0.0]])
     x = np.array([0.3, -0.7, 1.9, -1.9])
-    g = QuadSurrogate(curvature=1.0, linear=-x, constant=0.0)
     box = BoxSet.uniform(4, -2.0, 2.0)
-    for J in ([0, 2], [1, 3]):
-        theta, _, _ = solve_block_quadratic(g, restricted_block_set(box, theta, J, math.inf),
-                                            theta, tol=1e-12)
-    np.testing.assert_allclose(theta, np.clip(x, -2.0, 2.0), atol=1e-6)
+    for rows in ([0, 2], [1, 3]):
+        g = FactorQuad(A=np.full((1, 1), 0.5), B=0.5 * x[None, :], C=0.0, anchor=theta)
+        theta, _, _ = solve_block_quadratic(g, box, math.inf, rows, tol=1e-12)
+    np.testing.assert_allclose(theta[:, 0], np.clip(x, -2.0, 2.0), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ from sbmm.geometry import (
     BOUNDARY_TOL,
     BoxSet,
     GeometryError,
-    restricted_block_set,
     stationarity_measure,
     tangent_cone_project,
 )
-from sbmm.quadform import QuadSurrogate
+from sbmm.quadform import FactorQuad
 from sbmm.subsolver import MAX_ITERS, _box_qp_ball, solve_block_quadratic
 
 
@@ -59,7 +58,7 @@ def test_box_contains_and_sample():
     box = BoxSet.uniform(3, -2.0, 1.0)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        assert box.contains(box.sample(rng))
+        assert box.contains(rng.uniform(box.lower, box.upper))
     assert not box.contains(np.array([0.0, 0.0, 1.1]))
 
 
@@ -77,8 +76,8 @@ def box_ball_projection(x, box, center, radius):
     center in the box, as the block solve computes it: one row per entry
     with G = I, whose objective sum_i y_i^2 - 2 x_i y_i is ||y - x||^2 up to
     a constant."""
-    return _box_qp_ball(np.eye(1), x[:, None], box.lower[:, None], box.upper[:, None], 0.0,
-                        center[:, None], center[:, None], radius, 1e-12, MAX_ITERS)[:, 0]
+    return _box_qp_ball(np.eye(1), x[:, None], box.lower[:, None], box.upper[:, None],
+                        center[:, None], radius, 1e-12, MAX_ITERS)[:, 0]
 
 
 def test_ball_radius_zero_gives_center():
@@ -96,10 +95,12 @@ def test_ball_identity_when_feasible():
 
 
 def test_ball_center_outside_box_rejected():
-    # the ball of a block solve is centered at theta_prev, which must be feasible
+    # the ball of a block solve is centered at the quadratic's anchor, which
+    # must be feasible
     box = BoxSet.uniform(2, 0.0, 1.0)
+    g = FactorQuad(np.eye(2), np.zeros((2, 1)), 0.0, np.array([[2.0, 0.0]]))
     with pytest.raises(GeometryError):
-        restricted_block_set(box, np.array([2.0, 0.0]), np.array([0, 1]), 0.5)
+        solve_block_quadratic(g, box, 0.5)
 
 
 def test_box_ball_2d_arc_grid_oracle():
@@ -197,58 +198,25 @@ def test_box_ball_matches_bisection_reference():
 
 
 # ---------------------------------------------------------------------------
-# restricted_block_set
-
-
-def test_restricted_set_infinite_radius_is_box_slice():
-    box = BoxSet.uniform(4, 0.0, 1.0)
-    theta = np.array([0.2, 0.4, 0.6, 0.8])
-    feas = restricted_block_set(box, theta, np.array([1, 3]), math.inf)
-    cand = theta.copy()
-    cand[[1, 3]] = [0.99, 0.01]
-    assert feas.contains(cand)
-    cand[0] = 0.5  # off-block move is not allowed
-    assert not feas.contains(cand)
-
-
-def test_restricted_set_center_always_member():
-    rng = np.random.default_rng(4)
-    box = BoxSet.uniform(5, -1.0, 2.0)
-    for _ in range(20):
-        theta = box.sample(rng)
-        feas = restricted_block_set(box, theta, np.array([0, 2]), 0.01)
-        assert feas.contains(theta)
-
-
-def test_restricted_set_matches_direct_inequalities():
-    rng = np.random.default_rng(5)
-    box = BoxSet.uniform(4, 0.0, 1.0)
-    theta = box.sample(rng)
-    J = np.array([0, 3])
-    radius = 0.3
-    feas = restricted_block_set(box, theta, J, radius)
-    for _ in range(300):
-        cand = rng.uniform(-0.2, 1.2, size=4)
-        direct = (
-            bool(np.all(cand >= -BOUNDARY_TOL) and np.all(cand <= 1 + BOUNDARY_TOL))
-            and np.max(np.abs(np.delete(cand, J) - np.delete(theta, J))) <= BOUNDARY_TOL
-            and np.linalg.norm(cand[J] - theta[J]) <= radius + BOUNDARY_TOL
-        )
-        assert feas.contains(cand) == direct
+# a block of rows
 
 
 def test_project_sub_feasible():
-    # the block solve of 0.5 ||theta||^2 - z'theta projects z's J-subvector
-    # onto the feasible slice
+    # the block solve of 0.5 ||W||^2 - z'W over rows J of a 6 x 1 matrix
+    # projects z's J-subvector onto the feasible slice: the box, the ball of
+    # radius 0.25 around theta's J-subvector, the other rows at theta
     rng = np.random.default_rng(6)
     box = BoxSet.uniform(6, -1.0, 1.0)
-    theta = box.sample(rng)
+    theta = rng.uniform(box.lower, box.upper)
     J = np.array([1, 2, 4])
-    feas = restricted_block_set(box, theta, J, 0.25)
+    rest = np.setdiff1d(np.arange(6), J)
     for _ in range(50):
         z = rng.uniform(-3, 3, size=6)
-        out, _, _ = solve_block_quadratic(QuadSurrogate(1.0, -z, 0.0), feas, theta)
-        assert feas.contains(out)
+        g = FactorQuad(np.full((1, 1), 0.5), 0.5 * z[None, :], 0.0, theta[:, None])
+        out = solve_block_quadratic(g, box, 0.25, J)[0][:, 0]
+        assert box.contains(out)
+        np.testing.assert_array_equal(out[rest], theta[rest])
+        assert np.linalg.norm(out[J] - theta[J]) <= 0.25 + BOUNDARY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +270,7 @@ def test_stationarity_matches_grid_oracle_2d():
         lo = rng.uniform(-1, 0, size=2)
         up = lo + rng.uniform(0.5, 2.0, size=2)
         box = BoxSet(lo, up)
-        theta = box.sample(rng)
+        theta = rng.uniform(box.lower, box.upper)
         if rng.random() < 0.5:  # exercise boundary cases too
             j = rng.integers(0, 2)
             theta[j] = lo[j] if rng.random() < 0.5 else up[j]
@@ -332,7 +300,7 @@ def test_stationarity_matches_local_chord_oracle_3d():
     rng = np.random.default_rng(8)
     for i in range(8):
         box = BoxSet.uniform(3, -1.0, 1.0)
-        theta = box.sample(rng)
+        theta = rng.uniform(box.lower, box.upper)
         if i % 2 == 0:  # pin a coordinate to a bound half the time
             j = int(rng.integers(0, 3))
             theta[j] = box.lower[j] if rng.random() < 0.5 else box.upper[j]

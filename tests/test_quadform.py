@@ -3,7 +3,7 @@ import pytest
 
 from sbmm.factorize import omf_step
 from sbmm.geometry import BoxSet
-from sbmm.quadform import FactorQuad, QuadSurrogate
+from sbmm.quadform import FactorQuad
 from sbmm.subsolver import solve_code_lasso
 
 
@@ -33,45 +33,6 @@ def factor_value_oracle(A, B, C, W):
         for i in range(q):
             total -= 2.0 * W[i, j] * B[j, i]
     return total + C
-
-
-# ---------------------------------------------------------------------------
-# QuadSurrogate basics
-
-
-def test_quad_value_and_grad_scalar_curvature():
-    g = QuadSurrogate(curvature=2.0, linear=np.array([1.0, -1.0]), constant=3.0)
-    theta = np.array([0.5, 2.0])
-    # 0.5*2*(0.25+4) + (0.5 - 2) + 3
-    assert g.value(theta) == pytest.approx(4.25 - 1.5 + 3.0)
-    np.testing.assert_allclose(g.grad(theta), 2.0 * theta + np.array([1.0, -1.0]))
-
-
-def test_quad_matrix_curvature_matches_fd():
-    rng = np.random.default_rng(0)
-    Q = rng.normal(size=(4, 4))
-    Q = Q + Q.T
-    g = QuadSurrogate(curvature=Q, linear=rng.normal(size=4), constant=-1.2)
-    theta = rng.normal(size=4)
-    np.testing.assert_allclose(g.grad(theta), fd_grad(g.value, theta), atol=1e-6)
-
-
-def test_quad_l1_value_and_sign_zero_convention():
-    g = QuadSurrogate(curvature=1.0, linear=np.zeros(3), constant=0.0, l1_lambda=0.5)
-    theta = np.array([1.0, -2.0, 0.0])
-    assert g.value(theta) == pytest.approx(0.5 * 5.0 + 0.5 * 3.0)
-    # subgradient convention at zero: contribute nothing
-    np.testing.assert_allclose(g.grad(theta), theta + 0.5 * np.array([1.0, -1.0, 0.0]))
-
-
-def test_quad_validation_errors():
-    with pytest.raises(ValueError):
-        QuadSurrogate(curvature=np.array([[1.0, 2.0], [0.0, 1.0]]),
-                      linear=np.zeros(2), constant=0.0)
-    with pytest.raises(ValueError):
-        QuadSurrogate(curvature=1.0, linear=np.zeros(2), constant=0.0, l1_lambda=-1.0)
-    with pytest.raises(ValueError):
-        QuadSurrogate(curvature=np.eye(3), linear=np.zeros(2), constant=0.0)
 
 
 # ---------------------------------------------------------------------------

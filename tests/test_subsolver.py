@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbmm.geometry import BoxSet, restricted_block_set, row_block_set, stationarity_measure
-from sbmm.quadform import FactorQuad, QuadSurrogate
+from sbmm.geometry import BoxSet, stationarity_measure
+from sbmm.quadform import FactorQuad
 from sbmm.subsolver import (
     SubsolverError,
     soft_threshold,
@@ -32,8 +32,8 @@ def grid_min_lasso_1d(X, W, lam, lo, up, n=200_001):
 
 
 def grid_min_quad_2d(g, box, n=1001, center=None, radius=math.inf):
-    """Dense 2-D scan of a quadratic surrogate over box (optionally cut by
-    a ball), evaluated in closed form over the whole grid at once."""
+    """Dense 2-D scan of a one-row FactorQuad over box (optionally cut by a
+    ball), evaluated in closed form over the whole grid at once."""
     xs = np.linspace(box.lower[0], box.upper[0], n)
     ys = np.linspace(box.lower[1], box.upper[1], n)
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
@@ -41,10 +41,7 @@ def grid_min_quad_2d(g, box, n=1001, center=None, radius=math.inf):
     if not math.isinf(radius):
         keep = np.linalg.norm(pts - center[None, :], axis=1) <= radius
         pts = pts[keep]
-    Q = g.curvature_matrix()
-    vals = 0.5 * np.einsum("ij,jk,ik->i", pts, Q, pts) + pts @ g.linear + g.constant
-    if g.l1_lambda > 0:
-        vals = vals + g.l1_lambda * np.abs(pts).sum(axis=1)
+    vals = np.einsum("ij,jk,ik->i", pts, g.A, pts) - 2.0 * pts @ g.B[:, 0] + g.C
     i = int(np.argmin(vals))
     return pts[i], float(vals[i])
 
@@ -183,19 +180,21 @@ def test_code_lasso_full_entry_box():
 # solve_block_quadratic
 
 
-def _quad(curv, linear, l1=0.0):
-    return QuadSurrogate(curvature=curv, linear=np.asarray(linear, dtype=float), constant=0.0,
-                         l1_lambda=l1)
+def _quad(curv, linear, start):
+    """The vector quadratic 0.5 t'Qt + b't (Q = curv I for a scalar curv) as
+    the one-row FactorQuad A = Q/2, B = -b/2, anchored at start."""
+    b = np.asarray(linear, dtype=float)
+    Q = curv * np.eye(b.size) if np.isscalar(curv) else curv
+    return FactorQuad(A=Q / 2, B=-b[:, None] / 2, C=0.0,
+                      anchor=np.asarray(start, dtype=float)[None])
 
 
 def test_block_quadratic_interior_analytic():
     # min 0.5*2*||t||^2 + b't over a big box: t = -b/2
     b = np.array([1.0, -3.0])
-    g = _quad(2.0, b)
-    feas = restricted_block_set(BoxSet.uniform(2, -10.0, 10.0),
-                                np.zeros(2), np.array([0, 1]), math.inf)
-    theta, _, _ = solve_block_quadratic(g, feas, np.zeros(2), tol=1e-10)
-    np.testing.assert_allclose(theta, -b / 2.0, atol=1e-8)
+    g = _quad(2.0, b, np.zeros(2))
+    W, _, _ = solve_block_quadratic(g, BoxSet.uniform(2, -10.0, 10.0), math.inf, tol=1e-10)
+    np.testing.assert_allclose(W[0], -b / 2.0, atol=1e-8)
 
 
 def test_block_quadratic_matches_grid_box_only():
@@ -204,18 +203,17 @@ def test_block_quadratic_matches_grid_box_only():
         M = rng.normal(size=(2, 2))
         Q = M @ M.T + 0.2 * np.eye(2)
         b = rng.normal(size=2)
-        g = _quad(Q, b)
         lo = rng.uniform(-2.0, -0.5, size=2)
         up = rng.uniform(0.5, 2.0, size=2)
         box = BoxSet(lower=lo, upper=up)
         start = np.clip(rng.normal(size=2), lo, up)
-        feas = restricted_block_set(box, start, np.array([0, 1]), math.inf)
-        theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
+        g = _quad(Q, b, start)
+        W, _, _ = solve_block_quadratic(g, box, math.inf, tol=1e-10)
         p_star, v_star = grid_min_quad_2d(g, box)
-        assert g.value(theta) <= v_star + 1e-8
+        assert g.value(W) <= v_star + 1e-8
         # location agreement up to the grid pitch (box width / 1000)
         pitch = float(np.max(up - lo)) / 1000.0
-        assert np.linalg.norm(theta - p_star) <= 2.0 * pitch
+        assert np.linalg.norm(W[0] - p_star) <= 2.0 * pitch
 
 
 def test_block_quadratic_matches_grid_with_ball():
@@ -224,48 +222,29 @@ def test_block_quadratic_matches_grid_with_ball():
         M = rng.normal(size=(2, 2))
         Q = M @ M.T + 0.2 * np.eye(2)
         b = rng.normal(size=2) * 2.0
-        g = _quad(Q, b)
         box = BoxSet.uniform(2, -2.0, 2.0)
         start = np.clip(rng.normal(size=2), -2.0, 2.0)
         radius = float(rng.uniform(0.2, 1.0))
-        feas = restricted_block_set(box, start, np.array([0, 1]), radius)
-        theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
-        assert np.linalg.norm(theta - start) <= radius + 1e-8
+        g = _quad(Q, b, start)
+        W, _, _ = solve_block_quadratic(g, box, radius, tol=1e-10)
+        assert np.linalg.norm(W[0] - start) <= radius + 1e-8
         _, v_star = grid_min_quad_2d(g, box, center=start, radius=radius)
-        assert g.value(theta) <= v_star + 1e-6
-
-
-def test_block_quadratic_l1_prox_matches_grid():
-    rng = np.random.default_rng(6)
-    for t in range(10):
-        Q = np.diag(rng.uniform(0.5, 3.0, size=2))
-        b = rng.normal(size=2)
-        g = _quad(Q, b, l1=0.5)
-        box = BoxSet.uniform(2, -1.5, 1.5)
-        start = np.clip(rng.normal(size=2), -1.5, 1.5)
-        radius = float(rng.uniform(0.3, 2.0))
-        feas = restricted_block_set(box, start, np.array([0, 1]), radius)
-        theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-10)
-        assert np.linalg.norm(theta - start) <= radius + 1e-8
-        _, v_star = grid_min_quad_2d(g, box, n=801, center=start,
-                                     radius=radius)
-        assert g.value(theta) <= v_star + 1e-5
+        assert g.value(W) <= v_star + 1e-6
 
 
 def test_block_quadratic_freezes_complement():
+    # rows 1 and 3 of the separable 4 x 1 quadratic ||W||^2 + b'W: the other
+    # rows stay at the anchor, the block's reach their own optimum
     rng = np.random.default_rng(7)
-    Q = np.eye(4) * 2.0
     b = rng.normal(size=4)
-    g = _quad(Q, b)
     box = BoxSet.uniform(4, -5.0, 5.0)
     prev = np.clip(rng.normal(size=4), -5.0, 5.0)
-    J = np.array([1, 3])
-    feas = restricted_block_set(box, prev, J, math.inf)
-    theta, g_start, _ = solve_block_quadratic(g, feas, prev, tol=1e-10)
+    rows = np.array([1, 3])
+    g = FactorQuad(A=np.eye(1), B=-b[None, :] / 2, C=0.0, anchor=prev[:, None])
+    W, g_start, _ = solve_block_quadratic(g, box, math.inf, rows, tol=1e-10)
     assert g_start == g.value(prev)
-    np.testing.assert_array_equal(theta[[0, 2]], prev[[0, 2]])
-    # the free coordinates reach the unconstrained optimum of the slice
-    np.testing.assert_allclose(theta[J], -b[J] / 2.0, atol=1e-8)
+    np.testing.assert_array_equal(W[[0, 2], 0], prev[[0, 2]])
+    np.testing.assert_allclose(W[rows, 0], -b[rows] / 2.0, atol=1e-8)
 
 
 def test_block_quadratic_monotone_descent():
@@ -273,15 +252,14 @@ def test_block_quadratic_monotone_descent():
     for _ in range(20):
         M = rng.normal(size=(3, 3))
         Q = M @ M.T
-        g = _quad(Q, rng.normal(size=3))
+        b = rng.normal(size=3)
         box = BoxSet.uniform(3, -1.0, 1.0)
         start = np.clip(rng.normal(size=3), -1.0, 1.0)
-        feas = restricted_block_set(box, start, np.arange(3),
-                                    float(rng.uniform(0.1, 2.0)))
-        theta, g_start, _ = solve_block_quadratic(g, feas, start, tol=1e-8)
-        # the returned descent certificate is the objective at the start
+        g = _quad(Q, b, start)
+        W, g_start, _ = solve_block_quadratic(g, box, float(rng.uniform(0.1, 2.0)), tol=1e-8)
+        # the returned descent certificate is the objective at the anchor
         assert g_start == g.value(start)
-        assert g.value(theta) <= g.value(start) + 1e-12
+        assert g.value(W) <= g.value(start) + 1e-12
 
 
 def test_block_quadratic_second_order_growth():
@@ -290,11 +268,9 @@ def test_block_quadratic_second_order_growth():
     rng = np.random.default_rng(9)
     rho = 0.8
     Q = np.array([[2.0, 0.3], [0.3, 1.0]])  # min eig > rho
-    g = _quad(Q, rng.normal(size=2))
+    g = _quad(Q, rng.normal(size=2), np.zeros(2))
     box = BoxSet.uniform(2, -1.0, 1.0)
-    start = np.zeros(2)
-    feas = restricted_block_set(box, start, np.array([0, 1]), math.inf)
-    theta_hat, _, _ = solve_block_quadratic(g, feas, start, tol=1e-12)
+    theta_hat = solve_block_quadratic(g, box, math.inf, tol=1e-12)[0][0]
     scale = 1.0 + abs(g.value(theta_hat))
     for _ in range(50):
         theta = np.clip(rng.normal(size=2), -1.0, 1.0)
@@ -308,13 +284,13 @@ def test_block_quadratic_stationarity_at_solution():
     for _ in range(10):
         M = rng.normal(size=(3, 3))
         Q = M @ M.T + 0.1 * np.eye(3)
-        g = _quad(Q, rng.normal(size=3) * 2.0)
+        b = rng.normal(size=3) * 2.0
         box = BoxSet.uniform(3, -0.5, 0.5)
         start = np.clip(rng.normal(size=3), -0.5, 0.5)
-        feas = restricted_block_set(box, start, np.arange(3), math.inf)
+        g = _quad(Q, b, start)
         tol = 1e-8
-        theta, _, _ = solve_block_quadratic(g, feas, start, tol=tol)
-        assert stationarity_measure(g.smooth_grad(theta), theta, box) <= tol
+        W, _, _ = solve_block_quadratic(g, box, math.inf, tol=tol)
+        assert stationarity_measure(g.grad(W)[0], W[0], box) <= tol
 
 
 def test_block_quadratic_factor_form():
@@ -326,9 +302,7 @@ def test_block_quadratic_factor_form():
     W0 = np.clip(rng.normal(size=(q, r)), 0.0, 1.0)
     g = FactorQuad(A=A, B=B, C=0.0, anchor=W0)
     box = BoxSet.nonneg(q * r, upper=1.0)
-    feas = restricted_block_set(box, W0.ravel(), np.arange(q * r), math.inf)
-    theta, _, _ = solve_block_quadratic(g, feas, W0.ravel(), tol=1e-10)
-    W = theta.reshape(q, r)
+    W, _, _ = solve_block_quadratic(g, box, math.inf, tol=1e-10)
     # KKT over the box: gradient nonneg where pinned low, nonpos where pinned
     # high, ~zero in the interior
     G = g.grad(W)
@@ -338,62 +312,22 @@ def test_block_quadratic_factor_form():
     assert np.all(G[W >= 1.0 - 1e-7] <= 1e-6)
 
 
-@pytest.mark.parametrize("radius", [math.inf, 0.05])
-def test_block_quadratic_factor_column_matches_explicit_form(radius):
-    # a block that is one dictionary column is not made of whole rows: the
-    # FactorQuad is solved in its explicit form, 0.5 vec(W)' Q vec(W) + b'vec(W)
-    # + C with Q = 2 kron(I_q, A) and b = -2 vec(B'), and so is the same problem
-    # stated as a QuadSurrogate
-    rng = np.random.default_rng(12)
-    r, q = 3, 4
-    M = rng.normal(size=(r, r))
-    A = M @ M.T + 0.1 * np.eye(r)
-    B = rng.normal(size=(r, q))
-    W0 = rng.uniform(0.2, 0.8, size=(q, r))
-    fq = FactorQuad(A=A, B=B, C=0.7, anchor=W0)
-    quad = QuadSurrogate(curvature=2.0 * np.kron(np.eye(q), A), linear=-2.0 * B.T.ravel(),
-                         constant=0.7)
-    box = BoxSet.nonneg(q * r, upper=1.0)
-    J = np.arange(q) * r + 1
-    feas = restricted_block_set(box, W0.ravel(), J, radius)
-    theta_f, value_f, _ = solve_block_quadratic(fq, feas, W0.ravel(), tol=1e-12)
-    theta_q, value_q, _ = solve_block_quadratic(quad, feas, W0.ravel(), tol=1e-12)
-    np.testing.assert_allclose(theta_f, theta_q, rtol=0.0, atol=1e-12)
-    assert value_f == fq.value(W0)
-    assert value_q == pytest.approx(value_f, rel=1e-12)
-    assert fq.value(theta_f) == pytest.approx(quad.value(theta_q), rel=1e-12)
-    rest = np.setdiff1d(np.arange(q * r), J)
-    np.testing.assert_array_equal(theta_f[rest], W0.ravel()[rest])
-    assert not np.allclose(theta_f[J], W0.ravel()[J])
-    assert np.linalg.norm(theta_f - W0.ravel()) <= radius + 1e-9
-
-
-def test_block_quadratic_rejects_infeasible_start():
-    g = _quad(1.0, np.zeros(2))
-    feas = restricted_block_set(BoxSet.uniform(2, 0.0, 1.0),
-                                np.zeros(2), np.array([0, 1]), 0.1)
-    with pytest.raises(SubsolverError):
-        solve_block_quadratic(g, feas, np.array([0.9, 0.9]))
-
-
 def test_block_quadratic_zero_radius_returns_start():
-    g = _quad(1.0, np.array([5.0, 5.0]))
     start = np.array([0.5, 0.5])
-    feas = restricted_block_set(BoxSet.uniform(2, 0.0, 1.0), start,
-                                np.array([0, 1]), 1e-30)
-    theta, _, _ = solve_block_quadratic(g, feas, start, tol=1e-8)
-    np.testing.assert_allclose(theta, start, atol=1e-12)
+    g = _quad(1.0, np.array([5.0, 5.0]), start)
+    W, _, _ = solve_block_quadratic(g, BoxSet.uniform(2, 0.0, 1.0), 1e-30, tol=1e-8)
+    np.testing.assert_allclose(W[0], start, atol=1e-12)
 
 
-def _ball_bisection_reference(G, C, lo, up, lam, center, radius):
+def _ball_bisection_reference(G, C, lo, up, center, radius):
     """Box-intersect-ball minimizer by plain bisection on the ball
     multiplier, each box solve exact.  Returns it with the working set
-    (entries at a bound or, with lam > 0, at zero) of the unconstrained
-    box solve at mu = 0 and of the returned point."""
+    (entries at a bound) of the unconstrained box solve at mu = 0 and of the
+    returned point."""
     eye = np.eye(G.shape[0])
-    solve = lambda mu: solve_box_qp(G + mu * eye, C + mu * center, lo, up, lam, tol=0.0)[0]
+    solve = lambda mu: solve_box_qp(G + mu * eye, C + mu * center, lo, up, tol=0.0)[0]
     dist = lambda X: float(np.linalg.norm(X - center))
-    fixed = lambda X: (X == lo) | (X == up) | ((X == 0.0) & (lam > 0))
+    fixed = lambda X: (X == lo) | (X == up)
     X0 = solve(0.0)
     if dist(X0) <= radius:
         return X0, fixed(X0), fixed(X0)
@@ -410,7 +344,7 @@ def _ball_bisection_reference(G, C, lo, up, lam, center, radius):
     return X, fixed(X0), fixed(X)
 
 
-def _ball_block_instance(rng, k, lam):
+def _ball_block_instance(rng, k):
     n = int(rng.integers(1, 4))
     M = rng.normal(size=(k, k))
     G = M @ M.T + 0.05 * np.eye(k)
@@ -419,21 +353,20 @@ def _ball_block_instance(rng, k, lam):
     up = lo + rng.uniform(0.5, 2.5, size=(n, k))
     center = rng.uniform(lo, up)
     radius = float(rng.uniform(0.05, 1.0))
-    return G, C, lo, up, lam, center, radius
+    return G, C, lo, up, center, radius
 
 
-def _check_ball_block(seed, k, with_l1):
+def _check_ball_block(seed, k):
     """Solve one random box-intersect-ball block problem and compare it with
     the bisection reference; returns whether the working set at mu = 0
     differs from the final one."""
     from sbmm.subsolver import MAX_ITERS, _box_qp_ball
 
     rng = np.random.default_rng(seed)
-    lam = float(rng.uniform(0.1, 1.0)) if with_l1 else 0.0
-    G, C, lo, up, lam, center, radius = _ball_block_instance(rng, k, lam)
-    obj = lambda X: float(np.sum(X * (X @ G - 2.0 * C)) + lam * np.abs(X).sum())
-    X = _box_qp_ball(G, C, lo, up, lam, center, center, radius, 1e-12, MAX_ITERS)
-    X_ref, fixed_0, fixed_ref = _ball_bisection_reference(G, C, lo, up, lam, center, radius)
+    G, C, lo, up, center, radius = _ball_block_instance(rng, k)
+    obj = lambda X: float(np.sum(X * (X @ G - 2.0 * C)))
+    X = _box_qp_ball(G, C, lo, up, center, radius, 1e-12, MAX_ITERS)
+    X_ref, fixed_0, fixed_ref = _ball_bisection_reference(G, C, lo, up, center, radius)
     assert float(np.linalg.norm(X - center)) <= radius * (1.0 + 1e-12)
     assert (X >= lo).all() and (X <= up).all()
     assert abs(obj(X) - obj(X_ref)) <= 1e-10 * max(1.0, abs(obj(X_ref)))
@@ -441,20 +374,18 @@ def _check_ball_block(seed, k, with_l1):
 
 
 @pytest.mark.parametrize("k", [2, 5], ids=["enumerated", "active_set"])
-@pytest.mark.parametrize("with_l1", [False, True], ids=["lam0", "lam"])
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
-def test_ball_search_matches_bisection(k, with_l1, seed):
+def test_ball_search_matches_bisection(k, seed):
     # k = 2 is solved by pattern enumeration, k = 5 by the active-set method
-    _check_ball_block(seed, k, with_l1)
+    _check_ball_block(seed, k)
 
 
 @pytest.mark.parametrize("k", [2, 5], ids=["enumerated", "active_set"])
-@pytest.mark.parametrize("with_l1", [False, True], ids=["lam0", "lam"])
-def test_ball_search_matches_bisection_across_working_sets(k, with_l1):
-    # instances where the entries at a bound (or zero) at mu = 0 are not
-    # those at the final multiplier, so the first distance model is wrong
-    changed = [_check_ball_block(seed, k, with_l1) for seed in range(8)]
+def test_ball_search_matches_bisection_across_working_sets(k):
+    # instances where the entries at a bound at mu = 0 are not those at the
+    # final multiplier, so the first distance model is wrong
+    changed = [_check_ball_block(seed, k) for seed in range(8)]
     assert sum(changed) >= 2
 
 
@@ -491,8 +422,8 @@ def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
         center = np.zeros((3, k))
         radius = 0.1 * float(np.linalg.norm(np.linalg.solve(G, C.T)))
         calls.clear()
-        X = subsolver._box_qp_ball(G, C, -100.0, 100.0, 0.0, center, center, radius,
-                                   1e-12, subsolver.MAX_ITERS)
+        X = subsolver._box_qp_ball(G, C, -100.0, 100.0, center, radius, 1e-12,
+                                   subsolver.MAX_ITERS)
         mus = [mu for mu, _, _ in calls]
         assert len(mus) == 2 and mus[0] == 0.0 < mus[1]
         assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
@@ -501,7 +432,7 @@ def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
     # projection onto box intersect ball: one row per entry with G = I
     x, c = np.array([3.0, -1.0, 2.0]), np.array([0.5, 0.5, 0.0])
     y = subsolver._box_qp_ball(np.eye(1), x[:, None], np.full((3, 1), -10.0),
-                               np.full((3, 1), 10.0), 0.0, c[:, None], c[:, None], 0.25, 1e-12,
+                               np.full((3, 1), 10.0), c[:, None], 0.25, 1e-12,
                                subsolver.MAX_ITERS)[:, 0]
     assert len(calls) == 2
     assert abs(float(np.linalg.norm(y - [0.5, 0.5, 0.0])) - 0.25) <= 1e-15
@@ -779,10 +710,9 @@ def test_box_qp_ball_stack_matches_each_family(k):
     center = rng.uniform(-0.2, 0.2, size=(K, n, k))
     lo, up = -1.0, 1.0
     for radius in (0.05, 0.5, 50.0):
-        X = _box_qp_ball(G, C, lo, up, 0.0, center, center, radius, 1e-12, MAX_ITERS)
+        X = _box_qp_ball(G, C, lo, up, center, radius, 1e-12, MAX_ITERS)
         for j in range(K):
-            one = _box_qp_ball(G[j], C[j], lo, up, 0.0, center[j], center[j], radius, 1e-12,
-                               MAX_ITERS)
+            one = _box_qp_ball(G[j], C[j], lo, up, center[j], radius, 1e-12, MAX_ITERS)
             assert X[j].tobytes() == one.tobytes()
 
 
@@ -833,9 +763,8 @@ def test_active_set_code_solve_computes_its_gap_once(monkeypatch):
 
 
 def test_block_quadratic_stack_matches_each_member():
-    # a stacked FactorQuad with one row set per member: each member's theta
-    # and certificate are those of its own solve, from a start other than
-    # theta_prev too, and that start is checked member by member
+    # a stacked FactorQuad with one row set per member, or one set shared:
+    # each member's W and certificate are those of its own solve
     rng = np.random.default_rng(53)
     K, q, r = 3, 4, 2
     H = rng.uniform(0.0, 1.0, size=(K, r, 5))
@@ -845,25 +774,15 @@ def test_block_quadratic_stack_matches_each_member():
     W = rng.uniform(0.2, 0.8, size=(K, q, r))
     quad = FactorQuad(A, B, C, W)
     box = BoxSet.uniform(q * r, 0.0, 1.0)
-    rows = np.array([[0, 2], [3, 1], [1, 2]])
-    J = (rows[:, :, None] * r + np.arange(r)).reshape(K, -1)
-    w = W.reshape(K, -1)
-    start = w.copy()
-    start[0, J[0, 0]] += 0.01
-    for radius in (0.05, math.inf):
-        theta, value, new = solve_block_quadratic(quad, row_block_set(box, W, rows, radius), start)
-        for j in range(K):
-            one = FactorQuad(A[j], B[j], float(C[j]), W[j])
-            theta_j, value_j, new_j = solve_block_quadratic(
-                one, row_block_set(box, W[j], rows[j], radius), start[j])
-            assert theta[j].tobytes() == theta_j.tobytes()
-            assert value[j] == value_j and new[j] == new_j
-    outside = w.copy()
-    outside[1, J[1, 0]] += 0.5  # leaves member 1's ball
-    with pytest.raises(SubsolverError, match="feasible"):
-        solve_block_quadratic(quad, row_block_set(box, W, rows, 0.05), outside)
-    with pytest.raises(ValueError, match="whole dictionary rows"):
-        solve_block_quadratic(quad, restricted_block_set(box, w, J, 0.05), w)
+    for rows in (np.array([[0, 2], [3, 1], [1, 2]]), np.array([3, 0])):
+        for radius in (0.05, math.inf):
+            theta, value, new = solve_block_quadratic(quad, box, radius, rows)
+            for j in range(K):
+                one = FactorQuad(A[j], B[j], float(C[j]), W[j])
+                theta_j, value_j, new_j = solve_block_quadratic(
+                    one, box, radius, rows[j] if rows.ndim == 2 else rows)
+                assert theta[j].tobytes() == theta_j.tobytes()
+                assert value[j] == value_j and new[j] == new_j
 
 
 # ---------------------------------------------------------------------------
@@ -1027,8 +946,7 @@ def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
         lo, up, center = 0.0, 1.0, rng.uniform(0.1, 0.9, size=(8, 5))
         X0 = subsolver._minimize(G, C, lo, up, 0.0, center, 1e-8, subsolver.MAX_ITERS)[0]
         radius = 0.999 * float(np.linalg.norm(X0 - center))
-    X = subsolver._box_qp_ball(G, C, lo, up, 0.0, center, center, radius, 1e-8,
-                               subsolver.MAX_ITERS)
+    X = subsolver._box_qp_ball(G, C, lo, up, center, radius, 1e-8, subsolver.MAX_ITERS)
     (mu0, _, _, _), (mu1, newton, gaps, predicted) = solves
     assert mu0 == 0.0 < mu1
     assert predicted and newton == 0 and gaps == 1
@@ -1036,21 +954,19 @@ def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
     # the result is the box-and-ball minimizer: it matches the bisection
     # reference, and the working set of mu = 0 held
     X_ref, fixed_0, fixed_ref = _ball_bisection_reference(
-        G, C, np.broadcast_to(lo, C.shape), np.broadcast_to(up, C.shape), 0.0, center, radius)
+        G, C, np.broadcast_to(lo, C.shape), np.broadcast_to(up, C.shape), center, radius)
     np.testing.assert_array_equal(fixed_0, fixed_ref)
     obj = lambda Y: float(np.sum(Y * (Y @ G - 2.0 * C)))
     assert abs(obj(X) - obj(X_ref)) <= 1e-10 * max(1.0, abs(obj(X_ref)))
 
 
-@pytest.mark.parametrize("with_l1", [False, True], ids=["lam0", "lam"])
-def test_ball_search_prediction_outside_box_falls_back(monkeypatch, with_l1):
-    # where the working set changes the prediction can leave the box (or the
-    # sign region): those solves start from the last solution instead, and
-    # every search still matches the bisection reference (with l1, seeds 12
-    # to 15 are wrong if a prediction that crosses zero is taken)
+def test_ball_search_prediction_outside_box_falls_back(monkeypatch):
+    # where the working set changes the prediction can leave the box: those
+    # solves start from the last solution instead, and every search still
+    # matches the bisection reference
     solves = _record_ball_solves(monkeypatch)
     for seed in range(16):
-        _check_ball_block(seed, 5, with_l1)
+        _check_ball_block(seed, 5)
     later = [predicted for mu, _, _, predicted in solves if mu > 0.0]
     assert any(later) and not all(later)
 
@@ -1092,20 +1008,15 @@ def test_certificate_pair_is_two_single_values(K):
 @pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
 @pytest.mark.parametrize("radius", [0.05, math.inf])
 def test_block_solve_returns_both_values_of_the_certificate(K, radius):
-    # the block solve's (value, new) are the objective at its start and at
+    # the block solve's (value, new) are the objective at the anchor and at
     # its result, as value calls give them, and new does not rise above value
     rng = np.random.default_rng(71)
     box = BoxSet.uniform(4 * 3, 0.0, 1.0)
     for rows in (None, np.array([2, 0])):
         g = _factor_quads(rng, K, 4, 3)
-        feas = row_block_set(box, g.anchor, rows, radius)
-        start = feas.theta_prev.copy()
-        start[..., feas.J[0]] += 0.001  # a start other than theta_prev
-        theta, value, new = solve_block_quadratic(g, feas, start)
-        full = feas.theta_prev.copy()
-        full[..., feas.J] = start[..., feas.J]
-        assert np.asarray(value).tobytes() == np.asarray(g.value(full)).tobytes()
-        assert np.asarray(new).tobytes() == np.asarray(g.value(theta)).tobytes()
+        W, value, new = solve_block_quadratic(g, box, radius, rows)
+        assert np.asarray(value).tobytes() == np.asarray(g.value(g.anchor)).tobytes()
+        assert np.asarray(new).tobytes() == np.asarray(g.value(W)).tobytes()
         assert np.all(np.asarray(new) <= np.asarray(value))
 
 
@@ -1161,31 +1072,97 @@ def test_sign_states_are_derived_per_box():
     assert subsolver._states(0.0, *boxes[0]) == (subsolver._LO, subsolver._UP, subsolver._FREE)
 
 
+def _kron_reference(g, box, J, radius):
+    """A single FactorQuad's block on the coordinates J of its matrix
+    (flattened row by row), minimized in the explicit form 0.5 w'Qw + b'w + C
+    with Q = 2 kron(I_q, A) and b = -2 vec(B'): the other coordinates stay at
+    the anchor, folded into the linear term, and _ball_bisection_reference
+    solves the block as one row over the box and the ball around the
+    anchor.  Returns the whole matrix."""
+    q, r = g.q, g.r
+    prev = g.anchor.ravel()
+    rest = np.setdiff1d(np.arange(q * r), J)
+    Q = 2.0 * np.kron(np.eye(q), g.A)
+    lin = -2.0 * g.B.T.ravel()[J] + Q[np.ix_(J, rest)] @ prev[rest]
+    X = _ball_bisection_reference(0.5 * Q[np.ix_(J, J)], -0.5 * lin[None], box.lower[J][None],
+                                  box.upper[J][None], prev[J][None], radius)[0]
+    W = prev.copy()
+    W[J] = X[0]
+    return W.reshape(q, r)
+
+
 @pytest.mark.parametrize("radius", [0.05, math.inf])
 def test_row_block_matches_the_same_block_as_coordinates(radius):
-    # a block of whole rows is solved as rows; the same block given as a
-    # permuted J takes the explicit kron form; both agree and both keep the
-    # no-rise certificate
+    # a block of whole rows is solved as rows, one family row per dictionary
+    # row; the same block stated over its coordinates (in permuted order) in
+    # the explicit kron form has the same minimum, and the row solve keeps
+    # the no-rise certificate
     rng = np.random.default_rng(73)
     q, r = 5, 3
     box = BoxSet.uniform(q * r, 0.0, 1.0)
+    rows = np.array([3, 0, 4])
     for trial in range(20):
         g = _factor_quads(rng, None, q, r)
-        rows = np.array([3, 0, 4])
-        by_rows = row_block_set(box, g.anchor, rows, radius)
-        J = rng.permutation(by_rows.J)
-        by_coords = restricted_block_set(box, by_rows.theta_prev, J, radius)
-        theta_r, value_r, new_r = solve_block_quadratic(g, by_rows, by_rows.theta_prev)
-        theta_c, value_c, new_c = solve_block_quadratic(g, by_coords, by_rows.theta_prev)
-        np.testing.assert_allclose(theta_r, theta_c, rtol=0.0, atol=1e-12)
-        assert value_r == value_c
-        assert new_r <= value_r and new_c <= value_c
-        assert abs(new_r - new_c) <= 1e-12 * (1.0 + abs(new_r))
+        J = rng.permutation((rows[:, None] * r + np.arange(r)).ravel())
+        W, value, new = solve_block_quadratic(g, box, radius, rows)
+        ref = g.value(_kron_reference(g, box, J, radius))
+        assert value == g.value(g.anchor) and new <= value
+        assert abs(new - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+_BLOCKS = [(None, "all"), (None, "shared"), (3, "all"), (3, "shared"), (3, "per_member")]
+
+
+@given(seed=st.integers(0, 10_000), block=st.sampled_from(_BLOCKS), ball=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_block_solve_keeps_frozen_rows_and_matches_the_kron_reference(seed, block, ball):
+    # a single quadratic or a stack of 3, every row or a row set (shared, or
+    # one per member), with or without a ball: the anchor and every row
+    # outside the block keep their bytes, W lies in the box and in each
+    # member's ball, and each member's objective is that of its block in the
+    # explicit kron form, minimized by the bisection reference
+    K, kind = block
+    rng = np.random.default_rng(seed)
+    # up to rank 5: rank 5 has 3^5 KKT patterns, so the active-set method solves it
+    q, r = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    lead = () if K is None else (K,)
+    lower = rng.uniform(-1.0, 0.5, size=q * r)
+    box = BoxSet(lower, lower + rng.uniform(0.2, 1.5, size=q * r))
+    H = rng.uniform(0.0, 1.0, size=lead + (r, r + 1))
+    B = rng.normal(size=lead + (r, q))
+    C = float(rng.uniform(1.0, 2.0)) if K is None else rng.uniform(1.0, 2.0, size=K)
+    anchor = rng.uniform(box.lower, box.upper, size=lead + (q * r,)).reshape(lead + (q, r))
+    g = FactorQuad(H @ H.swapaxes(-1, -2), B, C, anchor)
+    m = int(rng.integers(1, q + 1))
+    if kind == "all":
+        rows = None
+    elif kind == "shared":
+        rows = rng.permutation(q)[:m]
+    else:
+        rows = np.stack([rng.permutation(q)[:m] for _ in range(K)])
+    radius = float(rng.uniform(0.01, 1.0)) if ball else math.inf
+    before = anchor.tobytes()
+    W, _, _ = solve_block_quadratic(g, box, radius, rows, tol=1e-12)
+    assert anchor.tobytes() == before and W.shape == anchor.shape
+    if K is None:
+        members = [(g, W, rows)]
+    else:
+        members = [(FactorQuad(g.A[j], g.B[j], float(g.C[j]), anchor[j]), W[j],
+                    rows[j] if kind == "per_member" else rows) for j in range(K)]
+    for one, W_j, rows_j in members:
+        block_rows = np.zeros(q, dtype=bool)
+        block_rows[slice(None) if rows_j is None else rows_j] = True
+        assert W_j[~block_rows].tobytes() == one.anchor[~block_rows].tobytes()
+        assert box.contains(W_j.ravel())
+        assert float(np.linalg.norm(W_j - one.anchor)) <= radius * (1.0 + 1e-12)
+        J = np.flatnonzero(np.repeat(block_rows, r))
+        ref = one.value(_kron_reference(one, box, J, radius))
+        assert abs(one.value(W_j) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_checks_still_fail_loudly(monkeypatch):
-    # a block solve whose objective rises, an A asymmetric by 1e-3 and a
-    # ball center outside the box each raise
+    # a block solve whose objective rises, an A asymmetric by 1e-3 and an
+    # anchor (the ball's center) outside the box each raise
     import sbmm.subsolver as subsolver
     from sbmm.geometry import GeometryError
 
@@ -1193,12 +1170,11 @@ def test_checks_still_fail_loudly(monkeypatch):
     box = BoxSet.uniform(4 * 2, 0.0, 1.0)
     for K in (None, 3):
         g = _factor_quads(rng, K, 4, 2)
-        feas = row_block_set(box, g.anchor, None, math.inf)
-        # the worst corner of the box: the objective rises from the start
+        # the worst corner of the box: the objective rises from the anchor
         worst = lambda *args: np.where(g.grad(g.anchor) > 0.0, 1.0, 0.0)
         monkeypatch.setattr(subsolver, "_box_qp_ball", worst)
         with pytest.raises(SubsolverError, match="increased the objective"):
-            solve_block_quadratic(g, feas, feas.theta_prev)
+            solve_block_quadratic(g, box, math.inf)
         monkeypatch.undo()
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     A[0, 1] += 1e-3
@@ -1206,9 +1182,11 @@ def test_checks_still_fail_loudly(monkeypatch):
         FactorQuad(A, np.zeros((2, 3)), 0.0, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="symmetric"):
         FactorQuad(np.stack([A.T, A]), np.zeros((2, 2, 3)), np.zeros(2), np.zeros((2, 3, 2)))
+    A = A.T @ A
     W = rng.uniform(0.2, 0.8, size=(4, 2))
     W[1, 0] = 1.5
     with pytest.raises(GeometryError):
-        row_block_set(box, W, None, 0.1)
+        solve_block_quadratic(FactorQuad(A, np.zeros((2, 4)), 0.0, W), box, 0.1)
     with pytest.raises(GeometryError):
-        row_block_set(box, np.stack([W - 0.5, W]), np.array([0]), 0.1)
+        solve_block_quadratic(FactorQuad(np.stack([A, A]), np.zeros((2, 2, 4)), np.zeros(2),
+                                         np.stack([W - 0.5, W])), box, 0.1, np.array([0]))
