@@ -11,6 +11,8 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
 - a 4-seed ``run_sweep`` of ``configs/omf_sub.cfg`` with ``app.row_sample =
   0.5``, whose members draw different row counts, so that the stacked step
   solves one group of members per row count;
+- a 2-seed ``run_sweep`` of ``configs/cpdl.cfg``, whose members run one
+  after another;
 - three rank-5 runs on ``write_rank5``'s inputs, at seeds 0-2.
 
 It then prints one line per CSV, ``identical`` or ``differs`` (``missing``
@@ -72,6 +74,8 @@ def write_set(out: Path, steps: int | None) -> None:
               out_dir=csvs / "sweep")
     run_sweep(config(root / "configs" / "omf_sub.cfg", "omf_sub_sweep", "app.row_sample = 0.5\n"),
               SWEEP_SEEDS, out_dir=csvs / "sweep")
+    run_sweep(config(root / "configs" / "cpdl.cfg", "cpdl_sweep"), SWEEP_SEEDS[:2],
+              out_dir=csvs / "sweep")
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)

@@ -30,8 +30,6 @@ from .stream import (
 )
 from .factorize import (
     out_product,
-    unfold,
-    fold,
     omf_step,
     cpdl_step,
     OmfState,

@@ -33,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -531,72 +531,72 @@ def read_csv(path):
 # config
 
 
-_SCHEMA = {
-    "schedule.kind": str,
-    "schedule.beta": float,
-    "schedule.delta": float,
-    "schedule.alpha": float,
-    "schedule.values": str,
-    "constraint.lower": float,
-    "constraint.upper": float,
-    "constraint.nonneg": bool,
-    "solver.tol": float,
-    "stream.kind": str,
-    "stream.transition": str,
-    "stream.emissions": str,
-    "stream.seed": int,
-    "engine.mode": str,
-    "engine.c_prime": float,
-    "engine.n_iters": int,
-    "engine.theta0": str,
-    "engine.diag_interval": int,
-    "engine.seed": int,
-    "app.kind": str,
-    "app.rank": int,
-    "app.lambda": float,
-    "app.row_sample": float,
-    "app.tensor_shape": str,
-    "output": str,
-    "label": str,
+_MUST_SET = object()  # the default of a key that every config file sets
+
+
+def _one_of(*words):
+    """The range test of a key that takes one of the given words."""
+    *head, last = words
+    return lambda v: v in words, f"must be {', '.join(head)} or {last}"
+
+
+# each range test says what is inside, so that NaN, which fails every
+# comparison, is rejected
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be a finite number > 0")
+_FINITE = (math.isfinite, "must be finite")
+
+
+def _sizes(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
+class _Key(NamedTuple):
+    """One config key.  default is _MUST_SET when every file must set the
+    key, and None when the key stays unset unless the file sets it.
+    read_when, when given, is the (key, values) under which the run reads
+    the key; a file that sets it otherwise is refused.  check is the key's
+    own range test and the text a value it fails gets."""
+
+    type: type
+    default: object
+    read_when: tuple | None = None
+    check: tuple | None = None
+
+
+_KEYS = {
+    "engine.mode": _Key(str, "c2", check=_one_of("c1", "c2")),
+    "engine.c_prime": _Key(float, 1.0, check=_POSITIVE),
+    "engine.n_iters": _Key(int, _MUST_SET, check=_AT_LEAST_1),
+    "engine.theta0": _Key(str, "random", read_when=("app.kind", ("omf", "omf_sub"))),
+    "engine.diag_interval": _Key(int, 10, check=_AT_LEAST_1),
+    "engine.seed": _Key(int, 0, check=_AT_LEAST_0),
+    "app.kind": _Key(str, "omf", check=_one_of("omf", "omf_sub", "cpdl")),
+    "app.rank": _Key(int, _MUST_SET, check=_AT_LEAST_1),
+    "app.lambda": _Key(float, 0.0, check=(lambda v: 0 <= v < math.inf,
+                                          "must be a finite number >= 0")),
+    "app.row_sample": _Key(float, 0.0, read_when=("app.kind", ("omf_sub",))),
+    "app.tensor_shape": _Key(str, _MUST_SET, check=(lambda v: min(_sizes(v)) >= 1,
+                                                    "must be sizes >= 1")),
+    "constraint.lower": _Key(float, -1.0, read_when=("constraint.nonneg", (False,)),
+                             check=_FINITE),
+    "constraint.upper": _Key(float, 1.0, check=_FINITE),
+    "constraint.nonneg": _Key(bool, False),
+    "stream.kind": _Key(str, "iid", check=_one_of("iid", "markov")),
+    "stream.transition": _Key(str, _MUST_SET),
+    "stream.emissions": _Key(str, _MUST_SET),
+    "stream.seed": _Key(int, 0, check=_AT_LEAST_0),
+    "schedule.kind": _Key(str, "balanced",
+                          check=_one_of("balanced", "polylog", "constant", "custom")),
+    "schedule.beta": _Key(float, 0.5, read_when=("schedule.kind", ("polylog",))),
+    "schedule.delta": _Key(float, 1.5, read_when=("schedule.kind", ("polylog",))),
+    "schedule.alpha": _Key(float, 0.1, read_when=("schedule.kind", ("constant",))),
+    "schedule.values": _Key(str, None, read_when=("schedule.kind", ("custom",))),
+    "solver.tol": _Key(float, 1e-8, check=_POSITIVE),
+    "output": _Key(str, "run.csv"),
+    "label": _Key(str, "run"),
 }
-
-_DEFAULTS = {
-    "schedule.kind": "balanced",
-    "schedule.beta": 0.5,
-    "schedule.delta": 1.5,
-    "schedule.alpha": 0.1,
-    "constraint.lower": -1.0,
-    "constraint.upper": 1.0,
-    "constraint.nonneg": False,
-    "solver.tol": 1e-8,
-    "stream.kind": "iid",
-    "stream.seed": 0,
-    "engine.mode": "c2",
-    "engine.c_prime": 1.0,
-    "engine.theta0": "random",
-    "engine.diag_interval": 10,
-    "engine.seed": 0,
-    "app.kind": "omf",
-    "app.lambda": 0.0,
-    "app.row_sample": 0.0,
-    "output": "run.csv",
-    "label": "run",
-}
-
-_SCHEDULE_PARAMS = {"balanced": (), "polylog": ("schedule.beta", "schedule.delta"),
-                    "constant": ("schedule.alpha",), "custom": ("schedule.values",)}
-
-# keys the run reads only while another key has one of the given values:
-# key -> (that key, its values); setting one where it is not read is an error
-_READ_WHEN = {
-    "engine.theta0": ("app.kind", ("omf", "omf_sub")),
-    "app.row_sample": ("app.kind", ("omf_sub",)),
-    "constraint.lower": ("constraint.nonneg", (False,)),
-    **{key: ("schedule.kind", (kind,)) for kind, keys in _SCHEDULE_PARAMS.items() for key in keys},
-}
-
-_REQUIRED = ["engine.n_iters", "app.rank", "app.tensor_shape",
-             "stream.transition", "stream.emissions"]
 
 
 class ConfigError(ValueError):
@@ -625,7 +625,7 @@ def parse_config(path) -> RunConfig:
     """Parse a line-oriented key=value UTF-8 file with '#' comments.
     Unknown keys, malformed lines, missing required keys and out-of-range
     values are errors."""
-    values = dict(_DEFAULTS)
+    values = {key: k.default for key, k in _KEYS.items() if k.default not in (None, _MUST_SET)}
     line_of = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -637,9 +637,9 @@ def parse_config(path) -> RunConfig:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            typ = _SCHEMA[key]
+            typ = _KEYS[key].type
             try:
                 if typ is bool:
                     if val.lower() not in ("true", "false", "1", "0"):
@@ -652,60 +652,49 @@ def parse_config(path) -> RunConfig:
                     f"{path}:{lineno}: cannot parse {val!r} as {typ.__name__} for {key}"
                 ) from None
             line_of[key] = lineno
-    missing = [k for k in _REQUIRED if k not in values]
+    missing = [key for key, k in _KEYS.items() if k.default is _MUST_SET and key not in values]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
     cfg = RunConfig(values=values, path=str(path), lines=line_of)
     try:
-        shape = tuple(int(v) for v in values["app.tensor_shape"].split(","))
+        shape = _sizes(values["app.tensor_shape"])
     except ValueError:
         raise ConfigError(f"{cfg.where('app.tensor_shape')}: app.tensor_shape = "
                           f"{values['app.tensor_shape']} must be comma-separated integers") from None
     cfg.tensor_shape = shape
+    for key, k in _KEYS.items():
+        if k.check and not k.check[0](values[key]):
+            raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]} {k.check[1]}")
     kind, mode = values["app.kind"], values["engine.mode"]
-    sub, row_sample = kind == "omf_sub", values["app.row_sample"]
+    sub, row_sample, rows = kind == "omf_sub", values["app.row_sample"], shape[0]
     lo, up = _bounds(cfg)
     # an empty box is the fault of whichever bound was set last
     bound_key = max(("constraint.upper",
                      "constraint.nonneg" if values["constraint.nonneg"] else "constraint.lower"),
                     key=lambda k: line_of.get(k, 0))
+    # the checks that read more than one key
     for key, bad, need in (
-            ("engine.n_iters", values["engine.n_iters"] < 1, "must be >= 1"),
-            ("engine.diag_interval", values["engine.diag_interval"] < 1, "must be >= 1"),
-            ("app.rank", values["app.rank"] < 1, "must be >= 1"),
-            ("app.kind", kind not in ("omf", "omf_sub", "cpdl"), "must be omf, omf_sub or cpdl"),
-            ("app.tensor_shape", min(shape) < 1, "must be sizes >= 1"),
             ("app.tensor_shape", kind != "cpdl" and len(shape) != 2,
              f"must be rows,columns for app.kind = {kind}"),
             ("app.tensor_shape", kind == "cpdl" and len(shape) < 2,
              "must be I_1,...,I_m,batch for app.kind = cpdl"),
             (bound_key, not lo < up, f"leaves an empty box: need lower {lo} < upper {up}"),
-            ("constraint.lower", not math.isfinite(values["constraint.lower"]), "must be finite"),
-            ("constraint.upper", not math.isfinite(values["constraint.upper"]), "must be finite"),
-            ("stream.kind", values["stream.kind"] not in ("iid", "markov"), "must be iid or markov"),
-            ("schedule.kind", values["schedule.kind"] not in _SCHEDULE_PARAMS,
-             "must be balanced, polylog, constant or custom"),
             ("schedule.kind", values["schedule.kind"] == "custom" and "schedule.values" not in values,
              "needs schedule.values"),
-            ("engine.mode", mode not in ("c1", "c2"), "must be c1 or c2"),
             ("engine.mode", kind == "cpdl" and mode == "c1", "is not available: app.kind = cpdl "
                                                              "runs in mode c2 only"),
-            # each range is tested as `not (inside)`, so that NaN, which fails
-            # every comparison, is rejected
-            ("engine.c_prime", not 0 < values["engine.c_prime"] < math.inf,
-             "must be a finite number > 0"),
-            ("app.lambda", not 0 <= values["app.lambda"] < math.inf, "must be a finite number >= 0"),
-            ("solver.tol", not 0 < values["solver.tol"] < math.inf, "must be a finite number > 0"),
-            ("stream.seed", values["stream.seed"] < 0, "must be >= 0"),
-            ("engine.seed", values["engine.seed"] < 0, "must be >= 0"),
             ("app.row_sample", sub and not row_sample > 0, "must be > 0 when app.kind = omf_sub"),
             ("app.row_sample", sub and row_sample >= 1 and not (row_sample.is_integer()
-                                                                  and row_sample <= shape[0]),
-             f"must be a fraction < 1 or a whole number of rows <= {shape[0]} (app.tensor_shape)")):
+                                                                  and row_sample <= rows),
+             f"must be a fraction < 1 or a whole number of rows <= {rows} (app.tensor_shape)"),
+            ("app.row_sample", sub and 0 < row_sample < 1 and (1 - row_sample) ** rows >= 0.5,
+             f"leaves all {rows} rows (app.tensor_shape) out of a draw at least half the time: "
+             f"need (1 - p)^{rows} < 1/2")):
         if bad:
             raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]} {need}")
-    for key, (dep, read_with) in _READ_WHEN.items():
-        if key in line_of and values[dep] not in read_with:
+    for key, k in _KEYS.items():
+        if k.read_when and key in line_of and values[k.read_when[0]] not in k.read_when[1]:
+            dep = k.read_when[0]
             setting = str(values[dep]).lower()  # a bool as the file spells it
             raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]} is not read when "
                               f"{dep} = {setting}")
@@ -718,8 +707,9 @@ def parse_config(path) -> RunConfig:
             raise ValueError(f"has {n_values} values, fewer than engine.n_iters = {n_iters}")
     except ValueError as exc:
         # a bad schedule parameter: of those the kind reads, the one set last
-        key = max(_SCHEDULE_PARAMS[values["schedule.kind"]] or ("schedule.kind",),
-                  key=lambda k: line_of.get(k, 0))
+        reads = ("schedule.kind", (values["schedule.kind"],))
+        params = [key for key, k in _KEYS.items() if k.read_when == reads]
+        key = max(params or ["schedule.kind"], key=lambda k: line_of.get(k, 0))
         raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]}: {exc}") from None
     return cfg
 
@@ -800,21 +790,23 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
                    out_path: str | None = None) -> RunResult:
     """Build every component from the config and execute the run, writing
     the diagnostics CSV: a stack of one."""
-    return _run_stack(cfg, [seed], [out_path or cfg["output"]])[0]
+    named_by = out_path or f"{cfg.where('output')}: output = {cfg['output']}"
+    return _run_stack(cfg, [seed], [out_path or cfg["output"]], named_by)[0]
 
 
-def _check_seeds(seeds) -> None:
+def _run_stack(cfg: RunConfig, seeds: list, out_paths: list, named_by: str) -> list:
+    """Runs of the config at the given engine seeds (None: engine.seed), as
+    one OMF stack in lockstep, or CPDL runs one after another; each member
+    builds its own source, rng and start from the config and writes its own
+    CSV.  Every seed and every CSV's directory is checked before the first
+    step; named_by says where a bad path came from."""
+    seeds = [cfg["engine.seed"] if seed is None else seed for seed in seeds]
     for seed in seeds:
         if seed < 0:
             raise ConfigError(f"seed {seed} is negative: a run's seed must be >= 0")
-
-
-def _run_stack(cfg: RunConfig, seeds: list, out_paths: list) -> list:
-    """Runs of the config at the given engine seeds (None: engine.seed), as
-    one OMF stack in lockstep, or a single CPDL run; each member builds its
-    own source, rng and start from the config and writes its own CSV."""
-    seeds = [cfg["engine.seed"] if seed is None else seed for seed in seeds]
-    _check_seeds(seeds)
+    for path in out_paths:
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"{named_by}: directory {Path(path).parent} does not exist")
     schedule = _build_schedule(cfg)
     source = _build_source(cfg)
     # every member's source starts from the same fresh state and draws alone
@@ -824,16 +816,15 @@ def _run_stack(cfg: RunConfig, seeds: list, out_paths: list) -> list:
     r = cfg["app.rank"]
     lo, up = _bounds(cfg)
     kind = cfg["app.kind"]
-    tol = cfg["solver.tol"]
+    code_set = BoxSet.uniform(r, lo, up)
     common = dict(
         lam=cfg["app.lambda"], c_prime=cfg["engine.c_prime"],
         n_iters=cfg["engine.n_iters"], diag_interval=cfg["engine.diag_interval"],
-        solver_tol=tol,
+        solver_tol=cfg["solver.tol"],
     )
     if kind in ("omf", "omf_sub"):
         q, d = shape
         dict_box = BoxSet.uniform(q * r, lo, up)
-        code_set = BoxSet.uniform(r, lo, up)
         if cfg["engine.theta0"] == "random":
             W0 = [rng.uniform(lo, up, size=(q, r)) for rng in rngs]
         else:
@@ -855,15 +846,14 @@ def _run_stack(cfg: RunConfig, seeds: list, out_paths: list) -> list:
             rng=rngs[0] if one else rngs, **common)
         if one:
             results = [results]
-    else:  # cpdl: one run, never a stack
-        (rng,) = rngs
+    else:  # cpdl: never a stack, so the members run one after another
         dims = shape[:-1]
         factor_boxes = [BoxSet.uniform(I * r, lo, up) for I in dims]
-        code_set = BoxSet.uniform(r, lo, up)
-        U0 = [rng.uniform(lo, up, size=(I, r)) for I in dims]
-        results = [run_cpdl_diagnostics(
-            source, schedule, U0, factor_boxes=factor_boxes, code_set=code_set,
-            **common)]
+        results = []
+        for src, rng in zip(sources, rngs):
+            U0 = [rng.uniform(lo, up, size=(I, r)) for I in dims]
+            results.append(run_cpdl_diagnostics(src, schedule, U0, factor_boxes=factor_boxes,
+                                                code_set=code_set, **common))
     for result, path in zip(results, out_paths):
         emit_csv(result.records, path)
     return results
@@ -885,12 +875,11 @@ def run_sweep(cfg: RunConfig, seeds, out_dir=".") -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     label = cfg["label"]
     seeds = list(seeds)
-    _check_seeds(seeds)  # before any run starts
+    if not seeds:
+        return {}
     paths = [str(out_dir / f"{label}_seed{seed}.csv") for seed in seeds]
-    if cfg["app.kind"] == "cpdl" or not seeds:
-        return {seed: run_experiment(cfg, seed=seed, out_path=path)
-                for seed, path in zip(seeds, paths)}
-    return dict(zip(seeds, _run_stack(cfg, seeds, paths)))
+    return dict(zip(seeds, _run_stack(cfg, seeds, paths,
+                                      f"{cfg.where('label')}: label = {label}")))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ from .subsolver import solve_code_lasso, solve_block_quadratic
 
 __all__ = [
     "out_product",
-    "unfold",
-    "fold",
     "omf_step",
     "cpdl_step",
     "OmfState",
@@ -53,23 +51,6 @@ def out_product(U: list[np.ndarray]) -> np.ndarray:
     for Uk in U[1:]:
         D = D[..., None, :] * np.asarray(Uk, dtype=float)
     return D
-
-
-def unfold(T: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-k matricization; columns run lexicographically over the remaining
-    indices in their original order."""
-    T = np.asarray(T)
-    if not (0 <= mode < T.ndim):
-        raise ValueError("invalid mode")
-    return np.moveaxis(T, mode, 0).reshape(T.shape[mode], -1)
-
-
-def fold(M: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of unfold for the given full tensor shape."""
-    if not (0 <= mode < len(shape)):
-        raise ValueError("invalid mode")
-    rest = tuple(s for i, s in enumerate(shape) if i != mode)
-    return np.moveaxis(M.reshape((shape[mode],) + rest), 0, mode)
 
 
 def _contract_except(T: np.ndarray, U: list[np.ndarray], i: int) -> np.ndarray:
@@ -337,14 +318,10 @@ def _stacked_codes(X: np.ndarray, D: np.ndarray, lam: float, code_set: BoxSet,
     """Optimal codes (S, r, b) of a stack X (S, p, b) against D (p, r).
 
     Every code column shares the Hessian D'D, so the whole stack is one
-    solve_code_lasso call; a per-entry code box (dim r*b) is tiled over the
-    stack.
+    solve_code_lasso call.
     """
     S, p, b = X.shape
     r = D.shape[1]
-    if S > 1 and code_set.dim == r * b:
-        code_set = BoxSet(np.tile(code_set.lower.reshape(r, b), S).ravel(),
-                          np.tile(code_set.upper.reshape(r, b), S).ravel())
     H, _ = solve_code_lasso(X.transpose(1, 0, 2).reshape(p, S * b), D, lam,
                             code_set, tol=tol)
     return H.T.reshape(S, b, r).transpose(0, 2, 1)
@@ -406,9 +383,5 @@ def factor_loss_lipschitz_bound(emissions: list, dict_box: BoxSet,
     x_max = max(float(np.linalg.norm(np.asarray(e, float))) for e in emissions)
     w_max = float(np.linalg.norm(np.maximum(np.abs(dict_box.lower), np.abs(dict_box.upper))))
     h_entry = float(np.max(np.maximum(np.abs(code_set.lower), np.abs(code_set.upper))))
-    if code_set.dim == r:
-        h_max = h_entry * math.sqrt(r * max(d, 1))
-    else:
-        h_max = float(np.linalg.norm(np.maximum(np.abs(code_set.lower),
-                                                np.abs(code_set.upper))))
+    h_max = h_entry * math.sqrt(r * max(d, 1))
     return 2.0 * (x_max + w_max * h_max) * h_max

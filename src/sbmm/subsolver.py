@@ -531,15 +531,6 @@ def _box_qp_ball(G, C, lo, up, center, radius, tol, max_iters, first=None):
 # code solver
 
 
-def _code_bounds(code_set: BoxSet, r: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcastable (lo, up) for an (r, d) code from a box of dim r or r*d."""
-    if code_set.dim == r:
-        return code_set.lower[:, None], code_set.upper[:, None]
-    if code_set.dim == r * d:
-        return code_set.lower.reshape(r, d), code_set.upper.reshape(r, d)
-    raise ValueError(f"code box dim {code_set.dim} incompatible with ({r}, {d}) code")
-
-
 def solve_code_lasso(
     X: np.ndarray,
     W: np.ndarray,
@@ -549,7 +540,8 @@ def solve_code_lasso(
     max_iters: int = MAX_ITERS,
     H0: np.ndarray | None = None,
 ):
-    """Minimize ||X - W H||_F^2 + lam ||H||_1 over the code box.
+    """Minimize ||X - W H||_F^2 + lam ||H||_1 over the code box, of dim r:
+    row i of H keeps to the box's i-th interval in every column.
 
     Each column of H is a box QP with Hessian G = W'W and linear term W'x, so
     all columns go to one exact solve_box_qp call (H0, clipped into the box,
@@ -569,13 +561,15 @@ def solve_code_lasso(
     W = np.asarray(W, dtype=float)
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    q, d = X.shape[-2:]
+    q = X.shape[-2]
     r = W.shape[-1]
     if W.shape[-2] != q:
         raise ValueError("W rows must match X rows")
-    lo, up = _code_bounds(code_set, r, d)
+    if code_set.dim != r:
+        raise ValueError(f"code box dim {code_set.dim} must be the rank {r}")
     Wt = W.swapaxes(-1, -2)
-    H_T, gap = solve_box_qp(Wt @ W, (Wt @ X).swapaxes(-1, -2), lo.T, up.T, lam,
+    H_T, gap = solve_box_qp(Wt @ W, (Wt @ X).swapaxes(-1, -2), code_set.lower[None],
+                            code_set.upper[None], lam,
                             None if H0 is None else np.asarray(H0, dtype=float).swapaxes(-1, -2),
                             tol=tol, max_iters=max_iters)
     return H_T.swapaxes(-1, -2), gap

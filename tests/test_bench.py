@@ -526,6 +526,7 @@ def test_parse_config_type_error(tmp_path):
     ("engine.n_iters = 0\n", "engine.n_iters"),
     ("app.kind = omf_sub\napp.row_sample = 0\n", "app.row_sample"),
     ("app.kind = omf_sub\napp.row_sample = 5\n", "app.row_sample"),
+    ("app.kind = omf_sub\napp.row_sample = 1e-9\n", "app.row_sample"),
     ("app.kind = nmf\n", "app.kind"),
     ("engine.mode = c3\n", "engine.mode"),
     # keys the chosen app does not read
@@ -567,7 +568,8 @@ def test_parse_config_type_error(tmp_path):
     ("engine.seed = -1\n", "engine.seed"),
     ("app.kind = omf_sub\napp.row_sample = nan\n", "app.row_sample"),
     ("constraint.nonneg = false\nconstraint.lower = -inf\n", "constraint.lower"),
-], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q", "app_kind",
+], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q", "row_sample_tiny",
+        "app_kind",
         "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
         "theta0_shape", "theta0_outside_box", "tensor_shape_arity", "tensor_shape_zero",
         "cpdl_tensor_shape", "rank", "empty_box", "nonneg_empty_box", "stream_kind",
@@ -631,6 +633,30 @@ def test_parse_config_rejects_keys_nothing_reads(tmp_path, extra):
     p = write_cfg(tmp_path, extra=extra)
     with pytest.raises(ConfigError, match=rf"{p}:10: unknown key"):
         parse_config(p)
+
+
+def test_run_checks_each_csv_directory_before_the_first_step(tmp_path, capsys, monkeypatch):
+    # a CSV path in a directory that does not exist fails before any step
+    # runs, naming the output line, the --out path or, for a sweep, the
+    # label line
+    import sbmm.bench as bench
+
+    calls = []
+    step = bench.omf_step
+    monkeypatch.setattr(bench, "omf_step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    missing = tmp_path / "missing"
+    p = write_cfg(tmp_path, extra=f"output = {missing / 'out.csv'}\n")
+    assert cli_main(["run", str(p)]) == 1
+    q = write_cfg(tmp_path, name="ok.cfg")
+    assert cli_main(["run", str(q), "--out", str(missing / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{p}:10: output = {missing / 'out.csv'}: directory {missing} does not exist" in err
+    assert f"{missing / 'x.csv'}: directory {missing} does not exist" in err
+    assert "Traceback" not in err
+    sweep = write_cfg(tmp_path, name="sweep.cfg", extra="label = missing/run\n")
+    with pytest.raises(ConfigError, match=rf"{sweep}:10: label = missing/run: directory "):
+        run_sweep(parse_config(sweep), [0, 1], out_dir=tmp_path / "sweep")
+    assert calls == []
 
 
 def test_parse_config_omf_sub_needs_row_sample(tmp_path):
@@ -840,7 +866,7 @@ def test_cli_run_fuzzed_config_exits_cleanly(data):
     import io
     import tempfile
 
-    from sbmm.bench import _SCHEMA
+    from sbmm.bench import _KEYS
 
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
@@ -851,7 +877,7 @@ def test_cli_run_fuzzed_config_exits_cleanly(data):
         np.savetxt(d / "w0.csv", rng.random(size=(3, 2)), delimiter=",")
         (d / "text.csv").write_text("a,b\n", encoding="utf-8")
         values = _fuzz_values(d)
-        assert set(values) == set(_SCHEMA)
+        assert set(values) == set(_KEYS)
         lines = {"engine.n_iters": "5", "app.rank": "2", "app.tensor_shape": "3,2",
                  "stream.transition": str(d / "trans.csv"),
                  "stream.emissions": str(d / "emis.csv"), "output": str(d / "out.csv")}

@@ -30,9 +30,9 @@ def test_csv_identity_names_each_file(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 1, out.stderr
     verdicts = dict(line.rsplit(": ", 1) for line in out.stdout.splitlines()[:-1])
-    assert len(verdicts) == 29
-    assert out.stdout.splitlines()[-1] == "6 of 29 identical"
+    assert len(verdicts) == 31
+    assert out.stdout.splitlines()[-1] == "8 of 31 identical"
     for name, verdict in verdicts.items():
-        same = name.startswith(("cpdl", "omf_rank5"))
+        same = Path(name).name.startswith(("cpdl", "omf_rank5"))
         assert verdict == ("identical" if same else "differs"), name
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_markov_seed3.csv").exists()

@@ -10,10 +10,8 @@ from sbmm.factorize import (
     cpdl_step,
     factor_loss,
     factor_loss_lipschitz_bound,
-    fold,
     omf_step,
     out_product,
-    unfold,
 )
 from sbmm.geometry import BoxSet
 from sbmm.subsolver import solve_code_lasso
@@ -45,18 +43,6 @@ def mode_product_oracle(D, H):
     return out
 
 
-def unfold_oracle(T, mode):
-    shape = T.shape
-    rest = [i for i in range(T.ndim) if i != mode]
-    M = np.zeros((shape[mode], int(np.prod([shape[i] for i in rest]))))
-    for idx in np.ndindex(*shape):
-        col = 0
-        for i in rest:
-            col = col * shape[i] + idx[i]
-        M[idx[mode], col] = T[idx]
-    return M
-
-
 # ---------------------------------------------------------------------------
 # tensor primitives
 
@@ -83,28 +69,6 @@ def test_mode_product_matches_loop_oracle():
     D = rng.normal(size=(3, 4, 2))
     H = rng.normal(size=(2, 5))
     np.testing.assert_allclose(D @ H, mode_product_oracle(D, H), atol=1e-12)
-
-
-def test_unfold_matches_loop_oracle():
-    rng = np.random.default_rng(3)
-    T = rng.normal(size=(2, 3, 4))
-    for mode in range(3):
-        np.testing.assert_allclose(unfold(T, mode), unfold_oracle(T, mode),
-                                   atol=1e-12)
-
-
-def test_fold_round_trip():
-    rng = np.random.default_rng(4)
-    T = rng.normal(size=(2, 3, 4, 2))
-    for mode in range(4):
-        np.testing.assert_array_equal(fold(unfold(T, mode), mode, T.shape), T)
-
-
-def test_unfold_fold_invalid_mode():
-    with pytest.raises(ValueError):
-        unfold(np.zeros((2, 2)), 2)
-    with pytest.raises(ValueError):
-        fold(np.zeros((2, 2)), 5, (2, 2))
 
 
 def test_reconstruction_identity():
@@ -429,12 +393,6 @@ def test_omf_state_initial_seeds_proximal_average():
 # stacked losses: one code solve for a stack of samples
 
 
-def _code_boxes(r, b, rng):
-    # dim r (shared by every column) and dim r*b (one bound per code entry)
-    return [BoxSet.uniform(r, 0.0, 1.0),
-            BoxSet(np.zeros(r * b), rng.uniform(0.5, 2.0, size=r * b))]
-
-
 @pytest.mark.parametrize("r", [2, 5])  # KKT enumeration / active set
 @pytest.mark.parametrize("S", [1, 4])
 def test_factor_loss_stack_equals_per_sample(r, S):
@@ -442,15 +400,15 @@ def test_factor_loss_stack_equals_per_sample(r, S):
     q, d = 6, 3
     X = rng.uniform(0.0, 1.0, size=(S, q, d))
     W = rng.uniform(0.0, 1.0, size=(q, r))
-    for code_set in _code_boxes(r, d, rng):
-        values, grads, H = factor_loss(X, W, 0.05, code_set, tol=1e-12)
-        assert values.shape == (S,) and grads.shape == (S, q, r) and H.shape == (S, r, d)
-        for s in range(S):
-            v, g, h = factor_loss(X[s], W, 0.05, code_set, tol=1e-12)
-            assert isinstance(v, float)
-            assert values[s] == pytest.approx(v, rel=1e-12)
-            np.testing.assert_allclose(grads[s], g, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(H[s], h, rtol=1e-10, atol=1e-12)
+    code_set = BoxSet.uniform(r, 0.0, 1.0)
+    values, grads, H = factor_loss(X, W, 0.05, code_set, tol=1e-12)
+    assert values.shape == (S,) and grads.shape == (S, q, r) and H.shape == (S, r, d)
+    for s in range(S):
+        v, g, h = factor_loss(X[s], W, 0.05, code_set, tol=1e-12)
+        assert isinstance(v, float)
+        assert values[s] == pytest.approx(v, rel=1e-12)
+        np.testing.assert_allclose(grads[s], g, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(H[s], h, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("r", [2, 5])
@@ -460,16 +418,16 @@ def test_cpdl_loss_stack_equals_per_sample(r, S):
     dims, b = (3, 2), 2
     X = rng.uniform(0.0, 1.0, size=(S,) + dims + (b,))
     U = [rng.uniform(0.0, 1.0, size=(I, r)) for I in dims]
-    for code_set in _code_boxes(r, b, rng):
-        values, grads, H = cpdl_loss(X, U, 0.05, code_set, tol=1e-12)
-        assert values.shape == (S,) and H.shape == (S, r, b)
-        assert [g.shape for g in grads] == [(S, I, r) for I in dims]
-        for s in range(S):
-            v, gs, h = cpdl_loss(X[s], U, 0.05, code_set, tol=1e-12)
-            assert values[s] == pytest.approx(v, rel=1e-12)
-            for g_stack, g in zip(grads, gs):
-                np.testing.assert_allclose(g_stack[s], g, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(H[s], h, rtol=1e-10, atol=1e-12)
+    code_set = BoxSet.uniform(r, 0.0, 1.0)
+    values, grads, H = cpdl_loss(X, U, 0.05, code_set, tol=1e-12)
+    assert values.shape == (S,) and H.shape == (S, r, b)
+    assert [g.shape for g in grads] == [(S, I, r) for I in dims]
+    for s in range(S):
+        v, gs, h = cpdl_loss(X[s], U, 0.05, code_set, tol=1e-12)
+        assert values[s] == pytest.approx(v, rel=1e-12)
+        for g_stack, g in zip(grads, gs):
+            np.testing.assert_allclose(g_stack[s], g, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(H[s], h, rtol=1e-10, atol=1e-12)
 
 
 def _counting_solves(monkeypatch):

@@ -167,13 +167,14 @@ def test_code_lasso_warm_start_and_validation():
         solve_code_lasso(X, W, 0.0, BoxSet.uniform(5, 0.0, 1.0))
 
 
-def test_code_lasso_full_entry_box():
-    # a box of dimension r*d constrains each code entry separately
+def test_code_lasso_rejects_a_per_entry_box():
+    # the code box has one interval per code row (dim r), shared by every
+    # column; a box of dim r*d, one interval per entry, is refused
     X = np.array([[2.0, -2.0]])
     W = np.array([[1.0]])
     box = BoxSet(lower=np.array([0.0, -0.5]), upper=np.array([0.5, 0.0]))
-    H, _ = solve_code_lasso(X, W, 0.0, box, tol=1e-12)
-    np.testing.assert_allclose(H, np.array([[0.5, -0.5]]), atol=1e-9)
+    with pytest.raises(ValueError, match="code box dim 2 must be the rank 1"):
+        solve_code_lasso(X, W, 0.0, box, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +450,12 @@ def test_code_lasso_certificate_against_brute_force(seed, tol):
     X = rng.normal(size=(q, d))
     W = rng.normal(size=(q, r))
     lam = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 1.0))
-    per_entry = bool(rng.random() < 0.5)
-    dim = r * d if per_entry else r
-    lo = rng.uniform(-2.0, 0.5, size=dim)
-    box = BoxSet(lower=lo, upper=lo + rng.uniform(0.2, 2.5, size=dim))
+    lo = rng.uniform(-2.0, 0.5, size=r)
+    box = BoxSet(lower=lo, upper=lo + rng.uniform(0.2, 2.5, size=r))
     H, gap = solve_code_lasso(X, W, lam, box, tol=tol)
     assert gap <= tol
-    lo_b = box.lower.reshape(r, -1) * np.ones((r, d))
-    up_b = box.upper.reshape(r, -1) * np.ones((r, d))
+    lo_b = box.lower[:, None] * np.ones((r, d))
+    up_b = box.upper[:, None] * np.ones((r, d))
     assert np.all(H >= lo_b) and np.all(H <= up_b)
     # brute force per column on a grid that contains the box corners
     n = {1: 2001, 2: 201, 3: 41}[r]
