@@ -13,6 +13,8 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
   solves one group of members per row count;
 - a 2-seed ``run_sweep`` of ``configs/cpdl.cfg``, whose members run one
   after another;
+- ``configs/cpdl.cfg`` on 3-mode samples (``write_cpdl3``'s inputs, shape
+  2,3,2,3), at seeds 0-1;
 - three rank-5 runs on ``write_rank5``'s inputs, at seeds 0-2.
 
 It then prints one line per CSV, ``identical`` or ``differs`` (``missing``
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import os
 import shutil
 import subprocess
@@ -37,7 +40,26 @@ SHIPPED = ("omf_iid", "omf_markov", "omf_sub", "cpdl")
 C1 = ("omf_markov", "omf_sub")
 SEEDS = (0, 1, 2)
 SWEEP_SEEDS = (0, 1, 2, 3)
+CPDL3_SHAPE = (2, 3, 2, 3)  # three modes and the batch
+CPDL3_SEED = 3
 WORK = ".csv_identity"
+
+
+def write_cpdl3(out: Path) -> str:
+    """A 3-state chain with Dirichlet(1) rows and uniform [0, 1] emissions of
+    shape CPDL3_SHAPE, both drawn from CPDL3_SEED, written under out; returns
+    the config keys that point configs/cpdl.cfg at them."""
+    import numpy as np
+
+    rng = np.random.default_rng(CPDL3_SEED)
+    P = rng.dirichlet(np.ones(3), size=3)
+    P /= P.sum(axis=1, keepdims=True)
+    E = rng.uniform(0.0, 1.0, size=(3, math.prod(CPDL3_SHAPE)))
+    np.savetxt(out / "cpdl3_transition.csv", P, delimiter=",", fmt="%.17g")
+    np.savetxt(out / "cpdl3_emissions.csv", E, delimiter=",", fmt="%.17g")
+    return (f"stream.transition = {out / 'cpdl3_transition.csv'}\n"
+            f"stream.emissions = {out / 'cpdl3_emissions.csv'}\n"
+            f"app.tensor_shape = {','.join(map(str, CPDL3_SHAPE))}\n")
 
 
 def write_set(out: Path, steps: int | None) -> None:
@@ -76,6 +98,9 @@ def write_set(out: Path, steps: int | None) -> None:
               SWEEP_SEEDS, out_dir=csvs / "sweep")
     run_sweep(config(root / "configs" / "cpdl.cfg", "cpdl_sweep"), SWEEP_SEEDS[:2],
               out_dir=csvs / "sweep")
+    cfg = config(root / "configs" / "cpdl.cfg", "cpdl3", write_cpdl3(inputs))
+    for seed in SEEDS[:2]:
+        run_experiment(cfg, seed=seed, out_path=str(csvs / f"cpdl3_seed{seed}.csv"))
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)

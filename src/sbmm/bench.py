@@ -7,9 +7,11 @@ one step, audit it, and record diagnostics at the checkpoints.
 (CP-dictionary learning) each build a small adapter (``_App``) that supplies
 the step, the averaged surrogate's value and gradient, the stacked
 per-sample loss, the stationarity measure and the step norm, then call the
-loop.  The OMF audits read what the step computed: the surrogate it built
-and minimized, the block solve's certificate (that surrogate's value at
-the previous dictionary) and, in mode C1, its strong convexity.  The loop
+loop.  Both steps return their averaged surrogate, an exact quadratic in
+the flat dictionary anchored at the previous one (``FactorQuad``); the
+loop reads the previous dictionary and, in mode C1, the strong convexity
+from it.  The OMF audits also read the block solve's certificate (that
+surrogate's value at the previous dictionary).  The loop
 runs a stack of K members in lockstep: each samples from its own source
 and keeps its own audits and records, while an OMF stack takes one batched
 step (``run_sweep``).  A single run is the stack of one.
@@ -50,7 +52,7 @@ from .factorize import (
     subsampled_omf_step,  # not called here: the benchmark's layer tracer wraps this name
     _contract_except,
 )
-from .geometry import BOUNDARY_TOL, BoxSet, stationarity_measure, tangent_cone_project
+from .geometry import BoxSet, stationarity_measure, tangent_cone_project
 from .schedule import WeightSchedule, validate_schedule
 from .stream import (MarkovSource, StreamError, make_iid, mixing_rate, next_sample,
                      stationary_distribution, tv_decay)
@@ -177,14 +179,12 @@ class _App:
     member: Callable         # (stack quantity, j) -> member j's part
     floats: Callable         # one number per member -> a list of K floats
     final: Callable          # j -> member j's final state
-    surrogate: Callable      # (prev, step result) -> the averaged surrogate's values
-                             # at prev and at the new iterate, grads(theta) as block lists
+    surrogate: Callable      # step result -> the averaged surrogate's values at the
+                             # previous and new iterates, grads(theta) as block lists
     losses: Callable         # (X, member theta) -> values (S,), per-block gradient stacks
-    dictionary: Callable     # member theta -> the flat (p, r) dictionary
     move: Callable           # (prev, theta) -> step norm, largest block move
     stationarity: Callable   # (block gradients, theta) -> stationarity measure
     lipschitz_bound: Callable = None  # () -> the C1 audit's gradient bounds
-    rho: Callable = None     # step result -> the C1 audit's strong convexity
 
 
 def _norms(D: np.ndarray):
@@ -258,11 +258,11 @@ def run_omf_diagnostics(
         st.W = res.W
         return res
 
-    def surrogate(prev, res):
+    def surrogate(res):
         # the quadratic the step minimized, its certificate (its value at
-        # prev) and its value at the iterate the run carries, the step's own
-        # unless that is not the step's result; a member's gradient is a list
-        # of one block, (1, q, r)
+        # the anchor) and its value at the iterate the run carries, the
+        # step's own unless that is not the step's result; a member's
+        # gradient is a list of one block, (1, q, r)
         return res.g_prev, res.value_at(res.W), lambda W: res.quad.grad(W)[..., None, :, :]
 
     def losses(X, W):
@@ -291,11 +291,9 @@ def run_omf_diagnostics(
         state=st, lam=lam, step=step, iterate=lambda: st.W,
         member=(lambda a, j: a) if one else (lambda a, j: a[j]),
         floats=(lambda a: [a]) if one else (lambda a: a.tolist()),
-        final=final, surrogate=surrogate, losses=losses, dictionary=lambda W: W, move=move,
-        stationarity=stationarity,
+        final=final, surrogate=surrogate, losses=losses, move=move, stationarity=stationarity,
         lipschitz_bound=lambda: [factor_loss_lipschitz_bound(src.emissions, dict_box,
-                                                             code_set, r) for src in sources],
-        rho=lambda res: res.quad.rho)
+                                                             code_set, r) for src in sources])
     results = _run(app, sources, schedule, mode, c_prime, n_iters, diag_interval,
                    keep_trajectory)
     return results[0] if one else results
@@ -309,7 +307,6 @@ def run_cpdl_diagnostics(
     factor_boxes: list,
     code_set: BoxSet,
     c_prime: float = 1.0,
-    rho0: float = 0.0,
     n_iters: int = 1000,
     diag_interval: int = 10,
     solver_tol: float = 1e-8,
@@ -319,8 +316,7 @@ def run_cpdl_diagnostics(
     The per-factor trust region has radius c_prime * w_n each step.  A run
     is never stacked: its per-sample gradients contract one sample at a
     time (see cpdl_loss)."""
-    st = CpdlState.initial(U0, rho0)
-    dictionary = lambda U: out_product(U).reshape(-1, U[0].shape[1])
+    st = CpdlState.initial(U0)
 
     def step(xs, w_n, radius):
         res = cpdl_step(xs[0], st.U, st.A, st.B, w_n, lam, factor_boxes, code_set,
@@ -328,15 +324,13 @@ def run_cpdl_diagnostics(
         st.U = res.U
         return res
 
-    def surrogate(prev, res):
-        A, B, C = st.A, st.B, st.C
-
-        # the values at prev and at res.U, one stacked evaluation of the pair
-        # of dictionaries; each member's sums are those of its own evaluation
-        T = np.array((out_product(prev), out_product(res.U)))
-        D = T.reshape(2, -1, A.shape[0])
-        values = (((D @ A) * D).sum(axis=(1, 2)) - 2.0 * (T * B).sum(axis=tuple(range(1, T.ndim)))
-                  + C).tolist()
+    def surrogate(res):
+        # the values at the previous dictionary and at res.U's, one
+        # evaluation of the pair; the block solves' certificates are those
+        # of the per-mode quadratics
+        quad, A, B = res.quad, res.A, res.B
+        D = out_product(res.U).reshape(quad.anchor.shape)
+        g_prev, g_new = quad.value(np.array((quad.anchor, D))).tolist()
 
         def grads(U):
             grams = [Ui.T @ Ui for Ui in U]
@@ -348,8 +342,7 @@ def run_cpdl_diagnostics(
                         gamma = gamma * grams[k]
                 out.append(2.0 * (U[i] @ gamma - _contract_except(B, U, i)))
             return out
-        # the block solves' certificates sum in another order than these
-        return values[0], values[1], grads
+        return g_prev, g_new, grads
 
     def losses(X, U):
         values, grads, _ = cpdl_loss(X, U, lam, code_set, tol=solver_tol)
@@ -368,8 +361,8 @@ def run_cpdl_diagnostics(
 
     app = _App(state=st, lam=lam, step=step, iterate=lambda: st.U, member=lambda a, j: a,
                floats=lambda a: [a],
-               final=lambda j: st, surrogate=surrogate, losses=losses, dictionary=dictionary,
-               move=move, stationarity=stationarity)
+               final=lambda j: st, surrogate=surrogate, losses=losses, move=move,
+               stationarity=stationarity)
     return _run(app, [source], schedule, "c2", c_prime, n_iters, diag_interval,
                 keep_trajectory)[0]
 
@@ -424,11 +417,11 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
             for j, result in enumerate(results):
                 result.trajectory.append(copy.deepcopy(app.member(theta, j)))
 
-        g_prev, g_new, grads = app.surrogate(prev, res)
+        g_prev, g_new, grads = app.surrogate(res)
         g_prev, g_new = app.floats(g_prev), app.floats(g_new)
         step, largest = (app.floats(v) for v in app.move(prev, theta))
         if mode == "c1":
-            rho = app.floats(app.rho(res))
+            rho = app.floats(res.quad.rho)
             stat = app.floats(app.stationarity(grads(theta), theta))
         for j, result in enumerate(results):
             scale = 1.0 + abs(g_prev[j])
@@ -451,7 +444,7 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
             g_new_j = g_new[j]
             # the new sample's loss at the previous iterate, from the code
             # the step has just solved there
-            D_prev = app.dictionary(app.member(prev, j))
+            D_prev = app.member(res.quad.anchor, j)
             l_new = float(code_loss(xs[j].reshape(1, D_prev.shape[0], -1), D_prev,
                                     app.member(res.H, j)[None], app.lam)[0][0])
             if last is not None:
@@ -544,6 +537,7 @@ def _one_of(*words):
 # comparison, is rejected
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 _AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+_FINITE_AT_LEAST_0 = (lambda v: 0 <= v < math.inf, "must be a finite number >= 0")
 _POSITIVE = (lambda v: 0 < v < math.inf, "must be a finite number > 0")
 _FINITE = (math.isfinite, "must be finite")
 
@@ -574,8 +568,7 @@ _KEYS = {
     "engine.seed": _Key(int, 0, check=_AT_LEAST_0),
     "app.kind": _Key(str, "omf", check=_one_of("omf", "omf_sub", "cpdl")),
     "app.rank": _Key(int, _MUST_SET, check=_AT_LEAST_1),
-    "app.lambda": _Key(float, 0.0, check=(lambda v: 0 <= v < math.inf,
-                                          "must be a finite number >= 0")),
+    "app.lambda": _Key(float, 0.0, check=_FINITE_AT_LEAST_0),
     "app.row_sample": _Key(float, 0.0, read_when=("app.kind", ("omf_sub",))),
     "app.tensor_shape": _Key(str, _MUST_SET, check=(lambda v: min(_sizes(v)) >= 1,
                                                     "must be sizes >= 1")),
@@ -589,8 +582,10 @@ _KEYS = {
     "stream.seed": _Key(int, 0, check=_AT_LEAST_0),
     "schedule.kind": _Key(str, "balanced",
                           check=_one_of("balanced", "polylog", "constant", "custom")),
-    "schedule.beta": _Key(float, 0.5, read_when=("schedule.kind", ("polylog",))),
-    "schedule.delta": _Key(float, 1.5, read_when=("schedule.kind", ("polylog",))),
+    "schedule.beta": _Key(float, 0.5, read_when=("schedule.kind", ("polylog",)),
+                          check=_FINITE_AT_LEAST_0),
+    "schedule.delta": _Key(float, 1.5, read_when=("schedule.kind", ("polylog",)),
+                           check=_FINITE_AT_LEAST_0),
     "schedule.alpha": _Key(float, 0.1, read_when=("schedule.kind", ("constant",))),
     "schedule.values": _Key(str, None, read_when=("schedule.kind", ("custom",))),
     "solver.tol": _Key(float, 1e-8, check=_POSITIVE),
@@ -731,7 +726,7 @@ def _load_start(cfg: RunConfig, shape: tuple) -> np.ndarray:
     if W0.shape != shape:
         raise ConfigError(f"{where}: engine.theta0 = {path} is {W0.shape[0]}x{W0.shape[1]}, need "
                           f"{shape[0]}x{shape[1]} (app.tensor_shape rows x app.rank)")
-    if (W0 < lo - BOUNDARY_TOL).any() or (W0 > up + BOUNDARY_TOL).any():
+    if not BoxSet.uniform(W0.size, lo, up).contains(W0.ravel()):
         raise ConfigError(f"{where}: engine.theta0 = {path} leaves the box [{lo}, {up}]")
     return W0
 
@@ -798,15 +793,17 @@ def _run_stack(cfg: RunConfig, seeds: list, out_paths: list, named_by: str) -> l
     """Runs of the config at the given engine seeds (None: engine.seed), as
     one OMF stack in lockstep, or CPDL runs one after another; each member
     builds its own source, rng and start from the config and writes its own
-    CSV.  Every seed and every CSV's directory is checked before the first
-    step; named_by says where a bad path came from."""
+    CSV.  Every seed and every CSV path (in a directory, not one) is checked
+    before the first step; named_by says where a bad path came from."""
     seeds = [cfg["engine.seed"] if seed is None else seed for seed in seeds]
     for seed in seeds:
         if seed < 0:
             raise ConfigError(f"seed {seed} is negative: a run's seed must be >= 0")
-    for path in out_paths:
-        if not Path(path).parent.is_dir():
-            raise ConfigError(f"{named_by}: directory {Path(path).parent} does not exist")
+    for path in map(Path, out_paths):
+        if not path.parent.is_dir():
+            raise ConfigError(f"{named_by}: directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ConfigError(f"{named_by}: {path} is a directory")
     schedule = _build_schedule(cfg)
     source = _build_source(cfg)
     # every member's source starts from the same fresh state and draws alone

@@ -193,18 +193,14 @@ class OmfState:
     def initial(cls, W0: np.ndarray, rho0: float = 0.0) -> "OmfState":
         """From W0 (q, r), or a stack's start dictionaries (K, q, r)."""
         W0 = np.asarray(W0, dtype=float)
-        r = W0.shape[-1]
+        lead, r = W0.shape[:-2], W0.shape[-1]
         # rho0 > 0 seeds the average with (rho0/2)||W - W0||^2, the strongly
-        # convex warm start the no-trust-region mode needs
-        if W0.ndim == 3:
-            K = len(W0)
-            return cls(W=W0.copy(), A=np.repeat((0.5 * rho0 * np.eye(r))[None], K, axis=0),
-                       B=0.5 * rho0 * W0.swapaxes(1, 2),
-                       C=0.5 * rho0 * (W0 * W0).sum(axis=(1, 2)), eps_sum=np.zeros(K))
-        A0 = 0.5 * rho0 * np.eye(r)
-        B0 = 0.5 * rho0 * W0.T
-        C0 = 0.5 * rho0 * float(np.sum(W0 * W0))
-        return cls(W=W0.copy(), A=A0, B=B0, C=C0)
+        # convex warm start the no-trust-region mode needs; a single run's C
+        # and eps_sum are Python floats
+        C0 = 0.5 * rho0 * (W0 * W0).sum(axis=(-2, -1))
+        return cls(W=W0.copy(), A=0.5 * rho0 * np.broadcast_to(np.eye(r), lead + (r, r)),
+                   B=0.5 * rho0 * W0.swapaxes(-1, -2), C=C0 if lead else float(C0),
+                   eps_sum=np.zeros(lead) if lead else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +209,17 @@ class OmfState:
 
 @dataclass
 class CpdlStepResult:
+    """The step's code, statistics, loading matrices and certified code gap,
+    and its averaged surrogate, a quadratic in the flat dictionary (p, r)
+    anchored at the previous one."""
+
     H: np.ndarray
     A: np.ndarray
     B: np.ndarray
     C: float
     U: list[np.ndarray]
     eps: float
+    quad: FactorQuad
 
 
 def cpdl_step(
@@ -239,7 +240,8 @@ def cpdl_step(
     The minibatch tensor X has shape (I_1, ..., I_m, b).  The code is solved
     at the previous loading matrices, the statistics are averaged, and then
     each loading matrix is updated once, cyclically, within its own ball of
-    the given radius, holding the other factors at their latest values.
+    the given radius, holding the other factors at their latest values.  The
+    averaged surrogate is returned as a FactorQuad in the flat dictionary.
     """
     X = np.asarray(X, dtype=float)
     m = len(U_prev)
@@ -266,7 +268,8 @@ def cpdl_step(
         U[i] = solve_block_quadratic(quad, factor_boxes[i], radius, tol=tol)[0]
         if i < m - 1:  # the last mode's Gram is not read again
             grams[i] = U[i].T @ U[i]
-    return CpdlStepResult(H=H, A=A, B=B, C=C, U=U, eps=gap)
+    return CpdlStepResult(H=H, A=A, B=B, C=C, U=U, eps=gap,
+                          quad=FactorQuad(A, B.reshape(-1, r).T, C, D_mat))
 
 
 def _hadamard_except(grams: list[np.ndarray], i: int):
@@ -291,14 +294,12 @@ class CpdlState:
     n: int = 0
 
     @classmethod
-    def initial(cls, U0: list[np.ndarray], rho0: float = 0.0) -> "CpdlState":
+    def initial(cls, U0: list[np.ndarray]) -> "CpdlState":
+        """Empty statistics at the loading matrices U0."""
         U0 = [np.asarray(Ui, dtype=float).copy() for Ui in U0]
         r = U0[0].shape[1]
-        A0 = 0.5 * rho0 * np.eye(r)
-        D0 = out_product(U0)
-        B0 = 0.5 * rho0 * D0
-        C0 = 0.5 * rho0 * float(np.sum(D0 * D0))
-        return cls(U=U0, A=A0, B=B0, C=C0)
+        return cls(U=U0, A=np.zeros((r, r)), B=np.zeros(tuple(len(Ui) for Ui in U0) + (r,)),
+                   C=0.0)
 
 
 # ---------------------------------------------------------------------------

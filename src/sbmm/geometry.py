@@ -74,12 +74,14 @@ class BoxSet:
 
     @cached_property
     def _loose(self) -> tuple[np.ndarray, np.ndarray]:
-        """The bounds shifted out by BOUNDARY_TOL, the default tolerance."""
+        """The bounds shifted out by BOUNDARY_TOL."""
         return self.lower - BOUNDARY_TOL, self.upper + BOUNDARY_TOL
 
-    def contains(self, x: np.ndarray, tol: float = BOUNDARY_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """Whether every entry of x lies within BOUNDARY_TOL of the box; a
+        NaN entry does not."""
+        lo, up = self._loose
         x = np.asarray(x, dtype=float)
-        lo, up = self._loose if tol == BOUNDARY_TOL else (self.lower - tol, self.upper + tol)
         return bool(((x >= lo) & (x <= up)).all())
 
 
@@ -173,20 +175,20 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
     return center + (x - center) * (radius / nrm)
 
 
-def tangent_cone_project(g: np.ndarray, theta: np.ndarray, box: BoxSet,
-                         tol: float = BOUNDARY_TOL) -> np.ndarray:
+def tangent_cone_project(g: np.ndarray, theta: np.ndarray, box: BoxSet) -> np.ndarray:
     """Project g onto the tangent cone of the box at theta.
 
-    Component i is zeroed when theta_i sits at the lower bound and g_i points
-    below it, or at the upper bound and g_i points above it.
+    Component i is zeroed when theta_i sits at the lower bound (within
+    BOUNDARY_TOL) and g_i points below it, or at the upper bound and g_i
+    points above it.
     """
     theta = np.asarray(theta, dtype=float)
     g = np.asarray(g, dtype=float)
     if not box.contains(theta):
         raise GeometryError("theta must lie in the box")
     out = g.copy()
-    at_lower = theta <= box.lower + tol
-    at_upper = theta >= box.upper - tol
+    at_lower = theta <= box.lower + BOUNDARY_TOL
+    at_upper = theta >= box.upper - BOUNDARY_TOL
     out[at_lower & (out < 0)] = 0.0
     out[at_upper & (out > 0)] = 0.0
     return out

@@ -84,10 +84,7 @@ class FactorQuad:
         """The strong convexity 2 lambda_min(A), floored at 0 (the Hessian in
         W is 2 A on every row), computed on first read; a stack's come from
         one batched eigvalsh."""
-        ev = np.linalg.eigvalsh(self.A)
-        if ev.ndim == 2:
-            return np.array([2.0 * max(e[0], 0.0) for e in ev.tolist()])
-        return 2.0 * max(float(ev[0]), 0.0)
+        return 2.0 * np.maximum(np.linalg.eigvalsh(self.A)[..., 0], 0.0)
 
     def members(self, idx) -> "FactorQuad":
         """The members idx (a list of indices) of a stack, as a stack."""

@@ -59,8 +59,8 @@ class WeightSchedule:
             if any(not (0.0 < v <= 1.0) for v in self.custom_values):
                 raise ValueError("custom weights must lie in (0, 1]")
         if self.kind == "polylog":
-            if self.beta < 0 or self.delta < 0:
-                raise ValueError("polylog exponents must be nonnegative")
+            if not (0 <= self.beta < math.inf and 0 <= self.delta < math.inf):
+                raise ValueError("polylog exponents must be finite and nonnegative")
 
     # convenience constructors --------------------------------------------
 

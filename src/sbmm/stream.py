@@ -156,10 +156,10 @@ def mixing_rate(src: MarkovSource, horizon: int = _MIXING_HORIZON) -> float:
     return lam
 
 
-def next_sample(src: MarkovSource, rng: np.random.Generator | None = None):
-    """Advance the chain one step; returns (emission of new state, new state)."""
-    r = src.rng if rng is None else rng
-    new_state = int(src.cdf[src.state].searchsorted(r.random(), side="right"))
+def next_sample(src: MarkovSource):
+    """Advance the chain one step, drawing from src.rng; returns (emission of
+    new state, new state)."""
+    new_state = int(src.cdf[src.state].searchsorted(src.rng.random(), side="right"))
     src.state = new_state
     return src.emissions[new_state], new_state
 

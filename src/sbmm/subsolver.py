@@ -245,7 +245,7 @@ def _newton_direction(G, free, rhs, scale):
     return np.einsum("nkj,nj->nk", V, step), null_dir
 
 
-def _active_set(G, C, lo, up, lam, X, tol, max_iters, predicted=False):
+def _active_set(G, C, lo, up, lam, X, tol, predicted=False):
     """Primal active-set method from a point X of the box, for one member
     (G of shape (k, k), C and X of shape (n, k)).  Works for any PSD G.
     Returns its last iterate, working set (True where fixed) and the
@@ -271,7 +271,7 @@ def _active_set(G, C, lo, up, lam, X, tol, max_iters, predicted=False):
     rows = np.arange(n)
     # rows sitting at their working-set minimizer
     at_min = np.ones(n, dtype=bool) if predicted else fixed.all(axis=1)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         if tol > 0.0 and at_min.all():
             gap = _certified_gap(G, C, X, lam, lo, up)
             if gap <= tol:
@@ -346,7 +346,7 @@ def _least_squares(G, C):
     return C @ np.linalg.pinv(G, hermitian=True)
 
 
-def _minimize(G, C, lo, up, lam, X0, tol, max_iters, predicted=False):
+def _minimize(G, C, lo, up, lam, X0, tol, predicted=False):
     """Minimizer of the solve_box_qp objective, its free mask, the certified
     gap the active-set method stopped on (None if it has none) and the
     enumeration's X @ G (None if it did not enumerate G itself): exact by
@@ -362,11 +362,11 @@ def _minimize(G, C, lo, up, lam, X0, tol, max_iters, predicted=False):
     array, nan for a member without one."""
     k = C.shape[-1]
     if G.ndim == 3:
-        return _minimize_stack(G, C, lo, up, lam, X0, tol, max_iters)
+        return _minimize_stack(G, C, lo, up, lam, X0, tol)
     states = _states(lam, lo, up)
     if len(states) ** k > _ENUM_PATTERNS:
         X0 = np.clip(_least_squares(G, C) if X0 is None else X0, lo, up)
-        X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, max_iters, predicted)
+        X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, predicted)
         return X, ~fixed, gap, None
     patterns = _patterns(k, states)
     try:
@@ -381,7 +381,7 @@ def _minimize(G, C, lo, up, lam, X0, tol, max_iters, predicted=False):
         return X, free, None, None
 
 
-def _minimize_stack(G, C, lo, up, lam, X0, tol, max_iters):
+def _minimize_stack(G, C, lo, up, lam, X0, tol):
     """_minimize of a stack: one enumeration batch when every member has
     the same few KKT patterns, else each member alone."""
     K, k = len(C), C.shape[-1]
@@ -397,14 +397,13 @@ def _minimize_stack(G, C, lo, up, lam, X0, tol, max_iters):
         except np.linalg.LinAlgError:
             pass  # a singular member: each member alone, so only its own solve changes
     parts = [_minimize(G[j], C[j], _member(lo, j), _member(up, j), lam,
-                       None if X0 is None else X0[j], tol, max_iters) for j in range(K)]
+                       None if X0 is None else X0[j], tol) for j in range(K)]
     gap = np.array([np.nan if p[2] is None else p[2] for p in parts])
     return (np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts]),
             None if np.isnan(gap).all() else gap, None)
 
 
-def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8,
-                 max_iters: int = MAX_ITERS):
+def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
     """Minimize sum_i x_i'G x_i - 2 c_i'x_i + lam ||x_i||_1 over lo <= X <= up.
 
     One problem per row of C (shape (n, k)), all against the same symmetric
@@ -429,19 +428,19 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8,
         raise ValueError("lam must be >= 0")
     if X0 is not None:
         X0 = np.asarray(X0, dtype=float)
-    X, _, gap, XG = _minimize(G, C, lo, up, lam, X0, tol, max_iters)
+    X, _, gap, XG = _minimize(G, C, lo, up, lam, X0, tol)
     if G.ndim == 2:
-        return _polish(G, C, lo, up, lam, X, gap, tol, max_iters, XG)
+        return _polish(G, C, lo, up, lam, X, gap, tol, XG)
     if gap is None:
         gap = _certified_gap(G, C, X, lam, lo, up, XG)
     for j, g in enumerate(gap.tolist()):
         if not g <= tol:  # above tol, or nan: not known yet
             X[j], gap[j] = _polish(G[j], C[j], _member(lo, j), _member(up, j), lam, X[j],
-                                   None if math.isnan(g) else g, tol, max_iters)
+                                   None if math.isnan(g) else g, tol)
     return X, gap
 
 
-def _polish(G, C, lo, up, lam, X, gap, tol, max_iters, XG=None):
+def _polish(G, C, lo, up, lam, X, gap, tol, XG=None):
     """(X, its certified gap) of one family, X polished by the active-set
     method while its gap (computed here when None, from XG = X @ G when
     given) exceeds tol; the active-set method hands back the gap it stopped
@@ -449,13 +448,13 @@ def _polish(G, C, lo, up, lam, X, gap, tol, max_iters, XG=None):
     if gap is None:
         gap = _certified_gap(G, C, X, lam, lo, up, XG)
     if gap > tol:
-        X, _, gap = _active_set(G, C, lo, up, lam, X, tol, max_iters)
+        X, _, gap = _active_set(G, C, lo, up, lam, X, tol)
         if gap is None:
             gap = _certified_gap(G, C, X, lam, lo, up)
     return X, gap
 
 
-def _box_qp_ball(G, C, lo, up, center, radius, tol, max_iters, first=None):
+def _box_qp_ball(G, C, lo, up, center, radius, tol, first=None):
     """Minimizer of the solve_box_qp objective without an l1 term over the
     box intersected with the ball ||X - center||_F <= radius (center in the
     box), each box solve done by _minimize from the previous one's X, the
@@ -479,11 +478,11 @@ def _box_qp_ball(G, C, lo, up, center, radius, tol, max_iters, first=None):
     """
     X = center if first is None else first[0]
     if math.isinf(radius):
-        return _minimize(G, C, lo, up, 0.0, X, tol, max_iters)[0]
+        return _minimize(G, C, lo, up, 0.0, X, tol)[0]
     if G.ndim == 3:
-        X, free = _minimize(G, C, lo, up, 0.0, X, tol, max_iters)[:2]
+        X, free = _minimize(G, C, lo, up, 0.0, X, tol)[:2]
         return np.stack([_box_qp_ball(G[j], C[j], _member(lo, j), _member(up, j), center[j],
-                                      radius, tol, max_iters, (X[j], free[j]))
+                                      radius, tol, (X[j], free[j]))
                          for j in range(len(C))])
 
     last = None  # the last model's (mu, free mask, w, V, coefficients)
@@ -494,7 +493,7 @@ def _box_qp_ball(G, C, lo, up, center, radius, tol, max_iters, first=None):
         if first is not None:  # mu = 0, solved already
             (X, free), first = first, None
         elif mu == 0.0:
-            X, free = _minimize(G, C, lo, up, 0.0, X, tol, max_iters)[:2]
+            X, free = _minimize(G, C, lo, up, 0.0, X, tol)[:2]
         else:
             start, predicted = X, False
             if last is not None:
@@ -504,7 +503,7 @@ def _box_qp_ball(G, C, lo, up, center, radius, tol, max_iters, first=None):
                 if ((Xp >= lo) & (Xp <= up)).all():
                     start, predicted = Xp, True
             X, free = _minimize(G + mu * eye, C + mu * center, lo, up, 0.0, start, tol,
-                                max_iters, predicted)[:2]
+                                predicted)[:2]
         u = X - center
 
         def model():
@@ -537,7 +536,6 @@ def solve_code_lasso(
     lam: float,
     code_set: BoxSet,
     tol: float = 1e-8,
-    max_iters: int = MAX_ITERS,
     H0: np.ndarray | None = None,
 ):
     """Minimize ||X - W H||_F^2 + lam ||H||_1 over the code box, of dim r:
@@ -571,7 +569,7 @@ def solve_code_lasso(
     H_T, gap = solve_box_qp(Wt @ W, (Wt @ X).swapaxes(-1, -2), code_set.lower[None],
                             code_set.upper[None], lam,
                             None if H0 is None else np.asarray(H0, dtype=float).swapaxes(-1, -2),
-                            tol=tol, max_iters=max_iters)
+                            tol=tol)
     return H_T.swapaxes(-1, -2), gap
 
 
@@ -585,7 +583,6 @@ def solve_block_quadratic(
     radius: float,
     rows=None,
     tol: float = 1e-8,
-    max_iters: int = MAX_ITERS,
 ):
     """Minimize the FactorQuad g over whole rows of its matrix variable.
 
@@ -615,13 +612,13 @@ def solve_block_quadratic(
     lo, up = box.lower.reshape(q, r), box.upper.reshape(q, r)
     C = g.B.swapaxes(-1, -2)
     if rows is None:
-        W = _box_qp_ball(g.A, C, lo, up, prev, radius, tol, max_iters)
+        W = _box_qp_ball(g.A, C, lo, up, prev, radius, tol)
     else:
         rows = np.asarray(rows, dtype=int)
         at = ((np.arange(len(prev))[:, None], rows) if rows.ndim == 2
               else (Ellipsis, rows, slice(None)))
         W = prev.copy()
-        W[at] = _box_qp_ball(g.A, C[at], lo[rows], up[rows], prev[at], radius, tol, max_iters)
+        W[at] = _box_qp_ball(g.A, C[at], lo[rows], up[rows], prev[at], radius, tol)
     obj, new = g.value(np.array((prev, W)))
     if prev.ndim == 2:
         obj, new = float(obj), float(new)

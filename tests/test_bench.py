@@ -537,6 +537,7 @@ def test_parse_config_type_error(tmp_path):
     ("engine.theta0 = {tmp}/missing.csv\n", "engine.theta0"),
     ("engine.theta0 = {tmp}/theta_3x3.csv\n", "engine.theta0"),
     ("engine.theta0 = {tmp}/theta_outside.csv\n", "engine.theta0"),
+    ("engine.theta0 = {tmp}/theta_nan.csv\n", "engine.theta0"),
     # what used to stop the run without a line
     ("app.tensor_shape = 3,2,1\n", "app.tensor_shape"),
     ("app.tensor_shape = 3,0\n", "app.tensor_shape"),
@@ -568,20 +569,27 @@ def test_parse_config_type_error(tmp_path):
     ("engine.seed = -1\n", "engine.seed"),
     ("app.kind = omf_sub\napp.row_sample = nan\n", "app.row_sample"),
     ("constraint.nonneg = false\nconstraint.lower = -inf\n", "constraint.lower"),
+    ("schedule.kind = polylog\nschedule.beta = nan\n", "schedule.beta"),
+    ("schedule.kind = polylog\nschedule.beta = inf\n", "schedule.beta"),
+    ("schedule.kind = polylog\nschedule.delta = nan\n", "schedule.delta"),
+    ("schedule.kind = polylog\nschedule.delta = inf\n", "schedule.delta"),
 ], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q", "row_sample_tiny",
         "app_kind",
         "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
-        "theta0_shape", "theta0_outside_box", "tensor_shape_arity", "tensor_shape_zero",
+        "theta0_shape", "theta0_outside_box", "theta0_nan", "tensor_shape_arity",
+        "tensor_shape_zero",
         "cpdl_tensor_shape", "rank", "empty_box", "nonneg_empty_box", "stream_kind",
         "schedule_kind", "schedule_values_missing", "schedule_values", "schedule_values_short",
         "schedule_alpha",
         "nonneg_lower", "polylog_alpha", "constant_beta", "balanced_delta", "balanced_values",
         "c_prime_negative", "c_prime_nan", "c_prime_inf", "lambda_negative", "lambda_nan",
         "tol_negative", "tol_nan", "stream_seed", "engine_seed", "row_sample_nan",
-        "lower_infinite"])
+        "lower_infinite", "beta_nan", "beta_inf", "delta_nan", "delta_inf"])
 def test_parse_config_range_checks(tmp_path, capsys, extra, key):
     np.savetxt(tmp_path / "theta_3x3.csv", np.full((3, 3), 0.5), delimiter=",")
     np.savetxt(tmp_path / "theta_outside.csv", [[0.5, 0.5], [0.5, 1.5], [0.5, 0.5]],
+               delimiter=",")
+    np.savetxt(tmp_path / "theta_nan.csv", [[0.5, 0.5], [0.5, np.nan], [0.5, 0.5]],
                delimiter=",")
     p = write_cfg(tmp_path, extra=extra.format(tmp=tmp_path))
     line = 10 + extra.count("\n") - 1
@@ -656,6 +664,13 @@ def test_run_checks_each_csv_directory_before_the_first_step(tmp_path, capsys, m
     sweep = write_cfg(tmp_path, name="sweep.cfg", extra="label = missing/run\n")
     with pytest.raises(ConfigError, match=rf"{sweep}:10: label = missing/run: directory "):
         run_sweep(parse_config(sweep), [0, 1], out_dir=tmp_path / "sweep")
+    # so does a CSV path that names an existing directory
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    p = write_cfg(tmp_path, name="taken.cfg", extra=f"output = {taken}\n")
+    assert cli_main(["run", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert f"{p}:10: output = {taken}: {taken} is a directory" in err and "Traceback" not in err
     assert calls == []
 
 

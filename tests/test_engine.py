@@ -107,6 +107,13 @@ def test_init_average_is_anchored_quadratic():
     W = rng.normal(size=(2, Q, R))
     np.testing.assert_allclose(FactorQuad(st.A, st.B, st.C, st.W).value(W),
                                ((W - stack) ** 2).sum(axis=(1, 2)), atol=1e-12)
+    # each member's statistics are the bytes of its own start; a single
+    # run's C and eps_sum are floats
+    for j, Wj in enumerate(stack):
+        one = OmfState.initial(Wj, rho0=2.0)
+        assert type(one.C) is float and type(one.eps_sum) is float
+        assert st.A[j].tobytes() == one.A.tobytes() and st.B[j].tobytes() == one.B.tobytes()
+        assert st.C[j] == one.C and st.eps_sum[j] == one.eps_sum == 0.0
 
 
 def test_init_random_theta0_in_box(tmp_path, monkeypatch):

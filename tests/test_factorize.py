@@ -303,6 +303,34 @@ def test_cpdl_statistics_recursion():
     assert st.C == pytest.approx(sum(Cs) / n, rel=1e-10)
 
 
+@pytest.mark.parametrize("dims", [(4,), (2, 3), (2, 3, 2)])
+def test_cpdl_step_surrogate_matches_loop_oracle(dims):
+    # the step's averaged surrogate, a quadratic in the flat dictionary D
+    # anchored at the previous one, at the anchor and at the new loading
+    # matrices' D is tr(D A D') - 2 tr(D B) + C summed entry by entry
+    rng = np.random.default_rng(14 + len(dims))
+    r, b = 2, 3
+    boxes = [BoxSet.nonneg(I * r, upper=1.0) for I in dims]
+    code_set = BoxSet.nonneg(r, upper=5.0)
+    st = CpdlState.initial([rng.random(size=(I, r)) for I in dims])
+    for n in range(1, 6):
+        U_prev = st.U
+        res = cpdl_step(rng.random(size=dims + (b,)), st.U, st.A, st.B, 1.0 / n, 0.05, boxes,
+                        code_set, C_prev=st.C, radius=0.3 / n, tol=1e-9)
+        Ds = [out_product_oracle(U) for U in (U_prev, res.U)]
+        np.testing.assert_allclose(res.quad.anchor, Ds[0].reshape(-1, r), rtol=1e-15)
+        got = res.quad.value(np.array((res.quad.anchor, Ds[1].reshape(-1, r))))
+        for g, D in zip(got, Ds):
+            want = res.C
+            for i in np.ndindex(*dims):
+                for j in range(r):
+                    want -= 2.0 * D[i + (j,)] * res.B[i + (j,)]
+                    for k in range(r):
+                        want += D[i + (j,)] * res.A[j, k] * D[i + (k,)]
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-12)
+        st.U, st.A, st.B, st.C = res.U, res.A, res.B, res.C
+
+
 # ---------------------------------------------------------------------------
 # loss helpers
 

@@ -55,6 +55,14 @@ def test_weight_domain_errors():
         weight_at(WeightSchedule.custom([0.5, 0.5]), 3)
 
 
+@pytest.mark.parametrize("beta, delta", [(-0.5, 1.5), (0.5, -1.0), (math.nan, 1.5),
+                                         (0.5, math.nan), (math.inf, 1.5), (0.5, math.inf)])
+def test_polylog_refuses_negative_or_nonfinite_exponents(beta, delta):
+    # min(1, nan) is 1 and an infinite exponent gives w_n = 0 from n = 2 on
+    with pytest.raises(ValueError, match="polylog exponents"):
+        WeightSchedule.polylog(beta, delta)
+
+
 def test_custom_validation():
     with pytest.raises(ValueError):
         WeightSchedule.custom([0.5, 1.5])

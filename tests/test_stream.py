@@ -175,12 +175,10 @@ def test_clone_independent_rng():
 
 
 def test_external_rng_overrides_owned():
-    src = two_state(seed=7)
-    r1 = np.random.default_rng(5)
-    r2 = np.random.default_rng(5)
-    a = [next_sample(two_state(seed=0, state=0), rng=r1)[1] for _ in range(20)]
-    b = [next_sample(two_state(seed=123, state=0), rng=r2)[1] for _ in range(20)]
-    assert a == b
+    # an rng set in place of the owned one decides the draws, not the seed
+    a, b = two_state(seed=0, state=0), two_state(seed=123, state=0)
+    a.rng, b.rng = np.random.default_rng(5), np.random.default_rng(5)
+    assert [next_sample(a)[1] for _ in range(20)] == [next_sample(b)[1] for _ in range(20)]
 
 
 def _choice_states(P, state, rng, n):
@@ -208,8 +206,8 @@ class _FixedDraws(np.random.Generator):
        zero_frac=st.sampled_from([0.0, 0.3, 0.7]), iid=st.booleans())
 def test_next_sample_matches_rng_choice(seed, S, zero_frac, iid):
     # next_sample's CDF draw gives the states rng.choice(S, p=P[state]) gives
-    # on an rng with the same seed, for the owned rng and for rng=; a numpy
-    # whose choice draws differently fails here
+    # on an rng with the same seed, for the owned rng and for one set in its
+    # place; a numpy whose choice draws differently fails here
     gen = np.random.default_rng(seed)
     emissions = [np.full(1, float(s)) for s in range(S)]
 
@@ -230,16 +228,16 @@ def test_next_sample_matches_rng_choice(seed, S, zero_frac, iid):
     assert [next_sample(src)[1] for _ in range(300)] == want
     other = seed + 1
     want = _choice_states(P, src.state, np.random.default_rng(other), 300)
-    r = np.random.default_rng(other)
-    assert [next_sample(src, rng=r)[1] for _ in range(300)] == want
+    src.rng = np.random.default_rng(other)
+    assert [next_sample(src)[1] for _ in range(300)] == want
     # draws at each CDF point and one ulp below it: there, a CDF one ulp
     # away from the one choice builds picks another state
     for s in range(S):
         us = [u for c in src.cdf[s] for u in (np.nextafter(c, 0.0), c) if u < 1.0]
         got = []
         for u in us:
-            src.state = s
-            got.append(next_sample(src, rng=_FixedDraws([u]))[1])
+            src.state, src.rng = s, _FixedDraws([u])
+            got.append(next_sample(src)[1])
         assert got == [int(_FixedDraws([u]).choice(S, p=P[s])) for u in us]
 
 

@@ -361,12 +361,12 @@ def _check_ball_block(seed, k):
     """Solve one random box-intersect-ball block problem and compare it with
     the bisection reference; returns whether the working set at mu = 0
     differs from the final one."""
-    from sbmm.subsolver import MAX_ITERS, _box_qp_ball
+    from sbmm.subsolver import _box_qp_ball
 
     rng = np.random.default_rng(seed)
     G, C, lo, up, center, radius = _ball_block_instance(rng, k)
     obj = lambda X: float(np.sum(X * (X @ G - 2.0 * C)))
-    X = _box_qp_ball(G, C, lo, up, center, radius, 1e-12, MAX_ITERS)
+    X = _box_qp_ball(G, C, lo, up, center, radius, 1e-12)
     X_ref, fixed_0, fixed_ref = _ball_bisection_reference(G, C, lo, up, center, radius)
     assert float(np.linalg.norm(X - center)) <= radius * (1.0 + 1e-12)
     assert (X >= lo).all() and (X <= up).all()
@@ -423,8 +423,7 @@ def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
         center = np.zeros((3, k))
         radius = 0.1 * float(np.linalg.norm(np.linalg.solve(G, C.T)))
         calls.clear()
-        X = subsolver._box_qp_ball(G, C, -100.0, 100.0, center, radius, 1e-12,
-                                   subsolver.MAX_ITERS)
+        X = subsolver._box_qp_ball(G, C, -100.0, 100.0, center, radius, 1e-12)
         mus = [mu for mu, _, _ in calls]
         assert len(mus) == 2 and mus[0] == 0.0 < mus[1]
         assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
@@ -433,8 +432,7 @@ def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
     # projection onto box intersect ball: one row per entry with G = I
     x, c = np.array([3.0, -1.0, 2.0]), np.array([0.5, 0.5, 0.0])
     y = subsolver._box_qp_ball(np.eye(1), x[:, None], np.full((3, 1), -10.0),
-                               np.full((3, 1), 10.0), c[:, None], 0.25, 1e-12,
-                               subsolver.MAX_ITERS)[:, 0]
+                               np.full((3, 1), 10.0), c[:, None], 0.25, 1e-12)[:, 0]
     assert len(calls) == 2
     assert abs(float(np.linalg.norm(y - [0.5, 0.5, 0.0])) - 0.25) <= 1e-15
     check_models()
@@ -499,7 +497,7 @@ def _box_qp_kkt(G, C, X, lam, lo, up):
 def test_box_qp_paths_agree(seed):
     # small k is solved by pattern enumeration; the active-set method behind
     # larger k must land on the same minimizer from any start
-    from sbmm.subsolver import MAX_ITERS, _active_set
+    from sbmm.subsolver import _active_set
 
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 4))
@@ -513,7 +511,7 @@ def test_box_qp_paths_agree(seed):
     X, gap = solve_box_qp(G, C, lo, up, lam)
     assert gap <= 1e-10
     assert _box_qp_kkt(G, C, X, lam, lo, up) <= 1e-9
-    X_as, _, _ = _active_set(G, C, lo, up, lam, rng.uniform(lo, up), 0.0, MAX_ITERS)
+    X_as, _, _ = _active_set(G, C, lo, up, lam, rng.uniform(lo, up), 0.0)
     np.testing.assert_allclose(X_as, X, atol=1e-8)
 
 
@@ -699,7 +697,7 @@ def test_box_qp_stack_matches_each_family(k, lam, bounds):
 def test_box_qp_ball_stack_matches_each_family(k):
     # each member of a stack has its own ball; members whose ball binds
     # search alone, and every member's X is the bytes of its own solve
-    from sbmm.subsolver import MAX_ITERS, _box_qp_ball
+    from sbmm.subsolver import _box_qp_ball
 
     rng = np.random.default_rng(23 + k)
     K, n = 5, 2
@@ -709,9 +707,9 @@ def test_box_qp_ball_stack_matches_each_family(k):
     center = rng.uniform(-0.2, 0.2, size=(K, n, k))
     lo, up = -1.0, 1.0
     for radius in (0.05, 0.5, 50.0):
-        X = _box_qp_ball(G, C, lo, up, center, radius, 1e-12, MAX_ITERS)
+        X = _box_qp_ball(G, C, lo, up, center, radius, 1e-12)
         for j in range(K):
-            one = _box_qp_ball(G[j], C[j], lo, up, center[j], radius, 1e-12, MAX_ITERS)
+            one = _box_qp_ball(G[j], C[j], lo, up, center[j], radius, 1e-12)
             assert X[j].tobytes() == one.tobytes()
 
 
@@ -782,6 +780,9 @@ def test_block_quadratic_stack_matches_each_member():
                     one, box, radius, rows[j] if rows.ndim == 2 else rows)
                 assert theta[j].tobytes() == theta_j.tobytes()
                 assert value[j] == value_j and new[j] == new_j
+    for j in range(K):  # and each member's strong convexity is its own
+        one = FactorQuad(A[j], B[j], float(C[j]), W[j])
+        assert np.asarray(quad.rho[j]).tobytes() == np.asarray(one.rho).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +907,7 @@ def _record_ball_solves(monkeypatch):
     real_active, real_search = subsolver._active_set, subsolver.ball_multiplier_search
 
     def active(*args):
-        predicted.append(len(args) > 8 and args[8])
+        predicted.append(len(args) > 7 and args[7])
         return real_active(*args)
 
     def search(solve, center, radius, mu_hi):
@@ -943,9 +944,9 @@ def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
         G = _dictionary_hessian(rng, 5)
         C = rng.uniform(0.0, 1.0, size=(8, 12)) @ rng.uniform(0.0, 1.0, size=(12, 5)) / 12
         lo, up, center = 0.0, 1.0, rng.uniform(0.1, 0.9, size=(8, 5))
-        X0 = subsolver._minimize(G, C, lo, up, 0.0, center, 1e-8, subsolver.MAX_ITERS)[0]
+        X0 = subsolver._minimize(G, C, lo, up, 0.0, center, 1e-8)[0]
         radius = 0.999 * float(np.linalg.norm(X0 - center))
-    X = subsolver._box_qp_ball(G, C, lo, up, center, radius, 1e-8, subsolver.MAX_ITERS)
+    X = subsolver._box_qp_ball(G, C, lo, up, center, radius, 1e-8)
     (mu0, _, _, _), (mu1, newton, gaps, predicted) = solves
     assert mu0 == 0.0 < mu1
     assert predicted and newton == 0 and gaps == 1
@@ -1038,7 +1039,7 @@ def test_enumeration_product_gives_the_certified_gap(k, lam, K):
         M = rng.normal(size=lead + (k, k + 1))
         G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(k)
         C = rng.normal(size=lead + (4, k))
-        X, _, gap, XG = subsolver._minimize(G, C, lo, up, lam, None, 1e-8, subsolver.MAX_ITERS)
+        X, _, gap, XG = subsolver._minimize(G, C, lo, up, lam, None, 1e-8)
         assert gap is None and XG is not None
         assert XG.tobytes() == (X @ G).tobytes()
         want = subsolver._certified_gap(G, C, X, lam, lo, up)
