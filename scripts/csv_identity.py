@@ -21,6 +21,12 @@ It then prints one line per CSV, ``identical`` or ``differs`` (``missing``
 when only one checkout wrote it), and exits 1 on any difference.
 ``--steps N`` caps every run's ``engine.n_iters`` at N, for a quick check.
 
+The work of each rank-5 run, which a machine's speed does not change, goes
+to stderr: its ball-search evaluations and its ``np.linalg.cholesky`` and
+``np.linalg.eigh`` calls in each checkout, counted by wrapping
+``sbmm.subsolver.ball_multiplier_search`` and the two numpy functions in
+the interpreter that runs that checkout.
+
 Usage:
     python3 scripts/csv_identity.py PARENT_DIR CHANGE_DIR [--steps N]
 """
@@ -28,7 +34,9 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
+import json
 import math
 import os
 import shutil
@@ -43,6 +51,8 @@ SWEEP_SEEDS = (0, 1, 2, 3)
 CPDL3_SHAPE = (2, 3, 2, 3)  # three modes and the batch
 CPDL3_SEED = 3
 WORK = ".csv_identity"
+COUNTS = "counts.json"  # the rank-5 runs' work, under each checkout's WORK
+WORK_COUNTS = ("ball_evals", "cholesky", "eigh")
 
 
 def write_cpdl3(out: Path) -> str:
@@ -60,6 +70,35 @@ def write_cpdl3(out: Path) -> str:
     return (f"stream.transition = {out / 'cpdl3_transition.csv'}\n"
             f"stream.emissions = {out / 'cpdl3_emissions.csv'}\n"
             f"app.tensor_shape = {','.join(map(str, CPDL3_SHAPE))}\n")
+
+
+def count_work(run) -> dict:
+    """run() with its work counted: the evaluations of every ball search
+    (sbmm.subsolver.ball_multiplier_search's solve calls) and the calls of
+    np.linalg.cholesky and np.linalg.eigh."""
+    import numpy as np
+    from sbmm import subsolver
+
+    counts = dict.fromkeys(WORK_COUNTS, 0)
+    cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
+    search = subsolver.ball_multiplier_search
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def counted_search(solve, *args, **kwargs):
+        return search(counted("ball_evals", solve), *args, **kwargs)
+    np.linalg.cholesky, np.linalg.eigh = counted("cholesky", cholesky), counted("eigh", eigh)
+    subsolver.ball_multiplier_search = counted_search
+    try:
+        run()
+    finally:
+        np.linalg.cholesky, np.linalg.eigh = cholesky, eigh
+        subsolver.ball_multiplier_search = search
+    return counts
 
 
 def write_set(out: Path, steps: int | None) -> None:
@@ -104,11 +143,15 @@ def write_set(out: Path, steps: int | None) -> None:
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    work = {}
     for seed in SEEDS:
         rank5 = inputs / f"rank5_seed{seed}"
         rank5.mkdir()
-        cfg = config(bench.write_rank5(seed, rank5), f"omf_rank5_seed{seed}")
-        run_experiment(cfg, seed=seed, out_path=str(csvs / f"omf_rank5_seed{seed}.csv"))
+        name = f"omf_rank5_seed{seed}"
+        cfg = config(bench.write_rank5(seed, rank5), name)
+        work[name] = count_work(functools.partial(run_experiment, cfg, seed=seed,
+                                                  out_path=str(csvs / f"{name}.csv")))
+    (out / COUNTS).write_text(json.dumps(work, indent=1) + "\n", encoding="utf-8")
 
 
 def run_checkout(checkout: Path, steps: int | None) -> Path:
@@ -138,6 +181,15 @@ def compare(parent: Path, change: Path) -> list[tuple[str, str]]:
     return verdicts
 
 
+def work_lines(parent: Path, change: Path) -> list[str]:
+    """One line per rank-5 run: its work counts in the parent and in the
+    change, from the two checkouts' COUNTS files."""
+    before, after = (json.loads(p.read_text(encoding="utf-8")) for p in (parent, change))
+    return [f"{name} work (parent -> change): "
+            + ", ".join(f"{key} {before[name][key]} -> {after[name][key]}" for key in WORK_COUNTS)
+            for name in sorted(before.keys() & after.keys())]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("dirs", nargs="*", metavar="DIR", help="PARENT_DIR CHANGE_DIR")
@@ -152,6 +204,8 @@ def main(argv=None) -> int:
     if len(args.dirs) != 2:
         ap.error("expected PARENT_DIR CHANGE_DIR")
     parent, change = (run_checkout(Path(d).resolve(), args.steps) for d in args.dirs)
+    for line in work_lines(parent.parent / COUNTS, change.parent / COUNTS):
+        print(line, file=sys.stderr)
     verdicts = compare(parent, change)
     for name, verdict in verdicts:
         print(f"{name}: {verdict}")

@@ -53,7 +53,7 @@ from .factorize import (
     _contract_except,
 )
 from .geometry import BoxSet, stationarity_measure, tangent_cone_project
-from .schedule import WeightSchedule, validate_schedule
+from .schedule import _VALIDATION_HORIZON, WeightSchedule, validate_schedule
 from .stream import (MarkovSource, StreamError, make_iid, mixing_rate, next_sample,
                      stationary_distribution, tv_decay)
 
@@ -700,6 +700,11 @@ def parse_config(path) -> RunConfig:
         n_values, n_iters = len(schedule.custom_values), values["engine.n_iters"]
         if schedule.kind == "custom" and n_values < n_iters:
             raise ValueError(f"has {n_values} values, fewer than engine.n_iters = {n_iters}")
+        # polylog weights fall with n: the last one a run or `sbmm validate`
+        # weighs must not underflow to 0
+        last = max(n_iters, _VALIDATION_HORIZON)
+        if schedule.kind == "polylog" and not schedule.weight_at(last) > 0.0:
+            raise ValueError(f"makes w_n underflow to 0 within n <= {last}")
     except ValueError as exc:
         # a bad schedule parameter: of those the kind reads, the one set last
         reads = ("schedule.kind", (values["schedule.kind"],))

@@ -107,13 +107,14 @@ def _secular_root(model, radius: float, lo: float, hi: float) -> float:
     else:
         nu = 0.5 * (lo + hi)
     for _ in range(BALL_MAX_ITERS):
-        s = a / (w + nu) ** 2
+        t = w + nu
+        s = a / (t * t)  # the bytes of (w + nu) ** 2, which numpy computes as a square
         dist2 = const + float(s.sum())
         if dist2 > target:
             lo = nu
         else:
             hi = nu
-        slope = float(np.sum(s / (w + nu)))  # -1/2 times that of dist2
+        slope = float((s / t).sum())  # -1/2 times that of dist2
         step = dist2 * (math.sqrt(dist2) / radius - 1.0) / slope if slope > 0.0 else math.inf
         if abs(step) <= 4.0 * _EPS * nu or hi - lo <= 4.0 * _EPS * hi:
             break

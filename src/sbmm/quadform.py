@@ -87,8 +87,12 @@ class FactorQuad:
         return 2.0 * np.maximum(np.linalg.eigvalsh(self.A)[..., 0], 0.0)
 
     def members(self, idx) -> "FactorQuad":
-        """The members idx (a list of indices) of a stack, as a stack."""
-        return FactorQuad(A=self.A[idx], B=self.B[idx], C=self.C[idx], anchor=self.anchor[idx])
+        """The members idx (a list of indices) of a stack, as a stack.  Its
+        fields are slices of fields that passed this stack's checks, so it
+        is built without running them again."""
+        sub = object.__new__(FactorQuad)
+        sub.__dict__.update(A=self.A[idx], B=self.B[idx], C=self.C[idx], anchor=self.anchor[idx])
+        return sub
 
     @property
     def r(self) -> int:

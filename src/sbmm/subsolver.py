@@ -14,19 +14,24 @@ the working set when a step hits them, one fixed entry released per row
 while its certified gap says it can still improve) that stops once the
 certified gap is within tolerance; it starts from the clipped least-squares
 minimizer unless given a start.  The Newton steps of all rows are one
-batched LU solve when one batched Cholesky factorization shows every row's
-free system positive definite (every pivot above _NULL_RTOL times the
-Hessian scale), and the least-squares start is one solve under the same
-test; a singular system (an all-zero code coordinate makes a dictionary
-Hessian singular) falls back to an eigendecomposition, which gives the
-least-norm step or a direction of zero curvature.  A trust-region ball is
-dualized with one multiplier shared by every row
-(``geometry.ball_multiplier_search``): each box solve hands the search the
-exact distance model of its working set, and the next solve starts where
-that model puts the working set's minimizer at the new multiplier, taken
-as the minimizer of every row, so a working set that holds costs one
-certified gap and no Newton step; a prediction outside the box falls
-back to the previous multiplier's solution.
+batched LU solve, licensed by one definiteness test per Hessian: a
+Cholesky factorization of G - _DEFINITE_RTOL * scale * I, taken once per
+code solve and once per block solve, shows every free system of every
+G + mu I positive definite, and the least-squares start is one solve under
+it.  Where it fails, each batch of free systems gets its own batched
+Cholesky test (every pivot above _NULL_RTOL times the Hessian scale), and
+a singular system (an all-zero code coordinate makes a dictionary Hessian
+singular) falls back to an eigendecomposition, which gives the least-norm
+step or a direction of zero curvature.  The method computes each of its
+constants once per solve, and a gap test that fails hands its entry gaps
+to the release step.  A trust-region ball is dualized with one multiplier
+shared by every row (``geometry.ball_multiplier_search``): each box solve
+hands the search the exact distance model of its working set, and the next
+solve starts where that model puts the working set's minimizer at the new
+multiplier, taken as the minimizer of every row, so a working set that
+holds costs one certified gap and no Newton step; a prediction outside the
+box falls back to the previous multiplier's solution.  Every solve of one
+search shares the search's certificate, since G + mu I inherits G's.
 
 A stack of K families (K runs in lockstep, each with its own Hessian) is
 one batch wherever the work is the same for every member: the pattern
@@ -75,6 +80,10 @@ MAX_ITERS = 100_000
 _RELEASE_RTOL = 1e-12
 # eigenvalues below this fraction of the Hessian scale count as zero
 _NULL_RTOL = 1e-12
+# a Hessian whose eigenvalues are all above this fraction of its scale is
+# certified once for all its free systems (_definite); 1000 times
+# _NULL_RTOL, so the rounding of a few ulps of the scale cannot matter
+_DEFINITE_RTOL = 1e-9
 # enumerate KKT patterns while there are at most this many.  Timed per call
 # against the active-set method from its default start (numpy 2.4, one core,
 # 1, 6 and 30 rows, median of 4 random problems), enumeration takes 0.4-0.5x
@@ -102,37 +111,45 @@ def soft_threshold(v, kappa):
 # batched box QP
 
 
-def _entry_gaps(grad, X, lam, lo, up):
+def _entry_gaps(grad, X, lam, lo, up, zero=None):
     """Per entry, sup over v in [lo, up] of grad*(x - v) + lam(|x| - |v|).
 
     The sup is attained where the concave -grad*v - lam|v| peaks on the
     interval: at up when grad < -lam, at lo when grad > lam, else at the
-    (clipped) zero.  By convexity the sum bounds the objective suboptimality
-    of X; an entry's term is zero iff moving that entry alone cannot improve
-    the linearized objective.
+    (clipped) zero, which a caller that has it passes as zero.  By convexity
+    the sum bounds the objective suboptimality of X; an entry's term is zero
+    iff moving that entry alone cannot improve the linearized objective.
     """
     if lam > 0:
-        v = np.where(grad < -lam, up, np.where(grad > lam, lo, np.minimum(np.maximum(lo, 0.0), up)))
+        if zero is None:
+            zero = np.minimum(np.maximum(lo, 0.0), up)
+        v = np.where(grad < -lam, up, np.where(grad > lam, lo, zero))
         return grad * (X - v) + lam * (np.abs(X) - np.abs(v))
     return grad * (X - np.where(grad < 0.0, up, lo))
 
 
 def _certified_gap(G, C, X, lam, lo, up, XG=None):
     """Bound on the total objective suboptimality of X: the sum of the
-    entry gaps plus an allowance for the rounding in computing them.  A
-    gradient entry is off by at most about (k + 1) ulps of |2XG| + |2C|;
-    that error, a wrong pick of the attaining endpoint it may cause, and the
-    few roundings of the term itself each cost at most a few ulps of
-    (|gradient| + lam) times the width up - lo (the reach).  Summing n terms
-    adds at most n ulps of the sum of their sizes.  One family (G of shape
-    (k, k), C and X of shape (n, k)) gives a float; a stack (G of shape (K,
-    k, k), C and X of shape (K, n, k)) one per member, each summed over that
-    member's entries alone, as its own family would be.  XG, when given, is
-    X @ G as the pattern enumeration computed it."""
+    entry gaps plus an allowance for the rounding in computing them
+    (_gap_total).  One family (G of shape (k, k), C and X of shape (n, k))
+    gives a float; a stack (G of shape (K, k, k), C and X of shape (K, n,
+    k)) one per member, each summed over that member's entries alone, as its
+    own family would be.  XG, when given, is X @ G as the pattern
+    enumeration computed it."""
     gaps = _entry_gaps(2.0 * ((X @ G if XG is None else XG) - C), X, lam, lo, up)
-    reach = (2.0 * (np.abs(X) @ np.abs(G) + np.abs(C)) + lam) * (up - lo)
-    weight = 2 * (G.shape[-1] + 4)
-    if G.ndim == 2:
+    return _gap_total(gaps, X, np.abs(G), np.abs(C), lam, up - lo)
+
+
+def _gap_total(gaps, X, absG, absC, lam, width):
+    """The certified gap from the entry gaps of X, given |G|, |C| and the
+    box width up - lo.  A gradient entry is off by at most about (k + 1)
+    ulps of |2XG| + |2C|; that error, a wrong pick of the attaining endpoint
+    it may cause, and the few roundings of the term itself each cost at most
+    a few ulps of (|gradient| + lam) times the width (the reach).  Summing n
+    terms adds at most n ulps of the sum of their sizes."""
+    reach = (2.0 * (np.abs(X) @ absG + absC) + lam) * width
+    weight = 2 * (absG.shape[-1] + 4)
+    if absG.ndim == 2:
         slack = _EPS * (weight * float(reach.sum()) + gaps.size * float(np.abs(gaps).sum()))
         return max(0.0, float(gaps.sum())) + slack
     size = gaps.size // len(gaps)
@@ -209,7 +226,15 @@ def _scale(G) -> float:
 def _free_system(G, free, scale):
     """Per row, G_FF on the free entries F, extended to all k entries by
     scale on the diagonal of the fixed ones, which decouples them."""
-    return np.where(free[:, :, None] & free[:, None, :], G, scale * np.eye(G.shape[0]))
+    return np.where(free[:, :, None] & free[:, None, :], G, scale * _eye(G.shape[0]))
+
+
+@lru_cache(maxsize=16)
+def _eye(k: int) -> np.ndarray:
+    """The (k, k) identity, built once per size and shared read-only."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
 
 
 def _positive_definite(M, scale) -> bool:
@@ -223,15 +248,31 @@ def _positive_definite(M, scale) -> bool:
     return bool(np.diagonal(L, axis1=-2, axis2=-1).min() ** 2 > _NULL_RTOL * scale)
 
 
-def _newton_direction(G, free, rhs, scale):
+def _definite(G) -> bool:
+    """The definiteness certificate of a Hessian G: whether G - delta *
+    scale * I, delta = _DEFINITE_RTOL, has a Cholesky factorization.  It
+    shows lambda_min(G) >= delta * scale up to rounding of a few ulps of
+    scale.  Every free system of G + mu I (mu >= 0, of scale at most scale
+    + mu) then passes _positive_definite: its smallest eigenvalue, a lower
+    bound of its pivots^2, is at least lambda_min(G) + mu >= delta * (scale
+    + mu), far above _NULL_RTOL times its scale."""
+    try:
+        np.linalg.cholesky(G - (_DEFINITE_RTOL * _scale(G)) * _eye(len(G)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _newton_direction(G, free, rhs, scale, certified=False):
     """Per row, the least-norm solution p of G_FF p_F = rhs_F on the free
     entries F, where rhs vanishes off F.  Where rhs_F has a part in the null
     space of G_FF, that part is returned instead, flagged in the second
     output: with rhs = -grad/2 it is a descent direction of zero curvature.
-    Every row's system is one batched LU solve when _positive_definite says
-    so; otherwise an eigendecomposition finds the null spaces."""
+    Every row's system is one batched LU solve when G is certified
+    (_definite) or _positive_definite says so; otherwise an
+    eigendecomposition finds the null spaces."""
     M = _free_system(G, free, scale)
-    if _positive_definite(M, scale):
+    if certified or _positive_definite(M, scale):
         return np.linalg.solve(M, rhs[:, :, None])[:, :, 0], np.zeros(len(rhs), dtype=bool)
     w, V = np.linalg.eigh(M)
     coef = np.einsum("nkj,nk->nj", V, rhs)
@@ -245,7 +286,7 @@ def _newton_direction(G, free, rhs, scale):
     return np.einsum("nkj,nj->nk", V, step), null_dir
 
 
-def _active_set(G, C, lo, up, lam, X, tol, predicted=False):
+def _active_set(G, C, lo, up, lam, X, tol, predicted=False, certified=False):
     """Primal active-set method from a point X of the box, for one member
     (G of shape (k, k), C and X of shape (n, k)).  Works for any PSD G.
     Returns its last iterate, working set (True where fixed) and the
@@ -254,44 +295,57 @@ def _active_set(G, C, lo, up, lam, X, tol, predicted=False):
     minimizer and the certified gap is <= tol.  predicted says that X is
     every row's working-set minimizer (the ball search's prediction), as if
     each row had just taken a full Newton step, so the method opens with
-    the certified gap."""
+    the certified gap.  certified says that G is certified (_definite), so
+    that every Newton step is one LU solve with no further test."""
     n, k = C.shape
     kink = lam > 0  # the l1 term bends the objective at zero
     fixed = (X == lo) | (X == up)
+    zero = None
     if kink:
         fixed |= X == 0.0
-        zero = np.clip(0.0, lo, up)
+        lo_pos, up_neg = np.maximum(lo, 0.0), np.minimum(up, 0.0)
+        zero = np.minimum(lo_pos, up)  # the clipped zero
         # a free entry stays in its sign region until a step hits zero
         sgn = np.sign(X)
-        lo_pos, up_neg = np.maximum(lo, 0.0), np.minimum(up, 0.0)
-    bound = max(float(np.abs(lo).max()), float(np.abs(up).max()))
-    scale = _scale(G)
-    g_scale = 2.0 * (k * scale * bound + float(np.abs(C).max())) + lam
-    floor = _RELEASE_RTOL * g_scale * (up - lo)
-    rows = np.arange(n)
+    # the solve's constants, each computed once (the release floor once a
+    # row first reaches its working-set minimizer)
+    absG, absC, width = np.abs(G), np.abs(C), up - lo
+    scale = float(absG.max()) or 1.0  # _scale(G)
+    floor = None
     # rows sitting at their working-set minimizer
     at_min = np.ones(n, dtype=bool) if predicted else fixed.all(axis=1)
     for _ in range(MAX_ITERS):
-        if tol > 0.0 and at_min.all():
-            gap = _certified_gap(G, C, X, lam, lo, up)
+        grad = 2.0 * (X @ G - C)
+        n_at_min = np.count_nonzero(at_min)
+        gaps = None
+        if tol > 0.0 and n_at_min == n:
+            gaps = _entry_gaps(grad, X, lam, lo, up, zero)
+            gap = _gap_total(gaps, X, absG, absC, lam, width)
             if gap <= tol:
                 return X, fixed, gap
-        grad = 2.0 * (X @ G - C)
-        moving, release = ~at_min, None
-        if at_min.any():
+        moving = ~at_min
+        go = None  # the rows that release an entry
+        if n_at_min:
+            if floor is None:
+                bound = max(float(np.abs(lo).max()), float(np.abs(up).max()))
+                g_scale = 2.0 * (k * scale * bound + float(absC.max())) + lam
+                floor = _RELEASE_RTOL * g_scale * width
+                cols = np.arange(k)
             # a row at its working-set minimizer releases the fixed entry
             # with the largest gap, if that entry can still improve
-            cand = np.where(fixed, _entry_gaps(grad, X, lam, lo, up) - floor, 0.0)
+            if gaps is None:
+                gaps = _entry_gaps(grad, X, lam, lo, up, zero)
+            cand = np.where(fixed, gaps - floor, 0.0)
             j = cand.argmax(axis=1)
-            release = np.zeros((n, k), dtype=bool)
-            release[rows, j] = at_min & (cand[rows, j] > 0.0)
-            moving |= release.any(axis=1)
+            go = at_min & (cand.max(axis=1) > 0.0)
+            moving |= go
             if not moving.any():
                 return X, fixed, None
-            fixed = fixed & ~release
+            release = go[:, None] & (cols == j[:, None])
+            fixed = fixed ^ release  # a released entry is a fixed one
         free = ~fixed & moving[:, None]
         if kink:
-            if release is not None and release.any():
+            if go is not None and go.any():
                 # a released entry at zero heads for the point that attains its
                 # gap (see _entry_gaps); elsewhere it keeps the sign it has
                 target = np.where(grad < -lam, up, np.where(grad > lam, lo, zero))
@@ -302,13 +356,14 @@ def _active_set(G, C, lo, up, lam, X, tol, predicted=False):
         else:
             a, b = lo, up
             gf = np.where(free, grad, 0.0)
-        p, null_dir = _newton_direction(G, free, -0.5 * gf, scale)
+        p, null_dir = _newton_direction(G, free, -0.5 * gf, scale, certified)
         # t = 1 reaches the working-set minimizer unless a bound (or zero)
-        # blocks first; a zero-curvature direction runs until it is blocked
+        # blocks first; a zero-curvature direction (never one of a certified
+        # G) runs until it is blocked
         end = np.where(p > 0, b, a)
         t_hit = np.divide(end - X, p, out=np.full((n, k), np.inf), where=free & (p != 0.0))
         t_block = t_hit.min(axis=1)
-        blocked = t_block <= np.where(null_dir, np.inf, 1.0)
+        blocked = t_block <= (1.0 if certified else np.where(null_dir, np.inf, 1.0))
         t = np.where(blocked, t_block, 1.0)
         X = np.where(free, np.minimum(np.maximum(X + t[:, None] * p, a), b), X)
         hit = free & blocked[:, None] & (t_hit <= t_block[:, None])
@@ -338,15 +393,16 @@ def _sign_states(lo_shape, lo_bytes, up_shape, up_bytes) -> tuple:
             + ((_ZERO,) if positive and negative and ((lo_a < 0) & (up_a > 0)).any() else ()))
 
 
-def _least_squares(G, C):
+def _least_squares(G, C, certified=False):
     """C G^+, the least-squares minimizer of each row's smooth part: one
-    solve when _positive_definite says G is, else by the pseudo-inverse."""
-    if _positive_definite(G, _scale(G)):
+    solve when G is certified (_definite) or _positive_definite says G is,
+    else by the pseudo-inverse."""
+    if certified or _positive_definite(G, _scale(G)):
         return np.linalg.solve(G, C.T).T
     return C @ np.linalg.pinv(G, hermitian=True)
 
 
-def _minimize(G, C, lo, up, lam, X0, tol, predicted=False):
+def _minimize(G, C, lo, up, lam, X0, tol, predicted=False, certified=None):
     """Minimizer of the solve_box_qp objective, its free mask, the certified
     gap the active-set method stopped on (None if it has none) and the
     enumeration's X @ G (None if it did not enumerate G itself): exact by
@@ -355,7 +411,9 @@ def _minimize(G, C, lo, up, lam, X0, tol, predicted=False):
     clipped into the box where it is used, starts the active-set method, by
     default from the clipped least-squares minimizer of the smooth part, and
     breaks ties when G is singular, by default towards the clipped zero;
-    predicted is passed to the active-set method.
+    predicted is passed to the active-set method, and so is G's
+    definiteness certificate (_definite), taken here when certified is
+    None.
 
     A stack (G of shape (K, k, k), C of shape (K, n, k)) enumerates in one
     batch and runs the active-set method member by member; its gaps are an
@@ -365,8 +423,10 @@ def _minimize(G, C, lo, up, lam, X0, tol, predicted=False):
         return _minimize_stack(G, C, lo, up, lam, X0, tol)
     states = _states(lam, lo, up)
     if len(states) ** k > _ENUM_PATTERNS:
-        X0 = np.clip(_least_squares(G, C) if X0 is None else X0, lo, up)
-        X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, predicted)
+        if certified is None:
+            certified = _definite(G)
+        X0 = np.clip(_least_squares(G, C, certified) if X0 is None else X0, lo, up)
+        X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, predicted, certified)
         return X, ~fixed, gap, None
     patterns = _patterns(k, states)
     try:
@@ -486,14 +546,20 @@ def _box_qp_ball(G, C, lo, up, center, radius, tol, first=None):
                          for j in range(len(C))])
 
     last = None  # the last model's (mu, free mask, w, V, coefficients)
-    eye = scale = None  # built with the first model: only a binding ball needs them
+    scale = None  # taken with the first model: only a binding ball needs it
+    # G's definiteness certificate, which every G + mu I inherits: taken
+    # once, by the first solve that runs the active-set method
+    certified = None
+    active = len(_states(0.0, lo, up)) ** G.shape[-1] > _ENUM_PATTERNS
 
     def solve(mu):
-        nonlocal X, first
+        nonlocal X, first, certified
+        if first is None and active and certified is None:
+            certified = _definite(G)
         if first is not None:  # mu = 0, solved already
             (X, free), first = first, None
         elif mu == 0.0:
-            X, free = _minimize(G, C, lo, up, 0.0, X, tol)[:2]
+            X, free = _minimize(G, C, lo, up, 0.0, X, tol, False, certified)[:2]
         else:
             start, predicted = X, False
             if last is not None:
@@ -502,14 +568,14 @@ def _box_qp_ball(G, C, lo, up, center, radius, tol, first=None):
                 Xp = np.where(free0, center + moved, X)
                 if ((Xp >= lo) & (Xp <= up)).all():
                     start, predicted = Xp, True
-            X, free = _minimize(G + mu * eye, C + mu * center, lo, up, 0.0, start, tol,
-                                predicted)[:2]
+            X, free = _minimize(G + mu * _eye(len(G)), C + mu * center, lo, up, 0.0, start, tol,
+                                predicted, certified)[:2]
         u = X - center
 
         def model():
-            nonlocal last, eye, scale
-            if eye is None:
-                eye, scale = np.eye(G.shape[-1]), _scale(G)
+            nonlocal last, scale
+            if scale is None:
+                scale = _scale(G)
             w, V = np.linalg.eigh(_free_system(G, free, scale))
             w = np.maximum(w, 0.0)  # G is PSD
             coef = np.einsum("nkj,nk->nj", V, np.where(free, u, 0.0))

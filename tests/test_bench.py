@@ -573,6 +573,9 @@ def test_parse_config_type_error(tmp_path):
     ("schedule.kind = polylog\nschedule.beta = inf\n", "schedule.beta"),
     ("schedule.kind = polylog\nschedule.delta = nan\n", "schedule.delta"),
     ("schedule.kind = polylog\nschedule.delta = inf\n", "schedule.delta"),
+    # finite exponents whose w_n underflows to 0 within the validation horizon
+    ("schedule.kind = polylog\nschedule.beta = 400\n", "schedule.beta"),
+    ("schedule.kind = polylog\nschedule.delta = 2000\n", "schedule.delta"),
 ], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q", "row_sample_tiny",
         "app_kind",
         "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
@@ -584,7 +587,8 @@ def test_parse_config_type_error(tmp_path):
         "nonneg_lower", "polylog_alpha", "constant_beta", "balanced_delta", "balanced_values",
         "c_prime_negative", "c_prime_nan", "c_prime_inf", "lambda_negative", "lambda_nan",
         "tol_negative", "tol_nan", "stream_seed", "engine_seed", "row_sample_nan",
-        "lower_infinite", "beta_nan", "beta_inf", "delta_nan", "delta_inf"])
+        "lower_infinite", "beta_nan", "beta_inf", "delta_nan", "delta_inf",
+        "beta_underflow", "delta_underflow"])
 def test_parse_config_range_checks(tmp_path, capsys, extra, key):
     np.savetxt(tmp_path / "theta_3x3.csv", np.full((3, 3), 0.5), delimiter=",")
     np.savetxt(tmp_path / "theta_outside.csv", [[0.5, 0.5], [0.5, 1.5], [0.5, 0.5]],

@@ -36,3 +36,11 @@ def test_csv_identity_names_each_file(tmp_path):
         same = Path(name).name.startswith(("cpdl", "omf_rank5"))
         assert verdict == ("identical" if same else "differs"), name
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_markov_seed3.csv").exists()
+    # each rank-5 run's work, counted in each checkout: the same code does
+    # the same work
+    work = [line for line in out.stderr.splitlines() if " work (parent -> change): " in line]
+    assert [line.split(" work")[0] for line in work] == [f"omf_rank5_seed{s}" for s in range(3)]
+    for line in work:
+        items = [item.split() for item in line.split(": ", 1)[1].split(", ")]
+        assert [name for name, *_ in items] == ["ball_evals", "cholesky", "eigh"]
+        assert all(int(before) == int(after) > 0 for _, before, _, after in items)

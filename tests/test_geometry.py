@@ -197,6 +197,65 @@ def test_box_ball_matches_bisection_reference():
                                    rtol=0.0, atol=1e-14)
 
 
+def _secular_root_reference(model, radius, lo, hi):
+    """_secular_root as it was written with (w + nu) ** 2 and np.sum."""
+    from sbmm.geometry import BALL_MAX_ITERS
+
+    eps = float(np.finfo(float).eps)
+    const, a, w = model
+    keep = a > 0.0
+    a, w = a[keep], w[keep]
+    target = radius * radius
+    if a.size == 0 or const + float(np.sum(a / (w + hi) ** 2)) >= target:
+        return math.nan
+    if lo + float(w.min()) > 0.0:
+        if const + float(np.sum(a / (w + lo) ** 2)) <= target:
+            return math.nan
+        nu = lo
+    else:
+        nu = 0.5 * (lo + hi)
+    for _ in range(BALL_MAX_ITERS):
+        s = a / (w + nu) ** 2
+        dist2 = const + float(s.sum())
+        if dist2 > target:
+            lo = nu
+        else:
+            hi = nu
+        slope = float(np.sum(s / (w + nu)))
+        step = dist2 * (math.sqrt(dist2) / radius - 1.0) / slope if slope > 0.0 else math.inf
+        if abs(step) <= 4.0 * eps * nu or hi - lo <= 4.0 * eps * hi:
+            break
+        nu += step
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
+    return nu
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_secular_root_matches_its_reference_bytes(seed):
+    # each iteration forms w + nu once; the root keeps the bytes of the loop
+    # that formed it three times, on models with zero weights, zero
+    # eigenvalues (a pole at nu = 0) and brackets with or without a root
+    from sbmm.geometry import _secular_root
+
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 41))
+    a = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(0.0, 1.0, size=m) ** 3)
+    w = np.where(rng.random(m) < 0.2, 0.0, 10.0 ** rng.uniform(-6.0, 2.0, size=m))
+    const = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
+    lo = float(rng.choice([0.0, 10.0 ** rng.uniform(-4.0, 1.0)]))
+    hi = lo + float(10.0 ** rng.uniform(-2.0, 4.0))
+    if rng.random() < 0.8 and a.any():  # the radius of a root inside the bracket
+        root = float(rng.uniform(lo, hi))
+        radius = math.sqrt(const + float(np.sum(a / (w + root) ** 2)))
+    else:
+        radius = float(10.0 ** rng.uniform(-3.0, 0.5))
+    got = _secular_root((const, a, w), radius, lo, hi)
+    want = _secular_root_reference((const, a, w), radius, lo, hi)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # a block of rows
 

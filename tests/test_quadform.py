@@ -88,6 +88,28 @@ def test_factor_min_eig():
     np.testing.assert_allclose(stack.members([2, 0]).rho, [0.0, 1.0])
 
 
+def test_factor_members_are_slices_not_checked_again(monkeypatch):
+    # a stack's members are slices of fields its own checks passed: each
+    # keeps its bytes, and the symmetry test does not run again
+    import sbmm.quadform as quadform
+
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(4, 3, 3))
+    stack = FactorQuad(A=M @ M.swapaxes(-1, -2), B=rng.normal(size=(4, 3, 5)),
+                       C=rng.normal(size=4), anchor=rng.normal(size=(4, 5, 3)))
+    calls = []
+    monkeypatch.setattr(quadform, "_is_symmetric", lambda A: calls.append(A) or True)
+    idx = [3, 1]
+    sub = stack.members(idx)
+    assert calls == []
+    for name in ("A", "B", "C", "anchor"):
+        assert getattr(sub, name).tobytes() == getattr(stack, name)[idx].tobytes()
+    W = rng.normal(size=(2, 5, 3))
+    assert sub.value(W).tobytes() == np.array(
+        [FactorQuad(stack.A[j], stack.B[j], float(stack.C[j]), stack.anchor[j]).value(W[i])
+         for i, j in enumerate(idx)]).tobytes()
+
+
 def test_factor_validation_errors():
     with pytest.raises(ValueError):
         FactorQuad(A=np.array([[1.0, 2.0], [0.0, 1.0]]), B=np.zeros((2, 2)),

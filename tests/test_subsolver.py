@@ -731,16 +731,19 @@ def test_active_set_code_solve_computes_its_gap_once(monkeypatch):
     import sbmm.subsolver as subsolver
 
     real_gap, real_active = subsolver._certified_gap, subsolver._active_set
+    real_total = subsolver._gap_total
     points, runs = [], []
 
-    def gap(G, C, X, lam, lo, up):
+    def total(gaps, X, *args):
+        # every certified gap, the active-set method's own included, is
+        # summed by _gap_total
         points.append(X.copy())
-        return real_gap(G, C, X, lam, lo, up)
+        return real_total(gaps, X, *args)
 
     def active(*args):
         runs.append(1)
         return real_active(*args)
-    monkeypatch.setattr(subsolver, "_certified_gap", gap)
+    monkeypatch.setattr(subsolver, "_gap_total", total)
     monkeypatch.setattr(subsolver, "_active_set", active)
     rng = np.random.default_rng(41)
     code_set = BoxSet.uniform(5, 0.0, 1.0)
@@ -892,6 +895,103 @@ def test_least_squares_start_solves_or_falls_back_to_pinv(monkeypatch):
     np.testing.assert_array_equal(X, C @ np.linalg.pinv(G, hermitian=True))
 
 
+@given(seed=st.integers(0, 10_000), k=st.integers(3, 6))
+@settings(max_examples=200, deadline=None)
+def test_definite_certificate_covers_every_free_system(seed, k):
+    # one Cholesky factorization of G - delta scale I certifies every free
+    # system of every G + mu I (mu >= 0): each passes the per-system test.
+    # The certificate is sharp to a factor of two about delta = 1e-9
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    w = 10.0 ** rng.uniform(-12.0, 0.0, size=k)
+    w[0] = float(rng.choice([0.0, 10.0 ** rng.uniform(-12.0, -6.0), w[0]]))
+    G = (Q * (w * 10.0 ** rng.uniform(-3.0, 3.0))) @ Q.T
+    G = 0.5 * (G + G.T)
+    certified = subsolver._definite(G)
+    lam_min, scale = float(np.linalg.eigvalsh(G)[0]), subsolver._scale(G)
+    if lam_min >= 2e-9 * scale:
+        assert certified
+    if lam_min <= 0.5e-9 * scale:
+        assert not certified
+    if not certified:
+        return
+    for mu in (0.0, float(10.0 ** rng.uniform(-14.0, 2.0)) * scale):
+        Gm = G + mu * np.eye(k)
+        scale_m = subsolver._scale(Gm)
+        free = rng.random((8, k)) < 0.6
+        assert subsolver._positive_definite(subsolver._free_system(Gm, free, scale_m), scale_m)
+
+
+def test_certified_active_set_skips_the_per_system_test(monkeypatch):
+    # with the certificate the active-set method takes the same LU steps
+    # without a Cholesky test per Newton direction, and returns the bytes
+    # the per-system test gives
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(65)
+    for trial in range(40):
+        k, n = int(rng.integers(5, 8)), int(rng.integers(1, 9))
+        G = _dictionary_hessian(rng, k)
+        C = rng.uniform(0.0, 1.0, size=(n, k))
+        lam = 0.0 if trial % 2 else 0.05
+        X0 = rng.uniform(0.0, 1.0, size=(n, k))
+        assert subsolver._definite(G)
+        want = subsolver._active_set(G, C, 0.0, 1.0, lam, X0, 1e-10)
+        counts = _count_calls(monkeypatch, np.linalg, ["cholesky", "eigh"])
+        got = subsolver._active_set(G, C, 0.0, 1.0, lam, X0, 1e-10, False, True)
+        assert counts == {"cholesky": 0, "eigh": 0}
+        monkeypatch.undo()
+        assert got[0].tobytes() == want[0].tobytes() and (got[1] == want[1]).all()
+        assert got[2] == want[2]
+
+
+def test_rank5_run_takes_one_cholesky_per_solve(monkeypatch, tmp_path):
+    # a 120-step rank-5 run (both solves on the active-set path, the ball
+    # binding): every code solve and every dictionary solve whose Hessian is
+    # certified makes one Cholesky factorization, the certificate's
+    import sbmm.factorize as factorize
+    import sbmm.subsolver as subsolver
+    from sbmm import parse_config, run_experiment
+
+    rng = np.random.default_rng(5)
+    P = rng.dirichlet(np.ones(16), size=16)
+    np.savetxt(tmp_path / "transition.csv", P / P.sum(axis=1, keepdims=True), delimiter=",")
+    np.savetxt(tmp_path / "emissions.csv", rng.uniform(0.0, 1.0, size=(16, 48)), delimiter=",")
+    cfg = tmp_path / "rank5.cfg"
+    cfg.write_text(
+        "schedule.kind = polylog\nconstraint.lower = 0.0\nconstraint.upper = 1.0\n"
+        f"stream.kind = markov\nstream.transition = {tmp_path / 'transition.csv'}\n"
+        f"stream.emissions = {tmp_path / 'emissions.csv'}\nstream.seed = 5\n"
+        "engine.n_iters = 120\nengine.diag_interval = 10\n"
+        "app.rank = 5\napp.lambda = 0.05\napp.tensor_shape = 8,6\n", encoding="utf-8")
+    counts = _count_calls(monkeypatch, np.linalg, ["cholesky"])
+    solves, certificates = [], []
+    real_definite = subsolver._definite
+
+    def definite(G):
+        certificates.append(real_definite(G))
+        return certificates[-1]
+    monkeypatch.setattr(subsolver, "_definite", definite)
+
+    def counted(kind, fn):
+        def solve(*args, **kwargs):
+            before, certificates[:] = counts["cholesky"], []
+            out = fn(*args, **kwargs)
+            solves.append((kind, counts["cholesky"] - before, list(certificates)))
+            return out
+        return solve
+    for kind in ("solve_code_lasso", "solve_block_quadratic"):
+        monkeypatch.setattr(factorize, kind, counted(kind, getattr(factorize, kind)))
+    run_experiment(parse_config(cfg), seed=5, out_path=str(tmp_path / "run.csv"))
+    for kind in ("solve_code_lasso", "solve_block_quadratic"):
+        held = [chol for k, chol, certs in solves if k == kind and certs == [True]]
+        total = sum(k == kind for k, _, _ in solves)
+        assert total >= 120 and len(held) >= 0.9 * total
+        assert all(chol == 1 for chol in held)
+
+
 # ---------------------------------------------------------------------------
 # the ball search's predicted start
 
@@ -902,7 +1002,7 @@ def _record_ball_solves(monkeypatch):
     run started from the prediction."""
     import sbmm.subsolver as subsolver
 
-    counts = _count_calls(monkeypatch, subsolver, ["_newton_direction", "_certified_gap"])
+    counts = _count_calls(monkeypatch, subsolver, ["_newton_direction", "_gap_total"])
     solves, predicted = [], []
     real_active, real_search = subsolver._active_set, subsolver.ball_multiplier_search
 
@@ -916,7 +1016,7 @@ def _record_ball_solves(monkeypatch):
             predicted.clear()
             x, model = solve(mu)
             solves.append((mu, counts["_newton_direction"] - before["_newton_direction"],
-                           counts["_certified_gap"] - before["_certified_gap"],
+                           counts["_gap_total"] - before["_gap_total"],
                            bool(predicted and predicted[0])))
             return x, model
         return real_search(recorded, center, radius, mu_hi)
