@@ -15,17 +15,21 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
   after another;
 - ``configs/cpdl.cfg`` on 3-mode samples (``write_cpdl3``'s inputs, shape
   2,3,2,3), at seeds 0-1;
-- three rank-5 runs on ``write_rank5``'s inputs, at seeds 0-2.
+- rank-5 runs on ``write_rank5``'s inputs: input and engine seeds 0-2, and
+  input seed 2 at engine seed 1, whose run reaches a Hessian that fails the
+  solver's definiteness certificate;
+- a 3-seed ``run_sweep`` of input seed 0's rank-5 config, whose members
+  run their active-set solves and ball searches one by one.
 
 It then prints one line per CSV, ``identical`` or ``differs`` (``missing``
 when only one checkout wrote it), and exits 1 on any difference.
 ``--steps N`` caps every run's ``engine.n_iters`` at N, for a quick check.
 
-The work of each rank-5 run, which a machine's speed does not change, goes
-to stderr: its ball-search evaluations and its ``np.linalg.cholesky`` and
-``np.linalg.eigh`` calls in each checkout, counted by wrapping
-``sbmm.subsolver.ball_multiplier_search`` and the two numpy functions in
-the interpreter that runs that checkout.
+The work of each rank-5 run and of the rank-5 sweep, which a machine's
+speed does not change, goes to stderr: its ball-search evaluations and its
+``np.linalg.cholesky`` and ``np.linalg.eigh`` calls in each checkout,
+counted by wrapping ``sbmm.subsolver.ball_multiplier_search`` and the two
+numpy functions in the interpreter that runs that checkout.
 
 Usage:
     python3 scripts/csv_identity.py PARENT_DIR CHANGE_DIR [--steps N]
@@ -52,6 +56,9 @@ CPDL3_SHAPE = (2, 3, 2, 3)  # three modes and the batch
 CPDL3_SEED = 3
 WORK = ".csv_identity"
 COUNTS = "counts.json"  # the rank-5 runs' work, under each checkout's WORK
+# the rank-5 runs as (name, input seed, engine seed)
+RANK5_RUNS = (tuple((f"omf_rank5_seed{s}", s, s) for s in SEEDS)
+              + (("omf_rank5_in2_seed1", 2, 1),))
 WORK_COUNTS = ("ball_evals", "cholesky", "eigh")
 
 
@@ -143,14 +150,18 @@ def write_set(out: Path, steps: int | None) -> None:
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    work = {}
+    rank5 = {}
     for seed in SEEDS:
-        rank5 = inputs / f"rank5_seed{seed}"
-        rank5.mkdir()
-        name = f"omf_rank5_seed{seed}"
-        cfg = config(bench.write_rank5(seed, rank5), name)
+        (inputs / f"rank5_seed{seed}").mkdir()
+        rank5[seed] = bench.write_rank5(seed, inputs / f"rank5_seed{seed}")
+    work = {}
+    for name, input_seed, seed in RANK5_RUNS:
+        cfg = config(rank5[input_seed], name)
         work[name] = count_work(functools.partial(run_experiment, cfg, seed=seed,
                                                   out_path=str(csvs / f"{name}.csv")))
+    cfg = config(rank5[0], "omf_rank5_sweep")
+    work["omf_rank5_sweep"] = count_work(functools.partial(run_sweep, cfg, SEEDS,
+                                                           out_dir=csvs / "sweep"))
     (out / COUNTS).write_text(json.dumps(work, indent=1) + "\n", encoding="utf-8")
 
 
@@ -182,8 +193,8 @@ def compare(parent: Path, change: Path) -> list[tuple[str, str]]:
 
 
 def work_lines(parent: Path, change: Path) -> list[str]:
-    """One line per rank-5 run: its work counts in the parent and in the
-    change, from the two checkouts' COUNTS files."""
+    """One line per rank-5 run and for the rank-5 sweep: its work counts in
+    the parent and in the change, from the two checkouts' COUNTS files."""
     before, after = (json.loads(p.read_text(encoding="utf-8")) for p in (parent, change))
     return [f"{name} work (parent -> change): "
             + ", ".join(f"{key} {before[name][key]} -> {after[name][key]}" for key in WORK_COUNTS)

@@ -205,7 +205,6 @@ def run_omf_diagnostics(
     code_set: BoxSet,
     mode: str = "c2",
     c_prime: float = 1.0,
-    rho0: float = 0.0,
     n_iters: int = 1000,
     diag_interval: int = 10,
     solver_tol: float = 1e-8,
@@ -215,7 +214,8 @@ def run_omf_diagnostics(
 ):
     """Drive online matrix factorization with full diagnostics and invariant
     audits.  row_sampler, when given, is a callable rng -> row index array and
-    restricts each dictionary update to the rows it draws.
+    restricts each dictionary update to the rows it draws.  Mode c1 (no
+    trust region) seeds the average with (1/2)||W - W0||^2, mode c2 with 0.
 
     One run takes a MarkovSource, W0 (q, r) and one rng, and returns its
     RunResult: a stack of one, whose arrays carry no member axis.  A stack
@@ -227,8 +227,6 @@ def run_omf_diagnostics(
     mode = mode.lower()
     if mode not in ("c1", "c2"):
         raise ValueError("mode must be c1 or c2")
-    if mode == "c1" and rho0 <= 0:
-        raise ValueError("mode c1 requires rho0 > 0")
     one = isinstance(source, MarkovSource)
     sources = [source] if one else list(source)
     K = len(sources)
@@ -238,7 +236,7 @@ def run_omf_diagnostics(
     rngs = [np.random.default_rng(0) for _ in sources] if rng is None else list(rng)
     if (not one and len(W0) != K) or len(rngs) != K:
         raise ValueError("a stack needs one W0 and one rng per source")
-    st = OmfState.initial(W0, rho0)
+    st = OmfState.initial(W0, 1.0 if mode == "c1" else 0.0)
 
     def draw_rows(g):
         rows = np.asarray(row_sampler(g), dtype=int)
@@ -843,8 +841,7 @@ def _run_stack(cfg: RunConfig, seeds: list, out_paths: list, named_by: str) -> l
         one = len(seeds) == 1
         results = run_omf_diagnostics(
             source if one else sources, schedule, W0[0] if one else np.stack(W0),
-            dict_box=dict_box, code_set=code_set, mode=cfg["engine.mode"],
-            rho0=(1.0 if cfg["engine.mode"] == "c1" else 0.0), row_sampler=sampler,
+            dict_box=dict_box, code_set=code_set, mode=cfg["engine.mode"], row_sampler=sampler,
             rng=rngs[0] if one else rngs, **common)
         if one:
             results = [results]

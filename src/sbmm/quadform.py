@@ -104,10 +104,7 @@ class FactorQuad:
 
     def value(self, W: np.ndarray):
         W = self._as_matrix(W)
-        WA = W @ self.A
-        if W.ndim == 2:
-            return float((WA * W).sum()) - 2.0 * float((W * self.B.T).sum()) + self.C
-        return ((WA * W).sum(axis=(-2, -1))
+        return ((W @ self.A * W).sum(axis=(-2, -1))
                 - 2.0 * (W * self.B.swapaxes(-1, -2)).sum(axis=(-2, -1)) + self.C)
 
     def grad(self, W: np.ndarray) -> np.ndarray:

@@ -13,25 +13,26 @@ primal active-set method (Newton steps on the free entries, bounds joining
 the working set when a step hits them, one fixed entry released per row
 while its certified gap says it can still improve) that stops once the
 certified gap is within tolerance; it starts from the clipped least-squares
-minimizer unless given a start.  The Newton steps of all rows are one
-batched LU solve, licensed by one definiteness test per Hessian: a
-Cholesky factorization of G - _DEFINITE_RTOL * scale * I, taken once per
-code solve and once per block solve, shows every free system of every
-G + mu I positive definite, and the least-squares start is one solve under
-it.  Where it fails, each batch of free systems gets its own batched
-Cholesky test (every pivot above _NULL_RTOL times the Hessian scale), and
-a singular system (an all-zero code coordinate makes a dictionary Hessian
-singular) falls back to an eigendecomposition, which gives the least-norm
-step or a direction of zero curvature.  The method computes each of its
-constants once per solve, and a gap test that fails hands its entry gaps
-to the release step.  A trust-region ball is dualized with one multiplier
-shared by every row (``geometry.ball_multiplier_search``): each box solve
-hands the search the exact distance model of its working set, and the next
-solve starts where that model puts the working set's minimizer at the new
-multiplier, taken as the minimizer of every row, so a working set that
-holds costs one certified gap and no Newton step; a prediction outside the
-box falls back to the previous multiplier's solution.  Every solve of one
-search shares the search's certificate, since G + mu I inherits G's.
+minimizer unless given a start.  The box QP has one definiteness test,
+a certificate per Hessian (_definite): a Cholesky factorization of G -
+_DEFINITE_RTOL * scale * I, taken once per code solve and once per block
+solve, single or stacked, shows every free system of every G + mu I
+positive definite.  Under it the Newton steps of all rows are one batched
+LU solve and the least-squares start is one solve; an uncertified Hessian
+(an all-zero code coordinate makes a dictionary Hessian singular) takes
+an eigendecomposition, which gives the least-norm step or a direction of
+zero curvature, and the pseudo-inverse for the start.  The method
+computes each of its constants once per solve, and a gap test that fails
+hands its entry gaps to the release step.  A trust-region ball is
+dualized with one multiplier shared by every row
+(``geometry.ball_multiplier_search``): each box solve hands the search the
+exact distance model of its working set, and the next solve starts where
+that model puts the working set's minimizer at the new multiplier, taken
+as the minimizer of every row, so a working set that holds costs one
+certified gap and no Newton step; a prediction outside the box falls back
+to the previous multiplier's solution.  Every solve of one search reuses
+the certificate its solve at multiplier zero took, since G + mu I
+inherits G's.
 
 A stack of K families (K runs in lockstep, each with its own Hessian) is
 one batch wherever the work is the same for every member: the pattern
@@ -237,25 +238,14 @@ def _eye(k: int) -> np.ndarray:
     return eye
 
 
-def _positive_definite(M, scale) -> bool:
-    """Whether one batched Cholesky factorization of M (a matrix or a stack)
-    finds every pivot above _NULL_RTOL * scale, so that an LU solve needs no
-    null-space handling."""
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.diagonal(L, axis1=-2, axis2=-1).min() ** 2 > _NULL_RTOL * scale)
-
-
 def _definite(G) -> bool:
-    """The definiteness certificate of a Hessian G: whether G - delta *
-    scale * I, delta = _DEFINITE_RTOL, has a Cholesky factorization.  It
-    shows lambda_min(G) >= delta * scale up to rounding of a few ulps of
-    scale.  Every free system of G + mu I (mu >= 0, of scale at most scale
-    + mu) then passes _positive_definite: its smallest eigenvalue, a lower
-    bound of its pivots^2, is at least lambda_min(G) + mu >= delta * (scale
-    + mu), far above _NULL_RTOL times its scale."""
+    """The box QP's one definiteness test, a certificate per Hessian G:
+    whether G - delta * scale * I, delta = _DEFINITE_RTOL, has a Cholesky
+    factorization.  It shows lambda_min(G) >= delta * scale up to rounding
+    of a few ulps of scale, so every free system of G + mu I (mu >= 0, of
+    scale at most scale + mu) has smallest eigenvalue at least delta *
+    (scale + mu), far above _NULL_RTOL times its scale, and an LU solve
+    needs no null-space handling.  An uncertified G takes eigh and pinv."""
     try:
         np.linalg.cholesky(G - (_DEFINITE_RTOL * _scale(G)) * _eye(len(G)))
     except np.linalg.LinAlgError:
@@ -263,22 +253,19 @@ def _definite(G) -> bool:
     return True
 
 
-def _newton_direction(G, free, rhs, scale, certified=False):
+def _newton_direction(G, free, rhs, scale, certified):
     """Per row, the least-norm solution p of G_FF p_F = rhs_F on the free
     entries F, where rhs vanishes off F.  Where rhs_F has a part in the null
     space of G_FF, that part is returned instead, flagged in the second
     output: with rhs = -grad/2 it is a descent direction of zero curvature.
     Every row's system is one batched LU solve when G is certified
-    (_definite) or _positive_definite says so; otherwise an
-    eigendecomposition finds the null spaces."""
+    (_definite); otherwise an eigendecomposition finds the null spaces."""
     M = _free_system(G, free, scale)
-    if certified or _positive_definite(M, scale):
+    if certified:
         return np.linalg.solve(M, rhs[:, :, None])[:, :, 0], np.zeros(len(rhs), dtype=bool)
     w, V = np.linalg.eigh(M)
     coef = np.einsum("nkj,nk->nj", V, rhs)
     null = w <= _NULL_RTOL * scale
-    if not null.any():
-        return np.einsum("nkj,nj->nk", V, coef / w), np.zeros(rhs.shape[0], dtype=bool)
     null_part = np.where(null, coef, 0.0)
     null_dir = np.sum(null_part * null_part, axis=1) > _NULL_RTOL * np.sum(coef * coef, axis=1)
     step = np.where(null, 0.0, coef / np.where(null, 1.0, w))
@@ -286,7 +273,7 @@ def _newton_direction(G, free, rhs, scale, certified=False):
     return np.einsum("nkj,nj->nk", V, step), null_dir
 
 
-def _active_set(G, C, lo, up, lam, X, tol, predicted=False, certified=False):
+def _active_set(G, C, lo, up, lam, X, tol, predicted, certified):
     """Primal active-set method from a point X of the box, for one member
     (G of shape (k, k), C and X of shape (n, k)).  Works for any PSD G.
     Returns its last iterate, working set (True where fixed) and the
@@ -295,8 +282,9 @@ def _active_set(G, C, lo, up, lam, X, tol, predicted=False, certified=False):
     minimizer and the certified gap is <= tol.  predicted says that X is
     every row's working-set minimizer (the ball search's prediction), as if
     each row had just taken a full Newton step, so the method opens with
-    the certified gap.  certified says that G is certified (_definite), so
-    that every Newton step is one LU solve with no further test."""
+    the certified gap.  certified is G's certificate (_definite): every
+    Newton step is one LU solve when it holds, an eigendecomposition when
+    it does not."""
     n, k = C.shape
     kink = lam > 0  # the l1 term bends the objective at zero
     fixed = (X == lo) | (X == up)
@@ -393,31 +381,31 @@ def _sign_states(lo_shape, lo_bytes, up_shape, up_bytes) -> tuple:
             + ((_ZERO,) if positive and negative and ((lo_a < 0) & (up_a > 0)).any() else ()))
 
 
-def _least_squares(G, C, certified=False):
+def _least_squares(G, C, certified):
     """C G^+, the least-squares minimizer of each row's smooth part: one
-    solve when G is certified (_definite) or _positive_definite says G is,
-    else by the pseudo-inverse."""
-    if certified or _positive_definite(G, _scale(G)):
+    solve when G is certified (_definite), else by the pseudo-inverse."""
+    if certified:
         return np.linalg.solve(G, C.T).T
     return C @ np.linalg.pinv(G, hermitian=True)
 
 
 def _minimize(G, C, lo, up, lam, X0, tol, predicted=False, certified=None):
     """Minimizer of the solve_box_qp objective, its free mask, the certified
-    gap the active-set method stopped on (None if it has none) and the
-    enumeration's X @ G (None if it did not enumerate G itself): exact by
-    pattern enumeration while the patterns are few, else the active-set
-    method, which stops once the certified gap is <= tol.  X0 (or None),
-    clipped into the box where it is used, starts the active-set method, by
-    default from the clipped least-squares minimizer of the smooth part, and
-    breaks ties when G is singular, by default towards the clipped zero;
-    predicted is passed to the active-set method, and so is G's
-    definiteness certificate (_definite), taken here when certified is
-    None.
+    gap the active-set method stopped on (None if it has none), the
+    enumeration's X @ G (None if it did not enumerate G itself) and G's
+    definiteness certificate (_definite; None if the solve needed none):
+    exact by pattern enumeration while the patterns are few, else the
+    active-set method, which stops once the certified gap is <= tol.  X0
+    (or None), clipped into the box where it is used, starts the active-set
+    method, by default from the clipped least-squares minimizer of the
+    smooth part, and breaks ties when G is singular, by default towards the
+    clipped zero; predicted is passed to the active-set method, and so is
+    the certificate, taken here when certified is None.
 
     A stack (G of shape (K, k, k), C of shape (K, n, k)) enumerates in one
     batch and runs the active-set method member by member; its gaps are an
-    array, nan for a member without one."""
+    array, nan for a member without one, and its certificates a list, one
+    per member."""
     k = C.shape[-1]
     if G.ndim == 3:
         return _minimize_stack(G, C, lo, up, lam, X0, tol)
@@ -427,40 +415,36 @@ def _minimize(G, C, lo, up, lam, X0, tol, predicted=False, certified=None):
             certified = _definite(G)
         X0 = np.clip(_least_squares(G, C, certified) if X0 is None else X0, lo, up)
         X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, predicted, certified)
-        return X, ~fixed, gap, None
+        return X, ~fixed, gap, None, certified
     patterns = _patterns(k, states)
     try:
         X, free, XG = _enumerate(G, C, lo, up, lam, patterns)
-        return X, free, None, XG
+        return X, free, None, XG, certified
     except np.linalg.LinAlgError:
         # singular G: adding delta ||x - X0||^2 makes the minimizer unique and
         # picks the one nearest X0 up to O(delta)
         delta = _NULL_RTOL * _scale(G)
         X0 = np.clip(0.0 if X0 is None else X0, lo, up)
         X, free, _ = _enumerate(G + delta * np.eye(k), C + delta * X0, lo, up, lam, patterns)
-        return X, free, None, None
+        return X, free, None, None, certified
 
 
 def _minimize_stack(G, C, lo, up, lam, X0, tol):
-    """_minimize of a stack: one enumeration batch when every member has
-    the same few KKT patterns, else each member alone."""
+    """_minimize of a stack: one enumeration batch while the KKT patterns
+    are few, else each member alone."""
     K, k = len(C), C.shape[-1]
-    if getattr(lo, "ndim", 0) == 3 and lam > 0:
-        states = {_states(lam, lo[j], up[j]) for j in range(K)}
-        states = states.pop() if len(states) == 1 else None
-    else:
-        states = _states(lam, lo, up)
-    if states is not None and len(states) ** k <= _ENUM_PATTERNS:
+    states = _states(lam, lo, up)
+    if len(states) ** k <= _ENUM_PATTERNS:
         try:
             X, free, XG = _enumerate(G, C, lo, up, lam, _patterns(k, states))
-            return X, free, None, XG
+            return X, free, None, XG, [None] * K
         except np.linalg.LinAlgError:
             pass  # a singular member: each member alone, so only its own solve changes
     parts = [_minimize(G[j], C[j], _member(lo, j), _member(up, j), lam,
                        None if X0 is None else X0[j], tol) for j in range(K)]
     gap = np.array([np.nan if p[2] is None else p[2] for p in parts])
     return (np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts]),
-            None if np.isnan(gap).all() else gap, None)
+            None if np.isnan(gap).all() else gap, None, [p[4] for p in parts])
 
 
 def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
@@ -488,7 +472,7 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
         raise ValueError("lam must be >= 0")
     if X0 is not None:
         X0 = np.asarray(X0, dtype=float)
-    X, _, gap, XG = _minimize(G, C, lo, up, lam, X0, tol)
+    X, _, gap, XG, _ = _minimize(G, C, lo, up, lam, X0, tol)
     if G.ndim == 2:
         return _polish(G, C, lo, up, lam, X, gap, tol, XG)
     if gap is None:
@@ -508,7 +492,7 @@ def _polish(G, C, lo, up, lam, X, gap, tol, XG=None):
     if gap is None:
         gap = _certified_gap(G, C, X, lam, lo, up, XG)
     if gap > tol:
-        X, _, gap = _active_set(G, C, lo, up, lam, X, tol)
+        X, _, gap = _active_set(G, C, lo, up, lam, X, tol, False, _definite(G))
         if gap is None:
             gap = _certified_gap(G, C, X, lam, lo, up)
     return X, gap
@@ -531,35 +515,32 @@ def _box_qp_ball(G, C, lo, up, center, radius, tol, first=None):
     multiplier nu, (X(nu) - center)_F = V diag((w + mu) / (w + nu)) V'(X -
     center)_F, marked as every row's minimizer, if that point lies in the
     box; else it starts from X.  (The pattern enumeration ignores the
-    start.)  first, when given, is the solve at mu = 0 as (X, free mask).  A
-    stack (G of shape (K, k, k); C and center of shape (K, n, k)) solves at
-    mu = 0 in one batch; each member then has its own ball and its own
-    search.
+    start.)  first, when given, is the solve at mu = 0 as (X, free mask,
+    certificate).  A stack (G of shape (K, k, k); C and center of shape (K,
+    n, k)) solves at mu = 0 in one batch; each member then has its own ball
+    and its own search, from its part of that solve.
     """
     X = center if first is None else first[0]
     if math.isinf(radius):
         return _minimize(G, C, lo, up, 0.0, X, tol)[0]
     if G.ndim == 3:
-        X, free = _minimize(G, C, lo, up, 0.0, X, tol)[:2]
+        X, free, _, _, certified = _minimize(G, C, lo, up, 0.0, X, tol)
         return np.stack([_box_qp_ball(G[j], C[j], _member(lo, j), _member(up, j), center[j],
-                                      radius, tol, (X[j], free[j]))
+                                      radius, tol, (X[j], free[j], certified[j]))
                          for j in range(len(C))])
 
     last = None  # the last model's (mu, free mask, w, V, coefficients)
     scale = None  # taken with the first model: only a binding ball needs it
-    # G's definiteness certificate, which every G + mu I inherits: taken
-    # once, by the first solve that runs the active-set method
+    # G's definiteness certificate, which every G + mu I inherits: taken by
+    # the solve at mu = 0 (None when it enumerated)
     certified = None
-    active = len(_states(0.0, lo, up)) ** G.shape[-1] > _ENUM_PATTERNS
 
     def solve(mu):
         nonlocal X, first, certified
-        if first is None and active and certified is None:
-            certified = _definite(G)
         if first is not None:  # mu = 0, solved already
-            (X, free), first = first, None
+            (X, free, certified), first = first, None
         elif mu == 0.0:
-            X, free = _minimize(G, C, lo, up, 0.0, X, tol, False, certified)[:2]
+            X, free, _, _, certified = _minimize(G, C, lo, up, 0.0, X, tol, False, certified)
         else:
             start, predicted = X, False
             if last is not None:

@@ -119,7 +119,7 @@ def audited_runs():
     # with its own source and start; a stack member's RunResult is the one
     # its run alone gives (test_bench checks stacks against single runs)
     for family, offset, mode_args in (("omf_c2", 0, dict(mode="c2", c_prime=1.0)),
-                                      ("omf_c1", 10, dict(mode="c1", rho0=1.0))):
+                                      ("omf_c1", 10, dict(mode="c1"))):
         t = time.perf_counter()
         stack = run_omf_diagnostics(
             [sources[src_kind](offset + seed) for src_kind, seed in members],

@@ -273,7 +273,7 @@ def test_runner_audits_count_a_faulty_step(monkeypatch, kind, mode):
         if kind == "omf":
             return run_omf_diagnostics(
                 src, schedule, W0[0], lam, BoxSet.uniform(3 * r, -5.0, 5.0), code_set,
-                mode=mode, rho0=1.0, n_iters=n_iters, diag_interval=5)
+                mode=mode, n_iters=n_iters, diag_interval=5)
         return run_cpdl_diagnostics(
             src, schedule, W0, lam, [BoxSet.uniform(I * r, -5.0, 5.0) for I in shape[:-1]],
             code_set, n_iters=n_iters, diag_interval=5)
@@ -313,7 +313,7 @@ def test_runner_audits_count_a_faulty_step(monkeypatch, kind, mode):
                 for s in (4, 5, 6)]
         return run_omf_diagnostics(
             srcs, schedule, np.stack([W0[0]] * 3), lam, BoxSet.uniform(3 * r, -5.0, 5.0),
-            code_set, mode=mode, rho0=1.0, n_iters=n_iters, diag_interval=5,
+            code_set, mode=mode, n_iters=n_iters, diag_interval=5,
             rng=[np.random.default_rng(s) for s in range(3)])
 
     def faulty_member(fault):
@@ -425,7 +425,7 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     n_iters = 60  # with c_prime = 0.3 the ball binds on some of the C2 steps
     run_omf_diagnostics(src, WeightSchedule.polylog(0.5, 1.5), rng.uniform(0.0, 1.0, (3, 2)),
                         0.05, BoxSet.uniform(6, 0.0, 1.0), BoxSet.uniform(2, 0.0, 1.0),
-                        mode=mode, c_prime=0.3, rho0=1.0, n_iters=n_iters, diag_interval=10)
+                        mode=mode, c_prime=0.3, n_iters=n_iters, diag_interval=10)
     assert counts["steps"] == counts["quad"] == n_iters
     assert counts["eig"] == (n_iters if mode == "c1" else 0)
     if mode == "c1":  # no trust region, so no ball search
@@ -759,16 +759,34 @@ def shipped_cfg(tmp_path, name, extra=""):
     return parse_config(p)
 
 
+def rank5_cfg(tmp_path):
+    """A 60-step rank-5 OMF run on a 16-state chain of 8x6 samples: its code
+    and dictionary solves take the active-set path, and the ball binds."""
+    rng = np.random.default_rng(5)
+    P = rng.dirichlet(np.ones(16), size=16)
+    np.savetxt(tmp_path / "transition.csv", P / P.sum(axis=1, keepdims=True), delimiter=",")
+    np.savetxt(tmp_path / "emissions.csv", rng.uniform(0.0, 1.0, size=(16, 48)), delimiter=",")
+    p = tmp_path / "rank5.cfg"
+    p.write_text(
+        "schedule.kind = polylog\nconstraint.lower = 0.0\nconstraint.upper = 1.0\n"
+        f"stream.kind = markov\nstream.transition = {tmp_path / 'transition.csv'}\n"
+        f"stream.emissions = {tmp_path / 'emissions.csv'}\nstream.seed = 5\n"
+        "engine.n_iters = 60\nengine.diag_interval = 10\n"
+        "app.rank = 5\napp.lambda = 0.05\napp.tensor_shape = 8,6\n", encoding="utf-8")
+    return parse_config(p)
+
+
 @pytest.mark.parametrize("name, extra", [
     ("omf_markov", ""), ("omf_markov", "engine.mode = c1\n"), ("omf_iid", ""),
     ("omf_iid", "engine.c_prime = 0.02\n"), ("omf_sub", ""), ("omf_sub", "engine.mode = c1\n"),
-    ("omf_sub", "app.row_sample = 0.5\n")],
-    ids=["markov", "markov_c1", "iid", "iid_ball_binds", "sub", "sub_c1", "sub_fraction"])
+    ("omf_sub", "app.row_sample = 0.5\n"), ("rank5", "")],
+    ids=["markov", "markov_c1", "iid", "iid_ball_binds", "sub", "sub_c1", "sub_fraction", "rank5"])
 def test_run_sweep_stack_matches_run_experiment(tmp_path, name, extra):
     # run_sweep runs an OMF config's seeds as one stack in lockstep; each
     # member's CSV, tallies and final dictionary are those run_experiment
-    # gives at its seed, whatever the stack's size and order
-    cfg = shipped_cfg(tmp_path, name, extra)
+    # gives at its seed, whatever the stack's size and order (at rank 5
+    # too, where each member runs its own active-set solves and ball search)
+    cfg = rank5_cfg(tmp_path) if name == "rank5" else shipped_cfg(tmp_path, name, extra)
     label, alone = cfg["label"], {}
     for seeds in ([4], [0, 1, 2], [5, 4, 3, 2, 1, 0]):
         out = tmp_path / f"k{len(seeds)}"

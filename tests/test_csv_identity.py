@@ -30,16 +30,18 @@ def test_csv_identity_names_each_file(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 1, out.stderr
     verdicts = dict(line.rsplit(": ", 1) for line in out.stdout.splitlines()[:-1])
-    assert len(verdicts) == 33
-    assert out.stdout.splitlines()[-1] == "10 of 33 identical"
+    assert len(verdicts) == 37
+    assert out.stdout.splitlines()[-1] == "14 of 37 identical"
     for name, verdict in verdicts.items():
         same = Path(name).name.startswith(("cpdl", "omf_rank5"))
         assert verdict == ("identical" if same else "differs"), name
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_markov_seed3.csv").exists()
-    # each rank-5 run's work, counted in each checkout: the same code does
-    # the same work
+    assert (parent / ".csv_identity" / "out" / "sweep" / "omf_rank5_seed2.csv").exists()
+    # the work of each rank-5 run and of the rank-5 sweep, counted in each
+    # checkout: the same code does the same work
     work = [line for line in out.stderr.splitlines() if " work (parent -> change): " in line]
-    assert [line.split(" work")[0] for line in work] == [f"omf_rank5_seed{s}" for s in range(3)]
+    assert [line.split(" work")[0] for line in work] == (
+        ["omf_rank5_in2_seed1"] + [f"omf_rank5_seed{s}" for s in range(3)] + ["omf_rank5_sweep"])
     for line in work:
         items = [item.split() for item in line.split(": ", 1)[1].split(", ")]
         assert [name for name, *_ in items] == ["ball_evals", "cholesky", "eigh"]

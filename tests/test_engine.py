@@ -28,12 +28,12 @@ def omf_source(seed=0, emission_seed=5):
                         emissions=list(rng.uniform(0.0, 1.0, size=(2, Q, D))), seed=seed)
 
 
-def omf_run(n_iters=30, mode="c2", c_prime=1.0, rho0=0.0, schedule=None, W0=None,
+def omf_run(n_iters=30, mode="c2", c_prime=1.0, schedule=None, W0=None,
             source=None, seed=9, **kw):
     W0 = np.random.default_rng(seed).uniform(0.0, 1.0, (Q, R)) if W0 is None else W0
     return run_omf_diagnostics(source or omf_source(), schedule or WeightSchedule.polylog(0.5, 1.5),
                                W0, 0.05, DICT_BOX, CODE_SET, mode=mode, c_prime=c_prime,
-                               rho0=rho0, n_iters=n_iters, rng=np.random.default_rng(seed), **kw)
+                               n_iters=n_iters, rng=np.random.default_rng(seed), **kw)
 
 
 def box_step(g, lower, upper, radius=math.inf):
@@ -63,8 +63,6 @@ def lipschitz_surrogate(theta0, grad, L):
 def test_init_validation(tmp_path):
     with pytest.raises(ValueError, match="mode"):
         omf_run(mode="c3")
-    with pytest.raises(ValueError, match="rho0"):
-        omf_run(mode="c1", rho0=0.0)
     with pytest.raises(ValueError, match="one W0 and one rng"):
         run_omf_diagnostics([omf_source(), omf_source()], WeightSchedule.balanced(),
                             np.full((2, Q, R), 0.5), 0.05, DICT_BOX, CODE_SET,
@@ -83,8 +81,8 @@ def test_init_validation(tmp_path):
 def test_init_c1_forces_no_trust_region():
     # mode C1 solves without a ball: c_prime is not read, and steps go
     # farther than a tiny radius would allow
-    tiny = omf_run(mode="c1", rho0=1.0, c_prime=1e-4, keep_trajectory=True)
-    wide = omf_run(mode="c1", rho0=1.0, c_prime=3.0, keep_trajectory=True)
+    tiny = omf_run(mode="c1", c_prime=1e-4, keep_trajectory=True)
+    wide = omf_run(mode="c1", c_prime=3.0, keep_trajectory=True)
     sched = WeightSchedule.polylog(0.5, 1.5)
     for a, b in zip(tiny.trajectory, wide.trajectory):
         np.testing.assert_array_equal(a, b)
@@ -237,7 +235,7 @@ def test_forward_monotonicity_each_step(monkeypatch):
         return res
     monkeypatch.setattr(bench, "omf_step", step)
     for mode in ("c2", "c1"):
-        result = omf_run(n_iters=40, mode=mode, rho0=1.0, c_prime=0.3)
+        result = omf_run(n_iters=40, mode=mode, c_prime=0.3)
         assert result.monotonicity_violations == 0
     assert len(seen) == 80
     for new, old, certificate in seen:
@@ -306,7 +304,7 @@ def test_run_converges_to_mean_iid():
     X /= X.max()
     src = make_iid(np.array([1.0]), [X], seed=11)
     result = run_omf_diagnostics(src, WeightSchedule.balanced(), rng.uniform(0.0, 1.0, (Q, R)),
-                                 0.0, DICT_BOX, BoxSet.uniform(R, 0.0, 5.0), mode="c1", rho0=1e-3,
+                                 0.0, DICT_BOX, BoxSet.uniform(R, 0.0, 5.0), mode="c1",
                                  n_iters=400, diag_interval=100, rng=np.random.default_rng(0))
     f_exp = [rec.f_exp for rec in result.records]
     stat = [rec.stat_exp for rec in result.records]

@@ -497,7 +497,7 @@ def _box_qp_kkt(G, C, X, lam, lo, up):
 def test_box_qp_paths_agree(seed):
     # small k is solved by pattern enumeration; the active-set method behind
     # larger k must land on the same minimizer from any start
-    from sbmm.subsolver import _active_set
+    from sbmm.subsolver import _active_set, _definite
 
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 4))
@@ -511,7 +511,7 @@ def test_box_qp_paths_agree(seed):
     X, gap = solve_box_qp(G, C, lo, up, lam)
     assert gap <= 1e-10
     assert _box_qp_kkt(G, C, X, lam, lo, up) <= 1e-9
-    X_as, _, _ = _active_set(G, C, lo, up, lam, rng.uniform(lo, up), 0.0)
+    X_as, _, _ = _active_set(G, C, lo, up, lam, rng.uniform(lo, up), 0.0, False, _definite(G))
     np.testing.assert_allclose(X_as, X, atol=1e-8)
 
 
@@ -541,6 +541,40 @@ def test_box_qp_singular_hessian_keeps_free_direction_at_start():
     np.testing.assert_allclose(X[:, 1], X0[:, 1], atol=1e-9)
     np.testing.assert_allclose(X[:, 0], [0.5, 0.0], atol=1e-12)
     assert gap <= 1e-10
+
+
+def _stall_problem(seed):
+    """A random box QP (G, C, lo, up, lam, X0) with a singular Hessian of
+    rank 1 to k - 1, rows scaled over four decades, per-entry boxes, an l1
+    term or none, and a start or none."""
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(5, 9)), int(rng.integers(1, 9))
+    rank = int(rng.integers(1, k))
+    M = rng.normal(size=(k, rank)) * 10.0 ** rng.uniform(-2, 2, size=(k, 1))
+    C = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-1, 1)
+    lo = rng.uniform(-1, 0.5, size=(n, k))
+    up = lo + rng.uniform(0.1, 1.5, size=(n, k))
+    lam = float(rng.choice([0.0, 0.27, rng.uniform(0, 1)]))
+    X0 = rng.uniform(lo, up) if rng.random() < 0.7 else None
+    return M @ M.T / rank, C, lo, up, lam, X0
+
+
+@pytest.mark.parametrize("seed", [15629, 18377, 24316])
+def test_box_qp_singular_free_system_does_not_stall(seed):
+    # each of these problems has a singular free system whose Cholesky
+    # pivots all stay above 1e-12 times the scale (a pivot bounds the
+    # smallest eigenvalue from above, not from below), so a pivot test
+    # takes it for definite, and its LU step is about 1e15 long.  The
+    # Hessian fails the certificate, so every Newton step comes from the
+    # eigendecomposition, and the solve ends with its gap within tol
+    import sbmm.subsolver as subsolver
+
+    problem = _stall_problem(seed)
+    assert not subsolver._definite(problem[0])
+    X, gap = solve_box_qp(*problem, tol=1e-8)
+    assert gap <= 1e-8
+    G, C, lo, up, lam, _ = problem
+    assert _box_qp_kkt(G, C, X, lam, lo, up) <= 1e-9
 
 
 def test_box_qp_active_set_stops_at_loose_tol():
@@ -815,8 +849,9 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_newton_direction_lu_matches_eigh(monkeypatch):
-    # on positive definite masked systems the batched LU solve gives the
-    # eigendecomposition's direction, without an eigendecomposition
+    # on a certified Hessian the batched LU solve gives the direction the
+    # eigendecomposition gives an uncertified one, without an
+    # eigendecomposition
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(61)
@@ -827,13 +862,13 @@ def test_newton_direction_lu_matches_eigh(monkeypatch):
         G = _dictionary_hessian(rng, k) + 0.01 * np.eye(k)
         free = rng.random((n, k)) < 0.7
         rhs = np.where(free, rng.normal(size=(n, k)), 0.0)
+        assert subsolver._definite(G)
         cases.append((G, free, rhs, subsolver._scale(G)))
     counts = _count_calls(monkeypatch, np.linalg, ["eigh", "solve"])
-    lu = [subsolver._newton_direction(*case) for case in cases]
+    lu = [subsolver._newton_direction(*case, True) for case in cases]
     assert counts == {"eigh": 0, "solve": len(cases)}
-    monkeypatch.setattr(subsolver, "_positive_definite", lambda M, scale: False)
     for case, (p, null_dir) in zip(cases, lu):
-        p_eigh, null_eigh = subsolver._newton_direction(*case)
+        p_eigh, null_eigh = subsolver._newton_direction(*case, False)
         assert not null_dir.any() and not null_eigh.any()
         assert np.linalg.norm(p - p_eigh) <= 1e-12 * np.linalg.norm(p_eigh)
         assert (p[~case[1]] == 0.0).all()
@@ -844,9 +879,9 @@ def test_newton_direction_lu_matches_eigh(monkeypatch):
 def test_newton_direction_singular_hessian_takes_eigh_path(monkeypatch, factor):
     # an all-zero code coordinate makes the dictionary Hessian singular, a
     # tiny one nearly so (smallest eigenvalue below _NULL_RTOL times the
-    # scale); the Cholesky test sends the system to the eigendecomposition,
-    # whose null direction the step follows.  solve_box_qp still certifies
-    # its gap on both
+    # scale); it fails the certificate, which sends its systems to the
+    # eigendecomposition, whose null direction the step follows.
+    # solve_box_qp still certifies its gap on both
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(62)
@@ -859,9 +894,10 @@ def test_newton_direction_singular_hessian_takes_eigh_path(monkeypatch, factor):
     free[1, 2] = False  # this row's system leaves out the null coordinate
     rhs = rng.normal(size=(n, r))
     rhs[1, 2] = 0.0
-    assert not subsolver._positive_definite(subsolver._free_system(A, free, scale), scale)
+    certified = subsolver._definite(A)
+    assert not certified
     counts = _count_calls(monkeypatch, np.linalg, ["eigh", "solve"])
-    p, null_dir = subsolver._newton_direction(A, free, rhs, scale)
+    p, null_dir = subsolver._newton_direction(A, free, rhs, scale, certified)
     assert counts == {"eigh": 1, "solve": 0}
     np.testing.assert_array_equal(null_dir, np.arange(n) != 1)
     # the null direction is rhs's part along the null eigenvector
@@ -878,19 +914,19 @@ def test_newton_direction_singular_hessian_takes_eigh_path(monkeypatch, factor):
 
 
 def test_least_squares_start_solves_or_falls_back_to_pinv(monkeypatch):
-    # the active-set method's default start C G^+ is one solve when G passes
-    # the Cholesky test, and the pseudo-inverse when G is singular
+    # the active-set method's default start C G^+ is one solve when G is
+    # certified, and the pseudo-inverse when G is singular
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(63)
     C = rng.normal(size=(4, 5))
     counts = _count_calls(monkeypatch, np.linalg, ["solve", "pinv"])
     G = _dictionary_hessian(rng, 5)
-    X = subsolver._least_squares(G, C)
+    X = subsolver._least_squares(G, C, subsolver._definite(G))
     assert counts == {"solve": 1, "pinv": 0}
     np.testing.assert_allclose(X, C @ np.linalg.pinv(G, hermitian=True), rtol=1e-10)
     G = _dictionary_hessian(rng, 5, scale_row=(4, 0.0))
-    X = subsolver._least_squares(G, C)
+    X = subsolver._least_squares(G, C, subsolver._definite(G))
     assert counts == {"solve": 1, "pinv": 2}
     np.testing.assert_array_equal(X, C @ np.linalg.pinv(G, hermitian=True))
 
@@ -899,8 +935,9 @@ def test_least_squares_start_solves_or_falls_back_to_pinv(monkeypatch):
 @settings(max_examples=200, deadline=None)
 def test_definite_certificate_covers_every_free_system(seed, k):
     # one Cholesky factorization of G - delta scale I certifies every free
-    # system of every G + mu I (mu >= 0): each passes the per-system test.
-    # The certificate is sharp to a factor of two about delta = 1e-9
+    # system of every G + mu I (mu >= 0): each has its smallest eigenvalue
+    # above _NULL_RTOL times its scale.  The certificate is sharp to a
+    # factor of two about delta = 1e-9
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(seed)
@@ -921,13 +958,14 @@ def test_definite_certificate_covers_every_free_system(seed, k):
         Gm = G + mu * np.eye(k)
         scale_m = subsolver._scale(Gm)
         free = rng.random((8, k)) < 0.6
-        assert subsolver._positive_definite(subsolver._free_system(Gm, free, scale_m), scale_m)
+        M = subsolver._free_system(Gm, free, scale_m)
+        assert (np.linalg.eigvalsh(M)[:, 0] > subsolver._NULL_RTOL * scale_m).all()
 
 
 def test_certified_active_set_skips_the_per_system_test(monkeypatch):
-    # with the certificate the active-set method takes the same LU steps
-    # without a Cholesky test per Newton direction, and returns the bytes
-    # the per-system test gives
+    # with the certificate the active-set method takes LU steps with no
+    # Cholesky factorization and no eigendecomposition of its own, and
+    # lands where the eigendecomposition's steps (no certificate) land
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(65)
@@ -938,22 +976,25 @@ def test_certified_active_set_skips_the_per_system_test(monkeypatch):
         lam = 0.0 if trial % 2 else 0.05
         X0 = rng.uniform(0.0, 1.0, size=(n, k))
         assert subsolver._definite(G)
-        want = subsolver._active_set(G, C, 0.0, 1.0, lam, X0, 1e-10)
+        want = subsolver._active_set(G, C, 0.0, 1.0, lam, X0, 1e-10, False, False)
         counts = _count_calls(monkeypatch, np.linalg, ["cholesky", "eigh"])
         got = subsolver._active_set(G, C, 0.0, 1.0, lam, X0, 1e-10, False, True)
         assert counts == {"cholesky": 0, "eigh": 0}
         monkeypatch.undo()
-        assert got[0].tobytes() == want[0].tobytes() and (got[1] == want[1]).all()
-        assert got[2] == want[2]
+        assert got[2] <= 1e-10 and want[2] <= 1e-10
+        np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-9)
 
 
 def test_rank5_run_takes_one_cholesky_per_solve(monkeypatch, tmp_path):
     # a 120-step rank-5 run (both solves on the active-set path, the ball
     # binding): every code solve and every dictionary solve whose Hessian is
-    # certified makes one Cholesky factorization, the certificate's
+    # certified makes one Cholesky factorization, the certificate's.  A
+    # stack of three such runs takes one certificate per member in each
+    # solve: a binding member's ball search keeps the one its solve at
+    # multiplier zero took
     import sbmm.factorize as factorize
     import sbmm.subsolver as subsolver
-    from sbmm import parse_config, run_experiment
+    from sbmm import parse_config, run_experiment, run_sweep
 
     rng = np.random.default_rng(5)
     P = rng.dirichlet(np.ones(16), size=16)
@@ -990,6 +1031,14 @@ def test_rank5_run_takes_one_cholesky_per_solve(monkeypatch, tmp_path):
         total = sum(k == kind for k, _, _ in solves)
         assert total >= 120 and len(held) >= 0.9 * total
         assert all(chol == 1 for chol in held)
+    solves.clear()
+    run_sweep(parse_config(cfg), [5, 6, 7], out_dir=tmp_path / "sweep")
+    for kind in ("solve_code_lasso", "solve_block_quadratic"):
+        # each step's solve is one stacked call; a checkpoint's diagnostic
+        # code solves are one call per member
+        taken = [(chol, len(certs)) for k, chol, certs in solves if k == kind]
+        assert sum(n == 3 for _, n in taken) == 120
+        assert all(n in (1, 3) and chol == n for chol, n in taken)
 
 
 # ---------------------------------------------------------------------------
@@ -1139,7 +1188,7 @@ def test_enumeration_product_gives_the_certified_gap(k, lam, K):
         M = rng.normal(size=lead + (k, k + 1))
         G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(k)
         C = rng.normal(size=lead + (4, k))
-        X, _, gap, XG = subsolver._minimize(G, C, lo, up, lam, None, 1e-8)
+        X, _, gap, XG, _ = subsolver._minimize(G, C, lo, up, lam, None, 1e-8)
         assert gap is None and XG is not None
         assert XG.tobytes() == (X @ G).tobytes()
         want = subsolver._certified_gap(G, C, X, lam, lo, up)
