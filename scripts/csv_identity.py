@@ -7,6 +7,9 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
 
 - the four shipped configs (``configs/*.cfg``) at seeds 0-2;
 - ``omf_markov`` and ``omf_sub`` with ``engine.mode = c1``, at seeds 0-2;
+- ``omf_markov`` on the box [-1, 1] (``constraint.lower = -1``), at seeds
+  0-2: a box that straddles zero, where the code solves' l1 term keeps its
+  sign bookkeeping;
 - a 4-seed ``run_sweep`` of ``configs/omf_markov.cfg``;
 - a 4-seed ``run_sweep`` of ``configs/omf_sub.cfg`` with ``app.row_sample =
   0.5``, whose members draw different row counts, so that the stacked step
@@ -19,7 +22,9 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
   input seed 2 at engine seed 1, whose run reaches a Hessian that fails the
   solver's definiteness certificate;
 - a 3-seed ``run_sweep`` of input seed 0's rank-5 config, whose members
-  run their active-set solves and ball searches one by one.
+  run their active-set solves and ball searches one by one;
+- input seed 0's rank-5 config on the box [-1, 1], at engine seed 0: the
+  active-set code solves on a box that straddles zero.
 
 It then prints one line per CSV, ``identical`` or ``differs`` (``missing``
 when only one checkout wrote it), and exits 1 on any difference.
@@ -60,6 +65,7 @@ COUNTS = "counts.json"  # the rank-5 runs' work, under each checkout's WORK
 RANK5_RUNS = (tuple((f"omf_rank5_seed{s}", s, s) for s in SEEDS)
               + (("omf_rank5_in2_seed1", 2, 1),))
 WORK_COUNTS = ("ball_evals", "cholesky", "eigh")
+STRADDLE = "constraint.lower = -1\n"  # a box across zero, [-1, 1]
 
 
 def write_cpdl3(out: Path) -> str:
@@ -138,6 +144,9 @@ def write_set(out: Path, steps: int | None) -> None:
         cfg = config(root / "configs" / f"{name}.cfg", f"{name}_c1", "engine.mode = c1\n")
         for seed in SEEDS:
             run_experiment(cfg, seed=seed, out_path=str(csvs / f"{name}_c1_seed{seed}.csv"))
+    cfg = config(root / "configs" / "omf_markov.cfg", "omf_markov_straddle", STRADDLE)
+    for seed in SEEDS:
+        run_experiment(cfg, seed=seed, out_path=str(csvs / f"omf_markov_straddle_seed{seed}.csv"))
     run_sweep(config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep"), SWEEP_SEEDS,
               out_dir=csvs / "sweep")
     run_sweep(config(root / "configs" / "omf_sub.cfg", "omf_sub_sweep", "app.row_sample = 0.5\n"),
@@ -162,6 +171,8 @@ def write_set(out: Path, steps: int | None) -> None:
     cfg = config(rank5[0], "omf_rank5_sweep")
     work["omf_rank5_sweep"] = count_work(functools.partial(run_sweep, cfg, SEEDS,
                                                            out_dir=csvs / "sweep"))
+    cfg = config(rank5[0], "omf_rank5_straddle", STRADDLE)
+    run_experiment(cfg, seed=0, out_path=str(csvs / "omf_rank5_straddle_seed0.csv"))
     (out / COUNTS).write_text(json.dumps(work, indent=1) + "\n", encoding="utf-8")
 
 

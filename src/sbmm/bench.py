@@ -672,6 +672,7 @@ def parse_config(path) -> RunConfig:
             ("app.tensor_shape", kind == "cpdl" and len(shape) < 2,
              "must be I_1,...,I_m,batch for app.kind = cpdl"),
             (bound_key, not lo < up, f"leaves an empty box: need lower {lo} < upper {up}"),
+            (bound_key, not math.isfinite(up - lo), f"makes the box width {up} - {lo} overflow"),
             ("schedule.kind", values["schedule.kind"] == "custom" and "schedule.values" not in values,
              "needs schedule.values"),
             ("engine.mode", kind == "cpdl" and mode == "c1", "is not available: app.kind = cpdl "

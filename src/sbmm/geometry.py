@@ -77,6 +77,11 @@ class BoxSet:
         """The bounds shifted out by BOUNDARY_TOL."""
         return self.lower - BOUNDARY_TOL, self.upper + BOUNDARY_TOL
 
+    @cached_property
+    def derived(self) -> dict:
+        """Facts derived once from the box (``subsolver``'s box families)."""
+        return {}
+
     def contains(self, x: np.ndarray) -> bool:
         """Whether every entry of x lies within BOUNDARY_TOL of the box; a
         NaN entry does not."""

@@ -21,9 +21,8 @@ positive definite.  Under it the Newton steps of all rows are one batched
 LU solve and the least-squares start is one solve; an uncertified Hessian
 (an all-zero code coordinate makes a dictionary Hessian singular) takes
 an eigendecomposition, which gives the least-norm step or a direction of
-zero curvature, and the pseudo-inverse for the start.  The method
-computes each of its constants once per solve, and a gap test that fails
-hands its entry gaps to the release step.  A trust-region ball is
+zero curvature, and the pseudo-inverse for the start; a gap test that
+fails hands its entry gaps to the release step.  A trust-region ball is
 dualized with one multiplier shared by every row
 (``geometry.ball_multiplier_search``): each box solve hands the search the
 exact distance model of its working set, and the next solve starts where
@@ -41,19 +40,23 @@ active-set method, a binding ball's multiplier search and the polishing of
 a gap run member by member.  Every member's numbers are computed slice by
 slice, so they are the bytes its own family's solve gives.
 
+What a solve reads of its box comes from one box family per (k, lam, box),
+derived once (_BoxFamily): the KKT patterns and their values at the bounds,
+the clipped zero, the width and the release floor's bound.  Code and block
+solves reach it from their BoxSet (a block of whole dictionary rows, one
+family row each, as the box's family cut to those rows), a bare
+solve_box_qp call with one cache lookup.  On a box on one side of zero, as
+every shipped box is, lam ||x||_1 = sign lam sum(x) is linear, and the
+enumeration, the certified gap and the active-set method skip the l1 sign
+bookkeeping, with the same floats.
+
 Both solvers certify what they return, and return the certificate with
 the solution: the code solver its convexity-based objective gap bound,
 rounding allowance included, that downstream surrogates use as their
-approximation tolerance (from an enumeration, it reuses the enumeration's
-own rows of X @ G), and the block solver its descent certificate, the
-objective at its start (the quadratic's anchor) and at its result, which
-it checks does not rise; both values come from one evaluation of the
-(2, q, r) pair.
-
-Every block solve is whole rows of a FactorQuad, and reaches the box QP
-machinery as those rows: G = A, one family row per dictionary row, the
-box and the ball's center the rows' slices of the box and of the
-quadratic's anchor (reshaped views when the block is the whole matrix).
+approximation tolerance (reusing an enumeration's rows of X @ G), and the
+block solver its descent certificate, the objective at its start (the
+quadratic's anchor, the ball's center) and at its result, from one
+evaluation of the (2, q, r) pair, which it checks does not rise.
 """
 
 from __future__ import annotations
@@ -112,57 +115,57 @@ def soft_threshold(v, kappa):
 # batched box QP
 
 
-def _entry_gaps(grad, X, lam, lo, up, zero=None):
+def _entry_gaps(grad, X, box):
     """Per entry, sup over v in [lo, up] of grad*(x - v) + lam(|x| - |v|).
 
     The sup is attained where the concave -grad*v - lam|v| peaks on the
     interval: at up when grad < -lam, at lo when grad > lam, else at the
-    (clipped) zero, which a caller that has it passes as zero.  By convexity
-    the sum bounds the objective suboptimality of X; an entry's term is zero
-    iff moving that entry alone cannot improve the linearized objective.
+    clipped zero; on a one-signed box that is the bound nearer zero, and
+    lam(|x| - |v|) = sign lam (x - v).  By convexity the sum bounds the
+    suboptimality of X; an entry's term is zero iff moving it alone cannot
+    improve the linearized objective.
     """
+    lam, lo, up = box.lam, box.lo, box.up
+    if lam > 0 and box.sign:
+        d = X - (np.where(grad < -lam, up, lo) if box.sign > 0 else np.where(grad > lam, lo, up))
+        return grad * d + (box.sign * lam) * d
     if lam > 0:
-        if zero is None:
-            zero = np.minimum(np.maximum(lo, 0.0), up)
-        v = np.where(grad < -lam, up, np.where(grad > lam, lo, zero))
+        v = np.where(grad < -lam, up, np.where(grad > lam, lo, box.zero))
         return grad * (X - v) + lam * (np.abs(X) - np.abs(v))
     return grad * (X - np.where(grad < 0.0, up, lo))
 
 
-def _certified_gap(G, C, X, lam, lo, up, XG=None):
-    """Bound on the total objective suboptimality of X: the sum of the
-    entry gaps plus an allowance for the rounding in computing them
+def _certified_gap(G, C, X, box, XG=None):
+    """Bound on the total objective suboptimality of X in the box: the sum of
+    the entry gaps plus an allowance for the rounding in computing them
     (_gap_total).  One family (G of shape (k, k), C and X of shape (n, k))
     gives a float; a stack (G of shape (K, k, k), C and X of shape (K, n,
     k)) one per member, each summed over that member's entries alone, as its
     own family would be.  XG, when given, is X @ G as the pattern
     enumeration computed it."""
-    gaps = _entry_gaps(2.0 * ((X @ G if XG is None else XG) - C), X, lam, lo, up)
-    return _gap_total(gaps, X, np.abs(G), np.abs(C), lam, up - lo)
+    gaps = _entry_gaps(2.0 * ((X @ G if XG is None else XG) - C), X, box)
+    return _gap_total(gaps, X, np.abs(G), np.abs(C), box)
 
 
-def _gap_total(gaps, X, absG, absC, lam, width):
-    """The certified gap from the entry gaps of X, given |G|, |C| and the
-    box width up - lo.  A gradient entry is off by at most about (k + 1)
-    ulps of |2XG| + |2C|; that error, a wrong pick of the attaining endpoint
-    it may cause, and the few roundings of the term itself each cost at most
-    a few ulps of (|gradient| + lam) times the width (the reach).  Summing n
-    terms adds at most n ulps of the sum of their sizes."""
-    reach = (2.0 * (np.abs(X) @ absG + absC) + lam) * width
+def _gap_total(gaps, X, absG, absC, box):
+    """The certified gap from the entry gaps of X, given |G| and |C|.  A
+    gradient entry is off by at most about (k + 1) ulps of |2XG| + |2C|; that
+    error, a wrong pick of the attaining endpoint it may cause, and the few
+    roundings of the term itself each cost a few ulps of (|gradient| + lam)
+    times the width (the reach).  Summing n terms adds n ulps of their sizes'
+    sum.  On a one-signed box |X| = sign X and every entry gap is >= 0."""
+    sign = box.sign
+    XA = np.abs(X) @ absG if not sign else X @ absG if sign > 0 else -(X @ absG)
+    reach = (2.0 * (XA + absC) + box.lam) * box.width
+    abs_gaps = gaps if sign else np.abs(gaps)
     weight = 2 * (absG.shape[-1] + 4)
     if absG.ndim == 2:
-        slack = _EPS * (weight * float(reach.sum()) + gaps.size * float(np.abs(gaps).sum()))
+        slack = _EPS * (weight * float(reach.sum()) + gaps.size * float(abs_gaps.sum()))
         return max(0.0, float(gaps.sum())) + slack
     size = gaps.size // len(gaps)
     sums = zip(gaps.sum(axis=(1, 2)).tolist(), reach.sum(axis=(1, 2)).tolist(),
-               np.abs(gaps).sum(axis=(1, 2)).tolist())
+               abs_gaps.sum(axis=(1, 2)).tolist())
     return np.array([max(0.0, total) + _EPS * (weight * r + size * a) for total, r, a in sums])
-
-
-def _member(a, j):
-    """Member j's part of bounds that are per member (shape (K, n, k)), or
-    the bounds themselves when the stack shares them."""
-    return a[j] if getattr(a, "ndim", 0) == 3 else a
 
 
 @lru_cache(maxsize=64)
@@ -182,35 +185,98 @@ def _patterns(k: int, states: tuple) -> tuple:
     return out
 
 
-def _enumerate(G, C, lo, up, lam, patterns):
+class _BoxFamily:
+    """What every box QP over one box [lo, up] (bounds (K, n, k): a box per
+    stack member) reads of it, derived once per (lam, box, k): the KKT
+    states and patterns, the patterns' values at the bounds (V) and l1 shift
+    lam s / 2, the clipped zero, the width, the release floor's max |bound|,
+    and the side of zero the box lies on (sign): 1 if every lo >= +0.0, -1
+    if every up < 0 or = +0.0, else 0; on such a box lam ||x||_1 = sign lam
+    sum(x) is linear, and the solvers keep no sign state."""
+
+    def __init__(self, lam, lo, up, k):
+        lo, up = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
+        self.lam, self.lo, self.up, self.k, self.heads = lam, lo, up, k, {}
+        self.width, self.bound = up - lo, max(float(np.abs(lo).max()), float(np.abs(up).max()))
+        self.sign = (1 if not np.signbit(lo).any()
+                     else -1 if ((up < 0.0) | (up == 0.0) & ~np.signbit(up)).all() else 0)
+        self.states = (_LO, _UP, _FREE)
+        if lam > 0:
+            self.lo_pos, self.up_neg = np.maximum(lo, 0.0), np.minimum(up, 0.0)
+            self.zero = np.minimum(self.lo_pos, up)
+            self.states = ((_LO, _UP) + ((_POS,) if up.max() > 0.0 else ())
+                           + ((_NEG,) if lo.min() < 0.0 else ())
+                           + ((_ZERO,) if ((lo < 0.0) & (up > 0.0)).any() else ()))
+        self.enumerable = len(self.states) ** k <= _ENUM_PATTERNS
+        if self.enumerable:
+            self.patterns = at_lo, at_up, _, sgn, _, _ = _patterns(k, self.states)
+            self.lo_p, self.up_p = (lo[:, None], up[:, None]) if lo.ndim == 3 else (lo, up)
+            self.V = np.where(at_lo, self.lo_p, np.where(at_up, self.up_p, 0.0))
+            self.shift = (0.5 * lam) * sgn
+
+    def rows(self, rows):
+        """The family of rows (m,) or (K, m): the first m rows' if all are alike."""
+        m = rows.shape[-1]
+        if m not in self.heads:
+            same = all(a.tobytes() == a[:1].tobytes() * len(a) for a in (self.lo, self.up))
+            self.heads[m] = same and _BoxFamily(self.lam, self.lo[:m], self.up[:m], self.k)
+        return self.heads[m] or _BoxFamily(self.lam, self.lo[rows], self.up[rows], self.k)
+
+    def member(self, j):
+        """Member j's family: its own if the stack has a box per member."""
+        return self if self.lo.ndim < 3 else _BoxFamily(self.lam, self.lo[j], self.up[j], self.k)
+
+
+@lru_cache(maxsize=64)
+def _cached_family(lam, k, lo_shape, lo_bytes, up_shape, up_bytes) -> _BoxFamily:
+    return _BoxFamily(lam, np.frombuffer(lo_bytes).reshape(lo_shape),
+                      np.frombuffer(up_bytes).reshape(up_shape), k)
+
+
+def _box_family(lam, lo, up, k) -> _BoxFamily:
+    """The family of a bare solve's box, found with one cache lookup."""
+    lo, up = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
+    return _cached_family(float(lam), k, lo.shape, lo.tobytes(), up.shape, up.tobytes())
+
+
+def _family_of(box: BoxSet, lam, shape) -> _BoxFamily:
+    """The family of solves over box, bounds in shape (rows, k), kept with it."""
+    if (lam, shape) not in box.derived:
+        box.derived[lam, shape] = _BoxFamily(lam, box.lower.reshape(shape),
+                                             box.upper.reshape(shape), shape[-1])
+    return box.derived[lam, shape]
+
+
+def _enumerate(G, C, box):
     """Exact minimizer by KKT-pattern enumeration; G must be nonsingular.
 
     Each pattern fixes some entries (at lo, up or zero) and gives the others
     a sign; its candidate solves the free entries' stationarity system
     G_FF x_F = c_F - G_FX x_X - lam s_F / 2.  The minimizer's own pattern
-    reproduces it, so the best candidate that lies in the box (free entries
-    on their sign's side of zero) is the minimizer.  Returns it with its
-    free mask and its rows of the candidates' x @ G, which the certified
-    gap reuses.  A stack (G of shape (K, k, k), C of shape (K, n, k)) is one
-    batch with a member axis in front of the pattern axis; each member's
-    candidates are its own family's, slice by slice.
+    reproduces it, so the best candidate in the box (free entries on their
+    sign's side of zero, as the bounds of a one-signed box imply) is the
+    minimizer.  Returns it with its free mask and its rows of the candidates'
+    x @ G, which the certified gap reuses.  A stack (G of shape (K, k, k), C
+    of shape (K, n, k)) is one batch with a member axis in front of the
+    pattern axis; each member's candidates are its own family's, slice by
+    slice.
     """
-    at_lo, at_up, free, sgn, pair, fixed_eye = patterns
+    _, _, free, sgn, pair, fixed_eye = box.patterns
+    lam, V = box.lam, box.V
     stack = G.ndim == 3
     if stack:
         G, C = G[:, None], C[:, None]
-        if getattr(lo, "ndim", 0) == 3:
-            lo, up = lo[:, None], up[:, None]
-    V = np.where(at_lo, lo, np.where(at_up, up, 0.0))  # zero on free entries
     rhs = C - V @ G
     if lam > 0:
-        rhs = rhs - (0.5 * lam) * sgn
+        rhs = rhs - box.shift
     # the free systems' inverses are symmetric, so rhs @ inv solves them
     x = np.where(free, rhs @ np.linalg.inv(G * pair + fixed_eye), V)
-    ok = (x >= lo) & (x <= up)
+    ok = (x >= box.lo_p) & (x <= box.up_p)
     xG = x @ G
     obj = (x * (xG - 2.0 * C)).sum(axis=-1)
-    if lam > 0:
+    if lam > 0 and box.sign:
+        obj += (box.sign * lam) * x.sum(axis=-1)
+    elif lam > 0:
         ok &= x * sgn >= 0.0
         obj += lam * np.abs(x).sum(axis=-1)
     pick = np.where(ok.all(axis=-1), obj, np.inf).argmin(axis=-2)
@@ -273,7 +339,7 @@ def _newton_direction(G, free, rhs, scale, certified):
     return np.einsum("nkj,nj->nk", V, step), null_dir
 
 
-def _active_set(G, C, lo, up, lam, X, tol, predicted, certified):
+def _active_set(G, C, box, X, tol, predicted, certified):
     """Primal active-set method from a point X of the box, for one member
     (G of shape (k, k), C and X of shape (n, k)).  Works for any PSD G.
     Returns its last iterate, working set (True where fixed) and the
@@ -286,18 +352,17 @@ def _active_set(G, C, lo, up, lam, X, tol, predicted, certified):
     Newton step is one LU solve when it holds, an eigendecomposition when
     it does not."""
     n, k = C.shape
-    kink = lam > 0  # the l1 term bends the objective at zero
+    lam, lo, up = box.lam, box.lo, box.up
+    # the l1 term bends the objective at zero unless the box is one-signed
+    kink, lam_s = lam > 0 and not box.sign, box.sign * lam
     fixed = (X == lo) | (X == up)
-    zero = None
     if kink:
         fixed |= X == 0.0
-        lo_pos, up_neg = np.maximum(lo, 0.0), np.minimum(up, 0.0)
-        zero = np.minimum(lo_pos, up)  # the clipped zero
         # a free entry stays in its sign region until a step hits zero
         sgn = np.sign(X)
     # the solve's constants, each computed once (the release floor once a
     # row first reaches its working-set minimizer)
-    absG, absC, width = np.abs(G), np.abs(C), up - lo
+    absG, absC = np.abs(G), np.abs(C)
     scale = float(absG.max()) or 1.0  # _scale(G)
     floor = None
     # rows sitting at their working-set minimizer
@@ -307,22 +372,21 @@ def _active_set(G, C, lo, up, lam, X, tol, predicted, certified):
         n_at_min = np.count_nonzero(at_min)
         gaps = None
         if tol > 0.0 and n_at_min == n:
-            gaps = _entry_gaps(grad, X, lam, lo, up, zero)
-            gap = _gap_total(gaps, X, absG, absC, lam, width)
+            gaps = _entry_gaps(grad, X, box)
+            gap = _gap_total(gaps, X, absG, absC, box)
             if gap <= tol:
                 return X, fixed, gap
         moving = ~at_min
         go = None  # the rows that release an entry
         if n_at_min:
             if floor is None:
-                bound = max(float(np.abs(lo).max()), float(np.abs(up).max()))
-                g_scale = 2.0 * (k * scale * bound + float(absC.max())) + lam
-                floor = _RELEASE_RTOL * g_scale * width
+                g_scale = 2.0 * (k * scale * box.bound + float(absC.max())) + lam
+                floor = _RELEASE_RTOL * g_scale * box.width
                 cols = np.arange(k)
             # a row at its working-set minimizer releases the fixed entry
             # with the largest gap, if that entry can still improve
             if gaps is None:
-                gaps = _entry_gaps(grad, X, lam, lo, up, zero)
+                gaps = _entry_gaps(grad, X, box)
             cand = np.where(fixed, gaps - floor, 0.0)
             j = cand.argmax(axis=1)
             go = at_min & (cand.max(axis=1) > 0.0)
@@ -336,14 +400,14 @@ def _active_set(G, C, lo, up, lam, X, tol, predicted, certified):
             if go is not None and go.any():
                 # a released entry at zero heads for the point that attains its
                 # gap (see _entry_gaps); elsewhere it keeps the sign it has
-                target = np.where(grad < -lam, up, np.where(grad > lam, lo, zero))
+                target = np.where(grad < -lam, up, np.where(grad > lam, lo, box.zero))
                 sgn = np.where(release, np.where(X != 0.0, np.sign(X), np.sign(target)), sgn)
-            a = np.where(sgn > 0, lo_pos, lo)
-            b = np.where(sgn < 0, up_neg, up)
+            a = np.where(sgn > 0, box.lo_pos, lo)
+            b = np.where(sgn < 0, box.up_neg, up)
             gf = np.where(free, grad + lam * sgn, 0.0)
         else:
             a, b = lo, up
-            gf = np.where(free, grad, 0.0)
+            gf = np.where(free, grad + lam_s if lam_s else grad, 0.0)
         p, null_dir = _newton_direction(G, free, -0.5 * gf, scale, certified)
         # t = 1 reaches the working-set minimizer unless a bound (or zero)
         # blocks first; a zero-curvature direction (never one of a certified
@@ -361,26 +425,6 @@ def _active_set(G, C, lo, up, lam, X, tol, predicted, certified):
     raise SubsolverError("box QP active-set iteration cap exceeded")
 
 
-def _states(lam, lo, up) -> tuple:
-    """The entry states a KKT pattern can give an entry of the box [lo, up]:
-    with an l1 term they follow the box's signs, derived once per box."""
-    if lam <= 0:
-        return (_LO, _UP, _FREE)
-    lo_a, up_a = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
-    return _sign_states(lo_a.shape, lo_a.tobytes(), up_a.shape, up_a.tobytes())
-
-
-@lru_cache(maxsize=64)
-def _sign_states(lo_shape, lo_bytes, up_shape, up_bytes) -> tuple:
-    """_states with an l1 term, of the box whose bounds have these shapes
-    and bytes."""
-    lo_a = np.frombuffer(lo_bytes).reshape(lo_shape)
-    up_a = np.frombuffer(up_bytes).reshape(up_shape)
-    positive, negative = bool(up_a.max() > 0.0), bool(lo_a.min() < 0.0)
-    return ((_LO, _UP) + ((_POS,) if positive else ()) + ((_NEG,) if negative else ())
-            + ((_ZERO,) if positive and negative and ((lo_a < 0) & (up_a > 0)).any() else ()))
-
-
 def _least_squares(G, C, certified):
     """C G^+, the least-squares minimizer of each row's smooth part: one
     solve when G is certified (_definite), else by the pseudo-inverse."""
@@ -389,62 +433,49 @@ def _least_squares(G, C, certified):
     return C @ np.linalg.pinv(G, hermitian=True)
 
 
-def _minimize(G, C, lo, up, lam, X0, tol, predicted=False, certified=None):
-    """Minimizer of the solve_box_qp objective, its free mask, the certified
-    gap the active-set method stopped on (None if it has none), the
-    enumeration's X @ G (None if it did not enumerate G itself) and G's
-    definiteness certificate (_definite; None if the solve needed none):
-    exact by pattern enumeration while the patterns are few, else the
-    active-set method, which stops once the certified gap is <= tol.  X0
-    (or None), clipped into the box where it is used, starts the active-set
-    method, by default from the clipped least-squares minimizer of the
-    smooth part, and breaks ties when G is singular, by default towards the
-    clipped zero; predicted is passed to the active-set method, and so is
-    the certificate, taken here when certified is None.
+def _minimize(G, C, box, X0, tol, predicted=False, certified=None):
+    """Minimizer of the solve_box_qp objective over the box family box, its
+    free mask, the certified gap the active-set method stopped on (None if
+    it has none), the enumeration's X @ G (None if it did not enumerate G
+    itself) and G's definiteness certificate (_definite; None if the solve
+    needed none): exact by pattern enumeration while the patterns are few,
+    else the active-set method, which stops once the certified gap is <=
+    tol.  X0 (or None), clipped into the box where it is used unless
+    predicted (then it lies in the box), starts the active-set method, by
+    default from the clipped least-squares minimizer of the smooth part, and
+    breaks ties when G is singular, by default towards the clipped zero;
+    predicted and the certificate (taken if None) go to the active-set method.
 
     A stack (G of shape (K, k, k), C of shape (K, n, k)) enumerates in one
     batch and runs the active-set method member by member; its gaps are an
     array, nan for a member without one, and its certificates a list, one
     per member."""
-    k = C.shape[-1]
-    if G.ndim == 3:
-        return _minimize_stack(G, C, lo, up, lam, X0, tol)
-    states = _states(lam, lo, up)
-    if len(states) ** k > _ENUM_PATTERNS:
-        if certified is None:
-            certified = _definite(G)
-        X0 = np.clip(_least_squares(G, C, certified) if X0 is None else X0, lo, up)
-        X, fixed, gap = _active_set(G, C, lo, up, lam, X0, tol, predicted, certified)
-        return X, ~fixed, gap, None, certified
-    patterns = _patterns(k, states)
-    try:
-        X, free, XG = _enumerate(G, C, lo, up, lam, patterns)
-        return X, free, None, XG, certified
-    except np.linalg.LinAlgError:
-        # singular G: adding delta ||x - X0||^2 makes the minimizer unique and
-        # picks the one nearest X0 up to O(delta)
-        delta = _NULL_RTOL * _scale(G)
-        X0 = np.clip(0.0 if X0 is None else X0, lo, up)
-        X, free, _ = _enumerate(G + delta * np.eye(k), C + delta * X0, lo, up, lam, patterns)
-        return X, free, None, None, certified
-
-
-def _minimize_stack(G, C, lo, up, lam, X0, tol):
-    """_minimize of a stack: one enumeration batch while the KKT patterns
-    are few, else each member alone."""
-    K, k = len(C), C.shape[-1]
-    states = _states(lam, lo, up)
-    if len(states) ** k <= _ENUM_PATTERNS:
+    stack = G.ndim == 3
+    if box.enumerable:
         try:
-            X, free, XG = _enumerate(G, C, lo, up, lam, _patterns(k, states))
-            return X, free, None, XG, [None] * K
+            X, free, XG = _enumerate(G, C, box)
+            return X, free, None, XG, [None] * len(C) if stack else certified
         except np.linalg.LinAlgError:
-            pass  # a singular member: each member alone, so only its own solve changes
-    parts = [_minimize(G[j], C[j], _member(lo, j), _member(up, j), lam,
-                       None if X0 is None else X0[j], tol) for j in range(K)]
-    gap = np.array([np.nan if p[2] is None else p[2] for p in parts])
-    return (np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts]),
-            None if np.isnan(gap).all() else gap, None, [p[4] for p in parts])
+            if not stack:
+                # singular G: adding delta ||x - X0||^2 makes the minimizer
+                # unique and picks the one nearest X0 up to O(delta)
+                delta = _NULL_RTOL * _scale(G)
+                X0 = np.clip(0.0 if X0 is None else X0, box.lo, box.up)
+                X, free, _ = _enumerate(G + delta * np.eye(box.k), C + delta * X0, box)
+                return X, free, None, None, certified
+            # a singular member of a stack: each member alone, so only its solve changes
+    if stack:
+        parts = [_minimize(G[j], C[j], box.member(j), None if X0 is None else X0[j], tol)
+                 for j in range(len(C))]
+        gap = np.array([np.nan if p[2] is None else p[2] for p in parts])
+        return (np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts]),
+                None if np.isnan(gap).all() else gap, None, [p[4] for p in parts])
+    if certified is None:
+        certified = _definite(G)
+    if not predicted:
+        X0 = np.clip(_least_squares(G, C, certified) if X0 is None else X0, box.lo, box.up)
+    X, fixed, gap = _active_set(G, C, box, X0, tol, predicted, certified)
+    return X, ~fixed, gap, None, certified
 
 
 def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
@@ -472,37 +503,42 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
         raise ValueError("lam must be >= 0")
     if X0 is not None:
         X0 = np.asarray(X0, dtype=float)
-    X, _, gap, XG, _ = _minimize(G, C, lo, up, lam, X0, tol)
+    return _solve(G, C, _box_family(lam, lo, up, C.shape[-1]), X0, tol)
+
+
+def _solve(G, C, box, X0, tol):
+    """solve_box_qp over the box family box."""
+    X, _, gap, XG, _ = _minimize(G, C, box, X0, tol)
     if G.ndim == 2:
-        return _polish(G, C, lo, up, lam, X, gap, tol, XG)
+        return _polish(G, C, box, X, gap, tol, XG)
     if gap is None:
-        gap = _certified_gap(G, C, X, lam, lo, up, XG)
+        gap = _certified_gap(G, C, X, box, XG)
     for j, g in enumerate(gap.tolist()):
         if not g <= tol:  # above tol, or nan: not known yet
-            X[j], gap[j] = _polish(G[j], C[j], _member(lo, j), _member(up, j), lam, X[j],
+            X[j], gap[j] = _polish(G[j], C[j], box.member(j), X[j],
                                    None if math.isnan(g) else g, tol)
     return X, gap
 
 
-def _polish(G, C, lo, up, lam, X, gap, tol, XG=None):
+def _polish(G, C, box, X, gap, tol, XG=None):
     """(X, its certified gap) of one family, X polished by the active-set
     method while its gap (computed here when None, from XG = X @ G when
     given) exceeds tol; the active-set method hands back the gap it stopped
     on."""
     if gap is None:
-        gap = _certified_gap(G, C, X, lam, lo, up, XG)
+        gap = _certified_gap(G, C, X, box, XG)
     if gap > tol:
-        X, _, gap = _active_set(G, C, lo, up, lam, X, tol, False, _definite(G))
+        X, _, gap = _active_set(G, C, box, X, tol, False, _definite(G))
         if gap is None:
-            gap = _certified_gap(G, C, X, lam, lo, up)
+            gap = _certified_gap(G, C, X, box)
     return X, gap
 
 
-def _box_qp_ball(G, C, lo, up, center, radius, tol, first=None):
-    """Minimizer of the solve_box_qp objective without an l1 term over the
-    box intersected with the ball ||X - center||_F <= radius (center in the
-    box), each box solve done by _minimize from the previous one's X, the
-    first from center.
+def _box_qp_ball(G, C, box, center, radius, tol, first=None):
+    """Minimizer of the solve_box_qp objective without an l1 term (box is a
+    lam = 0 family) over the box intersected with the ball ||X - center||_F
+    <= radius (center in the box), each box solve done by _minimize from the
+    previous one's X, the first from center.
 
     Dualizing the ball adds mu ||X - center||^2, which keeps the shared
     Hessian form with G + mu I and rows c_i + mu center_i.  On the working
@@ -522,11 +558,11 @@ def _box_qp_ball(G, C, lo, up, center, radius, tol, first=None):
     """
     X = center if first is None else first[0]
     if math.isinf(radius):
-        return _minimize(G, C, lo, up, 0.0, X, tol)[0]
+        return _minimize(G, C, box, X, tol)[0]
     if G.ndim == 3:
-        X, free, _, _, certified = _minimize(G, C, lo, up, 0.0, X, tol)
-        return np.stack([_box_qp_ball(G[j], C[j], _member(lo, j), _member(up, j), center[j],
-                                      radius, tol, (X[j], free[j], certified[j]))
+        X, free, _, _, certified = _minimize(G, C, box, X, tol)
+        return np.stack([_box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
+                                      (X[j], free[j], certified[j]))
                          for j in range(len(C))])
 
     last = None  # the last model's (mu, free mask, w, V, coefficients)
@@ -540,16 +576,16 @@ def _box_qp_ball(G, C, lo, up, center, radius, tol, first=None):
         if first is not None:  # mu = 0, solved already
             (X, free, certified), first = first, None
         elif mu == 0.0:
-            X, free, _, _, certified = _minimize(G, C, lo, up, 0.0, X, tol, False, certified)
+            X, free, _, _, certified = _minimize(G, C, box, X, tol, False, certified)
         else:
             start, predicted = X, False
             if last is not None:
                 mu0, free0, w, V, coef = last
                 moved = np.einsum("nkj,nj->nk", V, coef * ((w + mu0) / (w + mu)))
                 Xp = np.where(free0, center + moved, X)
-                if ((Xp >= lo) & (Xp <= up)).all():
+                if ((Xp >= box.lo) & (Xp <= box.up)).all():
                     start, predicted = Xp, True
-            X, free = _minimize(G + mu * _eye(len(G)), C + mu * center, lo, up, 0.0, start, tol,
+            X, free = _minimize(G + mu * _eye(len(G)), C + mu * center, box, start, tol,
                                 predicted, certified)[:2]
         u = X - center
 
@@ -613,10 +649,8 @@ def solve_code_lasso(
     if code_set.dim != r:
         raise ValueError(f"code box dim {code_set.dim} must be the rank {r}")
     Wt = W.swapaxes(-1, -2)
-    H_T, gap = solve_box_qp(Wt @ W, (Wt @ X).swapaxes(-1, -2), code_set.lower[None],
-                            code_set.upper[None], lam,
-                            None if H0 is None else np.asarray(H0, dtype=float).swapaxes(-1, -2),
-                            tol=tol)
+    H_T, gap = _solve(Wt @ W, (Wt @ X).swapaxes(-1, -2), _family_of(code_set, lam, (1, r)),
+                      None if H0 is None else np.asarray(H0, dtype=float).swapaxes(-1, -2), tol)
     return H_T.swapaxes(-1, -2), gap
 
 
@@ -656,16 +690,16 @@ def solve_block_quadratic(
     q, r = g.q, g.r
     if not box.contains(prev.reshape(prev.shape[:-2] + (q * r,))):
         raise GeometryError("the anchor must lie in the box")
-    lo, up = box.lower.reshape(q, r), box.upper.reshape(q, r)
+    fam = _family_of(box, 0.0, (q, r))
     C = g.B.swapaxes(-1, -2)
     if rows is None:
-        W = _box_qp_ball(g.A, C, lo, up, prev, radius, tol)
+        W = _box_qp_ball(g.A, C, fam, prev, radius, tol)
     else:
         rows = np.asarray(rows, dtype=int)
         at = ((np.arange(len(prev))[:, None], rows) if rows.ndim == 2
               else (Ellipsis, rows, slice(None)))
         W = prev.copy()
-        W[at] = _box_qp_ball(g.A, C[at], lo[rows], up[rows], prev[at], radius, tol)
+        W[at] = _box_qp_ball(g.A, C[at], fam.rows(rows), prev[at], radius, tol)
     obj, new = g.value(np.array((prev, W)))
     if prev.ndim == 2:
         obj, new = float(obj), float(new)

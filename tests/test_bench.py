@@ -545,6 +545,8 @@ def test_parse_config_type_error(tmp_path):
     ("app.rank = 0\n", "app.rank"),
     ("constraint.nonneg = false\nconstraint.lower = 2.0\n", "constraint.lower"),
     ("constraint.upper = -0.5\n", "constraint.upper"),
+    ("constraint.nonneg = false\nconstraint.lower = -1e308\nconstraint.upper = 1e308\n",
+     "constraint.upper"),
     ("stream.kind = markvo\n", "stream.kind"),
     ("schedule.kind = polylgo\n", "schedule.kind"),
     ("schedule.kind = custom\n", "schedule.kind"),
@@ -581,7 +583,8 @@ def test_parse_config_type_error(tmp_path):
         "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
         "theta0_shape", "theta0_outside_box", "theta0_nan", "tensor_shape_arity",
         "tensor_shape_zero",
-        "cpdl_tensor_shape", "rank", "empty_box", "nonneg_empty_box", "stream_kind",
+        "cpdl_tensor_shape", "rank", "empty_box", "nonneg_empty_box", "box_width_overflow",
+        "stream_kind",
         "schedule_kind", "schedule_values_missing", "schedule_values", "schedule_values_short",
         "schedule_alpha",
         "nonneg_lower", "polylog_alpha", "constant_beta", "balanced_delta", "balanced_values",

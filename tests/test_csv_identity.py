@@ -30,8 +30,8 @@ def test_csv_identity_names_each_file(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 1, out.stderr
     verdicts = dict(line.rsplit(": ", 1) for line in out.stdout.splitlines()[:-1])
-    assert len(verdicts) == 37
-    assert out.stdout.splitlines()[-1] == "14 of 37 identical"
+    assert len(verdicts) == 41
+    assert out.stdout.splitlines()[-1] == "15 of 41 identical"
     for name, verdict in verdicts.items():
         same = Path(name).name.startswith(("cpdl", "omf_rank5"))
         assert verdict == ("identical" if same else "differs"), name

@@ -12,7 +12,7 @@ from sbmm.geometry import (
     tangent_cone_project,
 )
 from sbmm.quadform import FactorQuad
-from sbmm.subsolver import _box_qp_ball, solve_block_quadratic
+from sbmm.subsolver import _box_family, _box_qp_ball, solve_block_quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +76,8 @@ def box_ball_projection(x, box, center, radius):
     center in the box, as the block solve computes it: one row per entry
     with G = I, whose objective sum_i y_i^2 - 2 x_i y_i is ||y - x||^2 up to
     a constant."""
-    return _box_qp_ball(np.eye(1), x[:, None], box.lower[:, None], box.upper[:, None],
-                        center[:, None], radius, 1e-12)[:, 0]
+    fam = _box_family(0.0, box.lower[:, None], box.upper[:, None], 1)
+    return _box_qp_ball(np.eye(1), x[:, None], fam, center[:, None], radius, 1e-12)[:, 0]
 
 
 def test_ball_radius_zero_gives_center():

@@ -361,12 +361,12 @@ def _check_ball_block(seed, k):
     """Solve one random box-intersect-ball block problem and compare it with
     the bisection reference; returns whether the working set at mu = 0
     differs from the final one."""
-    from sbmm.subsolver import _box_qp_ball
+    from sbmm.subsolver import _box_family, _box_qp_ball
 
     rng = np.random.default_rng(seed)
     G, C, lo, up, center, radius = _ball_block_instance(rng, k)
     obj = lambda X: float(np.sum(X * (X @ G - 2.0 * C)))
-    X = _box_qp_ball(G, C, lo, up, center, radius, 1e-12)
+    X = _box_qp_ball(G, C, _box_family(0.0, lo, up, k), center, radius, 1e-12)
     X_ref, fixed_0, fixed_ref = _ball_bisection_reference(G, C, lo, up, center, radius)
     assert float(np.linalg.norm(X - center)) <= radius * (1.0 + 1e-12)
     assert (X >= lo).all() and (X <= up).all()
@@ -423,7 +423,8 @@ def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
         center = np.zeros((3, k))
         radius = 0.1 * float(np.linalg.norm(np.linalg.solve(G, C.T)))
         calls.clear()
-        X = subsolver._box_qp_ball(G, C, -100.0, 100.0, center, radius, 1e-12)
+        box = subsolver._box_family(0.0, -100.0, 100.0, k)
+        X = subsolver._box_qp_ball(G, C, box, center, radius, 1e-12)
         mus = [mu for mu, _, _ in calls]
         assert len(mus) == 2 and mus[0] == 0.0 < mus[1]
         assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
@@ -431,8 +432,8 @@ def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
     calls.clear()
     # projection onto box intersect ball: one row per entry with G = I
     x, c = np.array([3.0, -1.0, 2.0]), np.array([0.5, 0.5, 0.0])
-    y = subsolver._box_qp_ball(np.eye(1), x[:, None], np.full((3, 1), -10.0),
-                               np.full((3, 1), 10.0), c[:, None], 0.25, 1e-12)[:, 0]
+    box = subsolver._box_family(0.0, np.full((3, 1), -10.0), np.full((3, 1), 10.0), 1)
+    y = subsolver._box_qp_ball(np.eye(1), x[:, None], box, c[:, None], 0.25, 1e-12)[:, 0]
     assert len(calls) == 2
     assert abs(float(np.linalg.norm(y - [0.5, 0.5, 0.0])) - 0.25) <= 1e-15
     check_models()
@@ -497,7 +498,7 @@ def _box_qp_kkt(G, C, X, lam, lo, up):
 def test_box_qp_paths_agree(seed):
     # small k is solved by pattern enumeration; the active-set method behind
     # larger k must land on the same minimizer from any start
-    from sbmm.subsolver import _active_set, _definite
+    from sbmm.subsolver import _active_set, _box_family, _definite
 
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 4))
@@ -511,7 +512,8 @@ def test_box_qp_paths_agree(seed):
     X, gap = solve_box_qp(G, C, lo, up, lam)
     assert gap <= 1e-10
     assert _box_qp_kkt(G, C, X, lam, lo, up) <= 1e-9
-    X_as, _, _ = _active_set(G, C, lo, up, lam, rng.uniform(lo, up), 0.0, False, _definite(G))
+    X_as, _, _ = _active_set(G, C, _box_family(lam, lo, up, k), rng.uniform(lo, up), 0.0, False,
+                             _definite(G))
     np.testing.assert_allclose(X_as, X, atol=1e-8)
 
 
@@ -644,7 +646,7 @@ def test_certified_gap_allowance_covers_rounding(seed):
     # cover that sum's whole rounding error, measured against the exact sum.
     # Points at the minimizer (gradient cancels to rounding on free entries)
     # on badly scaled instances are where the rounding matters most.
-    from sbmm.subsolver import _certified_gap, _entry_gaps
+    from sbmm.subsolver import _box_family, _certified_gap, _entry_gaps
 
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 5))
@@ -659,8 +661,9 @@ def test_certified_gap_allowance_covers_rounding(seed):
     X_min, _ = solve_box_qp(G, C, lo, up, lam, tol=0.0)
     X_rand = rng.uniform(lo, up)
     for X in (X_min, X_rand):
-        fsum = float(_entry_gaps(2.0 * (X @ G - C), X, lam, lo, up).sum())
-        slack = _certified_gap(G, C, X, lam, lo, up) - max(0.0, fsum)
+        box = _box_family(lam, lo, up, k)
+        fsum = float(_entry_gaps(2.0 * (X @ G - C), X, box).sum())
+        slack = _certified_gap(G, C, X, box) - max(0.0, fsum)
         exact = _exact_gap(G, C, X, lam, lo, up)
         assert abs(float(exact - type(exact)(fsum))) <= slack
 
@@ -670,7 +673,7 @@ def test_certified_gap_allowance_covers_rounding(seed):
 def test_certified_gap_bounds_suboptimality_away_from_minimizer(seed):
     # at points of the box that are far from optimal, the certificate must
     # still bound their true suboptimality, measured against the minimizer
-    from sbmm.subsolver import _certified_gap
+    from sbmm.subsolver import _box_family, _certified_gap
 
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 4))
@@ -685,7 +688,7 @@ def test_certified_gap_bounds_suboptimality_away_from_minimizer(seed):
     X_star, _ = solve_box_qp(G, C, lo, up, lam, tol=0.0)
     for _ in range(5):
         X = rng.uniform(lo, up)
-        assert obj(X) - obj(X_star) <= _certified_gap(G, C, X, lam, lo, up) + 1e-12
+        assert obj(X) - obj(X_star) <= _certified_gap(G, C, X, _box_family(lam, lo, up, k)) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +734,7 @@ def test_box_qp_stack_matches_each_family(k, lam, bounds):
 def test_box_qp_ball_stack_matches_each_family(k):
     # each member of a stack has its own ball; members whose ball binds
     # search alone, and every member's X is the bytes of its own solve
-    from sbmm.subsolver import _box_qp_ball
+    from sbmm.subsolver import _box_family, _box_qp_ball
 
     rng = np.random.default_rng(23 + k)
     K, n = 5, 2
@@ -739,11 +742,11 @@ def test_box_qp_ball_stack_matches_each_family(k):
     G = np.stack([f[0] for f in fams])
     C = np.stack([f[1] for f in fams])
     center = rng.uniform(-0.2, 0.2, size=(K, n, k))
-    lo, up = -1.0, 1.0
+    box = _box_family(0.0, -1.0, 1.0, k)
     for radius in (0.05, 0.5, 50.0):
-        X = _box_qp_ball(G, C, lo, up, center, radius, 1e-12)
+        X = _box_qp_ball(G, C, box, center, radius, 1e-12)
         for j in range(K):
-            one = _box_qp_ball(G[j], C[j], lo, up, center[j], radius, 1e-12)
+            one = _box_qp_ball(G[j], C[j], box, center[j], radius, 1e-12)
             assert X[j].tobytes() == one.tobytes()
 
 
@@ -793,7 +796,8 @@ def test_active_set_code_solve_computes_its_gap_once(monkeypatch):
         at_result = [P for P in points if np.array_equal(P, H.T)]
         assert len(at_result) == 1  # one gap at the returned codes
         assert all(not np.array_equal(a, b) for a, b in zip(points, points[1:]))
-        assert g == real_gap(W.T @ W, (W.T @ X).T, H.T, 0.05, np.zeros((1, 5)), np.ones((1, 5)))
+        box = subsolver._box_family(0.05, np.zeros((1, 5)), np.ones((1, 5)), 5)
+        assert g == real_gap(W.T @ W, (W.T @ X).T, H.T, box)
 
 
 def test_block_quadratic_stack_matches_each_member():
@@ -976,9 +980,10 @@ def test_certified_active_set_skips_the_per_system_test(monkeypatch):
         lam = 0.0 if trial % 2 else 0.05
         X0 = rng.uniform(0.0, 1.0, size=(n, k))
         assert subsolver._definite(G)
-        want = subsolver._active_set(G, C, 0.0, 1.0, lam, X0, 1e-10, False, False)
+        box = subsolver._box_family(lam, 0.0, 1.0, k)
+        want = subsolver._active_set(G, C, box, X0, 1e-10, False, False)
         counts = _count_calls(monkeypatch, np.linalg, ["cholesky", "eigh"])
-        got = subsolver._active_set(G, C, 0.0, 1.0, lam, X0, 1e-10, False, True)
+        got = subsolver._active_set(G, C, box, X0, 1e-10, False, True)
         assert counts == {"cholesky": 0, "eigh": 0}
         monkeypatch.undo()
         assert got[2] <= 1e-10 and want[2] <= 1e-10
@@ -1056,7 +1061,7 @@ def _record_ball_solves(monkeypatch):
     real_active, real_search = subsolver._active_set, subsolver.ball_multiplier_search
 
     def active(*args):
-        predicted.append(len(args) > 7 and args[7])
+        predicted.append(len(args) > 5 and args[5])
         return real_active(*args)
 
     def search(solve, center, radius, mu_hi):
@@ -1093,9 +1098,9 @@ def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
         G = _dictionary_hessian(rng, 5)
         C = rng.uniform(0.0, 1.0, size=(8, 12)) @ rng.uniform(0.0, 1.0, size=(12, 5)) / 12
         lo, up, center = 0.0, 1.0, rng.uniform(0.1, 0.9, size=(8, 5))
-        X0 = subsolver._minimize(G, C, lo, up, 0.0, center, 1e-8)[0]
+        X0 = subsolver._minimize(G, C, subsolver._box_family(0.0, lo, up, 5), center, 1e-8)[0]
         radius = 0.999 * float(np.linalg.norm(X0 - center))
-    X = subsolver._box_qp_ball(G, C, lo, up, center, radius, 1e-8)
+    X = subsolver._box_qp_ball(G, C, subsolver._box_family(0.0, lo, up, 5), center, radius, 1e-8)
     (mu0, _, _, _), (mu1, newton, gaps, predicted) = solves
     assert mu0 == 0.0 < mu1
     assert predicted and newton == 0 and gaps == 1
@@ -1182,17 +1187,18 @@ def test_enumeration_product_gives_the_certified_gap(k, lam, K):
     lead = () if K is None else (K,)
     lo = np.array([[-0.5, 0.0, -1.0][:k]])
     up = np.array([[1.0, 2.0, 0.5][:k]])
+    box = subsolver._box_family(lam, lo, up, k)
     if lam > 0:
-        assert subsolver._ZERO in subsolver._states(lam, lo, up)
+        assert subsolver._ZERO in box.states
     for trial in range(200):
         M = rng.normal(size=lead + (k, k + 1))
         G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(k)
         C = rng.normal(size=lead + (4, k))
-        X, _, gap, XG, _ = subsolver._minimize(G, C, lo, up, lam, None, 1e-8)
+        X, _, gap, XG, _ = subsolver._minimize(G, C, box, None, 1e-8)
         assert gap is None and XG is not None
         assert XG.tobytes() == (X @ G).tobytes()
-        want = subsolver._certified_gap(G, C, X, lam, lo, up)
-        got = subsolver._certified_gap(G, C, X, lam, lo, up, XG)
+        want = subsolver._certified_gap(G, C, X, box)
+        got = subsolver._certified_gap(G, C, X, box, XG)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         X_qp, gap_qp = solve_box_qp(G, C, lo, up, lam)
         if np.all(np.asarray(want) <= 1e-8):  # no polish: X and its gap are the enumeration's
@@ -1215,10 +1221,60 @@ def test_sign_states_are_derived_per_box():
     boxes = [(lo, np.array([[1.0, 1.0, 1.0]])), (lo, np.array([[1.0, 1.0, -0.5]])),
              (np.array([[0.0, 0.0, 0.5]]), np.array([[1.0, 1.0, 1.0]]))]
     for _ in range(2):  # and again, once they are known
-        seen = [subsolver._states(0.05, lo_b, up_b) for lo_b, up_b in boxes]
+        seen = [subsolver._box_family(0.05, lo_b, up_b, 3).states for lo_b, up_b in boxes]
         assert seen == [fresh(lo_b, up_b) for lo_b, up_b in boxes]
         assert len(set(seen)) == 3
-    assert subsolver._states(0.0, *boxes[0]) == (subsolver._LO, subsolver._UP, subsolver._FREE)
+    assert (subsolver._box_family(0.0, *boxes[0], 3).states
+            == (subsolver._LO, subsolver._UP, subsolver._FREE))
+
+
+@pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
+@pytest.mark.parametrize("lam", [0.0, 0.05], ids=["lam0", "lam"])
+@pytest.mark.parametrize("k", [2, 5], ids=["enumerated", "active_set"])
+@pytest.mark.parametrize("side", [1, -1], ids=["lo_nonneg", "up_nonpos"])
+def test_one_signed_box_gives_the_sign_tracking_bytes(side, k, lam, K):
+    # on a box on one side of zero the l1 term is linear and the solvers
+    # skip its sign bookkeeping; forced back onto the general path through
+    # the family's flag, the same problems give the same bytes: the
+    # enumeration's (X, free, XG), the certified gap and the active-set
+    # method's (X, fixed, gap)
+    import copy
+
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(80 + k + (side > 0))
+    lead, n = () if K is None else (K,), 4
+    for trial in range(30):
+        near = rng.uniform(0.0, 1.0, size=(n, k))
+        near[rng.random((n, k)) < 0.3] = 0.0  # bounds at zero, +0.0
+        far = near + rng.uniform(0.2, 1.5, size=(n, k))
+        lo, up = (near, far) if side > 0 else (0.0 - far, 0.0 - near)
+        box = subsolver._box_family(lam, lo, up, k)
+        assert box.sign == side
+        general = copy.copy(box)
+        general.sign = 0
+        M = rng.normal(size=lead + (k, k + 1))
+        G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(k)
+        C = rng.normal(size=lead + (n, k)) * 2.0
+        points = [rng.uniform(lo, up, size=lead + (n, k))]
+        if box.enumerable:
+            fast, slow = subsolver._enumerate(G, C, box), subsolver._enumerate(G, C, general)
+            assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+            points.append(fast[0])
+        for j in range(1 if K is None else K):
+            G_j, C_j = (G, C) if K is None else (G[j], C[j])
+            X0 = np.clip(rng.uniform(lo - 0.3, up + 0.3), lo, up)  # some entries at a bound
+            certified = subsolver._definite(G_j)
+            fast = subsolver._active_set(G_j, C_j, box, X0, 1e-12, False, certified)
+            slow = subsolver._active_set(G_j, C_j, general, X0, 1e-12, False, certified)
+            assert fast[0].tobytes() == slow[0].tobytes()
+            assert fast[1].tobytes() == slow[1].tobytes() and fast[2] == slow[2]
+            if K is None:
+                points.append(fast[0])
+        for X in points:
+            want = subsolver._certified_gap(G, C, X, general)
+            assert np.asarray(subsolver._certified_gap(G, C, X, box)).tobytes() == \
+                np.asarray(want).tobytes()
 
 
 def _kron_reference(g, box, J, radius):
