@@ -27,7 +27,9 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
   active-set code solves on a box that straddles zero.
 
 It then prints one line per CSV, ``identical`` or ``differs`` (``missing``
-when only one checkout wrote it), and exits 1 on any difference.
+when only one checkout wrote it), and exits 1 on any difference.  For each
+CSV that differs, stderr gets the size of the difference: the largest
+|change| / (1 + |parent|) over its entries, and the column it is in.
 ``--steps N`` caps every run's ``engine.n_iters`` at N, for a quick check.
 
 The work of each rank-5 run and of the rank-5 sweep, which a machine's
@@ -43,6 +45,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import importlib.util
 import json
@@ -203,6 +206,26 @@ def compare(parent: Path, change: Path) -> list[tuple[str, str]]:
     return verdicts
 
 
+def largest_change(parent: Path, change: Path) -> str:
+    """The size of the difference between two CSVs: the largest |y - x| /
+    (1 + |x|) over their entries, x the parent's and y the change's, and its
+    column; inf where an entry is not finite in one of them only, and a note
+    instead when the header or the shape differs."""
+    with parent.open(encoding="utf-8") as fa, change.open(encoding="utf-8") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if rows_a[:1] != rows_b[:1] or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return "header or shape differs"
+    worst, column = 0.0, rows_a[0][0]
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, a, b in zip(rows_a[0], row_a, row_b):
+            if a != b:
+                x, y = float(a), float(b)
+                size = abs(y - x) / (1.0 + abs(x))
+                if not size <= worst:  # nan (inf against inf, or nan) counts as inf
+                    worst, column = math.inf if math.isnan(size) else size, name
+    return f"largest |change| / (1 + |parent|) {worst:.3g} in column {column}"
+
+
 def work_lines(parent: Path, change: Path) -> list[str]:
     """One line per rank-5 run and for the rank-5 sweep: its work counts in
     the parent and in the change, from the two checkouts' COUNTS files."""
@@ -231,6 +254,8 @@ def main(argv=None) -> int:
     verdicts = compare(parent, change)
     for name, verdict in verdicts:
         print(f"{name}: {verdict}")
+        if verdict == "differs":
+            print(f"{name}: {largest_change(parent / name, change / name)}", file=sys.stderr)
     bad = sum(verdict != "identical" for _, verdict in verdicts)
     print(f"{len(verdicts) - bad} of {len(verdicts)} identical")
     return 1 if bad or not verdicts else 0

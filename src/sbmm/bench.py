@@ -56,6 +56,7 @@ from .geometry import BoxSet, stationarity_measure, tangent_cone_project
 from .schedule import _VALIDATION_HORIZON, WeightSchedule, validate_schedule
 from .stream import (MarkovSource, StreamError, make_iid, mixing_rate, next_sample,
                      stationary_distribution, tv_decay)
+from .subsolver import code_solve_takes_start
 
 __all__ = [
     "DiagnosticsRecord",
@@ -174,7 +175,8 @@ class _App:
 
     state: object            # OmfState or CpdlState; step moves its iterate
     lam: float
-    step: Callable           # (samples, w_n, radius) -> step result (A, B, C, H, eps)
+    step: Callable           # (samples, their chain states, w_n, radius) -> step result
+                             # (A, B, C, H, eps)
     iterate: Callable        # () -> W, or the list U of loading matrices
     member: Callable         # (stack quantity, j) -> member j's part
     floats: Callable         # one number per member -> a list of K floats
@@ -237,6 +239,10 @@ def run_omf_diagnostics(
     if (not one and len(W0) != K) or len(rngs) != K:
         raise ValueError("a stack needs one W0 and one rng per source")
     st = OmfState.initial(W0, 1.0 if mode == "c1" else 0.0)
+    # a code solve by the active-set method starts from the code its member
+    # last solved for the chain state it draws (from its default start for a
+    # state it has not drawn yet); an enumerated one reads no start
+    codes = [{} for _ in sources] if code_solve_takes_start(code_set, lam) else None
 
     def draw_rows(g):
         rows = np.asarray(row_sampler(g), dtype=int)
@@ -244,12 +250,19 @@ def run_omf_diagnostics(
             rows = np.asarray(row_sampler(g), dtype=int)
         return rows
 
-    def step(xs, w_n, radius):
-        rows = None
+    def step(xs, ys, w_n, radius):
+        rows = H0 = None
         if row_sampler is not None:
             rows = draw_rows(rngs[0]) if one else [draw_rows(g) for g in rngs]
+        if codes is not None:
+            H0 = [known.get(y) for known, y in zip(codes, ys)]
+            if one:
+                H0 = H0[0]
         res = omf_step(xs[0] if one else np.stack(xs), st.W, st.A, st.B, w_n, lam, dict_box,
-                       code_set, C_prev=st.C, radius=radius, tol=solver_tol, rows=rows)
+                       code_set, C_prev=st.C, radius=radius, tol=solver_tol, rows=rows, H0=H0)
+        if codes is not None:
+            for known, y, H in zip(codes, ys, [res.H] if one else res.H):
+                known[y] = H
         # the audits read res.quad, so it must hold the statistics the run carries on
         if not (res.quad.A is res.A and res.quad.B is res.B and res.quad.C is res.C):
             raise RuntimeError("omf_step's surrogate does not hold the step's statistics")
@@ -316,7 +329,7 @@ def run_cpdl_diagnostics(
     time (see cpdl_loss)."""
     st = CpdlState.initial(U0)
 
-    def step(xs, w_n, radius):
+    def step(xs, ys, w_n, radius):
         res = cpdl_step(xs[0], st.U, st.A, st.B, w_n, lam, factor_boxes, code_set,
                         C_prev=st.C, radius=radius, tol=solver_tol)
         st.U = res.U
@@ -399,7 +412,7 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
         w_n = schedule.weight_at(i)
         radius = math.inf if mode == "c1" else c_prime * w_n
         prev = app.iterate()
-        res = app.step(xs, w_n, radius)
+        res = app.step(xs, ys, w_n, radius)
         theta = app.iterate()
         st.A, st.B, st.C = res.A, res.B, res.C
         st.eps_sum += res.eps
@@ -665,6 +678,18 @@ def parse_config(path) -> RunConfig:
     bound_key = max(("constraint.upper",
                      "constraint.nonneg" if values["constraint.nonneg"] else "constraint.lower"),
                     key=lambda k: line_of.get(k, 0))
+    # the largest products a run forms: a code solve evaluates h'Gh, G = D'D
+    # the code Hessian (W'W; for CPDL the Hadamard product of the loading
+    # matrices' Grams), at codes on the box's bounds.  With every entry of
+    # the m-mode dictionary D (m = 1 for OMF) and of the codes up to b =
+    # max(|lower|, |upper|), a sample's reconstructions D h have squares
+    # that sum to at most prod(app.tensor_shape) r^2 b^(2m + 2), which must
+    # be a finite float; and G, r x r, must fit in an array
+    rank, dims, b = values["app.rank"], math.prod(shape), max(abs(lo), abs(up))
+    power = 2 * len(shape)  # 2m + 2, the batch axis being the last of the m + 1
+    overflow = b > 0.0 and (math.log(dims) + 2.0 * math.log(rank) + power * math.log(b)
+                            > math.log(sys.float_info.max))
+    size_key = max((bound_key, "app.rank", "app.tensor_shape"), key=lambda k: line_of.get(k, 0))
     # the checks that read more than one key
     for key, bad, need in (
             ("app.tensor_shape", kind != "cpdl" and len(shape) != 2,
@@ -683,7 +708,13 @@ def parse_config(path) -> RunConfig:
              f"must be a fraction < 1 or a whole number of rows <= {rows} (app.tensor_shape)"),
             ("app.row_sample", sub and 0 < row_sample < 1 and (1 - row_sample) ** rows >= 0.5,
              f"leaves all {rows} rows (app.tensor_shape) out of a draw at least half the time: "
-             f"need (1 - p)^{rows} < 1/2")):
+             f"need (1 - p)^{rows} < 1/2"),
+            ("app.rank", rank * rank > np.iinfo(np.intp).max // np.dtype(float).itemsize,
+             f"makes the {rank} x {rank} code Hessian W'W too large for an array"),
+            (size_key, overflow,
+             f"makes the code solves overflow: with dictionary and code entries up to {b:g} "
+             f"(the box), a sample's ||D h||^2 reaches {dims} * {rank}^2 * {b:g}^{power} "
+             f"(app.tensor_shape, app.rank), beyond the largest float")):
         if bad:
             raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]} {need}")
     for key, k in _KEYS.items():

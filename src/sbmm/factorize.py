@@ -115,24 +115,26 @@ def omf_step(
     radius: float = math.inf,
     tol: float = 1e-8,
     rows: np.ndarray | None = None,
+    H0: np.ndarray | None = None,
 ) -> OmfStepResult:
     """One online matrix factorization step: code solve at the previous
     dictionary, statistics update, then the dictionary quadratic solve
     (within the trust region when a finite radius is given).  Given rows,
-    the dictionary update is frozen outside them.
+    the dictionary update is frozen outside them.  H0, when given, starts
+    the code solve (see solve_code_lasso).
 
     One sample X (q, d) with W_prev (q, r), A_prev (r, r), B_prev (r, q) and
     a float C_prev takes one step.  A stack of K members, X (K, q, d), W_prev
-    (K, q, r), A_prev (K, r, r), B_prev (K, r, q) and C_prev (K,), takes
-    the K steps in lockstep: one batched code solve and statistics update,
-    and one batched dictionary solve per row count, where rows
-    holds one row array per member.  Each member's result is the one its
+    (K, q, r), A_prev (K, r, r), B_prev (K, r, q), C_prev (K,) and H0 (K,
+    r, d) if given, takes the K steps in lockstep: one batched code solve
+    and statistics update, and one batched dictionary solve per row count,
+    where rows holds one row array per member.  Each member's result is the one its
     own step gives.  The same lines serve both: the member axis, when there
     is one, leads every array.
     """
     X = np.asarray(X, dtype=float)
     W_prev = np.asarray(W_prev, dtype=float)
-    H, gap = solve_code_lasso(X, W_prev, lam, code_set, tol=tol)
+    H, gap = solve_code_lasso(X, W_prev, lam, code_set, tol=tol, H0=H0)
     Ht = H.swapaxes(-1, -2)
     A = (1.0 - w_n) * A_prev + w_n * (H @ Ht)
     B = (1.0 - w_n) * B_prev + w_n * (X @ Ht).swapaxes(-1, -2)

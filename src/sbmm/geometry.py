@@ -12,7 +12,10 @@ distance is an explicit rational function of mu, the secular equation of
 a trust-region step, so ``ball_multiplier_search`` jumps to its root, kept
 inside a bisection bracket; the block subsolver
 (``subsolver._box_qp_ball``) supplies the box solves and their distance
-models.
+models.  A block too large to enumerate first takes the root of the model
+of its anchor's own working set (``subsolver._anchor_prediction``), from
+one eigendecomposition and no box solve, and keeps it only through the
+search's exits; ``_onto_ball`` scales either result onto the sphere.
 """
 
 from __future__ import annotations
@@ -176,6 +179,12 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
             hi = mu
         if hi - lo <= BALL_RTOL * hi:
             break
+    return _onto_ball(x, center, radius, nrm)
+
+
+def _onto_ball(x, center, radius, nrm):
+    """x, or x scaled onto the ball when its distance nrm to center exceeds
+    radius; the scaled point stays in a box that holds x and center."""
     if nrm <= radius:
         return x
     return center + (x - center) * (radius / nrm)

@@ -13,16 +13,19 @@ primal active-set method (Newton steps on the free entries, bounds joining
 the working set when a step hits them, one fixed entry released per row
 while its certified gap says it can still improve) that stops once the
 certified gap is within tolerance; it starts from the clipped least-squares
-minimizer unless given a start.  The box QP has one definiteness test,
-a certificate per Hessian (_definite): a Cholesky factorization of G -
-_DEFINITE_RTOL * scale * I, taken once per code solve and once per block
-solve, single or stacked, shows every free system of every G + mu I
-positive definite.  Under it the Newton steps of all rows are one batched
-LU solve and the least-squares start is one solve; an uncertified Hessian
-(an all-zero code coordinate makes a dictionary Hessian singular) takes
-an eigendecomposition, which gives the least-norm step or a direction of
-zero curvature, and the pseudo-inverse for the start; a gap test that
-fails hands its entry gaps to the release step.  A trust-region ball is
+minimizer unless given a start (the runner gives each code solve the code
+its member last solved for the same chain state, usually one Newton step
+from the answer; the enumeration reads no start).  The box QP has one
+definiteness test, a certificate per Hessian (_definite): a Cholesky
+factorization of G - _DEFINITE_RTOL * scale * I, taken once per code solve
+and once per block solve that needs one, single or stacked, shows every
+free system of every G + mu I positive definite.  Under it the Newton
+steps of all rows are one batched LU solve and the least-squares start is
+one solve; an uncertified Hessian (an all-zero code coordinate makes a
+dictionary Hessian singular) takes an eigendecomposition, which gives the
+least-norm step or a direction of zero curvature, and the pseudo-inverse
+for the start; a gap test that fails hands its entry gaps to the release
+step.  A trust-region ball is
 dualized with one multiplier shared by every row
 (``geometry.ball_multiplier_search``): each box solve hands the search the
 exact distance model of its working set, and the next solve starts where
@@ -31,24 +34,35 @@ as the minimizer of every row, so a working set that holds costs one
 certified gap and no Newton step; a prediction outside the box falls back
 to the previous multiplier's solution.  Every solve of one search reuses
 the certificate its solve at multiplier zero took, since G + mu I
-inherits G's.
+inherits G's.  A family too large to enumerate first predicts the answer
+without any box solve (_anchor_prediction): the ball's center is the
+previous block solve's result, whose entries at a bound usually stay
+there, so the secular model of that working set, built from the
+half-gradient at the center with one eigendecomposition, gives the
+multiplier mu* and its point.  The point is taken only through the
+search's own exits: in the box, mu* > 0, the dualized problem's certified
+gap within tolerance and the distance the radius; otherwise the search
+runs as above.  This is the online active-set strategy's hot start
+(Ferreau, Bock & Diehl, 2008).
 
 A stack of K families (K runs in lockstep, each with its own Hessian) is
 one batch wherever the work is the same for every member: the pattern
-enumeration, the certified gaps and the box solve at multiplier zero.  The
-active-set method, a binding ball's multiplier search and the polishing of
-a gap run member by member.  Every member's numbers are computed slice by
-slice, so they are the bytes its own family's solve gives.
+enumeration, the certified gaps and an enumerated box solve at multiplier
+zero.  The active-set method, the anchor's prediction, a binding ball's
+multiplier search and the polishing of a gap run member by member.  Every
+member's numbers are computed slice by slice, so they are the bytes its
+own family's solve gives.
 
 What a solve reads of its box comes from one box family per (k, lam, box),
 derived once (_BoxFamily): the KKT patterns and their values at the bounds,
 the clipped zero, the width and the release floor's bound.  Code and block
 solves reach it from their BoxSet (a block of whole dictionary rows, one
 family row each, as the box's family cut to those rows), a bare
-solve_box_qp call with one cache lookup.  On a box on one side of zero, as
-every shipped box is, lam ||x||_1 = sign lam sum(x) is linear, and the
+solve_box_qp call with one cache lookup.  On a box with every lower bound
+>= 0, as every shipped box is, lam ||x||_1 = lam sum(x) is linear, and the
 enumeration, the certified gap and the active-set method skip the l1 sign
-bookkeeping, with the same floats.
+bookkeeping, with the same floats; every other box takes the general
+path.
 
 Both solvers certify what they return, and return the certificate with
 the solution: the code solver its convexity-based objective gap bound,
@@ -67,7 +81,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BoxSet, GeometryError, ball_multiplier_search
+from .geometry import (BALL_RTOL, BoxSet, GeometryError, _distance, _onto_ball, _secular_root,
+                       ball_multiplier_search)
 from .quadform import FactorQuad
 
 __all__ = [
@@ -120,15 +135,15 @@ def _entry_gaps(grad, X, box):
 
     The sup is attained where the concave -grad*v - lam|v| peaks on the
     interval: at up when grad < -lam, at lo when grad > lam, else at the
-    clipped zero; on a one-signed box that is the bound nearer zero, and
-    lam(|x| - |v|) = sign lam (x - v).  By convexity the sum bounds the
+    clipped zero; on a box with every lo >= 0 that is lo unless grad < -lam,
+    and lam(|x| - |v|) = lam (x - v).  By convexity the sum bounds the
     suboptimality of X; an entry's term is zero iff moving it alone cannot
     improve the linearized objective.
     """
     lam, lo, up = box.lam, box.lo, box.up
     if lam > 0 and box.sign:
-        d = X - (np.where(grad < -lam, up, lo) if box.sign > 0 else np.where(grad > lam, lo, up))
-        return grad * d + (box.sign * lam) * d
+        d = X - np.where(grad < -lam, up, lo)
+        return grad * d + lam * d
     if lam > 0:
         v = np.where(grad < -lam, up, np.where(grad > lam, lo, box.zero))
         return grad * (X - v) + lam * (np.abs(X) - np.abs(v))
@@ -153,9 +168,9 @@ def _gap_total(gaps, X, absG, absC, box):
     error, a wrong pick of the attaining endpoint it may cause, and the few
     roundings of the term itself each cost a few ulps of (|gradient| + lam)
     times the width (the reach).  Summing n terms adds n ulps of their sizes'
-    sum.  On a one-signed box |X| = sign X and every entry gap is >= 0."""
+    sum.  On a box with every lo >= 0, |X| = X and every entry gap is >= 0."""
     sign = box.sign
-    XA = np.abs(X) @ absG if not sign else X @ absG if sign > 0 else -(X @ absG)
+    XA = X @ absG if sign else np.abs(X) @ absG
     reach = (2.0 * (XA + absC) + box.lam) * box.width
     abs_gaps = gaps if sign else np.abs(gaps)
     weight = 2 * (absG.shape[-1] + 4)
@@ -190,16 +205,15 @@ class _BoxFamily:
     stack member) reads of it, derived once per (lam, box, k): the KKT
     states and patterns, the patterns' values at the bounds (V) and l1 shift
     lam s / 2, the clipped zero, the width, the release floor's max |bound|,
-    and the side of zero the box lies on (sign): 1 if every lo >= +0.0, -1
-    if every up < 0 or = +0.0, else 0; on such a box lam ||x||_1 = sign lam
-    sum(x) is linear, and the solvers keep no sign state."""
+    and sign: 1 if every lo >= +0.0, else 0.  On a box with sign 1 lam
+    ||x||_1 = lam sum(x) is linear, and the solvers keep no sign state; every
+    other box, one with every up <= 0 included, takes the general path."""
 
     def __init__(self, lam, lo, up, k):
         lo, up = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
         self.lam, self.lo, self.up, self.k, self.heads = lam, lo, up, k, {}
         self.width, self.bound = up - lo, max(float(np.abs(lo).max()), float(np.abs(up).max()))
-        self.sign = (1 if not np.signbit(lo).any()
-                     else -1 if ((up < 0.0) | (up == 0.0) & ~np.signbit(up)).all() else 0)
+        self.sign = 0 if np.signbit(lo).any() else 1
         self.states = (_LO, _UP, _FREE)
         if lam > 0:
             self.lo_pos, self.up_neg = np.maximum(lo, 0.0), np.minimum(up, 0.0)
@@ -254,7 +268,7 @@ def _enumerate(G, C, box):
     a sign; its candidate solves the free entries' stationarity system
     G_FF x_F = c_F - G_FX x_X - lam s_F / 2.  The minimizer's own pattern
     reproduces it, so the best candidate in the box (free entries on their
-    sign's side of zero, as the bounds of a one-signed box imply) is the
+    sign's side of zero, which a box with every lo >= 0 implies) is the
     minimizer.  Returns it with its free mask and its rows of the candidates'
     x @ G, which the certified gap reuses.  A stack (G of shape (K, k, k), C
     of shape (K, n, k)) is one batch with a member axis in front of the
@@ -275,7 +289,7 @@ def _enumerate(G, C, box):
     xG = x @ G
     obj = (x * (xG - 2.0 * C)).sum(axis=-1)
     if lam > 0 and box.sign:
-        obj += (box.sign * lam) * x.sum(axis=-1)
+        obj += lam * x.sum(axis=-1)
     elif lam > 0:
         ok &= x * sgn >= 0.0
         obj += lam * np.abs(x).sum(axis=-1)
@@ -353,8 +367,8 @@ def _active_set(G, C, box, X, tol, predicted, certified):
     it does not."""
     n, k = C.shape
     lam, lo, up = box.lam, box.lo, box.up
-    # the l1 term bends the objective at zero unless the box is one-signed
-    kink, lam_s = lam > 0 and not box.sign, box.sign * lam
+    # the l1 term bends the objective at zero unless every lo >= 0
+    kink = lam > 0 and not box.sign
     fixed = (X == lo) | (X == up)
     if kink:
         fixed |= X == 0.0
@@ -407,7 +421,7 @@ def _active_set(G, C, box, X, tol, predicted, certified):
             gf = np.where(free, grad + lam * sgn, 0.0)
         else:
             a, b = lo, up
-            gf = np.where(free, grad + lam_s if lam_s else grad, 0.0)
+            gf = np.where(free, grad + lam if lam else grad, 0.0)
         p, null_dir = _newton_direction(G, free, -0.5 * gf, scale, certified)
         # t = 1 reaches the working-set minimizer unless a bound (or zero)
         # blocks first; a zero-curvature direction (never one of a certified
@@ -447,9 +461,10 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None):
     predicted and the certificate (taken if None) go to the active-set method.
 
     A stack (G of shape (K, k, k), C of shape (K, n, k)) enumerates in one
-    batch and runs the active-set method member by member; its gaps are an
-    array, nan for a member without one, and its certificates a list, one
-    per member."""
+    batch and runs the active-set method member by member, each from its
+    part of X0 (K, n, k) or from its entry of a list of K starts (None: the
+    default); its gaps are an array, nan for a member without one, and its
+    certificates a list, one per member."""
     stack = G.ndim == 3
     if box.enumerable:
         try:
@@ -534,10 +549,41 @@ def _polish(G, C, box, X, gap, tol, XG=None):
     return X, gap
 
 
+def _anchor_prediction(G, C, box, center, radius, tol, mu_hi):
+    """The box-intersect-ball minimizer predicted from the working set of
+    the anchor (center, the previous block solve's result): the entries of
+    center at a bound stay there, and the free entries F take the step d_F
+    = -(G_FF + mu I)^-1 g_F, g = center G - C the half-gradient at center,
+    with mu the root in (0, mu_hi) of the secular equation ||d(mu)|| =
+    radius, from one eigendecomposition of every row's G_FF.  Returned,
+    scaled onto the ball, only through the ball search's own exits: it lies
+    in the box, mu > 0, the dualized problem's certified gap at it is <=
+    tol, and its distance to center is radius up to BALL_RTOL.  Else None.
+    """
+    free = (center != box.lo) & (center != box.up)
+    w, V = np.linalg.eigh(_free_system(G, free, _scale(G)))
+    w = np.maximum(w, 0.0)  # G is PSD
+    coef = np.einsum("nkj,nk->nj", V, np.where(free, C - center @ G, 0.0))
+    mu = _secular_root((0.0, (coef * coef).ravel(), w.ravel()), radius, 0.0, mu_hi)
+    if not 0.0 < mu < mu_hi:
+        return None
+    X = np.where(free, center + np.einsum("nkj,nj->nk", V, coef / (w + mu)), center)
+    if not ((X >= box.lo) & (X <= box.up)).all():
+        return None
+    nrm = _distance(X, center)
+    if abs(nrm - radius) > BALL_RTOL * radius:
+        return None
+    if not _certified_gap(G + mu * _eye(len(G)), C + mu * center, X, box) <= tol:
+        return None
+    return _onto_ball(X, center, radius, nrm)
+
+
 def _box_qp_ball(G, C, box, center, radius, tol, first=None):
     """Minimizer of the solve_box_qp objective without an l1 term (box is a
     lam = 0 family) over the box intersected with the ball ||X - center||_F
-    <= radius (center in the box), each box solve done by _minimize from the
+    <= radius (center in the box).  A family that does not enumerate first
+    tries the anchor's working set (_anchor_prediction); otherwise (and for
+    an enumerated family) each box solve is done by _minimize from the
     previous one's X, the first from center.
 
     Dualizing the ball adds mu ||X - center||^2, which keeps the shared
@@ -553,17 +599,34 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
     box; else it starts from X.  (The pattern enumeration ignores the
     start.)  first, when given, is the solve at mu = 0 as (X, free mask,
     certificate).  A stack (G of shape (K, k, k); C and center of shape (K,
-    n, k)) solves at mu = 0 in one batch; each member then has its own ball
-    and its own search, from its part of that solve.
+    n, k)) of an enumerated family solves at mu = 0 in one batch; each
+    member then has its own ball and its own search, from its part of that
+    solve.  A stack of a family that does not enumerate runs each member's
+    prediction and search alone, as its single run does.
     """
     X = center if first is None else first[0]
     if math.isinf(radius):
         return _minimize(G, C, box, X, tol)[0]
     if G.ndim == 3:
-        X, free, _, _, certified = _minimize(G, C, box, X, tol)
+        firsts = [None] * len(C)
+        if box.enumerable:
+            X, free, _, _, certified = _minimize(G, C, box, X, tol)
+            firsts = [(X[j], free[j], certified[j]) for j in range(len(C))]
         return np.stack([_box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
-                                      (X[j], free[j], certified[j]))
+                                      firsts[j])
                          for j in range(len(C))])
+
+    def mu_hi():
+        # strong convexity of the dualized problem: ||X(mu) - center|| <= ||xi|| / mu
+        # for the gradient xi of the objective at center
+        return float(np.linalg.norm(2.0 * (center @ G - C))) / radius
+
+    hi = None  # mu_hi(), once the anchor's prediction has taken it
+    if not box.enumerable:
+        hi = mu_hi()
+        Xp = _anchor_prediction(G, C, box, center, radius, tol, hi)
+        if Xp is not None:
+            return Xp
 
     last = None  # the last model's (mu, free mask, w, V, coefficients)
     scale = None  # taken with the first model: only a binding ball needs it
@@ -600,13 +663,7 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
             fixed_u = u[~free]
             return float(fixed_u @ fixed_u), (((w + mu) * coef) ** 2).ravel(), w.ravel()
         return X, model
-
-    def mu_hi():
-        # strong convexity of the dualized problem: ||X(mu) - center|| <= ||xi|| / mu
-        # for the gradient xi of the objective at center
-        xi = 2.0 * (center @ G - C)
-        return float(np.linalg.norm(xi)) / radius
-    return ball_multiplier_search(solve, center, radius, mu_hi)
+    return ball_multiplier_search(solve, center, radius, mu_hi if hi is None else lambda: hi)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +693,9 @@ def solve_code_lasso(
 
     One sample X (q, d) against W (q, r) gives H (r, d) and a float gap; a
     stack of K samples X (K, q, d), each against its own W (K, q, r), gives
-    H (K, r, d) and one gap per member (K,), all from one batched solve.
+    H (K, r, d) and one gap per member (K,), all from one batched solve.  A
+    stack's H0 is (K, r, d), or a list of K starts (r, d), None where that
+    member takes the default start.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -648,10 +707,20 @@ def solve_code_lasso(
         raise ValueError("W rows must match X rows")
     if code_set.dim != r:
         raise ValueError(f"code box dim {code_set.dim} must be the rank {r}")
+    if H0 is not None:
+        H0 = ([None if h is None else np.asarray(h, dtype=float).swapaxes(-1, -2) for h in H0]
+              if isinstance(H0, list) else np.asarray(H0, dtype=float).swapaxes(-1, -2))
     Wt = W.swapaxes(-1, -2)
-    H_T, gap = _solve(Wt @ W, (Wt @ X).swapaxes(-1, -2), _family_of(code_set, lam, (1, r)),
-                      None if H0 is None else np.asarray(H0, dtype=float).swapaxes(-1, -2), tol)
+    H_T, gap = _solve(Wt @ W, (Wt @ X).swapaxes(-1, -2), _family_of(code_set, lam, (1, r)), H0,
+                      tol)
     return H_T.swapaxes(-1, -2), gap
+
+
+def code_solve_takes_start(code_set: BoxSet, lam: float) -> bool:
+    """Whether solve_code_lasso over code_set runs the active-set method, the
+    one solve that H0 starts: a family whose KKT patterns are enumerated
+    reads H0 only to break the ties of a singular Hessian."""
+    return not _family_of(code_set, lam, (1, code_set.dim)).enumerable
 
 
 # ---------------------------------------------------------------------------

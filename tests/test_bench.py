@@ -578,6 +578,13 @@ def test_parse_config_type_error(tmp_path):
     # finite exponents whose w_n underflows to 0 within the validation horizon
     ("schedule.kind = polylog\nschedule.beta = 400\n", "schedule.beta"),
     ("schedule.kind = polylog\nschedule.delta = 2000\n", "schedule.delta"),
+    # bounds or ranks whose run must overflow: a run that wrote nan fields,
+    # one that stopped with "A must be symmetric", and one that `sbmm
+    # validate` passed and numpy refused
+    ("constraint.upper = 1e120\n", "constraint.upper"),
+    ("app.kind = cpdl\napp.tensor_shape = 2,1,3\nconstraint.upper = 1e160\n",
+     "constraint.upper"),
+    ("app.rank = 100000000000000000000\n", "app.rank"),
 ], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q", "row_sample_tiny",
         "app_kind",
         "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
@@ -591,7 +598,8 @@ def test_parse_config_type_error(tmp_path):
         "c_prime_negative", "c_prime_nan", "c_prime_inf", "lambda_negative", "lambda_nan",
         "tol_negative", "tol_nan", "stream_seed", "engine_seed", "row_sample_nan",
         "lower_infinite", "beta_nan", "beta_inf", "delta_nan", "delta_inf",
-        "beta_underflow", "delta_underflow"])
+        "beta_underflow", "delta_underflow", "omf_bound_overflow", "cpdl_bound_overflow",
+        "rank_overflow"])
 def test_parse_config_range_checks(tmp_path, capsys, extra, key):
     np.savetxt(tmp_path / "theta_3x3.csv", np.full((3, 3), 0.5), delimiter=",")
     np.savetxt(tmp_path / "theta_outside.csv", [[0.5, 0.5], [0.5, 1.5], [0.5, 0.5]],

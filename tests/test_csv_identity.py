@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from sbmm.bench import CSV_FIELDS
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "csv_identity.py"
 
@@ -20,7 +22,9 @@ def _checkout(path: Path) -> Path:
 def test_csv_identity_names_each_file(tmp_path):
     # two copies of this checkout, the second with one OMF emission changed:
     # every OMF CSV differs, the CPDL and rank-5 ones (other inputs) are
-    # identical, and the script exits 1
+    # identical, and the script exits 1; stderr gives the size of each
+    # difference, a positive largest |change| / (1 + |parent|), and its
+    # column
     parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
     emissions = change / "configs" / "emissions_omf.csv"
     lines = emissions.read_text(encoding="utf-8").splitlines()
@@ -32,9 +36,16 @@ def test_csv_identity_names_each_file(tmp_path):
     verdicts = dict(line.rsplit(": ", 1) for line in out.stdout.splitlines()[:-1])
     assert len(verdicts) == 41
     assert out.stdout.splitlines()[-1] == "15 of 41 identical"
+    sizes = dict(line.split(": largest |change| / (1 + |parent|) ", 1)
+                 for line in out.stderr.splitlines() if ": largest |change| " in line)
     for name, verdict in verdicts.items():
         same = Path(name).name.startswith(("cpdl", "omf_rank5"))
         assert verdict == ("identical" if same else "differs"), name
+        if same:
+            assert name not in sizes
+        else:
+            size, _, column = sizes[name].split(" ", 2)
+            assert float(size) > 0.0 and column.removeprefix("column ") in CSV_FIELDS, name
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_markov_seed3.csv").exists()
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_rank5_seed2.csv").exists()
     # the work of each rank-5 run and of the rank-5 sweep, counted in each

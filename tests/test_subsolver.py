@@ -993,10 +993,12 @@ def test_certified_active_set_skips_the_per_system_test(monkeypatch):
 def test_rank5_run_takes_one_cholesky_per_solve(monkeypatch, tmp_path):
     # a 120-step rank-5 run (both solves on the active-set path, the ball
     # binding): every code solve and every dictionary solve whose Hessian is
-    # certified makes one Cholesky factorization, the certificate's.  A
-    # stack of three such runs takes one certificate per member in each
-    # solve: a binding member's ball search keeps the one its solve at
-    # multiplier zero took
+    # certified makes one Cholesky factorization, the certificate's, and a
+    # dictionary solve that the anchor's working set settles takes no
+    # certificate and makes none.  A stack of three such runs takes at most
+    # one certificate per member in each solve (one in each code solve): a
+    # binding member's ball search keeps the one its solve at multiplier
+    # zero took
     import sbmm.factorize as factorize
     import sbmm.subsolver as subsolver
     from sbmm import parse_config, run_experiment, run_sweep
@@ -1033,17 +1035,23 @@ def test_rank5_run_takes_one_cholesky_per_solve(monkeypatch, tmp_path):
     run_experiment(parse_config(cfg), seed=5, out_path=str(tmp_path / "run.csv"))
     for kind in ("solve_code_lasso", "solve_block_quadratic"):
         held = [chol for k, chol, certs in solves if k == kind and certs == [True]]
+        anchored = [chol for k, chol, certs in solves if k == kind and certs == []]
         total = sum(k == kind for k, _, _ in solves)
-        assert total >= 120 and len(held) >= 0.9 * total
-        assert all(chol == 1 for chol in held)
+        assert total >= 120 and len(held) + len(anchored) >= 0.9 * total
+        assert all(chol == 1 for chol in held) and all(chol == 0 for chol in anchored)
+        assert (len(anchored) > 0) == (kind == "solve_block_quadratic")
     solves.clear()
     run_sweep(parse_config(cfg), [5, 6, 7], out_dir=tmp_path / "sweep")
     for kind in ("solve_code_lasso", "solve_block_quadratic"):
         # each step's solve is one stacked call; a checkpoint's diagnostic
         # code solves are one call per member
         taken = [(chol, len(certs)) for k, chol, certs in solves if k == kind]
-        assert sum(n == 3 for _, n in taken) == 120
-        assert all(n in (1, 3) and chol == n for chol, n in taken)
+        assert all(chol == n for chol, n in taken)
+        if kind == "solve_code_lasso":
+            assert sum(n == 3 for _, n in taken) == 120 and all(n in (1, 3) for _, n in taken)
+        else:
+            assert len(taken) == 120 and all(n <= 3 for _, n in taken)
+            assert any(n < 3 for _, n in taken)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,16 +1087,14 @@ def _record_ball_solves(monkeypatch):
     return solves
 
 
-@pytest.mark.parametrize("box", ["wide", "dictionary"])
-def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
-    # rank-5 blocks (3^5 KKT patterns: the active-set path) whose ball binds
-    # and whose working set holds from mu = 0 to the root: the solve at the
-    # root starts at the point the distance model predicts, makes no Newton
-    # step and one certified gap, and the search ends after two solves
+def _rank5_binding_block(rng, box):
+    """A rank-5 block (3^5 KKT patterns: the active-set path) whose ball
+    binds and whose working set holds from mu = 0 to the root: a wide box
+    around an all-free center, or a dictionary box with the radius just
+    inside the distance of the solve at mu = 0.  Returns (G, C, lo, up,
+    center, radius)."""
     import sbmm.subsolver as subsolver
 
-    solves = _record_ball_solves(monkeypatch)
-    rng = np.random.default_rng(64)
     if box == "wide":
         M = rng.normal(size=(5, 5))
         G, C = M @ M.T + 0.5 * np.eye(5), rng.normal(size=(3, 5))
@@ -1100,18 +1106,113 @@ def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
         lo, up, center = 0.0, 1.0, rng.uniform(0.1, 0.9, size=(8, 5))
         X0 = subsolver._minimize(G, C, subsolver._box_family(0.0, lo, up, 5), center, 1e-8)[0]
         radius = 0.999 * float(np.linalg.norm(X0 - center))
-    X = subsolver._box_qp_ball(G, C, subsolver._box_family(0.0, lo, up, 5), center, radius, 1e-8)
+    return G, C, lo, up, center, radius
+
+
+@pytest.mark.parametrize("box", ["wide", "dictionary"])
+def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
+    # the ball search on rank-5 blocks whose working set holds from mu = 0
+    # to the root (the anchor's prediction turned off, so that the search
+    # runs): the solve at the root starts at the point the distance model
+    # predicts, makes no Newton step and one certified gap, and the search
+    # ends after two solves.  With the anchor's prediction on, the wide
+    # block, whose all-free anchor has the root's working set, takes the
+    # anchor's path instead: no search, no Newton step, one certified gap
+    # and no Cholesky factorization.  Every result is the bisection
+    # reference's
+    import sbmm.subsolver as subsolver
+
+    G, C, lo, up, center, radius = _rank5_binding_block(np.random.default_rng(64), box)
+    fam = subsolver._box_family(0.0, lo, up, 5)
+    X_ref, fixed_0, fixed_ref = _ball_bisection_reference(
+        G, C, np.broadcast_to(lo, C.shape), np.broadcast_to(up, C.shape), center, radius)
+    np.testing.assert_array_equal(fixed_0, fixed_ref)  # the working set of mu = 0 holds
+    obj = lambda Y: float(np.sum(Y * (Y @ G - 2.0 * C)))
+
+    def check(X):
+        assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
+        assert abs(obj(X) - obj(X_ref)) <= 1e-10 * max(1.0, abs(obj(X_ref)))
+
+    with monkeypatch.context() as m:
+        m.setattr(subsolver, "_anchor_prediction", lambda *args: None)
+        solves = _record_ball_solves(m)
+        X = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
     (mu0, _, _, _), (mu1, newton, gaps, predicted) = solves
     assert mu0 == 0.0 < mu1
     assert predicted and newton == 0 and gaps == 1
-    assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
-    # the result is the box-and-ball minimizer: it matches the bisection
-    # reference, and the working set of mu = 0 held
-    X_ref, fixed_0, fixed_ref = _ball_bisection_reference(
-        G, C, np.broadcast_to(lo, C.shape), np.broadcast_to(up, C.shape), center, radius)
-    np.testing.assert_array_equal(fixed_0, fixed_ref)
-    obj = lambda Y: float(np.sum(Y * (Y @ G - 2.0 * C)))
-    assert abs(obj(X) - obj(X_ref)) <= 1e-10 * max(1.0, abs(obj(X_ref)))
+    check(X)
+    solves = _record_ball_solves(monkeypatch)
+    counts = _count_calls(monkeypatch, subsolver, ["_newton_direction", "_gap_total"])
+    cholesky = _count_calls(monkeypatch, np.linalg, ["cholesky"])
+    X = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
+    check(X)
+    if box == "wide":
+        assert solves == [] and counts == {"_newton_direction": 0, "_gap_total": 1}
+        assert cholesky == {"cholesky": 0}
+
+
+def _anchor_block(rng, kind):
+    """A rank-5 dictionary block on [0, 1] (6 rows) whose anchor, the ball's
+    center, has about a third of its entries at a bound, with the
+    half-gradient there pointing out of the box (kind "holds": the anchor's
+    working set is the answer's when the small ball binds) or, in some of
+    them, into it ("changes"); "inside" has a ball of radius 10, more than
+    the box's diameter, which does not bind.  Returns (G, C, center,
+    radius)."""
+    G = _dictionary_hessian(rng, 5)
+    center = rng.uniform(0.2, 0.8, size=(6, 5))
+    at, top = rng.random((6, 5)) < 0.35, rng.random((6, 5)) < 0.5
+    center[at] = np.where(top, 1.0, 0.0)[at]
+    g = 0.5 * rng.normal(size=(6, 5))
+    g = np.where(at, np.where(top, -np.abs(g), np.abs(g)), g)
+    if kind == "changes":
+        g = np.where(at & (rng.random((6, 5)) < 0.3), -g, g)
+    radius = 10.0 if kind == "inside" else float(rng.uniform(0.02, 0.2))
+    return G, center @ G - g, center, radius
+
+
+@pytest.mark.parametrize("kind", ["holds", "changes", "inside"])
+def test_anchor_prediction_matches_bisection(monkeypatch, kind):
+    # a rank-5 block solve (the active-set path) takes the anchor's
+    # prediction exactly when the ball binds and the anchor's working set
+    # is the answer's: then it runs no ball search and no Newton step and
+    # computes one certified gap, and its result is the ball search's up to
+    # rounding.  Otherwise it falls back to the search.  Every result is
+    # the bisection reference's
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(90)
+    fam = subsolver._box_family(0.0, 0.0, 1.0, 5)
+    counts = _count_calls(monkeypatch, subsolver,
+                          ["_newton_direction", "_gap_total", "ball_multiplier_search"])
+    obj = lambda X, G, C: float(np.sum(X * (X @ G - 2.0 * C)))
+    taken = []
+    for trial in range(20):
+        G, C, center, radius = _anchor_block(rng, kind)
+        lo, up = np.zeros_like(C), np.ones_like(C)
+        X_ref, _, fixed_ref = _ball_bisection_reference(G, C, lo, up, center, radius)
+        binding = float(np.linalg.norm(solve_box_qp(G, C, lo, up, tol=0.0)[0] - center)) > radius
+        holds = binding and np.array_equal(fixed_ref, (center == 0.0) | (center == 1.0))
+        before = dict(counts)
+        X = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
+        work = {name: counts[name] - before[name] for name in counts}
+        anchored = work["ball_multiplier_search"] == 0
+        assert anchored == holds
+        assert (X >= 0.0).all() and (X <= 1.0).all()
+        dist = float(np.linalg.norm(X - center))
+        assert dist <= radius * (1.0 + 1e-12)
+        if binding:
+            assert abs(dist - radius) <= 1e-12 * radius
+        assert abs(obj(X, G, C) - obj(X_ref, G, C)) <= 1e-10 * max(1.0, abs(obj(X_ref, G, C)))
+        if anchored:
+            assert work["_newton_direction"] == 0 and work["_gap_total"] == 1
+            with monkeypatch.context() as m:
+                m.setattr(subsolver, "_anchor_prediction", lambda *args: None)
+                X_search = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
+            assert float(np.abs(X - X_search).max()) <= 1e-12
+        taken.append(anchored)
+    # each kind is what it says in most instances
+    assert sum(taken) >= 15 if kind == "holds" else sum(taken) <= (5 if kind == "changes" else 0)
 
 
 def test_ball_search_prediction_outside_box_falls_back(monkeypatch):
@@ -1233,46 +1334,55 @@ def test_sign_states_are_derived_per_box():
 @pytest.mark.parametrize("k", [2, 5], ids=["enumerated", "active_set"])
 @pytest.mark.parametrize("side", [1, -1], ids=["lo_nonneg", "up_nonpos"])
 def test_one_signed_box_gives_the_sign_tracking_bytes(side, k, lam, K):
-    # on a box on one side of zero the l1 term is linear and the solvers
-    # skip its sign bookkeeping; forced back onto the general path through
-    # the family's flag, the same problems give the same bytes: the
+    # on a box with every lo >= 0 the l1 term is linear and the solvers skip
+    # its sign bookkeeping; forced back onto the general path through the
+    # family's flag, the same problems give the same bytes: the
     # enumeration's (X, free, XG), the certified gap and the active-set
-    # method's (X, fixed, gap)
+    # method's (X, fixed, gap).  A box with every up <= 0 takes the general
+    # path; its reference is the mirrored problem (x -> -x: C negated, the
+    # box [-up, -lo]) on the linear path, which gives the same numbers with
+    # X and XG negated (up to the sign of a zero)
     import copy
 
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(80 + k + (side > 0))
     lead, n = () if K is None else (K,), 4
+    same = ((lambda a, b: a.tobytes() == b.tobytes()) if side > 0
+            else (lambda a, b: np.array_equal(a, b)))
     for trial in range(30):
         near = rng.uniform(0.0, 1.0, size=(n, k))
         near[rng.random((n, k)) < 0.3] = 0.0  # bounds at zero, +0.0
         far = near + rng.uniform(0.2, 1.5, size=(n, k))
         lo, up = (near, far) if side > 0 else (0.0 - far, 0.0 - near)
         box = subsolver._box_family(lam, lo, up, k)
-        assert box.sign == side
-        general = copy.copy(box)
-        general.sign = 0
+        if side > 0:
+            ref, flip = copy.copy(box), 1.0
+            ref.sign = 0
+        else:
+            ref, flip = subsolver._box_family(lam, 0.0 - up, 0.0 - lo, k), -1.0
+        assert (box.sign, ref.sign) == ((1, 0) if side > 0 else (0, 1))
         M = rng.normal(size=lead + (k, k + 1))
         G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(k)
         C = rng.normal(size=lead + (n, k)) * 2.0
         points = [rng.uniform(lo, up, size=lead + (n, k))]
         if box.enumerable:
-            fast, slow = subsolver._enumerate(G, C, box), subsolver._enumerate(G, C, general)
-            assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
-            points.append(fast[0])
+            got = subsolver._enumerate(G, C, box)
+            X, free, XG = subsolver._enumerate(G, flip * C, ref)
+            assert same(got[0], flip * X) and same(got[1], free) and same(got[2], flip * XG)
+            points.append(got[0])
         for j in range(1 if K is None else K):
             G_j, C_j = (G, C) if K is None else (G[j], C[j])
             X0 = np.clip(rng.uniform(lo - 0.3, up + 0.3), lo, up)  # some entries at a bound
             certified = subsolver._definite(G_j)
-            fast = subsolver._active_set(G_j, C_j, box, X0, 1e-12, False, certified)
-            slow = subsolver._active_set(G_j, C_j, general, X0, 1e-12, False, certified)
-            assert fast[0].tobytes() == slow[0].tobytes()
-            assert fast[1].tobytes() == slow[1].tobytes() and fast[2] == slow[2]
+            got = subsolver._active_set(G_j, C_j, box, X0, 1e-12, False, certified)
+            X, fixed, gap = subsolver._active_set(G_j, flip * C_j, ref, flip * X0, 1e-12, False,
+                                                  certified)
+            assert same(got[0], flip * X) and same(got[1], fixed) and got[2] == gap
             if K is None:
-                points.append(fast[0])
+                points.append(got[0])
         for X in points:
-            want = subsolver._certified_gap(G, C, X, general)
+            want = subsolver._certified_gap(G, flip * C, flip * X, ref)
             assert np.asarray(subsolver._certified_gap(G, C, X, box)).tobytes() == \
                 np.asarray(want).tobytes()
 
