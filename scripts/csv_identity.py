@@ -34,9 +34,11 @@ CSV that differs, stderr gets the size of the difference: the largest
 
 The work of each rank-5 run and of the rank-5 sweep, which a machine's
 speed does not change, goes to stderr: its ball-search evaluations and its
-``np.linalg.cholesky`` and ``np.linalg.eigh`` calls in each checkout,
-counted by wrapping ``sbmm.subsolver.ball_multiplier_search`` and the two
-numpy functions in the interpreter that runs that checkout.
+``np.linalg.cholesky``, ``np.linalg.eigh`` and ``np.linalg.solve`` calls
+(the last are the Newton steps and least-squares starts of certified
+Hessians) in each checkout, counted by wrapping
+``sbmm.subsolver.ball_multiplier_search`` and the three numpy functions in
+the interpreter that runs that checkout.
 
 Usage:
     python3 scripts/csv_identity.py PARENT_DIR CHANGE_DIR [--steps N]
@@ -67,7 +69,7 @@ COUNTS = "counts.json"  # the rank-5 runs' work, under each checkout's WORK
 # the rank-5 runs as (name, input seed, engine seed)
 RANK5_RUNS = (tuple((f"omf_rank5_seed{s}", s, s) for s in SEEDS)
               + (("omf_rank5_in2_seed1", 2, 1),))
-WORK_COUNTS = ("ball_evals", "cholesky", "eigh")
+WORK_COUNTS = ("ball_evals", "cholesky", "eigh", "solve")
 STRADDLE = "constraint.lower = -1\n"  # a box across zero, [-1, 1]
 
 
@@ -91,12 +93,12 @@ def write_cpdl3(out: Path) -> str:
 def count_work(run) -> dict:
     """run() with its work counted: the evaluations of every ball search
     (sbmm.subsolver.ball_multiplier_search's solve calls) and the calls of
-    np.linalg.cholesky and np.linalg.eigh."""
+    np.linalg.cholesky, np.linalg.eigh and np.linalg.solve."""
     import numpy as np
     from sbmm import subsolver
 
     counts = dict.fromkeys(WORK_COUNTS, 0)
-    cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
+    linalg = {name: getattr(np.linalg, name) for name in WORK_COUNTS[1:]}
     search = subsolver.ball_multiplier_search
 
     def counted(name, fn):
@@ -107,12 +109,14 @@ def count_work(run) -> dict:
 
     def counted_search(solve, *args, **kwargs):
         return search(counted("ball_evals", solve), *args, **kwargs)
-    np.linalg.cholesky, np.linalg.eigh = counted("cholesky", cholesky), counted("eigh", eigh)
+    for name, fn in linalg.items():
+        setattr(np.linalg, name, counted(name, fn))
     subsolver.ball_multiplier_search = counted_search
     try:
         run()
     finally:
-        np.linalg.cholesky, np.linalg.eigh = cholesky, eigh
+        for name, fn in linalg.items():
+            setattr(np.linalg, name, fn)
         subsolver.ball_multiplier_search = search
     return counts
 

@@ -56,7 +56,7 @@ from .geometry import BoxSet, stationarity_measure, tangent_cone_project
 from .schedule import _VALIDATION_HORIZON, WeightSchedule, validate_schedule
 from .stream import (MarkovSource, StreamError, make_iid, mixing_rate, next_sample,
                      stationary_distribution, tv_decay)
-from .subsolver import code_solve_takes_start
+from .subsolver import SubsolverError, code_solve_takes_start
 
 __all__ = [
     "DiagnosticsRecord",
@@ -183,7 +183,7 @@ class _App:
     final: Callable          # j -> member j's final state
     surrogate: Callable      # step result -> the averaged surrogate's values at the
                              # previous and new iterates, grads(theta) as block lists
-    losses: Callable         # (X, member theta) -> values (S,), per-block gradient stacks
+    losses: Callable         # (X, member theta, j) -> values (S,), per-block gradient stacks
     move: Callable           # (prev, theta) -> step norm, largest block move
     stationarity: Callable   # (block gradients, theta) -> stationarity measure
     lipschitz_bound: Callable = None  # () -> the C1 audit's gradient bounds
@@ -276,8 +276,11 @@ def run_omf_diagnostics(
         # gradient is a list of one block, (1, q, r)
         return res.g_prev, res.value_at(res.W), lambda W: res.quad.grad(W)[..., None, :, :]
 
-    def losses(X, W):
-        values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol)
+    def losses(X, W, j):
+        # each state's code solve starts from the code member j last solved
+        # for that state, as a step's does
+        H0 = None if codes is None else [codes[j].get(y) for y in range(len(X))]
+        values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol, H0=H0)
         return values, [grads]
 
     def move(prev, W):
@@ -355,7 +358,7 @@ def run_cpdl_diagnostics(
             return out
         return g_prev, g_new, grads
 
-    def losses(X, U):
+    def losses(X, U, j):
         values, grads, _ = cpdl_loss(X, U, lam, code_set, tol=solver_tol)
         return values, grads
 
@@ -376,6 +379,15 @@ def run_cpdl_diagnostics(
                stationarity=stationarity)
     return _run(app, [source], schedule, "c2", c_prime, n_iters, diag_interval,
                 keep_trajectory)[0]
+
+
+def _refuse_non_finite(values: list, i: int, what: str) -> None:
+    """Raise SubsolverError naming step i, the member and the certificate
+    when a member's certificate (one float per member) is not finite: a nan
+    passes every audit's comparison, and certifies nothing."""
+    for j, v in enumerate(values):
+        if not math.isfinite(v):
+            raise SubsolverError(f"step {i}, member {j}: the {what} is {v}, not finite")
 
 
 def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
@@ -419,6 +431,7 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
         st.n = i
         # the audits' scalars, one per member, as the floats a single run has
         eps = app.floats(res.eps)
+        _refuse_non_finite(eps, i, "code solve's certified gap")
         eps_bar = [eps_bar_update(e, e_n, w_n) for e, e_n in zip(eps_bar, eps)]
         w_hat *= 1.0 - w_n
         for j, y in enumerate(ys):
@@ -430,6 +443,8 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
 
         g_prev, g_new, grads = app.surrogate(res)
         g_prev, g_new = app.floats(g_prev), app.floats(g_new)
+        _refuse_non_finite(g_prev, i, "surrogate's value at the previous iterate")
+        _refuse_non_finite(g_new, i, "surrogate's value at the new iterate")
         step, largest = (app.floats(v) for v in app.move(prev, theta))
         if mode == "c1":
             rho = app.floats(res.quad.rho)
@@ -466,7 +481,7 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
             if not checkpoint:
                 continue
             theta_j = app.member(theta, j)
-            values, loss_grads = app.losses(emissions[j], theta_j)
+            values, loss_grads = app.losses(emissions[j], theta_j, j)
             fbar = sum(w_hat[j, s] * values[s] for s in range(S))
             f_exp = sum(pis[j][s] * values[s] for s in range(S))
             blocks = (app.member(surr_grads, j),

@@ -317,33 +317,36 @@ def code_loss(X: np.ndarray, D: np.ndarray, H: np.ndarray, lam: float):
 
 
 def _stacked_codes(X: np.ndarray, D: np.ndarray, lam: float, code_set: BoxSet,
-                   tol: float) -> np.ndarray:
+                   tol: float, H0: list | None = None) -> np.ndarray:
     """Optimal codes (S, r, b) of a stack X (S, p, b) against D (p, r).
 
     Every code column shares the Hessian D'D, so the whole stack is one
-    solve_code_lasso call.
+    solve_code_lasso call; H0, a list of S starts (r, b), None where a
+    sample's columns take the default start, starts it.
     """
     S, p, b = X.shape
     r = D.shape[1]
     H, _ = solve_code_lasso(X.transpose(1, 0, 2).reshape(p, S * b), D, lam,
-                            code_set, tol=tol)
+                            code_set, tol=tol, H0=H0)
     return H.T.reshape(S, b, r).transpose(0, 2, 1)
 
 
 def factor_loss(X: np.ndarray, W: np.ndarray, lam: float, code_set: BoxSet,
-                tol: float = 1e-8):
+                tol: float = 1e-8, H0: list | None = None):
     """Matrix factorization loss min_H ||X - W H||_F^2 + lam ||H||_1 over the
     code box, its gradient in W by the optimal-code envelope rule, and H.
 
     One (q, d) sample gives (value, gradient (q, r), H (r, d)); a stack
     (S, q, d) gives values (S,), gradients (S, q, r) and codes (S, r, d),
-    all from one code solve.
+    all from one code solve.  H0, when given, is a list of one start (r, d)
+    per sample, None where a sample takes the default start (see
+    solve_code_lasso).
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
     one = X.ndim == 2
     Xs = X[None] if one else X
-    H = _stacked_codes(Xs, W, lam, code_set, tol)
+    H = _stacked_codes(Xs, W, lam, code_set, tol, H0)
     values, R = code_loss(Xs, W, H, lam)
     grads = -2.0 * R @ H.transpose(0, 2, 1)
     return (float(values[0]), grads[0], H[0]) if one else (values, grads, H)

@@ -14,8 +14,11 @@ inside a bisection bracket; the block subsolver
 (``subsolver._box_qp_ball``) supplies the box solves and their distance
 models.  A block too large to enumerate first takes the root of the model
 of its anchor's own working set (``subsolver._anchor_prediction``), from
-one eigendecomposition and no box solve, and keeps it only through the
-search's exits; ``_onto_ball`` scales either result onto the sphere.
+one eigendecomposition and no box solve; entries that its point carries
+across a bound join that working set at the bound, and the model of the
+grown set, whose constant is their squared distance to the center, gives
+the next root.  The point is kept only through the search's exits;
+``_onto_ball`` scales either result onto the sphere.
 """
 
 from __future__ import annotations

@@ -9,13 +9,15 @@ family at once, in finitely many steps.  While the KKT patterns are few
 (each entry at a bound, at the l1 kink, or free with a fixed sign) it
 enumerates them, solves every pattern's linear system in one batch and
 keeps the best feasible candidate, which is exact; otherwise it runs a
-primal active-set method (Newton steps on the free entries, bounds joining
-the working set when a step hits them, one fixed entry released per row
-while its certified gap says it can still improve) that stops once the
-certified gap is within tolerance; it starts from the clipped least-squares
-minimizer unless given a start (the runner gives each code solve the code
-its member last solved for the same chain state, usually one Newton step
-from the answer; the enumeration reads no start).  The box QP has one
+primal active-set method (Newton steps on the free entries, taken whole
+when every free entry lands strictly inside its bounds, else cut where the
+first bound blocks and that bound joining the working set, one fixed entry
+released per row while its certified gap says it can still improve) that
+stops once the certified gap is within tolerance; it starts from the
+clipped least-squares minimizer unless given a start (the runner gives
+each code solve, a step's and a checkpoint's, the code its member last
+solved for the same chain state, usually one Newton step from the answer;
+the enumeration reads no start).  The box QP has one
 definiteness test, a certificate per Hessian (_definite): a Cholesky
 factorization of G - _DEFINITE_RTOL * scale * I, taken once per code solve
 and once per block solve that needs one, single or stacked, shows every
@@ -39,11 +41,14 @@ without any box solve (_anchor_prediction): the ball's center is the
 previous block solve's result, whose entries at a bound usually stay
 there, so the secular model of that working set, built from the
 half-gradient at the center with one eigendecomposition, gives the
-multiplier mu* and its point.  The point is taken only through the
-search's own exits: in the box, mu* > 0, the dualized problem's certified
-gap within tolerance and the distance the radius; otherwise the search
-runs as above.  This is the online active-set strategy's hot start
-(Ferreau, Bock & Diehl, 2008).
+multiplier mu* and its point.  Free entries that the point carries across
+a bound join the working set at that bound, and the model of the new
+working set is solved again, one eigendecomposition per round, until the
+point lies in the box.  The point is taken only through the search's own
+exits: in the box, mu* > 0, the dualized problem's certified gap within
+tolerance and the distance the radius; otherwise the search runs as
+above.  This is the online active-set strategy's hot start and working-set
+update (Ferreau, Bock & Diehl, 2008).
 
 A stack of K families (K runs in lockstep, each with its own Hessian) is
 one batch wherever the work is the same for every member: the pattern
@@ -168,18 +173,20 @@ def _gap_total(gaps, X, absG, absC, box):
     error, a wrong pick of the attaining endpoint it may cause, and the few
     roundings of the term itself each cost a few ulps of (|gradient| + lam)
     times the width (the reach).  Summing n terms adds n ulps of their sizes'
-    sum.  On a box with every lo >= 0, |X| = X and every entry gap is >= 0."""
+    sum.  On a box with every lo >= 0, |X| = X and every entry gap is >= 0,
+    so the gaps are summed once."""
     sign = box.sign
     XA = X @ absG if sign else np.abs(X) @ absG
     reach = (2.0 * (XA + absC) + box.lam) * box.width
-    abs_gaps = gaps if sign else np.abs(gaps)
     weight = 2 * (absG.shape[-1] + 4)
     if absG.ndim == 2:
-        slack = _EPS * (weight * float(reach.sum()) + gaps.size * float(abs_gaps.sum()))
-        return max(0.0, float(gaps.sum())) + slack
+        total = float(gaps.sum())
+        abs_total = total if sign else float(np.abs(gaps).sum())
+        return max(0.0, total) + _EPS * (weight * float(reach.sum()) + gaps.size * abs_total)
     size = gaps.size // len(gaps)
-    sums = zip(gaps.sum(axis=(1, 2)).tolist(), reach.sum(axis=(1, 2)).tolist(),
-               abs_gaps.sum(axis=(1, 2)).tolist())
+    totals = gaps.sum(axis=(1, 2)).tolist()
+    abs_totals = totals if sign else np.abs(gaps).sum(axis=(1, 2)).tolist()
+    sums = zip(totals, reach.sum(axis=(1, 2)).tolist(), abs_totals)
     return np.array([max(0.0, total) + _EPS * (weight * r + size * a) for total, r, a in sums])
 
 
@@ -423,6 +430,13 @@ def _active_set(G, C, box, X, tol, predicted, certified):
             a, b = lo, up
             gf = np.where(free, grad + lam if lam else grad, 0.0)
         p, null_dir = _newton_direction(G, free, -0.5 * gf, scale, certified)
+        Y = X + p
+        if (certified or not null_dir.any()) and (((Y > a) & (Y < b)) | ~free).all():
+            # no bound (or zero) blocks any row's full step: every moving row
+            # reaches its working-set minimizer
+            X = np.where(free, Y, X)
+            at_min |= moving
+            continue
         # t = 1 reaches the working-set minimizer unless a bound (or zero)
         # blocks first; a zero-curvature direction (never one of a certified
         # G) runs until it is blocked
@@ -447,6 +461,18 @@ def _least_squares(G, C, certified):
     return C @ np.linalg.pinv(G, hermitian=True)
 
 
+def _start(G, C, X0, certified):
+    """The active-set method's start, before clipping: X0, the least-squares
+    minimizer if X0 is None, or for a list of equal row blocks their rows,
+    the least-squares rows where a block is None."""
+    if not isinstance(X0, list):
+        return _least_squares(G, C, certified) if X0 is None else X0
+    if any(b is None for b in X0):
+        default = np.split(_least_squares(G, C, certified), len(X0))
+        X0 = [d if b is None else b for b, d in zip(X0, default)]
+    return np.concatenate(X0)
+
+
 def _minimize(G, C, box, X0, tol, predicted=False, certified=None):
     """Minimizer of the solve_box_qp objective over the box family box, its
     free mask, the certified gap the active-set method stopped on (None if
@@ -459,6 +485,8 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None):
     default from the clipped least-squares minimizer of the smooth part, and
     breaks ties when G is singular, by default towards the clipped zero;
     predicted and the certificate (taken if None) go to the active-set method.
+    The active-set method's start may also be a list of equal row blocks,
+    None where a block takes the default start (_start).
 
     A stack (G of shape (K, k, k), C of shape (K, n, k)) enumerates in one
     batch and runs the active-set method member by member, each from its
@@ -488,7 +516,7 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None):
     if certified is None:
         certified = _definite(G)
     if not predicted:
-        X0 = np.clip(_least_squares(G, C, certified) if X0 is None else X0, box.lo, box.up)
+        X0 = np.clip(_start(G, C, X0, certified), box.lo, box.up)
     X, fixed, gap = _active_set(G, C, box, X0, tol, predicted, certified)
     return X, ~fixed, gap, None, certified
 
@@ -555,21 +583,35 @@ def _anchor_prediction(G, C, box, center, radius, tol, mu_hi):
     center at a bound stay there, and the free entries F take the step d_F
     = -(G_FF + mu I)^-1 g_F, g = center G - C the half-gradient at center,
     with mu the root in (0, mu_hi) of the secular equation ||d(mu)|| =
-    radius, from one eigendecomposition of every row's G_FF.  Returned,
-    scaled onto the ball, only through the ball search's own exits: it lies
-    in the box, mu > 0, the dualized problem's certified gap at it is <=
-    tol, and its distance to center is radius up to BALL_RTOL.  Else None.
+    radius, from one eigendecomposition of every row's G_FF.  Where that
+    point leaves the box, the free entries that crossed a bound join the
+    working set at the bound they crossed, and the prediction is solved
+    again (a repair round): with z the center moved so, the half-gradient
+    becomes (z G - C)_F and the distance model gains ||z - center||^2.  The
+    free set shrinks every round, so the rounds end.  The point is
+    returned, scaled onto the ball, only through the ball search's own
+    exits: it lies in the box, mu > 0, the dualized problem's certified gap
+    at it is <= tol, and its distance to center is radius up to BALL_RTOL.
+    Else None.
     """
-    free = (center != box.lo) & (center != box.up)
-    w, V = np.linalg.eigh(_free_system(G, free, _scale(G)))
-    w = np.maximum(w, 0.0)  # G is PSD
-    coef = np.einsum("nkj,nk->nj", V, np.where(free, C - center @ G, 0.0))
-    mu = _secular_root((0.0, (coef * coef).ravel(), w.ravel()), radius, 0.0, mu_hi)
-    if not 0.0 < mu < mu_hi:
-        return None
-    X = np.where(free, center + np.einsum("nkj,nj->nk", V, coef / (w + mu)), center)
-    if not ((X >= box.lo) & (X <= box.up)).all():
-        return None
+    lo, up = box.lo, box.up
+    free = (center != lo) & (center != up)
+    z, const, scale = center, 0.0, _scale(G)
+    while True:
+        w, V = np.linalg.eigh(_free_system(G, free, scale))
+        w = np.maximum(w, 0.0)  # G is PSD
+        coef = np.einsum("nkj,nk->nj", V, np.where(free, C - z @ G, 0.0))
+        mu = _secular_root((const, (coef * coef).ravel(), w.ravel()), radius, 0.0, mu_hi)
+        if not 0.0 < mu < mu_hi:
+            return None
+        X = np.where(free, z + np.einsum("nkj,nj->nk", V, coef / (w + mu)), z)
+        inside = (X >= lo) & (X <= up)
+        if inside.all():
+            break
+        z = np.where(X < lo, lo, np.where(X > up, up, z))
+        free &= inside
+        u = (z - center).ravel()
+        const = float(u.dot(u))
     nrm = _distance(X, center)
     if abs(nrm - radius) > BALL_RTOL * radius:
         return None
@@ -695,7 +737,9 @@ def solve_code_lasso(
     stack of K samples X (K, q, d), each against its own W (K, q, r), gives
     H (K, r, d) and one gap per member (K,), all from one batched solve.  A
     stack's H0 is (K, r, d), or a list of K starts (r, d), None where that
-    member takes the default start.
+    member takes the default start.  One sample's H0 may be a list of equal
+    column blocks, None where a block takes the default start (the active-set
+    method reads it; a family whose patterns are enumerated takes none).
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)

@@ -27,6 +27,7 @@ from sbmm.factorize import factor_loss
 from sbmm.geometry import BoxSet
 from sbmm.schedule import WeightSchedule
 from sbmm.stream import MarkovSource, make_iid
+from sbmm.subsolver import SubsolverError
 
 
 def sq_loss(x, t):
@@ -813,6 +814,103 @@ def test_run_sweep_stack_matches_run_experiment(tmp_path, name, extra):
             for c in ("monotonicity_violations", "step_bound_violations", "c1_bound_violations"):
                 assert getattr(res, c) == getattr(ref, c)
             assert res.final.W.tobytes() == ref.final.W.tobytes()
+
+
+def _record_code_starts(monkeypatch):
+    """Per run: the chain states drawn, each step's codes and each
+    checkpoint code solve's starts (with the number of steps before it)."""
+    import sbmm.bench as bench
+
+    drawn, codes, starts = [], [], []
+    real_sample, real_step, real_loss = bench.next_sample, bench.omf_step, bench.factor_loss
+
+    def sample(src):
+        x, y = real_sample(src)
+        drawn.append(y)
+        return x, y
+
+    def step(*args, **kwargs):
+        res = real_step(*args, **kwargs)
+        codes.append(res.H)
+        return res
+
+    def loss(*args, **kwargs):
+        starts.append((len(codes), kwargs.get("H0")))
+        return real_loss(*args, **kwargs)
+    monkeypatch.setattr(bench, "next_sample", sample)
+    monkeypatch.setattr(bench, "omf_step", step)
+    monkeypatch.setattr(bench, "factor_loss", loss)
+    return drawn, codes, starts
+
+
+def test_checkpoint_code_solves_start_from_each_states_last_code(tmp_path, monkeypatch):
+    # a rank-5 run's checkpoint code solve (the active-set path) starts each
+    # chain state's columns from the code its member last solved for that
+    # state, and a state not drawn yet from the default start (None): in a
+    # single run, and per member of a stack.  An enumerating run (rank 2)
+    # hands its checkpoints no start
+    drawn, codes, starts = _record_code_starts(monkeypatch)
+    cfg = rank5_cfg(tmp_path)
+    for seeds in ([4], [4, 5, 6]):
+        for record in (drawn, codes, starts):
+            record.clear()
+        if len(seeds) == 1:
+            run_experiment(cfg, seed=seeds[0], out_path=str(tmp_path / "one.csv"))
+        else:
+            run_sweep(cfg, seeds, out_dir=tmp_path / "sweep")
+        K = len(seeds)
+        assert len(codes) == 60 and len(starts) == 6 * K
+        for n, (steps, H0) in enumerate(starts):
+            j = n % K
+            last = {}
+            for i in range(steps):
+                last[drawn[i * K + j]] = codes[i] if K == 1 else codes[i][j]
+            assert len(H0) == 16
+            for y, h in enumerate(H0):
+                assert (h is None) if y not in last else np.array_equal(h, last[y]), (n, y)
+        assert any(h is None for _, H0 in starts for h in H0)
+        assert any(h is not None for _, H0 in starts for h in H0)
+    starts.clear()
+    run_experiment(shipped_cfg(tmp_path, "omf_markov"), seed=0, out_path=str(tmp_path / "r2.csv"))
+    assert starts and all(H0 is None for _, H0 in starts)
+
+
+@pytest.mark.parametrize("field", ["eps", "g_new"])
+@pytest.mark.parametrize("seeds", [[0], [0, 1]], ids=["single", "stack"])
+def test_run_refuses_a_non_finite_certificate(tmp_path, monkeypatch, capsys, field, seeds):
+    # a nan certificate passes every audit's comparison (nan < 0 and nan >
+    # x are false), so the runner refuses it, naming the step, the member
+    # and the certificate; sbmm run prints one error line, no traceback,
+    # and writes no CSV
+    import sbmm.bench as bench
+
+    real, calls = bench.omf_step, []
+
+    def step(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 7:  # the last member's certificate at step 7
+            bad = np.array(getattr(res, field), dtype=float)
+            if bad.ndim:
+                bad[-1] = math.nan
+            setattr(res, field, bad if bad.ndim else math.nan)
+        return res
+    monkeypatch.setattr(bench, "omf_step", step)
+    cfg = shipped_cfg(tmp_path, "omf_markov")
+    what = "code solve's certified gap" if field == "eps" else "surrogate's value at the new"
+    member = len(seeds) - 1
+    if len(seeds) == 1:
+        out = tmp_path / "x.csv"
+        assert cli_main(["run", str(tmp_path / "omf_markov.cfg"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+    else:
+        with pytest.raises(SubsolverError) as info:
+            run_sweep(cfg, seeds, out_dir=tmp_path / "sweep")
+        err = str(info.value)
+        assert not list((tmp_path / "sweep").glob("*.csv"))
+    assert f"step 7, member {member}: the {what}" in err and "nan" in err
 
 
 def test_run_sweep_matches_run_experiment(tmp_path):

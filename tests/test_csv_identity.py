@@ -55,5 +55,5 @@ def test_csv_identity_names_each_file(tmp_path):
         ["omf_rank5_in2_seed1"] + [f"omf_rank5_seed{s}" for s in range(3)] + ["omf_rank5_sweep"])
     for line in work:
         items = [item.split() for item in line.split(": ", 1)[1].split(", ")]
-        assert [name for name, *_ in items] == ["ball_evals", "cholesky", "eigh"]
+        assert [name for name, *_ in items] == ["ball_evals", "cholesky", "eigh", "solve"]
         assert all(int(before) == int(after) > 0 for _, before, _, after in items)

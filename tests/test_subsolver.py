@@ -517,6 +517,92 @@ def test_box_qp_paths_agree(seed):
     np.testing.assert_allclose(X_as, X, atol=1e-8)
 
 
+def _active_set_reference(G, C, box, X, tol, certified):
+    """The active-set method with the step-length rule for every Newton
+    step: each row moves until the first free entry reaches its bound (or
+    zero), and takes the full step only when none does (t_block > 1).  The
+    method from a start X of the box, returning (X, gap) as _active_set does
+    from a start that is not predicted."""
+    from sbmm.subsolver import _RELEASE_RTOL, _entry_gaps, _gap_total, _newton_direction
+
+    n, k = C.shape
+    lam, lo, up = box.lam, box.lo, box.up
+    kink = lam > 0 and not box.sign
+    fixed = (X == lo) | (X == up)
+    if kink:
+        fixed |= X == 0.0
+        sgn = np.sign(X)
+    absG, absC = np.abs(G), np.abs(C)
+    scale = float(absG.max()) or 1.0
+    floor = _RELEASE_RTOL * (2.0 * (k * scale * box.bound + float(absC.max())) + lam) * box.width
+    at_min = fixed.all(axis=1)
+    for _ in range(10_000):
+        grad = 2.0 * (X @ G - C)
+        gaps = _entry_gaps(grad, X, box)
+        if tol > 0.0 and at_min.all():
+            gap = _gap_total(gaps, X, absG, absC, box)
+            if gap <= tol:
+                return X, gap
+        moving = ~at_min
+        cand = np.where(fixed, gaps - floor, 0.0)
+        go = at_min & (cand.max(axis=1) > 0.0)
+        moving |= go
+        if not moving.any():
+            return X, None
+        release = go[:, None] & (np.arange(k) == cand.argmax(axis=1)[:, None])
+        fixed = fixed ^ release
+        free = ~fixed & moving[:, None]
+        if kink:
+            target = np.where(grad < -lam, up, np.where(grad > lam, lo, box.zero))
+            sgn = np.where(release, np.where(X != 0.0, np.sign(X), np.sign(target)), sgn)
+            a = np.where(sgn > 0, box.lo_pos, lo)
+            b = np.where(sgn < 0, box.up_neg, up)
+            gf = np.where(free, grad + lam * sgn, 0.0)
+        else:
+            a, b = lo, up
+            gf = np.where(free, grad + lam if lam else grad, 0.0)
+        p, null_dir = _newton_direction(G, free, -0.5 * gf, scale, certified)
+        end = np.where(p > 0, b, a)
+        t_hit = np.divide(end - X, p, out=np.full((n, k), np.inf), where=free & (p != 0.0))
+        t_block = t_hit.min(axis=1)
+        blocked = t_block <= (1.0 if certified else np.where(null_dir, np.inf, 1.0))
+        t = np.where(blocked, t_block, 1.0)
+        X = np.where(free, np.minimum(np.maximum(X + t[:, None] * p, a), b), X)
+        hit = free & blocked[:, None] & (t_hit <= t_block[:, None])
+        X = np.where(hit, end, X)
+        fixed = fixed | hit
+        at_min = np.where(moving, ~blocked, at_min)
+    raise AssertionError("reference active-set method did not stop")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_active_set_full_steps_match_the_step_length_rule(seed):
+    # the active-set method takes a Newton step whole, without the
+    # step-length bookkeeping, when every free entry of X + p lies strictly
+    # inside its bounds; that gives the iterates of the step-length rule
+    # (kept above as the reference) up to rounding where (b - X) / p rounds
+    # to 1, on one-signed and straddling boxes, with and without l1, on
+    # certified and singular Hessians
+    from sbmm.subsolver import (_active_set, _box_family, _certified_gap, _definite,
+                                _least_squares)
+
+    rng = np.random.default_rng(700 + seed)
+    for trial in range(6):
+        k, n = int(rng.integers(3, 7)), int(rng.integers(1, 31))
+        G, C = _family(rng, k, n, singular=trial == 5)
+        C *= 2.0
+        lo, up = (0.0, 1.0) if trial % 2 else (-1.0, 1.0)
+        lam = (0.0, 0.05)[(trial // 2) % 2]
+        box = _box_family(lam, np.full((n, k), lo), np.full((n, k), up), k)
+        certified = _definite(G)
+        X0 = np.clip(_least_squares(G, C, certified), lo, up)
+        X, _, gap = _active_set(G, C, box, X0, 1e-10, False, certified)
+        X_ref, gap_ref = _active_set_reference(G, C, box, X0, 1e-10, certified)
+        assert np.all(np.abs(X - X_ref) <= 1e-12 * (1.0 + np.abs(X_ref)))
+        for g, Y in ((gap, X), (gap_ref, X_ref)):
+            assert (_certified_gap(G, C, Y, box) if g is None else g) <= 1e-10
+
+
 def test_box_qp_many_unknowns():
     # 3^12 patterns are too many to enumerate; the active-set path must still
     # reach the KKT point, from a random start and with l1 and a singular G
@@ -1157,8 +1243,12 @@ def _anchor_block(rng, kind):
     half-gradient there pointing out of the box (kind "holds": the anchor's
     working set is the answer's when the small ball binds) or, in some of
     them, into it ("changes"); "inside" has a ball of radius 10, more than
-    the box's diameter, which does not bind.  Returns (G, C, center,
-    radius)."""
+    the box's diameter, which does not bind.  In "crosses" the bound entries
+    hold, but two free entries sit near a bound with the half-gradient
+    pushing them across it: one 0.001 inside and pushed hard, which the
+    step at the anchor's multiplier carries across, and one 0.01-0.05
+    inside and pushed gently, which often crosses only once the first is
+    fixed.  Returns (G, C, center, radius)."""
     G = _dictionary_hessian(rng, 5)
     center = rng.uniform(0.2, 0.8, size=(6, 5))
     at, top = rng.random((6, 5)) < 0.35, rng.random((6, 5)) < 0.5
@@ -1167,6 +1257,12 @@ def _anchor_block(rng, kind):
     g = np.where(at, np.where(top, -np.abs(g), np.abs(g)), g)
     if kind == "changes":
         g = np.where(at & (rng.random((6, 5)) < 0.3), -g, g)
+    if kind == "crosses":
+        near = rng.choice(np.flatnonzero(~at), size=2, replace=False)
+        up = rng.random(2) < 0.5
+        inset = np.array([0.001, rng.uniform(0.01, 0.05)])
+        center.ravel()[near] = np.where(up, 1.0 - inset, inset)
+        g.ravel()[near] = np.where(up, -1.0, 1.0) * np.array([3.0, rng.uniform(0.5, 1.0)])
     radius = 10.0 if kind == "inside" else float(rng.uniform(0.02, 0.2))
     return G, center @ G - g, center, radius
 
@@ -1213,6 +1309,39 @@ def test_anchor_prediction_matches_bisection(monkeypatch, kind):
         taken.append(anchored)
     # each kind is what it says in most instances
     assert sum(taken) >= 15 if kind == "holds" else sum(taken) <= (5 if kind == "changes" else 0)
+
+
+def test_anchor_prediction_repairs_entries_that_cross_a_bound(monkeypatch):
+    # where the step at the anchor's multiplier carries free entries across
+    # a bound ("crosses"), the repair rounds fix them at the bound they
+    # crossed and solve the anchor's model again: most instances are settled
+    # without a ball search, one eigendecomposition per round, some after a
+    # second repair round.  Every result lies in the box on the sphere, is
+    # the bisection reference's and is the search's up to rounding
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(91)
+    fam = subsolver._box_family(0.0, 0.0, 1.0, 5)
+    counts = _count_calls(monkeypatch, subsolver, ["ball_multiplier_search"])
+    eigh = _count_calls(monkeypatch, np.linalg, ["eigh"])
+    obj = lambda X, G, C: float(np.sum(X * (X @ G - 2.0 * C)))
+    rounds = []
+    for trial in range(20):
+        G, C, center, radius = _anchor_block(rng, "crosses")
+        lo, up = np.zeros_like(C), np.ones_like(C)
+        X_ref, _, _ = _ball_bisection_reference(G, C, lo, up, center, radius)
+        searches, eighs = counts["ball_multiplier_search"], eigh["eigh"]
+        X = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
+        if counts["ball_multiplier_search"] == searches:
+            rounds.append(eigh["eigh"] - eighs)
+        assert (X >= 0.0).all() and (X <= 1.0).all()
+        assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
+        assert abs(obj(X, G, C) - obj(X_ref, G, C)) <= 1e-10 * max(1.0, abs(obj(X_ref, G, C)))
+        with monkeypatch.context() as m:
+            m.setattr(subsolver, "_anchor_prediction", lambda *args: None)
+            X_search = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
+        assert float(np.abs(X - X_search).max()) <= 1e-12
+    assert len(rounds) >= 15 and min(rounds) >= 2 and max(rounds) >= 3
 
 
 def test_ball_search_prediction_outside_box_falls_back(monkeypatch):
@@ -1273,6 +1402,69 @@ def test_block_solve_returns_both_values_of_the_certificate(K, radius):
         assert np.asarray(value).tobytes() == np.asarray(g.value(g.anchor)).tobytes()
         assert np.asarray(new).tobytes() == np.asarray(g.value(W)).tobytes()
         assert np.all(np.asarray(new) <= np.asarray(value))
+
+
+def _exact_box_lasso_row(G, c, lam, lo, up):
+    """The minimizer of x'Gx - 2c'x + lam ||x||_1 over [lo, up] (one row, G
+    positive definite), in exact rational arithmetic: every KKT pattern (an
+    entry at lo, at up or at zero, or free with a sign) solves its free
+    entries' stationarity system by Gaussian elimination, and the best
+    candidate in the box with the signs it assumed wins."""
+    from fractions import Fraction as F
+    from itertools import product
+
+    k = len(c)
+    G = [[F(float(v)) for v in row] for row in G]
+    c, lo, up, lam = [F(float(v)) for v in c], [F(float(v)) for v in lo], \
+        [F(float(v)) for v in up], F(float(lam))
+    best, best_x = None, None
+    for pattern in product(("lo", "up", "zero", "pos", "neg"), repeat=k):
+        x = [lo[i] if s == "lo" else up[i] if s == "up" else F(0) for i, s in enumerate(pattern)]
+        free = [i for i, s in enumerate(pattern) if s in ("pos", "neg")]
+        # sum_j G_ij x_j = c_i - lam s_i / 2 on the free entries
+        rows = [[G[i][j] for j in free] + [c[i] - lam * (1 if pattern[i] == "pos" else -1) / 2
+                                           - sum(G[i][j] * x[j] for j in range(k)
+                                                 if j not in free)]
+                for i in free]
+        for col in range(len(free)):
+            pivot = next((r for r in range(col, len(free)) if rows[r][col] != 0), None)
+            if pivot is None:
+                break
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            for r in range(len(free)):
+                if r != col and rows[r][col] != 0:
+                    f = rows[r][col] / rows[col][col]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+        else:
+            for col, i in enumerate(free):
+                x[i] = rows[col][-1] / rows[col][col]
+            signs_hold = all(x[i] >= 0 if pattern[i] == "pos" else x[i] <= 0 for i in free)
+            if signs_hold and all(lo[i] <= x[i] <= up[i] for i in range(k)):
+                obj = (sum(x[i] * G[i][j] * x[j] for i in range(k) for j in range(k))
+                       - 2 * sum(ci * xi for ci, xi in zip(c, x)) + lam * sum(map(abs, x)))
+                if best is None or obj < best:
+                    best, best_x = obj, x
+    return np.array([float(v) for v in best_x])
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.2, 1.5), (-1.0, 1.0), (-1.5, -0.2)],
+                         ids=["unit", "positive", "straddling", "negative"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_enumeration_alone_is_exact_with_l1(k, bounds):
+    # the pattern enumeration by itself, with no polishing after it, returns
+    # the exact minimizer when lam > 0: on one-signed boxes, where the l1
+    # term is linear, and on boxes that straddle zero or lie below it
+    from sbmm.subsolver import _box_family, _enumerate
+
+    rng = np.random.default_rng(31 * k)
+    lo, up = bounds
+    for lam in (0.05, 0.5):
+        M = rng.normal(size=(k, k))
+        G, C = M @ M.T + 0.05 * np.eye(k), rng.normal(size=(4, k))
+        X = _enumerate(G, C, _box_family(lam, np.full((4, k), lo), np.full((4, k), up), k))[0]
+        for x, c in zip(X, C):
+            ref = _exact_box_lasso_row(G, c, lam, np.full(k, lo), np.full(k, up))
+            assert np.all(np.abs(x - ref) <= 1e-9 * (1.0 + np.abs(ref))), (lam, x, ref)
 
 
 @pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
