@@ -32,13 +32,15 @@ CSV that differs, stderr gets the size of the difference: the largest
 |change| / (1 + |parent|) over its entries, and the column it is in.
 ``--steps N`` caps every run's ``engine.n_iters`` at N, for a quick check.
 
-The work of each rank-5 run and of the rank-5 sweep, which a machine's
-speed does not change, goes to stderr: its ball-search evaluations and its
-``np.linalg.cholesky``, ``np.linalg.eigh`` and ``np.linalg.solve`` calls
-(the last are the Newton steps and least-squares starts of certified
-Hessians) in each checkout, counted by wrapping
-``sbmm.subsolver.ball_multiplier_search`` and the three numpy functions in
-the interpreter that runs that checkout.
+The work of ``omf_markov`` and ``cpdl`` at seed 0, of the 4-seed
+``omf_markov`` sweep, of each rank-5 run and of the rank-5 sweep, which a
+machine's speed does not change, goes to stderr: its ball-search
+evaluations and its ``np.linalg.cholesky``, ``np.linalg.eigh``,
+``np.linalg.solve`` and ``np.linalg.inv`` calls (solve makes the Newton
+steps and least-squares starts of certified Hessians, inv the KKT-pattern
+enumeration of rank-1, 3 and 4 families) in each checkout, counted by
+wrapping ``sbmm.subsolver.ball_multiplier_search`` and the four numpy
+functions in the interpreter that runs that checkout.
 
 Usage:
     python3 scripts/csv_identity.py PARENT_DIR CHANGE_DIR [--steps N]
@@ -60,16 +62,17 @@ from pathlib import Path
 
 SHIPPED = ("omf_iid", "omf_markov", "omf_sub", "cpdl")
 C1 = ("omf_markov", "omf_sub")
+COUNTED = ("omf_markov", "cpdl")  # shipped configs whose seed-0 run's work is counted
 SEEDS = (0, 1, 2)
 SWEEP_SEEDS = (0, 1, 2, 3)
 CPDL3_SHAPE = (2, 3, 2, 3)  # three modes and the batch
 CPDL3_SEED = 3
 WORK = ".csv_identity"
-COUNTS = "counts.json"  # the rank-5 runs' work, under each checkout's WORK
+COUNTS = "counts.json"  # the counted runs' work, under each checkout's WORK
 # the rank-5 runs as (name, input seed, engine seed)
 RANK5_RUNS = (tuple((f"omf_rank5_seed{s}", s, s) for s in SEEDS)
               + (("omf_rank5_in2_seed1", 2, 1),))
-WORK_COUNTS = ("ball_evals", "cholesky", "eigh", "solve")
+WORK_COUNTS = ("ball_evals", "cholesky", "eigh", "solve", "inv")
 STRADDLE = "constraint.lower = -1\n"  # a box across zero, [-1, 1]
 
 
@@ -93,7 +96,7 @@ def write_cpdl3(out: Path) -> str:
 def count_work(run) -> dict:
     """run() with its work counted: the evaluations of every ball search
     (sbmm.subsolver.ball_multiplier_search's solve calls) and the calls of
-    np.linalg.cholesky, np.linalg.eigh and np.linalg.solve."""
+    np.linalg.cholesky, np.linalg.eigh, np.linalg.solve and np.linalg.inv."""
     import numpy as np
     from sbmm import subsolver
 
@@ -143,10 +146,16 @@ def write_set(out: Path, steps: int | None) -> None:
         path.write_text(src.read_text(encoding="utf-8") + "\n" + extra, encoding="utf-8")
         return parse_config(path)
 
+    work = {}
     for name in SHIPPED:
         cfg = config(root / "configs" / f"{name}.cfg", name)
         for seed in SEEDS:
-            run_experiment(cfg, seed=seed, out_path=str(csvs / f"{name}_seed{seed}.csv"))
+            run = functools.partial(run_experiment, cfg, seed=seed,
+                                    out_path=str(csvs / f"{name}_seed{seed}.csv"))
+            if seed == 0 and name in COUNTED:
+                work[f"{name}_seed0"] = count_work(run)
+            else:
+                run()
     for name in C1:
         cfg = config(root / "configs" / f"{name}.cfg", f"{name}_c1", "engine.mode = c1\n")
         for seed in SEEDS:
@@ -154,8 +163,9 @@ def write_set(out: Path, steps: int | None) -> None:
     cfg = config(root / "configs" / "omf_markov.cfg", "omf_markov_straddle", STRADDLE)
     for seed in SEEDS:
         run_experiment(cfg, seed=seed, out_path=str(csvs / f"omf_markov_straddle_seed{seed}.csv"))
-    run_sweep(config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep"), SWEEP_SEEDS,
-              out_dir=csvs / "sweep")
+    work["omf_markov_sweep"] = count_work(functools.partial(
+        run_sweep, config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep"), SWEEP_SEEDS,
+        out_dir=csvs / "sweep"))
     run_sweep(config(root / "configs" / "omf_sub.cfg", "omf_sub_sweep", "app.row_sample = 0.5\n"),
               SWEEP_SEEDS, out_dir=csvs / "sweep")
     run_sweep(config(root / "configs" / "cpdl.cfg", "cpdl_sweep"), SWEEP_SEEDS[:2],
@@ -170,7 +180,6 @@ def write_set(out: Path, steps: int | None) -> None:
     for seed in SEEDS:
         (inputs / f"rank5_seed{seed}").mkdir()
         rank5[seed] = bench.write_rank5(seed, inputs / f"rank5_seed{seed}")
-    work = {}
     for name, input_seed, seed in RANK5_RUNS:
         cfg = config(rank5[input_seed], name)
         work[name] = count_work(functools.partial(run_experiment, cfg, seed=seed,
@@ -231,8 +240,8 @@ def largest_change(parent: Path, change: Path) -> str:
 
 
 def work_lines(parent: Path, change: Path) -> list[str]:
-    """One line per rank-5 run and for the rank-5 sweep: its work counts in
-    the parent and in the change, from the two checkouts' COUNTS files."""
+    """One line per counted run and sweep: its work counts in the parent and
+    in the change, from the two checkouts' COUNTS files."""
     before, after = (json.loads(p.read_text(encoding="utf-8")) for p in (parent, change))
     return [f"{name} work (parent -> change): "
             + ", ".join(f"{key} {before[name][key]} -> {after[name][key]}" for key in WORK_COUNTS)

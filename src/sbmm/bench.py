@@ -705,6 +705,14 @@ def parse_config(path) -> RunConfig:
     overflow = b > 0.0 and (math.log(dims) + 2.0 * math.log(rank) + power * math.log(b)
                             > math.log(sys.float_info.max))
     size_key = max((bound_key, "app.rank", "app.tensor_shape"), key=lambda k: line_of.get(k, 0))
+    # a code solve's certified gap sums lam times the larger of b and the
+    # box width over the rank x batch entries of the code, with a rounding
+    # weight 2 (rank + 4); that sum must be a finite float too
+    lam, reach = values["app.lambda"], max(b, up - lo)
+    l1_overflow = lam > 0.0 and reach > 0.0 and (
+        math.log(lam) + math.log(reach) + math.log(2 * rank * (rank + 4) * shape[-1])
+        > math.log(sys.float_info.max))
+    l1_key = max((size_key, "app.lambda"), key=lambda k: line_of.get(k, 0))
     # the checks that read more than one key
     for key, bad, need in (
             ("app.tensor_shape", kind != "cpdl" and len(shape) != 2,
@@ -729,7 +737,11 @@ def parse_config(path) -> RunConfig:
             (size_key, overflow,
              f"makes the code solves overflow: with dictionary and code entries up to {b:g} "
              f"(the box), a sample's ||D h||^2 reaches {dims} * {rank}^2 * {b:g}^{power} "
-             f"(app.tensor_shape, app.rank), beyond the largest float")):
+             f"(app.tensor_shape, app.rank), beyond the largest float"),
+            (l1_key, l1_overflow,
+             f"makes the code solves' l1 term overflow: their certified gap sums app.lambda "
+             f"times max(|bound|, width) = {reach:g} (the box) over {rank} x {shape[-1]} code "
+             f"entries (app.rank, app.tensor_shape), beyond the largest float")):
         if bad:
             raise ConfigError(f"{cfg.where(key)}: {key} = {values[key]} {need}")
     for key, k in _KEYS.items():

@@ -7,8 +7,11 @@ row of a FactorQuad minimizes w'Aw - 2b'w, since the Hessian of tr(W A W')
 is A on every row.  ``solve_box_qp`` solves all right-hand sides of such a
 family at once, in finitely many steps.  While the KKT patterns are few
 (each entry at a bound, at the l1 kink, or free with a fixed sign) it
-enumerates them, solves every pattern's linear system in one batch and
-keeps the best feasible candidate, which is exact; otherwise it runs a
+enumerates them and keeps the best feasible candidate, which is exact: at
+rank 2, every shipped config's, each pattern's 2 x 2 or 1 x 1 free system
+is solved in closed form by Cramer's rule (_pairs), in Python floats for
+one family, with no LAPACK call; at ranks 1, 3 and 4 every pattern's
+system is inverted in one LAPACK batch (_enumerate); otherwise it runs a
 primal active-set method (Newton steps on the free entries, taken whole
 when every free entry lands strictly inside its bounds, else cut where the
 first bound blocks and that bound joining the working set, one fixed entry
@@ -53,14 +56,19 @@ update (Ferreau, Bock & Diehl, 2008).
 A stack of K families (K runs in lockstep, each with its own Hessian) is
 one batch wherever the work is the same for every member: the pattern
 enumeration, the certified gaps and an enumerated box solve at multiplier
-zero.  The active-set method, the anchor's prediction, a binding ball's
-multiplier search and the polishing of a gap run member by member.  Every
-member's numbers are computed slice by slice, so they are the bytes its
-own family's solve gives.
+zero, after which only the members whose solve leaves their ball search
+further.  The rank-2 closed form runs a stack of at most _PAIR_LOOP_ROWS
+member rows in Python floats member by member, and a larger one as the
+same float operations on (patterns, members, rows) arrays.  The
+active-set method, the anchor's prediction, a binding ball's multiplier
+search and the polishing of a gap run member by member.  Every member's
+numbers are computed slice by slice, with the same IEEE operations, so
+they are the bytes its own family's solve gives.
 
 What a solve reads of its box comes from one box family per (k, lam, box),
-derived once (_BoxFamily): the KKT patterns and their values at the bounds,
-the clipped zero, the width and the release floor's bound.  Code and block
+derived once (_BoxFamily): the KKT patterns and their values at the bounds
+(at rank 2 as Python tuples for the loop and arrays for the batch), the
+clipped zero, the width and the release floor's bound.  Code and block
 solves reach it from their BoxSet (a block of whole dictionary rows, one
 family row each, as the box's family cut to those rows), a bare
 solve_box_qp call with one cache lookup.  On a box with every lower bound
@@ -72,9 +80,9 @@ path.
 Both solvers certify what they return, and return the certificate with
 the solution: the code solver its convexity-based objective gap bound,
 rounding allowance included, that downstream surrogates use as their
-approximation tolerance (reusing an enumeration's rows of X @ G), and the
-block solver its descent certificate, the objective at its start (the
-quadratic's anchor, the ball's center) and at its result, from one
+approximation tolerance (reusing a LAPACK enumeration's rows of X @ G),
+and the block solver its descent certificate, the objective at its start
+(the quadratic's anchor, the ball's center) and at its result, from one
 evaluation of the (2, q, r) pair, which it checks does not rise.
 """
 
@@ -82,7 +90,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -110,11 +118,20 @@ _NULL_RTOL = 1e-12
 _DEFINITE_RTOL = 1e-9
 # enumerate KKT patterns while there are at most this many.  Timed per call
 # against the active-set method from its default start (numpy 2.4, one core,
-# 1, 6 and 30 rows, median of 4 random problems), enumeration takes 0.4-0.5x
-# its time at 3^3 = 27 patterns, 0.6-1.2x at 3^4 = 81 and 5^3 = 125, 1.2-3.8x
-# at 3^5 = 243, and 2.3-9x from 5^4 = 625 on.  Below 200 it is exact, never
-# more than 1.2x slower, and solves a rank-2 or rank-3 family in one batch
+# 1, 6 and 30 rows, median of 4 random problems), LAPACK enumeration takes
+# 0.4-0.5x its time at 3^3 = 27 patterns, 0.6-1.2x at 3^4 = 81 and 5^3 =
+# 125, 1.2-3.8x at 3^5 = 243, and 2.3-9x from 5^4 = 625 on.  Below 200 it is
+# exact, never more than 1.2x slower, and solves a rank-3 family in one
+# batch.  Rank 2 (9 or 25 patterns) takes the closed form (_pairs), ranks 1,
+# 3 and 4 the LAPACK batch (_enumerate)
 _ENUM_PATTERNS = 200
+# a stack of at most this many member rows (members x rows) solves its
+# rank-2 families in Python floats member by member (_pairs); a larger one
+# as one array batch.  Timed per call (numpy 2.4, one core, 2- and 3-row
+# families, 9 patterns, best of 7 runs of 200): the loop costs about 3.5 us
+# per member row, the batch about 47 us plus 0.4 us per member row; they
+# break even near 16 rows, and the batch is 2.5-3.5x faster at 64 to 96
+_PAIR_LOOP_ROWS = 12
 _EPS = float(np.finfo(float).eps)
 # entry states of a KKT pattern
 _LO, _UP, _FREE, _POS, _NEG, _ZERO = range(6)
@@ -229,11 +246,59 @@ class _BoxFamily:
                            + ((_NEG,) if lo.min() < 0.0 else ())
                            + ((_ZERO,) if ((lo < 0.0) & (up > 0.0)).any() else ()))
         self.enumerable = len(self.states) ** k <= _ENUM_PATTERNS
-        if self.enumerable:
+        if self.enumerable and k != 2:  # rank 2 takes the closed form (_pairs)
             self.patterns = at_lo, at_up, _, sgn, _, _ = _patterns(k, self.states)
             self.lo_p, self.up_p = (lo[:, None], up[:, None]) if lo.ndim == 3 else (lo, up)
             self.V = np.where(at_lo, self.lo_p, np.where(at_up, self.up_p, 0.0))
             self.shift = (0.5 * lam) * sgn
+
+    @cached_property
+    def pair_rows(self):
+        """The closed form's constants for the loop in Python floats (k = 2):
+        per member, per row, (lo0, up0, lo1, up1, patterns), each pattern
+        (free0, free1, v0, v1, shift0, shift1, sign0, sign1) in
+        itertools.product order, v an entry's value when fixed and shift its
+        l1 shift lam s / 2; one member, or one row, stands for all when the
+        box's bounds are alike."""
+        states = list(itertools.product(self.states, repeat=2))
+        half = 0.5 * self.lam
+
+        def row(lo0, up0, lo1, up1):
+            def entry(s, lo, up):
+                sgn = 1.0 if s == _POS else -1.0 if s == _NEG else 0.0
+                value = lo if s == _LO else up if s == _UP else 0.0
+                return s in (_FREE, _POS, _NEG), value, half * sgn, sgn
+            pats = []
+            for s0, s1 in states:
+                (f0, v0, h0, t0), (f1, v1, h1, t1) = entry(s0, lo0, up0), entry(s1, lo1, up1)
+                pats.append((f0, f1, v0, v1, h0, h1, t0, t1))
+            return lo0, up0, lo1, up1, tuple(pats)
+        L, U = self._bounds3()
+        B = np.stack((L[..., 0], U[..., 0], L[..., 1], U[..., 1]), axis=-1)
+        if B.tobytes() == B[:1, :1].tobytes() * (B.size // 4):
+            return ((row(*B[0, 0].tolist()),),)
+        return tuple(tuple(row(*b) for b in member) for member in B.tolist())
+
+    @cached_property
+    def pair_arrays(self):
+        """The same constants as arrays for the batch (k = 2): free flags,
+        shifts and signs (P, 1, 1), values at the bounds (P, K, n), bounds
+        (K, n), each K or n 1 where the box shares it, and the patterns'
+        free masks (P, 2)."""
+        pats = self.pair_rows[0][0][4]
+        f0, f1, _, _, h0, h1, t0, t1 = (np.array(c).reshape(-1, 1, 1) for c in zip(*pats))
+        states = np.array(list(itertools.product(self.states, repeat=2))).T[:, :, None, None]
+        L, U = self._bounds3()
+        lo0, up0, lo1, up1 = L[..., 0], U[..., 0], L[..., 1], U[..., 1]
+        v0 = np.where(states[0] == _LO, lo0, np.where(states[0] == _UP, up0, 0.0))
+        v1 = np.where(states[1] == _LO, lo1, np.where(states[1] == _UP, up1, 0.0))
+        free = np.array([p[:2] for p in pats])
+        return f0, f1, v0, v1, h0, h1, t0, t1, lo0, up0, lo1, up1, free
+
+    def _bounds3(self):
+        """lo and up broadcast to (K, n, 2), K and n 1 where shared."""
+        shape = np.broadcast_shapes(self.lo.shape, self.up.shape, (1, 1, 2))
+        return np.broadcast_to(self.lo, shape), np.broadcast_to(self.up, shape)
 
     def rows(self, rows):
         """The family of rows (m,) or (K, m): the first m rows' if all are alike."""
@@ -280,8 +345,11 @@ def _enumerate(G, C, box):
     x @ G, which the certified gap reuses.  A stack (G of shape (K, k, k), C
     of shape (K, n, k)) is one batch with a member axis in front of the
     pattern axis; each member's candidates are its own family's, slice by
-    slice.
+    slice.  A rank-2 family takes the closed form (_pairs), which returns
+    None for the product.
     """
+    if box.k == 2:
+        return _pairs(G, C, box)
     _, _, free, sgn, pair, fixed_eye = box.patterns
     lam, V = box.lam, box.V
     stack = G.ndim == 3
@@ -304,6 +372,114 @@ def _enumerate(G, C, box):
     rows = np.arange(C.shape[-2])
     at = (np.arange(len(C))[:, None], pick, rows) if stack else (pick, rows)
     return x[at], free[pick, 0], xG[at]
+
+
+# the rank-2 closed form's arithmetic, on Python floats (one row and one
+# pattern) or on arrays (a batch of them), with the same IEEE operations and
+# one rounding each, so both give the same bytes
+
+
+def _both_free(a, b, c, det, h0, h1):
+    """Both entries free: [[a, b], [b, c]] x = h by Cramer's rule."""
+    return (c * h0 - b * h1) / det, (a * h1 - b * h0) / det
+
+
+def _one_free(d, b, h, v):
+    """One entry free, of diagonal d, the other fixed at v: d x = h - b v."""
+    return (h - b * v) / d
+
+
+def _pair_objective(a, b, c, lam, x0, x1, c0, c1):
+    """x'Gx - 2c'x + lam ||x||_1 as x0 (g0 - 2 c0) + x1 (g1 - 2 c1) + lam
+    (|x0| + |x1|), g = x G."""
+    obj = x0 * (a * x0 + b * x1 - 2.0 * c0) + x1 * (b * x0 + c * x1 - 2.0 * c1)
+    return obj + lam * (abs(x0) + abs(x1)) if lam else obj
+
+
+_NOT_POSITIVE = "a free system of the rank-2 closed form is not positive"
+
+
+def _pairs(G, C, box):
+    """_enumerate of a rank-2 family in closed form, with no X @ G.
+
+    Each KKT pattern's free system is solved by Cramer's rule (_both_free,
+    _one_free) with the l1 shift h = c - lam s / 2; the first minimum of the
+    objective in itertools.product order among the candidates in the box,
+    with the signs their patterns assume, wins, and the first pattern's
+    candidate when none is (a non-finite G or C).  A free system that is
+    not positive (a, c or det <= 0) raises LinAlgError.  One family, and a
+    stack of at most _PAIR_LOOP_ROWS member rows, runs in Python floats row
+    by row; a larger stack as one batch over (patterns, members, rows)."""
+    rows = box.pair_rows
+    signed = box.lam > 0 and not box.sign  # the sign test a box with lo >= 0 implies
+    if G.ndim == 2:
+        X, free = _pairs_loop(G, C, rows[0], box.lam, signed)
+    elif C.size <= 2 * _PAIR_LOOP_ROWS:
+        X, free = [], []
+        for j in range(len(C)):
+            Xj, free_j = _pairs_loop(G[j], C[j], rows[j if len(rows) > 1 else 0], box.lam, signed)
+            X += Xj
+            free += free_j
+    else:
+        return _pairs_batch(G, C, box, signed)
+    return np.array(X).reshape(C.shape), np.array(free, dtype=bool).reshape(C.shape), None
+
+
+def _pairs_loop(G, C, rows, lam, signed):
+    """One family's candidates in Python floats: each row's (x0, x1) and
+    free flags.  rows holds each row's bounds and patterns (one for all
+    if alike; _BoxFamily.pair_rows)."""
+    (a, b), (_, c) = G.tolist()
+    det = a * c - b * b
+    if a <= 0.0 or c <= 0.0 or det <= 0.0:
+        raise np.linalg.LinAlgError(_NOT_POSITIVE)
+    X, F = [], []
+    for (c0, c1), (lo0, up0, lo1, up1, pats) in zip(C.tolist(),
+                                                     rows * len(C) if len(rows) == 1 else rows):
+        best = None
+        for f0, f1, v0, v1, s0, s1, t0, t1 in pats:
+            if f0 and f1:
+                x0, x1 = _both_free(a, b, c, det, c0 - s0, c1 - s1)
+            elif f0:
+                x0, x1 = _one_free(a, b, c0 - s0, v1), v1
+            elif f1:
+                x0, x1 = v0, _one_free(c, b, c1 - s1, v0)
+            else:
+                x0, x1 = v0, v1
+            if (lo0 <= x0 <= up0 and lo1 <= x1 <= up1
+                    and (not signed or x0 * t0 >= 0.0 and x1 * t1 >= 0.0)):
+                obj = _pair_objective(a, b, c, lam, x0, x1, c0, c1)
+            else:
+                obj = math.inf
+            # the first minimum, or the first nan, as argmin picks it
+            if best is None or obj < best or (obj != obj and best == best):
+                best, x, free = obj, (x0, x1), (f0, f1)
+        X.append(x)
+        F.append(free)
+    return X, F
+
+
+def _pairs_batch(G, C, box, signed):
+    """_pairs of a stack as one batch over (patterns, members, rows): the
+    loop's expressions on arrays, so each member's (X, free) are its loop's
+    bytes."""
+    f0, f1, v0, v1, s0, s1, t0, t1, lo0, up0, lo1, up1, free = box.pair_arrays
+    a, b, c = G[:, 0, 0, None], G[:, 0, 1, None], G[:, 1, 1, None]
+    det = a * c - b * b
+    if (np.minimum(np.minimum(a, c), det) <= 0.0).any():
+        raise np.linalg.LinAlgError(_NOT_POSITIVE)
+    c0, c1 = C[..., 0], C[..., 1]
+    h0, h1 = c0 - s0, c1 - s1
+    both0, both1 = _both_free(a, b, c, det, h0, h1)
+    x = np.array((np.where(f0, np.where(f1, both0, _one_free(a, b, h0, v1)), v0),
+                  np.where(f1, np.where(f0, both1, _one_free(c, b, h1, v0)), v1)))
+    x0, x1 = x
+    ok = (x0 >= lo0) & (x0 <= up0) & (x1 >= lo1) & (x1 <= up1)
+    if signed:
+        ok &= (x0 * t0 >= 0.0) & (x1 * t1 >= 0.0)
+    pick = np.where(ok, _pair_objective(a, b, c, box.lam, x0, x1, c0, c1), np.inf).argmin(axis=0)
+    X = x.reshape(2, len(x0), -1)[:, pick.ravel(), np.arange(pick.size)]
+    return X.T.reshape(C.shape), free[pick], None
 
 
 def _scale(G) -> float:
@@ -477,7 +653,7 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None):
     """Minimizer of the solve_box_qp objective over the box family box, its
     free mask, the certified gap the active-set method stopped on (None if
     it has none), the enumeration's X @ G (None if it did not enumerate G
-    itself) and G's definiteness certificate (_definite; None if the solve
+    itself with LAPACK) and G's definiteness certificate (_definite; None if the solve
     needed none): exact by pattern enumeration while the patterns are few,
     else the active-set method, which stops once the certified gap is <=
     tol.  X0 (or None), clipped into the box where it is used unless
@@ -641,22 +817,27 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
     box; else it starts from X.  (The pattern enumeration ignores the
     start.)  first, when given, is the solve at mu = 0 as (X, free mask,
     certificate).  A stack (G of shape (K, k, k); C and center of shape (K,
-    n, k)) of an enumerated family solves at mu = 0 in one batch; each
-    member then has its own ball and its own search, from its part of that
-    solve.  A stack of a family that does not enumerate runs each member's
+    n, k)) of an enumerated family solves at mu = 0 in one batch; a member
+    whose part of that solve lies in its ball keeps it, as its own search
+    would, and each other member has its own search from its part.  A
+    stack of a family that does not enumerate runs each member's
     prediction and search alone, as its single run does.
     """
     X = center if first is None else first[0]
     if math.isinf(radius):
         return _minimize(G, C, box, X, tol)[0]
     if G.ndim == 3:
-        firsts = [None] * len(C)
-        if box.enumerable:
-            X, free, _, _, certified = _minimize(G, C, box, X, tol)
-            firsts = [(X[j], free[j], certified[j]) for j in range(len(C))]
-        return np.stack([_box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
-                                      firsts[j])
-                         for j in range(len(C))])
+        if not box.enumerable:
+            return np.stack([_box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol)
+                             for j in range(len(C))])
+        # a member whose solve at mu = 0 lies in its ball is done: its search
+        # would test this float first
+        X, free, _, _, certified = _minimize(G, C, box, X, tol)
+        for j in range(len(C)):
+            if not _distance(X[j], center[j]) <= radius:
+                X[j] = _box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
+                                    (X[j], free[j], certified[j]))
+        return X
 
     def mu_hi():
         # strong convexity of the dualized problem: ||X(mu) - center|| <= ||xi|| / mu

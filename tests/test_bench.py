@@ -586,6 +586,9 @@ def test_parse_config_type_error(tmp_path):
     ("app.kind = cpdl\napp.tensor_shape = 2,1,3\nconstraint.upper = 1e160\n",
      "constraint.upper"),
     ("app.rank = 100000000000000000000\n", "app.rank"),
+    # an l1 weight whose code solves' certified gap must overflow: a run
+    # that printed numpy's overflow warning
+    ("app.lambda = 1e308\n", "app.lambda"),
 ], ids=["diag_interval", "n_iters", "row_sample", "row_sample_above_q", "row_sample_tiny",
         "app_kind",
         "mode", "cpdl_c1", "cpdl_theta0", "omf_row_sample", "theta0_missing",
@@ -600,7 +603,7 @@ def test_parse_config_type_error(tmp_path):
         "tol_negative", "tol_nan", "stream_seed", "engine_seed", "row_sample_nan",
         "lower_infinite", "beta_nan", "beta_inf", "delta_nan", "delta_inf",
         "beta_underflow", "delta_underflow", "omf_bound_overflow", "cpdl_bound_overflow",
-        "rank_overflow"])
+        "rank_overflow", "lambda_overflow"])
 def test_parse_config_range_checks(tmp_path, capsys, extra, key):
     np.savetxt(tmp_path / "theta_3x3.csv", np.full((3, 3), 0.5), delimiter=",")
     np.savetxt(tmp_path / "theta_outside.csv", [[0.5, 0.5], [0.5, 1.5], [0.5, 0.5]],

@@ -48,12 +48,22 @@ def test_csv_identity_names_each_file(tmp_path):
             assert float(size) > 0.0 and column.removeprefix("column ") in CSV_FIELDS, name
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_markov_seed3.csv").exists()
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_rank5_seed2.csv").exists()
-    # the work of each rank-5 run and of the rank-5 sweep, counted in each
-    # checkout: the same code does the same work
+    # the work of omf_markov and cpdl at seed 0, of the omf_markov sweep, of
+    # each rank-5 run and of the rank-5 sweep, counted in each checkout: no
+    # run calls np.linalg.inv (rank 2 takes the closed form, rank 5 the
+    # active-set method), and the same code on the same inputs (all but the
+    # OMF runs) does the same work
     work = [line for line in out.stderr.splitlines() if " work (parent -> change): " in line]
     assert [line.split(" work")[0] for line in work] == (
-        ["omf_rank5_in2_seed1"] + [f"omf_rank5_seed{s}" for s in range(3)] + ["omf_rank5_sweep"])
+        ["cpdl_seed0", "omf_markov_seed0", "omf_markov_sweep", "omf_rank5_in2_seed1"]
+        + [f"omf_rank5_seed{s}" for s in range(3)] + ["omf_rank5_sweep"])
     for line in work:
+        name = line.split(" work")[0]
         items = [item.split() for item in line.split(": ", 1)[1].split(", ")]
-        assert [name for name, *_ in items] == ["ball_evals", "cholesky", "eigh", "solve"]
-        assert all(int(before) == int(after) > 0 for _, before, _, after in items)
+        assert [key for key, *_ in items] == ["ball_evals", "cholesky", "eigh", "solve", "inv"]
+        counts = {key: (int(before), int(after)) for key, before, _, after in items}
+        assert counts.pop("inv") == (0, 0) and min(counts["ball_evals"]) > 0, line
+        if not name.startswith("omf_markov"):
+            assert all(before == after for before, after in counts.values()), line
+        if name.startswith("omf_rank5"):
+            assert all(before > 0 for before, _ in counts.values()), line

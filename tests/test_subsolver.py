@@ -1451,14 +1451,15 @@ def _exact_box_lasso_row(G, c, lam, lo, up):
                          ids=["unit", "positive", "straddling", "negative"])
 @pytest.mark.parametrize("k", [2, 3])
 def test_enumeration_alone_is_exact_with_l1(k, bounds):
-    # the pattern enumeration by itself, with no polishing after it, returns
-    # the exact minimizer when lam > 0: on one-signed boxes, where the l1
-    # term is linear, and on boxes that straddle zero or lie below it
+    # the pattern enumeration by itself (at rank 2 the closed form), with no
+    # polishing after it, returns the exact minimizer, without and with an
+    # l1 term: on one-signed boxes, where the l1 term is linear, and on
+    # boxes that straddle zero or lie below it
     from sbmm.subsolver import _box_family, _enumerate
 
     rng = np.random.default_rng(31 * k)
     lo, up = bounds
-    for lam in (0.05, 0.5):
+    for lam in (0.0, 0.05, 0.5):
         M = rng.normal(size=(k, k))
         G, C = M @ M.T + 0.05 * np.eye(k), rng.normal(size=(4, k))
         X = _enumerate(G, C, _box_family(lam, np.full((4, k), lo), np.full((4, k), up), k))[0]
@@ -1467,13 +1468,94 @@ def test_enumeration_alone_is_exact_with_l1(k, bounds):
             assert np.all(np.abs(x - ref) <= 1e-9 * (1.0 + np.abs(ref))), (lam, x, ref)
 
 
+_PAIR_BOXES = ((0.0, 1.0), (0.2, 1.5), (-1.0, 1.0), (-1.5, -0.2))
+
+
+@pytest.mark.parametrize("side", ["loop", "batch"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.0, 0.05, 0.5]),
+       bounds=st.sampled_from(_PAIR_BOXES), per_member=st.booleans(), data=st.data())
+def test_rank2_stack_gives_each_members_bytes(side, seed, lam, bounds, per_member, data):
+    # a stack of rank-2 families, solved in Python floats member by member
+    # (at most _PAIR_LOOP_ROWS member rows) or as one array batch, gives
+    # each member the X and free mask of its own family's solve, byte for
+    # byte; with per_member each member has its own box, drawn per row
+    import sbmm.subsolver as subsolver
+
+    limit = subsolver._PAIR_LOOP_ROWS
+    n = data.draw(st.integers(1, 4))
+    K = (data.draw(st.integers(1, max(1, limit // n))) if side == "loop"
+         else data.draw(st.integers(limit // n + 1, limit // n + 4)))
+    assert (K * n <= limit) == (side == "loop")
+    rng = np.random.default_rng(seed)
+    lo, up = bounds
+    if per_member:
+        lo = lo + rng.uniform(0.0, 0.1, size=(K, n, 2))
+        up = up - rng.uniform(0.0, 0.1, size=(K, n, 2))
+    else:
+        lo, up = np.full((1, 2), lo), np.full((1, 2), up)
+    box = subsolver._box_family(lam, lo, up, 2)
+    M = rng.normal(size=(K, 2, 3))
+    G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
+    C = rng.normal(size=(K, n, 2)) * 2.0
+    X, free, XG = subsolver._enumerate(G, C, box)
+    assert XG is None and X.shape == C.shape and free.shape == C.shape
+    for j in range(K):
+        Xj, free_j, _ = subsolver._enumerate(G[j], C[j], box.member(j))
+        assert X[j].tobytes() == Xj.tobytes() and free[j].tobytes() == free_j.tobytes()
+
+
+@pytest.mark.parametrize("K", [None, 2, 6], ids=["single", "loop", "batch"])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+@pytest.mark.parametrize("G_kind", ["zero_diagonal", "rank_one"])
+def test_rank2_singular_hessian_takes_the_tie_break(G_kind, lam, K):
+    # a singular G (a zero diagonal entry, or W'W of rank 1 with det
+    # exactly 0) has a free system that is not positive: the closed form
+    # raises LinAlgError, and the solve takes the tie-break G + delta I,
+    # alone or as the one singular member of a stack, where every member
+    # then takes its own family's solve
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(97)
+    n = 3
+    box = subsolver._box_family(lam, np.zeros((1, 2)), np.ones((1, 2)), 2)
+    if G_kind == "zero_diagonal":
+        G0 = np.array([[0.0, 0.0], [0.0, 1.3]])
+    else:
+        w = rng.uniform(0.1, 1.0, size=(4, 1))
+        W = np.hstack([w, 2.0 * w])
+        G0 = W.T @ W
+        assert G0[0, 0] * G0[1, 1] - G0[0, 1] * G0[0, 1] == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        subsolver._enumerate(G0, rng.normal(size=(n, 2)), box)
+    delta = subsolver._NULL_RTOL * subsolver._scale(G0)
+    if K is None:
+        C = rng.normal(size=(n, 2))
+        X, free, _, _, _ = subsolver._minimize(G0, C, box, None, 1e-8)
+        X0 = np.clip(0.0, box.lo, box.up)
+        want = subsolver._enumerate(G0 + delta * np.eye(2), C + delta * X0, box)
+        assert X.tobytes() == want[0].tobytes() and free.tobytes() == want[1].tobytes()
+        assert solve_box_qp(G0, C, 0.0, 1.0, lam)[1] <= 1e-8
+        return
+    M = rng.normal(size=(K, 2, 3))
+    G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
+    G[1] = G0
+    C = rng.normal(size=(K, n, 2))
+    X, free, _, _, _ = subsolver._minimize(G, C, box, None, 1e-8)
+    for j in range(K):
+        Xj, free_j, _, _, _ = subsolver._minimize(G[j], C[j], box, None, 1e-8)
+        assert X[j].tobytes() == Xj.tobytes() and free[j].tobytes() == free_j.tobytes()
+    assert np.all(solve_box_qp(G, C, 0.0, 1.0, lam)[1] <= 1e-8)
+
+
 @pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
 @pytest.mark.parametrize("lam", [0.0, 0.05])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_enumeration_product_gives_the_certified_gap(k, lam, K):
     # the enumeration's rows of x @ G are X @ G, byte for byte, so the gap
-    # solve_box_qp certifies from them is the one computed from X; the box
-    # straddles zero in some entries, so that l1 patterns hold zeros
+    # solve_box_qp certifies from them is the one computed from X (the
+    # rank-2 closed form returns no product, and the gap takes X @ G); the
+    # box straddles zero in some entries, so that l1 patterns hold zeros
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(72 + k)
@@ -1488,8 +1570,9 @@ def test_enumeration_product_gives_the_certified_gap(k, lam, K):
         G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(k)
         C = rng.normal(size=lead + (4, k))
         X, _, gap, XG, _ = subsolver._minimize(G, C, box, None, 1e-8)
-        assert gap is None and XG is not None
-        assert XG.tobytes() == (X @ G).tobytes()
+        assert gap is None and (XG is None) == (k == 2)
+        if k != 2:
+            assert XG.tobytes() == (X @ G).tobytes()
         want = subsolver._certified_gap(G, C, X, box)
         got = subsolver._certified_gap(G, C, X, box, XG)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -1529,7 +1612,8 @@ def test_one_signed_box_gives_the_sign_tracking_bytes(side, k, lam, K):
     # on a box with every lo >= 0 the l1 term is linear and the solvers skip
     # its sign bookkeeping; forced back onto the general path through the
     # family's flag, the same problems give the same bytes: the
-    # enumeration's (X, free, XG), the certified gap and the active-set
+    # enumeration's (X, free, XG; the rank-2 closed form gives no XG and has
+    # one path for every box), the certified gap and the active-set
     # method's (X, fixed, gap).  A box with every up <= 0 takes the general
     # path; its reference is the mirrored problem (x -> -x: C negated, the
     # box [-up, -lo]) on the linear path, which gives the same numbers with
@@ -1561,7 +1645,8 @@ def test_one_signed_box_gives_the_sign_tracking_bytes(side, k, lam, K):
         if box.enumerable:
             got = subsolver._enumerate(G, C, box)
             X, free, XG = subsolver._enumerate(G, flip * C, ref)
-            assert same(got[0], flip * X) and same(got[1], free) and same(got[2], flip * XG)
+            assert same(got[0], flip * X) and same(got[1], free)
+            assert (got[2] is XG is None if k == 2 else same(got[2], flip * XG))
             points.append(got[0])
         for j in range(1 if K is None else K):
             G_j, C_j = (G, C) if K is None else (G[j], C[j])
