@@ -11,6 +11,9 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
   0-2: a box that straddles zero, where the code solves' l1 term keeps its
   sign bookkeeping;
 - a 4-seed ``run_sweep`` of ``configs/omf_markov.cfg``;
+- a 16-seed ``run_sweep`` of ``configs/omf_markov.cfg``, under ``sweep16``:
+  its code solves (64 entries) and block solves (48 member rows) take the
+  rank-2 closed form's array batch, past ``_PAIR_LOOP_ROWS``;
 - a 4-seed ``run_sweep`` of ``configs/omf_sub.cfg`` with ``app.row_sample =
   0.5``, whose members draw different row counts, so that the stacked step
   solves one group of members per row count;
@@ -65,6 +68,7 @@ C1 = ("omf_markov", "omf_sub")
 COUNTED = ("omf_markov", "cpdl")  # shipped configs whose seed-0 run's work is counted
 SEEDS = (0, 1, 2)
 SWEEP_SEEDS = (0, 1, 2, 3)
+BATCH_SEEDS = tuple(range(16))  # a stack whose rank-2 solves take the array batch
 CPDL3_SHAPE = (2, 3, 2, 3)  # three modes and the batch
 CPDL3_SEED = 3
 WORK = ".csv_identity"
@@ -166,6 +170,8 @@ def write_set(out: Path, steps: int | None) -> None:
     work["omf_markov_sweep"] = count_work(functools.partial(
         run_sweep, config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep"), SWEEP_SEEDS,
         out_dir=csvs / "sweep"))
+    run_sweep(config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep16"), BATCH_SEEDS,
+              out_dir=csvs / "sweep16")
     run_sweep(config(root / "configs" / "omf_sub.cfg", "omf_sub_sweep", "app.row_sample = 0.5\n"),
               SWEEP_SEEDS, out_dir=csvs / "sweep")
     run_sweep(config(root / "configs" / "cpdl.cfg", "cpdl_sweep"), SWEEP_SEEDS[:2],

@@ -11,10 +11,19 @@ Usage: python3 scripts/envelope_demo.py [--steps 5000]
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from sbmm import (
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's sbmm, ahead of any other on the path
+import sbmm  # noqa: E402
+
+if Path(sbmm.__file__).resolve().parent != ROOT / "src" / "sbmm":
+    raise SystemExit(f"sbmm was imported from {sbmm.__file__}, not from {ROOT / 'src'}")
+
+from sbmm import (  # noqa: E402
     BoxSet,
     MarkovSource,
     WeightSchedule,

@@ -38,6 +38,12 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's sbmm, ahead of any other on the path
+import sbmm  # noqa: E402
+
+if Path(sbmm.__file__).resolve().parent != ROOT / "src" / "sbmm":
+    raise SystemExit(f"sbmm was imported from {sbmm.__file__}, not from {ROOT / 'src'}")
+
 STEPS = 25
 # (label, value); a directory and a missing file are filled in per work dir
 EDGES = (("0", "0"), ("-0.0", "-0.0"), ("-1", "-1"), ("nan", "nan"), ("inf", "inf"),

@@ -15,9 +15,17 @@ Usage: python3 scripts/sweep_demo.py configs/omf_iid.cfg --seeds 0 1 2 3
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from sbmm import parse_config, run_sweep
-from sbmm.bench import ConfigError
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's sbmm, ahead of any other on the path
+import sbmm  # noqa: E402
+
+if Path(sbmm.__file__).resolve().parent != ROOT / "src" / "sbmm":
+    raise SystemExit(f"sbmm was imported from {sbmm.__file__}, not from {ROOT / 'src'}")
+
+from sbmm import parse_config, run_sweep  # noqa: E402
+from sbmm.bench import ConfigError  # noqa: E402
 
 
 def main() -> int:

@@ -80,10 +80,20 @@ path.
 Both solvers certify what they return, and return the certificate with
 the solution: the code solver its convexity-based objective gap bound,
 rounding allowance included, that downstream surrogates use as their
-approximation tolerance (reusing a LAPACK enumeration's rows of X @ G),
-and the block solver its descent certificate, the objective at its start
-(the quadratic's anchor, the ball's center) and at its result, from one
-evaluation of the (2, q, r) pair, which it checks does not rise.
+approximation tolerance, and the block solver its descent certificate, the
+objective at its start (the quadratic's anchor, the ball's center) and at
+its result, from one evaluation of the (2, q, r) pair (FactorQuad.value,
+in Python floats at r = 2 for a single quad), which it checks does not
+rise.  At rank 2 the closed form computes the code solve's gap from the
+Python floats it solved with, G's three entries, C's rows and the winning
+X (_pair_gap_loop), and a batch from the same float operations on arrays,
+each member's sums taken in the loop's order (_pair_gap_batch), so a
+member keeps its bytes; at other ranks, and in the active-set method's
+polish, the gap is computed with numpy (_certified_gap, reusing a LAPACK
+enumeration's rows of X @ G).  The rounding allowance is a gamma_n-style
+bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3),
+which holds in any order of summation, so neither form depends on the
+other's order.
 """
 
 from __future__ import annotations
@@ -179,7 +189,10 @@ def _certified_gap(G, C, X, box, XG=None):
     gives a float; a stack (G of shape (K, k, k), C and X of shape (K, n,
     k)) one per member, each summed over that member's entries alone, as its
     own family would be.  XG, when given, is X @ G as the pattern
-    enumeration computed it."""
+    enumeration computed it.  A code solve at rank 2 takes the closed
+    form's own gap instead, in its floats (_pair_gap_loop, _pair_gap_batch);
+    this one serves the other ranks, the active-set method (a polish
+    included) and the anchor's prediction."""
     gaps = _entry_gaps(2.0 * ((X @ G if XG is None else XG) - C), X, box)
     return _gap_total(gaps, X, np.abs(G), np.abs(C), box)
 
@@ -283,8 +296,8 @@ class _BoxFamily:
     def pair_arrays(self):
         """The same constants as arrays for the batch (k = 2): free flags,
         shifts and signs (P, 1, 1), values at the bounds (P, K, n), bounds
-        (K, n), each K or n 1 where the box shares it, and the patterns'
-        free masks (P, 2)."""
+        (K, n), each K or n 1 where the box shares it, the patterns' free
+        masks (P, 2), and the bounds again as (K, n, 2)."""
         pats = self.pair_rows[0][0][4]
         f0, f1, _, _, h0, h1, t0, t1 = (np.array(c).reshape(-1, 1, 1) for c in zip(*pats))
         states = np.array(list(itertools.product(self.states, repeat=2))).T[:, :, None, None]
@@ -293,7 +306,7 @@ class _BoxFamily:
         v0 = np.where(states[0] == _LO, lo0, np.where(states[0] == _UP, up0, 0.0))
         v1 = np.where(states[1] == _LO, lo1, np.where(states[1] == _UP, up1, 0.0))
         free = np.array([p[:2] for p in pats])
-        return f0, f1, v0, v1, h0, h1, t0, t1, lo0, up0, lo1, up1, free
+        return f0, f1, v0, v1, h0, h1, t0, t1, lo0, up0, lo1, up1, free, L, U
 
     def _bounds3(self):
         """lo and up broadcast to (K, n, 2), K and n 1 where shared."""
@@ -396,10 +409,38 @@ def _pair_objective(a, b, c, lam, x0, x1, c0, c1):
     return obj + lam * (abs(x0) + abs(x1)) if lam else obj
 
 
+def _if(cond, p, q):
+    """p if cond else q: the endpoint pick of _pair_gap on Python floats,
+    as np.where picks it on arrays."""
+    return p if cond else q
+
+
+def _pair_gap(x0, x1, p, q, c, x, lo, up, lam, sign, where):
+    """One entry's gap and reach at the row (x0, x1) of a rank-2 family, the
+    terms _entry_gaps and _gap_total sum: (p, q) is the entry's column of
+    G, and c, x, lo and up are the entry's own.  On Python floats where is
+    _if; on arrays of both entries of every row it is np.where."""
+    g = 2.0 * (x0 * p + x1 * q - c)
+    y0, y1 = (x0, x1) if sign else (abs(x0), abs(x1))
+    reach = (2.0 * (y0 * abs(p) + y1 * abs(q) + abs(c)) + lam) * (up - lo)
+    if lam and not sign:
+        # between -lam and lam the clipped zero attains the gap
+        v = where(g < -lam, up, where(g > lam, lo, where(lo > 0.0, lo, where(up < 0.0, up, 0.0))))
+        return g * (x - v) + lam * (abs(x) - abs(v)), reach
+    d = x - where(g < -lam, up, lo)
+    return (g * d + lam * d if lam else g * d), reach
+
+
+def _pair_gap_total(total, reach, abs_total, size, where):
+    """_gap_total's certified gap from a family's sums, in the rows' order,
+    of its entry gaps, their reaches and their sizes (size entries)."""
+    return where(total > 0.0, total, 0.0) + _EPS * (2 * (2 + 4) * reach + size * abs_total)
+
+
 _NOT_POSITIVE = "a free system of the rank-2 closed form is not positive"
 
 
-def _pairs(G, C, box):
+def _pairs(G, C, box, certify=False):
     """_enumerate of a rank-2 family in closed form, with no X @ G.
 
     Each KKT pattern's free system is solved by Cramer's rule (_both_free,
@@ -409,33 +450,40 @@ def _pairs(G, C, box):
     candidate when none is (a non-finite G or C).  A free system that is
     not positive (a, c or det <= 0) raises LinAlgError.  One family, and a
     stack of at most _PAIR_LOOP_ROWS member rows, runs in Python floats row
-    by row; a larger stack as one batch over (patterns, members, rows)."""
+    by row; a larger stack as one batch over (patterns, members, rows).
+    Returns (X, free, gap): gap is X's certified gap if certify (a float,
+    or one per member; _pair_gap_loop, _pair_gap_batch), else None."""
     rows = box.pair_rows
-    signed = box.lam > 0 and not box.sign  # the sign test a box with lo >= 0 implies
     if G.ndim == 2:
-        X, free = _pairs_loop(G, C, rows[0], box.lam, signed)
+        X, free, gap = _pairs_loop(G, C, rows[0], box.lam, box.sign, certify)
     elif C.size <= 2 * _PAIR_LOOP_ROWS:
-        X, free = [], []
+        X, free, gap = [], [], []
         for j in range(len(C)):
-            Xj, free_j = _pairs_loop(G[j], C[j], rows[j if len(rows) > 1 else 0], box.lam, signed)
+            Xj, free_j, gap_j = _pairs_loop(G[j], C[j], rows[j if len(rows) > 1 else 0],
+                                            box.lam, box.sign, certify)
             X += Xj
             free += free_j
+            gap.append(gap_j)
+        gap = np.array(gap) if certify else None
     else:
-        return _pairs_batch(G, C, box, signed)
-    return np.array(X).reshape(C.shape), np.array(free, dtype=bool).reshape(C.shape), None
+        return _pairs_batch(G, C, box, certify)
+    return np.array(X).reshape(C.shape), np.array(free, dtype=bool).reshape(C.shape), gap
 
 
-def _pairs_loop(G, C, rows, lam, signed):
+def _pairs_loop(G, C, rows, lam, sign, certify):
     """One family's candidates in Python floats: each row's (x0, x1) and
-    free flags.  rows holds each row's bounds and patterns (one for all
-    if alike; _BoxFamily.pair_rows)."""
+    free flags, and X's certified gap if certify (_pair_gap_loop), else
+    None.  rows holds each row's bounds and patterns (one for all if alike;
+    _BoxFamily.pair_rows); sign is the box's."""
     (a, b), (_, c) = G.tolist()
     det = a * c - b * b
     if a <= 0.0 or c <= 0.0 or det <= 0.0:
         raise np.linalg.LinAlgError(_NOT_POSITIVE)
+    signed = lam > 0 and not sign  # the sign test a box with lo >= 0 implies
+    rows = rows * len(C) if len(rows) == 1 else rows
+    C = C.tolist()
     X, F = [], []
-    for (c0, c1), (lo0, up0, lo1, up1, pats) in zip(C.tolist(),
-                                                     rows * len(C) if len(rows) == 1 else rows):
+    for (c0, c1), (lo0, up0, lo1, up1, pats) in zip(C, rows):
         best = None
         for f0, f1, v0, v1, s0, s1, t0, t1 in pats:
             if f0 and f1:
@@ -456,18 +504,36 @@ def _pairs_loop(G, C, rows, lam, signed):
                 best, x, free = obj, (x0, x1), (f0, f1)
         X.append(x)
         F.append(free)
-    return X, F
+    return X, F, _pair_gap_loop(a, b, c, C, X, rows, lam, sign) if certify else None
 
 
-def _pairs_batch(G, C, box, signed):
+def _pair_gap_loop(a, b, c, C, X, rows, lam, sign):
+    """The certified gap of one rank-2 family's rows X (pairs of Python
+    floats) against G = [[a, b], [b, c]] and the rows C, in Python floats:
+    _pair_gap per entry, each sum taken entry after entry in row order.
+    rows holds each row's bounds first (_BoxFamily.pair_rows, one per row)."""
+    # -0.0 + t is t for every t, so each sum is cumsum's over the entries
+    total = reach = abs_total = -0.0
+    for (x0, x1), (c0, c1), (lo0, up0, lo1, up1, _) in zip(X, C, rows):
+        e0, r0 = _pair_gap(x0, x1, a, b, c0, x0, lo0, up0, lam, sign, _if)
+        e1, r1 = _pair_gap(x0, x1, b, c, c1, x1, lo1, up1, lam, sign, _if)
+        total = total + e0 + e1
+        reach = reach + r0 + r1
+        if not sign:
+            abs_total = abs_total + abs(e0) + abs(e1)
+    return _pair_gap_total(total, reach, total if sign else abs_total, 2 * len(X), _if)
+
+
+def _pairs_batch(G, C, box, certify):
     """_pairs of a stack as one batch over (patterns, members, rows): the
     loop's expressions on arrays, so each member's (X, free) are its loop's
-    bytes."""
-    f0, f1, v0, v1, s0, s1, t0, t1, lo0, up0, lo1, up1, free = box.pair_arrays
+    bytes, and so is its gap if certify (_pair_gap_batch)."""
+    f0, f1, v0, v1, s0, s1, t0, t1, lo0, up0, lo1, up1, free, _, _ = box.pair_arrays
     a, b, c = G[:, 0, 0, None], G[:, 0, 1, None], G[:, 1, 1, None]
     det = a * c - b * b
     if (np.minimum(np.minimum(a, c), det) <= 0.0).any():
         raise np.linalg.LinAlgError(_NOT_POSITIVE)
+    lam, sign = box.lam, box.sign
     c0, c1 = C[..., 0], C[..., 1]
     h0, h1 = c0 - s0, c1 - s1
     both0, both1 = _both_free(a, b, c, det, h0, h1)
@@ -475,11 +541,25 @@ def _pairs_batch(G, C, box, signed):
                   np.where(f1, np.where(f0, both1, _one_free(c, b, h1, v0)), v1)))
     x0, x1 = x
     ok = (x0 >= lo0) & (x0 <= up0) & (x1 >= lo1) & (x1 <= up1)
-    if signed:
+    if lam > 0 and not sign:
         ok &= (x0 * t0 >= 0.0) & (x1 * t1 >= 0.0)
-    pick = np.where(ok, _pair_objective(a, b, c, box.lam, x0, x1, c0, c1), np.inf).argmin(axis=0)
-    X = x.reshape(2, len(x0), -1)[:, pick.ravel(), np.arange(pick.size)]
-    return X.T.reshape(C.shape), free[pick], None
+    pick = np.where(ok, _pair_objective(a, b, c, lam, x0, x1, c0, c1), np.inf).argmin(axis=0)
+    X = x.reshape(2, len(x0), -1)[:, pick.ravel(), np.arange(pick.size)].T.reshape(C.shape)
+    return X, free[pick], _pair_gap_batch(G, C, X, box) if certify else None
+
+
+def _pair_gap_batch(G, C, X, box):
+    """_pair_gap_loop of every member of a stack (G (K, 2, 2), C and X (K,
+    n, 2)) as one batch: _pair_gap on arrays of both entries of every row,
+    each member's sums taken entry after entry in the loop's order (cumsum;
+    sum's order is pairwise), so each member's gap is its loop's bytes."""
+    lam, sign, (lo, up) = box.lam, box.sign, box.pair_arrays[-2:]
+    # an entry's (p, q) runs over G's row 0 and over its column 1: (a, b), then (b, c)
+    E, R = _pair_gap(X[..., :1], X[..., 1:], G[:, None, 0], G[:, None, :, 1], C, X, lo, up,
+                     lam, sign, np.where)
+    total, reach = (np.cumsum(T.reshape(len(C), -1), axis=1)[:, -1] for T in (E, R))
+    abs_total = total if sign else np.cumsum(abs(E).reshape(len(C), -1), axis=1)[:, -1]
+    return _pair_gap_total(total, reach, abs_total, C[0].size, np.where)
 
 
 def _scale(G) -> float:
@@ -649,14 +729,15 @@ def _start(G, C, X0, certified):
     return np.concatenate(X0)
 
 
-def _minimize(G, C, box, X0, tol, predicted=False, certified=None):
+def _minimize(G, C, box, X0, tol, predicted=False, certified=None, certify=False):
     """Minimizer of the solve_box_qp objective over the box family box, its
-    free mask, the certified gap the active-set method stopped on (None if
-    it has none), the enumeration's X @ G (None if it did not enumerate G
-    itself with LAPACK) and G's definiteness certificate (_definite; None if the solve
-    needed none): exact by pattern enumeration while the patterns are few,
-    else the active-set method, which stops once the certified gap is <=
-    tol.  X0 (or None), clipped into the box where it is used unless
+    free mask, the certified gap the active-set method stopped on or, if
+    certify, the rank-2 closed form's (None if it has none), the
+    enumeration's X @ G (None if it did not enumerate G itself with LAPACK)
+    and G's definiteness certificate (_definite; None if the solve needed
+    none): exact by pattern enumeration while the patterns are few, else
+    the active-set method, which stops once the certified gap is <= tol.
+    X0 (or None), clipped into the box where it is used unless
     predicted (then it lies in the box), starts the active-set method, by
     default from the clipped least-squares minimizer of the smooth part, and
     breaks ties when G is singular, by default towards the clipped zero;
@@ -672,8 +753,11 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None):
     stack = G.ndim == 3
     if box.enumerable:
         try:
-            X, free, XG = _enumerate(G, C, box)
-            return X, free, None, XG, [None] * len(C) if stack else certified
+            if box.k == 2:
+                (X, free, gap), XG = _pairs(G, C, box, certify), None
+            else:
+                (X, free, XG), gap = _enumerate(G, C, box), None
+            return X, free, gap, XG, [None] * len(C) if stack else certified
         except np.linalg.LinAlgError:
             if not stack:
                 # singular G: adding delta ||x - X0||^2 makes the minimizer
@@ -684,8 +768,8 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None):
                 return X, free, None, None, certified
             # a singular member of a stack: each member alone, so only its solve changes
     if stack:
-        parts = [_minimize(G[j], C[j], box.member(j), None if X0 is None else X0[j], tol)
-                 for j in range(len(C))]
+        parts = [_minimize(G[j], C[j], box.member(j), None if X0 is None else X0[j], tol,
+                           certify=certify) for j in range(len(C))]
         gap = np.array([np.nan if p[2] is None else p[2] for p in parts])
         return (np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts]),
                 None if np.isnan(gap).all() else gap, None, [p[4] for p in parts])
@@ -727,7 +811,7 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
 
 def _solve(G, C, box, X0, tol):
     """solve_box_qp over the box family box."""
-    X, _, gap, XG, _ = _minimize(G, C, box, X0, tol)
+    X, _, gap, XG, _ = _minimize(G, C, box, X0, tol, certify=True)
     if G.ndim == 2:
         return _polish(G, C, box, X, gap, tol, XG)
     if gap is None:

@@ -796,14 +796,22 @@ def rank5_cfg(tmp_path):
     ("omf_iid", "engine.c_prime = 0.02\n"), ("omf_sub", ""), ("omf_sub", "engine.mode = c1\n"),
     ("omf_sub", "app.row_sample = 0.5\n"), ("rank5", "")],
     ids=["markov", "markov_c1", "iid", "iid_ball_binds", "sub", "sub_c1", "sub_fraction", "rank5"])
-def test_run_sweep_stack_matches_run_experiment(tmp_path, name, extra):
+def test_run_sweep_stack_matches_run_experiment(tmp_path, monkeypatch, name, extra):
     # run_sweep runs an OMF config's seeds as one stack in lockstep; each
     # member's CSV, tallies and final dictionary are those run_experiment
     # gives at its seed, whatever the stack's size and order (at rank 5
-    # too, where each member runs its own active-set solves and ball search)
+    # too, where each member runs its own active-set solves and ball search).
+    # The 8-seed stack's rank-2 code solves (32 entries) take the closed
+    # form's array batch and its certified gap, past _PAIR_LOOP_ROWS
+    import sbmm.subsolver as subsolver
+
+    batches = []
+    real = subsolver._pair_gap_batch
+    monkeypatch.setattr(subsolver, "_pair_gap_batch",
+                        lambda G, *args: batches.append(len(G)) or real(G, *args))
     cfg = rank5_cfg(tmp_path) if name == "rank5" else shipped_cfg(tmp_path, name, extra)
     label, alone = cfg["label"], {}
-    for seeds in ([4], [0, 1, 2], [5, 4, 3, 2, 1, 0]):
+    for seeds in ([4], [0, 1, 2], [5, 4, 3, 2, 1, 0], [7, 6, 5, 4, 3, 2, 1, 0]):
         out = tmp_path / f"k{len(seeds)}"
         results = run_sweep(cfg, seeds, out_dir=out)
         assert list(results) == seeds
@@ -817,6 +825,7 @@ def test_run_sweep_stack_matches_run_experiment(tmp_path, name, extra):
             for c in ("monotonicity_violations", "step_bound_violations", "c1_bound_violations"):
                 assert getattr(res, c) == getattr(ref, c)
             assert res.final.W.tobytes() == ref.final.W.tobytes()
+    assert (8 in batches) == (name != "rank5")
 
 
 def _record_code_starts(monkeypatch):
@@ -956,6 +965,24 @@ def test_sweep_demo_prints_its_throughput(tmp_path):
     assert [line.split()[0] for line in lines[1:4]] == ["0", "1", "2"]
     assert lines[-1].startswith("wall us per seed-step: ")
     assert float(lines[-1].rsplit(" ", 1)[-1]) > 0.0
+
+
+@pytest.mark.parametrize("script", ["sweep_demo.py", "envelope_demo.py", "fuzz_config.py"])
+def test_scripts_import_their_own_checkouts_sbmm(tmp_path, script):
+    # a script puts its own checkout's src first on the path: it runs with no
+    # PYTHONPATH from any directory, and a copy of it outside a checkout
+    # refuses the sbmm that the path still finds elsewhere
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: "), proc.stderr
+    (tmp_path / "scripts").mkdir()
+    copy = tmp_path / "scripts" / script
+    copy.write_bytes((ROOT / "scripts" / script).read_bytes())
+    proc = subprocess.run([sys.executable, str(copy), "--help"], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 1 and "sbmm was imported from" in proc.stderr, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_envelope_demo_prints_its_checkpoints():

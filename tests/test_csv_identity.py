@@ -34,8 +34,8 @@ def test_csv_identity_names_each_file(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 1, out.stderr
     verdicts = dict(line.rsplit(": ", 1) for line in out.stdout.splitlines()[:-1])
-    assert len(verdicts) == 41
-    assert out.stdout.splitlines()[-1] == "15 of 41 identical"
+    assert len(verdicts) == 57
+    assert out.stdout.splitlines()[-1] == "15 of 57 identical"
     sizes = dict(line.split(": largest |change| / (1 + |parent|) ", 1)
                  for line in out.stderr.splitlines() if ": largest |change| " in line)
     for name, verdict in verdicts.items():
@@ -47,6 +47,7 @@ def test_csv_identity_names_each_file(tmp_path):
             size, _, column = sizes[name].split(" ", 2)
             assert float(size) > 0.0 and column.removeprefix("column ") in CSV_FIELDS, name
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_markov_seed3.csv").exists()
+    assert (parent / ".csv_identity" / "out" / "sweep16" / "omf_markov_seed15.csv").exists()
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_rank5_seed2.csv").exists()
     # the work of omf_markov and cpdl at seed 0, of the omf_markov sweep, of
     # each rank-5 run and of the rank-5 sweep, counted in each checkout: no

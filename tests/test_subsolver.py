@@ -725,13 +725,30 @@ def _exact_gap(G, C, X, lam, lo, up):
     return total
 
 
+def _float_gap(G, C, X, box):
+    """The rank-2 closed form's certified gap of X (_pair_gap_loop) and the
+    float sum of its entry gaps, both from Python floats."""
+    from sbmm.subsolver import _if, _pair_gap, _pair_gap_loop
+
+    (a, b), (_, c) = G.tolist()
+    rows = box.pair_rows[0]
+    rows = rows * len(C) if len(rows) == 1 else rows
+    fsum = -0.0
+    for (x0, x1), (c0, c1), (lo0, up0, lo1, up1, _) in zip(X.tolist(), C.tolist(), rows):
+        fsum = (fsum + _pair_gap(x0, x1, a, b, c0, x0, lo0, up0, box.lam, box.sign, _if)[0]
+                + _pair_gap(x0, x1, b, c, c1, x1, lo1, up1, box.lam, box.sign, _if)[0])
+    return _pair_gap_loop(a, b, c, C.tolist(), X.tolist(), rows, box.lam, box.sign), fsum
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_certified_gap_allowance_covers_rounding(seed):
     # the allowance that _certified_gap adds to its floating-point sum must
-    # cover that sum's whole rounding error, measured against the exact sum.
-    # Points at the minimizer (gradient cancels to rounding on free entries)
-    # on badly scaled instances are where the rounding matters most.
+    # cover that sum's whole rounding error, measured against the exact sum,
+    # and so must the rank-2 closed form's, which sums other floats in
+    # another order.  Points at the minimizer (gradient cancels to rounding
+    # on free entries) on badly scaled instances are where the rounding
+    # matters most.
     from sbmm.subsolver import _box_family, _certified_gap, _entry_gaps
 
     rng = np.random.default_rng(seed)
@@ -752,6 +769,9 @@ def test_certified_gap_allowance_covers_rounding(seed):
         slack = _certified_gap(G, C, X, box) - max(0.0, fsum)
         exact = _exact_gap(G, C, X, lam, lo, up)
         assert abs(float(exact - type(exact)(fsum))) <= slack
+        if k == 2:  # the closed form's gap, from its own floats' entry gaps
+            gap, fsum = _float_gap(G, C, X, box)
+            assert abs(float(exact - type(exact)(fsum))) <= gap - max(0.0, fsum)
 
 
 @given(st.integers(0, 10_000))
@@ -1389,6 +1409,36 @@ def test_certificate_pair_is_two_single_values(K):
                                                                   one.value(P[1, j])]
 
 
+@pytest.mark.parametrize("K", [None, 3, 7], ids=["single", "stack", "large_stack"])
+def test_rank2_value_gives_each_calls_bytes(K):
+    # at r = 2 the value is summed in Python floats (the points of a single
+    # quad with at most _VALUE_LOOP_ROWS rows in all) or as the same float
+    # operations on arrays (any other W, a stack of more than
+    # _PAIR_LOOP_ROWS member rows among them): a pair, three points and a
+    # stack give each point and member the bytes of its own single call,
+    # within 1e-12 (1 + |v|) of the matmul form's value v
+    import sbmm.quadform as quadform
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(73)
+    for trial in range(100):
+        q = int(rng.integers(1, quadform._VALUE_LOOP_ROWS + 4))
+        g = _factor_quads(rng, K, q, 2)
+        if K == 7 and q > 1:
+            assert K * q > subsolver._PAIR_LOOP_ROWS
+        P = rng.uniform(-1.0, 1.0, size=(3,) + g.anchor.shape)
+        for pts in (P[:2], P):
+            vals = g.value(pts)
+            want = ((pts @ g.A * pts).sum(axis=(-2, -1))
+                    - 2.0 * (pts * g.B.swapaxes(-1, -2)).sum(axis=(-2, -1)) + g.C)
+            assert np.all(np.abs(vals - want) <= 1e-12 * (1.0 + np.abs(want)))
+            for i in range(len(pts)):
+                assert np.asarray(vals[i]).tobytes() == np.asarray(g.value(pts[i])).tobytes()
+                for j in range(0 if K is None else K):
+                    one = FactorQuad(g.A[j], g.B[j], float(g.C[j]), g.anchor[j])
+                    assert float(vals[i][j]) == one.value(pts[i, j])
+
+
 @pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
 @pytest.mark.parametrize("radius", [0.05, math.inf])
 def test_block_solve_returns_both_values_of_the_certificate(K, radius):
@@ -1505,6 +1555,91 @@ def test_rank2_stack_gives_each_members_bytes(side, seed, lam, bounds, per_membe
         assert X[j].tobytes() == Xj.tobytes() and free[j].tobytes() == free_j.tobytes()
 
 
+@pytest.mark.parametrize("side", ["loop", "batch"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.0, 0.05, 0.5]),
+       bounds=st.sampled_from(_PAIR_BOXES), per_member=st.booleans(), data=st.data())
+def test_rank2_gap_gives_each_members_bytes(side, seed, lam, bounds, per_member, data):
+    # the certified gap of the rank-2 closed form is each member's own bytes
+    # whether the member is solved alone, in a stack's Python-float loop or
+    # in its array batch; at the closed form's X, and at any point of the
+    # box, where the batch (_pair_gap_batch) and the loop (_pair_gap_loop)
+    # take the same floats
+    import sbmm.subsolver as subsolver
+
+    limit = subsolver._PAIR_LOOP_ROWS
+    n = data.draw(st.integers(1, 8))
+    K = (data.draw(st.integers(1, max(1, limit // n))) if side == "loop"
+         else data.draw(st.integers(limit // n + 1, limit // n + 4)))
+    assert (K * n <= limit) == (side == "loop")
+    rng = np.random.default_rng(seed)
+    lo, up = bounds
+    if per_member:
+        lo = lo + rng.uniform(0.0, 0.1, size=(K, n, 2))
+        up = up - rng.uniform(0.0, 0.1, size=(K, n, 2))
+    else:
+        lo, up = np.full((1, 2), lo), np.full((1, 2), up)
+    box = subsolver._box_family(lam, lo, up, 2)
+    M = rng.normal(size=(K, 2, 3))
+    G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
+    C = rng.normal(size=(K, n, 2)) * 2.0
+    X, _, gap = subsolver._pairs(G, C, box, certify=True)
+    assert gap.shape == (K,)
+    Y = rng.uniform(np.broadcast_to(lo, C.shape), np.broadcast_to(up, C.shape))
+    gap_Y = subsolver._pair_gap_batch(G, C, Y, box)
+    for j in range(K):
+        member = box.member(j)
+        gap_j = subsolver._pairs(G[j], C[j], member, certify=True)[2]
+        assert isinstance(gap_j, float) and gap[j].tobytes() == np.float64(gap_j).tobytes()
+        assert gap_Y[j].tobytes() == np.float64(_float_gap(G[j], C[j], Y[j], member)[0]).tobytes()
+
+
+@pytest.mark.parametrize("K", [None, 3, 5], ids=["single", "loop", "batch"])
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("bounds", _PAIR_BOXES, ids=["unit", "positive", "straddling", "negative"])
+def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, K):
+    # the rank-2 closed form's certified gap, single or in a stack on either
+    # side of _PAIR_LOOP_ROWS (4 rows a member), is at least the exact
+    # suboptimality, in rational arithmetic against _exact_box_lasso_row's
+    # minimizer, of the closed form's X and of points drawn in the box
+    from fractions import Fraction as F
+
+    import sbmm.subsolver as subsolver
+
+    rng = np.random.default_rng(211)
+    n, (lo, up) = 4, bounds
+    lead = () if K is None else (K,)
+    assert K is None or (K * n <= subsolver._PAIR_LOOP_ROWS) == (K == 3)
+    box = subsolver._box_family(lam, np.full((1, 2), lo), np.full((1, 2), up), 2)
+
+    def objective(G, c, x):
+        x = [F(float(v)) for v in x]
+        G, c = [[F(float(v)) for v in row] for row in G], [F(float(v)) for v in c]
+        return (sum(x[i] * G[i][j] * x[j] for i in range(2) for j in range(2))
+                - 2 * (c[0] * x[0] + c[1] * x[1]) + F(lam) * (abs(x[0]) + abs(x[1])))
+
+    for trial in range(6):
+        M = rng.normal(size=lead + (2, 3))
+        G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
+        C = rng.normal(size=lead + (n, 2)) * 2.0
+        X, _, gap = subsolver._pairs(G, C, box, certify=True)
+        Y = rng.uniform(lo, up, size=C.shape)
+        if K is None:
+            gap_Y = _float_gap(G, C, Y, box)[0]
+        elif K == 3:
+            gap_Y = [_float_gap(G[j], C[j], Y[j], box)[0] for j in range(K)]
+        else:
+            gap_Y = subsolver._pair_gap_batch(G, C, Y, box)
+        members = [(G, C, X, Y, gap, gap_Y)] if K is None else [
+            (G[j], C[j], X[j], Y[j], gap[j], gap_Y[j]) for j in range(K)]
+        for Gj, Cj, Xj, Yj, gap_j, gap_Yj in members:
+            best = [objective(Gj, c, _exact_box_lasso_row(Gj, c, lam, np.full(2, lo),
+                                                          np.full(2, up))) for c in Cj]
+            for P, bound in ((Xj, gap_j), (Yj, gap_Yj)):
+                excess = sum(objective(Gj, c, x) - b for x, c, b in zip(P, Cj, best))
+                assert excess <= F(float(bound)), (trial, float(excess), float(bound))
+
+
 @pytest.mark.parametrize("K", [None, 2, 6], ids=["single", "loop", "batch"])
 @pytest.mark.parametrize("lam", [0.0, 0.05])
 @pytest.mark.parametrize("G_kind", ["zero_diagonal", "rank_one"])
@@ -1554,8 +1689,9 @@ def test_rank2_singular_hessian_takes_the_tie_break(G_kind, lam, K):
 def test_enumeration_product_gives_the_certified_gap(k, lam, K):
     # the enumeration's rows of x @ G are X @ G, byte for byte, so the gap
     # solve_box_qp certifies from them is the one computed from X (the
-    # rank-2 closed form returns no product, and the gap takes X @ G); the
-    # box straddles zero in some entries, so that l1 patterns hold zeros
+    # rank-2 closed form returns no product, and solve_box_qp certifies its
+    # X in the closed form's floats, _pair_gap); the box straddles zero in
+    # some entries, so that l1 patterns hold zeros
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(72 + k)
@@ -1576,6 +1712,8 @@ def test_enumeration_product_gives_the_certified_gap(k, lam, K):
         want = subsolver._certified_gap(G, C, X, box)
         got = subsolver._certified_gap(G, C, X, box, XG)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if k == 2:
+            want = subsolver._pairs(G, C, box, certify=True)[2]
         X_qp, gap_qp = solve_box_qp(G, C, lo, up, lam)
         if np.all(np.asarray(want) <= 1e-8):  # no polish: X and its gap are the enumeration's
             assert X_qp.tobytes() == X.tobytes()
