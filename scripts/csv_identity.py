@@ -10,6 +10,9 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
 - ``omf_markov`` on the box [-1, 1] (``constraint.lower = -1``), at seeds
   0-2: a box that straddles zero, where the code solves' l1 term keeps its
   sign bookkeeping;
+- ``omf_markov`` at rank 3 (``app.rank = 3``), at seed 0: rank-2 runs take
+  the closed form, and this one runs the active-set method on a small
+  rank;
 - a 4-seed ``run_sweep`` of ``configs/omf_markov.cfg``;
 - a 16-seed ``run_sweep`` of ``configs/omf_markov.cfg``, under ``sweep16``:
   its code solves (64 entries) and block solves (48 member rows) take the
@@ -40,10 +43,10 @@ The work of ``omf_markov`` and ``cpdl`` at seed 0, of the 4-seed
 machine's speed does not change, goes to stderr: its ball-search
 evaluations and its ``np.linalg.cholesky``, ``np.linalg.eigh``,
 ``np.linalg.solve`` and ``np.linalg.inv`` calls (solve makes the Newton
-steps and least-squares starts of certified Hessians, inv the KKT-pattern
-enumeration of rank-1, 3 and 4 families) in each checkout, counted by
-wrapping ``sbmm.subsolver.ball_multiplier_search`` and the four numpy
-functions in the interpreter that runs that checkout.
+steps and least-squares starts of certified Hessians; no solver inverts a
+matrix, so inv reads 0, a guard against one that does) in each checkout,
+counted by wrapping ``sbmm.subsolver.ball_multiplier_search`` and the four
+numpy functions in the interpreter that runs that checkout.
 
 Usage:
     python3 scripts/csv_identity.py PARENT_DIR CHANGE_DIR [--steps N]
@@ -167,6 +170,8 @@ def write_set(out: Path, steps: int | None) -> None:
     cfg = config(root / "configs" / "omf_markov.cfg", "omf_markov_straddle", STRADDLE)
     for seed in SEEDS:
         run_experiment(cfg, seed=seed, out_path=str(csvs / f"omf_markov_straddle_seed{seed}.csv"))
+    cfg = config(root / "configs" / "omf_markov.cfg", "omf_markov_rank3", "app.rank = 3\n")
+    run_experiment(cfg, seed=0, out_path=str(csvs / "omf_markov_rank3_seed0.csv"))
     work["omf_markov_sweep"] = count_work(functools.partial(
         run_sweep, config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep"), SWEEP_SEEDS,
         out_dir=csvs / "sweep"))

@@ -241,7 +241,7 @@ def run_omf_diagnostics(
     st = OmfState.initial(W0, 1.0 if mode == "c1" else 0.0)
     # a code solve by the active-set method starts from the code its member
     # last solved for the chain state it draws (from its default start for a
-    # state it has not drawn yet); an enumerated one reads no start
+    # state it has not drawn yet); the rank-2 closed form reads no start
     codes = [{} for _ in sources] if code_solve_takes_start(code_set, lam) else None
 
     def draw_rows(g):

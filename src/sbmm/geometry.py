@@ -12,13 +12,14 @@ distance is an explicit rational function of mu, the secular equation of
 a trust-region step, so ``ball_multiplier_search`` jumps to its root, kept
 inside a bisection bracket; the block subsolver
 (``subsolver._box_qp_ball``) supplies the box solves and their distance
-models.  A block too large to enumerate first takes the root of the model
-of its anchor's own working set (``subsolver._anchor_prediction``), from
-one eigendecomposition and no box solve; entries that its point carries
-across a bound join that working set at the bound, and the model of the
-grown set, whose constant is their squared distance to the center, gives
-the next root.  The point is kept only through the search's exits;
-``_onto_ball`` scales either result onto the sphere.
+models.  A block of the active-set method (every rank but 2) first takes
+the root of the model of its anchor's own working set
+(``subsolver._anchor_prediction``), from one eigendecomposition and no box
+solve; entries that its point carries across a bound join that working set
+at the bound, and the model of the grown set, whose constant is their
+squared distance to the center, gives the next root.  The point is kept
+only through the search's exits; ``_onto_ball`` scales either result onto
+the sphere.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
     nrm = _distance(x, center)
     if nrm <= radius:
         return x
-    if radius <= BALL_RTOL * (1.0 + float(np.linalg.norm(center))):
-        return center.copy()  # radius numerically zero
+    if _ball_is_center(center, radius):
+        return center.copy()
     lo, hi = 0.0, mu_hi()
     for _ in range(BALL_MAX_ITERS):
         mu = _secular_root(model(), radius, lo, hi)
@@ -183,6 +184,11 @@ def ball_multiplier_search(solve, center: np.ndarray, radius: float,
         if hi - lo <= BALL_RTOL * hi:
             break
     return _onto_ball(x, center, radius, nrm)
+
+
+def _ball_is_center(center, radius) -> bool:
+    """Whether radius is numerically zero at center: the ball is its center."""
+    return radius <= BALL_RTOL * (1.0 + float(np.linalg.norm(center)))
 
 
 def _onto_ball(x, center, radius, nrm):

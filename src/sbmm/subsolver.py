@@ -2,80 +2,77 @@
 
 Every inner problem of the package is a small box-constrained quadratic
 with an optional l1 term, and many of them share one Hessian: each code
-column minimizes h'Gh - 2c'h + lam ||h||_1 with G = W'W, and each dictionary
-row of a FactorQuad minimizes w'Aw - 2b'w, since the Hessian of tr(W A W')
-is A on every row.  ``solve_box_qp`` solves all right-hand sides of such a
-family at once, in finitely many steps.  While the KKT patterns are few
-(each entry at a bound, at the l1 kink, or free with a fixed sign) it
-enumerates them and keeps the best feasible candidate, which is exact: at
-rank 2, every shipped config's, each pattern's 2 x 2 or 1 x 1 free system
-is solved in closed form by Cramer's rule (_pairs), in Python floats for
-one family, with no LAPACK call; at ranks 1, 3 and 4 every pattern's
-system is inverted in one LAPACK batch (_enumerate); otherwise it runs a
-primal active-set method (Newton steps on the free entries, taken whole
-when every free entry lands strictly inside its bounds, else cut where the
-first bound blocks and that bound joining the working set, one fixed entry
-released per row while its certified gap says it can still improve) that
-stops once the certified gap is within tolerance; it starts from the
-clipped least-squares minimizer unless given a start (the runner gives
-each code solve, a step's and a checkpoint's, the code its member last
-solved for the same chain state, usually one Newton step from the answer;
-the enumeration reads no start).  The box QP has one
+column minimizes h'Gh - 2c'h + lam ||h||_1 with G = W'W, and each
+dictionary row of a FactorQuad minimizes w'Aw - 2b'w, since the Hessian of
+tr(W A W') is A on every row.  ``solve_box_qp`` solves all right-hand sides
+of such a family at once, in finitely many steps, by one of two solvers,
+chosen by the rank k alone.  At k = 2, every shipped config's, it
+enumerates the KKT patterns (each entry at a bound, at the l1 kink, or free
+with a fixed sign) and keeps the best feasible candidate, which is exact:
+each pattern's 2 x 2 or 1 x 1 free system is solved in closed form by
+Cramer's rule (_pairs), in Python floats for one family, with no LAPACK
+call.  At every other k it runs a primal active-set method (Newton steps on
+the free entries, taken whole when every free entry lands strictly inside
+its bounds, else cut where the first bound blocks and that bound joining
+the working set, one fixed entry released per row while its certified gap
+says it can still improve) that stops once the certified gap is within
+tolerance; it starts from the clipped least-squares minimizer unless given
+a start (the runner gives each code solve, a step's and a checkpoint's, the
+code its member last solved for the same chain state, usually one Newton
+step from the answer; the closed form reads no start).  The box QP has one
 definiteness test, a certificate per Hessian (_definite): a Cholesky
 factorization of G - _DEFINITE_RTOL * scale * I, taken once per code solve
 and once per block solve that needs one, single or stacked, shows every
-free system of every G + mu I positive definite.  Under it the Newton
-steps of all rows are one batched LU solve and the least-squares start is
-one solve; an uncertified Hessian (an all-zero code coordinate makes a
+free system of every G + mu I positive definite.  Under it the Newton steps
+of all rows are one batched LU solve and the least-squares start is one
+solve; an uncertified Hessian (an all-zero code coordinate makes a
 dictionary Hessian singular) takes an eigendecomposition, which gives the
 least-norm step or a direction of zero curvature, and the pseudo-inverse
 for the start; a gap test that fails hands its entry gaps to the release
-step.  A trust-region ball is
-dualized with one multiplier shared by every row
-(``geometry.ball_multiplier_search``): each box solve hands the search the
-exact distance model of its working set, and the next solve starts where
-that model puts the working set's minimizer at the new multiplier, taken
-as the minimizer of every row, so a working set that holds costs one
+step.  A trust-region ball is dualized with one multiplier shared by every
+row (``geometry.ball_multiplier_search``): each box solve hands the search
+the exact distance model of its working set, and the next solve starts
+where that model puts the working set's minimizer at the new multiplier,
+taken as the minimizer of every row, so a working set that holds costs one
 certified gap and no Newton step; a prediction outside the box falls back
 to the previous multiplier's solution.  Every solve of one search reuses
-the certificate its solve at multiplier zero took, since G + mu I
-inherits G's.  A family too large to enumerate first predicts the answer
-without any box solve (_anchor_prediction): the ball's center is the
-previous block solve's result, whose entries at a bound usually stay
-there, so the secular model of that working set, built from the
-half-gradient at the center with one eigendecomposition, gives the
-multiplier mu* and its point.  Free entries that the point carries across
-a bound join the working set at that bound, and the model of the new
-working set is solved again, one eigendecomposition per round, until the
-point lies in the box.  The point is taken only through the search's own
-exits: in the box, mu* > 0, the dualized problem's certified gap within
-tolerance and the distance the radius; otherwise the search runs as
-above.  This is the online active-set strategy's hot start and working-set
-update (Ferreau, Bock & Diehl, 2008).
+the certificate its solve at multiplier zero took, since G + mu I inherits
+G's.  A family of the active-set method first predicts the answer without
+any box solve (_anchor_prediction): the ball's center is the previous block
+solve's result, whose entries at a bound usually stay there, so the secular
+model of that working set, built from the half-gradient at the center with
+one eigendecomposition, gives the multiplier mu* and its point.  Free
+entries that the point carries across a bound join the working set at that
+bound, and the model of the new working set is solved again, one
+eigendecomposition per round, until the point lies in the box.  The point
+is taken only through the search's own exits: in the box, mu* > 0, the
+dualized problem's certified gap within tolerance and the distance the
+radius; otherwise the search runs as above.  This is the online active-set
+strategy's hot start and working-set update (Ferreau, Bock & Diehl, 2008).
 
 A stack of K families (K runs in lockstep, each with its own Hessian) is
-one batch wherever the work is the same for every member: the pattern
-enumeration, the certified gaps and an enumerated box solve at multiplier
-zero, after which only the members whose solve leaves their ball search
-further.  The rank-2 closed form runs a stack of at most _PAIR_LOOP_ROWS
-member rows in Python floats member by member, and a larger one as the
-same float operations on (patterns, members, rows) arrays.  The
-active-set method, the anchor's prediction, a binding ball's multiplier
-search and the polishing of a gap run member by member.  Every member's
-numbers are computed slice by slice, with the same IEEE operations, so
-they are the bytes its own family's solve gives.
+one batch wherever the work is the same for every member: the rank-2
+closed form, its certified gaps and its box solve at multiplier zero,
+after which only the members whose solve leaves their ball search
+further.  The closed form runs a stack of at most _PAIR_LOOP_ROWS member
+rows in Python floats member by member, and a larger one as the same
+float operations on (patterns, members, rows) arrays.  The active-set
+method, the anchor's prediction, a binding ball's multiplier search and
+the polishing of a gap run member by member.  Every member's numbers are
+computed slice by slice, with the same IEEE operations, so they are the
+bytes its own family's solve gives.
 
 What a solve reads of its box comes from one box family per (k, lam, box),
-derived once (_BoxFamily): the KKT patterns and their values at the bounds
-(at rank 2 as Python tuples for the loop and arrays for the batch), the
-clipped zero, the width and the release floor's bound.  Code and block
-solves reach it from their BoxSet (a block of whole dictionary rows, one
-family row each, as the box's family cut to those rows), a bare
-solve_box_qp call with one cache lookup.  On a box with every lower bound
->= 0, as every shipped box is, lam ||x||_1 = lam sum(x) is linear, and the
-enumeration, the certified gap and the active-set method skip the l1 sign
-bookkeeping, with the same floats; every other box takes the general
-path.
+derived once (_BoxFamily): at rank 2 the KKT patterns and their values at
+the bounds (as Python tuples for the loop and arrays for the batch), and
+for every rank the clipped zero, the width and the release floor's bound.
+Code and block solves reach it from their BoxSet (a block of whole
+dictionary rows, one family row each, as the box's family cut to those
+rows), a bare solve_box_qp call with one cache lookup.  On a box with
+every lower bound >= 0, as every shipped box is, lam ||x||_1 = lam sum(x)
+is linear, and the closed form, the certified gap and the active-set
+method skip the l1 sign bookkeeping, with the same floats; every other box
+takes the general path.
 
 Both solvers certify what they return, and return the certificate with
 the solution: the code solver its convexity-based objective gap bound,
@@ -89,11 +86,10 @@ Python floats it solved with, G's three entries, C's rows and the winning
 X (_pair_gap_loop), and a batch from the same float operations on arrays,
 each member's sums taken in the loop's order (_pair_gap_batch), so a
 member keeps its bytes; at other ranks, and in the active-set method's
-polish, the gap is computed with numpy (_certified_gap, reusing a LAPACK
-enumeration's rows of X @ G).  The rounding allowance is a gamma_n-style
-bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3),
-which holds in any order of summation, so neither form depends on the
-other's order.
+polish, the gap is computed with numpy (_certified_gap).  The rounding
+allowance is a gamma_n-style bound (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 3), which holds in any order of summation, so
+neither form depends on the other's order.
 """
 
 from __future__ import annotations
@@ -104,8 +100,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import (BALL_RTOL, BoxSet, GeometryError, _distance, _onto_ball, _secular_root,
-                       ball_multiplier_search)
+from .geometry import (BALL_RTOL, BoxSet, GeometryError, _ball_is_center, _distance, _onto_ball,
+                       _secular_root, ball_multiplier_search)
 from .quadform import FactorQuad
 
 __all__ = [
@@ -126,15 +122,6 @@ _NULL_RTOL = 1e-12
 # certified once for all its free systems (_definite); 1000 times
 # _NULL_RTOL, so the rounding of a few ulps of the scale cannot matter
 _DEFINITE_RTOL = 1e-9
-# enumerate KKT patterns while there are at most this many.  Timed per call
-# against the active-set method from its default start (numpy 2.4, one core,
-# 1, 6 and 30 rows, median of 4 random problems), LAPACK enumeration takes
-# 0.4-0.5x its time at 3^3 = 27 patterns, 0.6-1.2x at 3^4 = 81 and 5^3 =
-# 125, 1.2-3.8x at 3^5 = 243, and 2.3-9x from 5^4 = 625 on.  Below 200 it is
-# exact, never more than 1.2x slower, and solves a rank-3 family in one
-# batch.  Rank 2 (9 or 25 patterns) takes the closed form (_pairs), ranks 1,
-# 3 and 4 the LAPACK batch (_enumerate)
-_ENUM_PATTERNS = 200
 # a stack of at most this many member rows (members x rows) solves its
 # rank-2 families in Python floats member by member (_pairs); a larger one
 # as one array batch.  Timed per call (numpy 2.4, one core, 2- and 3-row
@@ -182,29 +169,28 @@ def _entry_gaps(grad, X, box):
     return grad * (X - np.where(grad < 0.0, up, lo))
 
 
-def _certified_gap(G, C, X, box, XG=None):
+def _certified_gap(G, C, X, box):
     """Bound on the total objective suboptimality of X in the box: the sum of
     the entry gaps plus an allowance for the rounding in computing them
     (_gap_total).  One family (G of shape (k, k), C and X of shape (n, k))
     gives a float; a stack (G of shape (K, k, k), C and X of shape (K, n,
     k)) one per member, each summed over that member's entries alone, as its
-    own family would be.  XG, when given, is X @ G as the pattern
-    enumeration computed it.  A code solve at rank 2 takes the closed
-    form's own gap instead, in its floats (_pair_gap_loop, _pair_gap_batch);
-    this one serves the other ranks, the active-set method (a polish
-    included) and the anchor's prediction."""
-    gaps = _entry_gaps(2.0 * ((X @ G if XG is None else XG) - C), X, box)
+    own family would be.  A code solve at rank 2 takes the closed form's own
+    gap instead, in its floats (_pair_gap_loop, _pair_gap_batch); this one
+    serves the active-set method (a polish included) and the anchor's
+    prediction."""
+    gaps = _entry_gaps(2.0 * (X @ G - C), X, box)
     return _gap_total(gaps, X, np.abs(G), np.abs(C), box)
 
 
 def _gap_total(gaps, X, absG, absC, box):
     """The certified gap from the entry gaps of X, given |G| and |C|.  A
-    gradient entry is off by at most about (k + 1) ulps of |2XG| + |2C|; that
-    error, a wrong pick of the attaining endpoint it may cause, and the few
-    roundings of the term itself each cost a few ulps of (|gradient| + lam)
+    gradient entry is off by at most about (k + 1) ulps of |2 X G| + |2 C|;
+    that error, a wrong pick of the attaining endpoint it may cause, and the
+    few roundings of the term itself each cost a few ulps of (|gradient| + lam)
     times the width (the reach).  Summing n terms adds n ulps of their sizes'
-    sum.  On a box with every lo >= 0, |X| = X and every entry gap is >= 0,
-    so the gaps are summed once."""
+    sum.  On a box with every lo >= 0, |X| = X and every entry gap is >= 0, so
+    the gaps are summed once."""
     sign = box.sign
     XA = X @ absG if sign else np.abs(X) @ absG
     reach = (2.0 * (XA + absC) + box.lam) * box.width
@@ -220,31 +206,14 @@ def _gap_total(gaps, X, absG, absC, box):
     return np.array([max(0.0, total) + _EPS * (weight * r + size * a) for total, r, a in sums])
 
 
-@lru_cache(maxsize=64)
-def _patterns(k: int, states: tuple) -> tuple:
-    """Every assignment of the given entry states to k entries: masks at lo
-    and at up, free mask and l1 sign (shaped to broadcast over rows), and
-    the pattern-only parts of the free systems' matrices."""
-    S = np.array(list(itertools.product(states, repeat=k)), dtype=int).reshape(-1, k)
-    free = (S == _FREE) | (S == _POS) | (S == _NEG)
-    sgn = (S == _POS).astype(float) - (S == _NEG)
-    pair = free[:, :, None] & free[:, None, :]
-    fixed_eye = np.eye(k) * ~free[:, None, :]  # fixed entries decouple
-    out = ((S == _LO)[:, None, :], (S == _UP)[:, None, :], free[:, None, :],
-           sgn[:, None, :], pair, fixed_eye)
-    for a in out:
-        a.flags.writeable = False  # shared by every caller through the cache
-    return out
-
-
 class _BoxFamily:
     """What every box QP over one box [lo, up] (bounds (K, n, k): a box per
     stack member) reads of it, derived once per (lam, box, k): the KKT
-    states and patterns, the patterns' values at the bounds (V) and l1 shift
-    lam s / 2, the clipped zero, the width, the release floor's max |bound|,
-    and sign: 1 if every lo >= +0.0, else 0.  On a box with sign 1 lam
-    ||x||_1 = lam sum(x) is linear, and the solvers keep no sign state; every
-    other box, one with every up <= 0 included, takes the general path."""
+    states (at k = 2, enumerable, the closed form's patterns: pair_rows),
+    the clipped zero, the width, the release floor's max |bound|, and sign:
+    1 if every lo >= +0.0, else 0.  On a box with sign 1 lam ||x||_1 = lam
+    sum(x) is linear, and the solvers keep no sign state; every other box,
+    one with every up <= 0 included, takes the general path."""
 
     def __init__(self, lam, lo, up, k):
         lo, up = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
@@ -258,12 +227,7 @@ class _BoxFamily:
             self.states = ((_LO, _UP) + ((_POS,) if up.max() > 0.0 else ())
                            + ((_NEG,) if lo.min() < 0.0 else ())
                            + ((_ZERO,) if ((lo < 0.0) & (up > 0.0)).any() else ()))
-        self.enumerable = len(self.states) ** k <= _ENUM_PATTERNS
-        if self.enumerable and k != 2:  # rank 2 takes the closed form (_pairs)
-            self.patterns = at_lo, at_up, _, sgn, _, _ = _patterns(k, self.states)
-            self.lo_p, self.up_p = (lo[:, None], up[:, None]) if lo.ndim == 3 else (lo, up)
-            self.V = np.where(at_lo, self.lo_p, np.where(at_up, self.up_p, 0.0))
-            self.shift = (0.5 * lam) * sgn
+        self.enumerable = k == 2
 
     @cached_property
     def pair_rows(self):
@@ -346,47 +310,6 @@ def _family_of(box: BoxSet, lam, shape) -> _BoxFamily:
     return box.derived[lam, shape]
 
 
-def _enumerate(G, C, box):
-    """Exact minimizer by KKT-pattern enumeration; G must be nonsingular.
-
-    Each pattern fixes some entries (at lo, up or zero) and gives the others
-    a sign; its candidate solves the free entries' stationarity system
-    G_FF x_F = c_F - G_FX x_X - lam s_F / 2.  The minimizer's own pattern
-    reproduces it, so the best candidate in the box (free entries on their
-    sign's side of zero, which a box with every lo >= 0 implies) is the
-    minimizer.  Returns it with its free mask and its rows of the candidates'
-    x @ G, which the certified gap reuses.  A stack (G of shape (K, k, k), C
-    of shape (K, n, k)) is one batch with a member axis in front of the
-    pattern axis; each member's candidates are its own family's, slice by
-    slice.  A rank-2 family takes the closed form (_pairs), which returns
-    None for the product.
-    """
-    if box.k == 2:
-        return _pairs(G, C, box)
-    _, _, free, sgn, pair, fixed_eye = box.patterns
-    lam, V = box.lam, box.V
-    stack = G.ndim == 3
-    if stack:
-        G, C = G[:, None], C[:, None]
-    rhs = C - V @ G
-    if lam > 0:
-        rhs = rhs - box.shift
-    # the free systems' inverses are symmetric, so rhs @ inv solves them
-    x = np.where(free, rhs @ np.linalg.inv(G * pair + fixed_eye), V)
-    ok = (x >= box.lo_p) & (x <= box.up_p)
-    xG = x @ G
-    obj = (x * (xG - 2.0 * C)).sum(axis=-1)
-    if lam > 0 and box.sign:
-        obj += lam * x.sum(axis=-1)
-    elif lam > 0:
-        ok &= x * sgn >= 0.0
-        obj += lam * np.abs(x).sum(axis=-1)
-    pick = np.where(ok.all(axis=-1), obj, np.inf).argmin(axis=-2)
-    rows = np.arange(C.shape[-2])
-    at = (np.arange(len(C))[:, None], pick, rows) if stack else (pick, rows)
-    return x[at], free[pick, 0], xG[at]
-
-
 # the rank-2 closed form's arithmetic, on Python floats (one row and one
 # pattern) or on arrays (a batch of them), with the same IEEE operations and
 # one rounding each, so both give the same bytes
@@ -441,16 +364,18 @@ _NOT_POSITIVE = "a free system of the rank-2 closed form is not positive"
 
 
 def _pairs(G, C, box, certify=False):
-    """_enumerate of a rank-2 family in closed form, with no X @ G.
+    """Exact minimizer of a rank-2 family by KKT-pattern enumeration.
 
-    Each KKT pattern's free system is solved by Cramer's rule (_both_free,
-    _one_free) with the l1 shift h = c - lam s / 2; the first minimum of the
-    objective in itertools.product order among the candidates in the box,
-    with the signs their patterns assume, wins, and the first pattern's
-    candidate when none is (a non-finite G or C).  A free system that is
-    not positive (a, c or det <= 0) raises LinAlgError.  One family, and a
-    stack of at most _PAIR_LOOP_ROWS member rows, runs in Python floats row
-    by row; a larger stack as one batch over (patterns, members, rows).
+    Each pattern fixes some entries (at lo, up or zero) and gives the others
+    a sign; its candidate solves G_FF x_F = c_F - G_FX x_X - lam s_F / 2 by
+    Cramer's rule (_both_free, _one_free).  The minimizer's own pattern
+    reproduces it, so the first minimum of the objective in
+    itertools.product order among the candidates in the box, with the signs
+    their patterns assume, wins, and the first pattern's candidate when
+    none is (a non-finite G or C).  A free system that is not positive (a,
+    c or det <= 0) raises LinAlgError.  One family, and a stack of at most
+    _PAIR_LOOP_ROWS member rows, runs in Python floats row by row; a larger
+    stack as one batch over (patterns, members, rows).
     Returns (X, free, gap): gap is X's certified gap if certify (a float,
     or one per member; _pair_gap_loop, _pair_gap_batch), else None."""
     rows = box.pair_rows
@@ -732,53 +657,49 @@ def _start(G, C, X0, certified):
 def _minimize(G, C, box, X0, tol, predicted=False, certified=None, certify=False):
     """Minimizer of the solve_box_qp objective over the box family box, its
     free mask, the certified gap the active-set method stopped on or, if
-    certify, the rank-2 closed form's (None if it has none), the
-    enumeration's X @ G (None if it did not enumerate G itself with LAPACK)
-    and G's definiteness certificate (_definite; None if the solve needed
-    none): exact by pattern enumeration while the patterns are few, else
-    the active-set method, which stops once the certified gap is <= tol.
-    X0 (or None), clipped into the box where it is used unless
-    predicted (then it lies in the box), starts the active-set method, by
-    default from the clipped least-squares minimizer of the smooth part, and
-    breaks ties when G is singular, by default towards the clipped zero;
-    predicted and the certificate (taken if None) go to the active-set method.
-    The active-set method's start may also be a list of equal row blocks,
-    None where a block takes the default start (_start).
+    certify, the rank-2 closed form's (None if it has none), and G's
+    definiteness certificate (_definite; None if the solve needed none):
+    exact by the closed form at rank 2 (_pairs), else the active-set
+    method, which stops once the certified gap is <= tol.  X0 (or None),
+    clipped into the box where it is used unless predicted (then it lies in
+    the box), starts the active-set method, by default from the clipped
+    least-squares minimizer of the smooth part, and breaks the closed form's
+    ties when G is singular, by default towards the clipped zero; predicted
+    and the certificate (taken if None) go to the active-set method.  The
+    active-set method's start may also be a list of equal row blocks, None
+    where a block takes the default start (_start).
 
-    A stack (G of shape (K, k, k), C of shape (K, n, k)) enumerates in one
-    batch and runs the active-set method member by member, each from its
-    part of X0 (K, n, k) or from its entry of a list of K starts (None: the
-    default); its gaps are an array, nan for a member without one, and its
-    certificates a list, one per member."""
+    A stack (G of shape (K, k, k), C of shape (K, n, k)) takes the closed
+    form in one batch and runs the active-set method member by member, each
+    from its part of X0 (K, n, k) or from its entry of a list of K starts
+    (None: the default); its gaps are an array, nan for a member without
+    one, and its certificates a list, one per member."""
     stack = G.ndim == 3
     if box.enumerable:
         try:
-            if box.k == 2:
-                (X, free, gap), XG = _pairs(G, C, box, certify), None
-            else:
-                (X, free, XG), gap = _enumerate(G, C, box), None
-            return X, free, gap, XG, [None] * len(C) if stack else certified
+            X, free, gap = _pairs(G, C, box, certify)
+            return X, free, gap, [None] * len(C) if stack else certified
         except np.linalg.LinAlgError:
             if not stack:
                 # singular G: adding delta ||x - X0||^2 makes the minimizer
                 # unique and picks the one nearest X0 up to O(delta)
                 delta = _NULL_RTOL * _scale(G)
                 X0 = np.clip(0.0 if X0 is None else X0, box.lo, box.up)
-                X, free, _ = _enumerate(G + delta * np.eye(box.k), C + delta * X0, box)
-                return X, free, None, None, certified
+                X, free, _ = _pairs(G + delta * _eye(2), C + delta * X0, box)
+                return X, free, None, certified
             # a singular member of a stack: each member alone, so only its solve changes
     if stack:
         parts = [_minimize(G[j], C[j], box.member(j), None if X0 is None else X0[j], tol,
                            certify=certify) for j in range(len(C))]
         gap = np.array([np.nan if p[2] is None else p[2] for p in parts])
         return (np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts]),
-                None if np.isnan(gap).all() else gap, None, [p[4] for p in parts])
+                None if np.isnan(gap).all() else gap, [p[3] for p in parts])
     if certified is None:
         certified = _definite(G)
     if not predicted:
         X0 = np.clip(_start(G, C, X0, certified), box.lo, box.up)
     X, fixed, gap = _active_set(G, C, box, X0, tol, predicted, certified)
-    return X, ~fixed, gap, None, certified
+    return X, ~fixed, gap, certified
 
 
 def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
@@ -794,8 +715,9 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
     minimizer C G^+ of the smooth part, and ties break towards the clipped
     zero.  Returns (X, gap) where gap is the certified bound on the total
     objective suboptimality: a float, or for a stack one per member (K,),
-    each from that member's rows alone.  Few KKT patterns are enumerated,
-    which is exact; otherwise the active-set method runs until gap <= tol.
+    each from that member's rows alone.  A rank-2 family (k = 2) is solved
+    exactly in closed form; every other rank by the active-set method,
+    which runs until gap <= tol.
     If a gap still exceeds tol (rounding in an ill-conditioned system), the
     active-set method polishes X (of a stack, that member's) until gap <=
     tol or no fixed entry can improve.
@@ -811,11 +733,11 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
 
 def _solve(G, C, box, X0, tol):
     """solve_box_qp over the box family box."""
-    X, _, gap, XG, _ = _minimize(G, C, box, X0, tol, certify=True)
+    X, _, gap, _ = _minimize(G, C, box, X0, tol, certify=True)
     if G.ndim == 2:
-        return _polish(G, C, box, X, gap, tol, XG)
+        return _polish(G, C, box, X, gap, tol)
     if gap is None:
-        gap = _certified_gap(G, C, X, box, XG)
+        gap = _certified_gap(G, C, X, box)
     for j, g in enumerate(gap.tolist()):
         if not g <= tol:  # above tol, or nan: not known yet
             X[j], gap[j] = _polish(G[j], C[j], box.member(j), X[j],
@@ -823,13 +745,12 @@ def _solve(G, C, box, X0, tol):
     return X, gap
 
 
-def _polish(G, C, box, X, gap, tol, XG=None):
+def _polish(G, C, box, X, gap, tol):
     """(X, its certified gap) of one family, X polished by the active-set
-    method while its gap (computed here when None, from XG = X @ G when
-    given) exceeds tol; the active-set method hands back the gap it stopped
-    on."""
+    method while its gap (computed here when None) exceeds tol; the
+    active-set method hands back the gap it stopped on."""
     if gap is None:
-        gap = _certified_gap(G, C, X, box, XG)
+        gap = _certified_gap(G, C, X, box)
     if gap > tol:
         X, _, gap = _active_set(G, C, box, X, tol, False, _definite(G))
         if gap is None:
@@ -883,10 +804,11 @@ def _anchor_prediction(G, C, box, center, radius, tol, mu_hi):
 def _box_qp_ball(G, C, box, center, radius, tol, first=None):
     """Minimizer of the solve_box_qp objective without an l1 term (box is a
     lam = 0 family) over the box intersected with the ball ||X - center||_F
-    <= radius (center in the box).  A family that does not enumerate first
-    tries the anchor's working set (_anchor_prediction); otherwise (and for
-    an enumerated family) each box solve is done by _minimize from the
-    previous one's X, the first from center.
+    <= radius (center in the box).  A family of the active-set method (k !=
+    2) first tries the anchor's working set (_anchor_prediction), unless
+    the radius is numerically zero (geometry._ball_is_center), where the
+    search returns the center; otherwise (and at k = 2) each box solve is
+    done by _minimize from the previous one's X, the first from center.
 
     Dualizing the ball adds mu ||X - center||^2, which keeps the shared
     Hessian form with G + mu I and rows c_i + mu center_i.  On the working
@@ -898,14 +820,14 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
     starts where the model puts the working set's minimizer at the new
     multiplier nu, (X(nu) - center)_F = V diag((w + mu) / (w + nu)) V'(X -
     center)_F, marked as every row's minimizer, if that point lies in the
-    box; else it starts from X.  (The pattern enumeration ignores the
+    box; else it starts from X.  (The rank-2 closed form ignores the
     start.)  first, when given, is the solve at mu = 0 as (X, free mask,
     certificate).  A stack (G of shape (K, k, k); C and center of shape (K,
-    n, k)) of an enumerated family solves at mu = 0 in one batch; a member
-    whose part of that solve lies in its ball keeps it, as its own search
-    would, and each other member has its own search from its part.  A
-    stack of a family that does not enumerate runs each member's
-    prediction and search alone, as its single run does.
+    n, k)) of rank 2 solves at mu = 0 in one batch; a member whose part of
+    that solve lies in its ball keeps it, as its own search would, and each
+    other member has its own search from its part.  A stack of any other
+    rank runs each member's prediction and search alone, as its single run
+    does.
     """
     X = center if first is None else first[0]
     if math.isinf(radius):
@@ -916,7 +838,7 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
                              for j in range(len(C))])
         # a member whose solve at mu = 0 lies in its ball is done: its search
         # would test this float first
-        X, free, _, _, certified = _minimize(G, C, box, X, tol)
+        X, free, _, certified = _minimize(G, C, box, X, tol)
         for j in range(len(C)):
             if not _distance(X[j], center[j]) <= radius:
                 X[j] = _box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
@@ -929,7 +851,7 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
         return float(np.linalg.norm(2.0 * (center @ G - C))) / radius
 
     hi = None  # mu_hi(), once the anchor's prediction has taken it
-    if not box.enumerable:
+    if not box.enumerable and not _ball_is_center(center, radius):
         hi = mu_hi()
         Xp = _anchor_prediction(G, C, box, center, radius, tol, hi)
         if Xp is not None:
@@ -938,7 +860,7 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
     last = None  # the last model's (mu, free mask, w, V, coefficients)
     scale = None  # taken with the first model: only a binding ball needs it
     # G's definiteness certificate, which every G + mu I inherits: taken by
-    # the solve at mu = 0 (None when it enumerated)
+    # the solve at mu = 0 (None when the closed form solved it)
     certified = None
 
     def solve(mu):
@@ -946,7 +868,7 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
         if first is not None:  # mu = 0, solved already
             (X, free, certified), first = first, None
         elif mu == 0.0:
-            X, free, _, _, certified = _minimize(G, C, box, X, tol, False, certified)
+            X, free, _, certified = _minimize(G, C, box, X, tol, False, certified)
         else:
             start, predicted = X, False
             if last is not None:
@@ -1004,7 +926,8 @@ def solve_code_lasso(
     stack's H0 is (K, r, d), or a list of K starts (r, d), None where that
     member takes the default start.  One sample's H0 may be a list of equal
     column blocks, None where a block takes the default start (the active-set
-    method reads it; a family whose patterns are enumerated takes none).
+    method reads it, at every rank but 2; the rank-2 closed form takes
+    none).
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -1027,7 +950,7 @@ def solve_code_lasso(
 
 def code_solve_takes_start(code_set: BoxSet, lam: float) -> bool:
     """Whether solve_code_lasso over code_set runs the active-set method, the
-    one solve that H0 starts: a family whose KKT patterns are enumerated
+    one solve that H0 starts: true at every rank but 2, whose closed form
     reads H0 only to break the ties of a singular Hessian."""
     return not _family_of(code_set, lam, (1, code_set.dim)).enumerable
 
@@ -1051,8 +974,8 @@ def solve_block_quadratic(
     anchor (radius = inf means no trust region).  Each dictionary row of the
     block is one row of the solve_box_qp family with G = A and c_i the row's
     column of B, with the trust-region ball dualized when the radius is
-    finite: few KKT patterns are solved exactly, more by the active-set
-    method stopped once its certified objective gap is <= tol.  rows is None
+    finite: at rank 2 exactly in closed form, at any other rank by the
+    active-set method stopped once its certified objective gap is <= tol.  rows is None
     (every row) or an index array (m,).  Returns (W, value, new): W of the
     anchor's shape, and the descent certificate, the objective at the anchor
     and at W, both from one evaluation of the pair.  new never rises above

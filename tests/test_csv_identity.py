@@ -34,8 +34,8 @@ def test_csv_identity_names_each_file(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 1, out.stderr
     verdicts = dict(line.rsplit(": ", 1) for line in out.stdout.splitlines()[:-1])
-    assert len(verdicts) == 57
-    assert out.stdout.splitlines()[-1] == "15 of 57 identical"
+    assert len(verdicts) == 58
+    assert out.stdout.splitlines()[-1] == "15 of 58 identical"
     sizes = dict(line.split(": largest |change| / (1 + |parent|) ", 1)
                  for line in out.stderr.splitlines() if ": largest |change| " in line)
     for name, verdict in verdicts.items():
@@ -51,9 +51,9 @@ def test_csv_identity_names_each_file(tmp_path):
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_rank5_seed2.csv").exists()
     # the work of omf_markov and cpdl at seed 0, of the omf_markov sweep, of
     # each rank-5 run and of the rank-5 sweep, counted in each checkout: no
-    # run calls np.linalg.inv (rank 2 takes the closed form, rank 5 the
-    # active-set method), and the same code on the same inputs (all but the
-    # OMF runs) does the same work
+    # run calls np.linalg.inv (rank 2 takes the closed form, every other
+    # rank the active-set method), and the same code on the same inputs
+    # (all but the OMF runs) does the same work
     work = [line for line in out.stderr.splitlines() if " work (parent -> change): " in line]
     assert [line.split(" work")[0] for line in work] == (
         ["cpdl_seed0", "omf_markov_seed0", "omf_markov_sweep", "omf_rank5_in2_seed1"]

@@ -320,6 +320,26 @@ def test_block_quadratic_zero_radius_returns_start():
     np.testing.assert_allclose(W[0], start, atol=1e-12)
 
 
+@pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
+@pytest.mark.parametrize("r", [2, 5])
+def test_block_quadratic_radius_zero_returns_the_anchor(r, K):
+    # a radius of 0 leaves every row at the anchor, whether the rank takes
+    # the closed form (r = 2) or the active-set method, whose anchor
+    # prediction must not bound the multiplier by dividing by the radius:
+    # both reach the ball search's radius-numerically-zero exit
+    rng = np.random.default_rng(59 + r)
+    lead, q = () if K is None else (K,), 4
+    H = rng.uniform(0.0, 1.0, size=lead + (r, r + 2))
+    A = H @ H.swapaxes(-1, -2)
+    B = rng.uniform(2.0, 5.0, size=lead + (r, q))  # the box minimizer leaves the ball
+    C = 1.0 if K is None else np.ones(K)
+    W0 = rng.uniform(0.2, 0.8, size=lead + (q, r))
+    W, value, new = solve_block_quadratic(FactorQuad(A, B, C, W0), BoxSet.uniform(q * r, 0.0, 1.0),
+                                          0.0)
+    assert W.tobytes() == W0.tobytes()
+    assert np.asarray(value).tobytes() == np.asarray(new).tobytes()
+
+
 def _ball_bisection_reference(G, C, lo, up, center, radius):
     """Box-intersect-ball minimizer by plain bisection on the ball
     multiplier, each box solve exact.  Returns it with the working set
@@ -1456,10 +1476,16 @@ def test_block_solve_returns_both_values_of_the_certificate(K, radius):
 
 def _exact_box_lasso_row(G, c, lam, lo, up):
     """The minimizer of x'Gx - 2c'x + lam ||x||_1 over [lo, up] (one row, G
-    positive definite), in exact rational arithmetic: every KKT pattern (an
-    entry at lo, at up or at zero, or free with a sign) solves its free
-    entries' stationarity system by Gaussian elimination, and the best
-    candidate in the box with the signs it assumed wins."""
+    positive definite), rounded to floats (_exact_box_lasso)."""
+    return np.array([float(v) for v in _exact_box_lasso(G, c, lam, lo, up)[1]])
+
+
+def _exact_box_lasso(G, c, lam, lo, up):
+    """The minimum and the minimizer of x'Gx - 2c'x + lam ||x||_1 over [lo,
+    up] (one row, G positive definite), in exact rational arithmetic: every
+    KKT pattern (an entry at lo, at up or at zero, or free with a sign)
+    solves its free entries' stationarity system by Gaussian elimination,
+    and the best candidate in the box with the signs it assumed wins."""
     from fractions import Fraction as F
     from itertools import product
 
@@ -1494,28 +1520,44 @@ def _exact_box_lasso_row(G, c, lam, lo, up):
                        - 2 * sum(ci * xi for ci, xi in zip(c, x)) + lam * sum(map(abs, x)))
                 if best is None or obj < best:
                     best, best_x = obj, x
-    return np.array([float(v) for v in best_x])
+    return best, best_x
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.2, 1.5), (-1.0, 1.0), (-1.5, -0.2)],
                          ids=["unit", "positive", "straddling", "negative"])
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_enumeration_alone_is_exact_with_l1(k, bounds):
-    # the pattern enumeration by itself (at rank 2 the closed form), with no
-    # polishing after it, returns the exact minimizer, without and with an
-    # l1 term: on one-signed boxes, where the l1 term is linear, and on
-    # boxes that straddle zero or lie below it
-    from sbmm.subsolver import _box_family, _enumerate
+    # without and with an l1 term, on one-signed boxes, where the l1 term is
+    # linear, and on boxes that straddle zero or lie below it: at rank 2 the
+    # closed form's pattern enumeration by itself, with no polishing after
+    # it, returns the exact minimizer; at every other rank solve_box_qp (the
+    # active-set method) returns a certified gap within tol that bounds the
+    # exact suboptimality, in rational arithmetic against the exact minimum
+    from fractions import Fraction as F
+
+    from sbmm.subsolver import _box_family, _pairs
 
     rng = np.random.default_rng(31 * k)
     lo, up = bounds
     for lam in (0.0, 0.05, 0.5):
         M = rng.normal(size=(k, k))
         G, C = M @ M.T + 0.05 * np.eye(k), rng.normal(size=(4, k))
-        X = _enumerate(G, C, _box_family(lam, np.full((4, k), lo), np.full((4, k), up), k))[0]
+        if k == 2:
+            X = _pairs(G, C, _box_family(lam, np.full((4, k), lo), np.full((4, k), up), k))[0]
+            for x, c in zip(X, C):
+                ref = _exact_box_lasso_row(G, c, lam, np.full(k, lo), np.full(k, up))
+                assert np.all(np.abs(x - ref) <= 1e-9 * (1.0 + np.abs(ref))), (lam, x, ref)
+            continue
+        X, gap = solve_box_qp(G, C, lo, up, lam)
+        Gf = [[F(float(v)) for v in row] for row in G]
+        excess = F(0)
         for x, c in zip(X, C):
-            ref = _exact_box_lasso_row(G, c, lam, np.full(k, lo), np.full(k, up))
-            assert np.all(np.abs(x - ref) <= 1e-9 * (1.0 + np.abs(ref))), (lam, x, ref)
+            best = _exact_box_lasso(G, c, lam, np.full(k, lo), np.full(k, up))[0]
+            x, c = [F(float(v)) for v in x], [F(float(v)) for v in c]
+            excess += (sum(x[i] * Gf[i][j] * x[j] for i in range(k) for j in range(k))
+                       - 2 * sum(ci * xi for ci, xi in zip(c, x))
+                       + F(lam) * sum(map(abs, x)) - best)
+        assert excess <= F(gap) and gap <= 1e-8, (lam, float(excess), gap)
 
 
 _PAIR_BOXES = ((0.0, 1.0), (0.2, 1.5), (-1.0, 1.0), (-1.5, -0.2))
@@ -1548,10 +1590,10 @@ def test_rank2_stack_gives_each_members_bytes(side, seed, lam, bounds, per_membe
     M = rng.normal(size=(K, 2, 3))
     G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
     C = rng.normal(size=(K, n, 2)) * 2.0
-    X, free, XG = subsolver._enumerate(G, C, box)
-    assert XG is None and X.shape == C.shape and free.shape == C.shape
+    X, free, gap = subsolver._pairs(G, C, box)
+    assert gap is None and X.shape == C.shape and free.shape == C.shape
     for j in range(K):
-        Xj, free_j, _ = subsolver._enumerate(G[j], C[j], box.member(j))
+        Xj, free_j, _ = subsolver._pairs(G[j], C[j], box.member(j))
         assert X[j].tobytes() == Xj.tobytes() and free[j].tobytes() == free_j.tobytes()
 
 
@@ -1662,13 +1704,13 @@ def test_rank2_singular_hessian_takes_the_tie_break(G_kind, lam, K):
         G0 = W.T @ W
         assert G0[0, 0] * G0[1, 1] - G0[0, 1] * G0[0, 1] == 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        subsolver._enumerate(G0, rng.normal(size=(n, 2)), box)
+        subsolver._pairs(G0, rng.normal(size=(n, 2)), box)
     delta = subsolver._NULL_RTOL * subsolver._scale(G0)
     if K is None:
         C = rng.normal(size=(n, 2))
-        X, free, _, _, _ = subsolver._minimize(G0, C, box, None, 1e-8)
+        X, free, _, _ = subsolver._minimize(G0, C, box, None, 1e-8)
         X0 = np.clip(0.0, box.lo, box.up)
-        want = subsolver._enumerate(G0 + delta * np.eye(2), C + delta * X0, box)
+        want = subsolver._pairs(G0 + delta * np.eye(2), C + delta * X0, box)
         assert X.tobytes() == want[0].tobytes() and free.tobytes() == want[1].tobytes()
         assert solve_box_qp(G0, C, 0.0, 1.0, lam)[1] <= 1e-8
         return
@@ -1676,28 +1718,27 @@ def test_rank2_singular_hessian_takes_the_tie_break(G_kind, lam, K):
     G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
     G[1] = G0
     C = rng.normal(size=(K, n, 2))
-    X, free, _, _, _ = subsolver._minimize(G, C, box, None, 1e-8)
+    X, free, _, _ = subsolver._minimize(G, C, box, None, 1e-8)
     for j in range(K):
-        Xj, free_j, _, _, _ = subsolver._minimize(G[j], C[j], box, None, 1e-8)
+        Xj, free_j, _, _ = subsolver._minimize(G[j], C[j], box, None, 1e-8)
         assert X[j].tobytes() == Xj.tobytes() and free[j].tobytes() == free_j.tobytes()
     assert np.all(solve_box_qp(G, C, 0.0, 1.0, lam)[1] <= 1e-8)
 
 
 @pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
 @pytest.mark.parametrize("lam", [0.0, 0.05])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [2])
 def test_enumeration_product_gives_the_certified_gap(k, lam, K):
-    # the enumeration's rows of x @ G are X @ G, byte for byte, so the gap
-    # solve_box_qp certifies from them is the one computed from X (the
-    # rank-2 closed form returns no product, and solve_box_qp certifies its
-    # X in the closed form's floats, _pair_gap); the box straddles zero in
-    # some entries, so that l1 patterns hold zeros
+    # the rank-2 closed form gives _minimize no gap unless asked, and
+    # solve_box_qp certifies its X in the closed form's floats (_pair_gap):
+    # without a polish, solve_box_qp's X and gap are the closed form's, byte
+    # for byte; the box straddles zero in one entry, so that l1 patterns
+    # hold zeros
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(72 + k)
     lead = () if K is None else (K,)
-    lo = np.array([[-0.5, 0.0, -1.0][:k]])
-    up = np.array([[1.0, 2.0, 0.5][:k]])
+    lo, up = np.array([[-0.5, 0.0]]), np.array([[1.0, 2.0]])
     box = subsolver._box_family(lam, lo, up, k)
     if lam > 0:
         assert subsolver._ZERO in box.states
@@ -1705,15 +1746,9 @@ def test_enumeration_product_gives_the_certified_gap(k, lam, K):
         M = rng.normal(size=lead + (k, k + 1))
         G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(k)
         C = rng.normal(size=lead + (4, k))
-        X, _, gap, XG, _ = subsolver._minimize(G, C, box, None, 1e-8)
-        assert gap is None and (XG is None) == (k == 2)
-        if k != 2:
-            assert XG.tobytes() == (X @ G).tobytes()
-        want = subsolver._certified_gap(G, C, X, box)
-        got = subsolver._certified_gap(G, C, X, box, XG)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        if k == 2:
-            want = subsolver._pairs(G, C, box, certify=True)[2]
+        X, _, gap, _ = subsolver._minimize(G, C, box, None, 1e-8)
+        assert gap is None
+        want = subsolver._pairs(G, C, box, certify=True)[2]
         X_qp, gap_qp = solve_box_qp(G, C, lo, up, lam)
         if np.all(np.asarray(want) <= 1e-8):  # no polish: X and its gap are the enumeration's
             assert X_qp.tobytes() == X.tobytes()
@@ -1749,13 +1784,12 @@ def test_sign_states_are_derived_per_box():
 def test_one_signed_box_gives_the_sign_tracking_bytes(side, k, lam, K):
     # on a box with every lo >= 0 the l1 term is linear and the solvers skip
     # its sign bookkeeping; forced back onto the general path through the
-    # family's flag, the same problems give the same bytes: the
-    # enumeration's (X, free, XG; the rank-2 closed form gives no XG and has
-    # one path for every box), the certified gap and the active-set
-    # method's (X, fixed, gap).  A box with every up <= 0 takes the general
+    # family's flag, the same problems give the same bytes: the rank-2
+    # closed form's (X, free; it has one path for every box), the certified
+    # gap and the active-set method's (X, fixed, gap).  A box with every up <= 0 takes the general
     # path; its reference is the mirrored problem (x -> -x: C negated, the
     # box [-up, -lo]) on the linear path, which gives the same numbers with
-    # X and XG negated (up to the sign of a zero)
+    # X negated (up to the sign of a zero)
     import copy
 
     import sbmm.subsolver as subsolver
@@ -1781,10 +1815,9 @@ def test_one_signed_box_gives_the_sign_tracking_bytes(side, k, lam, K):
         C = rng.normal(size=lead + (n, k)) * 2.0
         points = [rng.uniform(lo, up, size=lead + (n, k))]
         if box.enumerable:
-            got = subsolver._enumerate(G, C, box)
-            X, free, XG = subsolver._enumerate(G, flip * C, ref)
+            got = subsolver._pairs(G, C, box)
+            X, free, _ = subsolver._pairs(G, flip * C, ref)
             assert same(got[0], flip * X) and same(got[1], free)
-            assert (got[2] is XG is None if k == 2 else same(got[2], flip * XG))
             points.append(got[0])
         for j in range(1 if K is None else K):
             G_j, C_j = (G, C) if K is None else (G[j], C[j])
