@@ -41,12 +41,15 @@ CSV that differs, stderr gets the size of the difference: the largest
 The work of ``omf_markov`` and ``cpdl`` at seed 0, of the 4-seed
 ``omf_markov`` sweep, of each rank-5 run and of the rank-5 sweep, which a
 machine's speed does not change, goes to stderr: its ball-search
-evaluations and its ``np.linalg.cholesky``, ``np.linalg.eigh``,
-``np.linalg.solve`` and ``np.linalg.inv`` calls (solve makes the Newton
-steps and least-squares starts of certified Hessians; no solver inverts a
-matrix, so inv reads 0, a guard against one that does) in each checkout,
-counted by wrapping ``sbmm.subsolver.ball_multiplier_search`` and the four
-numpy functions in the interpreter that runs that checkout.
+evaluations (the box solves of every ``ball_multiplier_search``, each one
+call of the ``solve(mu)`` that it takes as its first argument) and its
+``np.linalg.cholesky``, ``np.linalg.eigh``, ``np.linalg.solve`` and
+``np.linalg.inv`` calls (solve makes the Newton steps and least-squares
+starts of certified Hessians; no solver inverts a matrix, so inv reads 0, a
+guard against one that does) in each checkout, counted by wrapping
+``sbmm.subsolver.ball_multiplier_search`` and the four numpy functions in
+the interpreter that runs that checkout.  A last line sums each count but
+inv over the four rank-5 runs, in the parent and in the change.
 
 Usage:
     python3 scripts/csv_identity.py PARENT_DIR CHANGE_DIR [--steps N]
@@ -102,7 +105,8 @@ def write_cpdl3(out: Path) -> str:
 
 def count_work(run) -> dict:
     """run() with its work counted: the evaluations of every ball search
-    (sbmm.subsolver.ball_multiplier_search's solve calls) and the calls of
+    (the calls of the solve(mu) that sbmm.subsolver.ball_multiplier_search
+    takes first, one per box solve) and the calls of
     np.linalg.cholesky, np.linalg.eigh, np.linalg.solve and np.linalg.inv."""
     import numpy as np
     from sbmm import subsolver
@@ -252,11 +256,18 @@ def largest_change(parent: Path, change: Path) -> str:
 
 def work_lines(parent: Path, change: Path) -> list[str]:
     """One line per counted run and sweep: its work counts in the parent and
-    in the change, from the two checkouts' COUNTS files."""
+    in the change, from the two checkouts' COUNTS files; then one line of
+    each count but inv summed over the rank-5 runs (RANK5_RUNS)."""
     before, after = (json.loads(p.read_text(encoding="utf-8")) for p in (parent, change))
-    return [f"{name} work (parent -> change): "
-            + ", ".join(f"{key} {before[name][key]} -> {after[name][key]}" for key in WORK_COUNTS)
-            for name in sorted(before.keys() & after.keys())]
+    lines = [f"{name} work (parent -> change): "
+             + ", ".join(f"{key} {before[name][key]} -> {after[name][key]}" for key in WORK_COUNTS)
+             for name in sorted(before.keys() & after.keys())]
+    rank5 = [name for name, _, _ in RANK5_RUNS if name in before.keys() & after.keys()]
+    total = lambda counts, key: sum(counts[name][key] for name in rank5)
+    lines.append(f"total over the {len(rank5)} rank-5 runs, parent -> change: "
+                 + ", ".join(f"{key} {total(before, key)} -> {total(after, key)}"
+                             for key in WORK_COUNTS[:-1]))
+    return lines
 
 
 def main(argv=None) -> int:

@@ -29,26 +29,26 @@ solve; an uncertified Hessian (an all-zero code coordinate makes a
 dictionary Hessian singular) takes an eigendecomposition, which gives the
 least-norm step or a direction of zero curvature, and the pseudo-inverse
 for the start; a gap test that fails hands its entry gaps to the release
-step.  A trust-region ball is dualized with one multiplier shared by every
-row (``geometry.ball_multiplier_search``): each box solve hands the search
-the exact distance model of its working set, and the next solve starts
-where that model puts the working set's minimizer at the new multiplier,
-taken as the minimizer of every row, so a working set that holds costs one
-certified gap and no Newton step; a prediction outside the box falls back
-to the previous multiplier's solution.  Every solve of one search reuses
-the certificate its solve at multiplier zero took, since G + mu I inherits
-G's.  A family of the active-set method first predicts the answer without
-any box solve (_anchor_prediction): the ball's center is the previous block
-solve's result, whose entries at a bound usually stay there, so the secular
-model of that working set, built from the half-gradient at the center with
-one eigendecomposition, gives the multiplier mu* and its point.  Free
-entries that the point carries across a bound join the working set at that
-bound, and the model of the new working set is solved again, one
-eigendecomposition per round, until the point lies in the box.  The point
-is taken only through the search's own exits: in the box, mu* > 0, the
-dualized problem's certified gap within tolerance and the distance the
-radius; otherwise the search runs as above.  This is the online active-set
-strategy's hot start and working-set update (Ferreau, Bock & Diehl, 2008).
+step.
+
+A block solve over box-intersect-ball (the trust region of radius c' w_n
+around the previous block result) dualizes the ball with one multiplier mu
+shared by every row (ball_multiplier_search).  On a working set, the
+entries fixed at a bound and the free ones, the distance to the ball's
+center is a rational function of mu, the secular equation of a
+trust-region step, and one eigendecomposition of the free systems gives
+its root and the working set's minimizer there (_working_set_root); free
+entries that this point carries across a bound are fixed there and the
+root is found again.  The search takes that point when it lies on the
+sphere and the dualized problem's certified gap there is within
+tolerance; otherwise a box solve, started from the point and marked as
+every row's minimizer, gives the next working set, with a bisection
+bracket as the safeguard.  The first working set is the anchor's, its
+entries at a bound (the online active-set hot start of Ferreau, Bock &
+Diehl, 2008), at every rank but 2, where the closed form's solve at mu = 0
+comes first and settles every block whose ball does not bind.  Every box
+solve of one search reuses the certificate its solve at mu = 0 took, since
+G + mu I inherits G's.
 
 A stack of K families (K runs in lockstep, each with its own Hessian) is
 one batch wherever the work is the same for every member: the rank-2
@@ -57,10 +57,9 @@ after which only the members whose solve leaves their ball search
 further.  The closed form runs a stack of at most _PAIR_LOOP_ROWS member
 rows in Python floats member by member, and a larger one as the same
 float operations on (patterns, members, rows) arrays.  The active-set
-method, the anchor's prediction, a binding ball's multiplier search and
-the polishing of a gap run member by member.  Every member's numbers are
-computed slice by slice, with the same IEEE operations, so they are the
-bytes its own family's solve gives.
+method, a ball search and the polishing of a gap run member by member.
+Every member's numbers are computed slice by slice, with the same IEEE
+operations, so they are the bytes its own family's solve gives.
 
 What a solve reads of its box comes from one box family per (k, lam, box),
 derived once (_BoxFamily): at rank 2 the KKT patterns and their values at
@@ -96,12 +95,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .geometry import (BALL_RTOL, BoxSet, GeometryError, _ball_is_center, _distance, _onto_ball,
-                       _secular_root, ball_multiplier_search)
+from .geometry import BoxSet, GeometryError
 from .quadform import FactorQuad
 
 __all__ = [
@@ -129,6 +127,10 @@ _DEFINITE_RTOL = 1e-9
 # per member row, the batch about 47 us plus 0.4 us per member row; they
 # break even near 16 rows, and the batch is 2.5-3.5x faster at 64 to 96
 _PAIR_LOOP_ROWS = 12
+# a ball search ends on the sphere up to this fraction of the radius, or on
+# a bracket this narrow; its steps and each secular root's are capped
+BALL_RTOL = 1e-12
+BALL_MAX_ITERS = 200
 _EPS = float(np.finfo(float).eps)
 # entry states of a KKT pattern
 _LO, _UP, _FREE, _POS, _NEG, _ZERO = range(6)
@@ -177,8 +179,8 @@ def _certified_gap(G, C, X, box):
     k)) one per member, each summed over that member's entries alone, as its
     own family would be.  A code solve at rank 2 takes the closed form's own
     gap instead, in its floats (_pair_gap_loop, _pair_gap_batch); this one
-    serves the active-set method (a polish included) and the anchor's
-    prediction."""
+    serves the active-set method (a polish included) and the ball search's
+    exit."""
     gaps = _entry_gaps(2.0 * (X @ G - C), X, box)
     return _gap_total(gaps, X, np.abs(G), np.abs(C), box)
 
@@ -548,7 +550,7 @@ def _active_set(G, C, box, X, tol, predicted, certified):
     certified gap it stopped on (None if it stopped without one): the
     minimizer, or the first point where every row sits at its working-set
     minimizer and the certified gap is <= tol.  predicted says that X is
-    every row's working-set minimizer (the ball search's prediction), as if
+    every row's working-set minimizer (a ball search's point), as if
     each row had just taken a full Newton step, so the method opens with
     the certified gap.  certified is G's certificate (_definite): every
     Newton step is one LU solve when it holds, an eigendecomposition when
@@ -758,141 +760,171 @@ def _polish(G, C, box, X, gap, tol):
     return X, gap
 
 
-def _anchor_prediction(G, C, box, center, radius, tol, mu_hi):
-    """The box-intersect-ball minimizer predicted from the working set of
-    the anchor (center, the previous block solve's result): the entries of
-    center at a bound stay there, and the free entries F take the step d_F
-    = -(G_FF + mu I)^-1 g_F, g = center G - C the half-gradient at center,
-    with mu the root in (0, mu_hi) of the secular equation ||d(mu)|| =
-    radius, from one eigendecomposition of every row's G_FF.  Where that
-    point leaves the box, the free entries that crossed a bound join the
-    working set at the bound they crossed, and the prediction is solved
-    again (a repair round): with z the center moved so, the half-gradient
-    becomes (z G - C)_F and the distance model gains ||z - center||^2.  The
-    free set shrinks every round, so the rounds end.  The point is
-    returned, scaled onto the ball, only through the ball search's own
-    exits: it lies in the box, mu > 0, the dualized problem's certified gap
-    at it is <= tol, and its distance to center is radius up to BALL_RTOL.
-    Else None.
+# ---------------------------------------------------------------------------
+# box QP over box-intersect-ball
+
+
+def _secular_root(model, radius: float, lo: float, hi: float) -> float:
+    """The root in (lo, hi) of const + sum_j a_j / (w_j + nu)^2 = radius^2,
+    for model = (const, a, w) with a, w >= 0, or nan if there is none.
+    Newton steps on the left side's inverse square root minus 1/radius,
+    concave and increasing in nu (Moré & Sorensen, 1983), approach the root
+    from the left without overshoot; bisection steps guard against rounding.
     """
-    lo, up = box.lo, box.up
-    free = (center != lo) & (center != up)
-    z, const, scale = center, 0.0, _scale(G)
+    const, a, w = model
+    keep = a > 0.0
+    a, w = a[keep], w[keep]
+    target = radius * radius
+    if a.size == 0 or const + float(np.sum(a / (w + hi) ** 2)) >= target:
+        return math.nan
+    if lo + float(w.min()) > 0.0:  # else lo is a pole, where the model is infinite
+        if const + float(np.sum(a / (w + lo) ** 2)) <= target:
+            return math.nan
+        nu = lo
+    else:
+        nu = 0.5 * (lo + hi)
+    for _ in range(BALL_MAX_ITERS):
+        t = w + nu
+        s = a / (t * t)  # the bytes of (w + nu) ** 2, which numpy computes as a square
+        dist2 = const + float(s.sum())
+        if dist2 > target:
+            lo = nu
+        else:
+            hi = nu
+        slope = float((s / t).sum())  # -1/2 times that of dist2
+        step = dist2 * (math.sqrt(dist2) / radius - 1.0) / slope if slope > 0.0 else math.inf
+        if abs(step) <= 4.0 * _EPS * nu or hi - lo <= 4.0 * _EPS * hi:
+            break
+        nu += step
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
+    return nu
+
+
+def _distance(x: np.ndarray, center: np.ndarray) -> float:
+    """||x - center||_F, np.linalg.norm's float without its call overhead."""
+    u = (x - center).ravel()
+    return math.sqrt(u.dot(u))
+
+
+def _ball_is_center(center, radius) -> bool:
+    """Whether radius is numerically zero at center: the ball is its center."""
+    return radius <= BALL_RTOL * (1.0 + float(np.linalg.norm(center)))
+
+
+def _mu_hi(G, C, center, radius) -> float:
+    """A multiplier whose box solve lies in the ball: ||X(mu) - center|| <=
+    ||xi|| / mu for the gradient xi at center, by strong convexity."""
+    return float(np.linalg.norm(2.0 * (center @ G - C))) / radius
+
+
+def _working_set_root(G, C, box, center, radius, free, z, lo, hi):
+    """(mu, X): the secular root mu in (lo, hi) of the working set (free,
+    z), z the fixed values and center on free, and its minimizer X there,
+    or (nan, None).  With G_FF = V diag(w) V' per row, X(nu)_F = z_F + V
+    (coef / (w + nu)) for coef = V'(C - z G)_F, so ||X(nu) - center||^2 =
+    ||z - center||^2 + sum_j coef_j^2 / (w_j + nu)^2.  Free entries that X
+    carries across a bound are fixed there and the model is solved again,
+    one eigendecomposition per round, until X is in the box."""
+    scale = _scale(G)
     while True:
         w, V = np.linalg.eigh(_free_system(G, free, scale))
         w = np.maximum(w, 0.0)  # G is PSD
         coef = np.einsum("nkj,nk->nj", V, np.where(free, C - z @ G, 0.0))
-        mu = _secular_root((const, (coef * coef).ravel(), w.ravel()), radius, 0.0, mu_hi)
-        if not 0.0 < mu < mu_hi:
-            return None
-        X = np.where(free, z + np.einsum("nkj,nj->nk", V, coef / (w + mu)), z)
-        inside = (X >= lo) & (X <= up)
-        if inside.all():
-            break
-        z = np.where(X < lo, lo, np.where(X > up, up, z))
-        free &= inside
         u = (z - center).ravel()
-        const = float(u.dot(u))
-    nrm = _distance(X, center)
-    if abs(nrm - radius) > BALL_RTOL * radius:
-        return None
-    if not _certified_gap(G + mu * _eye(len(G)), C + mu * center, X, box) <= tol:
-        return None
-    return _onto_ball(X, center, radius, nrm)
+        mu = _secular_root((float(u.dot(u)), (coef * coef).ravel(), w.ravel()), radius, lo, hi)
+        if not lo < mu < hi:
+            return math.nan, None
+        X = np.where(free, z + np.einsum("nkj,nj->nk", V, coef / (w + mu)), z)
+        inside = (X >= box.lo) & (X <= box.up)
+        if inside.all():
+            return mu, X
+        z = np.where(X < box.lo, box.lo, np.where(X > box.up, box.up, z))
+        free = free & inside  # the free set shrinks every round
+
+
+def ball_multiplier_search(solve, G, C, box, center, radius, tol, first=None):
+    """Minimizer of the solve_box_qp objective without an l1 term over the
+    box (center in it) and the ball ||X - center||_F <= radius < inf.
+
+    The ball dualized, mu ||X - center||^2 added, leaves the box problem of
+    G + mu I and C + mu center; solve(mu), called once per box solve,
+    returns _minimize of it with the box bound, and first is that at 0 as
+    (X, free, certificate).  The search starts from X(0)'s working set at
+    rank 2, elsewhere from the anchor's, center's entries at a bound (the
+    online active-set hot start of Ferreau, Bock & Diehl, 2008).  Each step
+    takes the working set's root in the bracket (lo, hi) and its point
+    (_working_set_root), the answer if it is on the sphere up to BALL_RTOL
+    and the dualized certified gap there is <= tol.  Else one box solve: at
+    0 first, then at the root from its point (every row's minimizer there)
+    or, with no root, at the midpoint from the last X.  X(0) in the ball or
+    a solve on the sphere is the answer; another narrows the bracket, (0,
+    _mu_hi) at first, and gives the next working set.  A numerically zero
+    radius gives center, a bracket narrowed to BALL_RTOL the last X, and
+    BALL_MAX_ITERS steps raise SubsolverError.  The answer is scaled onto
+    the sphere."""
+    X, free, certified = first or (None, None, None)
+    if X is None and box.enumerable:
+        X, free, _, certified = solve(0.0)(center, tol, False, None)
+    if X is not None and _distance(X, center) <= radius:
+        return X
+    if _ball_is_center(center, radius):
+        return center.copy()
+    lo, hi = 0.0, _mu_hi(G, C, center, radius)
+    if X is None:
+        free, z = (center != box.lo) & (center != box.up), center
+    else:
+        z = np.where(free, center, X)
+    for _ in range(BALL_MAX_ITERS):
+        mu, P = _working_set_root(G, C, box, center, radius, free, z, lo, hi)
+        if P is not None:
+            nrm = _distance(P, center)
+            if (abs(nrm - radius) <= BALL_RTOL * radius
+                    and _certified_gap(G + mu * _eye(len(G)), C + mu * center, P, box) <= tol):
+                X = P
+                break
+        predicted = X is not None and P is not None
+        if not predicted:
+            mu, P = (0.0, center) if X is None else (0.5 * (lo + hi), X)
+        X, free, _, certified = solve(mu)(P, tol, predicted, certified)
+        nrm = _distance(X, center)
+        if abs(nrm - radius) <= BALL_RTOL * radius:
+            break
+        if nrm > radius:
+            lo = mu
+        else:
+            hi = mu  # at mu = 0 the bracket closes: X(0) lies in the ball
+        if hi - lo <= BALL_RTOL * hi:
+            break
+        z = np.where(free, center, X)
+    else:
+        raise SubsolverError(f"ball search iteration cap exceeded: radius {radius}, "
+                             f"bracket ({lo}, {hi}), last distance {nrm}")
+    return X if nrm <= radius else center + (X - center) * (radius / nrm)
 
 
 def _box_qp_ball(G, C, box, center, radius, tol, first=None):
-    """Minimizer of the solve_box_qp objective without an l1 term (box is a
-    lam = 0 family) over the box intersected with the ball ||X - center||_F
-    <= radius (center in the box).  A family of the active-set method (k !=
-    2) first tries the anchor's working set (_anchor_prediction), unless
-    the radius is numerically zero (geometry._ball_is_center), where the
-    search returns the center; otherwise (and at k = 2) each box solve is
-    done by _minimize from the previous one's X, the first from center.
-
-    Dualizing the ball adds mu ||X - center||^2, which keeps the shared
-    Hessian form with G + mu I and rows c_i + mu center_i.  On the working
-    set of X(mu), (G_FF + nu I)(X(nu) - center)_F is the same for every nu,
-    so with G_FF = V diag(w) V' the distance is the rational function
-    ||X(nu) - center||^2 = ||(X - center)_fixed||^2
-    + sum_j ((w_j + mu) (V'(X - center)_F)_j)^2 / (w_j + nu)^2,
-    the model handed to ball_multiplier_search.  A solve after a model
-    starts where the model puts the working set's minimizer at the new
-    multiplier nu, (X(nu) - center)_F = V diag((w + mu) / (w + nu)) V'(X -
-    center)_F, marked as every row's minimizer, if that point lies in the
-    box; else it starts from X.  (The rank-2 closed form ignores the
-    start.)  first, when given, is the solve at mu = 0 as (X, free mask,
-    certificate).  A stack (G of shape (K, k, k); C and center of shape (K,
-    n, k)) of rank 2 solves at mu = 0 in one batch; a member whose part of
-    that solve lies in its ball keeps it, as its own search would, and each
-    other member has its own search from its part.  A stack of any other
-    rank runs each member's prediction and search alone, as its single run
-    does.
-    """
-    X = center if first is None else first[0]
+    """ball_multiplier_search's minimizer, or the box solve's from center at
+    radius inf.  A rank-2 stack (G (K, k, k); C, center (K, n, k)) solves
+    at mu = 0 in one batch and its members outside the ball search from
+    their part (first); other stacks search member by member."""
     if math.isinf(radius):
-        return _minimize(G, C, box, X, tol)[0]
+        return _minimize(G, C, box, center, tol)[0]
     if G.ndim == 3:
         if not box.enumerable:
             return np.stack([_box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol)
                              for j in range(len(C))])
-        # a member whose solve at mu = 0 lies in its ball is done: its search
-        # would test this float first
-        X, free, _, certified = _minimize(G, C, box, X, tol)
+        X, free, _, certified = _minimize(G, C, box, center, tol)
         for j in range(len(C)):
             if not _distance(X[j], center[j]) <= radius:
                 X[j] = _box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
                                     (X[j], free[j], certified[j]))
         return X
 
-    def mu_hi():
-        # strong convexity of the dualized problem: ||X(mu) - center|| <= ||xi|| / mu
-        # for the gradient xi of the objective at center
-        return float(np.linalg.norm(2.0 * (center @ G - C))) / radius
-
-    hi = None  # mu_hi(), once the anchor's prediction has taken it
-    if not box.enumerable and not _ball_is_center(center, radius):
-        hi = mu_hi()
-        Xp = _anchor_prediction(G, C, box, center, radius, tol, hi)
-        if Xp is not None:
-            return Xp
-
-    last = None  # the last model's (mu, free mask, w, V, coefficients)
-    scale = None  # taken with the first model: only a binding ball needs it
-    # G's definiteness certificate, which every G + mu I inherits: taken by
-    # the solve at mu = 0 (None when the closed form solved it)
-    certified = None
-
     def solve(mu):
-        nonlocal X, first, certified
-        if first is not None:  # mu = 0, solved already
-            (X, free, certified), first = first, None
-        elif mu == 0.0:
-            X, free, _, certified = _minimize(G, C, box, X, tol, False, certified)
-        else:
-            start, predicted = X, False
-            if last is not None:
-                mu0, free0, w, V, coef = last
-                moved = np.einsum("nkj,nj->nk", V, coef * ((w + mu0) / (w + mu)))
-                Xp = np.where(free0, center + moved, X)
-                if ((Xp >= box.lo) & (Xp <= box.up)).all():
-                    start, predicted = Xp, True
-            X, free = _minimize(G + mu * _eye(len(G)), C + mu * center, box, start, tol,
-                                predicted, certified)[:2]
-        u = X - center
-
-        def model():
-            nonlocal last, scale
-            if scale is None:
-                scale = _scale(G)
-            w, V = np.linalg.eigh(_free_system(G, free, scale))
-            w = np.maximum(w, 0.0)  # G is PSD
-            coef = np.einsum("nkj,nk->nj", V, np.where(free, u, 0.0))
-            last = (mu, free, w, V, coef)
-            fixed_u = u[~free]
-            return float(fixed_u @ fixed_u), (((w + mu) * coef) ** 2).ravel(), w.ravel()
-        return X, model
-    return ball_multiplier_search(solve, center, radius, mu_hi if hi is None else lambda: hi)
+        Gm, Cm = (G, C) if mu == 0.0 else (G + mu * _eye(len(G)), C + mu * center)
+        return partial(_minimize, Gm, Cm, box)
+    return ball_multiplier_search(solve, G, C, box, center, radius, tol, first)
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +1003,8 @@ def solve_block_quadratic(
     The rows outside the block stay at g.anchor; the block's rows range over
     their slice of box (of dim q*r, the matrix flattened row by row)
     intersected with the ball of the given radius around their slice of the
-    anchor (radius = inf means no trust region).  Each dictionary row of the
+    anchor (radius = inf means no trust region; a nan or negative radius
+    raises ValueError).  Each dictionary row of the
     block is one row of the solve_box_qp family with G = A and c_i the row's
     column of B, with the trust-region ball dualized when the radius is
     finite: at rank 2 exactly in closed form, at any other rank by the
@@ -979,7 +1012,7 @@ def solve_block_quadratic(
     (every row) or an index array (m,).  Returns (W, value, new): W of the
     anchor's shape, and the descent certificate, the objective at the anchor
     and at W, both from one evaluation of the pair.  new never rises above
-    value; a rise raises SubsolverError.  An anchor outside the box raises
+    value; a rise, or a nan, raises SubsolverError.  An anchor outside the box raises
     GeometryError.
 
     A stack of K members is a stacked FactorQuad, anchor (K, q, r), with rows
@@ -987,6 +1020,8 @@ def solve_block_quadratic(
     of the shared radius, W has shape (K, q, r), value and new (K,), and each
     member's certificate is checked on its own.
     """
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be >= 0 (0 and inf allowed), got {radius}")
     prev = g.anchor
     q, r = g.q, g.r
     if not box.contains(prev.reshape(prev.shape[:-2] + (q * r,))):
@@ -1004,10 +1039,10 @@ def solve_block_quadratic(
     obj, new = g.value(np.array((prev, W)))
     if prev.ndim == 2:
         obj, new = float(obj), float(new)
-        if new > obj + 1e-9 * (1.0 + abs(obj)):
+        if not new <= obj + 1e-9 * (1.0 + abs(obj)):
             raise SubsolverError("block solve increased the objective")
         return W, obj, new
     for j, (n, o) in enumerate(zip(new.tolist(), obj.tolist())):
-        if n > o + 1e-9 * (1.0 + abs(o)):
+        if not n <= o + 1e-9 * (1.0 + abs(o)):
             raise SubsolverError(f"block solve increased the objective of stack member {j}")
     return W, obj, new

@@ -374,7 +374,8 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     # FactorQuad per step, and one eigvalsh for C1's audit (a C2 run reads no
     # eigenvalue); the block solve's certificate
     # is that surrogate's value at the previous dictionary; and a ball search
-    # bounds its multiplier only when the unconstrained solve leaves the ball
+    # opens with its box solve at mu = 0 and bounds its multiplier only when
+    # that solve leaves the ball
     import sbmm.bench as bench
     import sbmm.subsolver as subsolver
     from sbmm.quadform import FactorQuad
@@ -382,6 +383,7 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     counts = {"quad": 0, "eig": 0, "steps": 0, "searches": 0, "binding": 0, "bound": 0}
     real_init, real_eig = FactorQuad.__post_init__, np.linalg.eigvalsh
     real_step, real_search = bench.omf_step, subsolver.ball_multiplier_search
+    real_mu_hi = subsolver._mu_hi
 
     def init(self):
         counts["quad"] += 1
@@ -398,27 +400,33 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
         assert res.g_new == res.quad.value(res.W) == res.value_at(res.W)
         return res
 
-    def search(solve, center, radius, mu_hi):
+    def search(solve, G, C, box, center, radius, *args):
         first = []
 
         def recorded(mu):
-            x, model = solve(mu)
-            if not first:
-                first.append(float(np.linalg.norm(x - center)) > radius)
-            return x, model
+            box_solve = solve(mu)
 
-        def bound():
-            counts["bound"] += 1
-            return mu_hi()
-        out = real_search(recorded, center, radius, bound)
+            def run(*solve_args):
+                out = box_solve(*solve_args)
+                if not first:
+                    assert mu == 0.0
+                    first.append(float(np.linalg.norm(out[0] - center)) > radius)
+                return out
+            return run
+        out = real_search(recorded, G, C, box, center, radius, *args)
         counts["searches"] += 1
         counts["binding"] += first[0]
         return out
+
+    def bound(*args):
+        counts["bound"] += 1
+        return real_mu_hi(*args)
 
     monkeypatch.setattr(FactorQuad, "__post_init__", init)
     monkeypatch.setattr(np.linalg, "eigvalsh", eig)
     monkeypatch.setattr(bench, "omf_step", step)
     monkeypatch.setattr(subsolver, "ball_multiplier_search", search)
+    monkeypatch.setattr(subsolver, "_mu_hi", bound)
     rng = np.random.default_rng(5)
     P = rng.uniform(0.2, 1.0, size=(2, 2))
     src = MarkovSource(P=P / P.sum(axis=1, keepdims=True),

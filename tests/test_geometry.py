@@ -199,7 +199,7 @@ def test_box_ball_matches_bisection_reference():
 
 def _secular_root_reference(model, radius, lo, hi):
     """_secular_root as it was written with (w + nu) ** 2 and np.sum."""
-    from sbmm.geometry import BALL_MAX_ITERS
+    from sbmm.subsolver import BALL_MAX_ITERS
 
     eps = float(np.finfo(float).eps)
     const, a, w = model
@@ -237,7 +237,7 @@ def test_secular_root_matches_its_reference_bytes(seed):
     # each iteration forms w + nu once; the root keeps the bytes of the loop
     # that formed it three times, on models with zero weights, zero
     # eigenvalues (a pole at nu = 0) and brackets with or without a root
-    from sbmm.geometry import _secular_root
+    from sbmm.subsolver import _secular_root
 
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 41))

@@ -410,53 +410,111 @@ def test_ball_search_matches_bisection_across_working_sets(k):
     assert sum(changed) >= 2
 
 
-def test_ball_search_fixed_working_set_takes_two_solves(monkeypatch):
-    # the box never binds, so every multiplier shares the all-free working
-    # set, and the root of the first distance model is the answer
-    import sbmm.geometry as geometry
+@pytest.mark.parametrize("seed", [88, 120, 190, 363])
+def test_ball_search_inside_the_ball_after_an_anchor_root(monkeypatch, seed):
+    # the rank-5 instances among seeds 0-399 whose anchor's first secular
+    # root lies in (0, mu_hi) while the answer lies strictly inside the
+    # ball: the search does not bisect towards that root (its bracket would
+    # never narrow), but returns the box solve at mu = 0, X(0), in at most
+    # two box solves
     import sbmm.subsolver as subsolver
-    from sbmm.geometry import ball_multiplier_search
 
-    calls = []
+    G, C, lo, up, center, radius = _ball_block_instance(np.random.default_rng(seed), 5)
+    X_ref, _, _ = _ball_bisection_reference(G, C, lo, up, center, radius)
+    assert float(np.linalg.norm(X_ref - center)) < radius
+    solves = _record_ball_solves(monkeypatch)
+    roots, real_root = [], subsolver._secular_root
 
-    def counting(solve, center, *args):
-        def counted(mu):
-            x, model = solve(mu)
-            calls.append((mu, float(np.sum((x - center) ** 2)), model))
-            return x, model
-        return ball_multiplier_search(counted, center, *args)
+    def root(*args):
+        roots.append(real_root(*args))
+        return roots[-1]
+    monkeypatch.setattr(subsolver, "_secular_root", root)
+    X = subsolver._box_qp_ball(G, C, subsolver._box_family(0.0, lo, up, 5), center, radius, 1e-12)
+    assert 0.0 < roots[0] < subsolver._mu_hi(G, C, center, radius)
+    assert len(solves) <= 2
+    np.testing.assert_allclose(X, X_ref, rtol=0.0, atol=1e-12)
 
-    def check_models():
-        # on the shared working set each model gives the distance at every mu
-        for _, _, model in calls:
-            const, a, w = model()
-            for nu, dist2, _ in calls:
-                assert abs(const + float(np.sum(a / (w + nu) ** 2)) - dist2) <= 1e-12 * dist2
 
-    monkeypatch.setattr(subsolver, "ball_multiplier_search", counting)
-    monkeypatch.setattr(geometry, "ball_multiplier_search", counting)
+def test_ball_search_cap_raises(monkeypatch):
+    # a search that reaches BALL_MAX_ITERS steps raises, naming the radius,
+    # the bracket and the last distance, instead of scaling an unverified
+    # point onto the sphere; with the cap in place the instance needs more
+    # than one box solve
+    import sbmm.subsolver as subsolver
+
+    G, C, lo, up, center, radius = _ball_block_instance(np.random.default_rng(0), 5)
+    fam = subsolver._box_family(0.0, lo, up, 5)
+    with monkeypatch.context() as m:
+        solves = _record_ball_solves(m)
+        subsolver._box_qp_ball(G, C, fam, center, radius, 1e-12)
+        assert len(solves) > 1
+    monkeypatch.setattr(subsolver, "BALL_MAX_ITERS", 1)
+    with pytest.raises(subsolver.SubsolverError,
+                       match=r"radius .*, bracket \(.*, .*\), last distance "):
+        subsolver._box_qp_ball(G, C, fam, center, radius, 1e-12)
+
+
+@pytest.mark.parametrize("K", [None, 3], ids=["single", "stack"])
+@pytest.mark.parametrize("r", [2, 5])
+@pytest.mark.parametrize("radius", [math.nan, -0.1, -math.inf])
+def test_block_quadratic_refuses_a_bad_radius(r, K, radius):
+    # a radius that is nan or negative is refused; 0 and inf stay legal
+    rng = np.random.default_rng(60 + r)
+    lead, q = () if K is None else (K,), 4
+    H = rng.uniform(0.0, 1.0, size=lead + (r, r + 2))
+    B = rng.uniform(2.0, 5.0, size=lead + (r, q))
+    C = 1.0 if K is None else np.ones(K)
+    g = FactorQuad(H @ H.swapaxes(-1, -2), B, C, rng.uniform(0.2, 0.8, size=lead + (q, r)))
+    box = BoxSet.uniform(q * r, 0.0, 1.0)
+    with pytest.raises(ValueError, match="radius"):
+        solve_block_quadratic(g, box, radius)
+    for legal in (0.0, math.inf):
+        W, _, new = solve_block_quadratic(g, box, legal)
+        assert np.isfinite(W).all() and np.isfinite(new).all()
+
+
+def test_ball_search_fixed_working_set_settles_on_its_point(monkeypatch):
+    # the box never binds, so every multiplier shares the all-free working
+    # set, and its secular root's point is the answer: at rank 2 after the
+    # closed form's one box solve at mu = 0, at every other rank (the
+    # active-set method) from the anchor's working set with no box solve.
+    # The working set's model gives the box solve's distance at every mu
+    import sbmm.subsolver as subsolver
+
+    solves = _record_ball_solves(monkeypatch)
+
+    def check_model(G, C, box, center, radius):
+        # the working set's point at the root of a distance is the box solve there
+        free = np.ones(C.shape, dtype=bool)
+        hi = subsolver._mu_hi(G, C, center, radius)
+        for nu in (0.1 * hi, 0.5 * hi):
+            X = solve_box_qp(G + nu * np.eye(len(G)), C + nu * center, box.lo, box.up, tol=0.0)[0]
+            dist = float(np.linalg.norm(X - center))
+            mu, P = subsolver._working_set_root(G, C, box, center, dist, free, center, 0.0, hi)
+            assert abs(mu - nu) <= 1e-9 * nu
+            np.testing.assert_allclose(P, X, rtol=0.0, atol=1e-12)
+
     rng = np.random.default_rng(3)
-    for k in (2, 5):  # enumerated and active-set box solves
+    for k in (2, 5):  # closed-form and active-set box solves
         M = rng.normal(size=(k, k))
         G = M @ M.T + 0.5 * np.eye(k)
         C = rng.normal(size=(3, k))
         center = np.zeros((3, k))
         radius = 0.1 * float(np.linalg.norm(np.linalg.solve(G, C.T)))
-        calls.clear()
+        solves.clear()
         box = subsolver._box_family(0.0, -100.0, 100.0, k)
-        X = subsolver._box_qp_ball(G, C, box, center, radius, 1e-12)
-        mus = [mu for mu, _, _ in calls]
-        assert len(mus) == 2 and mus[0] == 0.0 < mus[1]
+        X = subsolver._box_qp_ball(G, C, box, center, radius, 1e-8)
+        assert [mu for mu, *_ in solves] == ([0.0] if k == 2 else [])
         assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
-        check_models()
-    calls.clear()
+        check_model(G, C, box, center, radius)
+    solves.clear()
     # projection onto box intersect ball: one row per entry with G = I
     x, c = np.array([3.0, -1.0, 2.0]), np.array([0.5, 0.5, 0.0])
     box = subsolver._box_family(0.0, np.full((3, 1), -10.0), np.full((3, 1), 10.0), 1)
-    y = subsolver._box_qp_ball(np.eye(1), x[:, None], box, c[:, None], 0.25, 1e-12)[:, 0]
-    assert len(calls) == 2
+    y = subsolver._box_qp_ball(np.eye(1), x[:, None], box, c[:, None], 0.25, 1e-8)[:, 0]
+    assert solves == []
     assert abs(float(np.linalg.norm(y - [0.5, 0.5, 0.0])) - 0.25) <= 1e-15
-    check_models()
+    check_model(np.eye(1), x[:, None], box, c[:, None], 0.25)
 
 
 @given(st.integers(0, 10_000), st.sampled_from([1e-6, 1e-8, 1e-10]))
@@ -1186,29 +1244,26 @@ def test_rank5_run_takes_one_cholesky_per_solve(monkeypatch, tmp_path):
 
 def _record_ball_solves(monkeypatch):
     """Per box solve of each ball search: its multiplier, the Newton
-    directions and certified gaps it computed, and whether its active-set
-    run started from the prediction."""
+    directions and certified gaps it computed, and whether it started from
+    the working set's point at that multiplier (predicted)."""
     import sbmm.subsolver as subsolver
 
     counts = _count_calls(monkeypatch, subsolver, ["_newton_direction", "_gap_total"])
-    solves, predicted = [], []
-    real_active, real_search = subsolver._active_set, subsolver.ball_multiplier_search
+    solves = []
+    real_search = subsolver.ball_multiplier_search
 
-    def active(*args):
-        predicted.append(len(args) > 5 and args[5])
-        return real_active(*args)
-
-    def search(solve, center, radius, mu_hi):
+    def search(solve, *args):
         def recorded(mu):
-            before = dict(counts)
-            predicted.clear()
-            x, model = solve(mu)
-            solves.append((mu, counts["_newton_direction"] - before["_newton_direction"],
-                           counts["_gap_total"] - before["_gap_total"],
-                           bool(predicted and predicted[0])))
-            return x, model
-        return real_search(recorded, center, radius, mu_hi)
-    monkeypatch.setattr(subsolver, "_active_set", active)
+            box_solve = solve(mu)
+
+            def run(start, tol, predicted, certified):
+                before = dict(counts)
+                out = box_solve(start, tol, predicted, certified)
+                solves.append((mu, counts["_newton_direction"] - before["_newton_direction"],
+                               counts["_gap_total"] - before["_gap_total"], predicted))
+                return out
+            return run
+        return real_search(recorded, *args)
     monkeypatch.setattr(subsolver, "ball_multiplier_search", search)
     return solves
 
@@ -1237,15 +1292,15 @@ def _rank5_binding_block(rng, box):
 
 @pytest.mark.parametrize("box", ["wide", "dictionary"])
 def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
-    # the ball search on rank-5 blocks whose working set holds from mu = 0
-    # to the root (the anchor's prediction turned off, so that the search
-    # runs): the solve at the root starts at the point the distance model
-    # predicts, makes no Newton step and one certified gap, and the search
-    # ends after two solves.  With the anchor's prediction on, the wide
-    # block, whose all-free anchor has the root's working set, takes the
-    # anchor's path instead: no search, no Newton step, one certified gap
-    # and no Cholesky factorization.  Every result is the bisection
-    # reference's
+    # rank-5 blocks whose ball binds and whose working set holds from mu = 0
+    # to the root.  A box solve at the root of the working set of the solve
+    # at mu = 0, started from that working set's point there (marked as
+    # every row's minimizer), makes no Newton step and one certified gap and
+    # returns the point.  The search needs no box solve at a multiplier
+    # above 0: the point passes its exits.  The wide block, whose all-free
+    # anchor has the root's working set, needs no box solve at all: no
+    # Newton step, one certified gap and no Cholesky factorization.  Every
+    # result is the bisection reference's
     import sbmm.subsolver as subsolver
 
     G, C, lo, up, center, radius = _rank5_binding_block(np.random.default_rng(64), box)
@@ -1259,22 +1314,34 @@ def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
         assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
         assert abs(obj(X) - obj(X_ref)) <= 1e-10 * max(1.0, abs(obj(X_ref)))
 
+    X0, free0, _, certified = subsolver._minimize(G, C, fam, center, 1e-8)
+    hi = subsolver._mu_hi(G, C, center, radius)
+    mu, P = subsolver._working_set_root(G, C, fam, center, radius, free0,
+                                        np.where(free0, center, X0), 0.0, hi)
     with monkeypatch.context() as m:
-        m.setattr(subsolver, "_anchor_prediction", lambda *args: None)
-        solves = _record_ball_solves(m)
-        X = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
-    (mu0, _, _, _), (mu1, newton, gaps, predicted) = solves
-    assert mu0 == 0.0 < mu1
-    assert predicted and newton == 0 and gaps == 1
+        counts = _count_calls(m, subsolver, ["_newton_direction", "_gap_total"])
+        X = subsolver._minimize(G + mu * np.eye(5), C + mu * center, fam, P, 1e-8, True,
+                                certified)[0]
+    assert counts == {"_newton_direction": 0, "_gap_total": 1} and X.tobytes() == P.tobytes()
     check(X)
     solves = _record_ball_solves(monkeypatch)
     counts = _count_calls(monkeypatch, subsolver, ["_newton_direction", "_gap_total"])
     cholesky = _count_calls(monkeypatch, np.linalg, ["cholesky"])
     X = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
     check(X)
+    assert all(mu == 0.0 for mu, *_ in solves)
     if box == "wide":
         assert solves == [] and counts == {"_newton_direction": 0, "_gap_total": 1}
         assert cholesky == {"cholesky": 0}
+
+
+def _search_from_mu_zero(G, C, box, center, radius, tol):
+    """The ball search started from the working set of the box solve at mu =
+    0 instead of the anchor's."""
+    import sbmm.subsolver as subsolver
+
+    X, free, _, certified = subsolver._minimize(G, C, box, center, tol)
+    return subsolver._box_qp_ball(G, C, box, center, radius, tol, (X, free, certified))
 
 
 def _anchor_block(rng, kind):
@@ -1309,18 +1376,18 @@ def _anchor_block(rng, kind):
 
 @pytest.mark.parametrize("kind", ["holds", "changes", "inside"])
 def test_anchor_prediction_matches_bisection(monkeypatch, kind):
-    # a rank-5 block solve (the active-set path) takes the anchor's
-    # prediction exactly when the ball binds and the anchor's working set
-    # is the answer's: then it runs no ball search and no Newton step and
-    # computes one certified gap, and its result is the ball search's up to
-    # rounding.  Otherwise it falls back to the search.  Every result is
-    # the bisection reference's
+    # a rank-5 block solve (the active-set path) settles on the point of
+    # the anchor's working set exactly when the ball binds and that working
+    # set is the answer's: then it makes no box solve and no Newton step and
+    # computes one certified gap, and its result is that of the search
+    # started from the solve at mu = 0 up to rounding.  Otherwise it goes on
+    # with box solves.  Every result is the bisection reference's
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(90)
     fam = subsolver._box_family(0.0, 0.0, 1.0, 5)
-    counts = _count_calls(monkeypatch, subsolver,
-                          ["_newton_direction", "_gap_total", "ball_multiplier_search"])
+    solves = _record_ball_solves(monkeypatch)
+    counts = _count_calls(monkeypatch, subsolver, ["_newton_direction", "_gap_total"])
     obj = lambda X, G, C: float(np.sum(X * (X @ G - 2.0 * C)))
     taken = []
     for trial in range(20):
@@ -1330,9 +1397,10 @@ def test_anchor_prediction_matches_bisection(monkeypatch, kind):
         binding = float(np.linalg.norm(solve_box_qp(G, C, lo, up, tol=0.0)[0] - center)) > radius
         holds = binding and np.array_equal(fixed_ref, (center == 0.0) | (center == 1.0))
         before = dict(counts)
+        solves.clear()
         X = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
         work = {name: counts[name] - before[name] for name in counts}
-        anchored = work["ball_multiplier_search"] == 0
+        anchored = solves == []
         assert anchored == holds
         assert (X >= 0.0).all() and (X <= 1.0).all()
         dist = float(np.linalg.norm(X - center))
@@ -1342,9 +1410,7 @@ def test_anchor_prediction_matches_bisection(monkeypatch, kind):
         assert abs(obj(X, G, C) - obj(X_ref, G, C)) <= 1e-10 * max(1.0, abs(obj(X_ref, G, C)))
         if anchored:
             assert work["_newton_direction"] == 0 and work["_gap_total"] == 1
-            with monkeypatch.context() as m:
-                m.setattr(subsolver, "_anchor_prediction", lambda *args: None)
-                X_search = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
+            X_search = _search_from_mu_zero(G, C, fam, center, radius, 1e-8)
             assert float(np.abs(X - X_search).max()) <= 1e-12
         taken.append(anchored)
     # each kind is what it says in most instances
@@ -1355,14 +1421,15 @@ def test_anchor_prediction_repairs_entries_that_cross_a_bound(monkeypatch):
     # where the step at the anchor's multiplier carries free entries across
     # a bound ("crosses"), the repair rounds fix them at the bound they
     # crossed and solve the anchor's model again: most instances are settled
-    # without a ball search, one eigendecomposition per round, some after a
+    # without a box solve, one eigendecomposition per round, some after a
     # second repair round.  Every result lies in the box on the sphere, is
-    # the bisection reference's and is the search's up to rounding
+    # the bisection reference's and is the search's from the solve at mu =
+    # 0 up to rounding
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(91)
     fam = subsolver._box_family(0.0, 0.0, 1.0, 5)
-    counts = _count_calls(monkeypatch, subsolver, ["ball_multiplier_search"])
+    solves = _record_ball_solves(monkeypatch)
     eigh = _count_calls(monkeypatch, np.linalg, ["eigh"])
     obj = lambda X, G, C: float(np.sum(X * (X @ G - 2.0 * C)))
     rounds = []
@@ -1370,29 +1437,45 @@ def test_anchor_prediction_repairs_entries_that_cross_a_bound(monkeypatch):
         G, C, center, radius = _anchor_block(rng, "crosses")
         lo, up = np.zeros_like(C), np.ones_like(C)
         X_ref, _, _ = _ball_bisection_reference(G, C, lo, up, center, radius)
-        searches, eighs = counts["ball_multiplier_search"], eigh["eigh"]
+        solves.clear()
+        eighs = eigh["eigh"]
         X = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
-        if counts["ball_multiplier_search"] == searches:
+        if solves == []:
             rounds.append(eigh["eigh"] - eighs)
         assert (X >= 0.0).all() and (X <= 1.0).all()
         assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
         assert abs(obj(X, G, C) - obj(X_ref, G, C)) <= 1e-10 * max(1.0, abs(obj(X_ref, G, C)))
-        with monkeypatch.context() as m:
-            m.setattr(subsolver, "_anchor_prediction", lambda *args: None)
-            X_search = subsolver._box_qp_ball(G, C, fam, center, radius, 1e-8)
+        X_search = _search_from_mu_zero(G, C, fam, center, radius, 1e-8)
         assert float(np.abs(X - X_search).max()) <= 1e-12
     assert len(rounds) >= 15 and min(rounds) >= 2 and max(rounds) >= 3
 
 
-def test_ball_search_prediction_outside_box_falls_back(monkeypatch):
-    # where the working set changes the prediction can leave the box: those
-    # solves start from the last solution instead, and every search still
+def test_ball_search_root_solves_start_at_the_working_set_point(monkeypatch):
+    # where the working set changes, a box solve at a working set's secular
+    # root starts from its point there, which the repair rounds keep in the
+    # box; a box solve at mu = 0 or at the bracket's midpoint (no root in
+    # the bracket) starts from the last solution.  Every search still
     # matches the bisection reference
+    import sbmm.subsolver as subsolver
+
     solves = _record_ball_solves(monkeypatch)
+    roots, real_root = [], subsolver._working_set_root
+
+    def root(*args):
+        mu, X = real_root(*args)
+        roots.append(mu)
+        return mu, X
+    monkeypatch.setattr(subsolver, "_working_set_root", root)
+    found = []
     for seed in range(16):
+        roots.clear()
+        solves.clear()
         _check_ball_block(seed, 5)
-    later = [predicted for mu, _, _, predicted in solves if mu > 0.0]
-    assert any(later) and not all(later)
+        # each box solve follows one root, the one just before it
+        for (mu, _, _, predicted), last in zip(solves, roots):
+            assert predicted == (mu > 0.0 and mu == last)
+            found.append(predicted)
+    assert any(found) and not all(found)
 
 
 # ---------------------------------------------------------------------------
