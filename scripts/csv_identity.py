@@ -15,8 +15,8 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
   rank;
 - a 4-seed ``run_sweep`` of ``configs/omf_markov.cfg``;
 - a 16-seed ``run_sweep`` of ``configs/omf_markov.cfg``, under ``sweep16``:
-  its code solves (64 entries) and block solves (48 member rows) take the
-  rank-2 closed form's array batch, past ``_PAIR_LOOP_ROWS``;
+  its code solves (32 member rows) and block solves (48) take the rank-2
+  closed form's array batch, past ``_PAIR_LOOP_ROWS``;
 - a 4-seed ``run_sweep`` of ``configs/omf_sub.cfg`` with ``app.row_sample =
   0.5``, whose members draw different row counts, so that the stacked step
   solves one group of members per row count;
@@ -38,18 +38,21 @@ CSV that differs, stderr gets the size of the difference: the largest
 |change| / (1 + |parent|) over its entries, and the column it is in.
 ``--steps N`` caps every run's ``engine.n_iters`` at N, for a quick check.
 
-The work of ``omf_markov`` and ``cpdl`` at seed 0, of the 4-seed
-``omf_markov`` sweep, of each rank-5 run and of the rank-5 sweep, which a
+The work of ``omf_markov`` and ``cpdl`` at seed 0, of the 4- and 16-seed
+``omf_markov`` sweeps, of each rank-5 run and of the rank-5 sweep, which a
 machine's speed does not change, goes to stderr: its ball-search
 evaluations (the box solves of every ``ball_multiplier_search``, each one
-call of the ``solve(mu)`` that it takes as its first argument) and its
-``np.linalg.cholesky``, ``np.linalg.eigh``, ``np.linalg.solve`` and
-``np.linalg.inv`` calls (solve makes the Newton steps and least-squares
-starts of certified Hessians; no solver inverts a matrix, so inv reads 0, a
-guard against one that does) in each checkout, counted by wrapping
-``sbmm.subsolver.ball_multiplier_search`` and the four numpy functions in
-the interpreter that runs that checkout.  A last line sums each count but
-inv over the four rank-5 runs, in the parent and in the change.
+call of the ``solve(mu)`` that it takes as its first argument), the rank-2
+candidates whose objective the closed form's enumeration evaluates (one per
+``_pair_objective`` call on floats, one per entry on arrays; a row whose
+start's pattern verifies evaluates none), and its ``np.linalg.cholesky``,
+``np.linalg.eigh``, ``np.linalg.solve`` and ``np.linalg.inv`` calls (solve
+makes the Newton steps and least-squares starts of certified Hessians; no
+solver inverts a matrix, so inv reads 0, a guard against one that does) in
+each checkout, counted by wrapping ``sbmm.subsolver.ball_multiplier_search``,
+``sbmm.subsolver._pair_objective`` and the four numpy functions in the
+interpreter that runs that checkout.  A last line sums each count but inv
+over the four rank-5 runs, in the parent and in the change.
 
 Usage:
     python3 scripts/csv_identity.py PARENT_DIR CHANGE_DIR [--steps N]
@@ -82,7 +85,7 @@ COUNTS = "counts.json"  # the counted runs' work, under each checkout's WORK
 # the rank-5 runs as (name, input seed, engine seed)
 RANK5_RUNS = (tuple((f"omf_rank5_seed{s}", s, s) for s in SEEDS)
               + (("omf_rank5_in2_seed1", 2, 1),))
-WORK_COUNTS = ("ball_evals", "cholesky", "eigh", "solve", "inv")
+WORK_COUNTS = ("ball_evals", "pair_candidates", "cholesky", "eigh", "solve", "inv")
 STRADDLE = "constraint.lower = -1\n"  # a box across zero, [-1, 1]
 
 
@@ -106,14 +109,16 @@ def write_cpdl3(out: Path) -> str:
 def count_work(run) -> dict:
     """run() with its work counted: the evaluations of every ball search
     (the calls of the solve(mu) that sbmm.subsolver.ball_multiplier_search
-    takes first, one per box solve) and the calls of
-    np.linalg.cholesky, np.linalg.eigh, np.linalg.solve and np.linalg.inv."""
+    takes first, one per box solve), the rank-2 candidates that
+    sbmm.subsolver._pair_objective evaluates (one per entry of its result)
+    and the calls of np.linalg.cholesky, np.linalg.eigh, np.linalg.solve and
+    np.linalg.inv."""
     import numpy as np
     from sbmm import subsolver
 
     counts = dict.fromkeys(WORK_COUNTS, 0)
-    linalg = {name: getattr(np.linalg, name) for name in WORK_COUNTS[1:]}
-    search = subsolver.ball_multiplier_search
+    linalg = {name: getattr(np.linalg, name) for name in WORK_COUNTS[2:]}
+    search, objective = subsolver.ball_multiplier_search, subsolver._pair_objective
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -123,15 +128,22 @@ def count_work(run) -> dict:
 
     def counted_search(solve, *args, **kwargs):
         return search(counted("ball_evals", solve), *args, **kwargs)
+
+    def counted_objective(*args):
+        obj = objective(*args)
+        counts["pair_candidates"] += np.size(obj)
+        return obj
     for name, fn in linalg.items():
         setattr(np.linalg, name, counted(name, fn))
     subsolver.ball_multiplier_search = counted_search
+    subsolver._pair_objective = counted_objective
     try:
         run()
     finally:
         for name, fn in linalg.items():
             setattr(np.linalg, name, fn)
         subsolver.ball_multiplier_search = search
+        subsolver._pair_objective = objective
     return counts
 
 
@@ -179,8 +191,9 @@ def write_set(out: Path, steps: int | None) -> None:
     work["omf_markov_sweep"] = count_work(functools.partial(
         run_sweep, config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep"), SWEEP_SEEDS,
         out_dir=csvs / "sweep"))
-    run_sweep(config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep16"), BATCH_SEEDS,
-              out_dir=csvs / "sweep16")
+    work["omf_markov_sweep16"] = count_work(functools.partial(
+        run_sweep, config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep16"),
+        BATCH_SEEDS, out_dir=csvs / "sweep16"))
     run_sweep(config(root / "configs" / "omf_sub.cfg", "omf_sub_sweep", "app.row_sample = 0.5\n"),
               SWEEP_SEEDS, out_dir=csvs / "sweep")
     run_sweep(config(root / "configs" / "cpdl.cfg", "cpdl_sweep"), SWEEP_SEEDS[:2],

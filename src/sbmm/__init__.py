@@ -19,7 +19,7 @@ from .geometry import (
     stationarity_measure,
 )
 from .quadform import FactorQuad
-from .subsolver import soft_threshold, solve_box_qp, solve_code_lasso, solve_block_quadratic
+from .subsolver import solve_box_qp, solve_code_lasso, solve_block_quadratic
 from .stream import (
     MarkovSource,
     stationary_distribution,
@@ -40,7 +40,6 @@ from .bench import (
     RunConfig,
     RunResult,
     eval_empirical,
-    eval_expected,
     eps_bar_update,
     emit_csv,
     parse_config,

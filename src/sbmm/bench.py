@@ -56,14 +56,13 @@ from .geometry import BoxSet, stationarity_measure, tangent_cone_project
 from .schedule import _VALIDATION_HORIZON, WeightSchedule, validate_schedule
 from .stream import (MarkovSource, StreamError, make_iid, mixing_rate, next_sample,
                      stationary_distribution, tv_decay)
-from .subsolver import SubsolverError, code_solve_takes_start
+from .subsolver import SubsolverError
 
 __all__ = [
     "DiagnosticsRecord",
     "RunConfig",
     "RunResult",
     "eval_empirical",
-    "eval_expected",
     "eps_bar_update",
     "emit_csv",
     "read_csv",
@@ -138,19 +137,6 @@ def eval_empirical(theta, sample_log, schedule, n, loss):
         v, g = loss(sample_log[k - 1], theta)
         value += wk * v
         grad = wk * g if grad is None else grad + wk * g
-    return value, grad
-
-
-def eval_expected(theta, source: MarkovSource, loss):
-    """Exact expected loss and gradient under the stationary distribution,
-    with loss(x, theta) -> (value, gradient)."""
-    pi = stationary_distribution(source)
-    value = 0.0
-    grad = None
-    for y in range(source.S):
-        v, g = loss(source.emissions[y], theta)
-        value += pi[y] * v
-        grad = pi[y] * g if grad is None else grad + pi[y] * g
     return value, grad
 
 
@@ -239,10 +225,9 @@ def run_omf_diagnostics(
     if (not one and len(W0) != K) or len(rngs) != K:
         raise ValueError("a stack needs one W0 and one rng per source")
     st = OmfState.initial(W0, 1.0 if mode == "c1" else 0.0)
-    # a code solve by the active-set method starts from the code its member
-    # last solved for the chain state it draws (from its default start for a
-    # state it has not drawn yet); the rank-2 closed form reads no start
-    codes = [{} for _ in sources] if code_solve_takes_start(code_set, lam) else None
+    # a code solve starts from the code its member last solved for the chain
+    # state it draws (from its default start for a state it has not drawn yet)
+    codes = [{} for _ in sources]
 
     def draw_rows(g):
         rows = np.asarray(row_sampler(g), dtype=int)
@@ -251,18 +236,14 @@ def run_omf_diagnostics(
         return rows
 
     def step(xs, ys, w_n, radius):
-        rows = H0 = None
+        rows = None
         if row_sampler is not None:
             rows = draw_rows(rngs[0]) if one else [draw_rows(g) for g in rngs]
-        if codes is not None:
-            H0 = [known.get(y) for known, y in zip(codes, ys)]
-            if one:
-                H0 = H0[0]
+        H0 = codes[0].get(ys[0]) if one else [known.get(y) for known, y in zip(codes, ys)]
         res = omf_step(xs[0] if one else np.stack(xs), st.W, st.A, st.B, w_n, lam, dict_box,
                        code_set, C_prev=st.C, radius=radius, tol=solver_tol, rows=rows, H0=H0)
-        if codes is not None:
-            for known, y, H in zip(codes, ys, [res.H] if one else res.H):
-                known[y] = H
+        for known, y, H in zip(codes, ys, [res.H] if one else res.H):
+            known[y] = H
         # the audits read res.quad, so it must hold the statistics the run carries on
         if not (res.quad.A is res.A and res.quad.B is res.B and res.quad.C is res.C):
             raise RuntimeError("omf_step's surrogate does not hold the step's statistics")
@@ -279,7 +260,7 @@ def run_omf_diagnostics(
     def losses(X, W, j):
         # each state's code solve starts from the code member j last solved
         # for that state, as a step's does
-        H0 = None if codes is None else [codes[j].get(y) for y in range(len(X))]
+        H0 = [codes[j].get(y) for y in range(len(X))]
         values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol, H0=H0)
         return values, [grads]
 

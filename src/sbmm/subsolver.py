@@ -6,21 +6,22 @@ column minimizes h'Gh - 2c'h + lam ||h||_1 with G = W'W, and each
 dictionary row of a FactorQuad minimizes w'Aw - 2b'w, since the Hessian of
 tr(W A W') is A on every row.  ``solve_box_qp`` solves all right-hand sides
 of such a family at once, in finitely many steps, by one of two solvers,
-chosen by the rank k alone.  At k = 2, every shipped config's, it
-enumerates the KKT patterns (each entry at a bound, at the l1 kink, or free
-with a fixed sign) and keeps the best feasible candidate, which is exact:
-each pattern's 2 x 2 or 1 x 1 free system is solved in closed form by
-Cramer's rule (_pairs), in Python floats for one family, with no LAPACK
-call.  At every other k it runs a primal active-set method (Newton steps on
-the free entries, taken whole when every free entry lands strictly inside
-its bounds, else cut where the first bound blocks and that bound joining
-the working set, one fixed entry released per row while its certified gap
-says it can still improve) that stops once the certified gap is within
-tolerance; it starts from the clipped least-squares minimizer unless given
-a start (the runner gives each code solve, a step's and a checkpoint's, the
-code its member last solved for the same chain state, usually one Newton
-step from the answer; the closed form reads no start).  The box QP has one
-definiteness test, a certificate per Hessian (_definite): a Cholesky
+chosen by the rank k alone.  At k = 2, every shipped config's, it solves
+KKT patterns (each entry at a bound, at the l1 kink, or free with a fixed
+sign) in closed form, each 2 x 2 or 1 x 1 free system by Cramer's rule in
+Python floats (_pairs): a row keeps its start's pattern if that candidate
+is a KKT point (in the box, with its signs, every fixed entry's gap term
+zero), and so the minimizer; any other row enumerates every pattern and
+keeps the best feasible candidate.  At every other k it runs a primal
+active-set method (Newton steps on the free entries, taken whole when every
+free entry lands strictly inside its bounds, else cut where the first bound
+blocks and that bound joining the working set, one fixed entry released per
+row while its certified gap says it can still improve) that stops once the
+certified gap is within tolerance, from the clipped least-squares minimizer
+unless given a start.  The runner starts each code solve, a step's and a
+checkpoint's, at the code its member last solved for the same chain state,
+usually the minimizer's pattern or one Newton step from it.  The box QP has
+one definiteness test, a certificate per Hessian (_definite): a Cholesky
 factorization of G - _DEFINITE_RTOL * scale * I, taken once per code solve
 and once per block solve that needs one, single or stacked, shows every
 free system of every G + mu I positive definite.  Under it the Newton steps
@@ -63,15 +64,14 @@ operations, so they are the bytes its own family's solve gives.
 
 What a solve reads of its box comes from one box family per (k, lam, box),
 derived once (_BoxFamily): at rank 2 the KKT patterns and their values at
-the bounds (as Python tuples for the loop and arrays for the batch), and
-for every rank the clipped zero, the width and the release floor's bound.
-Code and block solves reach it from their BoxSet (a block of whole
-dictionary rows, one family row each, as the box's family cut to those
-rows), a bare solve_box_qp call with one cache lookup.  On a box with
+the bounds, and for every rank the clipped zero, the width and the release
+floor's bound.  Code and block solves reach it from their BoxSet (a block
+of whole dictionary rows, one family row each, as the box's family cut to
+those rows), a bare solve_box_qp call with one cache lookup.  On a box with
 every lower bound >= 0, as every shipped box is, lam ||x||_1 = lam sum(x)
-is linear, and the closed form, the certified gap and the active-set
-method skip the l1 sign bookkeeping, with the same floats; every other box
-takes the general path.
+is linear, and the closed form, the certified gap and the active-set method
+skip the l1 sign bookkeeping, with the same floats; every other box takes
+the general path.
 
 Both solvers certify what they return, and return the certificate with
 the solution: the code solver its convexity-based objective gap bound,
@@ -103,7 +103,6 @@ from .geometry import BoxSet, GeometryError
 from .quadform import FactorQuad
 
 __all__ = [
-    "soft_threshold",
     "solve_box_qp",
     "solve_code_lasso",
     "solve_block_quadratic",
@@ -122,11 +121,12 @@ _NULL_RTOL = 1e-12
 _DEFINITE_RTOL = 1e-9
 # a stack of at most this many member rows (members x rows) solves its
 # rank-2 families in Python floats member by member (_pairs); a larger one
-# as one array batch.  Timed per call (numpy 2.4, one core, 2- and 3-row
-# families, 9 patterns, best of 7 runs of 200): the loop costs about 3.5 us
-# per member row, the batch about 47 us plus 0.4 us per member row; they
-# break even near 16 rows, and the batch is 2.5-3.5x faster at 64 to 96
-_PAIR_LOOP_ROWS = 12
+# as one array batch.  Timed per _pairs call (numpy 2.4, one core, 2- and
+# 3-row families, 9 patterns, every row started in its minimizer's
+# pattern, best of 7 runs of 200): the loop costs about 3-4 us per member
+# plus 1.4 us per member row (2.3 us with the certified gap), the batch
+# 70-80 us (100-120 us with it) at 8 to 96 rows; they break even at 26-32
+_PAIR_LOOP_ROWS = 24
 # a ball search ends on the sphere up to this fraction of the radius, or on
 # a bracket this narrow; its steps and each secular root's are capped
 BALL_RTOL = 1e-12
@@ -138,13 +138,6 @@ _LO, _UP, _FREE, _POS, _NEG, _ZERO = range(6)
 
 class SubsolverError(RuntimeError):
     """Iteration cap exceeded or invalid subproblem."""
-
-
-def soft_threshold(v, kappa):
-    """sign(v) * max(|v| - kappa, 0), elementwise."""
-    if np.any(np.asarray(kappa) < 0):
-        raise ValueError("threshold must be >= 0")
-    return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +225,11 @@ class _BoxFamily:
         self.enumerable = k == 2
 
     @cached_property
+    def pair_index(self):
+        """Each pattern's position in pair_rows' order, by its (state0, state1)."""
+        return {p: i for i, p in enumerate(itertools.product(self.states, repeat=2))}
+
+    @cached_property
     def pair_rows(self):
         """The closed form's constants for the loop in Python floats (k = 2):
         per member, per row, (lo0, up0, lo1, up1, patterns), each pattern
@@ -263,16 +261,19 @@ class _BoxFamily:
         """The same constants as arrays for the batch (k = 2): free flags,
         shifts and signs (P, 1, 1), values at the bounds (P, K, n), bounds
         (K, n), each K or n 1 where the box shares it, the patterns' free
-        masks (P, 2), and the bounds again as (K, n, 2)."""
+        masks (P, 2), the bounds again as (K, n, 2), and pair_index as a (6,
+        6) table of states, -1 where a pair of states is no pattern."""
         pats = self.pair_rows[0][0][4]
         f0, f1, _, _, h0, h1, t0, t1 = (np.array(c).reshape(-1, 1, 1) for c in zip(*pats))
         states = np.array(list(itertools.product(self.states, repeat=2))).T[:, :, None, None]
         L, U = self._bounds3()
         lo0, up0, lo1, up1 = L[..., 0], U[..., 0], L[..., 1], U[..., 1]
-        v0 = np.where(states[0] == _LO, lo0, np.where(states[0] == _UP, up0, 0.0))
-        v1 = np.where(states[1] == _LO, lo1, np.where(states[1] == _UP, up1, 0.0))
+        v0, v1 = _state_values(states[0], lo0, up0), _state_values(states[1], lo1, up1)
         free = np.array([p[:2] for p in pats])
-        return f0, f1, v0, v1, h0, h1, t0, t1, lo0, up0, lo1, up1, free, L, U
+        index = np.full((6, 6), -1)
+        for pair, i in self.pair_index.items():
+            index[pair] = i
+        return f0, f1, v0, v1, h0, h1, t0, t1, lo0, up0, lo1, up1, free, L, U, index
 
     def _bounds3(self):
         """lo and up broadcast to (K, n, 2), K and n 1 where shared."""
@@ -334,6 +335,57 @@ def _pair_objective(a, b, c, lam, x0, x1, c0, c1):
     return obj + lam * (abs(x0) + abs(x1)) if lam else obj
 
 
+def _pair_candidate(a, b, c, det, c0, c1, pattern):
+    """One pattern's candidate (x0, x1) in Python floats: its fixed entries
+    at their values, its free ones solving their system."""
+    f0, f1, v0, v1, s0, s1, _, _ = pattern
+    if f0 and f1:
+        return _both_free(a, b, c, det, c0 - s0, c1 - s1)
+    if f0:
+        return _one_free(a, b, c0 - s0, v1), v1
+    if f1:
+        return v0, _one_free(c, b, c1 - s1, v0)
+    return v0, v1
+
+
+def _pair_candidates(a, b, c, det, h0, h1, f0, f1, v0, v1):
+    """_pair_candidate on arrays, h the right sides c - lam s / 2."""
+    both0, both1 = _both_free(a, b, c, det, h0, h1)
+    return (np.where(f0, np.where(f1, both0, _one_free(a, b, h0, v1)), v0),
+            np.where(f1, np.where(f0, both1, _one_free(c, b, h1, v0)), v1))
+
+
+def _pair_inside(x0, x1, lo0, up0, lo1, up1, t0, t1, signed):
+    """Whether candidates lie in the box with the signs t their patterns
+    assume (only tested if signed: a box with every lo >= 0 implies them)."""
+    inside = (lo0 <= x0) & (x0 <= up0) & (lo1 <= x1) & (x1 <= up1)
+    return inside & (x0 * t0 >= 0.0) & (x1 * t1 >= 0.0) if signed else inside
+
+
+def _start_state(y, lo, up, lam, zero):
+    """The KKT state of an entry that starts at y: _LO or _UP at a bound,
+    _ZERO at 0 if the box has a zero state (zero), else free with y's sign
+    (_FREE without an l1 term); nan, no start, is free and positive."""
+    if y == lo:
+        return _LO
+    if y == up:
+        return _UP
+    if zero and y == 0.0:
+        return _ZERO
+    return (_NEG if y < 0.0 else _POS) if lam else _FREE
+
+
+def _start_states(y, lo, up, lam, zero):
+    """_start_state on arrays."""
+    free = np.where(y < 0.0, _NEG, _POS) if lam else _FREE
+    return np.where(y == lo, _LO, np.where(y == up, _UP, np.where(zero & (y == 0.0), _ZERO, free)))
+
+
+def _state_values(states, lo, up):
+    """The values of entries fixed in states (arrays): lo, up, or 0."""
+    return np.where(states == _LO, lo, np.where(states == _UP, up, 0.0))
+
+
 def _if(cond, p, q):
     """p if cond else q: the endpoint pick of _pair_gap on Python floats,
     as np.where picks it on arrays."""
@@ -345,15 +397,21 @@ def _pair_gap(x0, x1, p, q, c, x, lo, up, lam, sign, where):
     terms _entry_gaps and _gap_total sum: (p, q) is the entry's column of
     G, and c, x, lo and up are the entry's own.  On Python floats where is
     _if; on arrays of both entries of every row it is np.where."""
-    g = 2.0 * (x0 * p + x1 * q - c)
     y0, y1 = (x0, x1) if sign else (abs(x0), abs(x1))
     reach = (2.0 * (y0 * abs(p) + y1 * abs(q) + abs(c)) + lam) * (up - lo)
+    return _pair_term(x0, x1, p, q, c, x, lo, up, lam, sign, where), reach
+
+
+def _pair_term(x0, x1, p, q, c, x, lo, up, lam, sign, where):
+    """_pair_gap's gap term alone: zero exactly when moving the entry alone
+    into the box cannot lower the linearized objective."""
+    g = 2.0 * (x0 * p + x1 * q - c)
     if lam and not sign:
         # between -lam and lam the clipped zero attains the gap
         v = where(g < -lam, up, where(g > lam, lo, where(lo > 0.0, lo, where(up < 0.0, up, 0.0))))
-        return g * (x - v) + lam * (abs(x) - abs(v)), reach
+        return g * (x - v) + lam * (abs(x) - abs(v))
     d = x - where(g < -lam, up, lo)
-    return (g * d + lam * d if lam else g * d), reach
+    return g * d + lam * d if lam else g * d
 
 
 def _pair_gap_total(total, reach, abs_total, size, where):
@@ -365,70 +423,90 @@ def _pair_gap_total(total, reach, abs_total, size, where):
 _NOT_POSITIVE = "a free system of the rank-2 closed form is not positive"
 
 
-def _pairs(G, C, box, certify=False):
-    """Exact minimizer of a rank-2 family by KKT-pattern enumeration.
+def _pairs(G, C, box, certify=False, X0=None):
+    """Exact minimizer of a rank-2 family by its KKT patterns.
 
     Each pattern fixes some entries (at lo, up or zero) and gives the others
     a sign; its candidate solves G_FF x_F = c_F - G_FX x_X - lam s_F / 2 by
-    Cramer's rule (_both_free, _one_free).  The minimizer's own pattern
-    reproduces it, so the first minimum of the objective in
-    itertools.product order among the candidates in the box, with the signs
-    their patterns assume, wins, and the first pattern's candidate when
-    none is (a non-finite G or C).  A free system that is not positive (a,
-    c or det <= 0) raises LinAlgError.  One family, and a stack of at most
+    Cramer's rule (_both_free, _one_free).  A row first takes the pattern
+    of its start X0 (_start_state; both entries free without one) and keeps
+    its candidate if it is a KKT point: in the box, with the signs its
+    pattern assumes, and every fixed entry's gap term (_pair_term) exactly
+    zero.  G_FF is positive definite, so that point is the minimizer.  Any
+    other row enumerates: the first minimum of the objective in
+    itertools.product order among the candidates in the box with their
+    signs wins, and the first pattern's candidate when none is (a
+    non-finite G or C).  A free system that is not positive (a, c or det <=
+    0) raises LinAlgError.  One family, and a stack of at most
     _PAIR_LOOP_ROWS member rows, runs in Python floats row by row; a larger
-    stack as one batch over (patterns, members, rows).
+    stack as one batch over (patterns, members, rows).  X0 is an array of
+    C's shape, a list of equal row blocks (of a stack, one per member), None
+    where a block has no start, or None.
     Returns (X, free, gap): gap is X's certified gap if certify (a float,
     or one per member; _pair_gap_loop, _pair_gap_batch), else None."""
-    rows = box.pair_rows
+    rows, start = box.pair_rows, _pair_start(X0, C.shape)
     if G.ndim == 2:
-        X, free, gap = _pairs_loop(G, C, rows[0], box.lam, box.sign, certify)
+        X, free, gap = _pairs_loop(G, C, rows[0], box, certify, start)
     elif C.size <= 2 * _PAIR_LOOP_ROWS:
         X, free, gap = [], [], []
         for j in range(len(C)):
-            Xj, free_j, gap_j = _pairs_loop(G[j], C[j], rows[j if len(rows) > 1 else 0],
-                                            box.lam, box.sign, certify)
+            Xj, free_j, gap_j = _pairs_loop(G[j], C[j], rows[j if len(rows) > 1 else 0], box,
+                                            certify, None if start is None else start[j])
             X += Xj
             free += free_j
             gap.append(gap_j)
         gap = np.array(gap) if certify else None
     else:
-        return _pairs_batch(G, C, box, certify)
+        return _pairs_batch(G, C, box, certify, start)
     return np.array(X).reshape(C.shape), np.array(free, dtype=bool).reshape(C.shape), gap
 
 
-def _pairs_loop(G, C, rows, lam, sign, certify):
-    """One family's candidates in Python floats: each row's (x0, x1) and
-    free flags, and X's certified gap if certify (_pair_gap_loop), else
-    None.  rows holds each row's bounds and patterns (one for all if alike;
-    _BoxFamily.pair_rows); sign is the box's."""
+def _pair_start(X0, shape):
+    """The closed form's start as an array of shape, nan on the rows of a
+    None block, or None."""
+    if not isinstance(X0, list):
+        return X0
+    nan = np.full((math.prod(shape) // (2 * len(X0)), 2), np.nan)
+    return np.stack([nan if b is None else b for b in X0]).reshape(shape)
+
+
+def _pairs_loop(G, C, rows, box, certify, start):
+    """One family's rows in Python floats: each row's (x0, x1) and free
+    flags, and X's certified gap if certify (_pair_gap_loop), else None.
+    rows holds each row's bounds and patterns (one for all if alike;
+    _BoxFamily.pair_rows); start is the rows' start, or None."""
     (a, b), (_, c) = G.tolist()
     det = a * c - b * b
     if a <= 0.0 or c <= 0.0 or det <= 0.0:
         raise np.linalg.LinAlgError(_NOT_POSITIVE)
+    lam, sign, index, zero = box.lam, box.sign, box.pair_index, _ZERO in box.states
     signed = lam > 0 and not sign  # the sign test a box with lo >= 0 implies
     rows = rows * len(C) if len(rows) == 1 else rows
     C = C.tolist()
+    start = [(math.nan, math.nan)] * len(C) if start is None else start.tolist()
     X, F = [], []
-    for (c0, c1), (lo0, up0, lo1, up1, pats) in zip(C, rows):
+    for (c0, c1), (lo0, up0, lo1, up1, pats), (y0, y1) in zip(C, rows, start):
+        p = index.get((_start_state(y0, lo0, up0, lam, zero),
+                       _start_state(y1, lo1, up1, lam, zero)))
+        if p is not None:
+            f0, f1, _, _, _, _, t0, t1 = pats[p]
+            x0, x1 = _pair_candidate(a, b, c, det, c0, c1, pats[p])
+            if (_pair_inside(x0, x1, lo0, up0, lo1, up1, t0, t1, signed)
+                    and (f0 or _pair_term(x0, x1, a, b, c0, x0, lo0, up0, lam, sign, _if) == 0.0)
+                    and (f1 or _pair_term(x0, x1, b, c, c1, x1, lo1, up1, lam, sign, _if) == 0.0)):
+                X.append((x0, x1))
+                F.append((f0, f1))
+                continue
         best = None
-        for f0, f1, v0, v1, s0, s1, t0, t1 in pats:
-            if f0 and f1:
-                x0, x1 = _both_free(a, b, c, det, c0 - s0, c1 - s1)
-            elif f0:
-                x0, x1 = _one_free(a, b, c0 - s0, v1), v1
-            elif f1:
-                x0, x1 = v0, _one_free(c, b, c1 - s1, v0)
-            else:
-                x0, x1 = v0, v1
-            if (lo0 <= x0 <= up0 and lo1 <= x1 <= up1
-                    and (not signed or x0 * t0 >= 0.0 and x1 * t1 >= 0.0)):
+        for pat in pats:
+            x0, x1 = _pair_candidate(a, b, c, det, c0, c1, pat)
+            if _pair_inside(x0, x1, lo0, up0, lo1, up1, pat[6], pat[7], signed):
                 obj = _pair_objective(a, b, c, lam, x0, x1, c0, c1)
             else:
                 obj = math.inf
             # the first minimum, or the first nan, as argmin picks it
             if best is None or obj < best or (obj != obj and best == best):
-                best, x, free = obj, (x0, x1), (f0, f1)
+                best, x, free = obj, (x0, x1), pat[:2]
         X.append(x)
         F.append(free)
     return X, F, _pair_gap_loop(a, b, c, C, X, rows, lam, sign) if certify else None
@@ -451,28 +529,38 @@ def _pair_gap_loop(a, b, c, C, X, rows, lam, sign):
     return _pair_gap_total(total, reach, total if sign else abs_total, 2 * len(X), _if)
 
 
-def _pairs_batch(G, C, box, certify):
+def _pairs_batch(G, C, box, certify, start):
     """_pairs of a stack as one batch over (patterns, members, rows): the
-    loop's expressions on arrays, so each member's (X, free) are its loop's
-    bytes, and so is its gap if certify (_pair_gap_batch)."""
-    f0, f1, v0, v1, s0, s1, t0, t1, lo0, up0, lo1, up1, free, _, _ = box.pair_arrays
+    loop's rule and expressions on arrays, so each member's (X, free) are
+    its loop's bytes, and so is its gap if certify (_pair_gap_batch)."""
+    f0, f1, v0, v1, s0, s1, t0, t1, lo0, up0, lo1, up1, free, L, U, index = box.pair_arrays
     a, b, c = G[:, 0, 0, None], G[:, 0, 1, None], G[:, 1, 1, None]
     det = a * c - b * b
     if (np.minimum(np.minimum(a, c), det) <= 0.0).any():
         raise np.linalg.LinAlgError(_NOT_POSITIVE)
-    lam, sign = box.lam, box.sign
+    lam, sign, zero = box.lam, box.sign, _ZERO in box.states
+    signed = lam > 0 and not sign
     c0, c1 = C[..., 0], C[..., 1]
-    h0, h1 = c0 - s0, c1 - s1
-    both0, both1 = _both_free(a, b, c, det, h0, h1)
-    x = np.array((np.where(f0, np.where(f1, both0, _one_free(a, b, h0, v1)), v0),
-                  np.where(f1, np.where(f0, both1, _one_free(c, b, h1, v0)), v1)))
-    x0, x1 = x
-    ok = (x0 >= lo0) & (x0 <= up0) & (x1 >= lo1) & (x1 <= up1)
-    if lam > 0 and not sign:
-        ok &= (x0 * t0 >= 0.0) & (x1 * t1 >= 0.0)
-    pick = np.where(ok, _pair_objective(a, b, c, lam, x0, x1, c0, c1), np.inf).argmin(axis=0)
-    X = x.reshape(2, len(x0), -1)[:, pick.ravel(), np.arange(pick.size)].T.reshape(C.shape)
-    return X, free[pick], _pair_gap_batch(G, C, X, box) if certify else None
+    # both entries of every row at once, as in _pair_gap_batch
+    states = _start_states(np.full(C.shape, np.nan) if start is None else start, L, U, lam, zero)
+    p = index[states[..., 0], states[..., 1]]
+    g0, g1, r0, r1, u0, u1 = (A.ravel()[p] for A in (f0, f1, s0, s1, t0, t1))
+    v = _state_values(states, L, U)
+    x0, x1 = _pair_candidates(a, b, c, det, c0 - r0, c1 - r1, g0, g1, v[..., 0], v[..., 1])
+    X, F = np.stack((x0, x1), axis=-1), np.stack((g0, g1), axis=-1)
+    term = _pair_term(X[..., :1], X[..., 1:], G[:, None, 0], G[:, None, :, 1], C, X, L, U, lam,
+                      sign, np.where)
+    ok = (p >= 0) & _pair_inside(x0, x1, lo0, up0, lo1, up1, u0, u1, signed)
+    ok &= (F | (term == 0.0)).all(axis=-1)
+    if not ok.all():
+        x = np.array(_pair_candidates(a, b, c, det, c0 - s0, c1 - s1, f0, f1, v0, v1))
+        inside = _pair_inside(x[0], x[1], lo0, up0, lo1, up1, t0, t1, signed)
+        obj = np.where(inside, _pair_objective(a, b, c, lam, x[0], x[1], c0, c1), np.inf)
+        pick = obj.argmin(axis=0)
+        best = x.reshape(2, len(obj), -1)[:, pick.ravel(), np.arange(pick.size)].T
+        X = np.where(ok[..., None], X, best.reshape(C.shape))
+        F = np.where(ok[..., None], F, free[pick])
+    return X, F, _pair_gap_batch(G, C, X, box) if certify else None
 
 
 def _pair_gap_batch(G, C, X, box):
@@ -480,7 +568,7 @@ def _pair_gap_batch(G, C, X, box):
     n, 2)) as one batch: _pair_gap on arrays of both entries of every row,
     each member's sums taken entry after entry in the loop's order (cumsum;
     sum's order is pairwise), so each member's gap is its loop's bytes."""
-    lam, sign, (lo, up) = box.lam, box.sign, box.pair_arrays[-2:]
+    lam, sign, (lo, up) = box.lam, box.sign, box.pair_arrays[-3:-1]
     # an entry's (p, q) runs over G's row 0 and over its column 1: (a, b), then (b, c)
     E, R = _pair_gap(X[..., :1], X[..., 1:], G[:, None, 0], G[:, None, :, 1], C, X, lo, up,
                      lam, sign, np.where)
@@ -665,11 +753,11 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None, certify=False
     method, which stops once the certified gap is <= tol.  X0 (or None),
     clipped into the box where it is used unless predicted (then it lies in
     the box), starts the active-set method, by default from the clipped
-    least-squares minimizer of the smooth part, and breaks the closed form's
-    ties when G is singular, by default towards the clipped zero; predicted
-    and the certificate (taken if None) go to the active-set method.  The
-    active-set method's start may also be a list of equal row blocks, None
-    where a block takes the default start (_start).
+    least-squares minimizer of the smooth part, gives the closed form the
+    pattern it tries first, and breaks its ties when G is singular, by
+    default towards the clipped zero; predicted and the certificate (taken
+    if None) go to the active-set method.  The start may also be a list of
+    equal row blocks, None where a block takes the default start (_start).
 
     A stack (G of shape (K, k, k), C of shape (K, n, k)) takes the closed
     form in one batch and runs the active-set method member by member, each
@@ -679,14 +767,15 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None, certify=False
     stack = G.ndim == 3
     if box.enumerable:
         try:
-            X, free, gap = _pairs(G, C, box, certify)
+            X, free, gap = _pairs(G, C, box, certify, X0)
             return X, free, gap, [None] * len(C) if stack else certified
         except np.linalg.LinAlgError:
             if not stack:
                 # singular G: adding delta ||x - X0||^2 makes the minimizer
                 # unique and picks the one nearest X0 up to O(delta)
                 delta = _NULL_RTOL * _scale(G)
-                X0 = np.clip(0.0 if X0 is None else X0, box.lo, box.up)
+                X0 = _pair_start(X0, C.shape)
+                X0 = np.clip(0.0 if X0 is None else np.nan_to_num(X0, nan=0.0), box.lo, box.up)
                 X, free, _ = _pairs(G + delta * _eye(2), C + delta * X0, box)
                 return X, free, None, certified
             # a singular member of a stack: each member alone, so only its solve changes
@@ -712,10 +801,11 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
     families, G of shape (K, k, k) and C of shape (K, n, k), is solved in
     one batch; lo and up then broadcast to (n, k), shared by the stack, or
     have shape (K, n, k), one box per member.  X0, clipped into the box,
-    starts the active-set method and breaks ties when G is singular.
-    Without it the active-set method starts from the clipped least-squares
-    minimizer C G^+ of the smooth part, and ties break towards the clipped
-    zero.  Returns (X, gap) where gap is the certified bound on the total
+    starts the active-set method; at rank 2 its KKT pattern is tried first,
+    and it breaks ties when G is singular.  Without it the active-set method
+    starts from the clipped least-squares minimizer C G^+ of the smooth
+    part, rank 2 tries both entries free, and ties break towards the
+    clipped zero.  Returns (X, gap) where gap is the certified bound on the total
     objective suboptimality: a float, or for a stack one per member (K,),
     each from that member's rows alone.  A rank-2 family (k = 2) is solved
     exactly in closed form; every other rank by the active-set method,
@@ -957,9 +1047,10 @@ def solve_code_lasso(
     H (K, r, d) and one gap per member (K,), all from one batched solve.  A
     stack's H0 is (K, r, d), or a list of K starts (r, d), None where that
     member takes the default start.  One sample's H0 may be a list of equal
-    column blocks, None where a block takes the default start (the active-set
-    method reads it, at every rank but 2; the rank-2 closed form takes
-    none).
+    column blocks, None where a block takes the default start.  At rank 2, H0
+    gives each column the KKT pattern the closed form tries first, and
+    anchors the tie-break of a singular W'W; at every other rank it starts
+    the active-set method.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -978,13 +1069,6 @@ def solve_code_lasso(
     H_T, gap = _solve(Wt @ W, (Wt @ X).swapaxes(-1, -2), _family_of(code_set, lam, (1, r)), H0,
                       tol)
     return H_T.swapaxes(-1, -2), gap
-
-
-def code_solve_takes_start(code_set: BoxSet, lam: float) -> bool:
-    """Whether solve_code_lasso over code_set runs the active-set method, the
-    one solve that H0 starts: true at every rank but 2, whose closed form
-    reads H0 only to break the ties of a singular Hessian."""
-    return not _family_of(code_set, lam, (1, code_set.dim)).enumerable
 
 
 # ---------------------------------------------------------------------------

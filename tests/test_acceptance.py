@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sbmm.bench import eval_empirical, eval_expected, run_omf_diagnostics, run_cpdl_diagnostics
+from sbmm.bench import eval_empirical, run_omf_diagnostics, run_cpdl_diagnostics
 from sbmm.factorize import (
     CpdlState,
     OmfState,
@@ -24,7 +24,7 @@ from sbmm.geometry import BoxSet, stationarity_measure
 from sbmm.quadform import FactorQuad
 from sbmm.schedule import WeightSchedule
 from sbmm.stream import MarkovSource, make_iid, mixing_rate, stationary_distribution
-from sbmm.subsolver import soft_threshold, solve_block_quadratic, solve_code_lasso
+from sbmm.subsolver import solve_block_quadratic, solve_code_lasso
 
 
 Q, R, D = 3, 2, 2
@@ -335,10 +335,11 @@ def test_criterion_07_stationarity_grid_oracle():
 
 def test_criterion_08_subsolver_correctness():
     rng = np.random.default_rng(8)
-    # soft threshold analytic identity, exact
-    assert soft_threshold(1.5, 0.5) == 1.0
-    assert soft_threshold(-1.5, 0.5) == -1.0
-    assert soft_threshold(0.3, 0.5) == 0.0
+    # soft threshold analytic identity, exact: the scalar code min (x - h)^2
+    # + |h| is soft(x, 1/2)
+    unit_code = BoxSet(lower=np.array([-10.0]), upper=np.array([10.0]))
+    for x, h in ((1.5, 1.0), (-1.5, -1.0), (0.3, 0.0)):
+        assert solve_code_lasso(np.array([[x]]), np.array([[1.0]]), 1.0, unit_code)[0] == h
     # code lasso vs scalar grid, objective gap <= 1e-4
     worst_lasso = 0.0
     for _ in range(50):
@@ -423,6 +424,61 @@ def test_criterion_09_tensor_correctness():
     print("\n[criterion 9] PASS tensor primitives: loop oracles <= 1e-10; "
           "one-mode tensor trajectory bitwise identical to the matrix path "
           "over 40 steps")
+
+
+# ---------------------------------------------------------------------------
+# the exact expected loss, criterion 10's oracle
+
+
+def eval_expected(theta, source: MarkovSource, loss):
+    """Exact expected loss and gradient under the stationary distribution,
+    with loss(x, theta) -> (value, gradient)."""
+    pi = stationary_distribution(source)
+    value = 0.0
+    grad = None
+    for y in range(source.S):
+        v, g = loss(source.emissions[y], theta)
+        value += pi[y] * v
+        grad = pi[y] * g if grad is None else grad + pi[y] * g
+    return value, grad
+
+
+def _sq_loss(x, t):
+    """(value, gradient) of 0.5 ||t - x||^2."""
+    return 0.5 * float(np.sum((t - x) ** 2)), t - x
+
+
+def test_expected_single_state():
+    src = make_iid(np.array([1.0]), [np.array([0.3, 0.7])])
+    theta = np.array([1.0, -1.0])
+    v, g = eval_expected(theta, src, _sq_loss)
+    ve, ge = _sq_loss(src.emissions[0], theta)
+    assert v == pytest.approx(ve, abs=1e-12)
+    np.testing.assert_allclose(g, ge, atol=1e-12)
+
+
+def test_expected_two_thirds_one_third():
+    P = np.array([[0.9, 0.1], [0.2, 0.8]])  # pi = (2/3, 1/3)
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    src = MarkovSource(P=P, emissions=[e1, e2])
+    theta = np.array([0.5, 0.5])
+    v, _ = eval_expected(theta, src, _sq_loss)
+    expect = (2 / 3) * _sq_loss(e1, theta)[0] \
+        + (1 / 3) * _sq_loss(e2, theta)[0]
+    assert v == pytest.approx(expect, abs=1e-10)
+
+
+def test_expected_gradient_fd():
+    src = make_iid(np.array([0.5, 0.5]), [np.ones(2), -np.ones(2)])
+    theta = np.array([0.3, -0.6])
+    _, g = eval_expected(theta, src, _sq_loss)
+    h = 1e-5
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = h
+        vp, _ = eval_expected(theta + e, src, _sq_loss)
+        vm, _ = eval_expected(theta - e, src, _sq_loss)
+        assert g[i] == pytest.approx((vp - vm) / (2 * h), rel=1e-4, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

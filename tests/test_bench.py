@@ -15,7 +15,6 @@ from sbmm.bench import (
     cli_main,
     emit_csv,
     eval_empirical,
-    eval_expected,
     parse_config,
     read_csv,
     run_experiment,
@@ -157,43 +156,6 @@ def test_empirical_lln_smoke():
         if vals[1] < vals[0]:
             wins += 1
     assert wins >= 9
-
-
-# ---------------------------------------------------------------------------
-# eval_expected
-
-
-def test_expected_single_state():
-    src = make_iid(np.array([1.0]), [np.array([0.3, 0.7])])
-    theta = np.array([1.0, -1.0])
-    v, g = eval_expected(theta, src, sq_loss)
-    ve, ge = sq_loss(src.emissions[0], theta)
-    assert v == pytest.approx(ve, abs=1e-12)
-    np.testing.assert_allclose(g, ge, atol=1e-12)
-
-
-def test_expected_two_thirds_one_third():
-    P = np.array([[0.9, 0.1], [0.2, 0.8]])  # pi = (2/3, 1/3)
-    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    src = MarkovSource(P=P, emissions=[e1, e2])
-    theta = np.array([0.5, 0.5])
-    v, _ = eval_expected(theta, src, sq_loss)
-    expect = (2 / 3) * sq_loss(e1, theta)[0] \
-        + (1 / 3) * sq_loss(e2, theta)[0]
-    assert v == pytest.approx(expect, abs=1e-10)
-
-
-def test_expected_gradient_fd():
-    src = make_iid(np.array([0.5, 0.5]), [np.ones(2), -np.ones(2)])
-    theta = np.array([0.3, -0.6])
-    _, g = eval_expected(theta, src, sq_loss)
-    h = 1e-5
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        vp, _ = eval_expected(theta + e, src, sq_loss)
-        vm, _ = eval_expected(theta - e, src, sq_loss)
-        assert g[i] == pytest.approx((vp - vm) / (2 * h), rel=1e-4, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +771,12 @@ def test_run_sweep_stack_matches_run_experiment(tmp_path, monkeypatch, name, ext
     # member's CSV, tallies and final dictionary are those run_experiment
     # gives at its seed, whatever the stack's size and order (at rank 5
     # too, where each member runs its own active-set solves and ball search).
-    # The 8-seed stack's rank-2 code solves (32 entries) take the closed
-    # form's array batch and its certified gap, past _PAIR_LOOP_ROWS
+    # With _PAIR_LOOP_ROWS set to 12 here, the 8-seed stack's rank-2 code
+    # solves (16 member rows) take the closed form's array batch and its
+    # certified gap, and the smaller stacks' its Python-float loop
     import sbmm.subsolver as subsolver
 
+    monkeypatch.setattr(subsolver, "_PAIR_LOOP_ROWS", 12)
     batches = []
     real = subsolver._pair_gap_batch
     monkeypatch.setattr(subsolver, "_pair_gap_batch",
@@ -864,35 +828,54 @@ def _record_code_starts(monkeypatch):
 
 
 def test_checkpoint_code_solves_start_from_each_states_last_code(tmp_path, monkeypatch):
-    # a rank-5 run's checkpoint code solve (the active-set path) starts each
-    # chain state's columns from the code its member last solved for that
-    # state, and a state not drawn yet from the default start (None): in a
-    # single run, and per member of a stack.  An enumerating run (rank 2)
-    # hands its checkpoints no start
+    # a run's checkpoint code solve starts each chain state's columns from
+    # the code its member last solved for that state, and a state not drawn
+    # yet from the default start (None): in a single run, and per member of
+    # a stack; at rank 5 (the active-set path, on 16 states, some not drawn
+    # by the first checkpoint) and at rank 2 (the closed form's first
+    # pattern, on omf_markov's 2 states)
     drawn, codes, starts = _record_code_starts(monkeypatch)
-    cfg = rank5_cfg(tmp_path)
-    for seeds in ([4], [4, 5, 6]):
-        for record in (drawn, codes, starts):
-            record.clear()
-        if len(seeds) == 1:
-            run_experiment(cfg, seed=seeds[0], out_path=str(tmp_path / "one.csv"))
-        else:
-            run_sweep(cfg, seeds, out_dir=tmp_path / "sweep")
-        K = len(seeds)
-        assert len(codes) == 60 and len(starts) == 6 * K
-        for n, (steps, H0) in enumerate(starts):
-            j = n % K
-            last = {}
-            for i in range(steps):
-                last[drawn[i * K + j]] = codes[i] if K == 1 else codes[i][j]
-            assert len(H0) == 16
-            for y, h in enumerate(H0):
-                assert (h is None) if y not in last else np.array_equal(h, last[y]), (n, y)
-        assert any(h is None for _, H0 in starts for h in H0)
-        assert any(h is not None for _, H0 in starts for h in H0)
-    starts.clear()
-    run_experiment(shipped_cfg(tmp_path, "omf_markov"), seed=0, out_path=str(tmp_path / "r2.csv"))
-    assert starts and all(H0 is None for _, H0 in starts)
+    for cfg, S, n_iters in ((rank5_cfg(tmp_path), 16, 60),
+                            (shipped_cfg(tmp_path, "omf_markov"), 2, 120)):
+        for seeds in ([4], [4, 5, 6]):
+            for record in (drawn, codes, starts):
+                record.clear()
+            if len(seeds) == 1:
+                run_experiment(cfg, seed=seeds[0], out_path=str(tmp_path / "one.csv"))
+            else:
+                run_sweep(cfg, seeds, out_dir=tmp_path / "sweep")
+            K = len(seeds)
+            assert len(codes) == n_iters and len(starts) == 6 * K
+            for n, (steps, H0) in enumerate(starts):
+                j = n % K
+                last = {}
+                for i in range(steps):
+                    last[drawn[i * K + j]] = codes[i] if K == 1 else codes[i][j]
+                assert len(H0) == S
+                for y, h in enumerate(H0):
+                    assert (h is None) if y not in last else np.array_equal(h, last[y]), (n, y)
+            assert any(h is not None for _, H0 in starts for h in H0)
+            if S == 16:
+                assert any(h is None for _, H0 in starts for h in H0)
+
+
+def test_rank2_run_enumerates_few_candidates(tmp_path, monkeypatch):
+    # a 200-step omf_markov run (rank 2): nearly every code and block row
+    # keeps its start's KKT pattern, so the closed form evaluates fewer
+    # than 2 candidates per step beyond the one it verifies per row (an
+    # enumeration evaluates 9 per row, 45 a step)
+    import sbmm.subsolver as subsolver
+
+    real, count = subsolver._pair_objective, [0]
+
+    def counted(*args):
+        obj = real(*args)
+        count[0] += np.size(obj)
+        return obj
+    monkeypatch.setattr(subsolver, "_pair_objective", counted)
+    cfg = shipped_cfg(tmp_path, "omf_markov", "engine.n_iters = 200\n")
+    run_experiment(cfg, seed=0, out_path=str(tmp_path / "r2.csv"))
+    assert 0 < count[0] < 2 * 200, count[0]
 
 
 @pytest.mark.parametrize("field", ["eps", "g_new"])

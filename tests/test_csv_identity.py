@@ -49,22 +49,26 @@ def test_csv_identity_names_each_file(tmp_path):
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_markov_seed3.csv").exists()
     assert (parent / ".csv_identity" / "out" / "sweep16" / "omf_markov_seed15.csv").exists()
     assert (parent / ".csv_identity" / "out" / "sweep" / "omf_rank5_seed2.csv").exists()
-    # the work of omf_markov and cpdl at seed 0, of the omf_markov sweep, of
+    # the work of omf_markov and cpdl at seed 0, of the omf_markov sweeps, of
     # each rank-5 run and of the rank-5 sweep, counted in each checkout: no
     # run calls np.linalg.inv (rank 2 takes the closed form, every other
-    # rank the active-set method), and the same code on the same inputs
-    # (all but the OMF runs) does the same work
+    # rank the active-set method), no rank-5 run evaluates a rank-2
+    # candidate, and the same code on the same inputs (all but the OMF runs)
+    # does the same work
     work = [line for line in out.stderr.splitlines() if " work (parent -> change): " in line]
     assert [line.split(" work")[0] for line in work] == (
-        ["cpdl_seed0", "omf_markov_seed0", "omf_markov_sweep", "omf_rank5_in2_seed1"]
+        ["cpdl_seed0", "omf_markov_seed0", "omf_markov_sweep", "omf_markov_sweep16",
+         "omf_rank5_in2_seed1"]
         + [f"omf_rank5_seed{s}" for s in range(3)] + ["omf_rank5_sweep"])
     for line in work:
         name = line.split(" work")[0]
         items = [item.split() for item in line.split(": ", 1)[1].split(", ")]
-        assert [key for key, *_ in items] == ["ball_evals", "cholesky", "eigh", "solve", "inv"]
+        assert [key for key, *_ in items] == ["ball_evals", "pair_candidates", "cholesky", "eigh",
+                                              "solve", "inv"]
         counts = {key: (int(before), int(after)) for key, before, _, after in items}
         assert counts.pop("inv") == (0, 0) and min(counts["ball_evals"]) > 0, line
         if not name.startswith("omf_markov"):
             assert all(before == after for before, after in counts.values()), line
         if name.startswith("omf_rank5"):
+            assert counts.pop("pair_candidates") == (0, 0), line
             assert all(before > 0 for before, _ in counts.values()), line

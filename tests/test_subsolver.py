@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from sbmm.geometry import BoxSet, stationarity_measure
 from sbmm.quadform import FactorQuad
 from sbmm.subsolver import (
     SubsolverError,
-    soft_threshold,
     solve_block_quadratic,
     solve_box_qp,
     solve_code_lasso,
@@ -47,7 +47,14 @@ def grid_min_quad_2d(g, box, n=1001, center=None, radius=math.inf):
 
 
 # ---------------------------------------------------------------------------
-# soft_threshold
+# soft_threshold, the rank-1 box QP's oracle
+
+
+def soft_threshold(v, kappa):
+    """sign(v) * max(|v| - kappa, 0), elementwise: the prox of kappa |x|."""
+    if np.any(np.asarray(kappa) < 0):
+        raise ValueError("threshold must be >= 0")
+    return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
 def test_soft_threshold_identities():
@@ -77,6 +84,21 @@ def test_soft_threshold_is_l1_prox(v, kappa):
     obj = lambda x: 0.5 * (x - v) ** 2 + kappa * abs(x)
     for x in np.linspace(v - 2 * kappa - 1, v + 2 * kappa + 1, 101):
         assert obj(s) <= obj(float(x)) + 1e-12
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0), (-1.5, -0.2)])
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
+def test_rank1_box_qp_is_the_clipped_soft_threshold(lam, bounds):
+    # at k = 1 each row's g x^2 - 2 c x + lam |x| over [lo, up] is
+    # separable: its minimizer is soft(c, lam / 2) / g clipped into the box
+    rng = np.random.default_rng(59)
+    lo, up = bounds
+    for trial in range(20):
+        g = float(rng.uniform(0.1, 3.0))
+        C = rng.normal(size=(6, 1)) * 2.0
+        X, gap = solve_box_qp(np.array([[g]]), C, lo, up, lam, tol=1e-12)
+        want = np.clip(soft_threshold(C, lam / 2) / g, lo, up)
+        assert np.all(np.abs(X - want) <= 1e-12 * (1.0 + np.abs(want))) and gap <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1512,7 +1534,7 @@ def test_certificate_pair_is_two_single_values(K):
                                                                   one.value(P[1, j])]
 
 
-@pytest.mark.parametrize("K", [None, 3, 7], ids=["single", "stack", "large_stack"])
+@pytest.mark.parametrize("K", [None, 3, 21], ids=["single", "stack", "large_stack"])
 def test_rank2_value_gives_each_calls_bytes(K):
     # at r = 2 the value is summed in Python floats (the points of a single
     # quad with at most _VALUE_LOOP_ROWS rows in all) or as the same float
@@ -1527,7 +1549,7 @@ def test_rank2_value_gives_each_calls_bytes(K):
     for trial in range(100):
         q = int(rng.integers(1, quadform._VALUE_LOOP_ROWS + 4))
         g = _factor_quads(rng, K, q, 2)
-        if K == 7 and q > 1:
+        if K == 21 and q > 1:
             assert K * q > subsolver._PAIR_LOOP_ROWS
         P = rng.uniform(-1.0, 1.0, size=(3,) + g.anchor.shape)
         for pts in (P[:2], P):
@@ -1719,10 +1741,10 @@ def test_rank2_gap_gives_each_members_bytes(side, seed, lam, bounds, per_member,
         assert gap_Y[j].tobytes() == np.float64(_float_gap(G[j], C[j], Y[j], member)[0]).tobytes()
 
 
-@pytest.mark.parametrize("K", [None, 3, 5], ids=["single", "loop", "batch"])
+@pytest.mark.parametrize("side", [None, "loop", "batch"], ids=["single", "loop", "batch"])
 @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
 @pytest.mark.parametrize("bounds", _PAIR_BOXES, ids=["unit", "positive", "straddling", "negative"])
-def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, K):
+def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, side):
     # the rank-2 closed form's certified gap, single or in a stack on either
     # side of _PAIR_LOOP_ROWS (4 rows a member), is at least the exact
     # suboptimality, in rational arithmetic against _exact_box_lasso_row's
@@ -1733,8 +1755,9 @@ def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, K):
 
     rng = np.random.default_rng(211)
     n, (lo, up) = 4, bounds
+    K = {None: None, "loop": 3, "batch": subsolver._PAIR_LOOP_ROWS // n + 1}[side]
     lead = () if K is None else (K,)
-    assert K is None or (K * n <= subsolver._PAIR_LOOP_ROWS) == (K == 3)
+    assert K is None or (K * n <= subsolver._PAIR_LOOP_ROWS) == (side == "loop")
     box = subsolver._box_family(lam, np.full((1, 2), lo), np.full((1, 2), up), 2)
 
     def objective(G, c, x):
@@ -1751,7 +1774,7 @@ def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, K):
         Y = rng.uniform(lo, up, size=C.shape)
         if K is None:
             gap_Y = _float_gap(G, C, Y, box)[0]
-        elif K == 3:
+        elif side == "loop":
             gap_Y = [_float_gap(G[j], C[j], Y[j], box)[0] for j in range(K)]
         else:
             gap_Y = subsolver._pair_gap_batch(G, C, Y, box)
@@ -1763,6 +1786,181 @@ def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, K):
             for P, bound in ((Xj, gap_j), (Yj, gap_Yj)):
                 excess = sum(objective(Gj, c, x) - b for x, c, b in zip(P, Cj, best))
                 assert excess <= F(float(bound)), (trial, float(excess), float(bound))
+
+
+def _count_pair_candidates(monkeypatch):
+    """The rank-2 candidates the enumeration evaluates (_pair_objective: one
+    per call on floats, one per entry on arrays), counted in a one-item list."""
+    import sbmm.subsolver as subsolver
+
+    real, count = subsolver._pair_objective, [0]
+
+    def counted(*args):
+        obj = real(*args)
+        count[0] += np.size(obj)
+        return obj
+    monkeypatch.setattr(subsolver, "_pair_objective", counted)
+    return count
+
+
+def _state_value(state, lo, up):
+    """A start value of one entry in the KKT state state (_LO ... _ZERO)."""
+    import sbmm.subsolver as subsolver
+
+    return {subsolver._LO: lo, subsolver._UP: up, subsolver._ZERO: 0.0,
+            subsolver._FREE: 0.3 * lo + 0.7 * up, subsolver._POS: 0.5 * (max(lo, 0.0) + up),
+            subsolver._NEG: 0.5 * (lo + min(up, 0.0))}[state]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("bounds", _PAIR_BOXES, ids=["unit", "positive", "straddling", "negative"])
+def test_rank2_start_pattern_is_verified_or_falls_back_to_the_exact_minimizer(bounds, lam,
+                                                                              monkeypatch):
+    # a row started from its minimizer (the right KKT pattern) takes that
+    # pattern's candidate without enumerating; a row started in any other
+    # pattern (every state pair of the box: at a bound, at zero, free with
+    # either sign) gets the exact minimizer, against the rational oracle,
+    # alone and in the array batch: a wrong pattern passes the box, sign
+    # and derivative tests only where its candidate is the minimizer too
+    import sbmm.subsolver as subsolver
+
+    count = _count_pair_candidates(monkeypatch)
+    rng = np.random.default_rng(223)
+    lo, up = bounds
+    box = subsolver._box_family(lam, np.full((1, 2), lo), np.full((1, 2), up), 2)
+    starts = [(_state_value(s0, lo, up), _state_value(s1, lo, up))
+              for s0, s1 in itertools.product(box.states, repeat=2)]
+    bound_rows = verified = 0
+    for trial in range(12):
+        M = rng.normal(size=(2, 3))
+        G, C = M @ M.T + 0.01 * np.eye(2), rng.normal(size=(3, 2)) * 2.0
+        refs = np.array([_exact_box_lasso_row(G, c, lam, np.full(2, lo), np.full(2, up))
+                         for c in C])
+        bound_rows += int(np.isin(refs, (lo, up)).any(axis=1).sum())
+        count[0] = 0
+        X = subsolver._pairs(G, C, box, X0=refs)[0]
+        verified += count[0] == 0
+        assert np.all(np.abs(X - refs) <= 1e-9 * (1.0 + np.abs(refs))), (trial, X, refs)
+        for start in starts:
+            X = subsolver._pairs(G, C, box, X0=np.array([start] * len(C)))[0]
+            assert np.all(np.abs(X - refs) <= 1e-9 * (1.0 + np.abs(refs))), (trial, start)
+        # every start at once, one member each (twice, or more): a stack
+        # past _PAIR_LOOP_ROWS
+        members = starts * (subsolver._PAIR_LOOP_ROWS // (len(starts) * len(C)) + 1)
+        X = subsolver._pairs(np.stack([G] * len(members)), np.stack([C] * len(members)), box,
+                             X0=np.array([[start] * len(C) for start in members]))[0]
+        assert np.all(np.abs(X - refs) <= 1e-9 * (1.0 + np.abs(refs))), trial
+    assert verified == 12 and bound_rows >= 6
+
+
+@pytest.mark.parametrize("at", ["lo", "up"])
+def test_rank2_start_at_a_bound_with_zero_derivative_ties(at):
+    # an entry at a bound whose derivative is exactly zero: fixed there and
+    # free, two patterns give the same point; a start in either pattern, or
+    # none, gives the exact minimizer's bytes
+    import sbmm.subsolver as subsolver
+
+    box = subsolver._box_family(0.0, np.zeros((1, 2)), np.ones((1, 2)), 2)
+    G = np.array([[1.0, 0.0], [0.0, 2.0]])
+    # x0's derivative 2 (x0 - c0) vanishes at the bound c0, and x1 = c1 / 2
+    C = np.array([[0.0 if at == "lo" else 1.0, 0.5]])
+    ref = _exact_box_lasso_row(G, C[0], 0.0, np.zeros(2), np.ones(2))
+    assert ref.tolist() == [C[0, 0], 0.25]
+    for start in (None, [[C[0, 0], 0.3]], [[0.5, 0.3]], [[1.0 - C[0, 0], 0.3]]):
+        X = subsolver._pairs(G, C, box, X0=None if start is None else np.array(start))[0]
+        assert X.tobytes() == ref[None].tobytes(), start
+
+
+def test_rank2_straddling_box_starts_at_zero_and_either_sign(monkeypatch):
+    # on [-1, 1] with an l1 term an entry starts at zero, positive or
+    # negative (3 x 3 starts per row) on rows whose minimizers hold zeros,
+    # positive and negative entries: every start gives the exact minimizer,
+    # and the start with the minimizer's own signs enumerates nothing
+    import sbmm.subsolver as subsolver
+
+    count = _count_pair_candidates(monkeypatch)
+    lam = 0.5
+    box = subsolver._box_family(lam, np.full((1, 2), -1.0), np.ones((1, 2)), 2)
+    G = np.array([[1.0, 0.2], [0.2, 0.8]])
+    # each row's minimizer (zero, positive or negative per entry) by design
+    C = np.array([[0.1, -0.1], [0.7, 0.1], [-0.1, -0.6], [0.6, -0.5], [-0.2, 0.55]])
+    refs = np.array([_exact_box_lasso_row(G, c, lam, -np.ones(2), np.ones(2)) for c in C])
+    signs = {tuple(np.sign(x)) for x in refs}
+    assert {(0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (1.0, -1.0)} <= signs
+    for s0, s1 in itertools.product((0.0, 0.4, -0.4), repeat=2):
+        X = subsolver._pairs(G, C, box, X0=np.tile([s0, s1], (len(C), 1)))[0]
+        assert np.all(np.abs(X - refs) <= 1e-9 * (1.0 + np.abs(refs))), (s0, s1)
+    count[0] = 0
+    X = subsolver._pairs(G, C, box, X0=refs)[0]
+    assert count[0] == 0 and np.all(np.abs(X - refs) <= 1e-12 * (1.0 + np.abs(refs)))
+
+
+@pytest.mark.parametrize("side", ["loop", "batch"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.0, 0.05, 0.5]),
+       bounds=st.sampled_from(_PAIR_BOXES), per_member=st.booleans(), data=st.data())
+def test_rank2_stack_with_starts_gives_each_members_bytes(side, seed, lam, bounds, per_member,
+                                                          data):
+    # a stack started per row, from its minimizer (verified), from a random
+    # pattern (often falling back to the enumeration) or, for a member given
+    # None, from no start: each member's (X, free, gap) are its own loop's
+    # bytes, in the Python-float loop and in the array batch
+    import sbmm.subsolver as subsolver
+
+    limit = subsolver._PAIR_LOOP_ROWS
+    n = data.draw(st.integers(1, 4))
+    K = (data.draw(st.integers(1, max(1, limit // n))) if side == "loop"
+         else data.draw(st.integers(limit // n + 1, limit // n + 4)))
+    rng = np.random.default_rng(seed)
+    lo, up = bounds
+    if per_member:
+        lo = lo + rng.uniform(0.0, 0.1, size=(K, n, 2))
+        up = up - rng.uniform(0.0, 0.1, size=(K, n, 2))
+    else:
+        lo, up = np.full((1, 2), lo), np.full((1, 2), up)
+    box = subsolver._box_family(lam, lo, up, 2)
+    M = rng.normal(size=(K, 2, 3))
+    G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
+    C = rng.normal(size=(K, n, 2)) * 2.0
+    L, U = np.broadcast_to(lo, C.shape), np.broadcast_to(up, C.shape)
+    pick = rng.integers(0, 4, size=C.shape)  # lo, up, zero clipped, interior
+    start = np.choose(pick, [L, U, np.clip(0.0, L, U), rng.uniform(L, U)])
+    right = rng.random((K, n)) < 0.5
+    start[right] = subsolver._pairs(G, C, box)[0][right]
+    starts = [None if j % 3 == 1 else start[j] for j in range(K)]
+    for X0 in (start, starts):
+        X, free, gap = subsolver._pairs(G, C, box, certify=True, X0=X0)
+        for j in range(K):
+            Xj, free_j, gap_j = subsolver._pairs(G[j], C[j], box.member(j), certify=True,
+                                                 X0=X0[j])
+            assert X[j].tobytes() == Xj.tobytes() and free[j].tobytes() == free_j.tobytes()
+            assert gap[j].tobytes() == np.float64(gap_j).tobytes()
+
+
+def test_rank2_batch_verifies_some_rows_and_enumerates_the_rest(monkeypatch):
+    # a stack past _PAIR_LOOP_ROWS whose rows start from their minimizers
+    # enumerates nothing; with some rows started in another pattern it
+    # enumerates once for the stack, and still gives each member its loop's
+    # bytes
+    import sbmm.subsolver as subsolver
+
+    count = _count_pair_candidates(monkeypatch)
+    rng = np.random.default_rng(227)
+    n = 4
+    K = subsolver._PAIR_LOOP_ROWS // n + 1
+    box = subsolver._box_family(0.05, np.zeros((1, 2)), np.ones((1, 2)), 2)
+    M = rng.normal(size=(K, 2, 3))
+    G, C = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2), rng.normal(size=(K, n, 2))
+    X = subsolver._pairs(G, C, box)[0]
+    count[0] = 0
+    assert subsolver._pairs(G, C, box, X0=X)[0].tobytes() == X.tobytes() and count[0] == 0
+    start = X.copy()
+    start[::2, 0] = np.where(X[::2, 0] == 0.0, 0.5, 0.0)  # half the members in another pattern
+    Y, free, _ = subsolver._pairs(G, C, box, X0=start)
+    assert Y.tobytes() == X.tobytes() and count[0] == 9 * K * n
+    for j in range(K):
+        Yj, free_j, _ = subsolver._pairs(G[j], C[j], box, X0=start[j])
+        assert Y[j].tobytes() == Yj.tobytes() and free[j].tobytes() == free_j.tobytes()
 
 
 @pytest.mark.parametrize("K", [None, 2, 6], ids=["single", "loop", "batch"])
