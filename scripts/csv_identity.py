@@ -15,8 +15,8 @@ writes their CSVs under ``<checkout>/.csv_identity/out``:
   rank;
 - a 4-seed ``run_sweep`` of ``configs/omf_markov.cfg``;
 - a 16-seed ``run_sweep`` of ``configs/omf_markov.cfg``, under ``sweep16``:
-  its code solves (32 member rows) and block solves (48) take the rank-2
-  closed form's array batch, past ``_PAIR_LOOP_ROWS``;
+  a large stack, whose code solves (32 member rows) and block solves (48)
+  run the rank-2 closed form member by member;
 - a 4-seed ``run_sweep`` of ``configs/omf_sub.cfg`` with ``app.row_sample =
   0.5``, whose members draw different row counts, so that the stacked step
   solves one group of members per row count;
@@ -44,8 +44,8 @@ machine's speed does not change, goes to stderr: its ball-search
 evaluations (the box solves of every ``ball_multiplier_search``, each one
 call of the ``solve(mu)`` that it takes as its first argument), the rank-2
 candidates whose objective the closed form's enumeration evaluates (one per
-``_pair_objective`` call on floats, one per entry on arrays; a row whose
-start's pattern verifies evaluates none), and its ``np.linalg.cholesky``,
+``_pair_objective`` call; a row whose start's pattern verifies evaluates
+none), and its ``np.linalg.cholesky``,
 ``np.linalg.eigh``, ``np.linalg.solve`` and ``np.linalg.inv`` calls (solve
 makes the Newton steps and least-squares starts of certified Hessians; no
 solver inverts a matrix, so inv reads 0, a guard against one that does) in
@@ -77,7 +77,7 @@ C1 = ("omf_markov", "omf_sub")
 COUNTED = ("omf_markov", "cpdl")  # shipped configs whose seed-0 run's work is counted
 SEEDS = (0, 1, 2)
 SWEEP_SEEDS = (0, 1, 2, 3)
-BATCH_SEEDS = tuple(range(16))  # a stack whose rank-2 solves take the array batch
+STACK16_SEEDS = tuple(range(16))  # a large stack: 32 member rows per code solve
 CPDL3_SHAPE = (2, 3, 2, 3)  # three modes and the batch
 CPDL3_SEED = 3
 WORK = ".csv_identity"
@@ -131,7 +131,7 @@ def count_work(run) -> dict:
 
     def counted_objective(*args):
         obj = objective(*args)
-        counts["pair_candidates"] += np.size(obj)
+        counts["pair_candidates"] += np.size(obj)  # an older checkout's arrays: one per entry
         return obj
     for name, fn in linalg.items():
         setattr(np.linalg, name, counted(name, fn))
@@ -193,7 +193,7 @@ def write_set(out: Path, steps: int | None) -> None:
         out_dir=csvs / "sweep"))
     work["omf_markov_sweep16"] = count_work(functools.partial(
         run_sweep, config(root / "configs" / "omf_markov.cfg", "omf_markov_sweep16"),
-        BATCH_SEEDS, out_dir=csvs / "sweep16"))
+        STACK16_SEEDS, out_dir=csvs / "sweep16"))
     run_sweep(config(root / "configs" / "omf_sub.cfg", "omf_sub_sweep", "app.row_sample = 0.5\n"),
               SWEEP_SEEDS, out_dir=csvs / "sweep")
     run_sweep(config(root / "configs" / "cpdl.cfg", "cpdl_sweep"), SWEEP_SEEDS[:2],

@@ -39,7 +39,6 @@ from .bench import (
     DiagnosticsRecord,
     RunConfig,
     RunResult,
-    eval_empirical,
     eps_bar_update,
     emit_csv,
     parse_config,

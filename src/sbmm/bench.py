@@ -62,7 +62,6 @@ __all__ = [
     "DiagnosticsRecord",
     "RunConfig",
     "RunResult",
-    "eval_empirical",
     "eps_bar_update",
     "emit_csv",
     "read_csv",
@@ -122,22 +121,7 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# loss oracles
-
-
-def eval_empirical(theta, sample_log, schedule, n, loss):
-    """Closed-form weighted empirical loss and gradient at theta:
-    sum_k w^n_k * ell(x_k, theta), with loss(x, theta) -> (value, gradient)."""
-    if len(sample_log) < n:
-        raise ValueError("sample log shorter than n")
-    value = 0.0
-    grad = None
-    for k in range(1, n + 1):
-        wk = schedule.cumulative_weight(k, n)
-        v, g = loss(sample_log[k - 1], theta)
-        value += wk * v
-        grad = wk * g if grad is None else grad + wk * g
-    return value, grad
+# the averaged tolerance
 
 
 def eps_bar_update(eps_bar_prev: float, eps_n: float, w_n: float) -> float:

@@ -1,94 +1,32 @@
-"""Convex subproblem solvers.
+"""Convex subproblem solvers: the box QP, the code solve and the block solve.
 
-Every inner problem of the package is a small box-constrained quadratic
-with an optional l1 term, and many of them share one Hessian: each code
-column minimizes h'Gh - 2c'h + lam ||h||_1 with G = W'W, and each
-dictionary row of a FactorQuad minimizes w'Aw - 2b'w, since the Hessian of
-tr(W A W') is A on every row.  ``solve_box_qp`` solves all right-hand sides
-of such a family at once, in finitely many steps, by one of two solvers,
-chosen by the rank k alone.  At k = 2, every shipped config's, it solves
-KKT patterns (each entry at a bound, at the l1 kink, or free with a fixed
-sign) in closed form, each 2 x 2 or 1 x 1 free system by Cramer's rule in
-Python floats (_pairs): a row keeps its start's pattern if that candidate
-is a KKT point (in the box, with its signs, every fixed entry's gap term
-zero), and so the minimizer; any other row enumerates every pattern and
-keeps the best feasible candidate.  At every other k it runs a primal
-active-set method (Newton steps on the free entries, taken whole when every
-free entry lands strictly inside its bounds, else cut where the first bound
-blocks and that bound joining the working set, one fixed entry released per
-row while its certified gap says it can still improve) that stops once the
-certified gap is within tolerance, from the clipped least-squares minimizer
-unless given a start.  The runner starts each code solve, a step's and a
-checkpoint's, at the code its member last solved for the same chain state,
-usually the minimizer's pattern or one Newton step from it.  The box QP has
-one definiteness test, a certificate per Hessian (_definite): a Cholesky
-factorization of G - _DEFINITE_RTOL * scale * I, taken once per code solve
-and once per block solve that needs one, single or stacked, shows every
-free system of every G + mu I positive definite.  Under it the Newton steps
-of all rows are one batched LU solve and the least-squares start is one
-solve; an uncertified Hessian (an all-zero code coordinate makes a
-dictionary Hessian singular) takes an eigendecomposition, which gives the
-least-norm step or a direction of zero curvature, and the pseudo-inverse
-for the start; a gap test that fails hands its entry gaps to the release
-step.
+solve_box_qp minimizes sum_i x_i'G x_i - 2 c_i'x_i + lam ||x_i||_1 (lam >= 0)
+over a box lo <= X <= up, every row of C against one symmetric PSD (k, k)
+Hessian G, or a stack of K such families, each with its own G.  At k = 2 the
+minimizer is exact (_pairs): a row keeps its start's KKT pattern if that
+pattern's candidate, by Cramer's rule in Python floats, is a KKT point, and
+otherwise enumerates every pattern and keeps the first best candidate in the
+box; a free system that is not positive raises LinAlgError, and the solve
+then takes the tie-break G + delta I.  At every other k a primal active-set
+method (_active_set) takes Newton steps on the free entries, releasing one
+fixed entry per row while its gap says it can improve, and stops once the
+certified gap is <= tol.  A Hessian has one definiteness certificate
+(_definite: a Cholesky factorization of G - 1e-9 scale I, which covers every
+free system of every G + mu I): under it a Newton step is one batched LU
+solve, without it an eigendecomposition.  The certified gap, the sum of the
+entry gaps plus a rounding allowance (_certified_gap; at k = 2
+_pair_gap_loop), bounds the total suboptimality of X; solve_code_lasso (G =
+W'W) returns it as its certificate.
 
-A block solve over box-intersect-ball (the trust region of radius c' w_n
-around the previous block result) dualizes the ball with one multiplier mu
-shared by every row (ball_multiplier_search).  On a working set, the
-entries fixed at a bound and the free ones, the distance to the ball's
-center is a rational function of mu, the secular equation of a
-trust-region step, and one eigendecomposition of the free systems gives
-its root and the working set's minimizer there (_working_set_root); free
-entries that this point carries across a bound are fixed there and the
-root is found again.  The search takes that point when it lies on the
-sphere and the dualized problem's certified gap there is within
-tolerance; otherwise a box solve, started from the point and marked as
-every row's minimizer, gives the next working set, with a bisection
-bracket as the safeguard.  The first working set is the anchor's, its
-entries at a bound (the online active-set hot start of Ferreau, Bock &
-Diehl, 2008), at every rank but 2, where the closed form's solve at mu = 0
-comes first and settles every block whose ball does not bind.  Every box
-solve of one search reuses the certificate its solve at mu = 0 took, since
-G + mu I inherits G's.
-
-A stack of K families (K runs in lockstep, each with its own Hessian) is
-one batch wherever the work is the same for every member: the rank-2
-closed form, its certified gaps and its box solve at multiplier zero,
-after which only the members whose solve leaves their ball search
-further.  The closed form runs a stack of at most _PAIR_LOOP_ROWS member
-rows in Python floats member by member, and a larger one as the same
-float operations on (patterns, members, rows) arrays.  The active-set
-method, a ball search and the polishing of a gap run member by member.
-Every member's numbers are computed slice by slice, with the same IEEE
-operations, so they are the bytes its own family's solve gives.
-
-What a solve reads of its box comes from one box family per (k, lam, box),
-derived once (_BoxFamily): at rank 2 the KKT patterns and their values at
-the bounds, and for every rank the clipped zero, the width and the release
-floor's bound.  Code and block solves reach it from their BoxSet (a block
-of whole dictionary rows, one family row each, as the box's family cut to
-those rows), a bare solve_box_qp call with one cache lookup.  On a box with
-every lower bound >= 0, as every shipped box is, lam ||x||_1 = lam sum(x)
-is linear, and the closed form, the certified gap and the active-set method
-skip the l1 sign bookkeeping, with the same floats; every other box takes
-the general path.
-
-Both solvers certify what they return, and return the certificate with
-the solution: the code solver its convexity-based objective gap bound,
-rounding allowance included, that downstream surrogates use as their
-approximation tolerance, and the block solver its descent certificate, the
-objective at its start (the quadratic's anchor, the ball's center) and at
-its result, from one evaluation of the (2, q, r) pair (FactorQuad.value,
-in Python floats at r = 2 for a single quad), which it checks does not
-rise.  At rank 2 the closed form computes the code solve's gap from the
-Python floats it solved with, G's three entries, C's rows and the winning
-X (_pair_gap_loop), and a batch from the same float operations on arrays,
-each member's sums taken in the loop's order (_pair_gap_batch), so a
-member keeps its bytes; at other ranks, and in the active-set method's
-polish, the gap is computed with numpy (_certified_gap).  The rounding
-allowance is a gamma_n-style bound (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 3), which holds in any order of summation, so
-neither form depends on the other's order.
+solve_block_quadratic minimizes a FactorQuad over whole rows in the box
+intersected with the ball of radius c' w_n around the anchor (center in the
+box).  ball_multiplier_search dualizes the ball with one multiplier mu,
+takes each working set's secular root and point (_working_set_root) and
+keeps a point on the sphere whose dualized certified gap is <= tol, else a
+box solve from it gives the next working set, inside a bisection bracket.
+Its certificate is the objective at the anchor and at the result; a rise
+raises SubsolverError.  A solve reads its box from one _BoxFamily per (lam,
+box, k); on a box with every lo >= 0, lam ||x||_1 is linear (no sign state).
 """
 
 from __future__ import annotations
@@ -119,14 +57,6 @@ _NULL_RTOL = 1e-12
 # certified once for all its free systems (_definite); 1000 times
 # _NULL_RTOL, so the rounding of a few ulps of the scale cannot matter
 _DEFINITE_RTOL = 1e-9
-# a stack of at most this many member rows (members x rows) solves its
-# rank-2 families in Python floats member by member (_pairs); a larger one
-# as one array batch.  Timed per _pairs call (numpy 2.4, one core, 2- and
-# 3-row families, 9 patterns, every row started in its minimizer's
-# pattern, best of 7 runs of 200): the loop costs about 3-4 us per member
-# plus 1.4 us per member row (2.3 us with the certified gap), the batch
-# 70-80 us (100-120 us with it) at 8 to 96 rows; they break even at 26-32
-_PAIR_LOOP_ROWS = 24
 # a ball search ends on the sphere up to this fraction of the radius, or on
 # a bracket this narrow; its steps and each secular root's are capped
 BALL_RTOL = 1e-12
@@ -171,9 +101,8 @@ def _certified_gap(G, C, X, box):
     gives a float; a stack (G of shape (K, k, k), C and X of shape (K, n,
     k)) one per member, each summed over that member's entries alone, as its
     own family would be.  A code solve at rank 2 takes the closed form's own
-    gap instead, in its floats (_pair_gap_loop, _pair_gap_batch); this one
-    serves the active-set method (a polish included) and the ball search's
-    exit."""
+    gap instead, in its floats (_pair_gap_loop); this one serves the
+    active-set method (a polish included) and the ball search's exit."""
     gaps = _entry_gaps(2.0 * (X @ G - C), X, box)
     return _gap_total(gaps, X, np.abs(G), np.abs(C), box)
 
@@ -231,8 +160,8 @@ class _BoxFamily:
 
     @cached_property
     def pair_rows(self):
-        """The closed form's constants for the loop in Python floats (k = 2):
-        per member, per row, (lo0, up0, lo1, up1, patterns), each pattern
+        """The closed form's constants in Python floats (k = 2): per
+        member, per row, (lo0, up0, lo1, up1, patterns), each pattern
         (free0, free1, v0, v1, shift0, shift1, sign0, sign1) in
         itertools.product order, v an entry's value when fixed and shift its
         l1 shift lam s / 2; one member, or one row, stands for all when the
@@ -250,35 +179,13 @@ class _BoxFamily:
                 (f0, v0, h0, t0), (f1, v1, h1, t1) = entry(s0, lo0, up0), entry(s1, lo1, up1)
                 pats.append((f0, f1, v0, v1, h0, h1, t0, t1))
             return lo0, up0, lo1, up1, tuple(pats)
-        L, U = self._bounds3()
+        # lo and up as (K, n, 2), K and n 1 where shared
+        shape = np.broadcast_shapes(self.lo.shape, self.up.shape, (1, 1, 2))
+        L, U = np.broadcast_to(self.lo, shape), np.broadcast_to(self.up, shape)
         B = np.stack((L[..., 0], U[..., 0], L[..., 1], U[..., 1]), axis=-1)
         if B.tobytes() == B[:1, :1].tobytes() * (B.size // 4):
             return ((row(*B[0, 0].tolist()),),)
         return tuple(tuple(row(*b) for b in member) for member in B.tolist())
-
-    @cached_property
-    def pair_arrays(self):
-        """The same constants as arrays for the batch (k = 2): free flags,
-        shifts and signs (P, 1, 1), values at the bounds (P, K, n), bounds
-        (K, n), each K or n 1 where the box shares it, the patterns' free
-        masks (P, 2), the bounds again as (K, n, 2), and pair_index as a (6,
-        6) table of states, -1 where a pair of states is no pattern."""
-        pats = self.pair_rows[0][0][4]
-        f0, f1, _, _, h0, h1, t0, t1 = (np.array(c).reshape(-1, 1, 1) for c in zip(*pats))
-        states = np.array(list(itertools.product(self.states, repeat=2))).T[:, :, None, None]
-        L, U = self._bounds3()
-        lo0, up0, lo1, up1 = L[..., 0], U[..., 0], L[..., 1], U[..., 1]
-        v0, v1 = _state_values(states[0], lo0, up0), _state_values(states[1], lo1, up1)
-        free = np.array([p[:2] for p in pats])
-        index = np.full((6, 6), -1)
-        for pair, i in self.pair_index.items():
-            index[pair] = i
-        return f0, f1, v0, v1, h0, h1, t0, t1, lo0, up0, lo1, up1, free, L, U, index
-
-    def _bounds3(self):
-        """lo and up broadcast to (K, n, 2), K and n 1 where shared."""
-        shape = np.broadcast_shapes(self.lo.shape, self.up.shape, (1, 1, 2))
-        return np.broadcast_to(self.lo, shape), np.broadcast_to(self.up, shape)
 
     def rows(self, rows):
         """The family of rows (m,) or (K, m): the first m rows' if all are alike."""
@@ -313,19 +220,7 @@ def _family_of(box: BoxSet, lam, shape) -> _BoxFamily:
     return box.derived[lam, shape]
 
 
-# the rank-2 closed form's arithmetic, on Python floats (one row and one
-# pattern) or on arrays (a batch of them), with the same IEEE operations and
-# one rounding each, so both give the same bytes
-
-
-def _both_free(a, b, c, det, h0, h1):
-    """Both entries free: [[a, b], [b, c]] x = h by Cramer's rule."""
-    return (c * h0 - b * h1) / det, (a * h1 - b * h0) / det
-
-
-def _one_free(d, b, h, v):
-    """One entry free, of diagonal d, the other fixed at v: d x = h - b v."""
-    return (h - b * v) / d
+# the rank-2 closed form, in Python floats
 
 
 def _pair_objective(a, b, c, lam, x0, x1, c0, c1):
@@ -336,30 +231,25 @@ def _pair_objective(a, b, c, lam, x0, x1, c0, c1):
 
 
 def _pair_candidate(a, b, c, det, c0, c1, pattern):
-    """One pattern's candidate (x0, x1) in Python floats: its fixed entries
-    at their values, its free ones solving their system."""
+    """One pattern's candidate (x0, x1) against G = [[a, b], [b, c]]: its
+    fixed entries at their values v, its free ones solving G_FF x_F = h_F -
+    G_FX v_X, h = (c0, c1) - lam s / 2, by Cramer's rule."""
     f0, f1, v0, v1, s0, s1, _, _ = pattern
     if f0 and f1:
-        return _both_free(a, b, c, det, c0 - s0, c1 - s1)
+        h0, h1 = c0 - s0, c1 - s1
+        return (c * h0 - b * h1) / det, (a * h1 - b * h0) / det
     if f0:
-        return _one_free(a, b, c0 - s0, v1), v1
+        return (c0 - s0 - b * v1) / a, v1
     if f1:
-        return v0, _one_free(c, b, c1 - s1, v0)
+        return v0, (c1 - s1 - b * v0) / c
     return v0, v1
 
 
-def _pair_candidates(a, b, c, det, h0, h1, f0, f1, v0, v1):
-    """_pair_candidate on arrays, h the right sides c - lam s / 2."""
-    both0, both1 = _both_free(a, b, c, det, h0, h1)
-    return (np.where(f0, np.where(f1, both0, _one_free(a, b, h0, v1)), v0),
-            np.where(f1, np.where(f0, both1, _one_free(c, b, h1, v0)), v1))
-
-
 def _pair_inside(x0, x1, lo0, up0, lo1, up1, t0, t1, signed):
-    """Whether candidates lie in the box with the signs t their patterns
-    assume (only tested if signed: a box with every lo >= 0 implies them)."""
-    inside = (lo0 <= x0) & (x0 <= up0) & (lo1 <= x1) & (x1 <= up1)
-    return inside & (x0 * t0 >= 0.0) & (x1 * t1 >= 0.0) if signed else inside
+    """Whether a candidate lies in the box with the signs t its pattern
+    assumes (only tested if signed: a box with every lo >= 0 implies them)."""
+    inside = lo0 <= x0 <= up0 and lo1 <= x1 <= up1
+    return inside and x0 * t0 >= 0.0 and x1 * t1 >= 0.0 if signed else inside
 
 
 def _start_state(y, lo, up, lam, zero):
@@ -375,52 +265,25 @@ def _start_state(y, lo, up, lam, zero):
     return (_NEG if y < 0.0 else _POS) if lam else _FREE
 
 
-def _start_states(y, lo, up, lam, zero):
-    """_start_state on arrays."""
-    free = np.where(y < 0.0, _NEG, _POS) if lam else _FREE
-    return np.where(y == lo, _LO, np.where(y == up, _UP, np.where(zero & (y == 0.0), _ZERO, free)))
-
-
-def _state_values(states, lo, up):
-    """The values of entries fixed in states (arrays): lo, up, or 0."""
-    return np.where(states == _LO, lo, np.where(states == _UP, up, 0.0))
-
-
-def _if(cond, p, q):
-    """p if cond else q: the endpoint pick of _pair_gap on Python floats,
-    as np.where picks it on arrays."""
-    return p if cond else q
-
-
-def _pair_gap(x0, x1, p, q, c, x, lo, up, lam, sign, where):
+def _pair_gap(x0, x1, p, q, c, x, lo, up, lam, sign):
     """One entry's gap and reach at the row (x0, x1) of a rank-2 family, the
     terms _entry_gaps and _gap_total sum: (p, q) is the entry's column of
-    G, and c, x, lo and up are the entry's own.  On Python floats where is
-    _if; on arrays of both entries of every row it is np.where."""
+    G, and c, x, lo and up are the entry's own."""
     y0, y1 = (x0, x1) if sign else (abs(x0), abs(x1))
     reach = (2.0 * (y0 * abs(p) + y1 * abs(q) + abs(c)) + lam) * (up - lo)
-    return _pair_term(x0, x1, p, q, c, x, lo, up, lam, sign, where), reach
+    return _pair_term(x0, x1, p, q, c, x, lo, up, lam, sign), reach
 
 
-def _pair_term(x0, x1, p, q, c, x, lo, up, lam, sign, where):
+def _pair_term(x0, x1, p, q, c, x, lo, up, lam, sign):
     """_pair_gap's gap term alone: zero exactly when moving the entry alone
     into the box cannot lower the linearized objective."""
     g = 2.0 * (x0 * p + x1 * q - c)
     if lam and not sign:
         # between -lam and lam the clipped zero attains the gap
-        v = where(g < -lam, up, where(g > lam, lo, where(lo > 0.0, lo, where(up < 0.0, up, 0.0))))
+        v = up if g < -lam else lo if g > lam else lo if lo > 0.0 else up if up < 0.0 else 0.0
         return g * (x - v) + lam * (abs(x) - abs(v))
-    d = x - where(g < -lam, up, lo)
+    d = x - (up if g < -lam else lo)
     return g * d + lam * d if lam else g * d
-
-
-def _pair_gap_total(total, reach, abs_total, size, where):
-    """_gap_total's certified gap from a family's sums, in the rows' order,
-    of its entry gaps, their reaches and their sizes (size entries)."""
-    return where(total > 0.0, total, 0.0) + _EPS * (2 * (2 + 4) * reach + size * abs_total)
-
-
-_NOT_POSITIVE = "a free system of the rank-2 closed form is not positive"
 
 
 def _pairs(G, C, box, certify=False, X0=None):
@@ -428,26 +291,24 @@ def _pairs(G, C, box, certify=False, X0=None):
 
     Each pattern fixes some entries (at lo, up or zero) and gives the others
     a sign; its candidate solves G_FF x_F = c_F - G_FX x_X - lam s_F / 2 by
-    Cramer's rule (_both_free, _one_free).  A row first takes the pattern
-    of its start X0 (_start_state; both entries free without one) and keeps
-    its candidate if it is a KKT point: in the box, with the signs its
-    pattern assumes, and every fixed entry's gap term (_pair_term) exactly
-    zero.  G_FF is positive definite, so that point is the minimizer.  Any
-    other row enumerates: the first minimum of the objective in
-    itertools.product order among the candidates in the box with their
-    signs wins, and the first pattern's candidate when none is (a
-    non-finite G or C).  A free system that is not positive (a, c or det <=
-    0) raises LinAlgError.  One family, and a stack of at most
-    _PAIR_LOOP_ROWS member rows, runs in Python floats row by row; a larger
-    stack as one batch over (patterns, members, rows).  X0 is an array of
-    C's shape, a list of equal row blocks (of a stack, one per member), None
-    where a block has no start, or None.
+    Cramer's rule (_pair_candidate).  A row first takes the pattern of its
+    start X0 (_start_state; both entries free without one) and keeps its
+    candidate if it is a KKT point: in the box, with the signs its pattern
+    assumes, and every fixed entry's gap term (_pair_term) exactly zero.
+    G_FF is positive definite, so that point is the minimizer.  Any other
+    row enumerates: the first minimum of the objective in itertools.product
+    order among the candidates in the box with their signs wins, and the
+    first pattern's candidate when none is (a non-finite G or C).  A free
+    system that is not positive (a, c or det <= 0) raises LinAlgError.  One
+    family runs _pairs_loop, and a stack runs it member by member.  X0 is an
+    array of C's shape, a list of equal row blocks (of a stack, one per
+    member), None where a block has no start, or None.
     Returns (X, free, gap): gap is X's certified gap if certify (a float,
-    or one per member; _pair_gap_loop, _pair_gap_batch), else None."""
+    or one per member; _pair_gap_loop), else None."""
     rows, start = box.pair_rows, _pair_start(X0, C.shape)
     if G.ndim == 2:
         X, free, gap = _pairs_loop(G, C, rows[0], box, certify, start)
-    elif C.size <= 2 * _PAIR_LOOP_ROWS:
+    else:
         X, free, gap = [], [], []
         for j in range(len(C)):
             Xj, free_j, gap_j = _pairs_loop(G[j], C[j], rows[j if len(rows) > 1 else 0], box,
@@ -456,8 +317,6 @@ def _pairs(G, C, box, certify=False, X0=None):
             free += free_j
             gap.append(gap_j)
         gap = np.array(gap) if certify else None
-    else:
-        return _pairs_batch(G, C, box, certify, start)
     return np.array(X).reshape(C.shape), np.array(free, dtype=bool).reshape(C.shape), gap
 
 
@@ -471,14 +330,14 @@ def _pair_start(X0, shape):
 
 
 def _pairs_loop(G, C, rows, box, certify, start):
-    """One family's rows in Python floats: each row's (x0, x1) and free
-    flags, and X's certified gap if certify (_pair_gap_loop), else None.
-    rows holds each row's bounds and patterns (one for all if alike;
-    _BoxFamily.pair_rows); start is the rows' start, or None."""
+    """One family's rows: each row's (x0, x1) and free flags, and X's
+    certified gap if certify (_pair_gap_loop), else None.  rows holds each
+    row's bounds and patterns (one for all if alike; _BoxFamily.pair_rows);
+    start is the rows' start, or None."""
     (a, b), (_, c) = G.tolist()
     det = a * c - b * b
     if a <= 0.0 or c <= 0.0 or det <= 0.0:
-        raise np.linalg.LinAlgError(_NOT_POSITIVE)
+        raise np.linalg.LinAlgError("a free system of the rank-2 closed form is not positive")
     lam, sign, index, zero = box.lam, box.sign, box.pair_index, _ZERO in box.states
     signed = lam > 0 and not sign  # the sign test a box with lo >= 0 implies
     rows = rows * len(C) if len(rows) == 1 else rows
@@ -492,8 +351,8 @@ def _pairs_loop(G, C, rows, box, certify, start):
             f0, f1, _, _, _, _, t0, t1 = pats[p]
             x0, x1 = _pair_candidate(a, b, c, det, c0, c1, pats[p])
             if (_pair_inside(x0, x1, lo0, up0, lo1, up1, t0, t1, signed)
-                    and (f0 or _pair_term(x0, x1, a, b, c0, x0, lo0, up0, lam, sign, _if) == 0.0)
-                    and (f1 or _pair_term(x0, x1, b, c, c1, x1, lo1, up1, lam, sign, _if) == 0.0)):
+                    and (f0 or _pair_term(x0, x1, a, b, c0, x0, lo0, up0, lam, sign) == 0.0)
+                    and (f1 or _pair_term(x0, x1, b, c, c1, x1, lo1, up1, lam, sign) == 0.0)):
                 X.append((x0, x1))
                 F.append((f0, f1))
                 continue
@@ -513,68 +372,20 @@ def _pairs_loop(G, C, rows, box, certify, start):
 
 
 def _pair_gap_loop(a, b, c, C, X, rows, lam, sign):
-    """The certified gap of one rank-2 family's rows X (pairs of Python
-    floats) against G = [[a, b], [b, c]] and the rows C, in Python floats:
+    """The certified gap (_gap_total's, at k = 2) of one rank-2 family's rows
+    X (pairs of Python floats) against G = [[a, b], [b, c]] and the rows C:
     _pair_gap per entry, each sum taken entry after entry in row order.
     rows holds each row's bounds first (_BoxFamily.pair_rows, one per row)."""
-    # -0.0 + t is t for every t, so each sum is cumsum's over the entries
-    total = reach = abs_total = -0.0
+    total = reach = abs_total = -0.0  # the identity of float addition
     for (x0, x1), (c0, c1), (lo0, up0, lo1, up1, _) in zip(X, C, rows):
-        e0, r0 = _pair_gap(x0, x1, a, b, c0, x0, lo0, up0, lam, sign, _if)
-        e1, r1 = _pair_gap(x0, x1, b, c, c1, x1, lo1, up1, lam, sign, _if)
+        e0, r0 = _pair_gap(x0, x1, a, b, c0, x0, lo0, up0, lam, sign)
+        e1, r1 = _pair_gap(x0, x1, b, c, c1, x1, lo1, up1, lam, sign)
         total = total + e0 + e1
         reach = reach + r0 + r1
         if not sign:
             abs_total = abs_total + abs(e0) + abs(e1)
-    return _pair_gap_total(total, reach, total if sign else abs_total, 2 * len(X), _if)
-
-
-def _pairs_batch(G, C, box, certify, start):
-    """_pairs of a stack as one batch over (patterns, members, rows): the
-    loop's rule and expressions on arrays, so each member's (X, free) are
-    its loop's bytes, and so is its gap if certify (_pair_gap_batch)."""
-    f0, f1, v0, v1, s0, s1, t0, t1, lo0, up0, lo1, up1, free, L, U, index = box.pair_arrays
-    a, b, c = G[:, 0, 0, None], G[:, 0, 1, None], G[:, 1, 1, None]
-    det = a * c - b * b
-    if (np.minimum(np.minimum(a, c), det) <= 0.0).any():
-        raise np.linalg.LinAlgError(_NOT_POSITIVE)
-    lam, sign, zero = box.lam, box.sign, _ZERO in box.states
-    signed = lam > 0 and not sign
-    c0, c1 = C[..., 0], C[..., 1]
-    # both entries of every row at once, as in _pair_gap_batch
-    states = _start_states(np.full(C.shape, np.nan) if start is None else start, L, U, lam, zero)
-    p = index[states[..., 0], states[..., 1]]
-    g0, g1, r0, r1, u0, u1 = (A.ravel()[p] for A in (f0, f1, s0, s1, t0, t1))
-    v = _state_values(states, L, U)
-    x0, x1 = _pair_candidates(a, b, c, det, c0 - r0, c1 - r1, g0, g1, v[..., 0], v[..., 1])
-    X, F = np.stack((x0, x1), axis=-1), np.stack((g0, g1), axis=-1)
-    term = _pair_term(X[..., :1], X[..., 1:], G[:, None, 0], G[:, None, :, 1], C, X, L, U, lam,
-                      sign, np.where)
-    ok = (p >= 0) & _pair_inside(x0, x1, lo0, up0, lo1, up1, u0, u1, signed)
-    ok &= (F | (term == 0.0)).all(axis=-1)
-    if not ok.all():
-        x = np.array(_pair_candidates(a, b, c, det, c0 - s0, c1 - s1, f0, f1, v0, v1))
-        inside = _pair_inside(x[0], x[1], lo0, up0, lo1, up1, t0, t1, signed)
-        obj = np.where(inside, _pair_objective(a, b, c, lam, x[0], x[1], c0, c1), np.inf)
-        pick = obj.argmin(axis=0)
-        best = x.reshape(2, len(obj), -1)[:, pick.ravel(), np.arange(pick.size)].T
-        X = np.where(ok[..., None], X, best.reshape(C.shape))
-        F = np.where(ok[..., None], F, free[pick])
-    return X, F, _pair_gap_batch(G, C, X, box) if certify else None
-
-
-def _pair_gap_batch(G, C, X, box):
-    """_pair_gap_loop of every member of a stack (G (K, 2, 2), C and X (K,
-    n, 2)) as one batch: _pair_gap on arrays of both entries of every row,
-    each member's sums taken entry after entry in the loop's order (cumsum;
-    sum's order is pairwise), so each member's gap is its loop's bytes."""
-    lam, sign, (lo, up) = box.lam, box.sign, box.pair_arrays[-3:-1]
-    # an entry's (p, q) runs over G's row 0 and over its column 1: (a, b), then (b, c)
-    E, R = _pair_gap(X[..., :1], X[..., 1:], G[:, None, 0], G[:, None, :, 1], C, X, lo, up,
-                     lam, sign, np.where)
-    total, reach = (np.cumsum(T.reshape(len(C), -1), axis=1)[:, -1] for T in (E, R))
-    abs_total = total if sign else np.cumsum(abs(E).reshape(len(C), -1), axis=1)[:, -1]
-    return _pair_gap_total(total, reach, abs_total, C[0].size, np.where)
+    abs_total = total if sign else abs_total
+    return (total if total > 0.0 else 0.0) + _EPS * (2 * (2 + 4) * reach + 2 * len(X) * abs_total)
 
 
 def _scale(G) -> float:
@@ -760,8 +571,8 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None, certify=False
     equal row blocks, None where a block takes the default start (_start).
 
     A stack (G of shape (K, k, k), C of shape (K, n, k)) takes the closed
-    form in one batch and runs the active-set method member by member, each
-    from its part of X0 (K, n, k) or from its entry of a list of K starts
+    form in one _pairs call and runs the active-set method member by member,
+    each from its part of X0 (K, n, k) or from its entry of a list of K starts
     (None: the default); its gaps are an array, nan for a member without
     one, and its certificates a list, one per member."""
     stack = G.ndim == 3
@@ -799,7 +610,7 @@ def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
     One problem per row of C (shape (n, k)), all against the same symmetric
     PSD (k, k) matrix G; lo and up broadcast to (n, k).  A stack of K such
     families, G of shape (K, k, k) and C of shape (K, n, k), is solved in
-    one batch; lo and up then broadcast to (n, k), shared by the stack, or
+    one call; lo and up then broadcast to (n, k), shared by the stack, or
     have shape (K, n, k), one box per member.  X0, clipped into the box,
     starts the active-set method; at rank 2 its KKT pattern is tried first,
     and it breaks ties when G is singular.  Without it the active-set method
@@ -996,8 +807,8 @@ def ball_multiplier_search(solve, G, C, box, center, radius, tol, first=None):
 def _box_qp_ball(G, C, box, center, radius, tol, first=None):
     """ball_multiplier_search's minimizer, or the box solve's from center at
     radius inf.  A rank-2 stack (G (K, k, k); C, center (K, n, k)) solves
-    at mu = 0 in one batch and its members outside the ball search from
-    their part (first); other stacks search member by member."""
+    at mu = 0 in one _minimize call and its members outside the ball search
+    from their part (first); other stacks search member by member."""
     if math.isinf(radius):
         return _minimize(G, C, box, center, tol)[0]
     if G.ndim == 3:
@@ -1044,7 +855,7 @@ def solve_code_lasso(
 
     One sample X (q, d) against W (q, r) gives H (r, d) and a float gap; a
     stack of K samples X (K, q, d), each against its own W (K, q, r), gives
-    H (K, r, d) and one gap per member (K,), all from one batched solve.  A
+    H (K, r, d) and one gap per member (K,), all from one box-QP call.  A
     stack's H0 is (K, r, d), or a list of K starts (r, d), None where that
     member takes the default start.  One sample's H0 may be a list of equal
     column blocks, None where a block takes the default start.  At rank 2, H0

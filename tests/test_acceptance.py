@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sbmm.bench import eval_empirical, run_omf_diagnostics, run_cpdl_diagnostics
+from sbmm.bench import run_omf_diagnostics, run_cpdl_diagnostics
 from sbmm.factorize import (
     CpdlState,
     OmfState,
@@ -25,6 +25,8 @@ from sbmm.quadform import FactorQuad
 from sbmm.schedule import WeightSchedule
 from sbmm.stream import MarkovSource, make_iid, mixing_rate, stationary_distribution
 from sbmm.subsolver import solve_block_quadratic, solve_code_lasso
+
+from oracles import eval_empirical
 
 
 Q, R, D = 3, 2, 2

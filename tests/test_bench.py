@@ -14,7 +14,6 @@ from sbmm.bench import (
     DiagnosticsRecord,
     cli_main,
     emit_csv,
-    eval_empirical,
     parse_config,
     read_csv,
     run_experiment,
@@ -27,6 +26,8 @@ from sbmm.geometry import BoxSet
 from sbmm.schedule import WeightSchedule
 from sbmm.stream import MarkovSource, make_iid
 from sbmm.subsolver import SubsolverError
+
+from oracles import eval_empirical
 
 
 def sq_loss(x, t):
@@ -766,21 +767,11 @@ def rank5_cfg(tmp_path):
     ("omf_iid", "engine.c_prime = 0.02\n"), ("omf_sub", ""), ("omf_sub", "engine.mode = c1\n"),
     ("omf_sub", "app.row_sample = 0.5\n"), ("rank5", "")],
     ids=["markov", "markov_c1", "iid", "iid_ball_binds", "sub", "sub_c1", "sub_fraction", "rank5"])
-def test_run_sweep_stack_matches_run_experiment(tmp_path, monkeypatch, name, extra):
+def test_run_sweep_stack_matches_run_experiment(tmp_path, name, extra):
     # run_sweep runs an OMF config's seeds as one stack in lockstep; each
     # member's CSV, tallies and final dictionary are those run_experiment
     # gives at its seed, whatever the stack's size and order (at rank 5
-    # too, where each member runs its own active-set solves and ball search).
-    # With _PAIR_LOOP_ROWS set to 12 here, the 8-seed stack's rank-2 code
-    # solves (16 member rows) take the closed form's array batch and its
-    # certified gap, and the smaller stacks' its Python-float loop
-    import sbmm.subsolver as subsolver
-
-    monkeypatch.setattr(subsolver, "_PAIR_LOOP_ROWS", 12)
-    batches = []
-    real = subsolver._pair_gap_batch
-    monkeypatch.setattr(subsolver, "_pair_gap_batch",
-                        lambda G, *args: batches.append(len(G)) or real(G, *args))
+    # too, where each member runs its own active-set solves and ball search)
     cfg = rank5_cfg(tmp_path) if name == "rank5" else shipped_cfg(tmp_path, name, extra)
     label, alone = cfg["label"], {}
     for seeds in ([4], [0, 1, 2], [5, 4, 3, 2, 1, 0], [7, 6, 5, 4, 3, 2, 1, 0]):
@@ -797,7 +788,6 @@ def test_run_sweep_stack_matches_run_experiment(tmp_path, monkeypatch, name, ext
             for c in ("monotonicity_violations", "step_bound_violations", "c1_bound_violations"):
                 assert getattr(res, c) == getattr(ref, c)
             assert res.final.W.tobytes() == ref.final.W.tobytes()
-    assert (8 in batches) == (name != "rank5")
 
 
 def _record_code_starts(monkeypatch):

@@ -828,15 +828,15 @@ def _exact_gap(G, C, X, lam, lo, up):
 def _float_gap(G, C, X, box):
     """The rank-2 closed form's certified gap of X (_pair_gap_loop) and the
     float sum of its entry gaps, both from Python floats."""
-    from sbmm.subsolver import _if, _pair_gap, _pair_gap_loop
+    from sbmm.subsolver import _pair_gap, _pair_gap_loop
 
     (a, b), (_, c) = G.tolist()
     rows = box.pair_rows[0]
     rows = rows * len(C) if len(rows) == 1 else rows
     fsum = -0.0
     for (x0, x1), (c0, c1), (lo0, up0, lo1, up1, _) in zip(X.tolist(), C.tolist(), rows):
-        fsum = (fsum + _pair_gap(x0, x1, a, b, c0, x0, lo0, up0, box.lam, box.sign, _if)[0]
-                + _pair_gap(x0, x1, b, c, c1, x1, lo1, up1, box.lam, box.sign, _if)[0])
+        fsum = (fsum + _pair_gap(x0, x1, a, b, c0, x0, lo0, up0, box.lam, box.sign)[0]
+                + _pair_gap(x0, x1, b, c, c1, x1, lo1, up1, box.lam, box.sign)[0])
     return _pair_gap_loop(a, b, c, C.tolist(), X.tolist(), rows, box.lam, box.sign), fsum
 
 
@@ -1539,18 +1539,17 @@ def test_rank2_value_gives_each_calls_bytes(K):
     # at r = 2 the value is summed in Python floats (the points of a single
     # quad with at most _VALUE_LOOP_ROWS rows in all) or as the same float
     # operations on arrays (any other W, a stack of more than
-    # _PAIR_LOOP_ROWS member rows among them): a pair, three points and a
+    # _VALUE_LOOP_ROWS member rows among them): a pair, three points and a
     # stack give each point and member the bytes of its own single call,
     # within 1e-12 (1 + |v|) of the matmul form's value v
     import sbmm.quadform as quadform
-    import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(73)
     for trial in range(100):
         q = int(rng.integers(1, quadform._VALUE_LOOP_ROWS + 4))
         g = _factor_quads(rng, K, q, 2)
         if K == 21 and q > 1:
-            assert K * q > subsolver._PAIR_LOOP_ROWS
+            assert K * q > quadform._VALUE_LOOP_ROWS
         P = rng.uniform(-1.0, 1.0, size=(3,) + g.anchor.shape)
         for pts in (P[:2], P):
             vals = g.value(pts)
@@ -1668,22 +1667,28 @@ def test_enumeration_alone_is_exact_with_l1(k, bounds):
 _PAIR_BOXES = ((0.0, 1.0), (0.2, 1.5), (-1.0, 1.0), (-1.5, -0.2))
 
 
+def _stack_size(side, n, data):
+    """The member count of a stack of n-row rank-2 families: at most 24
+    member rows in all on the "loop" side, more on the "batch" side (a
+    large stack)."""
+    K = (data.draw(st.integers(1, max(1, 24 // n))) if side == "loop"
+         else data.draw(st.integers(24 // n + 1, 24 // n + 4)))
+    assert (K * n <= 24) == (side == "loop")
+    return K
+
+
 @pytest.mark.parametrize("side", ["loop", "batch"])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.0, 0.05, 0.5]),
        bounds=st.sampled_from(_PAIR_BOXES), per_member=st.booleans(), data=st.data())
 def test_rank2_stack_gives_each_members_bytes(side, seed, lam, bounds, per_member, data):
-    # a stack of rank-2 families, solved in Python floats member by member
-    # (at most _PAIR_LOOP_ROWS member rows) or as one array batch, gives
-    # each member the X and free mask of its own family's solve, byte for
-    # byte; with per_member each member has its own box, drawn per row
+    # a stack of rank-2 families, small or large, gives each member the X
+    # and free mask of its own family's solve, byte for byte; with
+    # per_member each member has its own box, drawn per row
     import sbmm.subsolver as subsolver
 
-    limit = subsolver._PAIR_LOOP_ROWS
     n = data.draw(st.integers(1, 4))
-    K = (data.draw(st.integers(1, max(1, limit // n))) if side == "loop"
-         else data.draw(st.integers(limit // n + 1, limit // n + 4)))
-    assert (K * n <= limit) == (side == "loop")
+    K = _stack_size(side, n, data)
     rng = np.random.default_rng(seed)
     lo, up = bounds
     if per_member:
@@ -1708,17 +1713,11 @@ def test_rank2_stack_gives_each_members_bytes(side, seed, lam, bounds, per_membe
        bounds=st.sampled_from(_PAIR_BOXES), per_member=st.booleans(), data=st.data())
 def test_rank2_gap_gives_each_members_bytes(side, seed, lam, bounds, per_member, data):
     # the certified gap of the rank-2 closed form is each member's own bytes
-    # whether the member is solved alone, in a stack's Python-float loop or
-    # in its array batch; at the closed form's X, and at any point of the
-    # box, where the batch (_pair_gap_batch) and the loop (_pair_gap_loop)
-    # take the same floats
+    # whether the member is solved alone or in a stack, small or large
     import sbmm.subsolver as subsolver
 
-    limit = subsolver._PAIR_LOOP_ROWS
     n = data.draw(st.integers(1, 8))
-    K = (data.draw(st.integers(1, max(1, limit // n))) if side == "loop"
-         else data.draw(st.integers(limit // n + 1, limit // n + 4)))
-    assert (K * n <= limit) == (side == "loop")
+    K = _stack_size(side, n, data)
     rng = np.random.default_rng(seed)
     lo, up = bounds
     if per_member:
@@ -1732,21 +1731,17 @@ def test_rank2_gap_gives_each_members_bytes(side, seed, lam, bounds, per_member,
     C = rng.normal(size=(K, n, 2)) * 2.0
     X, _, gap = subsolver._pairs(G, C, box, certify=True)
     assert gap.shape == (K,)
-    Y = rng.uniform(np.broadcast_to(lo, C.shape), np.broadcast_to(up, C.shape))
-    gap_Y = subsolver._pair_gap_batch(G, C, Y, box)
     for j in range(K):
-        member = box.member(j)
-        gap_j = subsolver._pairs(G[j], C[j], member, certify=True)[2]
+        gap_j = subsolver._pairs(G[j], C[j], box.member(j), certify=True)[2]
         assert isinstance(gap_j, float) and gap[j].tobytes() == np.float64(gap_j).tobytes()
-        assert gap_Y[j].tobytes() == np.float64(_float_gap(G[j], C[j], Y[j], member)[0]).tobytes()
 
 
 @pytest.mark.parametrize("side", [None, "loop", "batch"], ids=["single", "loop", "batch"])
 @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
 @pytest.mark.parametrize("bounds", _PAIR_BOXES, ids=["unit", "positive", "straddling", "negative"])
 def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, side):
-    # the rank-2 closed form's certified gap, single or in a stack on either
-    # side of _PAIR_LOOP_ROWS (4 rows a member), is at least the exact
+    # the rank-2 closed form's certified gap, single, in a small stack or in
+    # a large one (12 or 28 member rows), is at least the exact
     # suboptimality, in rational arithmetic against _exact_box_lasso_row's
     # minimizer, of the closed form's X and of points drawn in the box
     from fractions import Fraction as F
@@ -1755,9 +1750,8 @@ def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, side):
 
     rng = np.random.default_rng(211)
     n, (lo, up) = 4, bounds
-    K = {None: None, "loop": 3, "batch": subsolver._PAIR_LOOP_ROWS // n + 1}[side]
+    K = {None: None, "loop": 3, "batch": 7}[side]
     lead = () if K is None else (K,)
-    assert K is None or (K * n <= subsolver._PAIR_LOOP_ROWS) == (side == "loop")
     box = subsolver._box_family(lam, np.full((1, 2), lo), np.full((1, 2), up), 2)
 
     def objective(G, c, x):
@@ -1774,10 +1768,8 @@ def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, side):
         Y = rng.uniform(lo, up, size=C.shape)
         if K is None:
             gap_Y = _float_gap(G, C, Y, box)[0]
-        elif side == "loop":
-            gap_Y = [_float_gap(G[j], C[j], Y[j], box)[0] for j in range(K)]
         else:
-            gap_Y = subsolver._pair_gap_batch(G, C, Y, box)
+            gap_Y = [_float_gap(G[j], C[j], Y[j], box)[0] for j in range(K)]
         members = [(G, C, X, Y, gap, gap_Y)] if K is None else [
             (G[j], C[j], X[j], Y[j], gap[j], gap_Y[j]) for j in range(K)]
         for Gj, Cj, Xj, Yj, gap_j, gap_Yj in members:
@@ -1790,15 +1782,14 @@ def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, side):
 
 def _count_pair_candidates(monkeypatch):
     """The rank-2 candidates the enumeration evaluates (_pair_objective: one
-    per call on floats, one per entry on arrays), counted in a one-item list."""
+    per call), counted in a one-item list."""
     import sbmm.subsolver as subsolver
 
     real, count = subsolver._pair_objective, [0]
 
     def counted(*args):
-        obj = real(*args)
-        count[0] += np.size(obj)
-        return obj
+        count[0] += 1
+        return real(*args)
     monkeypatch.setattr(subsolver, "_pair_objective", counted)
     return count
 
@@ -1820,8 +1811,8 @@ def test_rank2_start_pattern_is_verified_or_falls_back_to_the_exact_minimizer(bo
     # pattern's candidate without enumerating; a row started in any other
     # pattern (every state pair of the box: at a bound, at zero, free with
     # either sign) gets the exact minimizer, against the rational oracle,
-    # alone and in the array batch: a wrong pattern passes the box, sign
-    # and derivative tests only where its candidate is the minimizer too
+    # alone and in a large stack: a wrong pattern passes the box, sign and
+    # derivative tests only where its candidate is the minimizer too
     import sbmm.subsolver as subsolver
 
     count = _count_pair_candidates(monkeypatch)
@@ -1844,11 +1835,9 @@ def test_rank2_start_pattern_is_verified_or_falls_back_to_the_exact_minimizer(bo
         for start in starts:
             X = subsolver._pairs(G, C, box, X0=np.array([start] * len(C)))[0]
             assert np.all(np.abs(X - refs) <= 1e-9 * (1.0 + np.abs(refs))), (trial, start)
-        # every start at once, one member each (twice, or more): a stack
-        # past _PAIR_LOOP_ROWS
-        members = starts * (subsolver._PAIR_LOOP_ROWS // (len(starts) * len(C)) + 1)
-        X = subsolver._pairs(np.stack([G] * len(members)), np.stack([C] * len(members)), box,
-                             X0=np.array([[start] * len(C) for start in members]))[0]
+        # every start at once, one member each: a stack of 27 or 75 member rows
+        X = subsolver._pairs(np.stack([G] * len(starts)), np.stack([C] * len(starts)), box,
+                             X0=np.array([[start] * len(C) for start in starts]))[0]
         assert np.all(np.abs(X - refs) <= 1e-9 * (1.0 + np.abs(refs))), trial
     assert verified == 12 and bound_rows >= 6
 
@@ -1904,13 +1893,11 @@ def test_rank2_stack_with_starts_gives_each_members_bytes(side, seed, lam, bound
     # a stack started per row, from its minimizer (verified), from a random
     # pattern (often falling back to the enumeration) or, for a member given
     # None, from no start: each member's (X, free, gap) are its own loop's
-    # bytes, in the Python-float loop and in the array batch
+    # bytes, in a small stack and in a large one
     import sbmm.subsolver as subsolver
 
-    limit = subsolver._PAIR_LOOP_ROWS
     n = data.draw(st.integers(1, 4))
-    K = (data.draw(st.integers(1, max(1, limit // n))) if side == "loop"
-         else data.draw(st.integers(limit // n + 1, limit // n + 4)))
+    K = _stack_size(side, n, data)
     rng = np.random.default_rng(seed)
     lo, up = bounds
     if per_member:
@@ -1938,26 +1925,31 @@ def test_rank2_stack_with_starts_gives_each_members_bytes(side, seed, lam, bound
 
 
 def test_rank2_batch_verifies_some_rows_and_enumerates_the_rest(monkeypatch):
-    # a stack past _PAIR_LOOP_ROWS whose rows start from their minimizers
-    # enumerates nothing; with some rows started in another pattern it
-    # enumerates once for the stack, and still gives each member its loop's
-    # bytes
+    # a large stack (28 member rows) whose rows start from their minimizers
+    # builds one candidate per row and enumerates nothing; with the first
+    # row of half the members started in another pattern it builds the 9
+    # pattern candidates of each row whose start left its pattern, and of no
+    # other row, and still gives each member its own solve's bytes
     import sbmm.subsolver as subsolver
 
     count = _count_pair_candidates(monkeypatch)
+    built = _count_calls(monkeypatch, subsolver, ["_pair_candidate"])
     rng = np.random.default_rng(227)
-    n = 4
-    K = subsolver._PAIR_LOOP_ROWS // n + 1
+    n, K = 4, 7
     box = subsolver._box_family(0.05, np.zeros((1, 2)), np.ones((1, 2)), 2)
     M = rng.normal(size=(K, 2, 3))
     G, C = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2), rng.normal(size=(K, n, 2))
     X = subsolver._pairs(G, C, box)[0]
-    count[0] = 0
+    count[0] = built["_pair_candidate"] = 0
     assert subsolver._pairs(G, C, box, X0=X)[0].tobytes() == X.tobytes() and count[0] == 0
+    assert built["_pair_candidate"] == K * n
+    built["_pair_candidate"] = 0
     start = X.copy()
-    start[::2, 0] = np.where(X[::2, 0] == 0.0, 0.5, 0.0)  # half the members in another pattern
+    start[::2, 0] = np.where(X[::2, 0] == 0.0, 0.5, 0.0)  # both entries: another pattern
     Y, free, _ = subsolver._pairs(G, C, box, X0=start)
-    assert Y.tobytes() == X.tobytes() and count[0] == 9 * K * n
+    moved = int((start != X).any(axis=-1).sum())
+    assert Y.tobytes() == X.tobytes() and moved == (K + 1) // 2
+    assert built["_pair_candidate"] == K * n + 9 * moved and 0 < count[0] <= 9 * moved
     for j in range(K):
         Yj, free_j, _ = subsolver._pairs(G[j], C[j], box, X0=start[j])
         assert Y[j].tobytes() == Yj.tobytes() and free[j].tobytes() == free_j.tobytes()
