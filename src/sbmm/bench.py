@@ -52,7 +52,7 @@ from .factorize import (
     subsampled_omf_step,  # not called here: the benchmark's layer tracer wraps this name
     _contract_except,
 )
-from .geometry import BoxSet, stationarity_measure, tangent_cone_project
+from .geometry import BoxSet, GeometryError, stationarity_measure, tangent_cone_project
 from .schedule import _VALIDATION_HORIZON, WeightSchedule, validate_schedule
 from .stream import (MarkovSource, StreamError, make_iid, mixing_rate, next_sample,
                      stationary_distribution, tv_decay)
@@ -294,22 +294,26 @@ def run_cpdl_diagnostics(
     """Online CP-dictionary learning with diagnostics and invariant audits.
     The per-factor trust region has radius c_prime * w_n each step.  A run
     is never stacked: its per-sample gradients contract one sample at a
-    time (see cpdl_loss)."""
+    time (see cpdl_loss).  The surrogate's values are taken at the flat
+    dictionary of the U the run carries, and that dictionary goes to the
+    next step as its D_prev."""
     st = CpdlState.initial(U0)
+    D = None  # the flat dictionary of st.U, once surrogate has built it
 
     def step(xs, ys, w_n, radius):
         res = cpdl_step(xs[0], st.U, st.A, st.B, w_n, lam, factor_boxes, code_set,
-                        C_prev=st.C, radius=radius, tol=solver_tol)
+                        C_prev=st.C, radius=radius, tol=solver_tol, D_prev=D)
         st.U = res.U
         return res
 
     def surrogate(res):
-        # the values at the previous dictionary and at res.U's, one
-        # evaluation of the pair; the block solves' certificates are those
-        # of the per-mode quadratics
+        # the values at the previous dictionary and at res.U's, the iterate
+        # the run carries; that flat dictionary is the next step's D_prev.
+        # The block solves' certificates are those of the per-mode quadratics
+        nonlocal D
         quad, A, B = res.quad, res.A, res.B
         D = out_product(res.U).reshape(quad.anchor.shape)
-        g_prev, g_new = quad.value(np.array((quad.anchor, D))).tolist()
+        g_prev, g_new = quad.value_pair(quad.anchor, D)
 
         def grads(U):
             grams = [Ui.T @ Ui for Ui in U]
@@ -361,7 +365,9 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
     """Drive n_iters SBMM steps of each member (one per source) with
     invariant audits on every step and full diagnostics at every
     diag_interval-th step and the last one; one RunResult per member.
-    Every tally, margin and record is the member's own."""
+    Every tally, margin and record is the member's own.  A SubsolverError
+    or GeometryError of step i is raised again, of its type and chained,
+    with "step i: " in front."""
     st = app.state
     K = len(sources)
     S = sources[0].S
@@ -389,7 +395,10 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
         w_n = schedule.weight_at(i)
         radius = math.inf if mode == "c1" else c_prime * w_n
         prev = app.iterate()
-        res = app.step(xs, ys, w_n, radius)
+        try:
+            res = app.step(xs, ys, w_n, radius)
+        except (SubsolverError, GeometryError) as e:
+            raise type(e)(f"step {i}: {e}") from e
         theta = app.iterate()
         st.A, st.B, st.C = res.A, res.B, res.C
         st.eps_sum += res.eps

@@ -12,7 +12,9 @@ CP-dictionary learning (CPDL).  Both keep the same sufficient statistics
 so the averaged surrogate of the dictionary is an exact quadratic.  For CPDL
 the dictionary is a list of per-mode loading matrices and each mode's update
 reduces to the same quadratic form through Hadamard products of the other
-modes' Gram matrices.
+modes' Gram matrices.  A CPDL step takes the flat dictionary of its previous
+loading matrices from the runner when it has one (D_prev), and names the
+mode whose block solve raised.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BoxSet
+from .geometry import BoxSet, GeometryError
 from .quadform import FactorQuad
-from .subsolver import solve_code_lasso, solve_block_quadratic
+from .subsolver import SubsolverError, solve_code_lasso, solve_block_quadratic
 
 __all__ = [
     "out_product",
@@ -236,6 +238,7 @@ def cpdl_step(
     C_prev: float = 0.0,
     radius: float = math.inf,
     tol: float = 1e-8,
+    D_prev: np.ndarray | None = None,
 ) -> CpdlStepResult:
     """One online CP-dictionary learning step.
 
@@ -243,15 +246,18 @@ def cpdl_step(
     at the previous loading matrices, the statistics are averaged, and then
     each loading matrix is updated once, cyclically, within its own ball of
     the given radius, holding the other factors at their latest values.  The
-    averaged surrogate is returned as a FactorQuad in the flat dictionary.
+    averaged surrogate is returned as a FactorQuad in the flat dictionary,
+    anchored at out_product(U_prev) flattened: D_prev when given (the
+    runner's, built from the same U_prev), else built here.  A block solve's
+    SubsolverError or GeometryError is raised again, of its type and chained,
+    with "mode i: " in front.
     """
     X = np.asarray(X, dtype=float)
     m = len(U_prev)
     r = U_prev[0].shape[1]
     b = X.shape[-1]
 
-    D = out_product(U_prev)
-    D_mat = D.reshape(-1, r)
+    D_mat = (out_product(U_prev) if D_prev is None else D_prev).reshape(-1, r)
     X_mat = X.reshape(-1, b)
     H, gap = solve_code_lasso(X_mat, D_mat, lam, code_set, tol=tol)
 
@@ -267,7 +273,10 @@ def cpdl_step(
         gamma = A if others is None else A * others
         lin = _contract_except(B, U, i)
         quad = FactorQuad(0.5 * (gamma + gamma.T) if m > 1 else gamma, lin.T, 0.0, U[i])
-        U[i] = solve_block_quadratic(quad, factor_boxes[i], radius, tol=tol)[0]
+        try:
+            U[i] = solve_block_quadratic(quad, factor_boxes[i], radius, tol=tol)[0]
+        except (SubsolverError, GeometryError) as e:
+            raise type(e)(f"mode {i}: {e}") from e
         if i < m - 1:  # the last mode's Gram is not read again
             grams[i] = U[i].T @ U[i]
     return CpdlStepResult(H=H, A=A, B=B, C=C, U=U, eps=gap,

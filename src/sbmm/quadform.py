@@ -17,6 +17,12 @@ which is the natural shape for dictionary updates in matrix and tensor
 factorization; there the average is the statistics recursion of the step
 (``factorize.omf_step``), and a ``FactorQuad`` wraps its result.  Every
 block solve minimizes whole rows of one (``subsolver.solve_block_quadratic``).
+
+Construction checks the fields once: A square and symmetric (exactly, or
+within a tolerance), B and the anchor of matching shapes.  ``value`` checks
+its point; ``value_pair`` takes two points that need no check, the anchor
+and a solve's result, and at r = 2 reads them straight into the Python-float
+sum (``_pair_values``) that ``value`` also takes for a few points.
 """
 
 from __future__ import annotations
@@ -32,9 +38,11 @@ __all__ = ["FactorQuad"]
 def _is_symmetric(M: np.ndarray) -> bool:
     """np.allclose(M, M.T, atol=1e-10) without its per-call overhead; a
     stack (K, r, r) is symmetric when each member is.  An M equal to its
-    transpose, as the statistics updates make it, passes at once."""
+    transpose, as the statistics updates make it, passes at once: one
+    comparison of Python floats for one (r, r) M (nan and +-0 compare as
+    == compares them), one of arrays for a stack."""
     Mt = M.swapaxes(-1, -2)
-    if (M == Mt).all():
+    if (M.tolist() == Mt.tolist()) if M.ndim == 2 else (M == Mt).all():
         return True
     return bool((np.abs(M - Mt) <= 1e-10 + 1e-5 * np.abs(Mt)).all())
 
@@ -47,31 +55,35 @@ def _is_symmetric(M: np.ndarray) -> bool:
 _VALUE_LOOP_ROWS = 24
 
 
-def _pair_term(w0, w1, p, q, b, w):
-    """One entry's term w ((w A)_j - 2 b) of tr(W A W') - 2 tr(W B) at the
-    row w = (w0, w1), with (p, q) column j of A and b = B[j, row], w = w_j:
-    on Python floats, or on arrays of both entries of every row."""
-    return (w0 * p + w1 * q - 2.0 * b) * w
+def _pair_values(A, B, C, points):
+    """FactorQuad.value at r = 2 of one quad at each point, a (q, 2) nested
+    list of Python floats: C plus the sum of the point's entry terms w_j
+    ((w A)_j - 2 B[j, i]) over its rows w = (w0, w1), i = 0, 1, ..., taken
+    entry after entry in row order.  The terms are written out, not called:
+    a call per entry would cost more than its arithmetic."""
+    (a00, a01), (a10, a11) = A.tolist()
+    b0, b1 = B.tolist()
+    values = []
+    for P in points:
+        v = -0.0  # -0.0 + t is t for every t: the sum is cumsum's
+        for (w0, w1), b0_i, b1_i in zip(P, b0, b1):
+            v = (v + (w0 * a00 + w1 * a10 - 2.0 * b0_i) * w0
+                 + (w0 * a01 + w1 * a11 - 2.0 * b1_i) * w1)
+        values.append(v + C)
+    return values
 
 
 def _pair_value(A, B, C, W):
     """FactorQuad.value at r = 2, W of shape (..., q, 2) with the quad's
-    member axis, if any, last before (q, 2): per point and member, C plus
-    the sum of its entries' terms (_pair_term), taken entry after entry in
-    row order."""
+    member axis, if any, last before (q, 2): per point and member, the sum
+    _pair_values takes, in its floats for the points of a single quad with
+    at most _VALUE_LOOP_ROWS rows in all, else as the same operations on
+    arrays (a cumsum over each point's entries)."""
     if A.ndim == 2 and W.ndim <= 3 and W.size <= 2 * _VALUE_LOOP_ROWS:
-        (a00, a01), (a10, a11) = A.tolist()
-        b0, b1 = B.tolist()
-        values = []
-        for P in W.tolist() if W.ndim == 3 else (W.tolist(),):
-            v = -0.0  # -0.0 + t is t for every t: the sum is cumsum's
-            for (w0, w1), b0_i, b1_i in zip(P, b0, b1):
-                v = (v + _pair_term(w0, w1, a00, a10, b0_i, w0)
-                     + _pair_term(w0, w1, a01, a11, b1_i, w1))
-            values.append(v + C)
+        values = _pair_values(A, B, C, W.tolist() if W.ndim == 3 else (W.tolist(),))
         return values[0] if W.ndim == 2 else np.array(values)
-    T = _pair_term(W[..., :1], W[..., 1:], A[..., None, 0, :], A[..., None, 1, :],
-                   B.swapaxes(-1, -2), W)
+    w0, w1 = W[..., :1], W[..., 1:]
+    T = (w0 * A[..., None, 0, :] + w1 * A[..., None, 1, :] - 2.0 * B.swapaxes(-1, -2)) * W
     return np.cumsum(T.reshape(W.shape[:-2] + (-1,)), axis=-1)[..., -1] + C
 
 
@@ -101,9 +113,7 @@ class FactorQuad:
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float)
         anchor = np.asarray(self.anchor, dtype=float)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "anchor", anchor)
+        self.__dict__.update(A=A, B=B, anchor=anchor)  # frozen: no __setattr__
         r = A.shape[-1]
         lead = A.shape[:-2]
         if A.shape != lead + (r, r):
@@ -139,17 +149,28 @@ class FactorQuad:
         return self.B.shape[-1]
 
     def value(self, W: np.ndarray):
-        """tr(W A W^T) - 2 tr(W B) + C at W: a float, or for a stack or a W
-        with further leading axes one per member and point.  At r = 2 the
-        entries' terms are summed in row order (_pair_value), in Python
-        floats for a few points of a single quad (one point, or the block
-        solve's pair), else as the same float operations on arrays, so each
-        value is the bytes of its own call either way."""
+        """tr(W A W^T) - 2 tr(W B) + C at W, checked for shape: a float, or
+        for a stack or a W with further leading axes one per member and
+        point.  At r = 2 the entries' terms are summed in row order
+        (_pair_value), in Python floats for a few points of a single quad,
+        else as the same float operations on arrays, so each value is the
+        bytes of its own call either way."""
         W = self._as_matrix(W)
         if self.r == 2:
             return _pair_value(self.A, self.B, self.C, W)
         return ((W @ self.A * W).sum(axis=(-2, -1))
                 - 2.0 * (W * self.B.swapaxes(-1, -2)).sum(axis=(-2, -1)) + self.C)
+
+    def value_pair(self, P: np.ndarray, W: np.ndarray):
+        """The values at two float arrays P and W of the anchor's shape,
+        which are not checked (the anchor and a solve's result, say): the
+        bytes of value(np.array((P, W))), as two Python floats for a single
+        quad, in _pair_values' floats at r = 2 while the pair has at most
+        _VALUE_LOOP_ROWS rows, and as two arrays (K,) for a stack."""
+        if self.A.shape == (2, 2) and P.size <= _VALUE_LOOP_ROWS:
+            return _pair_values(self.A, self.B, self.C, (P.tolist(), W.tolist()))
+        values = self.value(np.array((P, W)))
+        return values.tolist() if self.A.ndim == 2 else values
 
     def grad(self, W: np.ndarray) -> np.ndarray:
         W = self._as_matrix(W)

@@ -906,9 +906,10 @@ def solve_block_quadratic(
     active-set method stopped once its certified objective gap is <= tol.  rows is None
     (every row) or an index array (m,).  Returns (W, value, new): W of the
     anchor's shape, and the descent certificate, the objective at the anchor
-    and at W, both from one evaluation of the pair.  new never rises above
-    value; a rise, or a nan, raises SubsolverError.  An anchor outside the box raises
-    GeometryError.
+    and at W, both from FactorQuad.value_pair (Python floats for a single
+    quad).  new never rises above value; a rise, or a nan, raises
+    SubsolverError.  An anchor outside the box raises GeometryError, naming
+    the first stack member outside it.
 
     A stack of K members is a stacked FactorQuad, anchor (K, q, r), with rows
     (m,) shared or (K, m) one set per member: every member has its own ball
@@ -920,7 +921,10 @@ def solve_block_quadratic(
     prev = g.anchor
     q, r = g.q, g.r
     if not box.contains(prev.reshape(prev.shape[:-2] + (q * r,))):
-        raise GeometryError("the anchor must lie in the box")
+        if prev.ndim == 2:
+            raise GeometryError("the anchor must lie in the box")
+        j = next(j for j, P in enumerate(prev) if not box.contains(P.ravel()))
+        raise GeometryError(f"the anchor of stack member {j} must lie in the box")
     fam = _family_of(box, 0.0, (q, r))
     C = g.B.swapaxes(-1, -2)
     if rows is None:
@@ -931,9 +935,8 @@ def solve_block_quadratic(
               else (Ellipsis, rows, slice(None)))
         W = prev.copy()
         W[at] = _box_qp_ball(g.A, C[at], fam.rows(rows), prev[at], radius, tol)
-    obj, new = g.value(np.array((prev, W)))
+    obj, new = g.value_pair(prev, W)
     if prev.ndim == 2:
-        obj, new = float(obj), float(new)
         if not new <= obj + 1e-9 * (1.0 + abs(obj)):
             raise SubsolverError("block solve increased the objective")
         return W, obj, new

@@ -305,6 +305,90 @@ def test_runner_audits_count_a_faulty_step(monkeypatch, kind, mode):
             assert [getattr(stack[j], c) for c in counters] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 2, 2)], ids=["2modes", "3modes"])
+def test_cpdl_run_hands_its_flat_dictionary_to_the_next_step(tmp_path, monkeypatch, shape):
+    # the runner's surrogate builds the flat dictionary out_product(U) of the
+    # U the run carries, and the next cpdl_step takes it as D_prev: the run
+    # writes the CSV, tallies and final factors of one whose steps build it
+    # again, with one out_product call fewer on every step after the first
+    import sbmm.bench as bench
+    import sbmm.factorize as factorize
+
+    rng = np.random.default_rng(29)
+    n_iters, r = 30, 2
+    P = rng.uniform(0.2, 1.0, size=(2, 2))
+    emissions = list(rng.uniform(0.0, 1.0, size=(2,) + shape))
+    U0 = [rng.uniform(0.0, 1.0, size=(I, r)) for I in shape[:-1]]
+    real_product, real_step, calls = factorize.out_product, bench.cpdl_step, []
+
+    def counted(U):
+        calls.append(None)
+        return real_product(U)
+    monkeypatch.setattr(factorize, "out_product", counted)
+    monkeypatch.setattr(bench, "out_product", counted)
+
+    def run(name):
+        calls.clear()
+        src = MarkovSource(P=P / P.sum(axis=1, keepdims=True), emissions=emissions, seed=3)
+        res = run_cpdl_diagnostics(src, WeightSchedule.polylog(0.5, 1.5), U0, 0.05,
+                                   [BoxSet.uniform(I * r, 0.0, 1.0) for I in shape[:-1]],
+                                   BoxSet.uniform(r, 0.0, 1.0), n_iters=n_iters,
+                                   diag_interval=5)
+        emit_csv(res.records, tmp_path / name)
+        return res, len(calls)
+
+    reused, n_reused = run("reused.csv")
+    monkeypatch.setattr(bench, "cpdl_step",
+                        lambda *args, D_prev=None, **kwargs: real_step(*args, **kwargs))
+    rebuilt, n_rebuilt = run("rebuilt.csv")
+    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "rebuilt.csv").read_bytes()
+    assert reused.prop_margins == rebuilt.prop_margins
+    for c in ("monotonicity_violations", "step_bound_violations"):
+        assert getattr(reused, c) == getattr(rebuilt, c) == 0
+    assert [U.tobytes() for U in reused.final.U] == [U.tobytes() for U in rebuilt.final.U]
+    assert n_rebuilt - n_reused == n_iters - 1
+
+
+@pytest.mark.parametrize("kind", ["omf_stack", "cpdl"])
+def test_solver_errors_name_the_step_and_the_member_or_mode(tmp_path, monkeypatch, capsys, kind):
+    # a block solve whose objective rises at step 7 (of member 1 of a
+    # 3-seed OMF stack, or of CPDL's mode 1) raises SubsolverError naming
+    # the step and the member or the mode, chained to the solver's own
+    # error; sbmm run prints it on one line
+    import sbmm.factorize as factorize
+    import sbmm.subsolver as subsolver
+
+    real_solve, real_ball, calls = factorize.solve_block_quadratic, subsolver._box_qp_ball, []
+    per_step = 1 if kind == "omf_stack" else 2  # a CPDL step solves each of its 2 modes
+
+    def worst(G, C, box, center, radius, tol, first=None):
+        # member 1's rows, or the mode's, at the worst corner of the [0, 1]
+        # box: its objective rises from the anchor (the ball's center)
+        monkeypatch.setattr(subsolver, "_box_qp_ball", real_ball)
+        X = real_ball(G, C, box, center, radius, tol, first)
+        j = 1 if G.ndim == 3 else Ellipsis
+        X[j] = np.where(center[j] @ G[j] - C[j] > 0.0, 1.0, 0.0)
+        return X
+
+    def solve(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 7 * per_step:  # step 7: the stack's solve, or its last mode's (1)
+            monkeypatch.setattr(subsolver, "_box_qp_ball", worst)
+        return real_solve(*args, **kwargs)
+    monkeypatch.setattr(factorize, "solve_block_quadratic", solve)
+    if kind == "omf_stack":
+        with pytest.raises(SubsolverError) as info:
+            run_sweep(shipped_cfg(tmp_path, "omf_markov"), [0, 1, 2], out_dir=tmp_path / "s")
+        assert str(info.value).startswith("step 7: ")
+        assert "stack member 1" in str(info.value)
+        assert type(info.value.__cause__) is SubsolverError
+        return
+    shipped_cfg(tmp_path, "cpdl")
+    assert cli_main(["run", str(tmp_path / "cpdl.cfg"), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: step 7: mode 1: block solve increased the objective\n"
+
+
 def test_omf_runner_refuses_a_surrogate_of_other_statistics(monkeypatch):
     # the OMF audits read the surrogate the step returns; one built on the
     # previous statistics instead of the updated ones is refused, not audited
@@ -948,7 +1032,8 @@ def test_sweep_demo_prints_its_throughput(tmp_path):
     assert float(lines[-1].rsplit(" ", 1)[-1]) > 0.0
 
 
-@pytest.mark.parametrize("script", ["sweep_demo.py", "envelope_demo.py", "fuzz_config.py"])
+@pytest.mark.parametrize("script", ["sweep_demo.py", "envelope_demo.py", "fuzz_config.py",
+                                    "call_counts.py"])
 def test_scripts_import_their_own_checkouts_sbmm(tmp_path, script):
     # a script puts its own checkout's src first on the path: it runs with no
     # PYTHONPATH from any directory, and a copy of it outside a checkout

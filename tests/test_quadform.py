@@ -111,15 +111,73 @@ def test_factor_members_are_slices_not_checked_again(monkeypatch):
 
 
 def test_factor_validation_errors():
-    with pytest.raises(ValueError):
-        FactorQuad(A=np.array([[1.0, 2.0], [0.0, 1.0]]), B=np.zeros((2, 2)),
-                   C=0.0, anchor=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        FactorQuad(A=np.eye(2), B=np.zeros((3, 2)), C=0.0,
-                   anchor=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        FactorQuad(A=np.eye(2), B=np.zeros((2, 4)), C=0.0,
-                   anchor=np.zeros((3, 2)))
+    # a non-square A, an A asymmetric beyond the tolerance or holding a nan,
+    # and a B or an anchor of the wrong shape are refused, single or stacked;
+    # an A asymmetric within the tolerance, or whose mirror entries are 0.0
+    # and -0.0, is accepted
+    good = np.array([[2.0, 0.5], [0.5, 1.0]])
+    bad_A = [np.ones((2, 3)), np.array([[1.0, 2.0], [0.0, 1.0]]), good + [[0.0, 1e-3], [0, 0]],
+             np.array([[np.nan, 0.5], [0.5, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]])]
+    for A in bad_A:
+        for stack in (False, True):
+            A_, B, C, anchor = A, np.zeros((2, 3)), 0.0, np.zeros((3, 2))
+            if stack:  # member 1 is the bad one
+                A_ = np.stack([good, A] if A.shape == good.shape else [A, A])
+                B, C, anchor = np.zeros((2, 2, 3)), np.zeros(2), np.zeros((2, 3, 2))
+            with pytest.raises(ValueError):
+                FactorQuad(A=A_, B=B, C=C, anchor=anchor)
+    with pytest.raises(ValueError, match="B row count"):
+        FactorQuad(A=np.eye(2), B=np.zeros((3, 2)), C=0.0, anchor=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="anchor"):
+        FactorQuad(A=np.eye(2), B=np.zeros((2, 4)), C=0.0, anchor=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="anchor"):
+        FactorQuad(A=np.eye(2), B=np.zeros((2, 4)), C=0.0, anchor=np.zeros((4, 3)))
+    for A in (good + [[0.0, 1e-12], [0.0, 0.0]], np.array([[1.0, 0.0], [-0.0, 1.0]]),
+              np.eye(5)):
+        g = FactorQuad(A=A, B=np.zeros((len(A), 3)), C=0.0, anchor=np.zeros((3, len(A))))
+        assert g.A.tobytes() == A.tobytes()
+        FactorQuad(A=np.stack([A, A]), B=np.zeros((2, len(A), 3)), C=np.zeros(2),
+                   anchor=np.zeros((2, 3, len(A))))
+
+
+def _corners_and_zeros(rng, shape):
+    """Points of shape whose entries are box corners (0 or 1), -0.0 or
+    uniform draws, mixed row by row."""
+    P = rng.uniform(-1.0, 1.0, size=shape)
+    pick = rng.integers(0, 4, size=shape[:-1])
+    P[pick == 1] = rng.integers(0, 2, size=P[pick == 1].shape).astype(float)
+    P[pick == 2] = -0.0
+    return P
+
+
+@pytest.mark.parametrize("r, K", [(2, None), (2, 3), (5, None), (5, 3)],
+                         ids=["r2", "r2_stack", "r5", "r5_stack"])
+def test_value_pair_gives_the_bytes_of_the_stacked_value(r, K):
+    # value_pair(P, W) reads the two points as they are: a single rank-2
+    # quad in Python floats (up to _VALUE_LOOP_ROWS rows in the pair), else
+    # through value; either way the bytes value(np.array((P, W))) gives,
+    # as two floats for a single quad and two arrays (K,) for a stack, on
+    # random points, box corners and rows holding -0.0, of 1 to 30 rows
+    import sbmm.quadform as quadform
+
+    rng = np.random.default_rng(29)
+    for q in range(1, 31):
+        for _ in range(6):
+            lead = () if K is None else (K,)
+            M = rng.normal(size=lead + (r, r))
+            g = FactorQuad(M @ M.swapaxes(-1, -2), rng.normal(size=lead + (r, q)),
+                           float(rng.normal()) if K is None else rng.normal(size=K),
+                           np.zeros(lead + (q, r)))
+            P, W = (_corners_and_zeros(rng, lead + (q, r)) for _ in range(2))
+            want = g.value(np.array((P, W)))
+            got = g.value_pair(P, W)
+            if K is None:
+                assert [type(v) for v in got] == [float, float]
+                assert np.array(got).tobytes() == want.tobytes()
+                assert got == [g.value(P), g.value(W)]
+            else:
+                assert np.array(got).tobytes() == want.tobytes()
+    assert quadform._VALUE_LOOP_ROWS < 2 * 30  # both forms were reached
 
 
 # ---------------------------------------------------------------------------

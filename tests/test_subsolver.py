@@ -2226,3 +2226,8 @@ def test_checks_still_fail_loudly(monkeypatch):
     with pytest.raises(GeometryError):
         solve_block_quadratic(FactorQuad(np.stack([A, A]), np.zeros((2, 2, 4)), np.zeros(2),
                                          np.stack([W - 0.5, W])), box, 0.1, np.array([0]))
+    # a stack names the first member whose anchor is outside the box
+    inside = rng.uniform(0.2, 0.8, size=(4, 2))
+    with pytest.raises(GeometryError, match="anchor of stack member 1 must"):
+        solve_block_quadratic(FactorQuad(np.stack([A, A, A]), np.zeros((3, 2, 4)), np.zeros(3),
+                                         np.stack([inside, W, W])), box, 0.1)
