@@ -29,8 +29,11 @@ MUTANTS = [
     ("src/sbmm/quadform.py", "if (M.tolist() == Mt.tolist()) if M.ndim == 2 else (M == Mt).all():",
      "if True:"),
     # the block solve's two values at the anchor and the result swapped
-    ("src/sbmm/quadform.py", "(self.A, self.B, self.C, (P.tolist(), W.tolist()))",
-     "(self.A, self.B, self.C, (W.tolist(), P.tolist()))"),
+    ("src/sbmm/quadform.py", "self.B.tolist(), self.C, (P.tolist(), W.tolist()))",
+     "self.B.tolist(), self.C, (W.tolist(), P.tolist()))"),
+    # a small stack's value pairs handed back in the reverse member order
+    ("src/sbmm/quadform.py", "return np.array(list(zip(*values)))",
+     "return np.array(list(zip(*values[::-1])))"),
     # the rank-2 value in floats without its constant
     ("src/sbmm/quadform.py", "values.append(v + C)", "values.append(v)"),
     # CPDL's runner hands the next step the flat dictionary one step stale
@@ -45,10 +48,28 @@ MUTANTS = [
     # the active-set method's release step never releases
     ("src/sbmm/subsolver.py", "fixed = fixed ^ release  # a released entry is a fixed one",
      "fixed = fixed"),
+    # C1's Rayleigh bound on rho halved, so it settles checks rho would fail
+    ("src/sbmm/bench.py", "rho_up = (2.0 * min(", "rho_up = (1.0 * min("),
+    # C1's projection skipped whenever the gradient norm is at most twice
+    # the running maximum, which the measure may still exceed
+    ("src/sbmm/bench.py", "if not grad_norms[j] * (1.0 + 1e-12) <= result.c1_stat_max:",
+     "if not grad_norms[j] <= 2.0 * result.c1_stat_max:"),
+    # the paper's recursions: the trust-region radius c' w_n doubled
+    ("src/sbmm/bench.py", 'radius = math.inf if mode == "c1" else c_prime * w_n',
+     'radius = math.inf if mode == "c1" else 2.0 * c_prime * w_n'),
+    # the statistic B left without its update
+    ("src/sbmm/factorize.py", "B = (1.0 - w_n) * B_prev + w_n * (X @ Ht).swapaxes(-1, -2)",
+     "B = 1.0 * B_prev"),
+    # the tangent cone's lower face zeroing the inward components
+    ("src/sbmm/geometry.py", "out[at_lower & (out < 0)] = 0.0", "out[at_lower & (out > 0)] = 0.0"),
 ]
 
 TESTS = [
     "tests/test_quadform.py",
+    "tests/test_geometry.py",
+    "tests/test_factorize.py::test_omf_statistics_match_direct_weighted_sum",
+    "tests/test_bench.py::test_c1_audit_counts_what_the_eager_audit_counts",
+    "tests/test_bench.py::test_runner_audits_count_a_faulty_step",
     "tests/test_bench.py::test_cpdl_run_hands_its_flat_dictionary_to_the_next_step",
     "tests/test_subsolver.py::test_checks_still_fail_loudly",
     "tests/test_subsolver.py::test_certified_gap_allowance_covers_rounding",

@@ -224,7 +224,7 @@ def run_omf_diagnostics(
         if row_sampler is not None:
             rows = draw_rows(rngs[0]) if one else [draw_rows(g) for g in rngs]
         H0 = codes[0].get(ys[0]) if one else [known.get(y) for known, y in zip(codes, ys)]
-        res = omf_step(xs[0] if one else np.stack(xs), st.W, st.A, st.B, w_n, lam, dict_box,
+        res = omf_step(xs[0] if one else np.array(xs), st.W, st.A, st.B, w_n, lam, dict_box,
                        code_set, C_prev=st.C, radius=radius, tol=solver_tol, rows=rows, H0=H0)
         for known, y, H in zip(codes, ys, [res.H] if one else res.H):
             known[y] = H
@@ -359,15 +359,48 @@ def _refuse_non_finite(values: list, i: int, what: str) -> None:
             raise SubsolverError(f"step {i}, member {j}: the {what} is {v}, not finite")
 
 
+def _audit_c1(app: _App, results: list, quad, G, theta, step: list, w_n: float,
+              R_bound: list, g_prev: list) -> None:
+    """Mode C1's audits of one step of each member: the step bound (1/2)
+    rho s^2 <= w_n R s + 1e-7 (1 + |g_prev|) of the surrogate's strong
+    convexity rho = quad.rho, and the running maximum of the stationarity
+    measure at theta of the surrogate's gradient G.  Each member's check is
+    tried first on an upper bound in floats: rho <= 2 min_i A_ii + 1e-12
+    max |A| (the Rayleigh bound lambda_min(A) <= A_ii, with a margin far
+    above eigvalsh's rounding), and the measure <= |G| (1 + 1e-12), since
+    the tangent-cone projection only zeroes entries of -G.  quad.rho (one
+    eigvalsh for the stack) and the projection are computed only when a
+    member's bound does not settle its check, so every count and maximum
+    is the one the eager audit gives; a nan settles nothing."""
+    rho = stat = None
+    grad_norms = app.floats(_norms(G.reshape(theta.shape)))
+    A = quad.A.tolist()
+    for j, (a, result) in enumerate(zip([A] if quad.A.ndim == 2 else A, results)):
+        s = step[j]
+        bound = w_n * R_bound[j] * s + 1e-7 * (1.0 + abs(g_prev[j]))
+        rho_up = (2.0 * min(row[i] for i, row in enumerate(a))
+                  + 1e-12 * max(abs(v) for row in a for v in row))
+        if not 0.5 * rho_up * s * s <= bound:
+            rho = app.floats(quad.rho) if rho is None else rho
+            if 0.5 * rho[j] * s * s > bound:
+                result.c1_bound_violations += 1
+        if not grad_norms[j] * (1.0 + 1e-12) <= result.c1_stat_max:
+            stat = app.floats(app.stationarity(G, theta)) if stat is None else stat
+            result.c1_stat_max = max(result.c1_stat_max, stat[j])
+
+
 def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
          c_prime: float, n_iters: int, diag_interval: int,
          keep_trajectory: bool) -> list:
     """Drive n_iters SBMM steps of each member (one per source) with
     invariant audits on every step and full diagnostics at every
     diag_interval-th step and the last one; one RunResult per member.
-    Every tally, margin and record is the member's own.  A SubsolverError
-    or GeometryError of step i is raised again, of its type and chained,
-    with "step i: " in front."""
+    Every tally, margin and record is the member's own.  The audits are
+    monotonicity, the C2 step bound and, in mode C1, _audit_c1's step
+    bound and stationarity maximum, which read rho and the tangent-cone
+    projection only on the steps their cheap bounds leave undecided.  A
+    SubsolverError or GeometryError of step i is raised again, of its type
+    and chained, with "step i: " in front."""
     st = app.state
     K = len(sources)
     S = sources[0].S
@@ -420,19 +453,13 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
         _refuse_non_finite(g_prev, i, "surrogate's value at the previous iterate")
         _refuse_non_finite(g_new, i, "surrogate's value at the new iterate")
         step, largest = (app.floats(v) for v in app.move(prev, theta))
-        if mode == "c1":
-            rho = app.floats(res.quad.rho)
-            stat = app.floats(app.stationarity(grads(theta), theta))
         for j, result in enumerate(results):
-            scale = 1.0 + abs(g_prev[j])
-            if g_new[j] > g_prev[j] + 1e-9 * scale:
+            if g_new[j] > g_prev[j] + 1e-9 * (1.0 + abs(g_prev[j])):
                 result.monotonicity_violations += 1
             if mode == "c2" and largest[j] > c_prime * w_n + 1e-9:
                 result.step_bound_violations += 1
-            if mode == "c1":
-                if 0.5 * rho[j] * step[j] * step[j] > w_n * R_bound[j] * step[j] + 1e-7 * scale:
-                    result.c1_bound_violations += 1
-                result.c1_stat_max = max(result.c1_stat_max, stat[j])
+        if mode == "c1":
+            _audit_c1(app, results, res.quad, grads(theta), theta, step, w_n, R_bound, g_prev)
 
         checkpoint = i % diag_interval == 0 or i == n_iters
         if pending is None and not checkpoint:
@@ -896,10 +923,11 @@ def run_sweep(cfg: RunConfig, seeds, out_dir=".") -> dict:
 
     An OMF config (omf, omf_sub) runs all its seeds as one stack of K
     members in lockstep: each member keeps its own source, rng, row draws,
-    audits, records and CSV, while the code solve, statistics update,
-    dictionary solve and C1 audit's eigvalsh are batched calls over the
-    stack (shape (K, ...)).  A CPDL config runs its seeds one after another.
-    Either way each run's CSV is the one run_experiment writes at that seed.
+    audits, records and CSV, while the code solve, statistics update and
+    dictionary solve are batched calls over the stack (shape (K, ...)), as
+    is the C1 audit's eigvalsh when it is needed (see _audit_c1).  A CPDL
+    config runs its seeds one after another.  Either way each run's CSV is
+    the one run_experiment writes at that seed.
     Returns a dict mapping seed to its RunResult; each run's CSV lands in
     out_dir as <label>_seed<seed>.csv.
     """

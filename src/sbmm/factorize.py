@@ -159,7 +159,7 @@ def omf_step(
         if min(sizes) == 0:
             raise ValueError("empty row subset")
         if len(set(sizes)) == 1:
-            W, g_prev, g_new = solve_block_quadratic(quad, dict_box, radius, np.stack(rows),
+            W, g_prev, g_new = solve_block_quadratic(quad, dict_box, radius, np.array(rows),
                                                      tol=tol)
         else:
             W = np.empty(W_prev.shape)
@@ -167,7 +167,7 @@ def omf_step(
             for size in sorted(set(sizes)):
                 group = [j for j, n in enumerate(sizes) if n == size]
                 W[group], g_prev[group], g_new[group] = solve_block_quadratic(
-                    quad.members(group), dict_box, radius, np.stack([rows[j] for j in group]),
+                    quad.members(group), dict_box, radius, np.array([rows[j] for j in group]),
                     tol=tol)
     return OmfStepResult(H=H, A=A, B=B, C=C, W=W, eps=gap, quad=quad, g_prev=g_prev,
                          g_new=g_new)

@@ -22,7 +22,8 @@ Construction checks the fields once: A square and symmetric (exactly, or
 within a tolerance), B and the anchor of matching shapes.  ``value`` checks
 its point; ``value_pair`` takes two points that need no check, the anchor
 and a solve's result, and at r = 2 reads them straight into the Python-float
-sum (``_pair_values``) that ``value`` also takes for a few points.
+sum (``_pair_values``) that ``value`` also takes for a few points, member by
+member for a small stack.
 """
 
 from __future__ import annotations
@@ -56,13 +57,14 @@ _VALUE_LOOP_ROWS = 24
 
 
 def _pair_values(A, B, C, points):
-    """FactorQuad.value at r = 2 of one quad at each point, a (q, 2) nested
-    list of Python floats: C plus the sum of the point's entry terms w_j
-    ((w A)_j - 2 B[j, i]) over its rows w = (w0, w1), i = 0, 1, ..., taken
-    entry after entry in row order.  The terms are written out, not called:
-    a call per entry would cost more than its arithmetic."""
-    (a00, a01), (a10, a11) = A.tolist()
-    b0, b1 = B.tolist()
+    """FactorQuad.value at r = 2 of one quad, A and B as nested lists, at
+    each point, a (q, 2) nested list of Python floats: C plus the sum of the
+    point's entry terms w_j ((w A)_j - 2 B[j, i]) over its rows w = (w0,
+    w1), i = 0, 1, ..., taken entry after entry in row order.  The terms are
+    written out, not called: a call per entry would cost more than its
+    arithmetic."""
+    (a00, a01), (a10, a11) = A
+    b0, b1 = B
     values = []
     for P in points:
         v = -0.0  # -0.0 + t is t for every t: the sum is cumsum's
@@ -80,7 +82,8 @@ def _pair_value(A, B, C, W):
     at most _VALUE_LOOP_ROWS rows in all, else as the same operations on
     arrays (a cumsum over each point's entries)."""
     if A.ndim == 2 and W.ndim <= 3 and W.size <= 2 * _VALUE_LOOP_ROWS:
-        values = _pair_values(A, B, C, W.tolist() if W.ndim == 3 else (W.tolist(),))
+        values = _pair_values(A.tolist(), B.tolist(), C,
+                              W.tolist() if W.ndim == 3 else (W.tolist(),))
         return values[0] if W.ndim == 2 else np.array(values)
     w0, w1 = W[..., :1], W[..., 1:]
     T = (w0 * A[..., None, 0, :] + w1 * A[..., None, 1, :] - 2.0 * B.swapaxes(-1, -2)) * W
@@ -165,12 +168,20 @@ class FactorQuad:
         """The values at two float arrays P and W of the anchor's shape,
         which are not checked (the anchor and a solve's result, say): the
         bytes of value(np.array((P, W))), as two Python floats for a single
-        quad, in _pair_values' floats at r = 2 while the pair has at most
-        _VALUE_LOOP_ROWS rows, and as two arrays (K,) for a stack."""
-        if self.A.shape == (2, 2) and P.size <= _VALUE_LOOP_ROWS:
-            return _pair_values(self.A, self.B, self.C, (P.tolist(), W.tolist()))
+        quad and two arrays (K,) for a stack.  At r = 2, while the pair has
+        at most _VALUE_LOOP_ROWS rows in all, they are _pair_values' floats,
+        member by member for a stack, so each member's are the bytes of its
+        own single quad's call."""
+        A = self.A
+        if A.shape[-1] == 2 and P.size <= _VALUE_LOOP_ROWS:
+            if A.ndim == 2:
+                return _pair_values(A.tolist(), self.B.tolist(), self.C, (P.tolist(), W.tolist()))
+            values = [_pair_values(a, b, c, pair) for a, b, c, *pair in
+                      zip(A.tolist(), self.B.tolist(), np.asarray(self.C).tolist(), P.tolist(),
+                          W.tolist())]
+            return np.array(list(zip(*values)))
         values = self.value(np.array((P, W)))
-        return values.tolist() if self.A.ndim == 2 else values
+        return values.tolist() if A.ndim == 2 else values
 
     def grad(self, W: np.ndarray) -> np.ndarray:
         W = self._as_matrix(W)

@@ -303,8 +303,10 @@ def _pairs(G, C, box, certify=False, X0=None):
     family runs _pairs_loop, and a stack runs it member by member.  X0 is an
     array of C's shape, a list of equal row blocks (of a stack, one per
     member), None where a block has no start, or None.
-    Returns (X, free, gap): gap is X's certified gap if certify (a float,
-    or one per member; _pair_gap_loop), else None."""
+    Returns (X, free, gap): free lists each row's pair of free flags, row
+    after row (member after member), for _free_mask to make the mask of
+    where it is read; gap is X's certified gap if certify (a float, or one
+    per member; _pair_gap_loop), else None."""
     rows, start = box.pair_rows, _pair_start(X0, C.shape)
     if G.ndim == 2:
         X, free, gap = _pairs_loop(G, C, rows[0], box, certify, start)
@@ -317,7 +319,13 @@ def _pairs(G, C, box, certify=False, X0=None):
             free += free_j
             gap.append(gap_j)
         gap = np.array(gap) if certify else None
-    return np.array(X).reshape(C.shape), np.array(free, dtype=bool).reshape(C.shape), gap
+    return np.array(X).reshape(C.shape), free, gap
+
+
+def _free_mask(free, shape):
+    """The free mask of shape from a solve's free flags: _pairs' list of
+    flag pairs, or the active-set method's mask as it is."""
+    return np.asarray(free, dtype=bool).reshape(shape)
 
 
 def _pair_start(X0, shape):
@@ -326,7 +334,7 @@ def _pair_start(X0, shape):
     if not isinstance(X0, list):
         return X0
     nan = np.full((math.prod(shape) // (2 * len(X0)), 2), np.nan)
-    return np.stack([nan if b is None else b for b in X0]).reshape(shape)
+    return np.array([nan if b is None else b for b in X0]).reshape(shape)
 
 
 def _pairs_loop(G, C, rows, box, certify, start):
@@ -557,11 +565,12 @@ def _start(G, C, X0, certified):
 
 def _minimize(G, C, box, X0, tol, predicted=False, certified=None, certify=False):
     """Minimizer of the solve_box_qp objective over the box family box, its
-    free mask, the certified gap the active-set method stopped on or, if
-    certify, the rank-2 closed form's (None if it has none), and G's
-    definiteness certificate (_definite; None if the solve needed none):
-    exact by the closed form at rank 2 (_pairs), else the active-set
-    method, which stops once the certified gap is <= tol.  X0 (or None),
+    free flags (a list at rank 2; _free_mask), the certified gap the
+    active-set method stopped on or, if certify, the rank-2 closed form's
+    (None if it has none), and G's definiteness certificate (_definite;
+    None if the solve needed none): exact by the closed form at rank 2
+    (_pairs), else the active-set method, which stops once the certified
+    gap is <= tol.  X0 (or None),
     clipped into the box where it is used unless predicted (then it lies in
     the box), starts the active-set method, by default from the clipped
     least-squares minimizer of the smooth part, gives the closed form the
@@ -775,6 +784,7 @@ def ball_multiplier_search(solve, G, C, box, center, radius, tol, first=None):
     if X is None:
         free, z = (center != box.lo) & (center != box.up), center
     else:
+        free = _free_mask(free, X.shape)
         z = np.where(free, center, X)
     for _ in range(BALL_MAX_ITERS):
         mu, P = _working_set_root(G, C, box, center, radius, free, z, lo, hi)
@@ -797,6 +807,7 @@ def ball_multiplier_search(solve, G, C, box, center, radius, tol, first=None):
             hi = mu  # at mu = 0 the bracket closes: X(0) lies in the ball
         if hi - lo <= BALL_RTOL * hi:
             break
+        free = _free_mask(free, X.shape)
         z = np.where(free, center, X)
     else:
         raise SubsolverError(f"ball search iteration cap exceeded: radius {radius}, "
@@ -818,6 +829,7 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
         X, free, _, certified = _minimize(G, C, box, center, tol)
         for j in range(len(C)):
             if not _distance(X[j], center[j]) <= radius:
+                free = _free_mask(free, C.shape)
                 X[j] = _box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
                                     (X[j], free[j], certified[j]))
         return X

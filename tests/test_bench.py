@@ -21,13 +21,13 @@ from sbmm.bench import (
     run_omf_diagnostics,
     run_sweep,
 )
-from sbmm.factorize import factor_loss
+from sbmm.factorize import factor_loss, factor_loss_lipschitz_bound
 from sbmm.geometry import BoxSet
 from sbmm.schedule import WeightSchedule
 from sbmm.stream import MarkovSource, make_iid
 from sbmm.subsolver import SubsolverError
 
-from oracles import eval_empirical
+from oracles import eager_audit_c1, eval_empirical
 
 
 def sq_loss(x, t):
@@ -418,8 +418,9 @@ def test_omf_runner_refuses_a_surrogate_of_other_statistics(monkeypatch):
 @pytest.mark.parametrize("mode", ["c2", "c1"])
 def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     # the audits read the surrogate the step built and minimized: one
-    # FactorQuad per step, and one eigvalsh for C1's audit (a C2 run reads no
-    # eigenvalue); the block solve's certificate
+    # FactorQuad per step, and one eigvalsh for each C1 step whose step bound
+    # the Rayleigh bound rho <= 2 min_i A_ii + 1e-12 max |A| does not settle
+    # (a C2 run reads no eigenvalue); the block solve's certificate
     # is that surrogate's value at the previous dictionary; and a ball search
     # opens with its box solve at mu = 0 and bounds its multiplier only when
     # that solve leaves the ball
@@ -427,7 +428,8 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     import sbmm.subsolver as subsolver
     from sbmm.quadform import FactorQuad
 
-    counts = {"quad": 0, "eig": 0, "steps": 0, "searches": 0, "binding": 0, "bound": 0}
+    counts = {"quad": 0, "eig": 0, "steps": 0, "searches": 0, "binding": 0, "bound": 0,
+              "unsettled": 0}
     real_init, real_eig = FactorQuad.__post_init__, np.linalg.eigvalsh
     real_step, real_search = bench.omf_step, subsolver.ball_multiplier_search
     real_mu_hi = subsolver._mu_hi
@@ -440,11 +442,16 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
         counts["eig"] += 1
         return real_eig(*args, **kwargs)
 
-    def step(x, W_prev, *args, **kwargs):
-        res = real_step(x, W_prev, *args, **kwargs)
+    def step(x, W_prev, A_prev, B_prev, w_n, *args, **kwargs):
+        res = real_step(x, W_prev, A_prev, B_prev, w_n, *args, **kwargs)
         counts["steps"] += 1
         assert res.g_prev == res.quad.value(W_prev)
         assert res.g_new == res.quad.value(res.W) == res.value_at(res.W)
+        s = float(np.linalg.norm(res.W - W_prev))
+        A = res.quad.A
+        rho_up = 2.0 * float(np.diag(A).min()) + 1e-12 * float(np.abs(A).max())
+        counts["unsettled"] += not (0.5 * rho_up * s * s
+                                    <= w_n * R_bound * s + 1e-7 * (1.0 + abs(res.g_prev)))
         return res
 
     def search(solve, G, C, box, center, radius, *args):
@@ -478,18 +485,101 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     P = rng.uniform(0.2, 1.0, size=(2, 2))
     src = MarkovSource(P=P / P.sum(axis=1, keepdims=True),
                        emissions=list(rng.uniform(0.0, 1.0, size=(2, 3, 2))), seed=2)
+    dict_box, code_set = BoxSet.uniform(6, 0.0, 1.0), BoxSet.uniform(2, 0.0, 1.0)
+    R_bound = factor_loss_lipschitz_bound(src.emissions, dict_box, code_set, 2)
     n_iters = 60  # with c_prime = 0.3 the ball binds on some of the C2 steps
     run_omf_diagnostics(src, WeightSchedule.polylog(0.5, 1.5), rng.uniform(0.0, 1.0, (3, 2)),
-                        0.05, BoxSet.uniform(6, 0.0, 1.0), BoxSet.uniform(2, 0.0, 1.0),
+                        0.05, dict_box, code_set,
                         mode=mode, c_prime=0.3, n_iters=n_iters, diag_interval=10)
     assert counts["steps"] == counts["quad"] == n_iters
-    assert counts["eig"] == (n_iters if mode == "c1" else 0)
+    assert counts["eig"] == (counts["unsettled"] if mode == "c1" else 0)
     if mode == "c1":  # no trust region, so no ball search
         assert counts["searches"] == counts["bound"] == 0
     else:
         assert counts["searches"] == n_iters
         assert 0 < counts["binding"] < n_iters
         assert counts["bound"] == counts["binding"]
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_c1_audit_counts_what_the_eager_audit_counts(data):
+    # C1's audit settles each member's step bound and stationarity maximum
+    # by a cheap upper bound first; on random chains, emissions and starts,
+    # single runs and stacks of 2-4, omf and omf_sub, with jumps near the
+    # step bound's threshold on some steps (so that the Rayleigh bound
+    # leaves them undecided and the run reads rho), every counter,
+    # c1_stat_max and CSV equal those of the eager audit (tests/oracles.py)
+    import tempfile
+
+    import sbmm.bench as bench
+
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    K = data.draw(st.sampled_from([None, 2, 3, 4]), label="K")
+    kind = data.draw(st.sampled_from(["omf", "omf_sub"]), label="kind")
+    constant = data.draw(st.booleans(), label="constant weights")
+    n_iters = 24
+    jumps = data.draw(st.dictionaries(st.integers(2, n_iters), st.floats(0.25, 4.0),
+                                      min_size=1, max_size=4), label="jumps")
+    rng = np.random.default_rng(seed)
+    S, q, d, r = int(rng.integers(2, 4)), int(rng.integers(2, 5)), int(rng.integers(1, 4)), 2
+    P = rng.uniform(0.05, 1.0, size=(S, S))
+    emissions = list(rng.uniform(0.0, 1.0, size=(S, q, d)))
+    dict_box, code_set = BoxSet.uniform(q * r, 0.0, 1.0), BoxSet.uniform(r, 0.0, 1.0)
+    schedule = WeightSchedule.constant(1e-3) if constant else WeightSchedule.polylog(0.5, 1.5)
+    R = factor_loss_lipschitz_bound(emissions, dict_box, code_set, r)
+    members = 1 if K is None else K
+    W0 = rng.uniform(0.0, 1.0, size=(members, q, r))
+    k = int(rng.integers(1, q))
+    sampler = (lambda g: g.choice(q, size=k, replace=False)) if kind == "omf_sub" else None
+
+    def run(audit):
+        # a jump of u moves every entry t toward the box's centre, a step
+        # of about u times the threshold 2 w_n R / rho of the step bound,
+        # with rho about 1 (A starts at I / 2)
+        def step(x, W_prev, A_prev, B_prev, w_n, *args, **kwargs):
+            res = real(x, W_prev, A_prev, B_prev, w_n, *args, **kwargs)
+            calls.append(1)
+            if len(calls) in jumps:
+                t = min(0.4, jumps[len(calls)] * 2.0 * w_n * R / math.sqrt(q * r))
+                res.W = np.where(res.W < 0.5, res.W + t, res.W - t)
+            return res
+        calls, real, eig = [], bench.omf_step, [0]
+
+        def eigvalsh(*args, **kwargs):
+            eig[0] += 1
+            return real_eig(*args, **kwargs)
+        real_eig = np.linalg.eigvalsh
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(bench, "omf_step", step)
+            m.setattr(bench, "_audit_c1", audit)
+            m.setattr(np.linalg, "eigvalsh", eigvalsh)
+            srcs = [MarkovSource(P=P / P.sum(axis=1, keepdims=True), emissions=emissions,
+                                 seed=seed % 1000 + j) for j in range(members)]
+            rngs = [np.random.default_rng(seed % 1000 + j) for j in range(members)]
+            out = run_omf_diagnostics(
+                srcs[0] if K is None else srcs, schedule, W0[0] if K is None else W0, 0.05,
+                dict_box, code_set, mode="c1", n_iters=n_iters, diag_interval=5,
+                row_sampler=sampler, rng=rngs[0] if K is None else rngs)
+        results = [out] if K is None else out
+        with tempfile.TemporaryDirectory() as tmp:
+            csvs = []
+            for j, res in enumerate(results):
+                emit_csv(res.records, Path(tmp) / f"{j}.csv")
+                csvs.append((Path(tmp) / f"{j}.csv").read_bytes())
+        audits = [(res.monotonicity_violations, res.step_bound_violations,
+                   res.c1_bound_violations, res.c1_stat_max.hex()) for res in results]
+        return audits, csvs, eig[0]
+
+    audits, csvs, reads = run(bench._audit_c1)
+    want, want_csvs, eager_reads = run(eager_audit_c1)
+    assert audits == want and csvs == want_csvs
+    assert eager_reads == n_iters and reads <= n_iters
+    if any(a[2] for a in want):  # a violation is seen only through rho
+        assert reads >= 1
+    if constant and max(jumps.values()) >= 2.0:
+        # a jump of twice the threshold leaves the step bound undecided
+        assert reads >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,34 @@ def test_value_pair_gives_the_bytes_of_the_stacked_value(r, K):
     assert quadform._VALUE_LOOP_ROWS < 2 * 30  # both forms were reached
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_stacked_value_pair_gives_each_members_own_bytes(K):
+    # a rank-2 stack of 1-4 members with 1-6 rows each: value_pair loops over
+    # its members in their Python floats while the pair has at most
+    # _VALUE_LOOP_ROWS rows in all, else takes the array form; either way
+    # member j's two values are the bytes of member j's own value_pair, and
+    # those of the array form (value of the stacked pair), on random points,
+    # box corners and rows holding -0.0
+    import sbmm.quadform as quadform
+
+    rng = np.random.default_rng(31 + K)
+    for q in range(1, 7):
+        for _ in range(8):
+            M = rng.normal(size=(K, 2, 2))
+            g = FactorQuad(M @ M.swapaxes(-1, -2), rng.normal(size=(K, 2, q)),
+                           rng.normal(size=K), np.zeros((K, q, 2)))
+            P, W = (_corners_and_zeros(rng, (K, q, 2)) for _ in range(2))
+            got = g.value_pair(P, W)
+            assert [v.shape for v in got] == [(K,), (K,)]
+            assert np.array(got).tobytes() == g.value(np.array((P, W))).tobytes()
+            for j in range(K):
+                one = FactorQuad(g.A[j], g.B[j], float(g.C[j]), g.anchor[j])
+                pair = one.value_pair(P[j], W[j])
+                assert np.array(got)[:, j].tobytes() == np.array(pair).tobytes()
+                assert pair == [one.value(P[j]), one.value(W[j])]
+    assert 2 * 4 * 3 <= quadform._VALUE_LOOP_ROWS < 2 * 4 * 6  # both forms were reached
+
+
 # ---------------------------------------------------------------------------
 # factorization surrogate factory
 

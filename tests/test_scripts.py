@@ -40,3 +40,31 @@ def test_call_counts_prints_calls_per_step(tmp_path):
     assert lines[0].startswith(f"{cfg}: ") and lines[0].endswith(" calls per step (seeds [0])")
     assert float(lines[0].split()[1]) > 0.0
     assert len(lines) == 12 and "bench.py" in proc.stdout
+
+
+def test_call_counts_counts_a_sweep_with_overrides(tmp_path):
+    # --set appends config lines and --sweep K runs the seeds as stacks of K:
+    # a 2-seed C1 sweep of omf_sub, 20 steps, counted per seed-step; a key
+    # the config does not know fails as a config line would, and a sweep
+    # size that does not divide the seeds is refused
+    cfg = tmp_path / "omf_sub.cfg"
+    cfg.write_text((ROOT / "configs" / "omf_sub.cfg").read_text(encoding="utf-8")
+                   .replace("configs/", f"{ROOT / 'configs'}/"), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def call_counts(*args):
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "call_counts.py"),
+                               str(cfg), *args], capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+    proc = call_counts("--set", "engine.mode=c1", "--set", "engine.n_iters=20", "--sweep", "2",
+                       "--seeds", "0", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith(f"{cfg}: ")
+    assert lines[0].endswith(" calls per seed-step (sweeps of 2) (seeds [0, 1])")
+    assert float(lines[0].split()[1]) > 0.0
+    assert len(lines) == 12 and "bench.py" in proc.stdout
+    bad_key = call_counts("--set", "engine.colour=red")
+    assert bad_key.returncode == 1 and "unknown key 'engine.colour'" in bad_key.stderr
+    uneven = call_counts("--sweep", "2", "--seeds", "0", "1", "2")
+    assert uneven.returncode == 2 and "--sweep 2 must be >= 0 and divide" in uneven.stderr

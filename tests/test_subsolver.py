@@ -1701,9 +1701,11 @@ def test_rank2_stack_gives_each_members_bytes(side, seed, lam, bounds, per_membe
     G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
     C = rng.normal(size=(K, n, 2)) * 2.0
     X, free, gap = subsolver._pairs(G, C, box)
-    assert gap is None and X.shape == C.shape and free.shape == C.shape
+    assert gap is None and X.shape == C.shape and len(free) == K * n  # a flag pair per row
+    free = subsolver._free_mask(free, C.shape)
     for j in range(K):
         Xj, free_j, _ = subsolver._pairs(G[j], C[j], box.member(j))
+        free_j = subsolver._free_mask(free_j, Xj.shape)
         assert X[j].tobytes() == Xj.tobytes() and free[j].tobytes() == free_j.tobytes()
 
 
@@ -1917,9 +1919,11 @@ def test_rank2_stack_with_starts_gives_each_members_bytes(side, seed, lam, bound
     starts = [None if j % 3 == 1 else start[j] for j in range(K)]
     for X0 in (start, starts):
         X, free, gap = subsolver._pairs(G, C, box, certify=True, X0=X0)
+        free = subsolver._free_mask(free, C.shape)
         for j in range(K):
             Xj, free_j, gap_j = subsolver._pairs(G[j], C[j], box.member(j), certify=True,
                                                  X0=X0[j])
+            free_j = subsolver._free_mask(free_j, Xj.shape)
             assert X[j].tobytes() == Xj.tobytes() and free[j].tobytes() == free_j.tobytes()
             assert gap[j].tobytes() == np.float64(gap_j).tobytes()
 
@@ -1947,11 +1951,13 @@ def test_rank2_batch_verifies_some_rows_and_enumerates_the_rest(monkeypatch):
     start = X.copy()
     start[::2, 0] = np.where(X[::2, 0] == 0.0, 0.5, 0.0)  # both entries: another pattern
     Y, free, _ = subsolver._pairs(G, C, box, X0=start)
+    free = subsolver._free_mask(free, C.shape)
     moved = int((start != X).any(axis=-1).sum())
     assert Y.tobytes() == X.tobytes() and moved == (K + 1) // 2
     assert built["_pair_candidate"] == K * n + 9 * moved and 0 < count[0] <= 9 * moved
     for j in range(K):
         Yj, free_j, _ = subsolver._pairs(G[j], C[j], box, X0=start[j])
+        free_j = subsolver._free_mask(free_j, Yj.shape)
         assert Y[j].tobytes() == Yj.tobytes() and free[j].tobytes() == free_j.tobytes()
 
 
@@ -1984,7 +1990,7 @@ def test_rank2_singular_hessian_takes_the_tie_break(G_kind, lam, K):
         X, free, _, _ = subsolver._minimize(G0, C, box, None, 1e-8)
         X0 = np.clip(0.0, box.lo, box.up)
         want = subsolver._pairs(G0 + delta * np.eye(2), C + delta * X0, box)
-        assert X.tobytes() == want[0].tobytes() and free.tobytes() == want[1].tobytes()
+        assert X.tobytes() == want[0].tobytes() and free == want[1]
         assert solve_box_qp(G0, C, 0.0, 1.0, lam)[1] <= 1e-8
         return
     M = rng.normal(size=(K, 2, 3))
@@ -1992,8 +1998,10 @@ def test_rank2_singular_hessian_takes_the_tie_break(G_kind, lam, K):
     G[1] = G0
     C = rng.normal(size=(K, n, 2))
     X, free, _, _ = subsolver._minimize(G, C, box, None, 1e-8)
+    free = subsolver._free_mask(free, C.shape)
     for j in range(K):
         Xj, free_j, _, _ = subsolver._minimize(G[j], C[j], box, None, 1e-8)
+        free_j = subsolver._free_mask(free_j, Xj.shape)
         assert X[j].tobytes() == Xj.tobytes() and free[j].tobytes() == free_j.tobytes()
     assert np.all(solve_box_qp(G, C, 0.0, 1.0, lam)[1] <= 1e-8)
 
@@ -2090,7 +2098,7 @@ def test_one_signed_box_gives_the_sign_tracking_bytes(side, k, lam, K):
         if box.enumerable:
             got = subsolver._pairs(G, C, box)
             X, free, _ = subsolver._pairs(G, flip * C, ref)
-            assert same(got[0], flip * X) and same(got[1], free)
+            assert same(got[0], flip * X) and got[1] == free  # the flag pairs
             points.append(got[0])
         for j in range(1 if K is None else K):
             G_j, C_j = (G, C) if K is None else (G[j], C[j])
