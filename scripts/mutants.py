@@ -57,9 +57,18 @@ MUTANTS = [
     # the paper's recursions: the trust-region radius c' w_n doubled
     ("src/sbmm/bench.py", 'radius = math.inf if mode == "c1" else c_prime * w_n',
      'radius = math.inf if mode == "c1" else 2.0 * c_prime * w_n'),
-    # the statistic B left without its update
+    # the statistics A, B and C each left without its update
+    ("src/sbmm/factorize.py", "A = (1.0 - w_n) * A_prev + w_n * (H @ Ht)", "A = 1.0 * A_prev"),
     ("src/sbmm/factorize.py", "B = (1.0 - w_n) * B_prev + w_n * (X @ Ht).swapaxes(-1, -2)",
      "B = 1.0 * B_prev"),
+    ("src/sbmm/factorize.py", "if X.ndim == 2:\n        C = (1.0 - w_n) * C_prev + w_n * (",
+     "if X.ndim == 2:\n        C = C_prev + 0.0 * ("),
+    # a start's nan entries left unfilled at every rank but 2
+    ("src/sbmm/subsolver.py",
+     "return np.where(nan, _least_squares(G, C, certified), X0) if nan.any() else X0",
+     "return X0"),
+    # the OMF runner never writes a step's code back into its per-state codes
+    ("src/sbmm/bench.py", "codes[at] = res.H", "codes[at] = codes[at]"),
     # the tangent cone's lower face zeroing the inward components
     ("src/sbmm/geometry.py", "out[at_lower & (out < 0)] = 0.0", "out[at_lower & (out > 0)] = 0.0"),
 ]
@@ -71,6 +80,8 @@ TESTS = [
     "tests/test_bench.py::test_c1_audit_counts_what_the_eager_audit_counts",
     "tests/test_bench.py::test_runner_audits_count_a_faulty_step",
     "tests/test_bench.py::test_cpdl_run_hands_its_flat_dictionary_to_the_next_step",
+    "tests/test_bench.py::test_checkpoint_code_solves_start_from_each_states_last_code",
+    "tests/test_subsolver.py::test_nan_start_entries_take_the_default_start",
     "tests/test_subsolver.py::test_checks_still_fail_loudly",
     "tests/test_subsolver.py::test_certified_gap_allowance_covers_rounding",
     "tests/test_subsolver.py::test_enumeration_alone_is_exact_with_l1",

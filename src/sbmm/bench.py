@@ -210,8 +210,11 @@ def run_omf_diagnostics(
         raise ValueError("a stack needs one W0 and one rng per source")
     st = OmfState.initial(W0, 1.0 if mode == "c1" else 0.0)
     # a code solve starts from the code its member last solved for the chain
-    # state it draws (from its default start for a state it has not drawn yet)
-    codes = [{} for _ in sources]
+    # state it draws (nan, the default start, for a state it has not drawn
+    # yet): per member and state, (K, S, r, d)
+    S = max(len(src.emissions) for src in sources)
+    codes = np.full((K, S, W0.shape[-1], np.shape(sources[0].emissions[0])[-1]), np.nan)
+    members = np.arange(K)
 
     def draw_rows(g):
         rows = np.asarray(row_sampler(g), dtype=int)
@@ -223,11 +226,11 @@ def run_omf_diagnostics(
         rows = None
         if row_sampler is not None:
             rows = draw_rows(rngs[0]) if one else [draw_rows(g) for g in rngs]
-        H0 = codes[0].get(ys[0]) if one else [known.get(y) for known, y in zip(codes, ys)]
+        at = (0, ys[0]) if one else (members, ys)
         res = omf_step(xs[0] if one else np.array(xs), st.W, st.A, st.B, w_n, lam, dict_box,
-                       code_set, C_prev=st.C, radius=radius, tol=solver_tol, rows=rows, H0=H0)
-        for known, y, H in zip(codes, ys, [res.H] if one else res.H):
-            known[y] = H
+                       code_set, C_prev=st.C, radius=radius, tol=solver_tol, rows=rows,
+                       H0=codes[at])
+        codes[at] = res.H
         # the audits read res.quad, so it must hold the statistics the run carries on
         if not (res.quad.A is res.A and res.quad.B is res.B and res.quad.C is res.C):
             raise RuntimeError("omf_step's surrogate does not hold the step's statistics")
@@ -244,8 +247,7 @@ def run_omf_diagnostics(
     def losses(X, W, j):
         # each state's code solve starts from the code member j last solved
         # for that state, as a step's does
-        H0 = [codes[j].get(y) for y in range(len(X))]
-        values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol, H0=H0)
+        values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol, H0=codes[j, :len(X)])
         return values, [grads]
 
     def move(prev, W):

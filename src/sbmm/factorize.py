@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import BoxSet, GeometryError
 from .quadform import FactorQuad
-from .subsolver import SubsolverError, solve_code_lasso, solve_block_quadratic
+from .subsolver import SubsolverError, _start_array, solve_code_lasso, solve_block_quadratic
 
 __all__ = [
     "out_product",
@@ -119,20 +119,17 @@ def omf_step(
     rows: np.ndarray | None = None,
     H0: np.ndarray | None = None,
 ) -> OmfStepResult:
-    """One online matrix factorization step: code solve at the previous
-    dictionary, statistics update, then the dictionary quadratic solve
-    (within the trust region when a finite radius is given).  Given rows,
-    the dictionary update is frozen outside them.  H0, when given, starts
-    the code solve (see solve_code_lasso).
-
-    One sample X (q, d) with W_prev (q, r), A_prev (r, r), B_prev (r, q) and
-    a float C_prev takes one step.  A stack of K members, X (K, q, d), W_prev
-    (K, q, r), A_prev (K, r, r), B_prev (K, r, q), C_prev (K,) and H0 (K,
-    r, d) if given, takes the K steps in lockstep: one batched code solve
-    and statistics update, and one batched dictionary solve per row count,
-    where rows holds one row array per member.  Each member's result is the one its
-    own step gives.  The same lines serve both: the member axis, when there
-    is one, leads every array.
+    """One online matrix factorization step: the code H of X at W_prev
+    (solve_code_lasso, its certified gap the result's eps), the statistics
+    A, B and C averaged with weight w_n, then the dictionary solve of their
+    FactorQuad over dict_box (solve_block_quadratic, within the ball of the
+    given radius; given rows, only those rows move), whose descent
+    certificate is the result's (g_prev, g_new).  H0 is an array of H's
+    shape, nan where there is no start (None: nan everywhere).  One sample X
+    (q, d) takes W_prev (q, r), A_prev (r, r), B_prev (r, q) and a float
+    C_prev; a stack of K leads each of these with a member axis, rows then
+    holds one row array per member, and each member gets its own step's
+    bytes (see the README's Invariants).
     """
     X = np.asarray(X, dtype=float)
     W_prev = np.asarray(W_prev, dtype=float)
@@ -326,35 +323,38 @@ def code_loss(X: np.ndarray, D: np.ndarray, H: np.ndarray, lam: float):
 
 
 def _stacked_codes(X: np.ndarray, D: np.ndarray, lam: float, code_set: BoxSet,
-                   tol: float, H0: list | None = None) -> np.ndarray:
-    """Optimal codes (S, r, b) of a stack X (S, p, b) against D (p, r).
-
-    Every code column shares the Hessian D'D, so the whole stack is one
-    solve_code_lasso call; H0, a list of S starts (r, b), None where a
-    sample's columns take the default start, starts it.
-    """
+                   tol: float, H0: np.ndarray | None = None) -> np.ndarray:
+    """Optimal codes (S, r, b) of a stack X (S, p, b) against D (p, r), in
+    one solve_code_lasso call: every code column shares the Hessian D'D, so
+    the samples' columns are laid side by side, sample after sample, and so
+    are those of H0, an array of the codes' shape, nan where there is no
+    start (None: nan everywhere; another shape raises ValueError)."""
     S, p, b = X.shape
     r = D.shape[1]
+    if H0 is not None:
+        H0 = _start_array(H0, (S, r, b)).transpose(1, 0, 2).reshape(r, S * b)
     H, _ = solve_code_lasso(X.transpose(1, 0, 2).reshape(p, S * b), D, lam,
                             code_set, tol=tol, H0=H0)
     return H.T.reshape(S, b, r).transpose(0, 2, 1)
 
 
 def factor_loss(X: np.ndarray, W: np.ndarray, lam: float, code_set: BoxSet,
-                tol: float = 1e-8, H0: list | None = None):
+                tol: float = 1e-8, H0: np.ndarray | None = None):
     """Matrix factorization loss min_H ||X - W H||_F^2 + lam ||H||_1 over the
     code box, its gradient in W by the optimal-code envelope rule, and H.
 
     One (q, d) sample gives (value, gradient (q, r), H (r, d)); a stack
     (S, q, d) gives values (S,), gradients (S, q, r) and codes (S, r, d),
-    all from one code solve.  H0, when given, is a list of one start (r, d)
-    per sample, None where a sample takes the default start (see
-    solve_code_lasso).
+    all from one code solve (_stacked_codes), stopped at its certified gap
+    <= tol.  H0 is an array of H's shape, nan where there is no start (None:
+    nan everywhere).
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
     one = X.ndim == 2
     Xs = X[None] if one else X
+    if one and H0 is not None:
+        H0 = np.asarray(H0, dtype=float)[None]
     H = _stacked_codes(Xs, W, lam, code_set, tol, H0)
     values, R = code_loss(Xs, W, H, lam)
     grads = -2.0 * R @ H.transpose(0, 2, 1)

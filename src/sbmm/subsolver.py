@@ -200,18 +200,6 @@ class _BoxFamily:
         return self if self.lo.ndim < 3 else _BoxFamily(self.lam, self.lo[j], self.up[j], self.k)
 
 
-@lru_cache(maxsize=64)
-def _cached_family(lam, k, lo_shape, lo_bytes, up_shape, up_bytes) -> _BoxFamily:
-    return _BoxFamily(lam, np.frombuffer(lo_bytes).reshape(lo_shape),
-                      np.frombuffer(up_bytes).reshape(up_shape), k)
-
-
-def _box_family(lam, lo, up, k) -> _BoxFamily:
-    """The family of a bare solve's box, found with one cache lookup."""
-    lo, up = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
-    return _cached_family(float(lam), k, lo.shape, lo.tobytes(), up.shape, up.tobytes())
-
-
 def _family_of(box: BoxSet, lam, shape) -> _BoxFamily:
     """The family of solves over box, bounds in shape (rows, k), kept with it."""
     if (lam, shape) not in box.derived:
@@ -287,34 +275,26 @@ def _pair_term(x0, x1, p, q, c, x, lo, up, lam, sign):
 
 
 def _pairs(G, C, box, certify=False, X0=None):
-    """Exact minimizer of a rank-2 family by its KKT patterns.
+    """Exact minimizer of a rank-2 family, or of a stack member by member.
 
-    Each pattern fixes some entries (at lo, up or zero) and gives the others
-    a sign; its candidate solves G_FF x_F = c_F - G_FX x_X - lam s_F / 2 by
-    Cramer's rule (_pair_candidate).  A row first takes the pattern of its
-    start X0 (_start_state; both entries free without one) and keeps its
-    candidate if it is a KKT point: in the box, with the signs its pattern
-    assumes, and every fixed entry's gap term (_pair_term) exactly zero.
-    G_FF is positive definite, so that point is the minimizer.  Any other
-    row enumerates: the first minimum of the objective in itertools.product
-    order among the candidates in the box with their signs wins, and the
-    first pattern's candidate when none is (a non-finite G or C).  A free
-    system that is not positive (a, c or det <= 0) raises LinAlgError.  One
-    family runs _pairs_loop, and a stack runs it member by member.  X0 is an
-    array of C's shape, a list of equal row blocks (of a stack, one per
-    member), None where a block has no start, or None.
-    Returns (X, free, gap): free lists each row's pair of free flags, row
-    after row (member after member), for _free_mask to make the mask of
-    where it is read; gap is X's certified gap if certify (a float, or one
-    per member; _pair_gap_loop), else None."""
-    rows, start = box.pair_rows, _pair_start(X0, C.shape)
+    A row first takes its start's KKT pattern (_start_state; a nan entry is
+    free) and keeps that pattern's candidate, by Cramer's rule
+    (_pair_candidate), if it is a KKT point: in the box, with the pattern's
+    signs, and every fixed entry's gap term (_pair_term) exactly zero.  Any
+    other row enumerates the patterns and keeps the first minimum in the box
+    in itertools.product order.  A free system that is not positive raises
+    LinAlgError.  X0 is an array of C's shape, nan where there is no start
+    (None: nan everywhere).  Returns (X, free, gap): free lists each row's
+    free flags (_free_mask), gap the certificate if certify (_pair_gap_loop;
+    a float, or one per member), else None."""
+    rows = box.pair_rows
     if G.ndim == 2:
-        X, free, gap = _pairs_loop(G, C, rows[0], box, certify, start)
+        X, free, gap = _pairs_loop(G, C, rows[0], box, certify, X0)
     else:
         X, free, gap = [], [], []
         for j in range(len(C)):
             Xj, free_j, gap_j = _pairs_loop(G[j], C[j], rows[j if len(rows) > 1 else 0], box,
-                                            certify, None if start is None else start[j])
+                                            certify, None if X0 is None else X0[j])
             X += Xj
             free += free_j
             gap.append(gap_j)
@@ -328,20 +308,11 @@ def _free_mask(free, shape):
     return np.asarray(free, dtype=bool).reshape(shape)
 
 
-def _pair_start(X0, shape):
-    """The closed form's start as an array of shape, nan on the rows of a
-    None block, or None."""
-    if not isinstance(X0, list):
-        return X0
-    nan = np.full((math.prod(shape) // (2 * len(X0)), 2), np.nan)
-    return np.array([nan if b is None else b for b in X0]).reshape(shape)
-
-
 def _pairs_loop(G, C, rows, box, certify, start):
     """One family's rows: each row's (x0, x1) and free flags, and X's
     certified gap if certify (_pair_gap_loop), else None.  rows holds each
     row's bounds and patterns (one for all if alike; _BoxFamily.pair_rows);
-    start is the rows' start, or None."""
+    start is the rows' start (nan: none), or None."""
     (a, b), (_, c) = G.tolist()
     det = a * c - b * b
     if a <= 0.0 or c <= 0.0 or det <= 0.0:
@@ -552,38 +523,27 @@ def _least_squares(G, C, certified):
 
 
 def _start(G, C, X0, certified):
-    """The active-set method's start, before clipping: X0, the least-squares
-    minimizer if X0 is None, or for a list of equal row blocks their rows,
-    the least-squares rows where a block is None."""
-    if not isinstance(X0, list):
-        return _least_squares(G, C, certified) if X0 is None else X0
-    if any(b is None for b in X0):
-        default = np.split(_least_squares(G, C, certified), len(X0))
-        X0 = [d if b is None else b for b, d in zip(X0, default)]
-    return np.concatenate(X0)
+    """The active-set method's start, before clipping: X0 with its nan
+    entries at the least-squares minimizer's (all of it if X0 is None)."""
+    if X0 is None:
+        return _least_squares(G, C, certified)
+    nan = np.isnan(X0)
+    return np.where(nan, _least_squares(G, C, certified), X0) if nan.any() else X0
 
 
 def _minimize(G, C, box, X0, tol, predicted=False, certified=None, certify=False):
-    """Minimizer of the solve_box_qp objective over the box family box, its
-    free flags (a list at rank 2; _free_mask), the certified gap the
-    active-set method stopped on or, if certify, the rank-2 closed form's
-    (None if it has none), and G's definiteness certificate (_definite;
-    None if the solve needed none): exact by the closed form at rank 2
-    (_pairs), else the active-set method, which stops once the certified
-    gap is <= tol.  X0 (or None),
-    clipped into the box where it is used unless predicted (then it lies in
-    the box), starts the active-set method, by default from the clipped
-    least-squares minimizer of the smooth part, gives the closed form the
-    pattern it tries first, and breaks its ties when G is singular, by
-    default towards the clipped zero; predicted and the certificate (taken
-    if None) go to the active-set method.  The start may also be a list of
-    equal row blocks, None where a block takes the default start (_start).
-
-    A stack (G of shape (K, k, k), C of shape (K, n, k)) takes the closed
-    form in one _pairs call and runs the active-set method member by member,
-    each from its part of X0 (K, n, k) or from its entry of a list of K starts
-    (None: the default); its gaps are an array, nan for a member without
-    one, and its certificates a list, one per member."""
+    """Minimizer of the solve_box_qp objective over the box family box: by
+    the closed form at rank 2 (_pairs), else by the active-set method from
+    X0 clipped into the box (_start), stopped once the certified gap is <=
+    tol.  X0 is an array of C's shape, nan where there is no start (None:
+    nan everywhere); at rank 2 it gives each row its first pattern and the
+    tie-break of a singular G its anchor (nan: the clipped zero).  predicted
+    says that X0 is every row's working-set minimizer, inside the box.
+    Returns (X, free flags (_free_mask), the certified gap the active-set
+    method stopped on or, if certify, the closed form's (else None), G's
+    definiteness certificate (_definite; taken if None)).  A stack takes the
+    closed form in one _pairs call, else runs member by member; its gaps are
+    an array, nan for a member without one, its certificates a list."""
     stack = G.ndim == 3
     if box.enumerable:
         try:
@@ -594,7 +554,6 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None, certify=False
                 # singular G: adding delta ||x - X0||^2 makes the minimizer
                 # unique and picks the one nearest X0 up to O(delta)
                 delta = _NULL_RTOL * _scale(G)
-                X0 = _pair_start(X0, C.shape)
                 X0 = np.clip(0.0 if X0 is None else np.nan_to_num(X0, nan=0.0), box.lo, box.up)
                 X, free, _ = _pairs(G + delta * _eye(2), C + delta * X0, box)
                 return X, free, None, certified
@@ -614,33 +573,35 @@ def _minimize(G, C, box, X0, tol, predicted=False, certified=None, certify=False
 
 
 def solve_box_qp(G, C, lo, up, lam: float = 0.0, X0=None, tol: float = 1e-8):
-    """Minimize sum_i x_i'G x_i - 2 c_i'x_i + lam ||x_i||_1 over lo <= X <= up.
-
-    One problem per row of C (shape (n, k)), all against the same symmetric
-    PSD (k, k) matrix G; lo and up broadcast to (n, k).  A stack of K such
-    families, G of shape (K, k, k) and C of shape (K, n, k), is solved in
-    one call; lo and up then broadcast to (n, k), shared by the stack, or
-    have shape (K, n, k), one box per member.  X0, clipped into the box,
-    starts the active-set method; at rank 2 its KKT pattern is tried first,
-    and it breaks ties when G is singular.  Without it the active-set method
-    starts from the clipped least-squares minimizer C G^+ of the smooth
-    part, rank 2 tries both entries free, and ties break towards the
-    clipped zero.  Returns (X, gap) where gap is the certified bound on the total
-    objective suboptimality: a float, or for a stack one per member (K,),
-    each from that member's rows alone.  A rank-2 family (k = 2) is solved
-    exactly in closed form; every other rank by the active-set method,
-    which runs until gap <= tol.
-    If a gap still exceeds tol (rounding in an ill-conditioned system), the
-    active-set method polishes X (of a stack, that member's) until gap <=
-    tol or no fixed entry can improve.
+    """Minimize sum_i x_i'G x_i - 2 c_i'x_i + lam ||x_i||_1 over lo <= X <= up:
+    one problem per row of C (n, k), all against one symmetric PSD G (k, k),
+    lo and up broadcast to (n, k); or a stack, G (K, k, k) and C (K, n, k),
+    lo and up (n, k) or (K, n, k).  Rank 2 is exact in closed form, every
+    other rank takes the active-set method, polished while a gap exceeds
+    tol.  X0 is an array of C's shape, nan where there is no start (None:
+    nan everywhere; another shape raises ValueError): at rank 2 each row's
+    first KKT pattern (nan: free) and a singular G's tie-break anchor (nan:
+    the clipped zero), elsewhere the active-set start (nan: the clipped
+    least-squares C G^+).  Returns (X, gap), gap the certified bound on X's
+    suboptimality: a float, or one per member (README, Invariants).
     """
     G = np.asarray(G, dtype=float)
     C = np.asarray(C, dtype=float)
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    if X0 is not None:
-        X0 = np.asarray(X0, dtype=float)
-    return _solve(G, C, _box_family(lam, lo, up, C.shape[-1]), X0, tol)
+    return _solve(G, C, _BoxFamily(float(lam), lo, up, C.shape[-1]), _start_array(X0, C.shape),
+                  tol)
+
+
+def _start_array(X0, shape):
+    """X0 as a float array of shape (None stays None); another shape raises
+    ValueError naming both."""
+    if X0 is None:
+        return None
+    X0 = np.asarray(X0, dtype=float)
+    if X0.shape != shape:
+        raise ValueError(f"a start of shape {X0.shape} for a solution of shape {shape}")
+    return X0
 
 
 def _solve(G, C, box, X0, tol):
@@ -852,28 +813,17 @@ def solve_code_lasso(
     tol: float = 1e-8,
     H0: np.ndarray | None = None,
 ):
-    """Minimize ||X - W H||_F^2 + lam ||H||_1 over the code box, of dim r:
-    row i of H keeps to the box's i-th interval in every column.
-
-    Each column of H is a box QP with Hessian G = W'W and linear term W'x, so
-    all columns go to one exact solve_box_qp call (H0, clipped into the box,
-    is its starting point; by default the clipped least-squares code
-    W^+ X).  Returns (H, gap) where gap, checked once at the
-    end, bounds the objective suboptimality: by convexity, obj(H) - min obj
-    <= sup over the box of <grad_smooth(H), H - H'> + lam(||H||_1 - ||H'||_1),
-    a separable piecewise-linear problem maximized at interval endpoints or
-    zero, plus an allowance for rounding.  The gap is <= tol, or the solver
-    has stalled at the exact minimizer and reports what rounding leaves.
-
-    One sample X (q, d) against W (q, r) gives H (r, d) and a float gap; a
-    stack of K samples X (K, q, d), each against its own W (K, q, r), gives
-    H (K, r, d) and one gap per member (K,), all from one box-QP call.  A
-    stack's H0 is (K, r, d), or a list of K starts (r, d), None where that
-    member takes the default start.  One sample's H0 may be a list of equal
-    column blocks, None where a block takes the default start.  At rank 2, H0
-    gives each column the KKT pattern the closed form tries first, and
-    anchors the tie-break of a singular W'W; at every other rank it starts
-    the active-set method.
+    """Minimize ||X - W H||_F^2 + lam ||H||_1 over the code box (dim r), row
+    i of H in the box's i-th interval in every column: every column is a row
+    of one solve_box_qp family, G = W'W and c = W'x.  One sample X (q, d)
+    against W (q, r) gives H (r, d), a stack X (K, q, d) against W (K, q, r)
+    gives H (K, r, d), in one call.  H0 is an array of H's shape, nan where
+    there is no start (None: nan everywhere; another shape raises
+    ValueError), read as solve_box_qp reads X0: at every rank but 2 a nan
+    entry starts at the clipped least-squares code W^+ X.  Returns (H, gap):
+    the certified gap bounds H's suboptimality, <= tol unless rounding
+    stalls the solver at the minimizer (a float, or one per stack member:
+    see the README's Invariants).
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -885,12 +835,10 @@ def solve_code_lasso(
         raise ValueError("W rows must match X rows")
     if code_set.dim != r:
         raise ValueError(f"code box dim {code_set.dim} must be the rank {r}")
-    if H0 is not None:
-        H0 = ([None if h is None else np.asarray(h, dtype=float).swapaxes(-1, -2) for h in H0]
-              if isinstance(H0, list) else np.asarray(H0, dtype=float).swapaxes(-1, -2))
+    H0 = _start_array(H0, X.shape[:-2] + (r, X.shape[-1]))
     Wt = W.swapaxes(-1, -2)
-    H_T, gap = _solve(Wt @ W, (Wt @ X).swapaxes(-1, -2), _family_of(code_set, lam, (1, r)), H0,
-                      tol)
+    H_T, gap = _solve(Wt @ W, (Wt @ X).swapaxes(-1, -2), _family_of(code_set, lam, (1, r)),
+                      None if H0 is None else H0.swapaxes(-1, -2), tol)
     return H_T.swapaxes(-1, -2), gap
 
 

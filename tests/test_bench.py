@@ -983,7 +983,7 @@ def _record_code_starts(monkeypatch):
         return res
 
     def loss(*args, **kwargs):
-        starts.append((len(codes), kwargs.get("H0")))
+        starts.append((len(codes), np.array(kwargs["H0"])))  # a copy: the run's is a view
         return real_loss(*args, **kwargs)
     monkeypatch.setattr(bench, "next_sample", sample)
     monkeypatch.setattr(bench, "omf_step", step)
@@ -994,7 +994,7 @@ def _record_code_starts(monkeypatch):
 def test_checkpoint_code_solves_start_from_each_states_last_code(tmp_path, monkeypatch):
     # a run's checkpoint code solve starts each chain state's columns from
     # the code its member last solved for that state, and a state not drawn
-    # yet from the default start (None): in a single run, and per member of
+    # yet from the default start (all nan): in a single run, and per member of
     # a stack; at rank 5 (the active-set path, on 16 states, some not drawn
     # by the first checkpoint) and at rank 2 (the closed form's first
     # pattern, on omf_markov's 2 states)
@@ -1017,10 +1017,11 @@ def test_checkpoint_code_solves_start_from_each_states_last_code(tmp_path, monke
                     last[drawn[i * K + j]] = codes[i] if K == 1 else codes[i][j]
                 assert len(H0) == S
                 for y, h in enumerate(H0):
-                    assert (h is None) if y not in last else np.array_equal(h, last[y]), (n, y)
-            assert any(h is not None for _, H0 in starts for h in H0)
+                    assert (np.isnan(h).all() if y not in last
+                            else np.array_equal(h, last[y])), (n, y)
+            assert any(not np.isnan(h).any() for _, H0 in starts for h in H0)
             if S == 16:
-                assert any(h is None for _, H0 in starts for h in H0)
+                assert any(np.isnan(h).all() for _, H0 in starts for h in H0)
 
 
 def test_rank2_run_enumerates_few_candidates(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,88 @@ def test_code_lasso_rejects_a_per_entry_box():
     box = BoxSet(lower=np.array([0.0, -0.5]), upper=np.array([0.5, 0.0]))
     with pytest.raises(ValueError, match="code box dim 2 must be the rank 1"):
         solve_code_lasso(X, W, 0.0, box, tol=1e-12)
+
+
+def test_nan_start_entries_take_the_default_start():
+    # a start's nan entries take the default start, the least-squares point
+    # C G^+ clipped into the box: a nan row at k = 3 (solve_box_qp) and a nan
+    # column at rank 5 (solve_code_lasso, alone and in a stack) give the
+    # bytes of the same solve started there from that point, with a finite
+    # gap <= tol, and an all-nan start gives the bytes of no start
+    rng = np.random.default_rng(31)
+    M = rng.normal(size=(3, 4))
+    G, C = M @ M.T + 0.1 * np.eye(3), rng.normal(size=(4, 3))
+    X0 = rng.uniform(0.0, 1.0, size=C.shape)
+    X0[1] = np.nan
+    filled = np.where(np.isnan(X0), np.linalg.solve(G, C.T).T, X0)
+    X, gap = solve_box_qp(G, C, 0.0, 1.0, 0.05, X0)
+    ref, ref_gap = solve_box_qp(G, C, 0.0, 1.0, 0.05, filled)
+    assert X.tobytes() == ref.tobytes() and gap == ref_gap and 0.0 <= gap <= 1e-8
+    none = solve_box_qp(G, C, 0.0, 1.0, 0.05)
+    assert solve_box_qp(G, C, 0.0, 1.0, 0.05, np.full(C.shape, np.nan))[0].tobytes() == (
+        none[0].tobytes())
+    box = BoxSet.uniform(5, 0.0, 1.0)
+    for lead in ((), (2,)):
+        X, W = rng.uniform(0.0, 1.0, size=lead + (8, 6)), rng.uniform(0.0, 1.0, size=lead + (8, 5))
+        Wt = W.swapaxes(-1, -2)
+        H0 = rng.uniform(0.0, 1.0, size=lead + (5, 6))
+        H0[..., 2] = np.nan
+        filled = np.where(np.isnan(H0), np.linalg.solve(Wt @ W, Wt @ X), H0)
+        H, gap = solve_code_lasso(X, W, 0.05, box, H0=H0)
+        ref, ref_gap = solve_code_lasso(X, W, 0.05, box, H0=filled)
+        assert H.tobytes() == ref.tobytes() and np.all(np.isfinite(gap)) and np.all(gap <= 1e-8)
+        assert np.asarray(gap).tobytes() == np.asarray(ref_gap).tobytes()
+        none = solve_code_lasso(X, W, 0.05, box)[0]
+        assert solve_code_lasso(X, W, 0.05, box, H0=np.full(H0.shape, np.nan))[0].tobytes() == (
+            none.tobytes())
+
+
+def test_a_misshaped_start_is_refused():
+    # a start must have the solution's shape: a code start with an extra
+    # column (rank 2), one column for four (rank 3, no broadcast), a
+    # transposed one, one without its stack axis, and box QP starts of the
+    # wrong shape each raise ValueError naming both shapes
+    from sbmm.factorize import factor_loss
+
+    def refused(got, want):
+        return pytest.raises(ValueError, match=re.escape(
+            f"a start of shape {got} for a solution of shape {want}"))
+    rng = np.random.default_rng(32)
+    for lead, r, shape in (((), 2, (2, 5)), ((), 3, (3, 1)), ((), 3, (4, 3)), ((2,), 3, (3, 4))):
+        X, W = rng.normal(size=lead + (6, 4)), rng.normal(size=lead + (6, r))
+        with refused(shape, lead + (r, 4)):
+            solve_code_lasso(X, W, 0.05, BoxSet.uniform(r, 0.0, 1.0), H0=np.zeros(shape))
+    G, C = 2.0 * np.eye(3), rng.normal(size=(4, 3))
+    for shape in ((3, 4), (5, 3), (1, 4, 3)):
+        with refused(shape, (4, 3)):
+            solve_box_qp(G, C, 0.0, 1.0, 0.05, np.zeros(shape))
+    with refused((2, 3, 6), (2, 3, 4)):
+        factor_loss(rng.normal(size=(2, 6, 4)), rng.normal(size=(6, 3)), 0.05,
+                    BoxSet.uniform(3, 0.0, 1.0), H0=np.zeros((2, 3, 6)))
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_a_tol_below_the_gap_allowance_still_certifies_a_binding_block(k, monkeypatch):
+    # at tol 1e-14, below the certified gap's rounding allowance, the ball
+    # search's gap exit is out of reach and it narrows its bracket with box
+    # solves; the first binding block of _ball_block_instance's seeds still
+    # gives a point in box and ball with its descent certificate
+    import sbmm.subsolver as subsolver
+
+    solves = _count_calls(monkeypatch, subsolver, ["_minimize"])
+    for seed in range(20):
+        G, C, lo, up, center, radius = _ball_block_instance(np.random.default_rng(seed), k)
+        X0 = subsolver._minimize(G, C, subsolver._BoxFamily(0.0, lo, up, k), center, 1e-8)[0]
+        if np.linalg.norm(X0 - center) > radius:
+            break
+    else:
+        raise AssertionError("no binding block")
+    g = FactorQuad(A=G, B=C.T, C=0.0, anchor=center)
+    solves["_minimize"] = 0
+    W, value, new = solve_block_quadratic(g, BoxSet(lo.ravel(), up.ravel()), radius, tol=1e-14)
+    assert solves["_minimize"] >= 1 and new <= value
+    assert (W >= lo).all() and (W <= up).all()
+    assert radius * (1.0 - 1e-9) <= np.linalg.norm(W - center) <= radius * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +486,12 @@ def _check_ball_block(seed, k):
     """Solve one random box-intersect-ball block problem and compare it with
     the bisection reference; returns whether the working set at mu = 0
     differs from the final one."""
-    from sbmm.subsolver import _box_family, _box_qp_ball
+    from sbmm.subsolver import _BoxFamily, _box_qp_ball
 
     rng = np.random.default_rng(seed)
     G, C, lo, up, center, radius = _ball_block_instance(rng, k)
     obj = lambda X: float(np.sum(X * (X @ G - 2.0 * C)))
-    X = _box_qp_ball(G, C, _box_family(0.0, lo, up, k), center, radius, 1e-12)
+    X = _box_qp_ball(G, C, _BoxFamily(0.0, lo, up, k), center, radius, 1e-12)
     X_ref, fixed_0, fixed_ref = _ball_bisection_reference(G, C, lo, up, center, radius)
     assert float(np.linalg.norm(X - center)) <= radius * (1.0 + 1e-12)
     assert (X >= lo).all() and (X <= up).all()
@@ -451,7 +534,7 @@ def test_ball_search_inside_the_ball_after_an_anchor_root(monkeypatch, seed):
         roots.append(real_root(*args))
         return roots[-1]
     monkeypatch.setattr(subsolver, "_secular_root", root)
-    X = subsolver._box_qp_ball(G, C, subsolver._box_family(0.0, lo, up, 5), center, radius, 1e-12)
+    X = subsolver._box_qp_ball(G, C, subsolver._BoxFamily(0.0, lo, up, 5), center, radius, 1e-12)
     assert 0.0 < roots[0] < subsolver._mu_hi(G, C, center, radius)
     assert len(solves) <= 2
     np.testing.assert_allclose(X, X_ref, rtol=0.0, atol=1e-12)
@@ -465,7 +548,7 @@ def test_ball_search_cap_raises(monkeypatch):
     import sbmm.subsolver as subsolver
 
     G, C, lo, up, center, radius = _ball_block_instance(np.random.default_rng(0), 5)
-    fam = subsolver._box_family(0.0, lo, up, 5)
+    fam = subsolver._BoxFamily(0.0, lo, up, 5)
     with monkeypatch.context() as m:
         solves = _record_ball_solves(m)
         subsolver._box_qp_ball(G, C, fam, center, radius, 1e-12)
@@ -524,7 +607,7 @@ def test_ball_search_fixed_working_set_settles_on_its_point(monkeypatch):
         center = np.zeros((3, k))
         radius = 0.1 * float(np.linalg.norm(np.linalg.solve(G, C.T)))
         solves.clear()
-        box = subsolver._box_family(0.0, -100.0, 100.0, k)
+        box = subsolver._BoxFamily(0.0, -100.0, 100.0, k)
         X = subsolver._box_qp_ball(G, C, box, center, radius, 1e-8)
         assert [mu for mu, *_ in solves] == ([0.0] if k == 2 else [])
         assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
@@ -532,7 +615,7 @@ def test_ball_search_fixed_working_set_settles_on_its_point(monkeypatch):
     solves.clear()
     # projection onto box intersect ball: one row per entry with G = I
     x, c = np.array([3.0, -1.0, 2.0]), np.array([0.5, 0.5, 0.0])
-    box = subsolver._box_family(0.0, np.full((3, 1), -10.0), np.full((3, 1), 10.0), 1)
+    box = subsolver._BoxFamily(0.0, np.full((3, 1), -10.0), np.full((3, 1), 10.0), 1)
     y = subsolver._box_qp_ball(np.eye(1), x[:, None], box, c[:, None], 0.25, 1e-8)[:, 0]
     assert solves == []
     assert abs(float(np.linalg.norm(y - [0.5, 0.5, 0.0])) - 0.25) <= 1e-15
@@ -598,7 +681,7 @@ def _box_qp_kkt(G, C, X, lam, lo, up):
 def test_box_qp_paths_agree(seed):
     # small k is solved by pattern enumeration; the active-set method behind
     # larger k must land on the same minimizer from any start
-    from sbmm.subsolver import _active_set, _box_family, _definite
+    from sbmm.subsolver import _BoxFamily, _active_set, _definite
 
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 4))
@@ -612,7 +695,7 @@ def test_box_qp_paths_agree(seed):
     X, gap = solve_box_qp(G, C, lo, up, lam)
     assert gap <= 1e-10
     assert _box_qp_kkt(G, C, X, lam, lo, up) <= 1e-9
-    X_as, _, _ = _active_set(G, C, _box_family(lam, lo, up, k), rng.uniform(lo, up), 0.0, False,
+    X_as, _, _ = _active_set(G, C, _BoxFamily(lam, lo, up, k), rng.uniform(lo, up), 0.0, False,
                              _definite(G))
     np.testing.assert_allclose(X_as, X, atol=1e-8)
 
@@ -683,7 +766,7 @@ def test_active_set_full_steps_match_the_step_length_rule(seed):
     # (kept above as the reference) up to rounding where (b - X) / p rounds
     # to 1, on one-signed and straddling boxes, with and without l1, on
     # certified and singular Hessians
-    from sbmm.subsolver import (_active_set, _box_family, _certified_gap, _definite,
+    from sbmm.subsolver import (_BoxFamily, _active_set, _certified_gap, _definite,
                                 _least_squares)
 
     rng = np.random.default_rng(700 + seed)
@@ -693,7 +776,7 @@ def test_active_set_full_steps_match_the_step_length_rule(seed):
         C *= 2.0
         lo, up = (0.0, 1.0) if trial % 2 else (-1.0, 1.0)
         lam = (0.0, 0.05)[(trial // 2) % 2]
-        box = _box_family(lam, np.full((n, k), lo), np.full((n, k), up), k)
+        box = _BoxFamily(lam, np.full((n, k), lo), np.full((n, k), up), k)
         certified = _definite(G)
         X0 = np.clip(_least_squares(G, C, certified), lo, up)
         X, _, gap = _active_set(G, C, box, X0, 1e-10, False, certified)
@@ -849,7 +932,7 @@ def test_certified_gap_allowance_covers_rounding(seed):
     # another order.  Points at the minimizer (gradient cancels to rounding
     # on free entries) on badly scaled instances are where the rounding
     # matters most.
-    from sbmm.subsolver import _box_family, _certified_gap, _entry_gaps
+    from sbmm.subsolver import _BoxFamily, _certified_gap, _entry_gaps
 
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 5))
@@ -864,7 +947,7 @@ def test_certified_gap_allowance_covers_rounding(seed):
     X_min, _ = solve_box_qp(G, C, lo, up, lam, tol=0.0)
     X_rand = rng.uniform(lo, up)
     for X in (X_min, X_rand):
-        box = _box_family(lam, lo, up, k)
+        box = _BoxFamily(lam, lo, up, k)
         fsum = float(_entry_gaps(2.0 * (X @ G - C), X, box).sum())
         slack = _certified_gap(G, C, X, box) - max(0.0, fsum)
         exact = _exact_gap(G, C, X, lam, lo, up)
@@ -879,7 +962,7 @@ def test_certified_gap_allowance_covers_rounding(seed):
 def test_certified_gap_bounds_suboptimality_away_from_minimizer(seed):
     # at points of the box that are far from optimal, the certificate must
     # still bound their true suboptimality, measured against the minimizer
-    from sbmm.subsolver import _box_family, _certified_gap
+    from sbmm.subsolver import _BoxFamily, _certified_gap
 
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 4))
@@ -894,7 +977,7 @@ def test_certified_gap_bounds_suboptimality_away_from_minimizer(seed):
     X_star, _ = solve_box_qp(G, C, lo, up, lam, tol=0.0)
     for _ in range(5):
         X = rng.uniform(lo, up)
-        assert obj(X) - obj(X_star) <= _certified_gap(G, C, X, _box_family(lam, lo, up, k)) + 1e-12
+        assert obj(X) - obj(X_star) <= _certified_gap(G, C, X, _BoxFamily(lam, lo, up, k)) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +1023,7 @@ def test_box_qp_stack_matches_each_family(k, lam, bounds):
 def test_box_qp_ball_stack_matches_each_family(k):
     # each member of a stack has its own ball; members whose ball binds
     # search alone, and every member's X is the bytes of its own solve
-    from sbmm.subsolver import _box_family, _box_qp_ball
+    from sbmm.subsolver import _BoxFamily, _box_qp_ball
 
     rng = np.random.default_rng(23 + k)
     K, n = 5, 2
@@ -948,7 +1031,7 @@ def test_box_qp_ball_stack_matches_each_family(k):
     G = np.stack([f[0] for f in fams])
     C = np.stack([f[1] for f in fams])
     center = rng.uniform(-0.2, 0.2, size=(K, n, k))
-    box = _box_family(0.0, -1.0, 1.0, k)
+    box = _BoxFamily(0.0, -1.0, 1.0, k)
     for radius in (0.05, 0.5, 50.0):
         X = _box_qp_ball(G, C, box, center, radius, 1e-12)
         for j in range(K):
@@ -1002,7 +1085,7 @@ def test_active_set_code_solve_computes_its_gap_once(monkeypatch):
         at_result = [P for P in points if np.array_equal(P, H.T)]
         assert len(at_result) == 1  # one gap at the returned codes
         assert all(not np.array_equal(a, b) for a, b in zip(points, points[1:]))
-        box = subsolver._box_family(0.05, np.zeros((1, 5)), np.ones((1, 5)), 5)
+        box = subsolver._BoxFamily(0.05, np.zeros((1, 5)), np.ones((1, 5)), 5)
         assert g == real_gap(W.T @ W, (W.T @ X).T, H.T, box)
 
 
@@ -1186,7 +1269,7 @@ def test_certified_active_set_skips_the_per_system_test(monkeypatch):
         lam = 0.0 if trial % 2 else 0.05
         X0 = rng.uniform(0.0, 1.0, size=(n, k))
         assert subsolver._definite(G)
-        box = subsolver._box_family(lam, 0.0, 1.0, k)
+        box = subsolver._BoxFamily(lam, 0.0, 1.0, k)
         want = subsolver._active_set(G, C, box, X0, 1e-10, False, False)
         counts = _count_calls(monkeypatch, np.linalg, ["cholesky", "eigh"])
         got = subsolver._active_set(G, C, box, X0, 1e-10, False, True)
@@ -1307,7 +1390,7 @@ def _rank5_binding_block(rng, box):
         G = _dictionary_hessian(rng, 5)
         C = rng.uniform(0.0, 1.0, size=(8, 12)) @ rng.uniform(0.0, 1.0, size=(12, 5)) / 12
         lo, up, center = 0.0, 1.0, rng.uniform(0.1, 0.9, size=(8, 5))
-        X0 = subsolver._minimize(G, C, subsolver._box_family(0.0, lo, up, 5), center, 1e-8)[0]
+        X0 = subsolver._minimize(G, C, subsolver._BoxFamily(0.0, lo, up, 5), center, 1e-8)[0]
         radius = 0.999 * float(np.linalg.norm(X0 - center))
     return G, C, lo, up, center, radius
 
@@ -1326,7 +1409,7 @@ def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
     import sbmm.subsolver as subsolver
 
     G, C, lo, up, center, radius = _rank5_binding_block(np.random.default_rng(64), box)
-    fam = subsolver._box_family(0.0, lo, up, 5)
+    fam = subsolver._BoxFamily(0.0, lo, up, 5)
     X_ref, fixed_0, fixed_ref = _ball_bisection_reference(
         G, C, np.broadcast_to(lo, C.shape), np.broadcast_to(up, C.shape), center, radius)
     np.testing.assert_array_equal(fixed_0, fixed_ref)  # the working set of mu = 0 holds
@@ -1407,7 +1490,7 @@ def test_anchor_prediction_matches_bisection(monkeypatch, kind):
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(90)
-    fam = subsolver._box_family(0.0, 0.0, 1.0, 5)
+    fam = subsolver._BoxFamily(0.0, 0.0, 1.0, 5)
     solves = _record_ball_solves(monkeypatch)
     counts = _count_calls(monkeypatch, subsolver, ["_newton_direction", "_gap_total"])
     obj = lambda X, G, C: float(np.sum(X * (X @ G - 2.0 * C)))
@@ -1450,7 +1533,7 @@ def test_anchor_prediction_repairs_entries_that_cross_a_bound(monkeypatch):
     import sbmm.subsolver as subsolver
 
     rng = np.random.default_rng(91)
-    fam = subsolver._box_family(0.0, 0.0, 1.0, 5)
+    fam = subsolver._BoxFamily(0.0, 0.0, 1.0, 5)
     solves = _record_ball_solves(monkeypatch)
     eigh = _count_calls(monkeypatch, np.linalg, ["eigh"])
     obj = lambda X, G, C: float(np.sum(X * (X @ G - 2.0 * C)))
@@ -1639,7 +1722,7 @@ def test_enumeration_alone_is_exact_with_l1(k, bounds):
     # exact suboptimality, in rational arithmetic against the exact minimum
     from fractions import Fraction as F
 
-    from sbmm.subsolver import _box_family, _pairs
+    from sbmm.subsolver import _BoxFamily, _pairs
 
     rng = np.random.default_rng(31 * k)
     lo, up = bounds
@@ -1647,7 +1730,7 @@ def test_enumeration_alone_is_exact_with_l1(k, bounds):
         M = rng.normal(size=(k, k))
         G, C = M @ M.T + 0.05 * np.eye(k), rng.normal(size=(4, k))
         if k == 2:
-            X = _pairs(G, C, _box_family(lam, np.full((4, k), lo), np.full((4, k), up), k))[0]
+            X = _pairs(G, C, _BoxFamily(lam, np.full((4, k), lo), np.full((4, k), up), k))[0]
             for x, c in zip(X, C):
                 ref = _exact_box_lasso_row(G, c, lam, np.full(k, lo), np.full(k, up))
                 assert np.all(np.abs(x - ref) <= 1e-9 * (1.0 + np.abs(ref))), (lam, x, ref)
@@ -1668,9 +1751,10 @@ _PAIR_BOXES = ((0.0, 1.0), (0.2, 1.5), (-1.0, 1.0), (-1.5, -0.2))
 
 
 def _stack_size(side, n, data):
-    """The member count of a stack of n-row rank-2 families: at most 24
-    member rows in all on the "loop" side, more on the "batch" side (a
-    large stack)."""
+    """The member count of a stack of n-row rank-2 families: a small stack,
+    at most 24 member rows in all, on the "loop" side, a large one on the
+    "batch" side.  Both sides solve member by member; the side names stay
+    because they name the tests."""
     K = (data.draw(st.integers(1, max(1, 24 // n))) if side == "loop"
          else data.draw(st.integers(24 // n + 1, 24 // n + 4)))
     assert (K * n <= 24) == (side == "loop")
@@ -1696,7 +1780,7 @@ def test_rank2_stack_gives_each_members_bytes(side, seed, lam, bounds, per_membe
         up = up - rng.uniform(0.0, 0.1, size=(K, n, 2))
     else:
         lo, up = np.full((1, 2), lo), np.full((1, 2), up)
-    box = subsolver._box_family(lam, lo, up, 2)
+    box = subsolver._BoxFamily(lam, lo, up, 2)
     M = rng.normal(size=(K, 2, 3))
     G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
     C = rng.normal(size=(K, n, 2)) * 2.0
@@ -1727,7 +1811,7 @@ def test_rank2_gap_gives_each_members_bytes(side, seed, lam, bounds, per_member,
         up = up - rng.uniform(0.0, 0.1, size=(K, n, 2))
     else:
         lo, up = np.full((1, 2), lo), np.full((1, 2), up)
-    box = subsolver._box_family(lam, lo, up, 2)
+    box = subsolver._BoxFamily(lam, lo, up, 2)
     M = rng.normal(size=(K, 2, 3))
     G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
     C = rng.normal(size=(K, n, 2)) * 2.0
@@ -1754,7 +1838,7 @@ def test_rank2_gap_bounds_the_exact_suboptimality(bounds, lam, side):
     n, (lo, up) = 4, bounds
     K = {None: None, "loop": 3, "batch": 7}[side]
     lead = () if K is None else (K,)
-    box = subsolver._box_family(lam, np.full((1, 2), lo), np.full((1, 2), up), 2)
+    box = subsolver._BoxFamily(lam, np.full((1, 2), lo), np.full((1, 2), up), 2)
 
     def objective(G, c, x):
         x = [F(float(v)) for v in x]
@@ -1820,7 +1904,7 @@ def test_rank2_start_pattern_is_verified_or_falls_back_to_the_exact_minimizer(bo
     count = _count_pair_candidates(monkeypatch)
     rng = np.random.default_rng(223)
     lo, up = bounds
-    box = subsolver._box_family(lam, np.full((1, 2), lo), np.full((1, 2), up), 2)
+    box = subsolver._BoxFamily(lam, np.full((1, 2), lo), np.full((1, 2), up), 2)
     starts = [(_state_value(s0, lo, up), _state_value(s1, lo, up))
               for s0, s1 in itertools.product(box.states, repeat=2)]
     bound_rows = verified = 0
@@ -1851,7 +1935,7 @@ def test_rank2_start_at_a_bound_with_zero_derivative_ties(at):
     # none, gives the exact minimizer's bytes
     import sbmm.subsolver as subsolver
 
-    box = subsolver._box_family(0.0, np.zeros((1, 2)), np.ones((1, 2)), 2)
+    box = subsolver._BoxFamily(0.0, np.zeros((1, 2)), np.ones((1, 2)), 2)
     G = np.array([[1.0, 0.0], [0.0, 2.0]])
     # x0's derivative 2 (x0 - c0) vanishes at the bound c0, and x1 = c1 / 2
     C = np.array([[0.0 if at == "lo" else 1.0, 0.5]])
@@ -1871,7 +1955,7 @@ def test_rank2_straddling_box_starts_at_zero_and_either_sign(monkeypatch):
 
     count = _count_pair_candidates(monkeypatch)
     lam = 0.5
-    box = subsolver._box_family(lam, np.full((1, 2), -1.0), np.ones((1, 2)), 2)
+    box = subsolver._BoxFamily(lam, np.full((1, 2), -1.0), np.ones((1, 2)), 2)
     G = np.array([[1.0, 0.2], [0.2, 0.8]])
     # each row's minimizer (zero, positive or negative per entry) by design
     C = np.array([[0.1, -0.1], [0.7, 0.1], [-0.1, -0.6], [0.6, -0.5], [-0.2, 0.55]])
@@ -1893,9 +1977,9 @@ def test_rank2_straddling_box_starts_at_zero_and_either_sign(monkeypatch):
 def test_rank2_stack_with_starts_gives_each_members_bytes(side, seed, lam, bounds, per_member,
                                                           data):
     # a stack started per row, from its minimizer (verified), from a random
-    # pattern (often falling back to the enumeration) or, for a member given
-    # None, from no start: each member's (X, free, gap) are its own loop's
-    # bytes, in a small stack and in a large one
+    # pattern (often falling back to the enumeration) or, for a member whose
+    # start is all nan, from no start: each member's (X, free, gap) are its
+    # own loop's bytes, in a small stack and in a large one
     import sbmm.subsolver as subsolver
 
     n = data.draw(st.integers(1, 4))
@@ -1907,7 +1991,7 @@ def test_rank2_stack_with_starts_gives_each_members_bytes(side, seed, lam, bound
         up = up - rng.uniform(0.0, 0.1, size=(K, n, 2))
     else:
         lo, up = np.full((1, 2), lo), np.full((1, 2), up)
-    box = subsolver._box_family(lam, lo, up, 2)
+    box = subsolver._BoxFamily(lam, lo, up, 2)
     M = rng.normal(size=(K, 2, 3))
     G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2)
     C = rng.normal(size=(K, n, 2)) * 2.0
@@ -1916,8 +2000,9 @@ def test_rank2_stack_with_starts_gives_each_members_bytes(side, seed, lam, bound
     start = np.choose(pick, [L, U, np.clip(0.0, L, U), rng.uniform(L, U)])
     right = rng.random((K, n)) < 0.5
     start[right] = subsolver._pairs(G, C, box)[0][right]
-    starts = [None if j % 3 == 1 else start[j] for j in range(K)]
-    for X0 in (start, starts):
+    partial = start.copy()
+    partial[1::3] = np.nan  # no start for every third member
+    for X0 in (start, partial):
         X, free, gap = subsolver._pairs(G, C, box, certify=True, X0=X0)
         free = subsolver._free_mask(free, C.shape)
         for j in range(K):
@@ -1928,7 +2013,7 @@ def test_rank2_stack_with_starts_gives_each_members_bytes(side, seed, lam, bound
             assert gap[j].tobytes() == np.float64(gap_j).tobytes()
 
 
-def test_rank2_batch_verifies_some_rows_and_enumerates_the_rest(monkeypatch):
+def test_rank2_large_stack_verifies_some_rows_and_enumerates_the_rest(monkeypatch):
     # a large stack (28 member rows) whose rows start from their minimizers
     # builds one candidate per row and enumerates nothing; with the first
     # row of half the members started in another pattern it builds the 9
@@ -1940,7 +2025,7 @@ def test_rank2_batch_verifies_some_rows_and_enumerates_the_rest(monkeypatch):
     built = _count_calls(monkeypatch, subsolver, ["_pair_candidate"])
     rng = np.random.default_rng(227)
     n, K = 4, 7
-    box = subsolver._box_family(0.05, np.zeros((1, 2)), np.ones((1, 2)), 2)
+    box = subsolver._BoxFamily(0.05, np.zeros((1, 2)), np.ones((1, 2)), 2)
     M = rng.normal(size=(K, 2, 3))
     G, C = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(2), rng.normal(size=(K, n, 2))
     X = subsolver._pairs(G, C, box)[0]
@@ -1974,7 +2059,7 @@ def test_rank2_singular_hessian_takes_the_tie_break(G_kind, lam, K):
 
     rng = np.random.default_rng(97)
     n = 3
-    box = subsolver._box_family(lam, np.zeros((1, 2)), np.ones((1, 2)), 2)
+    box = subsolver._BoxFamily(lam, np.zeros((1, 2)), np.ones((1, 2)), 2)
     if G_kind == "zero_diagonal":
         G0 = np.array([[0.0, 0.0], [0.0, 1.3]])
     else:
@@ -2020,7 +2105,7 @@ def test_enumeration_product_gives_the_certified_gap(k, lam, K):
     rng = np.random.default_rng(72 + k)
     lead = () if K is None else (K,)
     lo, up = np.array([[-0.5, 0.0]]), np.array([[1.0, 2.0]])
-    box = subsolver._box_family(lam, lo, up, k)
+    box = subsolver._BoxFamily(lam, lo, up, k)
     if lam > 0:
         assert subsolver._ZERO in box.states
     for trial in range(200):
@@ -2051,10 +2136,10 @@ def test_sign_states_are_derived_per_box():
     boxes = [(lo, np.array([[1.0, 1.0, 1.0]])), (lo, np.array([[1.0, 1.0, -0.5]])),
              (np.array([[0.0, 0.0, 0.5]]), np.array([[1.0, 1.0, 1.0]]))]
     for _ in range(2):  # and again, once they are known
-        seen = [subsolver._box_family(0.05, lo_b, up_b, 3).states for lo_b, up_b in boxes]
+        seen = [subsolver._BoxFamily(0.05, lo_b, up_b, 3).states for lo_b, up_b in boxes]
         assert seen == [fresh(lo_b, up_b) for lo_b, up_b in boxes]
         assert len(set(seen)) == 3
-    assert (subsolver._box_family(0.0, *boxes[0], 3).states
+    assert (subsolver._BoxFamily(0.0, *boxes[0], 3).states
             == (subsolver._LO, subsolver._UP, subsolver._FREE))
 
 
@@ -2084,12 +2169,12 @@ def test_one_signed_box_gives_the_sign_tracking_bytes(side, k, lam, K):
         near[rng.random((n, k)) < 0.3] = 0.0  # bounds at zero, +0.0
         far = near + rng.uniform(0.2, 1.5, size=(n, k))
         lo, up = (near, far) if side > 0 else (0.0 - far, 0.0 - near)
-        box = subsolver._box_family(lam, lo, up, k)
+        box = subsolver._BoxFamily(lam, lo, up, k)
         if side > 0:
             ref, flip = copy.copy(box), 1.0
             ref.sign = 0
         else:
-            ref, flip = subsolver._box_family(lam, 0.0 - up, 0.0 - lo, k), -1.0
+            ref, flip = subsolver._BoxFamily(lam, 0.0 - up, 0.0 - lo, k), -1.0
         assert (box.sign, ref.sign) == ((1, 0) if side > 0 else (0, 1))
         M = rng.normal(size=lead + (k, k + 1))
         G = M @ M.swapaxes(-1, -2) + 0.01 * np.eye(k)
