@@ -26,14 +26,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 MUTANTS = [
     # FactorQuad's exact symmetry test always passes
-    ("src/sbmm/quadform.py", "if (M.tolist() == Mt.tolist()) if M.ndim == 2 else (M == Mt).all():",
-     "if True:"),
+    ("src/sbmm/quadform.py", "if M.tolist() == Mt.tolist():", "if True:"),
     # the block solve's two values at the anchor and the result swapped
     ("src/sbmm/quadform.py", "self.B.tolist(), self.C, (P.tolist(), W.tolist()))",
      "self.B.tolist(), self.C, (W.tolist(), P.tolist()))"),
     # a small stack's value pairs handed back in the reverse member order
-    ("src/sbmm/quadform.py", "return np.array(list(zip(*values)))",
-     "return np.array(list(zip(*values[::-1])))"),
+    ("src/sbmm/quadform.py", "return [p for p, _ in pairs], [w for _, w in pairs]",
+     "return [p for p, _ in pairs[::-1]], [w for _, w in pairs[::-1]]"),
     # the rank-2 value in floats without its constant
     ("src/sbmm/quadform.py", "values.append(v + C)", "values.append(v)"),
     # CPDL's runner hands the next step the flat dictionary one step stale
@@ -68,7 +67,14 @@ MUTANTS = [
      "return np.where(nan, _least_squares(G, C, certified), X0) if nan.any() else X0",
      "return X0"),
     # the OMF runner never writes a step's code back into its per-state codes
-    ("src/sbmm/bench.py", "codes[at] = res.H", "codes[at] = codes[at]"),
+    ("src/sbmm/bench.py", "table[at] = res.H", "table[at] = table[at]"),
+    # a stack's step writes each member's codes into the per-state codes of
+    # the members in reversed order
+    ("src/sbmm/bench.py", "table[at] = res.H",
+     "table[at if one else at[::-1]] = res.H"),
+    # every member of a stack draws its rows from member 0's rng
+    ("src/sbmm/bench.py", "else [draw_rows(g) for g in rngs]",
+     "else [draw_rows(rngs[0]) for g in rngs]"),
     # the tangent cone's lower face zeroing the inward components
     ("src/sbmm/geometry.py", "out[at_lower & (out < 0)] = 0.0", "out[at_lower & (out > 0)] = 0.0"),
 ]
@@ -81,6 +87,7 @@ TESTS = [
     "tests/test_bench.py::test_runner_audits_count_a_faulty_step",
     "tests/test_bench.py::test_cpdl_run_hands_its_flat_dictionary_to_the_next_step",
     "tests/test_bench.py::test_checkpoint_code_solves_start_from_each_states_last_code",
+    "tests/test_bench.py::test_run_sweep_stack_matches_run_experiment[sub_c1]",
     "tests/test_subsolver.py::test_nan_start_entries_take_the_default_start",
     "tests/test_subsolver.py::test_checks_still_fail_loudly",
     "tests/test_subsolver.py::test_certified_gap_allowance_covers_rounding",

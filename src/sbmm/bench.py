@@ -140,8 +140,9 @@ class _App:
     """One application as the shared loop sees it: a stack of K runs in
     lockstep (OMF), or a single run (CPDL, and any run given alone).  Stack
     quantities carry a leading member axis; member(a, j) takes member j's
-    part of one.  Each function keeps its application's own float
-    operations, so each app's diagnostics are the ones written for it."""
+    part of one.  A number per member comes as a list of K Python floats.
+    Each function keeps its application's own float operations, so each
+    app's diagnostics are the ones written for it."""
 
     state: object            # OmfState or CpdlState; step moves its iterate
     lam: float
@@ -149,23 +150,26 @@ class _App:
                              # (A, B, C, H, eps)
     iterate: Callable        # () -> W, or the list U of loading matrices
     member: Callable         # (stack quantity, j) -> member j's part
-    floats: Callable         # one number per member -> a list of K floats
+    floats: Callable         # an array of one number per member -> a list of K floats
     final: Callable          # j -> member j's final state
     surrogate: Callable      # step result -> the averaged surrogate's values at the
                              # previous and new iterates, grads(theta) as block lists
-    losses: Callable         # (X, member theta, j) -> values (S,), per-block gradient stacks
-    move: Callable           # (prev, theta) -> step norm, largest block move
+    losses: Callable         # theta -> per member: values (S,) over the source's
+                             # emissions, per-block gradient stacks
+    move: Callable           # (prev, theta) -> step norms, largest block moves
     stationarity: Callable   # (block gradients, theta) -> stationarity measure
     lipschitz_bound: Callable = None  # () -> the C1 audit's gradient bounds
+    norms: Callable = None   # stack quantity -> each member's norm, for the C1 audit
 
 
 def _norms(D: np.ndarray):
-    """np.linalg.norm of one member's (q, r) array, or of each member's of a
-    stack (K, q, r): the square root of the same dot product norm takes."""
+    """np.linalg.norm of one member's (q, r) array, or the list of each
+    member's of a stack (K, q, r): the square root of the same dot product
+    norm takes."""
     if D.ndim == 2:
         d = D.ravel()
         return math.sqrt(d.dot(d))
-    return np.array([math.sqrt(d.dot(d)) for d in D.reshape(len(D), -1)])
+    return [math.sqrt(d.dot(d)) for d in D.reshape(len(D), -1)]
 
 
 def run_omf_diagnostics(
@@ -208,13 +212,18 @@ def run_omf_diagnostics(
     rngs = [np.random.default_rng(0) for _ in sources] if rng is None else list(rng)
     if (not one and len(W0) != K) or len(rngs) != K:
         raise ValueError("a stack needs one W0 and one rng per source")
+    S = sources[0].S
+    if any(src.S != S for src in sources):
+        raise ValueError("a stack's sources must have the same number of states")
     st = OmfState.initial(W0, 1.0 if mode == "c1" else 0.0)
     # a code solve starts from the code its member last solved for the chain
     # state it draws (nan, the default start, for a state it has not drawn
-    # yet): per member and state, (K, S, r, d)
-    S = max(len(src.emissions) for src in sources)
+    # yet): per member and state, (K, S, r, d); a stack's step reads and
+    # writes them as rows offsets + y = j S + y of the flat table (K S, r, d)
     codes = np.full((K, S, W0.shape[-1], np.shape(sources[0].emissions[0])[-1]), np.nan)
-    members = np.arange(K)
+    table = codes if one else codes.reshape((K * S,) + codes.shape[2:])
+    offsets = np.arange(0, K * S, S)
+    emissions = np.array([src.emissions for src in sources])  # (K, S, q, d)
 
     def draw_rows(g):
         rows = np.asarray(row_sampler(g), dtype=int)
@@ -226,11 +235,11 @@ def run_omf_diagnostics(
         rows = None
         if row_sampler is not None:
             rows = draw_rows(rngs[0]) if one else [draw_rows(g) for g in rngs]
-        at = (0, ys[0]) if one else (members, ys)
+        at = (0, ys[0]) if one else offsets + ys
         res = omf_step(xs[0] if one else np.array(xs), st.W, st.A, st.B, w_n, lam, dict_box,
                        code_set, C_prev=st.C, radius=radius, tol=solver_tol, rows=rows,
-                       H0=codes[at])
-        codes[at] = res.H
+                       H0=table[at] if one else table.take(at, axis=0))
+        table[at] = res.H
         # the audits read res.quad, so it must hold the statistics the run carries on
         if not (res.quad.A is res.A and res.quad.B is res.B and res.quad.C is res.C):
             raise RuntimeError("omf_step's surrogate does not hold the step's statistics")
@@ -242,16 +251,22 @@ def run_omf_diagnostics(
         # the anchor) and its value at the iterate the run carries, the
         # step's own unless that is not the step's result; a member's
         # gradient is a list of one block, (1, q, r)
-        return res.g_prev, res.value_at(res.W), lambda W: res.quad.grad(W)[..., None, :, :]
+        g_prev, g_new = res.g_prev, res.value_at(res.W)
+        grads = lambda W: res.quad.grad(W)[..., None, :, :]
+        return ([g_prev], [g_new], grads) if one else (g_prev, g_new, grads)
 
-    def losses(X, W, j):
-        # each state's code solve starts from the code member j last solved
-        # for that state, as a step's does
-        values, grads, _ = factor_loss(X, W, lam, code_set, tol=solver_tol, H0=codes[j, :len(X)])
-        return values, [grads]
+    def losses(W):
+        # every member's every state in one stacked factor_loss call; each
+        # state's code solve starts from the code its member last solved for
+        # that state, as a step's does
+        values, grads, _ = factor_loss(emissions[0] if one else emissions, W, lam, code_set,
+                                       tol=solver_tol, H0=codes[0] if one else codes)
+        return [(values, [grads])] if one else [(v, [g]) for v, g in zip(values, grads)]
+
+    norms = (lambda D: [_norms(D)]) if one else _norms
 
     def move(prev, W):
-        step = _norms(W - prev)
+        step = norms(W - prev)
         return step, step
 
     def stationarity(grads, W):
@@ -259,7 +274,7 @@ def run_omf_diagnostics(
         if W.ndim == 2:
             return stationarity_measure(grads[0].ravel(), W.ravel(), dict_box)
         proj = tangent_cone_project(-grads.reshape(K, -1), W.reshape(K, -1), dict_box)
-        return _norms(proj.reshape(W.shape))
+        return np.array(_norms(proj.reshape(W.shape)))
 
     def final(j):
         if one:
@@ -271,7 +286,7 @@ def run_omf_diagnostics(
     app = _App(
         state=st, lam=lam, step=step, iterate=lambda: st.W,
         member=(lambda a, j: a) if one else (lambda a, j: a[j]),
-        floats=(lambda a: [a]) if one else (lambda a: a.tolist()),
+        floats=(lambda a: [a]) if one else (lambda a: a.tolist()), norms=norms,
         final=final, surrogate=surrogate, losses=losses, move=move, stationarity=stationarity,
         lipschitz_bound=lambda: [factor_loss_lipschitz_bound(src.emissions, dict_box,
                                                              code_set, r) for src in sources])
@@ -301,10 +316,15 @@ def run_cpdl_diagnostics(
     next step as its D_prev."""
     st = CpdlState.initial(U0)
     D = None  # the flat dictionary of st.U, once surrogate has built it
+    emissions = np.stack(source.emissions)
+    # a code solve starts from the code last solved for the chain state it
+    # draws (nan, the default start, for a state not drawn yet), as OMF's do
+    codes = np.full((source.S, st.A.shape[0], emissions.shape[-1]), np.nan)
 
     def step(xs, ys, w_n, radius):
         res = cpdl_step(xs[0], st.U, st.A, st.B, w_n, lam, factor_boxes, code_set,
-                        C_prev=st.C, radius=radius, tol=solver_tol, D_prev=D)
+                        C_prev=st.C, radius=radius, tol=solver_tol, D_prev=D, H0=codes[ys[0]])
+        codes[ys[0]] = res.H
         st.U = res.U
         return res
 
@@ -327,15 +347,15 @@ def run_cpdl_diagnostics(
                         gamma = gamma * grams[k]
                 out.append(2.0 * (U[i] @ gamma - _contract_except(B, U, i)))
             return out
-        return g_prev, g_new, grads
+        return [g_prev], [g_new], grads
 
-    def losses(X, U, j):
-        values, grads, _ = cpdl_loss(X, U, lam, code_set, tol=solver_tol)
-        return values, grads
+    def losses(U):
+        values, grads, _ = cpdl_loss(emissions, U, lam, code_set, tol=solver_tol)
+        return [(values, grads)]
 
     def move(prev, U):
         moves = [_norms(Ui - Pi) for Ui, Pi in zip(U, prev)]
-        return math.sqrt(sum(mv * mv for mv in moves)), max(moves)
+        return [math.sqrt(sum(mv * mv for mv in moves))], [max(moves)]
 
     def stationarity(grads, U):
         total = 0.0
@@ -375,7 +395,7 @@ def _audit_c1(app: _App, results: list, quad, G, theta, step: list, w_n: float,
     member's bound does not settle its check, so every count and maximum
     is the one the eager audit gives; a nan settles nothing."""
     rho = stat = None
-    grad_norms = app.floats(_norms(G.reshape(theta.shape)))
+    grad_norms = app.norms(G.reshape(theta.shape))
     A = quad.A.tolist()
     for j, (a, result) in enumerate(zip([A] if quad.A.ndim == 2 else A, results)):
         s = step[j]
@@ -401,13 +421,12 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
     monotonicity, the C2 step bound and, in mode C1, _audit_c1's step
     bound and stationarity maximum, which read rho and the tangent-cone
     projection only on the steps their cheap bounds leave undecided.  A
-    SubsolverError or GeometryError of step i is raised again, of its type
-    and chained, with "step i: " in front."""
+    stack's work that is not a member's own arithmetic is one call for the
+    stack: the step, the new samples' losses and the checkpoint's losses.
+    A SubsolverError or GeometryError of step i is raised again, of its
+    type and chained, with "step i: " in front."""
     st = app.state
-    K = len(sources)
-    S = sources[0].S
-    if any(src.S != S for src in sources):
-        raise ValueError("a stack's sources must have the same number of states")
+    K, S = len(sources), sources[0].S
     pis = [stationary_distribution(src) for src in sources]
     w_hat = np.zeros((K, S))
     cum_w = 0.0
@@ -418,15 +437,10 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
         for j, result in enumerate(results):
             result.trajectory.append(copy.deepcopy(app.member(app.iterate(), j)))
     R_bound = app.lipschitz_bound() if mode == "c1" else None
-    emissions = [np.stack(src.emissions) for src in sources]
     pending = None   # per member: (gbar value, fbar, w_n) at the last checkpoint
 
     for i in range(1, n_iters + 1):
-        xs, ys = [], []
-        for src in sources:
-            x, y = next_sample(src)
-            xs.append(x)
-            ys.append(y)
+        xs, ys = zip(*[next_sample(src) for src in sources])
         w_n = schedule.weight_at(i)
         radius = math.inf if mode == "c1" else c_prime * w_n
         prev = app.iterate()
@@ -451,10 +465,9 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
                 result.trajectory.append(copy.deepcopy(app.member(theta, j)))
 
         g_prev, g_new, grads = app.surrogate(res)
-        g_prev, g_new = app.floats(g_prev), app.floats(g_new)
         _refuse_non_finite(g_prev, i, "surrogate's value at the previous iterate")
         _refuse_non_finite(g_new, i, "surrogate's value at the new iterate")
-        step, largest = (app.floats(v) for v in app.move(prev, theta))
+        step, largest = app.move(prev, theta)
         for j, result in enumerate(results):
             if g_new[j] > g_prev[j] + 1e-9 * (1.0 + abs(g_prev[j])):
                 result.monotonicity_violations += 1
@@ -466,25 +479,30 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
         checkpoint = i % diag_interval == 0 or i == n_iters
         if pending is None and not checkpoint:
             continue
-        surr_grads = grads(theta) if checkpoint else None
+        # the new samples' losses at the previous iterate, from the codes the
+        # step has just solved there: one code_loss call for the stack
+        D_prev = res.quad.anchor
+        if D_prev.ndim == 2:
+            X, H = xs[0].reshape(1, D_prev.shape[0], -1), res.H[None]
+        else:
+            X, H = np.array(xs)[:, None], res.H[:, None]
+        l_new = code_loss(X, D_prev, H, app.lam)[0].ravel().tolist()
         last = pending
         pending = [] if checkpoint else None
+        if checkpoint:
+            surr_grads = grads(theta)
+            losses = app.losses(theta)
         for j, result in enumerate(results):
             g_new_j = g_new[j]
-            # the new sample's loss at the previous iterate, from the code
-            # the step has just solved there
-            D_prev = app.member(res.quad.anchor, j)
-            l_new = float(code_loss(xs[j].reshape(1, D_prev.shape[0], -1), D_prev,
-                                    app.member(res.H, j)[None], app.lam)[0][0])
             if last is not None:
                 gbar_val, fbar, w_prev = last[j]
                 lhs = g_new_j - gbar_val
-                rhs = w_n * (l_new - fbar) + w_prev ** 2 * app.member(st.eps_sum, j)
+                rhs = w_n * (l_new[j] - fbar) + w_prev ** 2 * app.member(st.eps_sum, j)
                 result.prop_margins.append((i, lhs - rhs, 1.0 + abs(rhs)))
             if not checkpoint:
                 continue
             theta_j = app.member(theta, j)
-            values, loss_grads = app.losses(emissions[j], theta_j, j)
+            values, loss_grads = losses[j]
             fbar = sum(w_hat[j, s] * values[s] for s in range(S))
             f_exp = sum(pis[j][s] * values[s] for s in range(S))
             blocks = (app.member(surr_grads, j),
@@ -502,7 +520,7 @@ def _run(app: _App, sources: list, schedule: WeightSchedule, mode: str,
                          ("min_stat_exp", stat_exp)):
                 mins[j][k] = min(mins[j].get(k, math.inf), v)
             result.records.append(DiagnosticsRecord(
-                n=i, w_n=w_n, cum_weight=cum_w, loss_new=l_new, fbar=fbar,
+                n=i, w_n=w_n, cum_weight=cum_w, loss_new=l_new[j], fbar=fbar,
                 f_exp=f_exp, gbar_val=g_new_j, gap_emp=gap_emp, gap_exp=gap_exp,
                 ggap_emp=ggap_emp, ggap_exp=ggap_exp, stat_surr=stat_surr,
                 stat_emp=stat_emp, stat_exp=stat_exp, step_norm=step[j],
@@ -854,6 +872,37 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
     return _run_stack(cfg, [seed], [out_path or cfg["output"]], named_by)[0]
 
 
+def _choose_rows(g: np.random.Generator, q: int, k: int) -> list:
+    """k of the rows 0..q-1 without replacement: the rows, in order, that
+    g.choice(q, size=k, replace=False) draws, from the same words of g's
+    stream, without choice's per-call array work.  For q <= 10000 choice
+    runs Floyd's algorithm (j = q - k, ..., q - 1 draws v in [0, j] and
+    keeps v, or j if v is taken) and then shuffles, swapping i = k - 1,
+    ..., 1 with a draw in [0, i]; each draw in [0, n - 1] is Lemire's
+    method on the bit generator's 32-bit words, and n = 1 draws none.
+    Larger q is left to choice itself."""
+    if q > 10000:
+        return g.choice(q, size=k, replace=False)
+    bits = g.bit_generator.ctypes
+    word, state = bits.next_uint32, bits.state
+
+    def below(n):
+        m = word(state) * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (0x100000000 - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = word(state) * n
+        return m >> 32
+    rows = []
+    for j in range(q - k, q):
+        v = below(j + 1) if j else 0
+        rows.append(j if v in rows else v)
+    for i in range(k - 1, 0, -1):
+        t = below(i + 1)
+        rows[i], rows[t] = rows[t], rows[i]
+    return rows
+
+
 def _run_stack(cfg: RunConfig, seeds: list, out_paths: list, named_by: str) -> list:
     """Runs of the config at the given engine seeds (None: engine.seed), as
     one OMF stack in lockstep, or CPDL runs one after another; each member
@@ -896,7 +945,7 @@ def _run_stack(cfg: RunConfig, seeds: list, out_paths: list, named_by: str) -> l
             p_or_k = cfg["app.row_sample"]
             if p_or_k >= 1:
                 k = int(p_or_k)
-                sampler = lambda g: g.choice(q, size=k, replace=False)
+                sampler = lambda g: _choose_rows(g, q, k)
             else:
                 sampler = lambda g: np.flatnonzero(g.random(q) < p_or_k)
         # one run is a stack of one, whose arrays carry no member axis

@@ -82,8 +82,8 @@ class OmfStepResult:
     the averaged surrogate it minimized (anchored at W_prev), its value
     g_prev at W_prev, the block solve's descent certificate, and its value
     g_new at W.  A stacked step's fields carry the member axis: H (K, r, d),
-    A (K, r, r), B (K, r, q), C, eps, g_prev and g_new (K,), W (K, q, r) and
-    a stacked quad."""
+    A (K, r, r), B (K, r, q), C and eps (K,), W (K, q, r) and a stacked
+    quad; g_prev and g_new are lists of K floats."""
 
     H: np.ndarray
     A: np.ndarray
@@ -99,9 +99,13 @@ class OmfStepResult:
         self._valued = self.W.tobytes()  # the W that g_new is the value at
 
     def value_at(self, W: np.ndarray):
-        """The surrogate's value at W: g_new when W holds the bytes of the
-        step's own result, else evaluated here."""
-        return self.g_new if W.tobytes() == self._valued else self.quad.value(W)
+        """The surrogate's value at W in g_new's form (a float, or a list per
+        member): g_new when W holds the bytes of the step's own result, else
+        evaluated here."""
+        if W.tobytes() == self._valued:
+            return self.g_new
+        value = self.quad.value(W)
+        return value if W.ndim == 2 else value.tolist()
 
 
 def omf_step(
@@ -128,8 +132,9 @@ def omf_step(
     shape, nan where there is no start (None: nan everywhere).  One sample X
     (q, d) takes W_prev (q, r), A_prev (r, r), B_prev (r, q) and a float
     C_prev; a stack of K leads each of these with a member axis, rows then
-    holds one row array per member, and each member gets its own step's
-    bytes (see the README's Invariants).
+    holds one row array per member (a (K, m) array when all draw m), the
+    certificate is two lists of K floats, and each member gets its own
+    step's bytes (see the README's Invariants).
     """
     X = np.asarray(X, dtype=float)
     W_prev = np.asarray(W_prev, dtype=float)
@@ -139,8 +144,10 @@ def omf_step(
     B = (1.0 - w_n) * B_prev + w_n * (X @ Ht).swapaxes(-1, -2)
     if X.ndim == 2:
         C = (1.0 - w_n) * C_prev + w_n * (float((X * X).sum()) + lam * float(np.abs(H).sum()))
-    else:
-        C = (1.0 - w_n) * C_prev + w_n * ((X * X).sum(axis=(1, 2)) + lam * np.abs(H).sum(axis=(1, 2)))
+    else:  # each member's C in the Python floats of a single step's
+        C = np.array([(1.0 - w_n) * c + w_n * (x + lam * h) for c, x, h in zip(
+            np.asarray(C_prev).tolist(), np.add.reduce(X * X, axis=(1, 2)).tolist(),
+            np.add.reduce(np.abs(H), axis=(1, 2)).tolist())])
     quad = FactorQuad(A, B, C, W_prev)
     # the dictionary problem on the step's rows, inside box-and-ball; a
     # stack solves one batch per row count
@@ -151,21 +158,22 @@ def omf_step(
                 raise ValueError("empty row subset")
         W, g_prev, g_new = solve_block_quadratic(quad, dict_box, radius, rows, tol=tol)
     else:
-        rows = [np.asarray(rj, dtype=int) for rj in rows]
-        sizes = [rj.size for rj in rows]
+        sizes = [len(rj) for rj in rows]
         if min(sizes) == 0:
             raise ValueError("empty row subset")
         if len(set(sizes)) == 1:
-            W, g_prev, g_new = solve_block_quadratic(quad, dict_box, radius, np.array(rows),
-                                                     tol=tol)
+            W, g_prev, g_new = solve_block_quadratic(quad, dict_box, radius,
+                                                     np.asarray(rows, dtype=int), tol=tol)
         else:
             W = np.empty(W_prev.shape)
-            g_prev, g_new = np.empty(len(rows)), np.empty(len(rows))
+            g_prev, g_new = [0.0] * len(rows), [0.0] * len(rows)
             for size in sorted(set(sizes)):
                 group = [j for j, n in enumerate(sizes) if n == size]
-                W[group], g_prev[group], g_new[group] = solve_block_quadratic(
-                    quad.members(group), dict_box, radius, np.array([rows[j] for j in group]),
-                    tol=tol)
+                W[group], values, new = solve_block_quadratic(
+                    quad.members(group), dict_box, radius,
+                    np.array([rows[j] for j in group], dtype=int), tol=tol)
+                for j, v, n in zip(group, values, new):
+                    g_prev[j], g_new[j] = v, n
     return OmfStepResult(H=H, A=A, B=B, C=C, W=W, eps=gap, quad=quad, g_prev=g_prev,
                          g_new=g_new)
 
@@ -236,6 +244,7 @@ def cpdl_step(
     radius: float = math.inf,
     tol: float = 1e-8,
     D_prev: np.ndarray | None = None,
+    H0: np.ndarray | None = None,
 ) -> CpdlStepResult:
     """One online CP-dictionary learning step.
 
@@ -245,9 +254,11 @@ def cpdl_step(
     the given radius, holding the other factors at their latest values.  The
     averaged surrogate is returned as a FactorQuad in the flat dictionary,
     anchored at out_product(U_prev) flattened: D_prev when given (the
-    runner's, built from the same U_prev), else built here.  A block solve's
-    SubsolverError or GeometryError is raised again, of its type and chained,
-    with "mode i: " in front.
+    runner's, built from the same U_prev), else built here.  H0 starts the
+    code solve: an array of the code's shape (r, b), nan where there is no
+    start (None: nan everywhere).  A block solve's SubsolverError or
+    GeometryError is raised again, of its type and chained, with "mode i: "
+    in front.
     """
     X = np.asarray(X, dtype=float)
     m = len(U_prev)
@@ -256,7 +267,7 @@ def cpdl_step(
 
     D_mat = (out_product(U_prev) if D_prev is None else D_prev).reshape(-1, r)
     X_mat = X.reshape(-1, b)
-    H, gap = solve_code_lasso(X_mat, D_mat, lam, code_set, tol=tol)
+    H, gap = solve_code_lasso(X_mat, D_mat, lam, code_set, tol=tol, H0=H0)
 
     A = (1.0 - w_n) * A_prev + w_n * (H @ H.T)
     B_upd = (X_mat @ H.T).reshape(X.shape[:-1] + (r,))
@@ -317,25 +328,28 @@ class CpdlState:
 def code_loss(X: np.ndarray, D: np.ndarray, H: np.ndarray, lam: float):
     """Per-sample values ||X_s - D H_s||_F^2 + lam ||H_s||_1 at the given codes,
     and the residuals X - D H, for a stack X (S, p, b) of flattened samples
-    with codes H (S, r, b) against the flat dictionary D (p, r)."""
-    R = X - D @ H
-    return (R * R).sum(axis=(1, 2)) + lam * np.abs(H).sum(axis=(1, 2)), R
+    with codes H (S, r, b) against the flat dictionary D (p, r), or for K
+    members' stacks, (K, S, p, b) and (K, S, r, b), each against its own D
+    (K, p, r)."""
+    R = X - D[..., None, :, :] @ H
+    return (R * R).sum(axis=(-2, -1)) + lam * np.abs(H).sum(axis=(-2, -1)), R
 
 
 def _stacked_codes(X: np.ndarray, D: np.ndarray, lam: float, code_set: BoxSet,
                    tol: float, H0: np.ndarray | None = None) -> np.ndarray:
-    """Optimal codes (S, r, b) of a stack X (S, p, b) against D (p, r), in
-    one solve_code_lasso call: every code column shares the Hessian D'D, so
-    the samples' columns are laid side by side, sample after sample, and so
-    are those of H0, an array of the codes' shape, nan where there is no
-    start (None: nan everywhere; another shape raises ValueError)."""
-    S, p, b = X.shape
-    r = D.shape[1]
+    """Optimal codes (S, r, b) of a stack X (S, p, b) against D (p, r), or
+    (K, S, r, b) of K members' stacks against their own D (K, p, r), in one
+    solve_code_lasso call: every code column of a member shares the Hessian
+    D'D, so its samples' columns are laid side by side, sample after sample,
+    and so are those of H0, an array of the codes' shape, nan where there is
+    no start (None: nan everywhere; another shape raises ValueError)."""
+    *lead, S, p, b = X.shape
+    r = D.shape[-1]
     if H0 is not None:
-        H0 = _start_array(H0, (S, r, b)).transpose(1, 0, 2).reshape(r, S * b)
-    H, _ = solve_code_lasso(X.transpose(1, 0, 2).reshape(p, S * b), D, lam,
+        H0 = _start_array(H0, (*lead, S, r, b)).swapaxes(-3, -2).reshape(*lead, r, S * b)
+    H, _ = solve_code_lasso(X.swapaxes(-3, -2).reshape(*lead, p, S * b), D, lam,
                             code_set, tol=tol, H0=H0)
-    return H.T.reshape(S, b, r).transpose(0, 2, 1)
+    return H.swapaxes(-1, -2).reshape(*lead, S, b, r).swapaxes(-1, -2)
 
 
 def factor_loss(X: np.ndarray, W: np.ndarray, lam: float, code_set: BoxSet,
@@ -346,8 +360,10 @@ def factor_loss(X: np.ndarray, W: np.ndarray, lam: float, code_set: BoxSet,
     One (q, d) sample gives (value, gradient (q, r), H (r, d)); a stack
     (S, q, d) gives values (S,), gradients (S, q, r) and codes (S, r, d),
     all from one code solve (_stacked_codes), stopped at its certified gap
-    <= tol.  H0 is an array of H's shape, nan where there is no start (None:
-    nan everywhere).
+    <= tol; K members' stacks (K, S, q, d) against their own W (K, q, r)
+    give each of these with a leading member axis, each member's the bytes
+    of its own call.  H0 is an array of H's shape, nan where there is no
+    start (None: nan everywhere).
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -357,7 +373,7 @@ def factor_loss(X: np.ndarray, W: np.ndarray, lam: float, code_set: BoxSet,
         H0 = np.asarray(H0, dtype=float)[None]
     H = _stacked_codes(Xs, W, lam, code_set, tol, H0)
     values, R = code_loss(Xs, W, H, lam)
-    grads = -2.0 * R @ H.transpose(0, 2, 1)
+    grads = -2.0 * R @ H.swapaxes(-1, -2)
     return (float(values[0]), grads[0], H[0]) if one else (values, grads, H)
 
 

@@ -40,10 +40,10 @@ def _is_symmetric(M: np.ndarray) -> bool:
     """np.allclose(M, M.T, atol=1e-10) without its per-call overhead; a
     stack (K, r, r) is symmetric when each member is.  An M equal to its
     transpose, as the statistics updates make it, passes at once: one
-    comparison of Python floats for one (r, r) M (nan and +-0 compare as
-    == compares them), one of arrays for a stack."""
+    comparison of Python floats, for one (r, r) M and for a stack alike
+    (nan and +-0 compare as == compares them)."""
     Mt = M.swapaxes(-1, -2)
-    if (M.tolist() == Mt.tolist()) if M.ndim == 2 else (M == Mt).all():
+    if M.tolist() == Mt.tolist():
         return True
     return bool((np.abs(M - Mt) <= 1e-10 + 1e-5 * np.abs(Mt)).all())
 
@@ -168,20 +168,19 @@ class FactorQuad:
         """The values at two float arrays P and W of the anchor's shape,
         which are not checked (the anchor and a solve's result, say): the
         bytes of value(np.array((P, W))), as two Python floats for a single
-        quad and two arrays (K,) for a stack.  At r = 2, while the pair has
-        at most _VALUE_LOOP_ROWS rows in all, they are _pair_values' floats,
-        member by member for a stack, so each member's are the bytes of its
-        own single quad's call."""
+        quad and two lists of K Python floats for a stack.  At r = 2, while
+        the pair has at most _VALUE_LOOP_ROWS rows in all, they are
+        _pair_values' floats, member by member for a stack, so each member's
+        are the bytes of its own single quad's call."""
         A = self.A
-        if A.shape[-1] == 2 and P.size <= _VALUE_LOOP_ROWS:
-            if A.ndim == 2:
-                return _pair_values(A.tolist(), self.B.tolist(), self.C, (P.tolist(), W.tolist()))
-            values = [_pair_values(a, b, c, pair) for a, b, c, *pair in
-                      zip(A.tolist(), self.B.tolist(), np.asarray(self.C).tolist(), P.tolist(),
-                          W.tolist())]
-            return np.array(list(zip(*values)))
-        values = self.value(np.array((P, W)))
-        return values.tolist() if A.ndim == 2 else values
+        if A.shape[-1] != 2 or P.size > _VALUE_LOOP_ROWS:
+            return self.value(np.array((P, W))).tolist()
+        if A.ndim == 2:
+            return _pair_values(A.tolist(), self.B.tolist(), self.C, (P.tolist(), W.tolist()))
+        pairs = [_pair_values(a, b, c, pair) for a, b, c, *pair in
+                 zip(A.tolist(), self.B.tolist(), np.asarray(self.C).tolist(), P.tolist(),
+                     W.tolist())]
+        return [p for p, _ in pairs], [w for _, w in pairs]
 
     def grad(self, W: np.ndarray) -> np.ndarray:
         W = self._as_matrix(W)

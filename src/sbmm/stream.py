@@ -9,14 +9,17 @@ whose rows all equal the sampling distribution (mixing rate zero).
 
 Each source builds its per-state cumulative distributions once, the way
 numpy's ``Generator.choice`` builds one per call (``cumsum``, then a divide
-by the last entry), and ``next_sample`` draws the next state with
-``searchsorted(rng.random(), side="right")`` on the current state's row.
-That is the same state from the same rng stream as ``rng.choice(S, p=row)``,
-without rebuilding and revalidating the row on every draw.
+by the last entry), and keeps each row as a list of Python floats;
+``next_sample`` draws the next state with ``bisect.bisect_right`` of
+``rng.random()`` in the current state's row, the index that
+``searchsorted(u, side="right")`` gives.  That is the same state from the
+same rng stream as ``rng.choice(S, p=row)``, without rebuilding and
+revalidating the row, or calling into numpy, on every draw.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +63,7 @@ class MarkovSource:
     seed: int = 0
     allow_periodic: bool = False
     rng: np.random.Generator = field(init=False, repr=False)
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
@@ -88,7 +91,7 @@ class MarkovSource:
         self.rng = np.random.default_rng(self.seed)
         # row s is the CDF rng.choice(S, p=P[s]) builds for itself
         cdf = P.cumsum(axis=1)
-        self.cdf = cdf / cdf[:, -1:]
+        self.cdf = (cdf / cdf[:, -1:]).tolist()
 
     @property
     def S(self) -> int:
@@ -159,7 +162,7 @@ def mixing_rate(src: MarkovSource, horizon: int = _MIXING_HORIZON) -> float:
 def next_sample(src: MarkovSource):
     """Advance the chain one step, drawing from src.rng; returns (emission of
     new state, new state)."""
-    new_state = int(src.cdf[src.state].searchsorted(src.rng.random(), side="right"))
+    new_state = bisect.bisect_right(src.cdf[src.state], src.rng.random())
     src.state = new_state
     return src.emissions[new_state], new_state
 

@@ -288,13 +288,15 @@ def _pairs(G, C, box, certify=False, X0=None):
     free flags (_free_mask), gap the certificate if certify (_pair_gap_loop;
     a float, or one per member), else None."""
     rows = box.pair_rows
+    starts = None if X0 is None else X0.tolist()
     if G.ndim == 2:
-        X, free, gap = _pairs_loop(G, C, rows[0], box, certify, X0)
+        X, free, gap = _pairs_loop(G.tolist(), C.tolist(), rows[0], box, certify, starts)
     else:
+        # the stack's floats in one conversion each, then member by member
         X, free, gap = [], [], []
-        for j in range(len(C)):
-            Xj, free_j, gap_j = _pairs_loop(G[j], C[j], rows[j if len(rows) > 1 else 0], box,
-                                            certify, None if X0 is None else X0[j])
+        for j, (Gj, Cj) in enumerate(zip(G.tolist(), C.tolist())):
+            Xj, free_j, gap_j = _pairs_loop(Gj, Cj, rows[j if len(rows) > 1 else 0], box,
+                                            certify, None if starts is None else starts[j])
             X += Xj
             free += free_j
             gap.append(gap_j)
@@ -309,19 +311,19 @@ def _free_mask(free, shape):
 
 
 def _pairs_loop(G, C, rows, box, certify, start):
-    """One family's rows: each row's (x0, x1) and free flags, and X's
-    certified gap if certify (_pair_gap_loop), else None.  rows holds each
-    row's bounds and patterns (one for all if alike; _BoxFamily.pair_rows);
-    start is the rows' start (nan: none), or None."""
-    (a, b), (_, c) = G.tolist()
+    """One family's rows, G, C and start as nested lists of Python floats:
+    each row's (x0, x1) and free flags, and X's certified gap if certify
+    (_pair_gap_loop), else None.  rows holds each row's bounds and patterns
+    (one for all if alike; _BoxFamily.pair_rows); start is the rows' start
+    (nan: none), or None."""
+    (a, b), (_, c) = G
     det = a * c - b * b
     if a <= 0.0 or c <= 0.0 or det <= 0.0:
         raise np.linalg.LinAlgError("a free system of the rank-2 closed form is not positive")
     lam, sign, index, zero = box.lam, box.sign, box.pair_index, _ZERO in box.states
     signed = lam > 0 and not sign  # the sign test a box with lo >= 0 implies
     rows = rows * len(C) if len(rows) == 1 else rows
-    C = C.tolist()
-    start = [(math.nan, math.nan)] * len(C) if start is None else start.tolist()
+    start = [(math.nan, math.nan)] * len(C) if start is None else start
     X, F = [], []
     for (c0, c1), (lo0, up0, lo1, up1, pats), (y0, y1) in zip(C, rows, start):
         p = index.get((_start_state(y0, lo0, up0, lam, zero),
@@ -788,8 +790,9 @@ def _box_qp_ball(G, C, box, center, radius, tol, first=None):
             return np.stack([_box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol)
                              for j in range(len(C))])
         X, free, _, certified = _minimize(G, C, box, center, tol)
-        for j in range(len(C)):
-            if not _distance(X[j], center[j]) <= radius:
+        # each member's _distance, from one subtraction for the stack
+        for j, u in enumerate((X - center).reshape(len(C), -1)):
+            if not math.sqrt(u.dot(u)) <= radius:
                 free = _free_mask(free, C.shape)
                 X[j] = _box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
                                     (X[j], free[j], certified[j]))
@@ -866,15 +869,15 @@ def solve_block_quadratic(
     active-set method stopped once its certified objective gap is <= tol.  rows is None
     (every row) or an index array (m,).  Returns (W, value, new): W of the
     anchor's shape, and the descent certificate, the objective at the anchor
-    and at W, both from FactorQuad.value_pair (Python floats for a single
-    quad).  new never rises above value; a rise, or a nan, raises
-    SubsolverError.  An anchor outside the box raises GeometryError, naming
-    the first stack member outside it.
+    and at W, both from FactorQuad.value_pair (Python floats).  new never
+    rises above value; a rise, or a nan, raises SubsolverError.  An anchor
+    outside the box raises GeometryError, naming the first stack member
+    outside it.
 
     A stack of K members is a stacked FactorQuad, anchor (K, q, r), with rows
     (m,) shared or (K, m) one set per member: every member has its own ball
-    of the shared radius, W has shape (K, q, r), value and new (K,), and each
-    member's certificate is checked on its own.
+    of the shared radius, W has shape (K, q, r), value and new are lists of
+    K floats, and each member's certificate is checked on its own.
     """
     if not radius >= 0.0:
         raise ValueError(f"radius must be >= 0 (0 and inf allowed), got {radius}")
@@ -900,7 +903,7 @@ def solve_block_quadratic(
         if not new <= obj + 1e-9 * (1.0 + abs(obj)):
             raise SubsolverError("block solve increased the objective")
         return W, obj, new
-    for j, (n, o) in enumerate(zip(new.tolist(), obj.tolist())):
+    for j, (n, o) in enumerate(zip(new, obj)):
         if not n <= o + 1e-9 * (1.0 + abs(o)):
             raise SubsolverError(f"block solve increased the objective of stack member {j}")
     return W, obj, new

@@ -964,13 +964,75 @@ def test_run_sweep_stack_matches_run_experiment(tmp_path, name, extra):
             assert res.final.W.tobytes() == ref.final.W.tobytes()
 
 
-def _record_code_starts(monkeypatch):
-    """Per run: the chain states drawn, each step's codes and each
-    checkpoint code solve's starts (with the number of steps before it)."""
+@pytest.mark.parametrize("name, extra", [("omf_markov", ""), ("omf_sub", "engine.mode = c1\n")],
+                         ids=["omf_c2", "omf_sub_c1"])
+def test_a_stack_of_one_gives_the_single_runs_bytes(tmp_path, name, extra):
+    # run_omf_diagnostics given one-element lists (a stack of one, which
+    # run_sweep never builds: one seed takes the single run's path) returns
+    # the single run's CSV, tallies, margins and final statistics byte for
+    # byte, from the same source, start, rng and row draws
     import sbmm.bench as bench
 
-    drawn, codes, starts = [], [], []
+    cfg = shipped_cfg(tmp_path, name, extra)
+    q, r, (lo, up) = cfg.tensor_shape[0], cfg["app.rank"], bench._bounds(cfg)
+    sampler = None
+    if cfg["app.kind"] == "omf_sub":
+        k = int(cfg["app.row_sample"])
+        sampler = lambda g: bench._choose_rows(g, q, k)
+    runs = []
+    for stacked in (False, True):
+        rng = np.random.default_rng(7)
+        W0 = rng.uniform(lo, up, size=(q, r))
+        source = bench._build_source(cfg)
+        out = run_omf_diagnostics(
+            [source] if stacked else source, bench._build_schedule(cfg),
+            W0[None] if stacked else W0, cfg["app.lambda"], BoxSet.uniform(q * r, lo, up),
+            BoxSet.uniform(r, lo, up), mode=cfg["engine.mode"], c_prime=cfg["engine.c_prime"],
+            n_iters=cfg["engine.n_iters"], diag_interval=cfg["engine.diag_interval"],
+            row_sampler=sampler, rng=[rng] if stacked else rng)
+        res = out[0] if stacked else out
+        emit_csv(res.records, tmp_path / f"{stacked}.csv")
+        runs.append((res, (tmp_path / f"{stacked}.csv").read_bytes()))
+    (one, csv_one), (stack, csv_stack) = runs
+    assert csv_stack == csv_one and len(one.records) == 6
+    assert stack.prop_margins == one.prop_margins and stack.c1_stat_max == one.c1_stat_max
+    for c in ("monotonicity_violations", "step_bound_violations", "c1_bound_violations"):
+        assert getattr(stack, c) == getattr(one, c)
+    for field in ("W", "A", "B"):
+        assert getattr(stack.final, field).tobytes() == getattr(one.final, field).tobytes()
+    assert (stack.final.C, stack.final.eps_sum) == (one.final.C, one.final.eps_sum)
+
+
+def test_row_draws_are_the_ones_rng_choice_draws():
+    # the omf_sub row sampler draws, from one rng stream, the rows
+    # g.choice(q, size=k, replace=False) draws, in order, and leaves the
+    # stream where choice leaves it: on 1-40 rows, k from 1 to q, with the
+    # stream's 32- and 64-bit draws in between; a numpy whose choice
+    # draws otherwise fails here
+    import sbmm.bench as bench
+
+    gen = np.random.default_rng(37)
+    for trial in range(400):
+        q = int(gen.integers(1, 41)) if trial % 50 else 10001
+        k = int(gen.integers(1, q + 1))
+        a, b = np.random.default_rng(trial), np.random.default_rng(trial)
+        for step in range(4):
+            assert list(bench._choose_rows(a, q, k)) == b.choice(q, size=k, replace=False).tolist()
+            if step % 2:
+                assert a.integers(7) == b.integers(7)
+            assert a.random() == b.random()
+
+
+def _record_code_starts(monkeypatch):
+    """Per run: the chain states drawn, each step's codes, each checkpoint
+    code solve's starts (with the number of steps before it) and the code
+    solves each checkpoint's loss call makes."""
+    import sbmm.bench as bench
+    import sbmm.factorize as fz
+
+    drawn, codes, starts, solves = [], [], [], []
     real_sample, real_step, real_loss = bench.next_sample, bench.omf_step, bench.factor_loss
+    real_solve = fz.solve_code_lasso
 
     def sample(src):
         x, y = real_sample(src)
@@ -984,44 +1046,88 @@ def _record_code_starts(monkeypatch):
 
     def loss(*args, **kwargs):
         starts.append((len(codes), np.array(kwargs["H0"])))  # a copy: the run's is a view
-        return real_loss(*args, **kwargs)
+        solves.append(0)
+        inside.append(1)
+        try:
+            return real_loss(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def solve(*args, **kwargs):
+        if inside:
+            solves[-1] += 1
+        return real_solve(*args, **kwargs)
+    inside = []
     monkeypatch.setattr(bench, "next_sample", sample)
     monkeypatch.setattr(bench, "omf_step", step)
     monkeypatch.setattr(bench, "factor_loss", loss)
-    return drawn, codes, starts
+    monkeypatch.setattr(fz, "solve_code_lasso", solve)
+    return drawn, codes, starts, solves
 
 
 def test_checkpoint_code_solves_start_from_each_states_last_code(tmp_path, monkeypatch):
     # a run's checkpoint code solve starts each chain state's columns from
     # the code its member last solved for that state, and a state not drawn
     # yet from the default start (all nan): in a single run, and per member of
-    # a stack; at rank 5 (the active-set path, on 16 states, some not drawn
-    # by the first checkpoint) and at rank 2 (the closed form's first
-    # pattern, on omf_markov's 2 states)
-    drawn, codes, starts = _record_code_starts(monkeypatch)
+    # a stack, whose members' states are solved in one factor_loss call and
+    # one solve_code_lasso call per checkpoint; at rank 5 (the active-set
+    # path, on 16 states, some not drawn by the first checkpoint) and at rank
+    # 2 (the closed form's first pattern, on omf_markov's 2 states)
+    drawn, codes, starts, solves = _record_code_starts(monkeypatch)
     for cfg, S, n_iters in ((rank5_cfg(tmp_path), 16, 60),
                             (shipped_cfg(tmp_path, "omf_markov"), 2, 120)):
         for seeds in ([4], [4, 5, 6]):
-            for record in (drawn, codes, starts):
+            for record in (drawn, codes, starts, solves):
                 record.clear()
             if len(seeds) == 1:
                 run_experiment(cfg, seed=seeds[0], out_path=str(tmp_path / "one.csv"))
             else:
                 run_sweep(cfg, seeds, out_dir=tmp_path / "sweep")
             K = len(seeds)
-            assert len(codes) == n_iters and len(starts) == 6 * K
-            for n, (steps, H0) in enumerate(starts):
-                j = n % K
-                last = {}
-                for i in range(steps):
-                    last[drawn[i * K + j]] = codes[i] if K == 1 else codes[i][j]
-                assert len(H0) == S
-                for y, h in enumerate(H0):
-                    assert (np.isnan(h).all() if y not in last
-                            else np.array_equal(h, last[y])), (n, y)
-            assert any(not np.isnan(h).any() for _, H0 in starts for h in H0)
+            assert len(codes) == n_iters and len(starts) == 6 and solves == [1] * 6
+            for steps, H0 in starts:
+                assert H0.shape[:-2] == ((S,) if K == 1 else (K, S))
+                for j, member in enumerate(H0[None] if K == 1 else H0):
+                    last = {}
+                    for i in range(steps):
+                        last[drawn[i * K + j]] = codes[i] if K == 1 else codes[i][j]
+                    for y, h in enumerate(member):
+                        assert (np.isnan(h).all() if y not in last
+                                else np.array_equal(h, last[y])), (steps, j, y)
+            blocks = [h for _, H0 in starts for h in H0.reshape((-1,) + H0.shape[-2:])]
+            assert any(not np.isnan(h).any() for h in blocks)
             if S == 16:
-                assert any(np.isnan(h).all() for _, H0 in starts for h in H0)
+                assert any(np.isnan(h).all() for h in blocks)
+
+
+def test_cpdl_step_code_solves_start_from_each_states_last_code(tmp_path, monkeypatch):
+    # a CPDL step's code solve starts from the code the run last solved for
+    # the chain state it draws, and from the default start (all nan) for a
+    # state not drawn yet, as an OMF step's does
+    import sbmm.bench as bench
+
+    drawn, steps = [], []
+    real_sample, real_step = bench.next_sample, bench.cpdl_step
+
+    def sample(src):
+        x, y = real_sample(src)
+        drawn.append(y)
+        return x, y
+
+    def step(*args, **kwargs):
+        res = real_step(*args, **kwargs)
+        steps.append((np.array(kwargs["H0"]), res.H))  # a copy: the run's is a view
+        return res
+    monkeypatch.setattr(bench, "next_sample", sample)
+    monkeypatch.setattr(bench, "cpdl_step", step)
+    cfg = shipped_cfg(tmp_path, "cpdl")
+    run_experiment(cfg, seed=3, out_path=str(tmp_path / "cpdl.csv"))
+    assert len(steps) == len(drawn) == 120
+    last = {}
+    for y, (H0, H) in zip(drawn, steps):
+        assert np.isnan(H0).all() if y not in last else np.array_equal(H0, last[y]), y
+        last[y] = H
+    assert len(last) > 1 and sum(not np.isnan(H0).any() for H0, _ in steps) >= 100
 
 
 def test_rank2_run_enumerates_few_candidates(tmp_path, monkeypatch):

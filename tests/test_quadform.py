@@ -156,7 +156,7 @@ def test_value_pair_gives_the_bytes_of_the_stacked_value(r, K):
     # value_pair(P, W) reads the two points as they are: a single rank-2
     # quad in Python floats (up to _VALUE_LOOP_ROWS rows in the pair), else
     # through value; either way the bytes value(np.array((P, W))) gives,
-    # as two floats for a single quad and two arrays (K,) for a stack, on
+    # as two floats for a single quad and two lists of K floats for a stack, on
     # random points, box corners and rows holding -0.0, of 1 to 30 rows
     import sbmm.quadform as quadform
 
@@ -184,10 +184,11 @@ def test_value_pair_gives_the_bytes_of_the_stacked_value(r, K):
 def test_stacked_value_pair_gives_each_members_own_bytes(K):
     # a rank-2 stack of 1-4 members with 1-6 rows each: value_pair loops over
     # its members in their Python floats while the pair has at most
-    # _VALUE_LOOP_ROWS rows in all, else takes the array form; either way
-    # member j's two values are the bytes of member j's own value_pair, and
-    # those of the array form (value of the stacked pair), on random points,
-    # box corners and rows holding -0.0
+    # _VALUE_LOOP_ROWS rows in all, else takes the array form; either way it
+    # gives two lists of K Python floats, member j's two values are the
+    # bytes of member j's own value_pair, and those of the array form (value
+    # of the stacked pair), on random points, box corners and rows holding
+    # -0.0
     import sbmm.quadform as quadform
 
     rng = np.random.default_rng(31 + K)
@@ -198,7 +199,7 @@ def test_stacked_value_pair_gives_each_members_own_bytes(K):
                            rng.normal(size=K), np.zeros((K, q, 2)))
             P, W = (_corners_and_zeros(rng, (K, q, 2)) for _ in range(2))
             got = g.value_pair(P, W)
-            assert [v.shape for v in got] == [(K,), (K,)]
+            assert [[type(x) for x in v] for v in got] == [[float] * K] * 2
             assert np.array(got).tobytes() == g.value(np.array((P, W))).tobytes()
             for j in range(K):
                 one = FactorQuad(g.A[j], g.B[j], float(g.C[j]), g.anchor[j])

@@ -26,6 +26,20 @@ def test_mutants_kills_a_known_mutant_and_a_no_op_survives():
     assert not mutants.killed((edit[0], edit[1], edit[1]), tests)
 
 
+def test_mutants_of_the_stacked_step_are_killed():
+    # a stack's per-state codes written in reversed member order, and every
+    # member's rows drawn from member 0's rng: each is caught by a test that
+    # compares a stack's members with their single runs
+    mutants = _load("mutants")
+    for new, test in (
+            ("table[at if one else at[::-1]] = res.H",
+             "test_checkpoint_code_solves_start_from_each_states_last_code"),
+            ("else [draw_rows(rngs[0]) for g in rngs]",
+             "test_run_sweep_stack_matches_run_experiment[sub_c1]")):
+        edit = next(m for m in mutants.MUTANTS if m[2] == new)
+        assert mutants.killed(edit, [f"tests/test_bench.py::{test}"])
+
+
 def test_call_counts_prints_calls_per_step(tmp_path):
     # a 20-step omf_markov run: calls per step, a header, then the 10 callers
     cfg = tmp_path / "omf20.cfg"

@@ -241,6 +241,37 @@ def test_next_sample_matches_rng_choice(seed, S, zero_frac, iid):
         assert got == [int(_FixedDraws([u]).choice(S, p=P[s])) for u in us]
 
 
+def test_next_sample_bisect_matches_the_array_searchsorted():
+    # next_sample's bisect_right on the per-state CDF lists gives the state
+    # searchsorted(u, side="right") gives on the CDF array the lists came
+    # from: on random chains of 2 to 16 states (some rows with zero
+    # entries), for random draws, draws at each CDF point and one ulp on
+    # either side of it, and along 2000 draws of the chain itself
+    gen = np.random.default_rng(71)
+    for trial in range(40):
+        S = int(gen.integers(2, 17))
+        P = gen.dirichlet(np.ones(S), size=S)
+        P[gen.random((S, S)) < 0.3] = 0.0
+        P[np.arange(S), gen.integers(S, size=S)] += 0.5
+        P /= P.sum(axis=1, keepdims=True)
+        src = MarkovSource(P=P, emissions=[np.full(1, float(s)) for s in range(S)],
+                           seed=trial, allow_periodic=True)
+        cdf = P.cumsum(axis=1)
+        cdf = cdf / cdf[:, -1:]
+        assert np.array(src.cdf).tobytes() == cdf.tobytes()
+        for s in range(S):
+            edges = [u for c in cdf[s] for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+            for u in list(gen.random(50)) + [u for u in edges if 0.0 <= u < 1.0]:
+                src.state, src.rng = s, _FixedDraws([float(u)])
+                assert next_sample(src)[1] == int(cdf[s].searchsorted(u, side="right"))
+        src.state, src.rng = 0, np.random.default_rng(trial)
+        rng, state, want = np.random.default_rng(trial), 0, []
+        for _ in range(2000):
+            state = int(cdf[state].searchsorted(rng.random(), side="right"))
+            want.append(state)
+        assert [next_sample(src)[1] for _ in range(2000)] == want
+
+
 def test_iid_frequencies_three_sigma():
     w = np.array([0.2, 0.5, 0.3])
     src = make_iid(w, [np.zeros(1), np.ones(1), np.full(1, 2.0)], seed=3)
