@@ -38,11 +38,14 @@ CSV that differs, stderr gets the size of the difference: the largest
 |change| / (1 + |parent|) over its entries, and the column it is in.
 ``--steps N`` caps every run's ``engine.n_iters`` at N, for a quick check.
 
-The work of ``omf_markov`` and ``cpdl`` at seed 0, of the 4- and 16-seed
-``omf_markov`` sweeps, of each rank-5 run and of the rank-5 sweep, which a
-machine's speed does not change, goes to stderr: its ball-search
-evaluations (the box solves of every ``ball_multiplier_search``, each one
-call of the ``solve(mu)`` that it takes as its first argument), the rank-2
+The work of ``omf_markov`` and ``cpdl`` at each seed, of the 4- and
+16-seed ``omf_markov`` sweeps, of each rank-5 run and of the rank-5 sweep,
+which a machine's speed does not change, goes to stderr, one line per run:
+its ball-search evaluations (the box solves of every
+``ball_multiplier_search``, each one call of the ``solve(mu)`` that it
+takes as its first argument; a rank-2 block solve, single or stacked, makes
+its box solve at mu = 0 before any search, so a rank-2 run counts only
+the box solves of the searches where the ball binds), the rank-2
 candidates whose objective the closed form's enumeration evaluates (one per
 ``_pair_objective`` call; a row whose start's pattern verifies evaluates
 none), and its ``np.linalg.cholesky``,
@@ -74,7 +77,7 @@ from pathlib import Path
 
 SHIPPED = ("omf_iid", "omf_markov", "omf_sub", "cpdl")
 C1 = ("omf_markov", "omf_sub")
-COUNTED = ("omf_markov", "cpdl")  # shipped configs whose seed-0 run's work is counted
+COUNTED = ("omf_markov", "cpdl")  # shipped configs whose runs' work is counted, seed by seed
 SEEDS = (0, 1, 2)
 SWEEP_SEEDS = (0, 1, 2, 3)
 STACK16_SEEDS = tuple(range(16))  # a large stack: 32 member rows per code solve
@@ -175,8 +178,8 @@ def write_set(out: Path, steps: int | None) -> None:
         for seed in SEEDS:
             run = functools.partial(run_experiment, cfg, seed=seed,
                                     out_path=str(csvs / f"{name}_seed{seed}.csv"))
-            if seed == 0 and name in COUNTED:
-                work[f"{name}_seed0"] = count_work(run)
+            if name in COUNTED:
+                work[f"{name}_seed{seed}"] = count_work(run)
             else:
                 run()
     for name in C1:

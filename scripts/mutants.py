@@ -75,6 +75,12 @@ MUTANTS = [
     # every member of a stack draws its rows from member 0's rng
     ("src/sbmm/bench.py", "else [draw_rows(g) for g in rngs]",
      "else [draw_rows(rngs[0]) for g in rngs]"),
+    # a rank-2 block solve keeps its point at mu = 0 up to twice the radius
+    # out, outside the ball
+    ("src/sbmm/subsolver.py", "if _distance(X, center) <= radius:",
+     "if _distance(X, center) <= 2.0 * radius:"),
+    # BoxSet.contains in Python floats without its upper-bound comparison
+    ("src/sbmm/geometry.py", "if not lo <= v <= up:", "if not lo <= v:"),
     # the tangent cone's lower face zeroing the inward components
     ("src/sbmm/geometry.py", "out[at_lower & (out < 0)] = 0.0", "out[at_lower & (out > 0)] = 0.0"),
 ]
@@ -89,6 +95,7 @@ TESTS = [
     "tests/test_bench.py::test_checkpoint_code_solves_start_from_each_states_last_code",
     "tests/test_bench.py::test_run_sweep_stack_matches_run_experiment[sub_c1]",
     "tests/test_subsolver.py::test_nan_start_entries_take_the_default_start",
+    "tests/test_subsolver.py::test_rank2_ball_solve_makes_the_searchs_opening_itself",
     "tests/test_subsolver.py::test_checks_still_fail_loudly",
     "tests/test_subsolver.py::test_certified_gap_allowance_covers_rounding",
     "tests/test_subsolver.py::test_enumeration_alone_is_exact_with_l1",

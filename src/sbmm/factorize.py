@@ -61,6 +61,8 @@ def _contract_except(T: np.ndarray, U: list[np.ndarray], i: int) -> np.ndarray:
     m = len(U)
     if m == 1:
         return T
+    if m == 2:
+        return np.einsum(_contraction(2, i), T, U[1 - i])
     return np.einsum(_contraction(m, i), T, *(U[k] for k in range(m) if k != i))
 
 
@@ -246,19 +248,17 @@ def cpdl_step(
     D_prev: np.ndarray | None = None,
     H0: np.ndarray | None = None,
 ) -> CpdlStepResult:
-    """One online CP-dictionary learning step.
-
-    The minibatch tensor X has shape (I_1, ..., I_m, b).  The code is solved
-    at the previous loading matrices, the statistics are averaged, and then
-    each loading matrix is updated once, cyclically, within its own ball of
-    the given radius, holding the other factors at their latest values.  The
-    averaged surrogate is returned as a FactorQuad in the flat dictionary,
-    anchored at out_product(U_prev) flattened: D_prev when given (the
-    runner's, built from the same U_prev), else built here.  H0 starts the
-    code solve: an array of the code's shape (r, b), nan where there is no
-    start (None: nan everywhere).  A block solve's SubsolverError or
-    GeometryError is raised again, of its type and chained, with "mode i: "
-    in front.
+    """One online CP-dictionary learning step on a minibatch X (I_1, ...,
+    I_m, b): the code at the previous loading matrices (solve_code_lasso
+    from H0, an array of the code's shape (r, b), nan where there is no
+    start; None: nan everywhere), the statistics averaged with weight w_n,
+    then each loading matrix once, cyclically, within its own ball of the
+    given radius, the other factors at their latest values.  A mode's
+    curvature is A times the other modes' Grams, symmetrized unless it equals
+    its transpose exactly.  The averaged surrogate is a FactorQuad in the
+    flat dictionary anchored at out_product(U_prev) flattened: D_prev when
+    given, else built here.  A block solve's SubsolverError or GeometryError
+    is raised again, of its type and chained, with "mode i: " in front.
     """
     X = np.asarray(X, dtype=float)
     m = len(U_prev)
@@ -275,12 +275,15 @@ def cpdl_step(
     C = (1.0 - w_n) * C_prev + w_n * (float((X * X).sum()) + lam * float(np.abs(H).sum()))
 
     U = [np.asarray(Ui, dtype=float) for Ui in U_prev]  # each is replaced, never written
-    grams = [Ui.T @ Ui for Ui in U]
+    # mode 0's Gram is not read before mode 0's solve replaces it
+    grams = [None] + [Ui.T @ Ui for Ui in U[1:]]
     for i in range(m):
         others = _hadamard_except(grams, i)
         gamma = A if others is None else A * others
-        lin = _contract_except(B, U, i)
-        quad = FactorQuad(0.5 * (gamma + gamma.T) if m > 1 else gamma, lin.T, 0.0, U[i])
+        # A and the Grams, X @ X.T forms, are exactly symmetric, and so is their product
+        if m > 1 and gamma.tolist() != gamma.T.tolist():
+            gamma = 0.5 * (gamma + gamma.T)
+        quad = FactorQuad(gamma, _contract_except(B, U, i).T, 0.0, U[i])
         try:
             U[i] = solve_block_quadratic(quad, factor_boxes[i], radius, tol=tol)[0]
         except (SubsolverError, GeometryError) as e:

@@ -22,6 +22,12 @@ __all__ = [
 
 BOUNDARY_TOL = 1e-9
 
+# BoxSet.contains compares a point of at most this many entries in Python
+# floats, a larger one (or a stack of points) as arrays.  Timed per call
+# (numpy 2.4, one core): the floats cost about 0.5 us plus 0.06 us per
+# entry, the arrays about 2.5 us; they break even near 40 entries
+_CONTAINS_LOOP = 32
+
 
 class GeometryError(RuntimeError):
     """Contract violation in a geometric primitive."""
@@ -65,15 +71,28 @@ class BoxSet:
         return self.lower - BOUNDARY_TOL, self.upper + BOUNDARY_TOL
 
     @cached_property
+    def _loose_floats(self) -> tuple[list, list]:
+        """_loose as lists of Python floats."""
+        return self._loose[0].tolist(), self._loose[1].tolist()
+
+    @cached_property
     def derived(self) -> dict:
         """Facts derived once from the box (``subsolver``'s box families)."""
         return {}
 
     def contains(self, x: np.ndarray) -> bool:
-        """Whether every entry of x lies within BOUNDARY_TOL of the box; a
-        NaN entry does not."""
-        lo, up = self._loose
+        """Whether every entry of x, of the box's shape or broadcast against
+        it (a stack of points), lies within BOUNDARY_TOL of the box; a NaN
+        entry does not.  A point of at most _CONTAINS_LOOP entries is
+        compared in Python floats."""
         x = np.asarray(x, dtype=float)
+        if x.shape == self.lower.shape and x.size <= _CONTAINS_LOOP:
+            lower, upper = self._loose_floats
+            for lo, v, up in zip(lower, x.tolist(), upper):
+                if not lo <= v <= up:
+                    return False
+            return True
+        lo, up = self._loose
         return bool(((x >= lo) & (x <= up)).all())
 
 

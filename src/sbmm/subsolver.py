@@ -718,27 +718,18 @@ def _working_set_root(G, C, box, center, radius, free, z, lo, hi):
 
 def ball_multiplier_search(solve, G, C, box, center, radius, tol, first=None):
     """Minimizer of the solve_box_qp objective without an l1 term over the
-    box (center in it) and the ball ||X - center||_F <= radius < inf.
-
-    The ball dualized, mu ||X - center||^2 added, leaves the box problem of
-    G + mu I and C + mu center; solve(mu), called once per box solve,
-    returns _minimize of it with the box bound, and first is that at 0 as
-    (X, free, certificate).  The search starts from X(0)'s working set at
-    rank 2, elsewhere from the anchor's, center's entries at a bound (the
-    online active-set hot start of Ferreau, Bock & Diehl, 2008).  Each step
-    takes the working set's root in the bracket (lo, hi) and its point
-    (_working_set_root), the answer if it is on the sphere up to BALL_RTOL
-    and the dualized certified gap there is <= tol.  Else one box solve: at
-    0 first, then at the root from its point (every row's minimizer there)
-    or, with no root, at the midpoint from the last X.  X(0) in the ball or
-    a solve on the sphere is the answer; another narrows the bracket, (0,
-    _mu_hi) at first, and gives the next working set.  A numerically zero
-    radius gives center, a bracket narrowed to BALL_RTOL the last X, and
-    BALL_MAX_ITERS steps raise SubsolverError.  The answer is scaled onto
-    the sphere."""
+    box (center in it) and the ball ||X - center||_F <= radius < inf.  The
+    ball dualized leaves the box problem of G + mu I and C + mu center, and
+    solve(mu) returns _minimize of it.  first, (X, free, certificate) at mu
+    = 0, is the answer if it is in the ball, else gives the first working set
+    (without it, center's bound entries; Ferreau, Bock & Diehl, 2008).  Each
+    step takes the working set's root in the bracket, (0, _mu_hi) at first,
+    and its point (_working_set_root): the answer if on the sphere with a
+    dualized certified gap <= tol.  Else one box solve, at the root from the
+    point, at 0 with no X yet, else at the midpoint, narrows the bracket and
+    gives the next working set.  A zero radius gives center, a closed
+    bracket the last X, BALL_MAX_ITERS steps SubsolverError."""
     X, free, certified = first or (None, None, None)
-    if X is None and box.enumerable:
-        X, free, _, certified = solve(0.0)(center, tol, False, None)
     if X is not None and _distance(X, center) <= radius:
         return X
     if _ball_is_center(center, radius):
@@ -780,23 +771,28 @@ def ball_multiplier_search(solve, G, C, box, center, radius, tol, first=None):
 
 def _box_qp_ball(G, C, box, center, radius, tol, first=None):
     """ball_multiplier_search's minimizer, or the box solve's from center at
-    radius inf.  A rank-2 stack (G (K, k, k); C, center (K, n, k)) solves
-    at mu = 0 in one _minimize call and its members outside the ball search
-    from their part (first); other stacks search member by member."""
+    radius inf.  At rank 2 with no first, the closed form at mu = 0 is one
+    _minimize call, for one family or a stack (G (K, k, k); C, center (K,
+    n, k)), and only a family whose point leaves the ball searches, from
+    that point (first); other stacks search member by member."""
     if math.isinf(radius):
         return _minimize(G, C, box, center, tol)[0]
-    if G.ndim == 3:
-        if not box.enumerable:
-            return np.stack([_box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol)
-                             for j in range(len(C))])
+    if first is None and box.enumerable:
         X, free, _, certified = _minimize(G, C, box, center, tol)
-        # each member's _distance, from one subtraction for the stack
-        for j, u in enumerate((X - center).reshape(len(C), -1)):
-            if not math.sqrt(u.dot(u)) <= radius:
-                free = _free_mask(free, C.shape)
-                X[j] = _box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
-                                    (X[j], free[j], certified[j]))
-        return X
+        if G.ndim == 3:
+            # each member's _distance, from one subtraction for the stack
+            for j, u in enumerate((X - center).reshape(len(C), -1)):
+                if not math.sqrt(u.dot(u)) <= radius:
+                    free = _free_mask(free, C.shape)
+                    X[j] = _box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol,
+                                        (X[j], free[j], certified[j]))
+            return X
+        if _distance(X, center) <= radius:
+            return X
+        first = (X, free, certified)
+    elif G.ndim == 3:
+        return np.stack([_box_qp_ball(G[j], C[j], box.member(j), center[j], radius, tol)
+                         for j in range(len(C))])
 
     def solve(mu):
         Gm, Cm = (G, C) if mu == 0.0 else (G + mu * _eye(len(G)), C + mu * center)
@@ -856,29 +852,18 @@ def solve_block_quadratic(
     rows=None,
     tol: float = 1e-8,
 ):
-    """Minimize the FactorQuad g over whole rows of its matrix variable.
-
-    The rows outside the block stay at g.anchor; the block's rows range over
-    their slice of box (of dim q*r, the matrix flattened row by row)
-    intersected with the ball of the given radius around their slice of the
-    anchor (radius = inf means no trust region; a nan or negative radius
-    raises ValueError).  Each dictionary row of the
-    block is one row of the solve_box_qp family with G = A and c_i the row's
-    column of B, with the trust-region ball dualized when the radius is
-    finite: at rank 2 exactly in closed form, at any other rank by the
-    active-set method stopped once its certified objective gap is <= tol.  rows is None
-    (every row) or an index array (m,).  Returns (W, value, new): W of the
-    anchor's shape, and the descent certificate, the objective at the anchor
-    and at W, both from FactorQuad.value_pair (Python floats).  new never
-    rises above value; a rise, or a nan, raises SubsolverError.  An anchor
-    outside the box raises GeometryError, naming the first stack member
-    outside it.
-
-    A stack of K members is a stacked FactorQuad, anchor (K, q, r), with rows
-    (m,) shared or (K, m) one set per member: every member has its own ball
-    of the shared radius, W has shape (K, q, r), value and new are lists of
-    K floats, and each member's certificate is checked on its own.
-    """
+    """Minimize the FactorQuad g over whole rows of its matrix variable:
+    rows (m,) of it, or every row if None; the others stay at g.anchor.  The
+    rows range over their slice of box (dim q*r, row by row) intersected
+    with the ball of the given radius around their slice of the anchor (inf:
+    no ball; nan or negative raises ValueError), one solve_box_qp family (G
+    = A, C = B') with the ball dualized (_box_qp_ball).  Returns (W, value,
+    new): W of the anchor's shape and the descent certificate, Python floats
+    from FactorQuad.value_pair; a rise or a nan raises SubsolverError, an
+    anchor outside the box GeometryError naming the member.  A stack,
+    anchor (K, q, r), takes rows (m,) or (K, m): each member has its own
+    ball of the shared radius and its own certificate, W is (K, q, r), and
+    value and new are lists of K floats."""
     if not radius >= 0.0:
         raise ValueError(f"radius must be >= 0 (0 and inf allowed), got {radius}")
     prev = g.anchor

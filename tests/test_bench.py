@@ -421,9 +421,10 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     # FactorQuad per step, and one eigvalsh for each C1 step whose step bound
     # the Rayleigh bound rho <= 2 min_i A_ii + 1e-12 max |A| does not settle
     # (a C2 run reads no eigenvalue); the block solve's certificate
-    # is that surrogate's value at the previous dictionary; and a ball search
-    # opens with its box solve at mu = 0 and bounds its multiplier only when
-    # that solve leaves the ball
+    # is that surrogate's value at the previous dictionary; and every step
+    # makes one box solve at mu = 0 (the rank-2 closed form on the
+    # surrogate's own A), and in C2 the ball search, with its multiplier
+    # bound, runs only on the steps whose solve there leaves the ball
     import sbmm.bench as bench
     import sbmm.subsolver as subsolver
     from sbmm.quadform import FactorQuad
@@ -432,7 +433,8 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
               "unsettled": 0}
     real_init, real_eig = FactorQuad.__post_init__, np.linalg.eigvalsh
     real_step, real_search = bench.omf_step, subsolver.ball_multiplier_search
-    real_mu_hi = subsolver._mu_hi
+    real_mu_hi, real_minimize = subsolver._mu_hi, subsolver._minimize
+    solves = []  # this step's box solves: (G, start, X)
 
     def init(self):
         counts["quad"] += 1
@@ -442,9 +444,19 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
         counts["eig"] += 1
         return real_eig(*args, **kwargs)
 
+    def minimize(G, C, box, start, *args, **kwargs):
+        out = real_minimize(G, C, box, start, *args, **kwargs)
+        solves.append((G, start, out[0]))
+        return out
+
     def step(x, W_prev, A_prev, B_prev, w_n, *args, **kwargs):
+        solves.clear()
         res = real_step(x, W_prev, A_prev, B_prev, w_n, *args, **kwargs)
         counts["steps"] += 1
+        zero = [(start, X) for G, start, X in solves if G is res.quad.A]
+        assert len(zero) == 1  # the one box solve at mu = 0
+        start, X = zero[0]
+        counts["binding"] += mode == "c2" and float(np.linalg.norm(X - start)) > c_prime * w_n
         assert res.g_prev == res.quad.value(W_prev)
         assert res.g_new == res.quad.value(res.W) == res.value_at(res.W)
         s = float(np.linalg.norm(res.W - W_prev))
@@ -454,23 +466,9 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
                                     <= w_n * R_bound * s + 1e-7 * (1.0 + abs(res.g_prev)))
         return res
 
-    def search(solve, G, C, box, center, radius, *args):
-        first = []
-
-        def recorded(mu):
-            box_solve = solve(mu)
-
-            def run(*solve_args):
-                out = box_solve(*solve_args)
-                if not first:
-                    assert mu == 0.0
-                    first.append(float(np.linalg.norm(out[0] - center)) > radius)
-                return out
-            return run
-        out = real_search(recorded, G, C, box, center, radius, *args)
+    def search(*args):
         counts["searches"] += 1
-        counts["binding"] += first[0]
-        return out
+        return real_search(*args)
 
     def bound(*args):
         counts["bound"] += 1
@@ -481,24 +479,24 @@ def test_omf_run_computes_each_quantity_once(monkeypatch, mode):
     monkeypatch.setattr(bench, "omf_step", step)
     monkeypatch.setattr(subsolver, "ball_multiplier_search", search)
     monkeypatch.setattr(subsolver, "_mu_hi", bound)
+    monkeypatch.setattr(subsolver, "_minimize", minimize)
     rng = np.random.default_rng(5)
     P = rng.uniform(0.2, 1.0, size=(2, 2))
     src = MarkovSource(P=P / P.sum(axis=1, keepdims=True),
                        emissions=list(rng.uniform(0.0, 1.0, size=(2, 3, 2))), seed=2)
     dict_box, code_set = BoxSet.uniform(6, 0.0, 1.0), BoxSet.uniform(2, 0.0, 1.0)
     R_bound = factor_loss_lipschitz_bound(src.emissions, dict_box, code_set, 2)
-    n_iters = 60  # with c_prime = 0.3 the ball binds on some of the C2 steps
+    n_iters, c_prime = 60, 0.3  # the ball binds on some of the C2 steps
     run_omf_diagnostics(src, WeightSchedule.polylog(0.5, 1.5), rng.uniform(0.0, 1.0, (3, 2)),
                         0.05, dict_box, code_set,
-                        mode=mode, c_prime=0.3, n_iters=n_iters, diag_interval=10)
+                        mode=mode, c_prime=c_prime, n_iters=n_iters, diag_interval=10)
     assert counts["steps"] == counts["quad"] == n_iters
     assert counts["eig"] == (counts["unsettled"] if mode == "c1" else 0)
     if mode == "c1":  # no trust region, so no ball search
         assert counts["searches"] == counts["bound"] == 0
     else:
-        assert counts["searches"] == n_iters
         assert 0 < counts["binding"] < n_iters
-        assert counts["bound"] == counts["binding"]
+        assert counts["searches"] == counts["bound"] == counts["binding"]
 
 
 @given(data=st.data())

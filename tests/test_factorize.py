@@ -525,6 +525,76 @@ def test_runner_solves_one_code_problem_per_step_and_checkpoint(monkeypatch, kin
         assert rec.loss_new == pytest.approx(fresh, rel=1e-12)
 
 
+@pytest.mark.parametrize("inputs", ["cpdl", "cpdl3"])
+def test_cpdl_mode_curvatures_are_exactly_symmetric(monkeypatch, tmp_path, inputs):
+    # over whole runs of configs/cpdl.cfg, and of the 3-mode inputs that
+    # scripts/csv_identity.py's write_cpdl3 builds, each mode's curvature, A
+    # times the other modes' Grams, equals its transpose exactly, and the
+    # step hands it to the mode's FactorQuad as it is
+    import importlib.util
+    from pathlib import Path
+
+    import sbmm.bench as bench
+    import sbmm.factorize as factorize
+    from sbmm import parse_config, run_experiment
+
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "configs" / "cpdl.cfg").read_text(encoding="utf-8").replace(
+        "configs/", f"{root / 'configs'}/")
+    if inputs == "cpdl3":
+        spec = importlib.util.spec_from_file_location("csv_identity",
+                                                      root / "scripts" / "csv_identity.py")
+        csv_identity = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(csv_identity)
+        text += "\n" + csv_identity.write_cpdl3(tmp_path)
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    others, curvatures, modes = [], [], []
+    real_hadamard, real_quad, real_step = (factorize._hadamard_except, factorize.FactorQuad,
+                                           bench.cpdl_step)
+
+    def hadamard(grams, i):
+        others.append(real_hadamard(grams, i))
+        return others[-1]
+
+    def quad(A, *args):
+        curvatures.append(A)
+        return real_quad(A, *args)
+
+    def step(*args, **kwargs):
+        others.clear()
+        curvatures.clear()
+        res = real_step(*args, **kwargs)
+        assert len(others) == len(res.U) and len(curvatures) == len(res.U) + 1
+        assert res.A.tolist() == res.A.T.tolist()
+        for other, curvature in zip(others, curvatures):
+            gamma = res.A * other
+            assert gamma.tolist() == gamma.T.tolist()
+            assert curvature.tobytes() == gamma.tobytes()
+        modes.append(len(res.U))
+        return res
+    monkeypatch.setattr(factorize, "_hadamard_except", hadamard)
+    monkeypatch.setattr(factorize, "FactorQuad", quad)
+    monkeypatch.setattr(bench, "cpdl_step", step)
+    cfg = parse_config(tmp_path / "run.cfg")
+    run_experiment(cfg, seed=0, out_path=str(tmp_path / "run.csv"))
+    assert modes == [2 if inputs == "cpdl" else 3] * cfg["engine.n_iters"]
+
+
+def test_contract_except_at_two_modes_is_the_general_einsum():
+    # the two-mode contraction, one einsum call on the other mode, gives the
+    # bytes of the general form's einsum over every other mode
+    from sbmm.factorize import _contract_except, _contraction
+
+    rng = np.random.default_rng(90)
+    for dims in ((2, 2), (3, 5), (1, 4)):
+        r = 3
+        T = rng.normal(size=dims + (r,))
+        U = [rng.normal(size=(I, r)) for I in dims]
+        for i in range(2):
+            want = np.einsum(_contraction(2, i), T, *(U[k] for k in range(2) if k != i))
+            assert _contract_except(T, U, i).tobytes() == want.tobytes()
+
+
 def test_step_result_values_only_its_own_result():
     # an OMF step hands on the block solve's value at its result; the value
     # at any other iterate, also one written over the result, is evaluated

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbmm.geometry import (
+    _CONTAINS_LOOP,
     BOUNDARY_TOL,
     BoxSet,
     GeometryError,
@@ -60,6 +61,37 @@ def test_box_contains_and_sample():
     for _ in range(50):
         assert box.contains(rng.uniform(box.lower, box.upper))
     assert not box.contains(np.array([0.0, 0.0, 1.1]))
+
+
+@pytest.mark.parametrize("n", [1, 4, _CONTAINS_LOOP, _CONTAINS_LOOP + 1])
+def test_contains_in_floats_agrees_with_the_array_form(n):
+    # a point of at most _CONTAINS_LOOP entries is compared in Python
+    # floats, a larger one as arrays; the verdict is the array comparison's
+    # for points inside, above and below, nan, +-0.0 and inf, and exactly at
+    # BOUNDARY_TOL beyond a bound or one float further out
+    rng = np.random.default_rng(n)
+    lower = rng.uniform(-1.0, 0.0, n)
+    lower[0] = 0.0
+    upper = lower + rng.uniform(0.5, 2.0, n)
+    upper[-1] = 0.0 if n > 1 else upper[-1]
+    box = BoxSet(lower, upper)
+    lo, up = box.lower - BOUNDARY_TOL, box.upper + BOUNDARY_TOL
+
+    def array_form(x):
+        return bool(((x >= lo) & (x <= up)).all())
+
+    specials = [math.nan, 0.0, -0.0, BOUNDARY_TOL, -BOUNDARY_TOL, math.inf, -math.inf,
+                5.0, -5.0]
+    verdicts = set()
+    for j in sorted({0, n // 2, n - 1}):
+        for v in specials + [lo[j], up[j], np.nextafter(lo[j], -math.inf),
+                             np.nextafter(up[j], math.inf)]:
+            x = rng.uniform(box.lower, box.upper)
+            x[j] = v
+            verdict = box.contains(x)
+            assert verdict == array_form(x), (j, v)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_nonneg_shorthand():

@@ -40,6 +40,20 @@ def test_mutants_of_the_stacked_step_are_killed():
         assert mutants.killed(edit, [f"tests/test_bench.py::{test}"])
 
 
+def test_mutants_of_the_rank2_ball_shortcut_and_float_contains_are_killed():
+    # a rank-2 block solve that keeps its point at mu = 0 outside the ball,
+    # and BoxSet.contains in floats without its upper bound: each is caught
+    # by the test that compares it with the path it replaces
+    mutants = _load("mutants")
+    for new, test in (
+            ("if _distance(X, center) <= 2.0 * radius:",
+             "tests/test_subsolver.py::test_rank2_ball_solve_makes_the_searchs_opening_itself"),
+            ("if not lo <= v:",
+             "tests/test_geometry.py::test_contains_in_floats_agrees_with_the_array_form")):
+        edit = next(m for m in mutants.MUTANTS if m[2] == new)
+        assert mutants.killed(edit, [test])
+
+
 def test_call_counts_prints_calls_per_step(tmp_path):
     # a 20-step omf_markov run: calls per step, a header, then the 10 callers
     cfg = tmp_path / "omf20.cfg"

@@ -581,12 +581,19 @@ def test_block_quadratic_refuses_a_bad_radius(r, K, radius):
 def test_ball_search_fixed_working_set_settles_on_its_point(monkeypatch):
     # the box never binds, so every multiplier shares the all-free working
     # set, and its secular root's point is the answer: at rank 2 after the
-    # closed form's one box solve at mu = 0, at every other rank (the
-    # active-set method) from the anchor's working set with no box solve.
-    # The working set's model gives the box solve's distance at every mu
+    # closed form's one box solve at mu = 0, which _box_qp_ball makes before
+    # the search, at every other rank (the active-set method) from the
+    # anchor's working set with no box solve.  The working set's model gives
+    # the box solve's distance at every mu
     import sbmm.subsolver as subsolver
 
     solves = _record_ball_solves(monkeypatch)
+    made, real_minimize = [], subsolver._minimize
+
+    def minimize(G, C, *args, **kwargs):
+        made.append((G.tobytes(), C.tobytes()))
+        return real_minimize(G, C, *args, **kwargs)
+    monkeypatch.setattr(subsolver, "_minimize", minimize)
 
     def check_model(G, C, box, center, radius):
         # the working set's point at the root of a distance is the box solve there
@@ -607,9 +614,10 @@ def test_ball_search_fixed_working_set_settles_on_its_point(monkeypatch):
         center = np.zeros((3, k))
         radius = 0.1 * float(np.linalg.norm(np.linalg.solve(G, C.T)))
         solves.clear()
+        made.clear()
         box = subsolver._BoxFamily(0.0, -100.0, 100.0, k)
         X = subsolver._box_qp_ball(G, C, box, center, radius, 1e-8)
-        assert [mu for mu, *_ in solves] == ([0.0] if k == 2 else [])
+        assert solves == [] and made == ([(G.tobytes(), C.tobytes())] if k == 2 else [])
         assert abs(float(np.linalg.norm(X - center)) - radius) <= 1e-12 * radius
         check_model(G, C, box, center, radius)
     solves.clear()
@@ -1037,6 +1045,49 @@ def test_box_qp_ball_stack_matches_each_family(k):
         for j in range(K):
             one = _box_qp_ball(G[j], C[j], box, center[j], radius, 1e-12)
             assert X[j].tobytes() == one.tobytes()
+
+
+def test_rank2_ball_solve_makes_the_searchs_opening_itself(monkeypatch):
+    # a rank-2 block solve makes its box solve at mu = 0 before any search:
+    # its X is the bytes of the path that solve opened inside the search,
+    # solve(0.0)(center, tol, False, None) as the search calls it, the
+    # answer in the ball (no search is made) and else the search's first.
+    # Random rank-2 blocks with the ball well inside and outside X(0), just
+    # inside and outside it, and of radius 0 (center) and inf (X(0))
+    import functools
+
+    import sbmm.subsolver as subsolver
+
+    real_search, searches = subsolver.ball_multiplier_search, []
+
+    def opening(G, C, box, center, radius, tol):
+        def solve(mu):
+            Gm, Cm = (G, C) if mu == 0.0 else (G + mu * np.eye(2), C + mu * center)
+            return functools.partial(subsolver._minimize, Gm, Cm, box)
+        X, free, _, certified = solve(0.0)(center, tol, False, None)
+        if math.isinf(radius) or float(np.linalg.norm(X - center)) <= radius:
+            return X, False
+        return real_search(solve, G, C, box, center, radius, tol, (X, free, certified)), True
+
+    def search(*args):
+        searches.append(args)
+        return real_search(*args)
+    monkeypatch.setattr(subsolver, "ball_multiplier_search", search)
+    kinds = set()
+    for seed in range(40):
+        G, C, lo, up, center, _ = _ball_block_instance(np.random.default_rng(seed), 2)
+        box = subsolver._BoxFamily(0.0, lo, up, 2)
+        d = float(np.linalg.norm(subsolver._minimize(G, C, box, center, 1e-8)[0] - center))
+        for radius in (0.0, 0.3 * d, 0.7 * d, 0.999 * d, 1.001 * d, 3.0 * d, math.inf):
+            want, binds = opening(G, C, box, center, radius, 1e-8)
+            searches.clear()
+            X = subsolver._box_qp_ball(G, C, box, center, radius, 1e-8)
+            assert X.tobytes() == want.tobytes(), (seed, radius)
+            assert len(searches) == binds
+            kinds.add((binds, radius == 0.0))
+            if radius == 0.0 and binds:
+                assert X.tobytes() == center.tobytes()
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_code_lasso_stack_matches_each_sample():
