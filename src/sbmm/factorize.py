@@ -61,9 +61,7 @@ def _contract_except(T: np.ndarray, U: list[np.ndarray], i: int) -> np.ndarray:
     m = len(U)
     if m == 1:
         return T
-    if m == 2:
-        return np.einsum(_contraction(2, i), T, U[1 - i])
-    return np.einsum(_contraction(m, i), T, *(U[k] for k in range(m) if k != i))
+    return np.einsum(_contraction(m, i), T, *U[:i], *U[i + 1:])
 
 
 @lru_cache(maxsize=None)

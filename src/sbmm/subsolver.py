@@ -721,7 +721,7 @@ def ball_multiplier_search(solve, G, C, box, center, radius, tol, first=None):
     box (center in it) and the ball ||X - center||_F <= radius < inf.  The
     ball dualized leaves the box problem of G + mu I and C + mu center, and
     solve(mu) returns _minimize of it.  first, (X, free, certificate) at mu
-    = 0, is the answer if it is in the ball, else gives the first working set
+    = 0 with X outside the ball (callers check), gives the first working set
     (without it, center's bound entries; Ferreau, Bock & Diehl, 2008).  Each
     step takes the working set's root in the bracket, (0, _mu_hi) at first,
     and its point (_working_set_root): the answer if on the sphere with a
@@ -730,8 +730,6 @@ def ball_multiplier_search(solve, G, C, box, center, radius, tol, first=None):
     gives the next working set.  A zero radius gives center, a closed
     bracket the last X, BALL_MAX_ITERS steps SubsolverError."""
     X, free, certified = first or (None, None, None)
-    if X is not None and _distance(X, center) <= radius:
-        return X
     if _ball_is_center(center, radius):
         return center.copy()
     lo, hi = 0.0, _mu_hi(G, C, center, radius)

@@ -580,21 +580,6 @@ def test_cpdl_mode_curvatures_are_exactly_symmetric(monkeypatch, tmp_path, input
     assert modes == [2 if inputs == "cpdl" else 3] * cfg["engine.n_iters"]
 
 
-def test_contract_except_at_two_modes_is_the_general_einsum():
-    # the two-mode contraction, one einsum call on the other mode, gives the
-    # bytes of the general form's einsum over every other mode
-    from sbmm.factorize import _contract_except, _contraction
-
-    rng = np.random.default_rng(90)
-    for dims in ((2, 2), (3, 5), (1, 4)):
-        r = 3
-        T = rng.normal(size=dims + (r,))
-        U = [rng.normal(size=(I, r)) for I in dims]
-        for i in range(2):
-            want = np.einsum(_contraction(2, i), T, *(U[k] for k in range(2) if k != i))
-            assert _contract_except(T, U, i).tobytes() == want.tobytes()
-
-
 def test_step_result_values_only_its_own_result():
     # an OMF step hands on the block solve's value at its result; the value
     # at any other iterate, also one written over the result, is evaluated

@@ -1494,10 +1494,12 @@ def test_ball_search_root_solve_starts_at_the_prediction(monkeypatch, box):
 
 def _search_from_mu_zero(G, C, box, center, radius, tol):
     """The ball search started from the working set of the box solve at mu =
-    0 instead of the anchor's."""
+    0 instead of the anchor's (that solve's point when it lies in the ball)."""
     import sbmm.subsolver as subsolver
 
     X, free, _, certified = subsolver._minimize(G, C, box, center, tol)
+    if subsolver._distance(X, center) <= radius:
+        return X
     return subsolver._box_qp_ball(G, C, box, center, radius, tol, (X, free, certified))
 
 
